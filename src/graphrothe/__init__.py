@@ -40,7 +40,6 @@ from .heat import (
     solve_step,
     step_functional,
 )
-from .kernels import COMPILED
 from .spectral import SpectralBasis, dirichlet_eigenbasis, exact_p1_solution, ode_oracle
 from .vi import (
     ConstantForcing,

@@ -4,8 +4,7 @@ used by every solver.
 
 All reductions run in strict ascending-vertex-id order (and ascending
 neighbor order inside a vertex) through the sequential-sum kernels, so
-reported values are bit-reproducible across runs and across the
-compiled/fallback kernel implementations.
+reported values are bit-reproducible across runs.
 """
 
 from __future__ import annotations

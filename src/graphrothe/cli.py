@@ -42,16 +42,37 @@ def _expect(cond, msg):
         _fail(msg)
 
 
+def _is_int(x):
+    # bool is a subclass of int, and JSON true must not pass as 1
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x):
+    """A finite number that converts to a float. The literal 1e400 reads
+    as inf, and command-line overrides may carry inf or nan."""
+    if not (_is_int(x) or isinstance(x, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _reject_constant(name):
+    _fail(f"non-finite number {name} is not allowed")
+
+
 def load_config(path, overrides=None):
     """Read, override, and structurally validate a run config."""
     if not os.path.exists(path):
         raise IoError(f"config file {path} does not exist")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, undecodable bytes, or an int too long to parse
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     _expect(isinstance(cfg, dict), "config must be a JSON object")
     for key, value in (overrides or {}).items():
@@ -97,19 +118,18 @@ def _validate_config(cfg):
                 "generative graphs are used through problem.exhaustion "
                 "(heat or vi)")
     if kind in ("heat", "vi"):
-        _expect(isinstance(prob.get("horizon"), (int, float))
-                and prob["horizon"] > 0, "problem.horizon must be > 0")
+        _expect(_is_number(prob.get("horizon")) and prob["horizon"] > 0,
+                "problem.horizon must be a finite number > 0")
         steps = prob.get("steps")
         steps_list = prob.get("steps_list")
         _expect(steps is not None or steps_list is not None,
                 "problem needs steps or steps_list")
         if steps is not None:
-            _expect(isinstance(steps, int) and steps >= 1,
+            _expect(_is_int(steps) and steps >= 1,
                     "problem.steps must be an integer >= 1")
         if steps_list is not None:
             _expect(isinstance(steps_list, list) and steps_list
-                    and all(isinstance(n, int) and n >= 1
-                            for n in steps_list),
+                    and all(_is_int(n) and n >= 1 for n in steps_list),
                     "problem.steps_list must be a list of integers >= 1")
         _expect("initial" in prob, "problem.initial is required")
         _validate_field_spec(prob["initial"], "problem.initial")
@@ -117,15 +137,14 @@ def _validate_config(cfg):
         if exh is not None:
             _expect(isinstance(exh, dict) and exh.get("seeds")
                     and isinstance(exh.get("levels"), list)
-                    and all(isinstance(m, int) and m >= 1
-                            for m in exh["levels"])
+                    and all(_is_int(m) and m >= 1 for m in exh["levels"])
                     and exh["levels"] == sorted(set(exh["levels"])),
                     "exhaustion needs seeds and a strictly increasing "
                     "list of integer levels")
     if kind == "heat":
         p = prob.get("p", 1.0)
-        _expect(isinstance(p, (int, float)) and p >= 1.0,
-                f"problem.p must be >= 1, got {p!r}")
+        _expect(_is_number(p) and p >= 1.0,
+                f"problem.p must be a finite number >= 1, got {p!r}")
     if kind == "vi":
         fspec = prob.get("forcing")
         _expect(isinstance(fspec, dict)
@@ -152,14 +171,14 @@ def _validate_config(cfg):
         if cspec.get("kind") == "obstacle":
             _validate_field_spec(cspec.get("psi"), "constraint.psi")
         lb = prob.get("lipschitz_bound")
-        _expect(lb is None or (isinstance(lb, (int, float)) and lb >= 0),
+        _expect(lb is None or (_is_number(lb) and lb >= 0),
                 "lipschitz_bound must be a nonnegative number")
     tol = cfg.get("tolerances", {})
     _expect(isinstance(tol, dict), "tolerances must be an object")
     for key, val in tol.items():
         _expect(key in ("newton_factor", "psor", "psor_relax", "ode_oracle"),
                 f"unknown tolerance {key!r}")
-        _expect(isinstance(val, (int, float)) and val > 0,
+        _expect(_is_number(val) and val > 0,
                 f"tolerance {key} must be positive")
 
 
@@ -363,11 +382,13 @@ def _run_heat(prep, outdir):
     diagnostics["max_energy_defect"] = report.max_d
 
     if prep.compare_oracle:
-        outputs.extend(_oracle_study(prep, prob, outdir))
+        outputs.extend(_oracle_study(prep, prob, traj, outdir))
     return outputs, diagnostics
 
 
-def _oracle_study(prep, prob, outdir):
+def _oracle_study(prep, prob, finest, outdir):
+    """Error against the oracle for each n in ``steps_list``; ``finest``
+    is the trajectory already solved for the largest n."""
     basis = None
     if prep.p == 1.0:
         basis = spectral.dirichlet_eigenbasis(prep.domain)
@@ -376,8 +397,11 @@ def _oracle_study(prep, prob, outdir):
     oracle_fields = None
     oracle_times = None
     for n in prep.steps_list:
-        part = heat.TimePartition(prep.horizon, n)
-        traj = heat.run_rothe(prob, part, tol_factor=prep.newton_factor)
+        if n == finest.partition.steps:
+            traj, part = finest, finest.partition
+        else:
+            part = heat.TimePartition(prep.horizon, n)
+            traj = heat.run_rothe(prob, part, tol_factor=prep.newton_factor)
         times = part.times
         if basis is not None:
             refs = [spectral.exact_p1_solution(basis, prep.initial, float(t))

@@ -61,10 +61,6 @@ class UnmaterializedNeighbor(GraphrotheError):
 
 # -- calculus ---------------------------------------------------------------
 
-class InfiniteSupport(GraphrotheError):
-    pass
-
-
 class InvalidQ(GraphrotheError):
     pass
 

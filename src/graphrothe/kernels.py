@@ -1,26 +1,50 @@
-"""Hot-kernel dispatch: compiled extension when available, else pure Python.
+"""The three numeric kernels of the Rothe schemes: an ordered sum, an
+ordered dot product and one projected-SOR sweep.
 
-Set ``GRAPHROTHE_PURE_PYTHON=1`` to force the fallback (used by the
-kernel-equivalence tests and the benchmark). Both implementations perform
-identical floating-point operations in identical order, so every result
-is bit-identical regardless of which one is active.
+The sums are bit-reproducible: every result equals the strict
+left-to-right loop ``s = 0.0; for x in a: s = s + x``.
 """
 
-import os
+import numpy as np
 
-from . import _kernels_py
 
-if os.environ.get("GRAPHROTHE_PURE_PYTHON", "") not in ("", "0"):
-    _impl = _kernels_py
-    COMPILED = False
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[no-redef]
-        COMPILED = True
-    except ImportError:
-        _impl = _kernels_py
-        COMPILED = False
+def _ordered_total(a):
+    if len(a) == 0:
+        return 0.0
+    # accumulate must add in index order because every prefix is an
+    # output; np.sum and np.add.reduce sum pairwise and can differ in the
+    # last bits. Adding 0.0 turns a -0.0 total into the loop's +0.0.
+    return float(np.add.accumulate(a)[-1]) + 0.0
 
-seq_sum = _impl.seq_sum
-seq_dot = _impl.seq_dot
-psor_sweep = _impl.psor_sweep
+
+def seq_sum(a):
+    """Sum of ``a`` added strictly in index order, starting from 0.0."""
+    return _ordered_total(a)
+
+
+def seq_dot(a, b):
+    """Dot product of ``a`` and ``b``, the products added strictly in
+    index order."""
+    if len(a) != len(b):
+        raise ValueError("length mismatch")
+    return _ordered_total(a * b)
+
+
+def psor_sweep(indptr, indices, data, diag, b, lower, u, relax):
+    """One projected-SOR sweep over the CSR rows, updating ``u`` in place;
+    returns the largest change of one entry."""
+    maxdelta = 0.0
+    for row in range(len(diag)):
+        acc = 0.0
+        for k in range(indptr[row], indptr[row + 1]):
+            acc = acc + data[k] * u[indices[k]]
+        cand = u[row] + relax * (b[row] - acc) / diag[row]
+        if cand < lower[row]:
+            cand = lower[row]
+        delta = cand - u[row]
+        if delta < 0.0:
+            delta = -delta
+        if delta > maxdelta:
+            maxdelta = delta
+        u[row] = cand
+    return maxdelta

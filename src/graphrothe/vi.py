@@ -29,7 +29,7 @@ from .errors import (
     TimeOutOfRange,
 )
 from .graph import Domain, ExhaustionSequence
-from .heat import TimePartition, restrict_initial
+from .heat import TimePartition, _level_delta, restrict_initial
 from .operators import DIRECT_SOLVE_MAX, CachedSPD, DirichletOperator
 
 PSOR_TOL = 1e-10
@@ -228,6 +228,7 @@ class VIRun:
     partition: TimePartition
     fields: tuple
     reports: tuple
+    operator: DirichletOperator
 
     @property
     def quotients(self):
@@ -248,7 +249,7 @@ def run_vi(prob, part, **opts):
         rep = stepper.step(i, fields[-1], prob.forcing.at(float(times[i])))
         fields.append(rep.u)
         reports.append(rep)
-    return VIRun(prob, part, tuple(fields), tuple(reports))
+    return VIRun(prob, part, tuple(fields), tuple(reports), stepper.op)
 
 
 def forcing_step_function(prob, part, t):
@@ -327,8 +328,7 @@ class MonotonicityReport:
 
 def vi_monotonicity_monitor(run):
     prob = run.problem
-    dom = prob.domain
-    op = DirichletOperator(dom)
+    op = run.operator
     mu = op.mass
     times = run.partition.times
     ell = run.partition.step_size
@@ -378,10 +378,8 @@ def run_vi_exhaustion(prob, part, levels=None, **opts):
         delta = None
         if prev is not None:
             prev_dom, prev_run = prev
-            ids = prev_dom.omega_ids
-            diff = sub_run.fields[-1].values[ids] - prev_run.fields[-1].values[ids]
-            delta = math.sqrt(kernels.seq_sum(
-                np.ascontiguousarray(exh.graph.mu[ids] * diff * diff)))
+            delta = _level_delta(exh.graph, prev_dom, prev_run.fields[-1],
+                                 sub_run.fields[-1])
         results.append(VILevelResult(m, dom, sub_run, delta))
         prev = (dom, sub_run)
     return results

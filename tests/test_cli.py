@@ -170,15 +170,37 @@ class TestValidation:
         assert capsys.readouterr().err.startswith("error[IO]:")
 
     def test_invalid_json_exit_2(self, tmp_path, capsys):
+        cfg_path, _ = heat_config(tmp_path)
+        valid = open(cfg_path).read()
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert main(["run", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("error[CONFIG]:")
+        # non-finite literals, a float literal that overflows to inf, and
+        # an int beyond the float range
+        for literal in ("NaN", "Infinity", "-Infinity", "1e400",
+                        "1" + "0" * 400):
+            path.write_text(valid.replace('"horizon": 1.0',
+                                          f'"horizon": {literal}'))
+            assert main(["run", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error[CONFIG]:")
+        # malformed, undecodable, and an int past the parser's digit limit
+        for text in (b"{not json", b"\xff{}",
+                     b'{"steps": ' + b"1" * 5000 + b"}"):
+            path.write_bytes(text)
+            assert main(["run", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("error[CONFIG]:")
 
     def test_no_partial_output_on_invalid_config(self, tmp_path):
-        cfg_path, cfg = heat_config(tmp_path, problem={"p": 0.5})
-        assert main(["run", cfg_path]) == 2
-        assert not (tmp_path / "out").exists()
+        cases = [({"p": 0.5}, []),
+                 ({"steps": True}, []),
+                 ({"steps": None, "steps_list": [True, 2]}, []),
+                 ({"horizon": True}, []),
+                 ({"p": True}, []),
+                 ({"exhaustion": {"seeds": ["2"], "levels": [True]}}, []),
+                 ({}, ["--horizon", "inf"]),
+                 ({}, ["--p", "nan"])]
+        for problem, extra in cases:
+            cfg_path, _ = heat_config(tmp_path, problem=problem)
+            assert main(["run", cfg_path, *extra]) == 2
+            assert not (tmp_path / "out").exists()
 
     def test_solve_error_exit_3(self, tmp_path, capsys):
         # explicit oracle cannot resolve a graph with huge weights

@@ -1,0 +1,237 @@
+"""Golden outputs: the SHA-256 of every output file and the manifest
+diagnostics of a few small runs, pinned so that a refactor has to prove
+byte-identical output rather than rerun determinism alone.
+
+The dense ``eigh`` paths (``kind: spectral`` and the p = 1 oracle study)
+are left out, so that the pins do not depend on the LAPACK build. A
+deliberate change of numerics rewrites the pins and says so.
+"""
+
+import json
+
+import pytest
+
+from graphrothe.cli import main
+
+SIDE = 5
+
+
+def _label(i, j):
+    return f"{i},{j}"
+
+
+def write_grid(tmp_path):
+    """A 5x5 grid with measures and weights that are exact binary
+    fractions, so the graph file reads back without rounding."""
+    lines = [f"graph {SIDE * SIDE}"]
+    for i in range(SIDE):
+        for j in range(SIDE):
+            lines.append(f"v {_label(i, j)} {0.5 + 0.25 * ((i + 2 * j) % 4)}")
+    for i in range(SIDE):
+        for j in range(SIDE):
+            w = 0.5 + 0.25 * ((i * j + i) % 5)
+            if j + 1 < SIDE:
+                lines.append(f"e {_label(i, j)} {_label(i, j + 1)} {w}")
+            if i + 1 < SIDE:
+                lines.append(f"e {_label(i, j)} {_label(i + 1, j)} {w}")
+    path = tmp_path / "grid.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def _grid_field(fn):
+    return {"values": {_label(i, j): fn(i, j)
+                       for i in range(SIDE) for j in range(SIDE)}}
+
+
+def config_heat_p1(tmp_path):
+    omega = [_label(i, j) for i in range(SIDE) for j in range(SIDE)
+             if i + j <= 6]
+    return {"graph": {"file": write_grid(tmp_path)},
+            "domain": {"omega": omega},
+            "problem": {"kind": "heat", "p": 1.0, "horizon": 0.5,
+                        "steps": 6,
+                        "initial": {"values": {"2,2": 1.0, "1,3": -0.5}}}}
+
+
+def config_heat_p2_lattice(tmp_path):
+    return {"graph": {"generative": "lattice_z2",
+                      "params": {"weight": 1.25, "mu": 0.75}},
+            "domain": "all",
+            "problem": {"kind": "heat", "p": 2.0, "horizon": 0.5,
+                        "steps": 4,
+                        "initial": {"values": {"0,0": 2.0, "1,0": 1.0,
+                                               "0,-1": 0.5}},
+                        "exhaustion": {"seeds": ["0,0"],
+                                       "levels": [2, 3, 4]}}}
+
+
+def config_heat_p2_oracle(tmp_path):
+    return {"graph": {"file": write_grid(tmp_path)},
+            "domain": "all",
+            "problem": {"kind": "heat", "p": 2.0, "horizon": 0.25,
+                        "steps_list": [2, 4],
+                        "compare_oracle": True,
+                        "initial": {"values": {"2,2": 1.5, "3,1": 0.5}}}}
+
+
+def config_vi_separable(tmp_path):
+    return {"graph": {"file": write_grid(tmp_path)},
+            "domain": "all",
+            "problem": {"kind": "vi", "horizon": 1.0, "steps": 5,
+                        "initial": {"values": {"2,2": 1.0}},
+                        "forcing": {"kind": "separable",
+                                    "field": _grid_field(
+                                        lambda i, j: 0.25 * (i - j)),
+                                    "time": "sin(t) + 1"},
+                        "lipschitz_bound": 2.0}}
+
+
+def config_vi_obstacle(tmp_path):
+    return {"graph": {"file": write_grid(tmp_path)},
+            "domain": "all",
+            "problem": {"kind": "vi", "horizon": 3.0, "steps": 3,
+                        "initial": _grid_field(
+                            lambda i, j: max(0.0, 1.0 - 0.25 * (
+                                abs(i - 2) + abs(j - 2)))),
+                        "forcing": {"kind": "constant",
+                                    "field": _grid_field(
+                                        lambda i, j: 0.5 * (j - 2))},
+                        "constraint": {"kind": "obstacle",
+                                       "psi": {"values": {}}},
+                        "lipschitz_bound": 1.0}}
+
+
+def config_vi_lattice(tmp_path):
+    return {"graph": {"generative": "lattice_z",
+                      "params": {"weight": 0.75, "mu": 1.25}},
+            "domain": "all",
+            "problem": {"kind": "vi", "horizon": 1.0, "steps": 4,
+                        "initial": {"values": {"0": 1.0, "1": 0.5}},
+                        "forcing": {"kind": "constant",
+                                    "field": {"values": {"-1": 0.25}}},
+                        "exhaustion": {"seeds": ["0"], "levels": [2, 4, 6]},
+                        "lipschitz_bound": 0.0}}
+
+
+def run_manifest(tmp_path, make_config):
+    cfg = make_config(tmp_path)
+    cfg["output"] = str(tmp_path / "out")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    # config_sha256 covers the tmp paths, so it is not pinned
+    return {"outputs": manifest["outputs"],
+            "diagnostics": manifest["diagnostics"]}
+
+
+GOLDEN = {
+    "heat_p1": {
+        "diagnostics": {
+            "max_energy_defect": -0.04323045480240173,
+            "max_energy_residual": -0.0018012689501000698
+        },
+        "outputs": {
+            "estimates.csv": "19e130e6bf49bdbef35dcc4abf366aa46d5bf6f0da2f7a7bddb0c6ec0c38b1ba",
+            "norms.csv": "a183327c6d373872b50d0ee96b8d7d180c5b6eccd8983195737d4bc466efeb00",
+            "trajectory.csv": "dd25c1d1da8c5ff5eed8be7bf2d2ecfc34657dc24a9882ae5ee9f7c2e57a0f10"
+        }
+    },
+    "heat_p2_lattice": {
+        "diagnostics": {
+            "level_deltas": [
+                0.24765205197328272,
+                0.12990013020621707
+            ]
+        },
+        "outputs": {
+            "levels.csv": "25521f9ef2f0a385278dfe1dce15bd12605a7974cf656c3ecc60fe1b98f2c399",
+            "terminal_level_2.txt": "8a0051bc4cb9822414745c11f95c2d607e4503929c7ef1ca331f9357e75a6771",
+            "terminal_level_3.txt": "5a9ff547b87e191cd89b259f251f638fbfceffd8a6d01e7cf1b7294b74c6d717",
+            "terminal_level_4.txt": "470df531a27309fcee92c52d69cfb96051b92536a243a42025e5c37f5959a265"
+        }
+    },
+    "heat_p2_oracle": {
+        "diagnostics": {
+            "max_energy_defect": -0.30252813262736966,
+            "max_energy_residual": -0.009454004144605288
+        },
+        "outputs": {
+            "estimates.csv": "569d64afdedf45f5eac4a6cc8c2ad47daf1cd84a065ace753c0ac41898dbf1f8",
+            "norms.csv": "a7e25810d0c1796d40bd7a6faa3ffff65bee860d62f93b9096058fa679e07a25",
+            "oracle_error.csv": "4f94cf997126310e03ddbde119d7e44845f838cbc5f364a6127ca38a62deab72",
+            "oracle_trajectory.csv": "302601c2f5dd5604184b2bfe828424532de9422c82a851bde19464679955e841",
+            "trajectory.csv": "927203f9679aeec77fdd0209028faf0e125d59a09f02b71eb9db743e345f6d23"
+        }
+    },
+    "vi_lattice": {
+        "diagnostics": {
+            "level_deltas": [
+                0.21656343861328775,
+                0.01169341608417374
+            ],
+            "lipschitz": {
+                "declared": 0.0,
+                "estimate": 0.0,
+                "violated": False
+            }
+        },
+        "outputs": {
+            "levels.csv": "78a269bbb931b8d34faa1876908444820e79f57db51296b155f19631ba57470d",
+            "terminal_level_2.txt": "590f89304aa9c03ad489a35e63b285bdac919b93abdf7d68976d2f48d2f1bc06",
+            "terminal_level_4.txt": "7da2d1a08b395c22960852c8f51dad84d33806b36ede3d2f3132a206ea0a0e1a",
+            "terminal_level_6.txt": "bc2cefb621c95ac5edb6d7df4548e77f0f71217c212383045ee39e503a911275"
+        }
+    },
+    "vi_obstacle": {
+        "diagnostics": {
+            "lipschitz": {
+                "declared": 1.0,
+                "estimate": 0.0,
+                "violated": False
+            },
+            "max_quotient_l2": 2.0410083400964347,
+            "quotient_bound": 5.59773963022651,
+            "quotient_recurrence_max_slack": -0.27387624021064405
+        },
+        "outputs": {
+            "norms.csv": "dbc9d82d962559470aea729b0b50e0cc1e50b4d89b2285a9a41b52fd22b4c04b",
+            "trajectory.csv": "ea2e82b82ac7d0b2a22705e5971b104d430c6127847163a980422dc581e6d127",
+            "vi_reports.csv": "def884c67b09475600b309886cb92fa16b061df26ee99312e2ec456a33ab644a"
+        }
+    },
+    "vi_separable": {
+        "diagnostics": {
+            "convergence_claims": "downgraded: declared Lipschitz bound exceeded by the sampled forcing",
+            "lipschitz": {
+                "declared": 2.0,
+                "estimate": 2.2072645460806095,
+                "violated": True
+            },
+            "max_quotient_l2": 3.3087896927292184,
+            "quotient_bound": 9.549941367077198,
+            "quotient_recurrence_max_slack": -0.2694138540875032
+        },
+        "outputs": {
+            "norms.csv": "9cd81bda43c5a454efbb1e767a743cf7c1a74020c0e0761dd7c9cb3320724058",
+            "trajectory.csv": "068bbcdc2f41e3d41c46c3c9beb85fa4fbc71499d96a6fac0796bf59f06c4423",
+            "vi_reports.csv": "df7986298ce2d5a5d5656bdddce7517a89ea273e5d9f2ab865a499b7b8a1da71"
+        }
+    }
+}
+
+
+CONFIGS = {
+    "heat_p1": config_heat_p1,
+    "heat_p2_lattice": config_heat_p2_lattice,
+    "heat_p2_oracle": config_heat_p2_oracle,
+    "vi_separable": config_vi_separable,
+    "vi_lattice": config_vi_lattice,
+    "vi_obstacle": config_vi_obstacle,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_golden_outputs(tmp_path, name):
+    assert run_manifest(tmp_path, CONFIGS[name]) == GOLDEN[name]

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
-from graphrothe import _kernels_py, kernels
+from graphrothe import kernels
 
 
 def _random_spd_csr(rng, n):
@@ -18,36 +21,51 @@ def _csr_parts(S):
             np.ascontiguousarray(S.diagonal()))
 
 
-class TestFallbackEquivalence:
-    """The compiled and pure-Python kernels must agree bit for bit."""
+def loop_sum(a):
+    """Reference: add strictly left to right, starting from 0.0."""
+    s = 0.0
+    for x in a.tolist():
+        s = s + x
+    return s
+
+
+def same_bits(x, y):
+    return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+
+
+def _mixed_magnitudes(rng, size):
+    """Signed values over 1e-300..1e300 with exact and signed zeros."""
+    a = rng.normal(size=size) * 10.0 ** rng.integers(-300, 301, size=size)
+    a[rng.random(size) < 0.1] = 0.0
+    a[rng.random(size) < 0.1] = -0.0
+    return a
+
+
+class TestLeftToRightReference:
+    """The ordered sums equal a strict left-to-right loop bit for bit,
+    including the sign of zero."""
 
     def test_seq_sum(self):
         rng = np.random.default_rng(1)
-        for size in (0, 1, 7, 1000):
-            a = np.ascontiguousarray(rng.normal(size=size))
-            assert kernels.seq_sum(a) == _kernels_py.seq_sum(a)
+        cases = [np.array([]), np.array([-0.0]), np.array([-0.0, -0.0]),
+                 np.array([0.0, -0.0]), np.array([1.0, -1.0]),
+                 np.array([-1.0, 1.0, -0.0])]
+        for size in (1, 2, 4, 7, 1000):
+            cases.append(rng.normal(size=size))
+            for _ in range(100):
+                cases.append(_mixed_magnitudes(rng, size))
+        for a in cases:
+            assert same_bits(kernels.seq_sum(a), loop_sum(a))
 
     def test_seq_dot(self):
         rng = np.random.default_rng(2)
-        a = np.ascontiguousarray(rng.normal(size=513))
-        b = np.ascontiguousarray(rng.normal(size=513))
-        assert kernels.seq_dot(a, b) == _kernels_py.seq_dot(a, b)
-
-    def test_psor_sweep(self):
-        rng = np.random.default_rng(3)
-        S = _random_spd_csr(rng, 40)
-        indptr, indices, data, diag = _csr_parts(S)
-        b = rng.normal(size=40)
-        lower = np.full(40, -0.05)
-        u1 = np.zeros(40)
-        u2 = np.zeros(40)
-        for _ in range(200):
-            d1 = kernels.psor_sweep(indptr, indices, data, diag, b, lower,
-                                    u1, 1.1)
-            d2 = _kernels_py.psor_sweep(indptr, indices, data, diag, b,
-                                        lower, u2, 1.1)
-            assert d1 == d2
-        assert np.array_equal(u1, u2)
+        for size in (0, 1, 4, 513):
+            for _ in range(50):
+                a = _mixed_magnitudes(rng, size)
+                b = rng.normal(size=size)
+                assert same_bits(kernels.seq_dot(a, b), loop_sum(a * b))
+        with pytest.raises(ValueError):
+            kernels.seq_dot(np.zeros(1), np.zeros(3))  # would broadcast
 
 
 class TestSeqSemantics:
