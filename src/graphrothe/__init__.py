@@ -7,7 +7,6 @@ from .calculus import (
     VertexField,
     field_on_interior,
     gamma,
-    gradient_length,
     green_identity_check,
     inner_product,
     integrate,

@@ -5,6 +5,13 @@ used by every solver.
 All reductions run in strict ascending-vertex-id order (and ascending
 neighbor order inside a vertex) through the sequential-sum kernels, so
 reported values are bit-reproducible across runs.
+
+Integrals of the gradient form keep that order over the CSR arrays: one
+accumulator per vertex starts at 0.0, and at neighbour slot k = 0, 1, ...
+every vertex with a k-th neighbour adds its term omega * (dw * dv), so
+each vertex sums exactly as ``gamma`` does; one ordered sum over the
+vertices finishes the integral. ``laplacian`` and ``gamma`` stay as the
+per-vertex reference definitions.
 """
 
 from __future__ import annotations
@@ -109,10 +116,6 @@ def gamma(g, w_field, v_field, at):
     return kernels.seq_sum(contrib) / (2.0 * g.mu[at])
 
 
-def gradient_length(g, v, at):
-    return math.sqrt(max(gamma(g, v, v, at), 0.0))
-
-
 def integrate(g, v, over=None):
     """Integral sum of mu(x) v(x) over a finite vertex-id subset
     (default: all materialized vertices), in ascending id order."""
@@ -130,11 +133,30 @@ def _power_integral(g, v, ids, q):
     return kernels.seq_sum(np.ascontiguousarray(g.mu[ids] * vals))
 
 
+def _gamma_values(g, w_field, v_field, ids):
+    """``gamma`` at every vertex of ``ids``, bit for bit, in one pass over
+    the neighbour slots; refuses the first incomplete vertex of ``ids``."""
+    ids = np.asarray(ids, dtype=np.int64)
+    incomplete = np.flatnonzero(~g.complete[ids])
+    if incomplete.size:
+        _require_complete(g, int(ids[incomplete[0]]))
+    start = g.indptr[ids]
+    degree = g.indptr[ids + 1] - start
+    wv, vv = w_field.values, v_field.values
+    acc = np.zeros(ids.size)
+    for k in range(int(degree.max(initial=0))):
+        rows = np.flatnonzero(degree > k)
+        slot = start[rows] + k
+        nbrs = g.indices[slot]
+        at = ids[rows]
+        acc[rows] = acc[rows] + g.weights[slot] * (
+            (wv[nbrs] - wv[at]) * (vv[nbrs] - vv[at]))
+    return acc / (2.0 * g.mu[ids])
+
+
 def _gamma_integral(g, w_field, v_field, ids):
-    total = 0.0
-    for i in ids:
-        total = total + g.mu[i] * gamma(g, w_field, v_field, int(i))
-    return total
+    """Integral of Gamma(w, v) over ``ids``, summed in the order given."""
+    return kernels.seq_sum(g.mu[ids] * _gamma_values(g, w_field, v_field, ids))
 
 
 @dataclass(frozen=True)
@@ -151,8 +173,7 @@ def norms(g, v, dom, q=2.0):
     the W^{1,2}(Omega) norm, and the gradient L2 norm over Omega."""
     if math.isnan(q) or q < 1.0:
         raise InvalidQ(f"q = {q}")
-    for i in dom.omega_ids:
-        _require_complete(g, int(i))
+    grad_sq = _gamma_integral(g, v, v, dom.omega_ids)
     l2i = math.sqrt(_power_integral(g, v, dom.interior_ids, 2.0))
     l2d = math.sqrt(_power_integral(g, v, dom.omega_ids, 2.0))
     if math.isinf(q):
@@ -160,7 +181,6 @@ def norms(g, v, dom, q=2.0):
             if dom.omega_ids.size else 0.0
     else:
         lq = _power_integral(g, v, dom.omega_ids, q) ** (1.0 / q)
-    grad_sq = _gamma_integral(g, v, v, dom.omega_ids)
     grad = math.sqrt(max(grad_sq, 0.0))
     w12 = math.sqrt(max(grad_sq, 0.0) + l2d * l2d)
     return NormBundle(l2i, l2d, lq, w12, grad)
@@ -174,13 +194,10 @@ def inner_product(g, w_field, v_field, dom, kind="L2"):
         prods = g.mu[ids] * (w_field.values[ids] * v_field.values[ids])
         return kernels.seq_sum(np.ascontiguousarray(prods))
     if kind == "W12":
-        total = 0.0
-        for i in dom.omega_ids:
-            i = int(i)
-            total = total + g.mu[i] * (
-                gamma(g, w_field, v_field, i)
-                + w_field.values[i] * v_field.values[i])
-        return total
+        ids = dom.omega_ids
+        gam = _gamma_values(g, w_field, v_field, ids)
+        return kernels.seq_sum(
+            g.mu[ids] * (gam + w_field.values[ids] * v_field.values[ids]))
     raise ValueError(f"unknown inner product kind {kind!r}")
 
 

@@ -186,8 +186,9 @@ def _validate_field_spec(spec, what):
     _expect(isinstance(spec, dict) and (("file" in spec) ^ ("values" in spec)),
             f"{what} must give exactly one of 'file' or 'values'")
     if "values" in spec:
-        _expect(isinstance(spec["values"], dict),
-                f"{what}.values must map labels to numbers")
+        _expect(isinstance(spec["values"], dict)
+                and all(_is_number(v) for v in spec["values"].values()),
+                f"{what}.values must map labels to finite numbers")
 
 
 def _referenced_files(cfg):
@@ -315,26 +316,33 @@ def _interior_l2(graph, dom, values_diff):
     return math.sqrt(float(np.dot(graph.mu[ids] * d, d)))
 
 
-def _norm_rows(dom, fields, times, p):
-    g = dom.graph
-    q = 2.0 * p if p is not None else 2.0
-    for t, u in zip(times, fields):
-        nb = calculus.norms(g, u, dom, q=q)
-        energy = 0.5 * nb.grad_l2 ** 2
-        if p is not None:
-            powr = calculus.integrate(
-                g, VertexField(g, np.abs(u.values) ** (p + 1.0)),
-                dom.interior_ids)
-            energy += powr / (p + 1.0)
-        yield (float(t), nb.l2_interior, nb.grad_l2, nb.lq, energy)
-
-
 def _estimate_rows(report):
     for row in report.rows:
         yield (row.index, row.l2, row.grad_l2, row.l2p,
                None if math.isnan(row.delta_l2) else row.delta_l2,
                None if math.isnan(row.r) else row.r,
                None if math.isnan(row.d) else row.d)
+
+
+def _write_levels(results, outdir, diagnostics):
+    """Terminal field of each exhaustion level and the levels table."""
+    outputs = []
+    rows = []
+    for res in results:
+        terminal = res.run.fields[-1]
+        nb = calculus.norms(res.domain.graph, terminal, res.domain)
+        rows.append((res.level, res.domain.num_interior,
+                     nb.l2_interior, res.delta_prev))
+        name = f"terminal_level_{res.level}.txt"
+        fileio.write_field_file(terminal, os.path.join(outdir, name))
+        outputs.append(name)
+    fileio.write_csv(os.path.join(outdir, "levels.csv"),
+                     ("m", "interior_size", "l2_terminal", "delta_prev"),
+                     rows)
+    outputs.append("levels.csv")
+    diagnostics["level_deltas"] = [r.delta_prev for r in results
+                                   if r.delta_prev is not None]
+    return outputs, diagnostics
 
 
 def _run_heat(prep, outdir):
@@ -346,23 +354,7 @@ def _run_heat(prep, outdir):
         part = heat.TimePartition(prep.horizon, prep.steps)
         results = heat.run_exhaustion(prob, part, levels=prep.levels,
                                       tol_factor=prep.newton_factor)
-        rows = []
-        for res in results:
-            nb = calculus.norms(res.domain.graph, res.trajectory.fields[-1],
-                                res.domain)
-            rows.append((res.level, res.domain.num_interior,
-                         nb.l2_interior, res.delta_prev))
-            name = f"terminal_level_{res.level}.txt"
-            fileio.write_field_file(res.trajectory.fields[-1],
-                                    os.path.join(outdir, name))
-            outputs.append(name)
-        fileio.write_csv(os.path.join(outdir, "levels.csv"),
-                         ("m", "interior_size", "l2_terminal", "delta_prev"),
-                         rows)
-        outputs.append("levels.csv")
-        deltas = [r.delta_prev for r in results if r.delta_prev is not None]
-        diagnostics["level_deltas"] = deltas
-        return outputs, diagnostics
+        return _write_levels(results, outdir, diagnostics)
 
     prob = heat.HeatProblem(prep.domain, prep.p, prep.initial, prep.horizon)
     part = heat.TimePartition(prep.horizon, prep.steps)
@@ -376,7 +368,9 @@ def _run_heat(prep, outdir):
                      _estimate_rows(report))
     fileio.write_csv(os.path.join(outdir, "norms.csv"),
                      ("t", "l2_interior", "grad_l2", "lq", "energy"),
-                     _norm_rows(prep.domain, traj.fields, part.times, prep.p))
+                     ((float(t), row.l2_interior, row.grad_l2, row.l2p,
+                       row.energy)
+                      for t, row in zip(part.times, report.rows)))
     outputs += ["trajectory.csv", "estimates.csv", "norms.csv"]
     diagnostics["max_energy_residual"] = report.max_r
     diagnostics["max_energy_defect"] = report.max_d
@@ -404,8 +398,7 @@ def _oracle_study(prep, prob, finest, outdir):
             traj = heat.run_rothe(prob, part, tol_factor=prep.newton_factor)
         times = part.times
         if basis is not None:
-            refs = [spectral.exact_p1_solution(basis, prep.initial, float(t))
-                    for t in times]
+            refs = spectral.exact_p1_solution(basis, prep.initial, times)
         else:
             refs = spectral.ode_oracle(prob, [float(t) for t in times],
                                        tol=prep.ode_tol)
@@ -459,23 +452,7 @@ def _run_vi(prep, outdir):
                             prep.horizon, prep.lipschitz_bound,
                             prep.constraint)
         results = vi.run_vi_exhaustion(prob, part, levels=prep.levels, **opts)
-        rows = []
-        for res in results:
-            nb = calculus.norms(res.domain.graph, res.run.fields[-1],
-                                res.domain)
-            rows.append((res.level, res.domain.num_interior,
-                         nb.l2_interior, res.delta_prev))
-            name = f"terminal_level_{res.level}.txt"
-            fileio.write_field_file(res.run.fields[-1],
-                                    os.path.join(outdir, name))
-            outputs.append(name)
-        fileio.write_csv(os.path.join(outdir, "levels.csv"),
-                         ("m", "interior_size", "l2_terminal", "delta_prev"),
-                         rows)
-        outputs.append("levels.csv")
-        diagnostics["level_deltas"] = [r.delta_prev for r in results
-                                       if r.delta_prev is not None]
-        return outputs, diagnostics
+        return _write_levels(results, outdir, diagnostics)
 
     prob = vi.VIProblem(prep.domain, prep.forcing, prep.initial,
                         prep.horizon, prep.lipschitz_bound, prep.constraint)
@@ -483,12 +460,15 @@ def _run_vi(prep, outdir):
     g = prep.graph
     fileio.write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
                                 run.fields, part.times, g)
+    dom = prep.domain
+    bundles = [calculus.norms(g, u, dom) for u in run.fields]
     rows = []
     for rep in run.reports:
-        nb = calculus.norms(g, rep.u, prep.domain)
-        dnb = calculus.norms(g, rep.quotient, prep.domain)
+        nb = bundles[rep.index]
+        delta_l2 = math.sqrt(
+            calculus._power_integral(g, rep.quotient, dom.interior_ids, 2.0))
         rows.append((rep.index, float(part.times[rep.index]),
-                     nb.l2_interior, nb.grad_l2, dnb.l2_interior,
+                     nb.l2_interior, nb.grad_l2, delta_l2,
                      rep.variational_residual, rep.primal_residual,
                      rep.dual_residual, rep.complementarity, rep.beta,
                      rep.sweeps))
@@ -499,7 +479,9 @@ def _run_vi(prep, outdir):
                      rows)
     fileio.write_csv(os.path.join(outdir, "norms.csv"),
                      ("t", "l2_interior", "grad_l2", "lq", "energy"),
-                     _norm_rows(prep.domain, run.fields, part.times, None))
+                     ((float(t), nb.l2_interior, nb.grad_l2, nb.lq,
+                       0.5 * nb.grad_l2 ** 2)
+                      for t, nb in zip(part.times, bundles)))
     outputs += ["trajectory.csv", "vi_reports.csv", "norms.csv"]
     mono = vi.vi_monotonicity_monitor(run)
     diagnostics["quotient_recurrence_max_slack"] = mono.max_slack

@@ -18,6 +18,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -113,19 +114,22 @@ def read_field_file(g, path):
         if len(parts) != 2:
             raise InvalidGraphData(f"{path}:{lineno}: expected '<label> <value>'")
         try:
-            mapping[parse_label(parts[0])] = float(parts[1])
+            mapping[parse_label(parts[0])] = _finite(parts[1])
         except ValueError as exc:
             raise InvalidGraphData(f"{path}:{lineno}: {exc}") from None
     return VertexField.from_mapping(g, mapping)
 
 
-def write_field_file(field, path, skip_zeros=False):
-    lines = []
-    for i, lab in enumerate(field.graph.labels):
-        v = field.values[i]
-        if skip_zeros and v == 0.0:
-            continue
-        lines.append(f"{format_label(lab)} {fmt(v)}")
+def _finite(token):
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {token!r}")
+    return value
+
+
+def write_field_file(field, path):
+    lines = [f"{format_label(lab)} {fmt(v)}"
+             for lab, v in zip(field.graph.labels, field.values)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -185,13 +189,23 @@ def read_trajectory_csv(path):
         raise InvalidGraphData(f"{path}: not a trajectory CSV")
     times = []
     steps = []
-    for i_s, t_s, lab_s, val_s in rows[1:]:
-        i = int(i_s)
+    for rowno, row in enumerate(rows[1:], 2):
+        try:
+            if len(row) != 4:
+                raise ValueError(f"expected 4 columns, got {len(row)}")
+            i_s, t_s, lab_s, val_s = row
+            i = int(i_s)
+            if i < 0:
+                raise ValueError(f"negative step index {i}")
+            t = _finite(t_s)
+            value = _finite(val_s)
+        except ValueError as exc:
+            raise InvalidGraphData(f"{path}:{rowno}: {exc}") from None
         while len(steps) <= i:
             steps.append({})
-            times.append(float(t_s))
-        times[i] = float(t_s)
-        steps[i][parse_label(lab_s)] = float(val_s)
+            times.append(t)
+        times[i] = t
+        steps[i][parse_label(lab_s)] = value
     return times, steps
 
 

@@ -82,9 +82,6 @@ class WeightedGraph:
         except KeyError:
             raise InvalidGraphData(f"unknown vertex label {label!r}") from None
 
-    def has_label(self, label):
-        return label in self._index
-
     def label_of(self, i):
         return self.labels[i]
 

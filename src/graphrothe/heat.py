@@ -16,7 +16,7 @@ iteration with an Armijo line search on F.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -270,12 +270,15 @@ def evaluate_interpolant(traj, t, kind="linear"):
 class StepEstimate:
     """Per-step monitored quantities; ``r`` and ``d`` are the one-step
     energy-inequality residual and the discrete energy-production defect,
-    both <= 0 up to solver residual at the exact minimizer."""
+    both <= 0 up to solver residual at the exact minimizer. ``energy`` is
+    E(u_i)/2 + I(|u_i|^{p+1})/(p+1)."""
 
     index: int
     l2: float
+    l2_interior: float
     grad_l2: float
     l2p: float
+    energy: float
     delta_l2: float
     r: float
     d: float
@@ -299,11 +302,13 @@ class EstimateReport:
         return [row.l2 for row in self.rows]
 
 
-def monitor_estimates(traj, prob=None):
-    """Norm and energy monitors along a trajectory.
+def monitor_estimates(traj):
+    """Norm and energy monitors along a trajectory, from one norm bundle
+    and one power integral per field.
 
-    Row i >= 1 reports, for u_i: the L2(Omega) norm, gradient L2 norm,
-    L^{2p}(Omega) norm, the quotient norm |delta u_i|, and
+    Row i >= 1 reports, for u_i: the L2(Omega) and L2(interior) norms,
+    the gradient L2 norm, the L^{2p}(Omega) norm, the energy, the quotient
+    norm |delta u_i| over Omega, and
 
         r_i = I(u_i^2) + l (I(|u_i|^{p+1}) + E(u_i))
               - (I(u_i^2) + I(u_{i-1}^2)) / 2,
@@ -312,7 +317,7 @@ def monitor_estimates(traj, prob=None):
     with I the interior integral and E the gradient energy over Omega.
     Row 0 carries the initial norms with r, d, delta as NaN.
     """
-    prob = traj.problem if prob is None else prob
+    prob = traj.problem
     dom = prob.domain
     g = dom.graph
     ell = traj.partition.step_size
@@ -322,33 +327,33 @@ def monitor_estimates(traj, prob=None):
     for i, u in enumerate(traj.fields):
         nb = calculus.norms(g, u, dom, q=2.0 * p)
         sq = nb.l2_interior ** 2
-        powr = calculus.integrate(
-            g, VertexField(g, np.abs(u.values) ** (p + 1.0)),
-            dom.interior_ids)
+        powr = calculus._power_integral(g, u, dom.interior_ids, p + 1.0)
         grad_sq = nb.grad_l2 ** 2
+        energy = 0.5 * grad_sq + powr / (p + 1.0)
         if i == 0:
-            rows.append(StepEstimate(0, nb.l2_domain, nb.grad_l2, nb.lq,
-                                     math.nan, math.nan, math.nan))
+            delta_l2 = r = d = math.nan
         else:
             du = VertexField(g, (u.values - traj.fields[i - 1].values) / ell)
-            delta_l2 = calculus.norms(g, du, dom).l2_domain
+            delta_l2 = math.sqrt(
+                calculus._power_integral(g, du, dom.omega_ids, 2.0))
             r = sq + ell * (powr + grad_sq) - 0.5 * (sq + prev_sq)
             d = (sq - prev_sq) / ell + 2.0 * powr + 2.0 * grad_sq
-            rows.append(StepEstimate(i, nb.l2_domain, nb.grad_l2, nb.lq,
-                                     delta_l2, r, d))
+        rows.append(StepEstimate(i, nb.l2_domain, nb.l2_interior, nb.grad_l2,
+                                 nb.lq, energy, delta_l2, r, d))
         prev_sq = sq
     return EstimateReport(tuple(rows))
 
 
 @dataclass(frozen=True)
 class LevelResult:
-    """One exhaustion level: ball radius, its domain, the trajectory, and
-    the L2(Omega_prev) distance between this and the previous level's
-    terminal fields (None on the first level)."""
+    """One exhaustion level: ball radius, its domain, the run on it (a
+    RotheTrajectory or a VIRun), and the L2(Omega_prev) distance between
+    this and the previous level's terminal fields (None on the first
+    level)."""
 
     level: int
     domain: Domain
-    trajectory: RotheTrajectory
+    run: object
     delta_prev: object
 
 
@@ -364,6 +369,30 @@ def restrict_initial(initial, dom):
     return field_on_interior(dom, initial.values[dom.interior_ids])
 
 
+def _run_levels(prob, part, levels, solve, **opts):
+    """``solve(sub, part, **opts)`` on each selected exhaustion level of
+    ``prob.domain``, where ``sub`` is ``prob`` with that level's domain and
+    the initial field restricted to it, with cross-level terminal deltas.
+    ``levels`` selects ball radii (None: every level)."""
+    exh = prob.domain
+    radii = list(exh.radii) if levels is None else list(levels)
+    results = []
+    for m in radii:
+        dom = exh.level(m)
+        if not dom.interior:
+            raise EmptyInterior(f"exhaustion level {m} has empty interior")
+        sub = replace(prob, domain=dom,
+                      initial=restrict_initial(prob.initial, dom))
+        run = solve(sub, part, **opts)
+        delta = None
+        if results:
+            prev = results[-1]
+            delta = _level_delta(exh.graph, prev.domain,
+                                 prev.run.fields[-1], run.fields[-1])
+        results.append(LevelResult(m, dom, run, delta))
+    return results
+
+
 def run_exhaustion(prob, part, levels=None, **opts):
     """Rothe runs over exhaustion levels with cross-level terminal deltas.
 
@@ -371,24 +400,6 @@ def run_exhaustion(prob, part, levels=None, **opts):
     radii (default: every level). The initial field lives on the ambient
     graph and is restricted per level.
     """
-    exh = prob.domain
-    if not isinstance(exh, ExhaustionSequence):
+    if not isinstance(prob.domain, ExhaustionSequence):
         raise TypeError("run_exhaustion needs an ExhaustionSequence domain")
-    radii = list(exh.radii) if levels is None else list(levels)
-    results = []
-    prev = None
-    for m in radii:
-        dom = exh.level(m)
-        if not dom.interior:
-            raise EmptyInterior(f"exhaustion level {m} has empty interior")
-        sub = HeatProblem(dom, prob.p, restrict_initial(prob.initial, dom),
-                          prob.horizon)
-        traj = run_rothe(sub, part, **opts)
-        delta = None
-        if prev is not None:
-            prev_dom, prev_traj = prev
-            delta = _level_delta(exh.graph, prev_dom,
-                                 prev_traj.fields[-1], traj.fields[-1])
-        results.append(LevelResult(m, dom, traj, delta))
-        prev = (dom, traj)
-    return results
+    return _run_levels(prob, part, levels, run_rothe, **opts)

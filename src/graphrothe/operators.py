@@ -22,6 +22,7 @@ from .calculus import VertexField
 from .errors import EmptyInterior, SolverBreakdown, UnmaterializedNeighbor
 
 DIRECT_SOLVE_MAX = 10_000
+CG_RTOL = 1e-13
 
 
 class DirichletOperator:
@@ -82,7 +83,7 @@ class CachedSPD:
     conjugate gradients above ``direct_threshold``. The factorization (or
     preconditioner) is built once and reused across solves."""
 
-    def __init__(self, S, direct_threshold=DIRECT_SOLVE_MAX, cg_rtol=1e-13):
+    def __init__(self, S, direct_threshold=DIRECT_SOLVE_MAX):
         self.n = S.shape[0]
         self.direct = self.n <= direct_threshold
         if self.direct:
@@ -93,14 +94,13 @@ class CachedSPD:
             if np.any(d <= 0):
                 raise SolverBreakdown("non-positive diagonal in SPD system")
             self._minv = 1.0 / d
-            self._rtol = cg_rtol
 
     def solve(self, rhs, x0=None):
         if self.direct:
             return self._lu.solve(rhs)
         pre = spla.LinearOperator(
             (self.n, self.n), matvec=lambda r: self._minv * r)
-        x, info = spla.cg(self._S, rhs, x0=x0, rtol=self._rtol, atol=0.0,
+        x, info = spla.cg(self._S, rhs, x0=x0, rtol=CG_RTOL, atol=0.0,
                           maxiter=50 * self.n, M=pre)
         if info != 0:
             raise SolverBreakdown(f"conjugate gradient failed (info={info})")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .calculus import VertexField, require_admissible
+from .calculus import field_on_interior, require_admissible
 from .errors import StiffnessFailure, TimeOutOfRange
 from .graph import Domain
 from .operators import DirichletOperator
@@ -89,21 +89,22 @@ def w12_coefficients(basis, h):
     return coeff
 
 
-def exact_p1_solution(basis, h, t):
-    """Closed-form solution of the p = 1 flow at time t >= 0."""
-    if t < 0.0:
-        raise TimeOutOfRange(f"t = {t} must be >= 0")
+def exact_p1_solution(basis, h, times):
+    """Closed-form solution of the p = 1 flow, one field per time t >= 0
+    in ``times``."""
+    times = [float(t) for t in times]
+    if any(t < 0.0 for t in times):
+        raise TimeOutOfRange(f"t = {min(times)} must be >= 0")
     dom = basis.domain
     require_admissible(h, dom, "initial field")
     coeff = w12_coefficients(basis, h)
     ids = dom.interior_ids
-    w = np.zeros(len(ids))
+    w = np.zeros((len(times), len(ids)))
     for j, phi in enumerate(basis.fields):
-        w += (coeff[j] * math.exp(-(basis.eigenvalues[j] + 1.0) * t)
-              * phi.values[ids])
-    vals = np.zeros(dom.graph.num_vertices)
-    vals[ids] = w
-    return VertexField(dom.graph, vals)
+        decay = [coeff[j] * math.exp(-(basis.eigenvalues[j] + 1.0) * t)
+                 for t in times]
+        w += np.array(decay)[:, None] * phi.values[ids]
+    return [field_on_interior(dom, row) for row in w]
 
 
 def _rk4_segment(op, p, w, t0, t1, nsteps):

@@ -29,7 +29,7 @@ from .errors import (
     TimeOutOfRange,
 )
 from .graph import Domain, ExhaustionSequence
-from .heat import TimePartition, _level_delta, restrict_initial
+from .heat import TimePartition, _run_levels
 from .operators import DIRECT_SOLVE_MAX, CachedSPD, DirichletOperator
 
 PSOR_TOL = 1e-10
@@ -350,36 +350,9 @@ def vi_monotonicity_monitor(run):
     return MonotonicityReport(tuple(rows), bound, grid_rate)
 
 
-@dataclass(frozen=True)
-class VILevelResult:
-    level: int
-    domain: Domain
-    run: VIRun
-    delta_prev: object
-
-
 def run_vi_exhaustion(prob, part, levels=None, **opts):
     """Per-level VI runs with terminal deltas on the smaller level, with
     g and psi restricted per level and forcing read on level interiors."""
-    exh = prob.domain
-    if not isinstance(exh, ExhaustionSequence):
+    if not isinstance(prob.domain, ExhaustionSequence):
         raise TypeError("run_vi_exhaustion needs an ExhaustionSequence domain")
-    radii = list(exh.radii) if levels is None else list(levels)
-    results = []
-    prev = None
-    for m in radii:
-        dom = exh.level(m)
-        if not dom.interior:
-            raise EmptyInterior(f"exhaustion level {m} has empty interior")
-        constraint = prob.constraint
-        sub = VIProblem(dom, prob.forcing, restrict_initial(prob.initial, dom),
-                        prob.horizon, prob.lipschitz_bound, constraint)
-        sub_run = run_vi(sub, part, **opts)
-        delta = None
-        if prev is not None:
-            prev_dom, prev_run = prev
-            delta = _level_delta(exh.graph, prev_dom, prev_run.fields[-1],
-                                 sub_run.fields[-1])
-        results.append(VILevelResult(m, dom, sub_run, delta))
-        prev = (dom, sub_run)
-    return results
+    return _run_levels(prob, part, levels, run_vi, **opts)

@@ -178,7 +178,7 @@ def test_criterion_05_spectral_oracle_agreement():
     traj = run_rothe(HeatProblem(dom, 1.0, h, 1.0), part)
     errs = []
     for i, t in enumerate(part.times):
-        ref = exact_p1_solution(basis, h, float(t))
+        ref = exact_p1_solution(basis, h, [float(t)])[0]
         diff = VertexField(g, traj.fields[i].values - ref.values)
         errs.append(norms(g, diff, dom).l2_interior)
     max_err_1 = max(errs)
@@ -192,7 +192,7 @@ def test_criterion_05_spectral_oracle_agreement():
     traj6 = run_rothe(HeatProblem(dom6, 1.0, h6, 1.0), part)
     errs6 = []
     for i, t in enumerate(part.times):
-        ref = exact_p1_solution(basis6, h6, float(t))
+        ref = exact_p1_solution(basis6, h6, [float(t)])[0]
         diff = VertexField(g6, traj6.fields[i].values - ref.values)
         errs6.append(norms(g6, diff, dom6).l2_interior)
     max_err_2 = max(errs6)
@@ -219,7 +219,7 @@ def test_criterion_06_time_convergence_order():
         prob = HeatProblem(dom, p, h, 1.0)
         if p == 1.0:
             basis = dirichlet_eigenbasis(dom)
-            ref = exact_p1_solution(basis, h, 1.0)
+            ref = exact_p1_solution(basis, h, [1.0])[0]
         else:
             ref = ode_oracle(prob, [1.0], tol=1e-10)[0]
         errors = []

@@ -20,7 +20,9 @@ from graphrothe import (
     materialize_ball,
     norms,
     LatticeZ,
+    LatticeZ2,
 )
+from graphrothe.calculus import _gamma_integral
 from graphrothe.errors import (
     EmptyInteriorWarning,
     InvalidQ,
@@ -231,6 +233,123 @@ class TestLaplacianBound:
             bound = 2.0 * (m.dmu * m.max_degree) ** 2 \
                 * norms(g, v, dom).l2_domain ** 2
             assert lap_sq <= bound * (1.0 + 1e-12)
+
+
+def gamma_integral_loop(g, w, v, ids):
+    """The per-vertex reference: mu-weighted ``gamma`` added in id order."""
+    total = 0.0
+    for i in ids:
+        total = total + g.mu[i] * gamma(g, w, v, int(i))
+    return total
+
+
+def w12_loop(g, w, v, dom):
+    total = 0.0
+    for i in dom.omega_ids:
+        i = int(i)
+        total = total + g.mu[i] * (gamma(g, w, v, i)
+                                   + w.values[i] * v.values[i])
+    return total
+
+
+def dense_random_graph(rng):
+    """20 to 40 vertices with edge probability 0.4 to 0.7, so that degrees
+    exceed 8; weights and measures span several decades."""
+    n = int(rng.integers(20, 41))
+    prob = rng.uniform(0.4, 0.7)
+    edges = [(i, i + 1, 10.0 ** rng.uniform(-3, 3)) for i in range(n - 1)]
+    for i in range(n):
+        for j in range(i + 2, n):
+            if rng.random() < prob:
+                edges.append((i, j, 10.0 ** rng.uniform(-3, 3)))
+    measure = {i: 10.0 ** rng.uniform(-3, 3) for i in range(n)}
+    return build_finite_graph(edges, measure)
+
+
+def wide_field(rng, g):
+    """Signed magnitudes from 1e-300 to 1e300, exact zeros of both signs
+    and repeated values, so that some differences vanish exactly."""
+    n = g.num_vertices
+    lo = rng.uniform(-300.0, 300.0)
+    hi = min(300.0, lo + rng.uniform(0.0, 300.0))
+    vals = rng.choice([-1.0, 1.0], size=n) * 10.0 ** rng.uniform(lo, hi, n)
+    kind = rng.integers(0, 4, size=n)
+    vals[kind == 1] = 0.0
+    vals[kind == 2] = -0.0
+    vals[kind == 3] = vals[0]
+    return VertexField(g, vals)
+
+
+def bits(x):
+    """Exact identity of a float; repr tells -0.0 from 0.0."""
+    return repr(float(x))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+class TestVectorizedGammaBitIdentity:
+    """The vectorized gradient-form integrals against the per-vertex
+    ``gamma`` loop, bit for bit; at the wide magnitudes some terms
+    overflow, and both sides must overflow alike."""
+
+    def test_random_dense_graphs(self):
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for _ in range(150):
+            g = dense_random_graph(rng)
+            assert max(g.degree(i) for i in range(g.num_vertices)) > 8
+            dom = random_domain(rng, g, keep=rng.uniform(0.3, 1.0))
+            w = wide_field(rng, g)
+            v = wide_field(rng, g)
+            for a, b in ((w, v), (v, v), (w, w)):
+                assert bits(_gamma_integral(g, a, b, dom.omega_ids)) \
+                    == bits(gamma_integral_loop(g, a, b, dom.omega_ids))
+                assert bits(inner_product(g, a, b, dom, "W12")) \
+                    == bits(w12_loop(g, a, b, dom))
+            grad_sq = gamma_integral_loop(g, v, v, dom.omega_ids)
+            assert bits(norms(g, v, dom).grad_l2) \
+                == bits(math.sqrt(max(grad_sq, 0.0)))
+            # arbitrary subsets, in arbitrary order, repeats allowed
+            for _ in range(3):
+                ids = rng.integers(0, g.num_vertices,
+                                   size=int(rng.integers(0, 2 * g.num_vertices)))
+                assert bits(_gamma_integral(g, w, v, ids)) \
+                    == bits(gamma_integral_loop(g, w, v, ids))
+            checked += math.isfinite(grad_sq)
+        assert checked > 50
+
+    def test_signed_zero_fields(self):
+        g = dense_random_graph(np.random.default_rng(5))
+        dom = make_domain(g, range(g.num_vertices))
+        for vals in (np.zeros(g.num_vertices), np.full(g.num_vertices, -0.0)):
+            z = VertexField(g, vals)
+            assert bits(_gamma_integral(g, z, z, dom.omega_ids)) \
+                == bits(gamma_integral_loop(g, z, z, dom.omega_ids))
+            assert bits(inner_product(g, z, z, dom, "W12")) \
+                == bits(w12_loop(g, z, z, dom))
+        assert bits(_gamma_integral(g, z, z, [])) == bits(0.0)
+
+    def test_lattice_rim_names_same_vertex(self):
+        g = materialize_ball(LatticeZ2(), [(0, 0)], 3)
+        rng = np.random.default_rng(8)
+        v = VertexField(g, rng.normal(size=g.num_vertices))
+        dom = make_domain(g, range(g.num_vertices))
+        for _ in range(20):
+            ids = rng.permutation(g.num_vertices)[:12]
+            if all(g.complete[ids]):
+                continue
+            with pytest.raises(UnmaterializedNeighbor) as ref:
+                gamma_integral_loop(g, v, v, ids)
+            with pytest.raises(UnmaterializedNeighbor) as got:
+                _gamma_integral(g, v, v, ids)
+            assert str(got.value) == str(ref.value)
+        with pytest.raises(UnmaterializedNeighbor) as ref:
+            w12_loop(g, v, v, dom)
+        for call in (lambda: norms(g, v, dom),
+                     lambda: inner_product(g, v, v, dom, "W12")):
+            with pytest.raises(UnmaterializedNeighbor) as got:
+                call()
+            assert str(got.value) == str(ref.value)
 
 
 class TestVertexField:

@@ -188,7 +188,9 @@ class TestValidation:
             assert main(["run", str(path)]) == 2
             assert capsys.readouterr().err.startswith("error[CONFIG]:")
 
-    def test_no_partial_output_on_invalid_config(self, tmp_path):
+    def test_no_partial_output_on_invalid_config(self, tmp_path, capsys):
+        nan_field = tmp_path / "nan_field.txt"
+        nan_field.write_text("2 1.0\n1 nan\n")
         cases = [({"p": 0.5}, []),
                  ({"steps": True}, []),
                  ({"steps": None, "steps_list": [True, 2]}, []),
@@ -196,11 +198,28 @@ class TestValidation:
                  ({"p": True}, []),
                  ({"exhaustion": {"seeds": ["2"], "levels": [True]}}, []),
                  ({}, ["--horizon", "inf"]),
-                 ({}, ["--p", "nan"])]
+                 ({}, ["--p", "nan"]),
+                 ({"initial": {"values": {"2": "abc"}}}, []),
+                 ({"initial": {"values": {"2": True}}}, []),
+                 ({"initial": {"values": {"2": None}}}, []),
+                 ({}, ["--initial", str(nan_field)])]
         for problem, extra in cases:
             cfg_path, _ = heat_config(tmp_path, problem=problem)
             assert main(["run", cfg_path, *extra]) == 2
             assert not (tmp_path / "out").exists()
+            err = capsys.readouterr().err
+            assert err.startswith("error[CONFIG]:") and err.count("\n") == 1
+        # field values that JSON reads as inf, or as an int past the
+        # float range
+        for literal in ("1e400", "-1e400", "1" + "0" * 400):
+            cfg_path, _ = heat_config(tmp_path)
+            text = open(cfg_path).read()
+            open(cfg_path, "w").write(
+                text.replace('{"2": 1.0}', f'{{"2": {literal}}}'))
+            assert main(["run", cfg_path]) == 2
+            assert not (tmp_path / "out").exists()
+            err = capsys.readouterr().err
+            assert err.startswith("error[CONFIG]:") and err.count("\n") == 1
 
     def test_solve_error_exit_3(self, tmp_path, capsys):
         # explicit oracle cannot resolve a graph with huge weights
@@ -295,6 +314,23 @@ class TestCompare:
         assert diff_ab == pytest.approx(endpoint_a - endpoint_b, abs=1e-12)
         assert abs(endpoint_a - exact) / abs(endpoint_b - exact) \
             == pytest.approx(2.0, abs=0.1)
+
+    def test_malformed_rows_exit_2(self, tmp_path, capsys):
+        traj = self._run(tmp_path, 8, "out_a")
+        gpath = str(tmp_path / "p5.txt")
+        good = open(traj).read().splitlines()
+        bad = tmp_path / "bad.csv"
+        # (replacement for the third data row, file row number)
+        for row in ("1,0.125,2", "1,0.125,2,0.5,9", "x,0.125,2,0.5",
+                    "1.5,0.125,2,0.5", "-1,0.125,2,0.5", "1,0.125,2,abc",
+                    "1,0.125,2,nan", "1,0.125,2,inf", "1,nan,2,0.5",
+                    "1,zz,2,0.5", ""):
+            lines = good[:3] + [row] + good[4:]
+            bad.write_text("\n".join(lines) + "\n")
+            assert main(["compare", traj, str(bad), "--graph", gpath]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error[CONFIG]: {bad}:4: ")
+            assert err.count("\n") == 1
 
     def test_graph_mismatch(self, tmp_path, capsys):
         traj = self._run(tmp_path, 8, "out_a")

@@ -71,6 +71,15 @@ class TestFieldFile:
         h = fileio.read_field_file(g, str(path))
         assert h[2] == 1.5 and h[4] == -1.0 and h[0] == 0.0
 
+    def test_nonfinite_value_rejected(self, tmp_path):
+        g = path_graph(5)
+        path = tmp_path / "h.txt"
+        for value in ("nan", "inf", "-inf", "1e400"):
+            path.write_text(f"2 1.5\n1 {value}\n")
+            with pytest.raises(InvalidGraphData,
+                               match=f"^{path}:2: non-finite value"):
+                fileio.read_field_file(g, str(path))
+
     def test_round_trip(self, tmp_path):
         g = path_graph(4)
         h = VertexField.from_mapping(g, {1: 0.1, 3: -2.75})

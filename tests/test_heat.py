@@ -322,8 +322,8 @@ class TestExhaustion:
         prob = HeatProblem(exh, 1.0, h, 0.5)
         results = run_exhaustion(prob, TimePartition(0.5, 10),
                                  levels=[3, 5, 10])
-        assert np.all(results[0].trajectory.fields[-1].values == 0.0)
-        assert np.all(results[1].trajectory.fields[-1].values == 0.0)
+        assert np.all(results[0].run.fields[-1].values == 0.0)
+        assert np.all(results[1].run.fields[-1].values == 0.0)
         assert results[1].delta_prev == 0.0
         assert results[2].delta_prev > 0.0
 

@@ -97,7 +97,7 @@ class TestExactP1:
         dom = random_domain(rng, g)
         h = random_admissible(rng, dom)
         basis = dirichlet_eigenbasis(dom)
-        u0 = exact_p1_solution(basis, h, 0.0)
+        u0 = exact_p1_solution(basis, h, [0.0])[0]
         assert np.allclose(u0.values, h.values, rtol=0.0, atol=1e-10)
 
     def test_single_interior_decay(self):
@@ -105,7 +105,7 @@ class TestExactP1:
         h = VertexField.indicator(g, 2)
         basis = dirichlet_eigenbasis(dom)
         for t in (0.25, 1.0, 2.0):
-            u = exact_p1_solution(basis, h, t)
+            u = exact_p1_solution(basis, h, [t])[0]
             assert u[2] == pytest.approx(math.exp(-3.0 * t), abs=1e-13)
 
     def test_eigenfield_single_mode(self):
@@ -113,7 +113,7 @@ class TestExactP1:
         dom = make_domain(g, [1, 2, 3, 4])
         basis = dirichlet_eigenbasis(dom)
         k = 1
-        u = exact_p1_solution(basis, basis.fields[k], 0.7)
+        u = exact_p1_solution(basis, basis.fields[k], [0.7])[0]
         lam = basis.eigenvalues[k]
         expect = math.exp(-(lam + 1.0) * 0.7) * basis.fields[k].values
         assert np.allclose(u.values, expect, rtol=0.0, atol=1e-12)
@@ -126,7 +126,7 @@ class TestExactP1:
         basis = dirichlet_eigenbasis(dom)
         prev = math.inf
         for t in np.linspace(0.0, 2.0, 9):
-            cur = norms(g, exact_p1_solution(basis, h, float(t)),
+            cur = norms(g, exact_p1_solution(basis, h, [float(t)])[0],
                         dom).l2_interior
             assert cur <= prev + 1e-12
             prev = cur
@@ -135,7 +135,7 @@ class TestExactP1:
         g, dom = five_path_domain()
         basis = dirichlet_eigenbasis(dom)
         with pytest.raises(TimeOutOfRange):
-            exact_p1_solution(basis, VertexField.indicator(g, 2), -0.1)
+            exact_p1_solution(basis, VertexField.indicator(g, 2), [-0.1])
 
 
 class TestOdeOracle:
@@ -150,7 +150,7 @@ class TestOdeOracle:
         times = [0.2, 0.5, 1.0]
         fields = ode_oracle(prob, times, tol=tol)
         for t, u in zip(times, fields):
-            ref = exact_p1_solution(basis, h, t)
+            ref = exact_p1_solution(basis, h, [t])[0]
             assert float(np.max(np.abs(u.values - ref.values))) <= 10.0 * tol
 
     def test_zero_data(self):
