@@ -51,12 +51,19 @@ def format_label(label):
     return str(label)
 
 
+def _not_utf8(path, exc):
+    return InvalidGraphData(f"{path}: not UTF-8 text ({exc.reason} at "
+                            f"byte {exc.start})")
+
+
 def _lines(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.readlines()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     for lineno, line in enumerate(raw, 1):
         body = line.split("#", 1)[0].strip()
         if body:
@@ -128,8 +135,10 @@ def _finite(token):
 
 
 def write_field_file(field, path):
-    lines = [f"{format_label(lab)} {fmt(v)}"
-             for lab, v in zip(field.graph.labels, field.values)]
+    # repr of a Python float is fmt of the numpy value
+    lines = [f"{format_label(lab)} {v}"
+             for lab, v in zip(field.graph.labels,
+                               map(repr, field.values.tolist()))]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -166,16 +175,23 @@ def write_csv(path, header, rows):
     atomic_write_text(path, buf.getvalue())
 
 
-def trajectory_rows(traj_fields, times, graph):
-    for i, (t, u) in enumerate(zip(times, traj_fields)):
-        for v in range(graph.num_vertices):
-            yield (i, float(t), format_label(graph.labels[v]),
-                   float(u.values[v]))
+def _csv_cell(text):
+    """``text`` as ``write_csv`` writes it in a row of several cells."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[:-2]
 
 
 def write_trajectory_csv(path, fields, times, graph):
-    write_csv(path, ("i", "t", "vertex", "value"),
-              trajectory_rows(fields, times, graph))
+    """One ``i,t,vertex,value`` row per step and vertex, byte-identical to
+    ``write_csv`` over those rows; each label is quoted once."""
+    cells = [_csv_cell(format_label(lab)) for lab in graph.labels]
+    lines = ["i,t,vertex,value"]
+    for i, (t, u) in enumerate(zip(times, fields)):
+        prefix = f"{i},{fmt(t)},"
+        lines.extend(f"{prefix}{cell},{v}" for cell, v in
+                     zip(cells, map(repr, u.values.tolist())))
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_trajectory_csv(path):
@@ -185,10 +201,13 @@ def read_trajectory_csv(path):
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     if not rows or rows[0] != ["i", "t", "vertex", "value"]:
         raise InvalidGraphData(f"{path}: not a trajectory CSV")
     times = []
     steps = []
+    labels = {}  # each distinct label string parsed once
     for rowno, row in enumerate(rows[1:], 2):
         try:
             if len(row) != 4:
@@ -205,7 +224,10 @@ def read_trajectory_csv(path):
             steps.append({})
             times.append(t)
         times[i] = t
-        steps[i][parse_label(lab_s)] = value
+        label = labels.get(lab_s)
+        if label is None:
+            label = labels[lab_s] = parse_label(lab_s)
+        steps[i][label] = value
     return times, steps
 
 

@@ -3,6 +3,12 @@ ordered dot product and one projected-SOR sweep.
 
 The sums are bit-reproducible: every result equals the strict
 left-to-right loop ``s = 0.0; for x in a: s = s + x``.
+
+``psor_sweep`` takes any indexable sequences. Python lists are its fast
+path: reading a list element costs far less than boxing a numpy scalar,
+and Python floats round exactly as numpy float64 does, so a sweep over
+the ``tolist()`` of numpy arrays gives the same bits as one over the
+arrays.
 """
 
 import numpy as np
@@ -32,7 +38,11 @@ def seq_dot(a, b):
 
 def psor_sweep(indptr, indices, data, diag, b, lower, u, relax):
     """One projected-SOR sweep over the CSR rows, updating ``u`` in place;
-    returns the largest change of one entry."""
+    returns the largest change of one entry.
+
+    The row sum stays an explicit left-to-right loop: ``sum()`` adds with
+    compensation from Python 3.12 on and would change the bits.
+    """
     maxdelta = 0.0
     for row in range(len(diag)):
         acc = 0.0

@@ -87,7 +87,10 @@ class CachedSPD:
         self.n = S.shape[0]
         self.direct = self.n <= direct_threshold
         if self.direct:
-            self._lu = spla.splu(sp.csc_matrix(S))
+            try:
+                self._lu = spla.splu(sp.csc_matrix(S))
+            except RuntimeError as exc:  # "Factor is exactly singular"
+                raise SolverBreakdown(f"sparse LU failed: {exc}") from None
         else:
             self._S = S.tocsr()
             d = S.diagonal()

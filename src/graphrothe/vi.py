@@ -165,12 +165,13 @@ class ViStepper:
         elif isinstance(constraint, Obstacle):
             if constraint.psi.graph is not dom.graph:
                 raise DomainMismatch("obstacle lives on a different graph")
-            self._indptr = np.ascontiguousarray(S.indptr, dtype=np.int64)
-            self._indices = np.ascontiguousarray(S.indices, dtype=np.int64)
-            self._data = np.ascontiguousarray(S.data)
-            self._diag = np.ascontiguousarray(S.diagonal())
-            self._lower = np.ascontiguousarray(
-                constraint.psi.values[self.op.interior_ids])
+            # Python lists: the sweep's fast path (see kernels)
+            self._indptr = S.indptr.tolist()
+            self._indices = S.indices.tolist()
+            self._data = S.data.tolist()
+            self._diag = S.diagonal().tolist()
+            self._lower = constraint.psi.values[self.op.interior_ids]
+            self._lower_list = self._lower.tolist()
         else:
             raise TypeError(f"unknown constraint {constraint!r}")
 
@@ -197,11 +198,13 @@ class ViStepper:
                             self.beta, sweeps)
 
     def _psor(self, b, w_start, scale):
-        u = np.ascontiguousarray(np.maximum(w_start, self._lower))
-        uscale = 1.0 + float(np.max(np.abs(u - self._lower), initial=0.0))
+        ul = np.maximum(w_start, self._lower).tolist()
+        bl = b.tolist()
         for sweep in range(1, self.max_sweeps + 1):
             kernels.psor_sweep(self._indptr, self._indices, self._data,
-                               self._diag, b, self._lower, u, self.relax)
+                               self._diag, bl, self._lower_list, ul,
+                               self.relax)
+            u = np.array(ul)
             r = self.S @ u - b
             gap = u - self._lower
             primal = max(0.0, float(np.max(-gap, initial=0.0)))

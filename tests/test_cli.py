@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from graphrothe.cli import main
@@ -238,6 +239,35 @@ class TestValidation:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["run", str(cfg_path)]) == 3
         assert capsys.readouterr().err.startswith("error[SOLVE]:")
+        # the Newton Jacobian overflows, and its LU factor is singular
+        cfg_path, _ = heat_config(
+            tmp_path, domain="all", output=str(tmp_path / "out_p100"),
+            problem={"p": 100.0, "steps": 4,
+                     "initial": {"values": {"2": 2000.0}}})
+        with np.errstate(over="ignore"):
+            assert main(["run", cfg_path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[SOLVE]:") and err.count("\n") == 1
+
+    def test_undecodable_input_files_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.txt"
+        bad.write_bytes(b"\xff\xfeg\x00r\x00")
+        cases = [({"graph": {"file": str(bad)}}, []),
+                 ({"domain": {"file": str(bad)}}, []),
+                 ({}, ["--initial", str(bad)])]
+        for overrides, extra in cases:
+            cfg_path, _ = heat_config(tmp_path, **overrides)
+            assert main(["run", cfg_path, *extra]) == 2
+            assert not (tmp_path / "out").exists()
+            err = capsys.readouterr().err
+            assert err == f"error[CONFIG]: {bad}: not UTF-8 text " \
+                "(invalid start byte at byte 0)\n"
+        traj = TestCompare()._run(tmp_path, 8, "out_a")
+        assert main(["compare", traj, str(bad),
+                     "--graph", str(tmp_path / "p5.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[CONFIG]: {bad}: not UTF-8 text")
+        assert err.count("\n") == 1
 
 
 class TestRunSpectral:

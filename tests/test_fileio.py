@@ -1,7 +1,11 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 
-from graphrothe import VertexField, fileio
+from graphrothe import VertexField, build_finite_graph, fileio
 from graphrothe.errors import InvalidGraphData, IoError
 from helpers import path_graph
 
@@ -134,3 +138,76 @@ class TestCsv:
         assert steps[0][(0, 0)] == 1.0
         assert steps[1][(0, 1)] == -2.0
         assert steps[1][(1, 0)] == 0.0
+
+
+def reference_trajectory_csv(fields, times, graph):
+    """Reference: the trajectory rows through ``csv.writer``, with every
+    float formatted by ``fmt``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("i", "t", "vertex", "value"))
+    for i, (t, u) in enumerate(zip(times, fields)):
+        for v in range(graph.num_vertices):
+            writer.writerow((i, fileio.fmt(t),
+                             fileio.format_label(graph.labels[v]),
+                             fileio.fmt(u.values[v])))
+    return buf.getvalue()
+
+
+def reference_field_file(field):
+    return "".join(f"{fileio.format_label(lab)} {fileio.fmt(v)}\n"
+                   for lab, v in zip(field.graph.labels, field.values))
+
+
+def mixed_label_graph():
+    """Int, tuple and string labels, some strings needing CSV quotes."""
+    labels = [3, -1, 12, (0, 1), (2, -5), "a,b", 'say"hi"', 'x,"y"', "plain"]
+    edges = [(labels[k], labels[k + 1], 1.0) for k in range(len(labels) - 1)]
+    return build_finite_graph(edges, {lab: 1.0 for lab in labels})
+
+
+class TestWriterByteIdentity:
+    """The writers give the bytes of a per-cell csv.writer/fmt reference,
+    and the reader gives back every label and value."""
+
+    def _fields(self, g):
+        rng = np.random.default_rng(81)
+        n = g.num_vertices
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e300,
+                            1.0 / 3.0, 2.0 ** -1074 * 3, 1e300])
+        fields = [VertexField(g, special[:n])]
+        for _ in range(4):
+            vals = rng.normal(size=n) * 10.0 ** rng.integers(-300, 301,
+                                                             size=n)
+            vals[rng.random(n) < 0.2] = -0.0
+            fields.append(VertexField(g, vals))
+        return fields
+
+    def test_trajectory_csv(self, tmp_path):
+        g = mixed_label_graph()
+        fields = self._fields(g)
+        times = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1e-300, 1e300])
+        path = tmp_path / "traj.csv"
+        fileio.write_trajectory_csv(str(path), fields, times, g)
+        text = path.read_bytes().decode("utf-8")
+        assert text == reference_trajectory_csv(fields, times, g)
+        assert '"a,b"' in text and '"say""hi"""' in text
+        fileio.write_trajectory_csv(str(tmp_path / "empty.csv"), [], [], g)
+        assert (tmp_path / "empty.csv").read_text() == \
+            reference_trajectory_csv([], [], g)
+
+        rtimes, steps = fileio.read_trajectory_csv(str(path))
+        assert rtimes == [float(t) for t in times]
+        for u, step in zip(fields, steps, strict=True):
+            assert list(step) == list(g.labels)
+            for lab, v in zip(g.labels, u.values):
+                assert step[lab] == v
+                assert math.copysign(1.0, step[lab]) == math.copysign(1.0, v)
+
+    def test_field_file(self, tmp_path):
+        g = mixed_label_graph()
+        path = tmp_path / "h.txt"
+        for field in self._fields(g):
+            fileio.write_field_file(field, str(path))
+            assert path.read_bytes().decode("utf-8") == \
+                reference_field_file(field)

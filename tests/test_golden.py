@@ -114,6 +114,44 @@ def config_vi_lattice(tmp_path):
                         "lipschitz_bound": 0.0}}
 
 
+def write_quoted_graph(tmp_path):
+    """A 3x3 grid of tuple labels with an int label and two string labels
+    that CSV must quote (a comma that is no int tuple, and a quote)."""
+    lines = ["graph 12"]
+    for i in range(3):
+        for j in range(3):
+            lines.append(f"v {_label(i, j)} {0.5 + 0.25 * ((i + j) % 3)}")
+    lines += ["v 7 1.25", "v a,b 0.75", 'v say"hi" 1.0']
+    for i in range(3):
+        for j in range(3):
+            w = 0.5 + 0.25 * ((i + 2 * j) % 4)
+            if j + 1 < 3:
+                lines.append(f"e {_label(i, j)} {_label(i, j + 1)} {w}")
+            if i + 1 < 3:
+                lines.append(f"e {_label(i, j)} {_label(i + 1, j)} {w}")
+    lines += ["e 2,2 7 0.75", "e 7 a,b 1.5", 'e a,b say"hi" 0.5',
+              'e say"hi" 0,0 1.25']
+    path = tmp_path / "quoted.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def config_vi_obstacle_overrelaxed(tmp_path):
+    return {"graph": {"file": write_quoted_graph(tmp_path)},
+            "domain": "all",
+            "problem": {"kind": "vi", "horizon": 2.0, "steps": 2,
+                        "initial": {"values": {"1,1": 1.0, "7": 0.5,
+                                               "a,b": 0.75, 'say"hi"': 0.25}},
+                        "forcing": {"kind": "constant",
+                                    "field": {"values": {
+                                        "0,2": -1.5, "2,0": 1.0,
+                                        "a,b": -2.0, 'say"hi"': 0.5}}},
+                        "constraint": {"kind": "obstacle",
+                                       "psi": {"values": {"2,2": 0.125}}},
+                        "lipschitz_bound": 0.0},
+            "tolerances": {"psor_relax": 1.5}}
+
+
 def run_manifest(tmp_path, make_config):
     cfg = make_config(tmp_path)
     cfg["output"] = str(tmp_path / "out")
@@ -201,6 +239,23 @@ GOLDEN = {
             "vi_reports.csv": "def884c67b09475600b309886cb92fa16b061df26ee99312e2ec456a33ab644a"
         }
     },
+    "vi_obstacle_overrelaxed": {
+        "diagnostics": {
+            "lipschitz": {
+                "declared": 0.0,
+                "estimate": 0.0,
+                "violated": False
+            },
+            "max_quotient_l2": 1.2172796655101479,
+            "quotient_bound": 7.774773904824381,
+            "quotient_recurrence_max_slack": -0.7894440089285005
+        },
+        "outputs": {
+            "norms.csv": "781ed800cb6698ccf3d0f87f99e065ee60af5ddb0b80b810763430f815c7a2c2",
+            "trajectory.csv": "b069e51cc3073cd204da533ff75a01df4dccd3a095340f0cddf84b2b34b0372d",
+            "vi_reports.csv": "fbb873b9b613eb8b9cb331edf0b54760f65a6286f252abe5fd1b47ed410190f4"
+        }
+    },
     "vi_separable": {
         "diagnostics": {
             "convergence_claims": "downgraded: declared Lipschitz bound exceeded by the sampled forcing",
@@ -229,6 +284,7 @@ CONFIGS = {
     "vi_separable": config_vi_separable,
     "vi_lattice": config_vi_lattice,
     "vi_obstacle": config_vi_obstacle,
+    "vi_obstacle_overrelaxed": config_vi_obstacle_overrelaxed,
 }
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphrothe import kernels
+from graphrothe import Obstacle, VertexField, field_on_interior, kernels
+from graphrothe.vi import ViStepper
+from helpers import random_admissible, random_connected_graph, random_domain
 
 
 def _random_spd_csr(rng, n):
@@ -107,3 +109,104 @@ class TestPsorSolves:
         for _ in range(500):
             kernels.psor_sweep(indptr, indices, data, diag, b, lower, u, 1.0)
         assert np.all(u >= lower)
+
+
+def reference_sweep(indptr, indices, data, diag, b, lower, u, relax):
+    """Reference: one sweep over numpy arrays in numpy float64 scalar
+    arithmetic, each row sum added left to right from 0.0."""
+    maxdelta = 0.0
+    for row in range(len(diag)):
+        acc = 0.0
+        for k in range(indptr[row], indptr[row + 1]):
+            acc = acc + data[k] * u[indices[k]]
+        cand = u[row] + relax * (b[row] - acc) / diag[row]
+        if cand < lower[row]:
+            cand = lower[row]
+        delta = abs(cand - u[row])
+        if delta > maxdelta:
+            maxdelta = delta
+        u[row] = cand
+    return maxdelta
+
+
+def reference_psor(S, lower, b, w_start, scale, relax, tol):
+    """Reference: the obstacle solve of ``ViStepper`` over numpy arrays,
+    with the KKT stopping test after every sweep."""
+    indptr, indices, data, diag = _csr_parts(S)
+    u = np.maximum(w_start, lower)
+    for sweep in range(1, 1000):
+        reference_sweep(indptr, indices, data, diag, b, lower, u, relax)
+        r = S @ u - b
+        gap = u - lower
+        primal = max(0.0, float(np.max(-gap, initial=0.0)))
+        dual = max(0.0, float(np.max(-r, initial=0.0)))
+        compl = float(np.max(np.abs(r * gap), initial=0.0))
+        uscale = 1.0 + float(np.max(np.abs(gap), initial=0.0))
+        if dual <= tol * scale and compl <= tol * scale * uscale:
+            var = float(np.max(np.abs(np.minimum(r, gap)), initial=0.0))
+            return u, (var, primal, dual, compl, sweep)
+    raise AssertionError("reference PSOR did not converge")
+
+
+def same_array_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == \
+        np.asarray(b, dtype=float).tobytes()
+
+
+class TestPsorListBitIdentity:
+    """The sweep on Python lists gives the bits of the sweep on numpy
+    arrays: every iterate, every returned change, every sweep count."""
+
+    @pytest.mark.parametrize("relax", [1.0, 1.5])
+    def test_lists_match_arrays(self, relax):
+        rng = np.random.default_rng(71)
+        for _ in range(8):
+            n = int(rng.integers(5, 40))
+            S = _random_spd_csr(rng, n)
+            parts = _csr_parts(S)
+            b = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+            lower = rng.uniform(-0.5, 0.5, size=n)
+            lower[rng.random(n) < 0.3] = -1e30
+            u_arr = np.maximum(rng.normal(size=n), lower)
+            u_ref = u_arr.copy()
+            u_list = u_arr.tolist()
+            lists = [a.tolist() for a in (*parts, b, lower)]
+            for _ in range(200):
+                d_list = kernels.psor_sweep(*lists, u_list, relax)
+                d_arr = kernels.psor_sweep(*parts, b, lower, u_arr, relax)
+                d_ref = reference_sweep(*parts, b, lower, u_ref, relax)
+                assert same_bits(d_list, d_arr) and same_bits(d_list, d_ref)
+                assert same_array_bits(u_list, u_arr)
+                assert same_array_bits(u_list, u_ref)
+
+    @pytest.mark.parametrize("relax", [1.0, 1.5])
+    def test_obstacle_step_matches_array_reference(self, relax):
+        rng = np.random.default_rng(72)
+        for _ in range(6):
+            g = random_connected_graph(rng, 8, 30)
+            dom = random_domain(rng, g)
+            ids = dom.interior_ids
+            psi = field_on_interior(dom, rng.uniform(-0.5, 0.3,
+                                                     size=len(ids)))
+            u_prev = random_admissible(rng, dom)
+            f = VertexField(g, rng.normal(size=g.num_vertices))
+            ell = float(rng.uniform(0.05, 2.0))
+            stepper = ViStepper(dom, ell, Obstacle(psi), psor_relax=relax)
+            rep = stepper.step(1, u_prev, f)
+
+            op = stepper.op
+            w_prev = op.restrict(u_prev)
+            b = op.mass * (op.restrict(f) + w_prev / ell)
+            scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
+            w, (var, primal, dual, compl, sweeps) = reference_psor(
+                stepper.S, psi.values[ids], b, w_prev, scale, relax,
+                stepper.tol)
+            assert same_array_bits(rep.u.values, op.extend(w).values)
+            assert same_array_bits(rep.quotient.values,
+                                   op.extend((w - w_prev) / ell).values)
+            for got, want in ((rep.variational_residual, var),
+                              (rep.primal_residual, primal),
+                              (rep.dual_residual, dual),
+                              (rep.complementarity, compl)):
+                assert same_bits(got, want)
+            assert rep.sweeps == sweeps
