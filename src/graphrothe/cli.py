@@ -430,8 +430,8 @@ def _run_vi(prep, outdir):
     opts = {"psor_relax": prep.psor_relax, "psor_tol": prep.psor_tol}
 
     sample = part.times[:: max(1, part.steps // 32)]
-    dom_for_lip = (prep.exhaustion.levels[-1] if prep.exhaustion is not None
-                   else prep.domain)
+    dom_for_lip = (prep.exhaustion.level(max(prep.levels))
+                   if prep.exhaustion is not None else prep.domain)
     lip = vi.lipschitz_validate(prep.forcing, sample, dom_for_lip,
                                 prep.lipschitz_bound)
     diagnostics["lipschitz"] = {

@@ -282,20 +282,39 @@ def _bfs_distances(g, seed_ids):
     return dist
 
 
-@dataclass(frozen=True)
 class ExhaustionSequence:
     """Nested finite domains Omega_1 <= Omega_2 <= ... inside one ambient
     materialization; level m is the graph-distance ball of radius m around
-    the seed set, intersected with the target Omega."""
+    the seed set, intersected with the target Omega.
 
-    graph: WeightedGraph
-    levels: tuple
-    radii: tuple
-    seeds: tuple
+    ``dist`` holds each vertex's distance to the seeds, -1 outside Omega.
+    A level's Domain is built on first use and cached."""
+
+    def __init__(self, graph, dist, radii, seeds):
+        self.graph = graph
+        self.dist = dist
+        self.radii = tuple(radii)
+        self.seeds = tuple(seeds)
+        self._levels = {}
+        dist.setflags(write=False)
 
     def level(self, m):
         """The domain at ball radius ``m``."""
-        return self.levels[self.radii.index(m)]
+        dom = self._levels.get(m)
+        if dom is None:
+            if m not in self.radii:
+                raise ValueError(f"{m} is not a level radius")
+            omega_m = np.flatnonzero((self.dist >= 0) & (self.dist <= m))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EmptyInteriorWarning)
+                dom = make_domain(self.graph, omega_m)
+            self._levels[m] = dom
+        return dom
+
+    @property
+    def levels(self):
+        """Every level's domain, in radius order."""
+        return tuple(self.level(m) for m in self.radii)
 
 
 def exhaust(dom, seeds, max_level):
@@ -308,15 +327,9 @@ def exhaust(dom, seeds, max_level):
     for s in seeds:
         if s not in dom.omega:
             raise SeedOutsideDomain(f"seed {dom.graph.label_of(s)!r} is not in omega")
-    dist = _bfs_distances(dom.graph, seeds)
-    levels = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyInteriorWarning)
-        for m in range(1, max_level + 1):
-            omega_m = [i for i in dom.omega_ids if 0 <= dist[i] <= m]
-            levels.append(make_domain(dom.graph, omega_m))
-    return ExhaustionSequence(dom.graph, tuple(levels),
-                              tuple(range(1, max_level + 1)), seeds)
+    dist = np.full(dom.graph.num_vertices, -1, dtype=np.int64)
+    dist[dom.omega_ids] = _bfs_distances(dom.graph, seeds)[dom.omega_ids]
+    return ExhaustionSequence(dom.graph, dist, range(1, max_level + 1), seeds)
 
 
 # -- generative (infinite) graphs -------------------------------------------
@@ -415,14 +428,10 @@ def exhaust_generative(oracle, seed_labels, max_level, membership=None):
         for lab in seed_labels:
             if not membership(lab):
                 raise SeedOutsideDomain(f"seed {lab!r} is not in omega")
-    g, dist = _materialize(oracle, seed_labels, max_level + 1)
-    levels = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyInteriorWarning)
-        for m in range(1, max_level + 1):
-            omega_m = [g.vertex(lab) for lab, d in dist.items()
-                       if d <= m and (membership is None or membership(lab))]
-            levels.append(make_domain(g, omega_m))
+    g, dist_by_label = _materialize(oracle, seed_labels, max_level + 1)
+    dist = np.full(g.num_vertices, -1, dtype=np.int64)
+    for lab, d in dist_by_label.items():
+        if membership is None or membership(lab):
+            dist[g.vertex(lab)] = d
     seeds = tuple(g.vertex(lab) for lab in seed_labels)
-    return ExhaustionSequence(g, tuple(levels),
-                              tuple(range(1, max_level + 1)), seeds)
+    return ExhaustionSequence(g, dist, range(1, max_level + 1), seeds)

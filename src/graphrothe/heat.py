@@ -10,7 +10,12 @@ with p >= 1. Each step minimizes the strictly convex functional
 where I integrates over the interior and E is the gradient energy over
 Omega; the minimizer solves (u - u_prev)/l + |u|^(p-1) u = Laplacian u.
 For p = 1 this is one SPD solve; for p > 1 a damped (semismooth) Newton
-iteration with an Armijo line search on F.
+iteration with an Armijo line search on F. Its Jacobian is
+J = S0 + diag(mu p |w|^(p-1)) with S0 = A + M/l, so S0^{-1} J has its
+spectrum in [1, 1 + l max p|w|^(p-1)]: each Newton system is solved by CG
+preconditioned with one factorization of S0, made once per stepper, and
+refactored at the current Jacobian only when a solve needs more than
+NEWTON_PCG_MAX_ITER iterations (stiff data).
 """
 
 from __future__ import annotations
@@ -27,13 +32,15 @@ from .errors import (
     DomainMismatch,
     EmptyInterior,
     NonConvergence,
+    SolverBreakdown,
     TimeOutOfRange,
 )
 from .graph import Domain, ExhaustionSequence
-from .operators import DIRECT_SOLVE_MAX, CachedSPD, DirichletOperator
+from .operators import CG_RTOL, DIRECT_SOLVE_MAX, CachedSPD, DirichletOperator
 
 NEWTON_TOL_FACTOR = 1e-12
 NEWTON_MAX_ITER = 100
+NEWTON_PCG_MAX_ITER = 15
 POWER_DERIV_FLOOR = 1e-12
 
 
@@ -105,27 +112,43 @@ def _power(w, p):
     return np.abs(w) ** (p - 1.0) * w if p != 1.0 else w
 
 
+def _functional(op, w, u_prev, p, ell):
+    """F at the interior vector ``w`` given the previous interior vector;
+    +inf when the power term overflows."""
+    mass = op.mass
+    sq = float(np.dot(mass * w, w))
+    cross = float(np.dot(mass * u_prev, w))
+    with np.errstate(over="ignore"):
+        powr = float(np.dot(mass, np.abs(w) ** (p + 1.0)))
+    grad = float(np.dot(w, op.stiffness @ w))
+    return (sq / ell - 2.0 * cross / ell
+            + 2.0 / (p + 1.0) * powr + grad)
+
+
+def _require_finite(x, what, p):
+    if not np.all(np.isfinite(x)):
+        raise SolverBreakdown(
+            f"Newton {what} is not finite at p = {p:g} (overflow)")
+
+
 def step_functional(u, u_prev, prob, ell):
-    """Value of the per-step functional F at ``u`` (ordered reductions)."""
+    """Value of the per-step functional F at ``u``."""
     dom = prob.domain
     if u.graph is not dom.graph or u_prev.graph is not dom.graph:
         raise DomainMismatch("fields live on a different graph")
     require_admissible(u, dom, "u")
     require_admissible(u_prev, dom, "u_prev")
-    g = dom.graph
-    ids = dom.interior_ids
-    sq = calculus.integrate(g, VertexField(g, u.values * u.values), ids)
-    cross = calculus.integrate(g, VertexField(g, u_prev.values * u.values), ids)
-    powr = calculus.integrate(
-        g, VertexField(g, np.abs(u.values) ** (prob.p + 1.0)), ids)
-    grad = calculus._gamma_integral(g, u, u, dom.omega_ids)
-    return (sq / ell - 2.0 * cross / ell
-            + 2.0 / (prob.p + 1.0) * powr + grad)
+    op = DirichletOperator(dom)
+    return _functional(op, op.restrict(u), op.restrict(u_prev),
+                       float(prob.p), ell)
 
 
 class _HeatStepper:
-    """Per-step solver with the matrices (and, for p = 1, the
-    factorization) assembled once for a fixed step size."""
+    """Per-step solver with the matrices and one factorization assembled
+    once for a fixed step size: for p = 1 the factor of A + M(1 + 1/l),
+    for p > 1 the Newton preconditioner, initially the factor of
+    S0 = A + M/l (none above the direct-solve size, where each Newton
+    system is solved by Jacobi-PCG on its own Jacobian)."""
 
     def __init__(self, prob, ell, tol_factor=NEWTON_TOL_FACTOR,
                  max_iter=NEWTON_MAX_ITER, direct_threshold=DIRECT_SOLVE_MAX):
@@ -137,25 +160,45 @@ class _HeatStepper:
         self.direct_threshold = direct_threshold
         self.mass = self.op.mass
         self.A = self.op.stiffness
+        self._linear = self._pre = None
         if self.p == 1.0:
             S = self.A + sp.diags(self.mass * (1.0 + 1.0 / self.ell))
             self._linear = CachedSPD(S, direct_threshold)
-        else:
-            self._linear = None
-
-    def _functional(self, w, u_prev):
-        sq = float(np.dot(self.mass * w, w))
-        cross = float(np.dot(self.mass * u_prev, w))
-        powr = float(np.dot(self.mass, np.abs(w) ** (self.p + 1.0)))
-        grad = float(np.dot(w, self.A @ w))
-        return (sq / self.ell - 2.0 * cross / self.ell
-                + 2.0 / (self.p + 1.0) * powr + grad)
+        elif self.op.n <= direct_threshold:
+            S0 = self.A + sp.diags(self.mass / self.ell)
+            self._pre = CachedSPD(S0, direct_threshold)
 
     def _grad_half(self, w, u_prev):
         """Half the functional gradient: mass*((w-u_prev)/l + |w|^(p-1) w)
         + A w; the pointwise Euler-Lagrange residual is this over mass."""
-        return (self.mass * ((w - u_prev) / self.ell + _power(w, self.p))
-                + self.A @ w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (self.mass * ((w - u_prev) / self.ell + _power(w, self.p))
+                    + self.A @ w)
+
+    def _newton_direction(self, jd, b):
+        """Solve (A + diag(jd)) s = b by CG preconditioned with the factored
+        ``_pre``. A solve that reaches NEWTON_PCG_MAX_ITER iterations
+        replaces ``_pre`` by the factor of this Jacobian, solves with it and
+        keeps it for the later systems."""
+        target = CG_RTOL * float(np.linalg.norm(b))
+        x = np.zeros_like(b)
+        r = b.copy()
+        z = self._pre.solve(r)
+        d = z
+        rz = float(np.dot(r, z))
+        for _ in range(NEWTON_PCG_MAX_ITER):
+            q = self.A @ d + jd * d
+            alpha = rz / float(np.dot(d, q))
+            x += alpha * d
+            r -= alpha * q
+            if float(np.linalg.norm(r)) <= target:
+                return x
+            z = self._pre.solve(r)
+            rz_next = float(np.dot(r, z))
+            d = z + (rz_next / rz) * d
+            rz = rz_next
+        self._pre = CachedSPD(self.A + sp.diags(jd), self.direct_threshold)
+        return self._pre.solve(b)
 
     def solve(self, u_prev, x0=None):
         """Interior minimizer of F given the previous interior vector."""
@@ -171,23 +214,30 @@ class _HeatStepper:
                     break
                 w = w - self._linear.solve(G)
             return w
+        p = self.p
         w = u_prev.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
         for _ in range(self.max_iter):
             G = self._grad_half(w, u_prev)
+            _require_finite(G, "gradient", p)
             if float(np.max(np.abs(G / self.mass), initial=0.0)) <= tol:
                 return w
-            dphi = self.p * np.maximum(np.abs(w),
-                                       POWER_DERIV_FLOOR) ** (self.p - 1.0)
-            J = self.A + sp.diags(self.mass * (1.0 / self.ell + dphi))
-            s = CachedSPD(J, self.direct_threshold).solve(-G)
-            fw = self._functional(w, u_prev)
+            with np.errstate(over="ignore"):
+                jd = self.mass * (1.0 / self.ell + p * np.maximum(
+                    np.abs(w), POWER_DERIV_FLOOR) ** (p - 1.0))
+            _require_finite(jd, "Jacobian", p)
+            if self._pre is None:
+                s = CachedSPD(self.A + sp.diags(jd),
+                              self.direct_threshold).solve(-G)
+            else:
+                s = self._newton_direction(jd, -G)
+            fw = _functional(self.op, w, u_prev, p, self.ell)
             slope = 2.0 * float(np.dot(G, s))
             alpha = 1.0
             # Armijo only while the predicted decrease is measurable above
             # the rounding noise of F; near the minimum the full (damped)
             # Newton step is safe by strict convexity.
             if abs(slope) > 1e-13 * (1.0 + abs(fw)):
-                while (self._functional(w + alpha * s, u_prev)
+                while (_functional(self.op, w + alpha * s, u_prev, p, self.ell)
                        > fw + 1e-4 * alpha * slope and alpha > 1e-14):
                     alpha *= 0.5
             w = w + alpha * s

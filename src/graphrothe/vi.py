@@ -332,24 +332,19 @@ class MonotonicityReport:
 def vi_monotonicity_monitor(run):
     prob = run.problem
     op = run.operator
-    mu = op.mass
     times = run.partition.times
     ell = run.partition.step_size
-
-    def l2(vec):
-        return math.sqrt(float(np.dot(mu * vec, vec)))
-
     f_vals = [op.restrict(prob.forcing.at(float(t))) for t in times]
-    q_norms = [l2(op.restrict(q)) for q in run.quotients]
+    q_norms = [op.l2(op.restrict(q)) for q in run.quotients]
     rows = []
     for j in range(1, len(q_norms) + 1):
-        finc = l2(f_vals[j] - f_vals[j - 1])
+        finc = op.l2(f_vals[j] - f_vals[j - 1])
         slack = (q_norms[j - 1] - q_norms[j - 2] - finc
                  if j >= 2 else math.nan)
         rows.append(QuotientRow(j, q_norms[j - 1], finc, slack))
     grid_rate = max((r.forcing_increment_l2 / ell for r in rows), default=0.0)
-    lap_g = l2(op.neg_laplacian(op.restrict(prob.initial)))
-    bound = lap_g + l2(f_vals[0]) + grid_rate * run.partition.horizon
+    lap_g = op.l2(op.neg_laplacian(op.restrict(prob.initial)))
+    bound = lap_g + op.l2(f_vals[0]) + grid_rate * run.partition.horizon
     return MonotonicityReport(tuple(rows), bound, grid_rate)
 
 

@@ -186,8 +186,8 @@ GOLDEN = {
         "outputs": {
             "levels.csv": "25521f9ef2f0a385278dfe1dce15bd12605a7974cf656c3ecc60fe1b98f2c399",
             "terminal_level_2.txt": "8a0051bc4cb9822414745c11f95c2d607e4503929c7ef1ca331f9357e75a6771",
-            "terminal_level_3.txt": "5a9ff547b87e191cd89b259f251f638fbfceffd8a6d01e7cf1b7294b74c6d717",
-            "terminal_level_4.txt": "470df531a27309fcee92c52d69cfb96051b92536a243a42025e5c37f5959a265"
+            "terminal_level_3.txt": "7c097a22783ae328ab1320498fa7fb41a24368ddf70dbc4005ccb7dc8a9b33bc",
+            "terminal_level_4.txt": "47b9e6089d14766fd508c5066d03d4a7881f8bba7a10bbb4e18051e229a27c91"
         }
     },
     "heat_p2_oracle": {
@@ -200,7 +200,7 @@ GOLDEN = {
             "norms.csv": "a7e25810d0c1796d40bd7a6faa3ffff65bee860d62f93b9096058fa679e07a25",
             "oracle_error.csv": "4f94cf997126310e03ddbde119d7e44845f838cbc5f364a6127ca38a62deab72",
             "oracle_trajectory.csv": "302601c2f5dd5604184b2bfe828424532de9422c82a851bde19464679955e841",
-            "trajectory.csv": "927203f9679aeec77fdd0209028faf0e125d59a09f02b71eb9db743e345f6d23"
+            "trajectory.csv": "c98b7166cda00762cc40bd54f5eb6e4c5d573ae2f62761518062538e2173d001"
         }
     },
     "vi_lattice": {

@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from graphrothe import (
     HeatProblem,
     LatticeZ,
+    LatticeZ2,
     TimePartition,
     VertexField,
     evaluate_interpolant,
@@ -21,7 +24,9 @@ from graphrothe import (
     solve_step,
     step_functional,
 )
+from graphrothe import heat
 from graphrothe.errors import DomainMismatch, TimeOutOfRange
+from graphrothe.operators import DirichletOperator
 from helpers import (
     five_path_domain,
     path_graph,
@@ -350,6 +355,108 @@ class TestLinearSolverPaths:
             a = solve_step(u_prev, prob, 0.1)
             b = solve_step(u_prev, prob, 0.1, direct_threshold=0)
             assert float(np.max(np.abs(a.values - b.values))) <= 1e-9
+
+
+def splu_newton_rothe(prob, part):
+    """Interior Rothe fields by damped Newton with a fresh sparse LU of the
+    Jacobian at every iteration, the same Armijo search and stopping test
+    as the library's stepper; a reference for the preconditioned solve."""
+    op = DirichletOperator(prob.domain)
+    A, m = op.stiffness, op.mass
+    p, ell = float(prob.p), part.step_size
+
+    def functional(w, u_prev):
+        return (float(np.dot(m * w, w)) / ell
+                - 2.0 * float(np.dot(m * u_prev, w)) / ell
+                + 2.0 / (p + 1.0) * float(np.dot(m, np.abs(w) ** (p + 1.0)))
+                + float(np.dot(w, A @ w)))
+
+    w = op.restrict(prob.initial)
+    fields = [w]
+    for _ in range(part.steps):
+        u_prev = w
+        tol = 1e-12 * (1.0 + float(np.max(np.abs(u_prev))))
+        for _ in range(100):
+            G = m * ((w - u_prev) / ell + np.abs(w) ** (p - 1.0) * w) + A @ w
+            if float(np.max(np.abs(G / m))) <= tol:
+                break
+            J = A + sp.diags(m * (1.0 / ell + p * np.maximum(
+                np.abs(w), 1e-12) ** (p - 1.0)))
+            s = spla.splu(sp.csc_matrix(J)).solve(-G)
+            fw = functional(w, u_prev)
+            slope = 2.0 * float(np.dot(G, s))
+            alpha = 1.0
+            if abs(slope) > 1e-13 * (1.0 + abs(fw)):
+                while (functional(w + alpha * s, u_prev)
+                       > fw + 1e-4 * alpha * slope and alpha > 1e-14):
+                    alpha *= 0.5
+            w = w + alpha * s
+        else:
+            raise AssertionError("reference Newton did not converge")
+        fields.append(w)
+    return np.array(fields)
+
+
+@pytest.fixture
+def spd_count(monkeypatch):
+    """Number of ``CachedSPD`` constructions made by the heat stepper."""
+    count = [0]
+
+    class Counting(heat.CachedSPD):
+        def __init__(self, *args, **kwargs):
+            count[0] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(heat, "CachedSPD", Counting)
+    return count
+
+
+class TestNewtonOneFactorization:
+    """p > 1 Newton solves each system by CG preconditioned with one factor
+    of A + M/l per stepper, refactoring only on stiff data."""
+
+    @staticmethod
+    def compare(prob, part):
+        dom = prob.domain
+        traj = run_rothe(prob, part)
+        got = np.array([u.values[dom.interior_ids] for u in traj.fields])
+        ref = splu_newton_rothe(prob, part)
+        assert float(np.max(np.abs(got - ref))) \
+            <= 1e-12 * float(np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("ell", [0.01, 1.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+    def test_matches_per_iteration_lu(self, p, ell, spd_count):
+        rng = np.random.default_rng([int(10 * p), int(100 * ell)])
+        for amplitude in (1.0, 10.0):
+            g = random_connected_graph(rng, 30, 60)
+            dom = random_domain(rng, g, keep=0.9)
+            vals = amplitude * rng.uniform(-1.0, 1.0, len(dom.interior_ids))
+            prob = HeatProblem(dom, p, field_on_interior(dom, vals), 3 * ell)
+            spd_count[0] = 0
+            self.compare(prob, TimePartition(3 * ell, 3))
+            # S0^{-1} J has its spectrum in [1, 1 + l max p|w|^(p-1)]
+            if ell * p * amplitude ** (p - 1.0) <= 0.2:
+                assert spd_count[0] == 1
+
+    def test_one_factorization_per_level(self, spd_count):
+        exh = exhaust_generative(LatticeZ2(), [(0, 0)], 12)
+        rng = np.random.default_rng(6)
+        support = {(i, j): float(rng.uniform(0.5, 2.0))
+                   for i in range(-4, 5) for j in range(-4, 5)
+                   if abs(i) + abs(j) <= 4}
+        h = VertexField.from_mapping(exh.graph, support)
+        prob = HeatProblem(exh, 2.0, h, 0.5)
+        run_exhaustion(prob, TimePartition(0.5, 10), levels=[4, 8, 12])
+        assert spd_count[0] == 3
+
+    def test_stiff_data_refactors_and_matches(self, spd_count):
+        dom = exhaust_generative(LatticeZ2(), [(0, 0)], 8).level(8)
+        rng = np.random.default_rng(8)
+        vals = 10.0 * rng.uniform(-1.0, 1.0, len(dom.interior_ids))
+        prob = HeatProblem(dom, 5.0, field_on_interior(dom, vals), 3.0)
+        self.compare(prob, TimePartition(3.0, 3))
+        assert spd_count[0] > 1
 
 
 class TestSolverBudget:
