@@ -6,10 +6,10 @@ All reductions run in strict ascending-vertex-id order (and ascending
 neighbor order inside a vertex) through the sequential-sum kernels, so
 reported values are bit-reproducible across runs.
 
-Integrals of the gradient form keep that order over the CSR arrays: one
-accumulator per vertex starts at 0.0, and at neighbour slot k = 0, 1, ...
-every vertex with a k-th neighbour adds its term omega * (dw * dv), so
-each vertex sums exactly as ``gamma`` does; one ordered sum over the
+Integrals of the gradient form keep that order over the CSR arrays: the
+terms omega * (dw * dv) of every vertex's slots go through
+``kernels.row_sums``, which adds each vertex's terms in ascending neighbour
+order from 0.0 exactly as ``gamma`` does; one ordered sum over the
 vertices finishes the integral. ``laplacian`` and ``gamma`` stay as the
 per-vertex reference definitions.
 """
@@ -140,18 +140,12 @@ def _gamma_values(g, w_field, v_field, ids):
     incomplete = np.flatnonzero(~g.complete[ids])
     if incomplete.size:
         _require_complete(g, int(ids[incomplete[0]]))
-    start = g.indptr[ids]
-    degree = g.indptr[ids + 1] - start
+    slots, ptr = g.row_slots(ids)
+    nbrs = g.indices[slots]
+    at = np.repeat(ids, np.diff(ptr))
     wv, vv = w_field.values, v_field.values
-    acc = np.zeros(ids.size)
-    for k in range(int(degree.max(initial=0))):
-        rows = np.flatnonzero(degree > k)
-        slot = start[rows] + k
-        nbrs = g.indices[slot]
-        at = ids[rows]
-        acc[rows] = acc[rows] + g.weights[slot] * (
-            (wv[nbrs] - wv[at]) * (vv[nbrs] - vv[at]))
-    return acc / (2.0 * g.mu[ids])
+    terms = g.weights[slots] * ((wv[nbrs] - wv[at]) * (vv[nbrs] - vv[at]))
+    return kernels.row_sums(ptr, terms) / (2.0 * g.mu[ids])
 
 
 def _gamma_integral(g, w_field, v_field, ids):

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from . import calculus, fileio, heat, spectral, vi
 from .calculus import VertexField
 from .errors import (
     ConfigError,
+    EmptyInteriorWarning,
     GraphMismatch,
     GraphrotheError,
     IoError,
@@ -60,6 +62,31 @@ def _is_number(x):
 
 def _reject_constant(name):
     _fail(f"non-finite number {name} is not allowed")
+
+
+def _list_option(text, convert, what):
+    """A comma-separated command-line list, each item read by ``convert``;
+    ``what`` names the option and its items."""
+    try:
+        return [convert(s) for s in text.split(",")]
+    except ValueError:
+        _fail(f"{what} must be a comma-separated list, got {text!r}")
+
+
+def _problem_domain(g, ids):
+    """The domain on ``ids``, refused when its interior is empty: no
+    problem can be posed on it, and every exhaustion level inside it has
+    an empty interior too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyInteriorWarning)
+        dom = make_domain(g, ids)
+    _expect(dom.interior, "domain has an empty interior (every omega "
+            "vertex is on its boundary); it cannot pose a problem")
+    return dom
+
+
+def _labelled_domain(g, labels):
+    return _problem_domain(g, [g.vertex(lab) for lab in labels])
 
 
 def load_config(path, overrides=None):
@@ -248,13 +275,13 @@ class PreparedRun:
             self.graph = fileio.read_graph_file(gspec["file"])
             dspec = cfg["domain"]
             if dspec == "all":
-                self.domain = make_domain(self.graph,
-                                          range(self.graph.num_vertices))
+                self.domain = _problem_domain(self.graph,
+                                              range(self.graph.num_vertices))
             elif "file" in dspec:
-                self.domain = domain_from_labels(
+                self.domain = _labelled_domain(
                     self.graph, fileio.read_domain_file(dspec["file"]))
             else:
-                self.domain = domain_from_labels(
+                self.domain = _labelled_domain(
                     self.graph,
                     [fileio.parse_label(str(s)) for s in dspec["omega"]])
             exh_spec = prob.get("exhaustion")
@@ -308,12 +335,6 @@ class PreparedRun:
         return {"newton_factor": self.newton_factor,
                 "psor": self.psor_tol, "psor_relax": self.psor_relax,
                 "ode_oracle": self.ode_tol}
-
-
-def _interior_l2(graph, dom, values_diff):
-    ids = dom.interior_ids
-    d = values_diff[ids]
-    return math.sqrt(float(np.dot(graph.mu[ids] * d, d)))
 
 
 def _estimate_rows(report):
@@ -383,6 +404,7 @@ def _run_heat(prep, outdir):
 def _oracle_study(prep, prob, finest, outdir):
     """Error against the oracle for each n in ``steps_list``; ``finest``
     is the trajectory already solved for the largest n."""
+    op = prep.domain.operator
     basis = None
     if prep.p == 1.0:
         basis = spectral.dirichlet_eigenbasis(prep.domain)
@@ -403,8 +425,7 @@ def _oracle_study(prep, prob, finest, outdir):
             refs = spectral.ode_oracle(prob, [float(t) for t in times],
                                        tol=prep.ode_tol)
         oracle_fields, oracle_times = refs, times
-        errs = [_interior_l2(prep.graph, prep.domain,
-                             u.values - ref.values)
+        errs = [op.l2(op.restrict(u) - op.restrict(ref))
                 for u, ref in zip(traj.fields, refs)]
         err = max(errs)
         order = None
@@ -519,7 +540,8 @@ def _run_spectral(prep, outdir):
 
 def cmd_run(args):
     overrides = {"p": args.p, "horizon": args.horizon, "steps": args.steps,
-                 "levels": ([int(s) for s in args.levels.split(",")]
+                 "levels": (_list_option(args.levels, int,
+                                         "--levels (integers)")
                             if args.levels else None),
                  "initial": args.initial, "output": args.output}
     if args.compare_oracle:
@@ -578,9 +600,10 @@ def cmd_graph_info(args):
 def cmd_compare(args):
     g = fileio.read_graph_file(args.graph)
     if args.domain:
-        dom = domain_from_labels(g, fileio.read_domain_file(args.domain))
+        dom = _labelled_domain(g, fileio.read_domain_file(args.domain))
     else:
-        dom = make_domain(g, range(g.num_vertices))
+        dom = _problem_domain(g, range(g.num_vertices))
+    op = dom.operator
     times_a, steps_a = fileio.read_trajectory_csv(args.traj_a)
     times_b, steps_b = fileio.read_trajectory_csv(args.traj_b)
     labels = set(g.labels)
@@ -590,7 +613,7 @@ def cmd_compare(args):
                 raise GraphMismatch(
                     f"{name}: trajectory vertices do not match the graph")
     if args.times:
-        wanted = [float(t) for t in args.times.split(",")]
+        wanted = _list_option(args.times, float, "--times (numbers)")
     else:
         wanted = [t for t in times_a
                   if any(math.isclose(t, s, rel_tol=0.0, abs_tol=1e-12)
@@ -608,7 +631,7 @@ def cmd_compare(args):
         sa = step_at(times_a, steps_a, t)
         sb = step_at(times_b, steps_b, t)
         diff = np.array([sa[lab] - sb[lab] for lab in g.labels])
-        l2 = _interior_l2(g, dom, diff)
+        l2 = op.l2(diff[op.interior_ids])
         sup = float(np.max(np.abs(diff), initial=0.0))
         rows.append((t, l2, sup))
         max_l2 = max(max_l2, l2)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import (
     DisconnectedGraph,
     DuplicateEdge,
@@ -28,6 +29,7 @@ from .errors import (
     SeedOutsideDomain,
     SelfLoop,
 )
+from .operators import DirichletOperator
 
 def _label_key(label):
     """Total order over the supported label kinds (int, int-tuple, str)."""
@@ -92,6 +94,17 @@ class WeightedGraph:
         """(neighbor ids, weights) of vertex ``i``, ascending by id."""
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.weights[lo:hi]
+
+    def row_slots(self, ids):
+        """The CSR slots of the rows ``ids``, row after row, and the row
+        pointer into them: row r of ``ids`` owns ``slots[ptr[r]:ptr[r+1]]``,
+        ascending by neighbor id."""
+        start = self.indptr[ids]
+        degree = self.indptr[ids + 1] - start
+        ptr = np.zeros(degree.size + 1, dtype=np.int64)
+        np.cumsum(degree, out=ptr[1:])
+        slots = np.arange(ptr[-1]) + np.repeat(start - ptr[:-1], degree)
+        return slots, ptr
 
     def __repr__(self):
         return (f"WeightedGraph(n={self.num_vertices}, "
@@ -192,61 +205,75 @@ def compute_metrics(g, scope=None):
 
     Uses the materialized adjacency, so on a sub-materialization the
     reported M_d and D_mu never exceed (and mu0 never undershoots) the
-    values on any larger materialization.
+    values on any larger materialization. Each vertex's incident weights
+    are added in ascending neighbor order (``kernels.row_sums``).
     """
-    ids = range(g.num_vertices) if scope is None else sorted(scope)
-    ids = list(ids)
-    if not ids:
+    if scope is None:
+        ids = np.arange(g.num_vertices)
+    else:
+        ids = np.asarray(sorted(scope), dtype=np.int64)
+    if not ids.size:
         raise EmptyScope("metrics over empty vertex set")
-    mu0 = math.inf
-    md = 0
-    dmu = 0.0
-    for i in ids:
-        mu0 = min(mu0, g.mu[i])
-        md = max(md, g.degree(i))
-        _, w = g.neighbors(i)
-        dmu = max(dmu, float(np.sum(w)) / g.mu[i])
-    return GraphMetrics(float(mu0), int(md), float(dmu))
+    slots, ptr = g.row_slots(ids)
+    mu = g.mu[ids]
+    dmu = kernels.row_sums(ptr, g.weights[slots]) / mu
+    return GraphMetrics(float(np.min(mu)), int(np.max(np.diff(ptr))),
+                        float(np.max(dmu)))
 
 
 class Domain:
     """A vertex subset Omega with its boundary and interior.
 
     The boundary is {x in Omega : x has a neighbor outside Omega},
-    computed against the ambient graph; a vertex whose neighborhood is
-    incomplete in the materialization is boundary by definition (its
-    missing neighbors are certainly outside Omega).
+    computed against the ambient graph over the CSR slots of Omega's rows;
+    a vertex whose neighborhood is incomplete in the materialization is
+    boundary by definition (its missing neighbors are certainly outside
+    Omega).
     """
 
     __slots__ = ("graph", "omega", "boundary", "interior",
-                 "omega_ids", "interior_ids", "boundary_ids")
+                 "omega_ids", "interior_ids", "boundary_ids", "_operator")
 
     def __init__(self, graph, omega_ids):
         omega = frozenset(int(i) for i in omega_ids)
         if not omega:
             raise EmptyOmega("empty vertex subset")
-        boundary = set()
-        for i in omega:
-            if not graph.complete[i]:
-                boundary.add(i)
-                continue
-            nbrs, _ = graph.neighbors(i)
-            if any(int(j) not in omega for j in nbrs):
-                boundary.add(i)
+        ids = np.asarray(sorted(omega), dtype=np.int64)
+        if ids[0] < 0 or ids[-1] >= graph.num_vertices:
+            raise InvalidGraphData(
+                f"vertex id {ids[0] if ids[0] < 0 else ids[-1]} is not in "
+                f"the graph")
+        member = np.zeros(graph.num_vertices, dtype=bool)
+        member[ids] = True
+        slots, ptr = graph.row_slots(ids)
+        owner = np.repeat(np.arange(ids.size), np.diff(ptr))
+        leaves = np.bincount(owner[~member[graph.indices[slots]]],
+                             minlength=ids.size)
+        on_boundary = ~graph.complete[ids] | (leaves > 0)
         self.graph = graph
         self.omega = omega
-        self.boundary = frozenset(boundary)
-        self.interior = omega - self.boundary
-        self.omega_ids = np.asarray(sorted(omega), dtype=np.int64)
-        self.boundary_ids = np.asarray(sorted(self.boundary), dtype=np.int64)
-        self.interior_ids = np.asarray(sorted(self.interior), dtype=np.int64)
+        self.omega_ids = ids
+        self.boundary_ids = ids[on_boundary]
+        self.interior_ids = ids[~on_boundary]
+        self.boundary = frozenset(self.boundary_ids.tolist())
+        self.interior = frozenset(self.interior_ids.tolist())
         self.omega_ids.setflags(write=False)
         self.boundary_ids.setflags(write=False)
         self.interior_ids.setflags(write=False)
+        self._operator = None
 
     @property
     def num_interior(self):
         return len(self.interior)
+
+    @property
+    def operator(self):
+        """The DirichletOperator of the interior, assembled on first use
+        and shared by every solver and monitor on this domain: stiffness
+        and mass do not depend on the step size."""
+        if self._operator is None:
+            self._operator = DirichletOperator(self)
+        return self._operator
 
     def __repr__(self):
         return (f"Domain(|omega|={len(self.omega)}, "

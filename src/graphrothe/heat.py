@@ -36,7 +36,7 @@ from .errors import (
     TimeOutOfRange,
 )
 from .graph import Domain, ExhaustionSequence
-from .operators import CG_RTOL, DIRECT_SOLVE_MAX, CachedSPD, DirichletOperator
+from .operators import CG_RTOL, DIRECT_SOLVE_MAX, CachedSPD
 
 NEWTON_TOL_FACTOR = 1e-12
 NEWTON_MAX_ITER = 100
@@ -138,21 +138,21 @@ def step_functional(u, u_prev, prob, ell):
         raise DomainMismatch("fields live on a different graph")
     require_admissible(u, dom, "u")
     require_admissible(u_prev, dom, "u_prev")
-    op = DirichletOperator(dom)
+    op = dom.operator
     return _functional(op, op.restrict(u), op.restrict(u_prev),
                        float(prob.p), ell)
 
 
 class _HeatStepper:
-    """Per-step solver with the matrices and one factorization assembled
-    once for a fixed step size: for p = 1 the factor of A + M(1 + 1/l),
-    for p > 1 the Newton preconditioner, initially the factor of
-    S0 = A + M/l (none above the direct-solve size, where each Newton
-    system is solved by Jacobi-PCG on its own Jacobian)."""
+    """Per-step solver on the domain's shared operator, with one
+    factorization made once for a fixed step size: for p = 1 the factor
+    of A + M(1 + 1/l), for p > 1 the Newton preconditioner, initially the
+    factor of S0 = A + M/l (none above the direct-solve size, where each
+    Newton system is solved by Jacobi-PCG on its own Jacobian)."""
 
     def __init__(self, prob, ell, tol_factor=NEWTON_TOL_FACTOR,
                  max_iter=NEWTON_MAX_ITER, direct_threshold=DIRECT_SOLVE_MAX):
-        self.op = DirichletOperator(prob.domain)
+        self.op = prob.domain.operator
         self.p = float(prob.p)
         self.ell = float(ell)
         self.tol_factor = tol_factor
@@ -165,8 +165,8 @@ class _HeatStepper:
             S = self.A + sp.diags(self.mass * (1.0 + 1.0 / self.ell))
             self._linear = CachedSPD(S, direct_threshold)
         elif self.op.n <= direct_threshold:
-            S0 = self.A + sp.diags(self.mass / self.ell)
-            self._pre = CachedSPD(S0, direct_threshold)
+            self._pre = CachedSPD(self.op.step_matrix(self.ell),
+                                  direct_threshold)
 
     def _grad_half(self, w, u_prev):
         """Half the functional gradient: mass*((w-u_prev)/l + |w|^(p-1) w)

@@ -1,8 +1,10 @@
-"""The three numeric kernels of the Rothe schemes: an ordered sum, an
-ordered dot product and one projected-SOR sweep.
+"""The numeric kernels of the Rothe schemes: an ordered sum, an ordered
+dot product, ordered per-row sums over CSR slots and one projected-SOR
+sweep.
 
 The sums are bit-reproducible: every result equals the strict
-left-to-right loop ``s = 0.0; for x in a: s = s + x``.
+left-to-right loop ``s = 0.0; for x in a: s = s + x``, and ``row_sums``
+gives each row that loop over its slots.
 
 ``psor_sweep`` takes any indexable sequences. Python lists are its fast
 path: reading a list element costs far less than boxing a numpy scalar,
@@ -34,6 +36,27 @@ def seq_dot(a, b):
     if len(a) != len(b):
         raise ValueError("length mismatch")
     return _ordered_total(a * b)
+
+
+def row_sums(ptr, terms):
+    """Per-row sums of ``terms`` laid out in CSR order: row r owns
+    ``terms[ptr[r]:ptr[r + 1]]``, and each row adds its terms strictly in
+    slot order from 0.0, bit for bit ``seq_sum`` of that slice.
+
+    Rows are visited in order of falling degree, so at slot k the rows
+    that still have a k-th term are a prefix and each pass costs only
+    those rows."""
+    degree = np.diff(ptr)
+    order = np.argsort(-degree, kind="stable")
+    start = ptr[:-1][order]
+    # active[k]: the number of rows with more than k terms
+    active = degree.size - np.cumsum(np.bincount(degree))
+    acc = np.zeros(degree.size)
+    for k, m in enumerate(active[:-1].tolist()):
+        acc[:m] += terms[start[:m] + k]
+    sums = np.empty(degree.size)
+    sums[order] = acc
+    return sums
 
 
 def psor_sweep(indptr, indices, data, diag, b, lower, u, relax):

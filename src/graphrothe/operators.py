@@ -18,46 +18,57 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .calculus import VertexField
-from .errors import EmptyInterior, SolverBreakdown, UnmaterializedNeighbor
+from . import kernels
+from .calculus import field_on_interior
+from .errors import EmptyInterior, SolverBreakdown
 
 DIRECT_SOLVE_MAX = 10_000
 CG_RTOL = 1e-13
 
 
 class DirichletOperator:
-    """Assembled mass vector and stiffness matrix on a domain's interior."""
+    """Assembled mass vector and stiffness matrix on a domain's interior.
+
+    Built once per domain through ``Domain.operator`` and shared by every
+    solver and monitor on it, so its arrays are read-only. The stiffness
+    is assembled from the graph's CSR arrays: the interior rows' slots,
+    -omega for every interior neighbor, and on the diagonal each row's
+    incident weights added in slot order (``kernels.row_sums``). A Domain
+    puts every incomplete vertex on its boundary, so every interior row
+    is complete."""
 
     def __init__(self, dom):
         if not dom.interior:
             raise EmptyInterior("domain has no interior vertices")
         g = dom.graph
         ids = dom.interior_ids
-        for i in ids:
-            if not g.complete[i]:
-                raise UnmaterializedNeighbor(
-                    f"interior vertex {g.label_of(int(i))!r} has "
-                    f"unmaterialized neighbors")
-        pos = {int(v): a for a, v in enumerate(ids)}
-        n = len(ids)
-        rows, cols, vals = [], [], []
-        for a, v in enumerate(ids):
-            nbrs, w = g.neighbors(int(v))
-            rows.append(a)
-            cols.append(a)
-            vals.append(float(np.sum(w)))
-            for j, wj in zip(nbrs, w):
-                b = pos.get(int(j))
-                if b is not None:
-                    rows.append(a)
-                    cols.append(b)
-                    vals.append(-float(wj))
+        n = ids.size
+        pos = np.full(g.num_vertices, -1, dtype=np.int64)
+        pos[ids] = np.arange(n)
+        slots, ptr = g.row_slots(ids)
+        w = g.weights[slots]
+        cols = pos[g.indices[slots]]
+        inner = cols >= 0
+        rows = np.repeat(np.arange(n), np.diff(ptr))[inner]
         self.dom = dom
         self.interior_ids = ids
         self.n = n
         self.mass = np.ascontiguousarray(g.mu[ids])
         self.stiffness = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(n, n), dtype=float)
+            (np.concatenate((kernels.row_sums(ptr, w), -w[inner])),
+             (np.concatenate((np.arange(n), rows)),
+              np.concatenate((np.arange(n), cols[inner])))),
+            shape=(n, n), dtype=float)
+        for arr in (self.mass, self.stiffness.data, self.stiffness.indices,
+                    self.stiffness.indptr):
+            arr.setflags(write=False)
+
+    def step_matrix(self, ell):
+        """S0 = A + M/l, the matrix of one Rothe step of size ``ell``, in
+        CSR with sorted indices."""
+        S = (self.stiffness + sp.diags(self.mass / ell)).tocsr()
+        S.sort_indices()
+        return S
 
     def restrict(self, field):
         """Interior values of a field, in ascending id order."""
@@ -65,9 +76,7 @@ class DirichletOperator:
 
     def extend(self, w):
         """Admissible field with interior values ``w`` and zeros elsewhere."""
-        vals = np.zeros(self.dom.graph.num_vertices)
-        vals[self.interior_ids] = w
-        return VertexField(self.dom.graph, vals)
+        return field_on_interior(self.dom, w)
 
     def neg_laplacian(self, w):
         """-Laplacian of the zero-extended interior vector, on the interior."""

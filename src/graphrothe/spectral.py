@@ -24,7 +24,6 @@ from . import kernels
 from .calculus import field_on_interior, require_admissible
 from .errors import StiffnessFailure, TimeOutOfRange
 from .graph import Domain
-from .operators import DirichletOperator
 
 ODE_MAX_STEPS = 1 << 21
 
@@ -58,7 +57,7 @@ def dirichlet_eigenbasis(dom):
     """Eigenpairs of the generalized problem A phi = lambda M phi via the
     symmetric similarity M^{-1/2} A M^{-1/2} (dense; finite domains at
     desk scale), rescaled to unit W^{1,2}_0 norm."""
-    op = DirichletOperator(dom)
+    op = dom.operator
     d = 1.0 / np.sqrt(op.mass)
     B = op.stiffness.toarray() * d[:, None] * d[None, :]
     B = 0.5 * (B + B.T)
@@ -145,7 +144,7 @@ def ode_oracle(prob, t_eval, tol=1e-10):
         raise TimeOutOfRange("evaluation times must be >= 0")
     order = np.argsort(times, kind="stable")
     sorted_times = [times[k] for k in order]
-    op = DirichletOperator(prob.domain)
+    op = prob.domain.operator
     w0 = op.restrict(prob.initial)
     t_max = sorted_times[-1] if sorted_times else 0.0
 

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import kernels
 from .calculus import VertexField, require_admissible
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .graph import Domain, ExhaustionSequence
 from .heat import TimePartition, _run_levels
-from .operators import DIRECT_SOLVE_MAX, CachedSPD, DirichletOperator
+from .operators import DIRECT_SOLVE_MAX, CachedSPD
 
 PSOR_TOL = 1e-10
 PSOR_MAX_SWEEPS = 50_000
@@ -149,17 +148,14 @@ class ViStepper:
                  direct_threshold=DIRECT_SOLVE_MAX):
         if not (ell > 0.0):
             raise ValueError(f"step size must be positive, got {ell}")
-        self.op = DirichletOperator(dom)
+        self.op = dom.operator
         self.ell = float(ell)
         self.constraint = constraint
         self.beta = min(1.0 / self.ell, 1.0)
         self.relax = float(psor_relax)
         self.tol = float(psor_tol)
         self.max_sweeps = int(psor_max_sweeps)
-        S = (self.op.stiffness
-             + sp.diags(self.op.mass / self.ell)).tocsr()
-        S.sort_indices()
-        self.S = S
+        S = self.S = self.op.step_matrix(self.ell)
         if isinstance(constraint, Subspace):
             self._solver = CachedSPD(S, direct_threshold)
         elif isinstance(constraint, Obstacle):
@@ -231,7 +227,6 @@ class VIRun:
     partition: TimePartition
     fields: tuple
     reports: tuple
-    operator: DirichletOperator
 
     @property
     def quotients(self):
@@ -252,7 +247,7 @@ def run_vi(prob, part, **opts):
         rep = stepper.step(i, fields[-1], prob.forcing.at(float(times[i])))
         fields.append(rep.u)
         reports.append(rep)
-    return VIRun(prob, part, tuple(fields), tuple(reports), stepper.op)
+    return VIRun(prob, part, tuple(fields), tuple(reports))
 
 
 def forcing_step_function(prob, part, t):
@@ -331,7 +326,7 @@ class MonotonicityReport:
 
 def vi_monotonicity_monitor(run):
     prob = run.problem
-    op = run.operator
+    op = prob.domain.operator
     times = run.partition.times
     ell = run.partition.step_size
     f_vals = [op.restrict(prob.forcing.at(float(t))) for t in times]

@@ -202,13 +202,29 @@ class TestValidation:
                  ({"initial": {"values": {"2": "abc"}}}, []),
                  ({"initial": {"values": {"2": True}}}, []),
                  ({"initial": {"values": {"2": None}}}, []),
-                 ({}, ["--initial", str(nan_field)])]
+                 ({}, ["--initial", str(nan_field)]),
+                 ({}, ["--levels", "a,b"]),
+                 ({}, ["--levels", "1.5"])]
         for problem, extra in cases:
             cfg_path, _ = heat_config(tmp_path, problem=problem)
             assert main(["run", cfg_path, *extra]) == 2
             assert not (tmp_path / "out").exists()
             err = capsys.readouterr().err
             assert err.startswith("error[CONFIG]:") and err.count("\n") == 1
+        # a domain whose interior is empty, for every problem kind, and an
+        # exhaustion inside it: refused at validation with no warning line
+        for problem in ({}, {"exhaustion": {"seeds": ["2"], "levels": [1]}},
+                        {"kind": "spectral"}):
+            cfg_path, _ = heat_config(tmp_path, domain={"omega": ["2"]},
+                                      problem=problem)
+            for command in ("validate-config", "run"):
+                assert main([command, cfg_path]) == 2
+                assert not (tmp_path / "out").exists()
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err.startswith(
+                    "error[CONFIG]: domain has an empty interior")
+                assert captured.err.count("\n") == 1
         # field values that JSON reads as inf, or as an int past the
         # float range
         for literal in ("1e400", "-1e400", "1" + "0" * 400):
@@ -367,3 +383,14 @@ class TestCompare:
         fileio.write_graph_file(other, gpath)
         assert main(["compare", traj, traj, "--graph", gpath]) == 2
         assert capsys.readouterr().err.startswith("error[CONFIG]:")
+        # times that do not parse, and a domain with an empty interior
+        empty = tmp_path / "empty_interior.txt"
+        empty.write_text("omega 2\n")
+        p5 = str(tmp_path / "p5.txt")
+        for extra in (["--times", "abc"], ["--times", "0.5,x"],
+                      ["--domain", str(empty)]):
+            assert main(["compare", traj, traj, "--graph", p5, *extra]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error[CONFIG]:")
+            assert captured.err.count("\n") == 1

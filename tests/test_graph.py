@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from graphrothe import (
     compute_metrics,
     exhaust,
     exhaust_generative,
+    kernels,
     make_domain,
     materialize_ball,
 )
@@ -17,6 +20,7 @@ from graphrothe.errors import (
     EmptyInteriorWarning,
     EmptyOmega,
     EmptyScope,
+    InvalidGraphData,
     IsolatedVertex,
     NonPositiveMeasure,
     NonPositiveWeight,
@@ -24,6 +28,28 @@ from graphrothe.errors import (
     SelfLoop,
 )
 from helpers import path_graph, random_connected_graph, star_graph
+
+
+def loop_boundary(g, omega):
+    """Per-vertex boundary: an Omega vertex that is incomplete or has a
+    neighbor outside Omega."""
+    boundary = set()
+    for i in omega:
+        nbrs, _ = g.neighbors(i)
+        if not g.complete[i] or any(int(j) not in omega for j in nbrs):
+            boundary.add(i)
+    return boundary
+
+
+def loop_metrics(g, ids):
+    """Per-vertex metrics, each vertex's weights added in neighbor order."""
+    mu0, md, dmu = np.inf, 0, 0.0
+    for i in ids:
+        _, w = g.neighbors(i)
+        mu0 = min(mu0, g.mu[i])
+        md = max(md, len(w))
+        dmu = max(dmu, kernels.seq_sum(w) / g.mu[i])
+    return float(mu0), md, dmu
 
 
 class TestBuildFiniteGraph:
@@ -111,6 +137,19 @@ class TestMetrics:
             assert m_sub.max_degree <= m_all.max_degree
             assert m_sub.dmu <= m_all.dmu
 
+    def test_matches_per_vertex_reference(self):
+        rng = np.random.default_rng(12)
+        for k in range(30):
+            g = random_connected_graph(rng) if k % 2 else star_graph(
+                int(rng.integers(1, 20)), mu=float(rng.uniform(0.5, 2.0)),
+                w=float(rng.uniform(0.1, 3.0)))
+            n = g.num_vertices
+            for scope in (None, [i for i in range(n) if rng.random() < 0.5]
+                          or [n - 1]):
+                m = compute_metrics(g, scope=scope)
+                ref = loop_metrics(g, range(n) if scope is None else scope)
+                assert (m.mu0, m.max_degree, m.dmu) == ref
+
 
 class TestDomain:
     def test_p3_full_domain_no_boundary(self):
@@ -143,7 +182,6 @@ class TestDomain:
             omega = [i for i in range(g.num_vertices) if rng.random() < 0.6]
             if not omega:
                 continue
-            import warnings
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", EmptyInteriorWarning)
                 dom = make_domain(g, omega)
@@ -152,6 +190,33 @@ class TestDomain:
             for i in dom.interior:
                 nbrs, _ = g.neighbors(i)
                 assert all(int(j) in dom.omega for j in nbrs)
+
+    def test_boundary_matches_per_vertex_reference(self):
+        rng = np.random.default_rng(6)
+        graphs = [random_connected_graph(rng) for _ in range(30)]
+        # rim vertices of a ball are incomplete
+        graphs += [materialize_ball(LatticeZ2(), [(0, 0)], r)
+                   for r in (1, 2, 4)]
+        graphs += [materialize_ball(LatticeZ(), [0, 5], 3)]
+        for g in graphs:
+            n = g.num_vertices
+            for keep in (0.3, 0.7, 1.0):
+                omega = {i for i in range(n) if rng.random() < keep} or {0}
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", EmptyInteriorWarning)
+                    dom = make_domain(g, omega)
+                boundary = loop_boundary(g, omega)
+                assert dom.omega == omega
+                assert dom.boundary == boundary
+                assert dom.interior == omega - boundary
+                assert list(dom.omega_ids) == sorted(omega)
+                assert list(dom.boundary_ids) == sorted(boundary)
+                assert list(dom.interior_ids) == sorted(omega - boundary)
+
+    def test_vertex_outside_graph(self):
+        for ids in ([0, 3], [-1, 1]):
+            with pytest.raises(InvalidGraphData):
+                make_domain(path_graph(3), ids)
 
 
 class TestExhaust:
