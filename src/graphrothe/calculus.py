@@ -140,12 +140,16 @@ def _gamma_values(g, w_field, v_field, ids):
     incomplete = np.flatnonzero(~g.complete[ids])
     if incomplete.size:
         _require_complete(g, int(ids[incomplete[0]]))
-    slots, ptr = g.row_slots(ids)
-    nbrs = g.indices[slots]
-    at = np.repeat(ids, np.diff(ptr))
     wv, vv = w_field.values, v_field.values
-    terms = g.weights[slots] * ((wv[nbrs] - wv[at]) * (vv[nbrs] - vv[at]))
-    return kernels.row_sums(ptr, terms) / (2.0 * g.mu[ids])
+
+    def terms(slots, rows):
+        nbrs = g.indices[slots]
+        at = ids[rows]
+        return g.weights[slots] * ((wv[nbrs] - wv[at]) * (vv[nbrs] - vv[at]))
+
+    start = g.indptr[ids]
+    return (kernels.row_sums(start, g.indptr[ids + 1] - start, terms)
+            / (2.0 * g.mu[ids]))
 
 
 def _gamma_integral(g, w_field, v_field, ids):

@@ -76,17 +76,14 @@ def _list_option(text, convert, what):
 def _problem_domain(g, ids):
     """The domain on ``ids``, refused when its interior is empty: no
     problem can be posed on it, and every exhaustion level inside it has
-    an empty interior too."""
+    an empty interior too. The refusal replaces ``make_domain``'s
+    warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", EmptyInteriorWarning)
         dom = make_domain(g, ids)
     _expect(dom.interior, "domain has an empty interior (every omega "
             "vertex is on its boundary); it cannot pose a problem")
     return dom
-
-
-def _labelled_domain(g, labels):
-    return _problem_domain(g, [g.vertex(lab) for lab in labels])
 
 
 def load_config(path, overrides=None):
@@ -275,15 +272,14 @@ class PreparedRun:
             self.graph = fileio.read_graph_file(gspec["file"])
             dspec = cfg["domain"]
             if dspec == "all":
-                self.domain = _problem_domain(self.graph,
-                                              range(self.graph.num_vertices))
+                ids = range(self.graph.num_vertices)
             elif "file" in dspec:
-                self.domain = _labelled_domain(
-                    self.graph, fileio.read_domain_file(dspec["file"]))
+                ids = map(self.graph.vertex,
+                          fileio.read_domain_file(dspec["file"]))
             else:
-                self.domain = _labelled_domain(
-                    self.graph,
-                    [fileio.parse_label(str(s)) for s in dspec["omega"]])
+                ids = (self.graph.vertex(fileio.parse_label(str(s)))
+                       for s in dspec["omega"])
+            self.domain = _problem_domain(self.graph, ids)
             exh_spec = prob.get("exhaustion")
             if exh_spec is not None:
                 seeds = [self.graph.vertex(fileio.parse_label(str(s)))
@@ -600,10 +596,10 @@ def cmd_graph_info(args):
 def cmd_compare(args):
     g = fileio.read_graph_file(args.graph)
     if args.domain:
-        dom = _labelled_domain(g, fileio.read_domain_file(args.domain))
+        dom = _problem_domain(
+            g, map(g.vertex, fileio.read_domain_file(args.domain)))
     else:
         dom = _problem_domain(g, range(g.num_vertices))
-    op = dom.operator
     times_a, steps_a = fileio.read_trajectory_csv(args.traj_a)
     times_b, steps_b = fileio.read_trajectory_csv(args.traj_b)
     labels = set(g.labels)
@@ -625,6 +621,7 @@ def cmd_compare(args):
                 return steps[i]
         raise ConfigError(f"time {t} is not on both trajectory grids")
 
+    op = dom.operator
     rows = []
     max_l2 = 0.0
     for t in wanted:

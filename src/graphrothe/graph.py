@@ -106,6 +106,13 @@ class WeightedGraph:
         slots = np.arange(ptr[-1]) + np.repeat(start - ptr[:-1], degree)
         return slots, ptr
 
+    def weight_sums(self, ids):
+        """The incident weights of each vertex of ``ids``, added in
+        ascending neighbor order from 0.0 (``kernels.row_sums``)."""
+        start = self.indptr[ids]
+        return kernels.row_sums(start, self.indptr[ids + 1] - start,
+                                lambda slots, rows: self.weights[slots])
+
     def __repr__(self):
         return (f"WeightedGraph(n={self.num_vertices}, "
                 f"edges={self.num_edges})")
@@ -206,7 +213,7 @@ def compute_metrics(g, scope=None):
     Uses the materialized adjacency, so on a sub-materialization the
     reported M_d and D_mu never exceed (and mu0 never undershoots) the
     values on any larger materialization. Each vertex's incident weights
-    are added in ascending neighbor order (``kernels.row_sums``).
+    are added in ascending neighbor order (``WeightedGraph.weight_sums``).
     """
     if scope is None:
         ids = np.arange(g.num_vertices)
@@ -214,10 +221,10 @@ def compute_metrics(g, scope=None):
         ids = np.asarray(sorted(scope), dtype=np.int64)
     if not ids.size:
         raise EmptyScope("metrics over empty vertex set")
-    slots, ptr = g.row_slots(ids)
     mu = g.mu[ids]
-    dmu = kernels.row_sums(ptr, g.weights[slots]) / mu
-    return GraphMetrics(float(np.min(mu)), int(np.max(np.diff(ptr))),
+    dmu = g.weight_sums(ids) / mu
+    return GraphMetrics(float(np.min(mu)),
+                        int(np.max(g.indptr[ids + 1] - g.indptr[ids])),
                         float(np.max(dmu)))
 
 
@@ -256,7 +263,9 @@ class Domain:
         self.boundary_ids = ids[on_boundary]
         self.interior_ids = ids[~on_boundary]
         self.boundary = frozenset(self.boundary_ids.tolist())
-        self.interior = frozenset(self.interior_ids.tolist())
+        # shares omega's ints (tolist() would make new ones): an exhaustion
+        # keeps the domain of every level it has solved
+        self.interior = omega - self.boundary
         self.omega_ids.setflags(write=False)
         self.boundary_ids.setflags(write=False)
         self.interior_ids.setflags(write=False)
@@ -274,6 +283,11 @@ class Domain:
         if self._operator is None:
             self._operator = DirichletOperator(self)
         return self._operator
+
+    def release_operator(self):
+        """Drop the cached operator; the next use of ``operator`` assembles
+        it again."""
+        self._operator = None
 
     def __repr__(self):
         return (f"Domain(|omega|={len(self.omega)}, "

@@ -434,6 +434,9 @@ def _run_levels(prob, part, levels, solve, **opts):
         sub = replace(prob, domain=dom,
                       initial=restrict_initial(prob.initial, dom))
         run = solve(sub, part, **opts)
+        # a solved level keeps its domain, not its stiffness: peak memory
+        # stays that of the largest level, not the sum over the levels
+        dom.release_operator()
         delta = None
         if results:
             prev = results[-1]

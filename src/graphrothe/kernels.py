@@ -38,25 +38,19 @@ def seq_dot(a, b):
     return _ordered_total(a * b)
 
 
-def row_sums(ptr, terms):
-    """Per-row sums of ``terms`` laid out in CSR order: row r owns
-    ``terms[ptr[r]:ptr[r + 1]]``, and each row adds its terms strictly in
-    slot order from 0.0, bit for bit ``seq_sum`` of that slice.
+def row_sums(start, degree, terms):
+    """Per-row sums over CSR slots: row r owns the slots ``start[r]`` to
+    ``start[r] + degree[r] - 1`` and adds its terms strictly in slot order
+    from 0.0, bit for bit ``seq_sum`` of them. ``terms(slots, rows)``
+    gives the terms at ``slots``, the k-th slots of the rows ``rows``.
 
-    Rows are visited in order of falling degree, so at slot k the rows
-    that still have a k-th term are a prefix and each pass costs only
-    those rows."""
-    degree = np.diff(ptr)
-    order = np.argsort(-degree, kind="stable")
-    start = ptr[:-1][order]
-    # active[k]: the number of rows with more than k terms
-    active = degree.size - np.cumsum(np.bincount(degree))
+    Pass k adds the k-th term of every row that has one, so a row's terms
+    are added in slot order and only the terms summed are computed."""
     acc = np.zeros(degree.size)
-    for k, m in enumerate(active[:-1].tolist()):
-        acc[:m] += terms[start[:m] + k]
-    sums = np.empty(degree.size)
-    sums[order] = acc
-    return sums
+    for k in range(int(degree.max(initial=0))):
+        rows = np.flatnonzero(degree > k)
+        acc[rows] = acc[rows] + terms(start[rows] + k, rows)
+    return acc
 
 
 def psor_sweep(indptr, indices, data, diag, b, lower, u, relax):

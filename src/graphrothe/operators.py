@@ -18,7 +18,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import kernels
 from .calculus import field_on_interior
 from .errors import EmptyInterior, SolverBreakdown
 
@@ -33,9 +32,9 @@ class DirichletOperator:
     solver and monitor on it, so its arrays are read-only. The stiffness
     is assembled from the graph's CSR arrays: the interior rows' slots,
     -omega for every interior neighbor, and on the diagonal each row's
-    incident weights added in slot order (``kernels.row_sums``). A Domain
-    puts every incomplete vertex on its boundary, so every interior row
-    is complete."""
+    incident weights added in slot order (``WeightedGraph.weight_sums``).
+    A Domain puts every incomplete vertex on its boundary, so every
+    interior row is complete."""
 
     def __init__(self, dom):
         if not dom.interior:
@@ -55,7 +54,7 @@ class DirichletOperator:
         self.n = n
         self.mass = np.ascontiguousarray(g.mu[ids])
         self.stiffness = sp.csr_matrix(
-            (np.concatenate((kernels.row_sums(ptr, w), -w[inner])),
+            (np.concatenate((g.weight_sums(ids), -w[inner])),
              (np.concatenate((np.arange(n), rows)),
               np.concatenate((np.arange(n), cols[inner])))),
             shape=(n, n), dtype=float)

@@ -69,6 +69,25 @@ class TestLeftToRightReference:
         with pytest.raises(ValueError):
             kernels.seq_dot(np.zeros(1), np.zeros(3))  # would broadcast
 
+    def test_row_sums(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            degree = rng.integers(0, 13, size=n)
+            degree[rng.random(n) < 0.2] = 0
+            # rows laid out in shuffled order, with gaps between them
+            order = rng.permutation(n)
+            span = degree[order] + rng.integers(0, 3, size=n)
+            start = np.empty(n, dtype=np.int64)
+            start[order] = np.cumsum(span) - span
+            values = _mixed_magnitudes(rng, int(span.sum()))
+            scale = rng.normal(size=n)
+            sums = kernels.row_sums(
+                start, degree, lambda slots, rows: values[slots] * scale[rows])
+            for r in range(n):
+                row = values[start[r]:start[r] + degree[r]] * scale[r]
+                assert same_bits(float(sums[r]), loop_sum(row))
+
 
 class TestSeqSemantics:
     def test_strict_left_to_right(self):

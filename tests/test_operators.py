@@ -2,6 +2,9 @@
 replaced, read-only sharing, the step matrix, and one operator per
 domain across every solver and monitor."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,15 +14,19 @@ from graphrothe import (
     HeatProblem,
     TimePartition,
     VertexField,
+    LatticeZ2,
     VIProblem,
     build_finite_graph,
     dirichlet_eigenbasis,
+    exhaust_generative,
     kernels,
     make_domain,
     ode_oracle,
     operators,
+    run_exhaustion,
     run_rothe,
     run_vi,
+    run_vi_exhaustion,
     step_functional,
     vi_monotonicity_monitor,
 )
@@ -137,3 +144,24 @@ def test_one_operator_per_domain(monkeypatch):
     vi_monotonicity_monitor(run_vi(vi_prob, TimePartition(0.5, 4)))
     assert built[0] == 1
     assert dom.operator is dom.operator
+
+
+def test_exhaustion_frees_each_solved_level(monkeypatch):
+    built = []
+    init = operators.DirichletOperator.__init__
+
+    def recording(self, dom):
+        built.append(weakref.ref(self))
+        init(self, dom)
+
+    monkeypatch.setattr(operators.DirichletOperator, "__init__", recording)
+    exh = exhaust_generative(LatticeZ2(), [(0, 0)], 6)
+    h = VertexField.from_mapping(exh.graph, {(0, 0): 1.0, (1, 0): -0.5})
+    part = TimePartition(0.5, 3)
+    heat_levels = run_exhaustion(HeatProblem(exh, 2.0, h, 0.5), part)
+    vi_levels = run_vi_exhaustion(
+        VIProblem(exh, ConstantForcing(h), h, 0.5), part, levels=[2, 4])
+    gc.collect()
+    # one operator per level solved, none alive once its level is done
+    assert len(built) == len(heat_levels) + len(vi_levels)
+    assert all(ref() is None for ref in built)
