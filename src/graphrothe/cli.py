@@ -30,8 +30,8 @@ from .errors import (
     IoError,
     SolveError,
 )
-from .graph import GENERATORS, compute_metrics, domain_from_labels, exhaust, \
-    exhaust_generative, make_domain
+from .graph import GENERATORS, compute_metrics, exhaust, exhaust_generative, \
+    make_domain
 from .timeexpr import compile_time_expression
 
 
@@ -73,14 +73,19 @@ def _list_option(text, convert, what):
         _fail(f"{what} must be a comma-separated list, got {text!r}")
 
 
+def _quiet_domain(g, ids):
+    """``make_domain`` without its empty-interior warning: the commands
+    refuse an empty interior, or report its size, themselves."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", EmptyInteriorWarning)
+        return make_domain(g, ids)
+
+
 def _problem_domain(g, ids):
     """The domain on ``ids``, refused when its interior is empty: no
     problem can be posed on it, and every exhaustion level inside it has
-    an empty interior too. The refusal replaces ``make_domain``'s
-    warning."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", EmptyInteriorWarning)
-        dom = make_domain(g, ids)
+    an empty interior too."""
+    dom = _quiet_domain(g, ids)
     _expect(dom.interior, "domain has an empty interior (every omega "
             "vertex is on its boundary); it cannot pose a problem")
     return dom
@@ -585,7 +590,8 @@ def cmd_graph_info(args):
         "dmu": metrics.dmu,
     }
     if args.domain:
-        dom = domain_from_labels(g, fileio.read_domain_file(args.domain))
+        dom = _quiet_domain(
+            g, map(g.vertex, fileio.read_domain_file(args.domain)))
         info["omega_size"] = len(dom.omega)
         info["boundary_size"] = len(dom.boundary)
         info["interior_size"] = len(dom.interior)

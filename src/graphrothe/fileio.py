@@ -194,8 +194,27 @@ def write_trajectory_csv(path, fields, times, graph):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _trajectory_step(i_s, t_s, times, steps):
+    """Index of the step that a row's ``i`` and ``t`` strings name: the
+    next new step, or a step already read, at the time it was read with."""
+    i = int(i_s)
+    t = _finite(t_s)
+    if i < 0:
+        raise ValueError(f"negative step index {i}")
+    if i > len(steps):
+        raise ValueError(f"step index {i} skips step {len(steps)}")
+    if i == len(steps):
+        steps.append({})
+        times.append(t)
+    elif t != times[i]:
+        raise ValueError(f"step {i} at time {t_s}, read before at "
+                         f"{times[i]!r}")
+    return i
+
+
 def read_trajectory_csv(path):
-    """Returns (times list, list of {label: value} per step)."""
+    """Returns (times list, list of {label: value} per step). Steps are
+    numbered from 0 without gaps, and all rows of a step carry its time."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -207,23 +226,21 @@ def read_trajectory_csv(path):
         raise InvalidGraphData(f"{path}: not a trajectory CSV")
     times = []
     steps = []
-    labels = {}  # each distinct label string parsed once
+    # each distinct (i, t) pair and label string is parsed once
+    step_of = {}
+    labels = {}
     for rowno, row in enumerate(rows[1:], 2):
         try:
             if len(row) != 4:
                 raise ValueError(f"expected 4 columns, got {len(row)}")
             i_s, t_s, lab_s, val_s = row
-            i = int(i_s)
-            if i < 0:
-                raise ValueError(f"negative step index {i}")
-            t = _finite(t_s)
+            i = step_of.get((i_s, t_s))
+            if i is None:
+                i = step_of[i_s, t_s] = _trajectory_step(i_s, t_s, times,
+                                                         steps)
             value = _finite(val_s)
         except ValueError as exc:
             raise InvalidGraphData(f"{path}:{rowno}: {exc}") from None
-        while len(steps) <= i:
-            steps.append({})
-            times.append(t)
-        times[i] = t
         label = labels.get(lab_s)
         if label is None:
             label = labels[lab_s] = parse_label(lab_s)

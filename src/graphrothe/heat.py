@@ -15,7 +15,11 @@ J = S0 + diag(mu p |w|^(p-1)) with S0 = A + M/l, so S0^{-1} J has its
 spectrum in [1, 1 + l max p|w|^(p-1)]: each Newton system is solved by CG
 preconditioned with one factorization of S0, made once per stepper, and
 refactored at the current Jacobian only when a solve needs more than
-NEWTON_PCG_MAX_ITER iterations (stiff data).
+NEWTON_PCG_MAX_ITER iterations (stiff data). Newton is inexact: system k
+is solved to the relative residual eta_k that Eisenstat and Walker's
+choice 2 sets from the decrease of the Newton residual G (SIAM J. Sci.
+Comput. 17, 1996), so systems far from the minimizer take few CG
+iterations; the step still ends only when max|G/mass| <= tol.
 """
 
 from __future__ import annotations
@@ -41,6 +45,13 @@ from .operators import CG_RTOL, DIRECT_SOLVE_MAX, CachedSPD
 NEWTON_TOL_FACTOR = 1e-12
 NEWTON_MAX_ITER = 100
 NEWTON_PCG_MAX_ITER = 15
+# Eisenstat-Walker choice 2 forcing terms: Newton system k is solved to the
+# relative residual eta_k = GAMMA (|G_k| / |G_k-1|)^ALPHA, eta_0 = ETA0,
+# within [CG_RTOL, MAX]
+FORCING_ETA0 = 0.1
+FORCING_GAMMA = 0.9
+FORCING_ALPHA = 2.0
+FORCING_MAX = 0.5
 POWER_DERIV_FLOOR = 1e-12
 
 
@@ -131,6 +142,20 @@ def _require_finite(x, what, p):
             f"Newton {what} is not finite at p = {p:g} (overflow)")
 
 
+def _forcing(eta_prev, g_norm, g_norm_prev):
+    """Relative residual for the next Newton system from the decrease of
+    Newton's own residual, with Eisenstat and Walker's safeguard against
+    a sudden drop of the forcing term."""
+    if eta_prev is None:
+        return FORCING_ETA0
+    ratio = g_norm / g_norm_prev if g_norm < g_norm_prev else 1.0
+    eta = FORCING_GAMMA * ratio ** FORCING_ALPHA
+    guard = FORCING_GAMMA * eta_prev ** FORCING_ALPHA
+    if guard > 0.1:
+        eta = max(eta, guard)
+    return max(min(eta, FORCING_MAX), CG_RTOL)
+
+
 def step_functional(u, u_prev, prob, ell):
     """Value of the per-step functional F at ``u``."""
     dom = prob.domain
@@ -175,12 +200,12 @@ class _HeatStepper:
             return (self.mass * ((w - u_prev) / self.ell + _power(w, self.p))
                     + self.A @ w)
 
-    def _newton_direction(self, jd, b):
-        """Solve (A + diag(jd)) s = b by CG preconditioned with the factored
-        ``_pre``. A solve that reaches NEWTON_PCG_MAX_ITER iterations
-        replaces ``_pre`` by the factor of this Jacobian, solves with it and
-        keeps it for the later systems."""
-        target = CG_RTOL * float(np.linalg.norm(b))
+    def _newton_direction(self, jd, b, eta):
+        """Solve (A + diag(jd)) s = b to the relative residual ``eta`` by CG
+        preconditioned with the factored ``_pre``. A solve that reaches
+        NEWTON_PCG_MAX_ITER iterations replaces ``_pre`` by the factor of
+        this Jacobian, solves with it and keeps it for the later systems."""
+        target = eta * float(np.linalg.norm(b))
         x = np.zeros_like(b)
         r = b.copy()
         z = self._pre.solve(r)
@@ -216,11 +241,14 @@ class _HeatStepper:
             return w
         p = self.p
         w = u_prev.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
+        eta = g_norm = None
         for _ in range(self.max_iter):
             G = self._grad_half(w, u_prev)
             _require_finite(G, "gradient", p)
             if float(np.max(np.abs(G / self.mass), initial=0.0)) <= tol:
                 return w
+            g_norm_prev, g_norm = g_norm, float(np.linalg.norm(G))
+            eta = _forcing(eta, g_norm, g_norm_prev)
             with np.errstate(over="ignore"):
                 jd = self.mass * (1.0 / self.ell + p * np.maximum(
                     np.abs(w), POWER_DERIV_FLOOR) ** (p - 1.0))
@@ -229,7 +257,7 @@ class _HeatStepper:
                 s = CachedSPD(self.A + sp.diags(jd),
                               self.direct_threshold).solve(-G)
             else:
-                s = self._newton_direction(jd, -G)
+                s = self._newton_direction(jd, -G, eta)
             fw = _functional(self.op, w, u_prev, p, self.ell)
             slope = 2.0 * float(np.dot(G, s))
             alpha = 1.0

@@ -316,6 +316,17 @@ class TestGraphInfo:
         assert info["max_degree"] == 2
         assert info["interior_size"] == 1
 
+    def test_empty_interior_reported_quietly(self, tmp_path, capsys):
+        gpath = write_p5_graph(tmp_path)
+        dpath = tmp_path / "omega2.txt"
+        dpath.write_text("omega 2\n")
+        assert main(["graph-info", gpath, "--domain", str(dpath)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        info = json.loads(captured.out)
+        assert info["omega_size"] == 1
+        assert info["interior_size"] == 0
+
 
 class TestCompare:
     def _run(self, tmp_path, steps, outname):
@@ -375,6 +386,26 @@ class TestCompare:
             err = capsys.readouterr().err
             assert err.startswith(f"error[CONFIG]: {bad}:4: ")
             assert err.count("\n") == 1
+
+    def test_inconsistent_steps_exit_2(self, tmp_path, capsys):
+        traj = self._run(tmp_path, 8, "out_a")
+        gpath = str(tmp_path / "p5.txt")
+        good = open(traj).read().splitlines()
+        assert good[3].startswith("0,0.0,2,")
+        bad = tmp_path / "bad.csv"
+        # a step-0 row at another time, a row that skips step 1, and one
+        # past the last step that skips step 9
+        for lines, rowno, msg in (
+                (good[:3] + ["0,0.5,2,0.0"] + good[4:], 4,
+                 "step 0 at time 0.5, read before at 0.0"),
+                (good[:3] + ["2,0.25,2,0.0"] + good[4:], 4,
+                 "step index 2 skips step 1"),
+                (good + ["10,1.25,0,0.0"], len(good) + 1,
+                 "step index 10 skips step 9")):
+            bad.write_text("\n".join(lines) + "\n")
+            assert main(["compare", traj, str(bad), "--graph", gpath]) == 2
+            err = capsys.readouterr().err
+            assert err == f"error[CONFIG]: {bad}:{rowno}: {msg}\n"
 
     def test_graph_mismatch(self, tmp_path, capsys):
         traj = self._run(tmp_path, 8, "out_a")

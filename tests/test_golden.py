@@ -179,28 +179,28 @@ GOLDEN = {
     "heat_p2_lattice": {
         "diagnostics": {
             "level_deltas": [
-                0.24765205197328272,
-                0.12990013020621707
+                0.24765205197325285,
+                0.12990013020621569
             ]
         },
         "outputs": {
-            "levels.csv": "25521f9ef2f0a385278dfe1dce15bd12605a7974cf656c3ecc60fe1b98f2c399",
-            "terminal_level_2.txt": "8a0051bc4cb9822414745c11f95c2d607e4503929c7ef1ca331f9357e75a6771",
-            "terminal_level_3.txt": "7c097a22783ae328ab1320498fa7fb41a24368ddf70dbc4005ccb7dc8a9b33bc",
-            "terminal_level_4.txt": "47b9e6089d14766fd508c5066d03d4a7881f8bba7a10bbb4e18051e229a27c91"
+            "levels.csv": "85e4d090170503675ec55889ef5a794de9f866d635926ceffba9e2ec88ddd426",
+            "terminal_level_2.txt": "a6b3bcb2c020b21fb5c0c9257c39e3b37e1b096b33c57952b82d6ea13afdc046",
+            "terminal_level_3.txt": "f9429050dc1d1e0cb664b2bba112b4bc384312cc1ac9535154da937539142bbe",
+            "terminal_level_4.txt": "2adc5220bb8fadca63963908e2117f8f5a5cc970cfac75dca83e7eafb40f88a3"
         }
     },
     "heat_p2_oracle": {
         "diagnostics": {
-            "max_energy_defect": -0.30252813262736966,
-            "max_energy_residual": -0.009454004144605288
+            "max_energy_defect": -0.3025281326272222,
+            "max_energy_residual": -0.009454004144600736
         },
         "outputs": {
-            "estimates.csv": "569d64afdedf45f5eac4a6cc8c2ad47daf1cd84a065ace753c0ac41898dbf1f8",
-            "norms.csv": "a7e25810d0c1796d40bd7a6faa3ffff65bee860d62f93b9096058fa679e07a25",
-            "oracle_error.csv": "4f94cf997126310e03ddbde119d7e44845f838cbc5f364a6127ca38a62deab72",
+            "estimates.csv": "bbbac869f01fd042c6171d252957ce25837b99cef4a2620d102e7cc6a1f6f9a4",
+            "norms.csv": "7b39b0294a26f6c8a908273fe8b77f90a8aa79734fb62345a3334192767d631e",
+            "oracle_error.csv": "aa27c587a1ed066e374160296b44b9a5b56534c9fffa6cd28604e1980fcc743d",
             "oracle_trajectory.csv": "302601c2f5dd5604184b2bfe828424532de9422c82a851bde19464679955e841",
-            "trajectory.csv": "c98b7166cda00762cc40bd54f5eb6e4c5d573ae2f62761518062538e2173d001"
+            "trajectory.csv": "ee92ec7a975379dae9e4b8c0c482a35d02837a9b3b5a732695887c9faf4c2b75"
         }
     },
     "vi_lattice": {

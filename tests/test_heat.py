@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -399,26 +400,62 @@ def splu_newton_rothe(prob, part):
 
 @pytest.fixture
 def spd_count(monkeypatch):
-    """Number of ``CachedSPD`` constructions made by the heat stepper."""
-    count = [0]
+    """Numbers of ``CachedSPD`` constructions (item 0) and solves (item 1)
+    made by the heat stepper."""
+    count = [0, 0]
 
     class Counting(heat.CachedSPD):
         def __init__(self, *args, **kwargs):
             count[0] += 1
             super().__init__(*args, **kwargs)
 
+        def solve(self, *args, **kwargs):
+            count[1] += 1
+            return super().solve(*args, **kwargs)
+
     monkeypatch.setattr(heat, "CachedSPD", Counting)
     return count
 
 
+def lattice_exhaustion_problem():
+    exh = exhaust_generative(LatticeZ2(), [(0, 0)], 12)
+    rng = np.random.default_rng(6)
+    support = {(i, j): float(rng.uniform(0.5, 2.0))
+               for i in range(-4, 5) for j in range(-4, 5)
+               if abs(i) + abs(j) <= 4}
+    h = VertexField.from_mapping(exh.graph, support)
+    return HeatProblem(exh, 2.0, h, 0.5)
+
+
+def stiff_problem():
+    dom = exhaust_generative(LatticeZ2(), [(0, 0)], 8).level(8)
+    rng = np.random.default_rng(8)
+    vals = 10.0 * rng.uniform(-1.0, 1.0, len(dom.interior_ids))
+    return HeatProblem(dom, 5.0, field_on_interior(dom, vals), 3.0)
+
+
 class TestNewtonOneFactorization:
     """p > 1 Newton solves each system by CG preconditioned with one factor
-    of A + M/l per stepper, refactoring only on stiff data."""
+    of A + M/l per stepper, refactoring only on stiff data, to a relative
+    residual set by Newton's own progress (Eisenstat-Walker forcing)."""
 
     @staticmethod
-    def compare(prob, part):
+    def assert_stationary(traj, tol_factor=heat.NEWTON_TOL_FACTOR):
+        """Every step meets Newton's stopping test max|G/mass| <= tol."""
+        prob, ell = traj.problem, traj.partition.step_size
+        op, p = prob.domain.operator, float(prob.p)
+        A, m = op.stiffness, op.mass
+        for prev, cur in zip(traj.fields, traj.fields[1:]):
+            u_prev, w = op.restrict(prev), op.restrict(cur)
+            G = m * ((w - u_prev) / ell + np.abs(w) ** (p - 1.0) * w) + A @ w
+            assert float(np.max(np.abs(G / m))) \
+                <= tol_factor * (1.0 + float(np.max(np.abs(u_prev))))
+
+    @classmethod
+    def compare(cls, prob, part):
         dom = prob.domain
         traj = run_rothe(prob, part)
+        cls.assert_stationary(traj)
         got = np.array([u.values[dom.interior_ids] for u in traj.fields])
         ref = splu_newton_rothe(prob, part)
         assert float(np.max(np.abs(got - ref))) \
@@ -440,23 +477,30 @@ class TestNewtonOneFactorization:
                 assert spd_count[0] == 1
 
     def test_one_factorization_per_level(self, spd_count):
-        exh = exhaust_generative(LatticeZ2(), [(0, 0)], 12)
-        rng = np.random.default_rng(6)
-        support = {(i, j): float(rng.uniform(0.5, 2.0))
-                   for i in range(-4, 5) for j in range(-4, 5)
-                   if abs(i) + abs(j) <= 4}
-        h = VertexField.from_mapping(exh.graph, support)
-        prob = HeatProblem(exh, 2.0, h, 0.5)
-        run_exhaustion(prob, TimePartition(0.5, 10), levels=[4, 8, 12])
+        run_exhaustion(lattice_exhaustion_problem(), TimePartition(0.5, 10),
+                       levels=[4, 8, 12])
         assert spd_count[0] == 3
 
+    def test_forcing_halves_preconditioner_solves(self, spd_count,
+                                                  monkeypatch):
+        part = TimePartition(0.5, 10)
+        run_exhaustion(lattice_exhaustion_problem(), part, levels=[4, 8, 12])
+        forced = spd_count[1]
+        monkeypatch.setattr(heat, "_forcing", lambda *args: heat.CG_RTOL)
+        spd_count[1] = 0
+        run_exhaustion(lattice_exhaustion_problem(), part, levels=[4, 8, 12])
+        assert 2 * forced <= spd_count[1]
+
     def test_stiff_data_refactors_and_matches(self, spd_count):
-        dom = exhaust_generative(LatticeZ2(), [(0, 0)], 8).level(8)
-        rng = np.random.default_rng(8)
-        vals = 10.0 * rng.uniform(-1.0, 1.0, len(dom.interior_ids))
-        prob = HeatProblem(dom, 5.0, field_on_interior(dom, vals), 3.0)
-        self.compare(prob, TimePartition(3.0, 3))
-        assert spd_count[0] > 1
+        self.compare(stiff_problem(), TimePartition(3.0, 3))
+        # the fixed 1e-13 target refactored 13 times on this data
+        assert 1 < spd_count[0] <= 13
+
+    @pytest.mark.parametrize("p", [2.0, 5.0])
+    def test_tight_newton_factor_converges(self, p):
+        prob = replace(stiff_problem(), p=p)
+        traj = run_rothe(prob, TimePartition(3.0, 3), tol_factor=1e-14)
+        self.assert_stationary(traj, tol_factor=1e-14)
 
 
 class TestSolverBudget:
