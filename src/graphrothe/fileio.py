@@ -6,7 +6,8 @@ Graph file (line oriented, ``#`` comments):
     e <label> <label> <omega>
 Domain file: lines ``omega <label>``. Field file: lines ``<label> <value>``
 with unlisted vertices defaulting to 0. Labels are ints, comma-joined int
-tuples like ``0,1``, or plain strings.
+tuples like ``0,1``, or plain strings; a vertex has at most one ``v`` line
+in a graph file and one line in a field file.
 
 All floats are written with shortest round-trip decimal formatting, and
 files are written to a temp name then atomically moved into place.
@@ -24,7 +25,7 @@ import os
 import numpy as np
 
 from .calculus import VertexField
-from .errors import InvalidGraphData, IoError
+from .errors import GraphrotheError, InvalidGraphData, IoError
 from .graph import build_finite_graph
 
 
@@ -36,7 +37,7 @@ def fmt(x):
 def parse_label(token):
     if "," in token:
         try:
-            return tuple(int(p) for p in token.split(","))
+            return tuple(map(int, token.split(",")))
         except ValueError:
             return token
     try:
@@ -51,12 +52,23 @@ def format_label(label):
     return str(label)
 
 
+class _Labels(dict):
+    """``{token: parse_label(token)}``, filled as tokens are looked up, so
+    each distinct token is parsed once."""
+
+    def __missing__(self, token):
+        label = self[token] = parse_label(token)
+        return label
+
+
 def _not_utf8(path, exc):
     return InvalidGraphData(f"{path}: not UTF-8 text ({exc.reason} at "
                             f"byte {exc.start})")
 
 
 def _lines(path):
+    """(line number, tokens) of each line with a token outside its ``#``
+    comment."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.readlines()
@@ -65,44 +77,57 @@ def _lines(path):
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
     for lineno, line in enumerate(raw, 1):
-        body = line.split("#", 1)[0].strip()
-        if body:
-            yield lineno, body.split()
+        if "#" in line:
+            line = line.partition("#")[0]
+        parts = line.split()
+        if parts:
+            yield lineno, parts
 
 
 def read_graph_file(path):
+    """The graph of a graph file. A malformed or repeated record, and a
+    graph that ``build_finite_graph`` refuses, raise with the file's name
+    (and the line, for a record) in the message."""
+    labels = _Labels()
     measures = {}
     edges = []
     saw_header = False
     for lineno, parts in _lines(path):
         kind = parts[0]
         try:
-            if kind == "graph" and len(parts) == 2:
-                saw_header = True
-            elif kind == "v" and len(parts) == 3:
-                measures[parse_label(parts[1])] = float(parts[2])
-            elif kind == "e" and len(parts) == 4:
-                edges.append((parse_label(parts[1]), parse_label(parts[2]),
+            if kind == "e" and len(parts) == 4:
+                edges.append((labels[parts[1]], labels[parts[2]],
                               float(parts[3])))
+            elif kind == "v" and len(parts) == 3:
+                label = labels[parts[1]]
+                mu = float(parts[2])
+                if label in measures:
+                    raise ValueError(f"vertex {label!r} listed twice")
+                measures[label] = mu
+            elif kind == "graph" and len(parts) == 2:
+                saw_header = True
             else:
                 raise ValueError("unrecognized record")
         except ValueError as exc:
             raise InvalidGraphData(f"{path}:{lineno}: {exc}") from None
     if not saw_header:
         raise InvalidGraphData(f"{path}: missing 'graph <n>' header")
-    return build_finite_graph(edges, measures)
+    try:
+        return build_finite_graph(edges, measures)
+    except GraphrotheError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def write_graph_file(g, path):
     lines = [f"graph {g.num_vertices}"]
-    for i, lab in enumerate(g.labels):
-        lines.append(f"v {format_label(lab)} {fmt(g.mu[i])}")
-    for i in range(g.num_vertices):
-        nbrs, w = g.neighbors(i)
-        for j, wj in zip(nbrs, w):
-            if i < j:
-                lines.append(f"e {format_label(g.labels[i])} "
-                             f"{format_label(g.labels[int(j)])} {fmt(wj)}")
+    names = [format_label(lab) for lab in g.labels]
+    lines.extend(f"v {name} {mu}"
+                 for name, mu in zip(names, map(repr, g.mu.tolist())))
+    rows = np.repeat(np.arange(g.num_vertices), np.diff(g.indptr))
+    upper = rows < g.indices
+    lines.extend(f"e {names[i]} {names[j]} {w}" for i, j, w in
+                 zip(rows[upper].tolist(), g.indices[upper].tolist(),
+                     map(repr, g.weights[upper].tolist())))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -116,15 +141,26 @@ def read_domain_file(path):
 
 
 def read_field_file(g, path):
-    mapping = {}
+    """The field of ``<label> <value>`` lines, 0 at unlisted vertices. A
+    malformed line, an unknown label and a label listed twice raise with
+    the file's name and line."""
+    labels = _Labels()
+    values = {}
     for lineno, parts in _lines(path):
-        if len(parts) != 2:
-            raise InvalidGraphData(f"{path}:{lineno}: expected '<label> <value>'")
         try:
-            mapping[parse_label(parts[0])] = _finite(parts[1])
-        except ValueError as exc:
+            if len(parts) != 2:
+                raise ValueError("expected '<label> <value>'")
+            value = _finite(parts[1])
+            label = labels[parts[0]]
+            i = g.vertex(label)
+            if i in values:
+                raise ValueError(f"vertex {label!r} listed twice")
+            values[i] = value
+        except (ValueError, InvalidGraphData) as exc:
             raise InvalidGraphData(f"{path}:{lineno}: {exc}") from None
-    return VertexField.from_mapping(g, mapping)
+    vals = np.zeros(g.num_vertices)
+    vals[list(values)] = list(values.values())
+    return VertexField(g, vals)
 
 
 def _finite(token):
@@ -228,7 +264,7 @@ def read_trajectory_csv(path):
     steps = []
     # each distinct (i, t) pair and label string is parsed once
     step_of = {}
-    labels = {}
+    labels = _Labels()
     for rowno, row in enumerate(rows[1:], 2):
         try:
             if len(row) != 4:
@@ -241,10 +277,7 @@ def read_trajectory_csv(path):
             value = _finite(val_s)
         except ValueError as exc:
             raise InvalidGraphData(f"{path}:{rowno}: {exc}") from None
-        label = labels.get(lab_s)
-        if label is None:
-            label = labels[lab_s] = parse_label(lab_s)
-        steps[i][label] = value
+        steps[i][labels[lab_s]] = value
     return times, steps
 
 

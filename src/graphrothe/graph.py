@@ -8,9 +8,9 @@ graph-distance balls, which is all an exhaustion ever touches.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,75 +126,79 @@ def build_finite_graph(edges, measure):
     opposite orientations with bit-identical weight; anything else raises
     DuplicateEdge. All weights and measures must be strictly positive, the
     graph must be connected, and every vertex needs at least one edge.
+    Where several edges are bad, the error names the first in list order.
     """
     labels = sorted(measure.keys(), key=_label_key)
     if not labels:
         raise EmptyScope("no vertices")
+    n = len(labels)
+    mu = np.fromiter(map(measure.__getitem__, labels), dtype=float, count=n)
+    bad = ~((mu > 0.0) & (mu < np.inf))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonPositiveMeasure(f"mu({labels[i]!r}) = {float(mu[i])}")
+
+    edges = list(edges)
+    m = len(edges)
+    xs, ys, ws = zip(*edges, strict=True) if m else ((), (), ())
     index = {lab: i for i, lab in enumerate(labels)}
-    mu = np.empty(len(labels))
-    for lab, i in index.items():
-        m = float(measure[lab])
-        if not (m > 0.0) or not math.isfinite(m):
-            raise NonPositiveMeasure(f"mu({lab!r}) = {m}")
-        mu[i] = m
+    ends = np.fromiter(map(index.get, xs + ys, itertools.repeat(-1)),
+                       dtype=np.int64, count=2 * m)
+    a, b = ends[:m], ends[m:]
+    w = np.array(ws, dtype=float)
+    # The listings of each vertex pair in list order: the first is kept, a
+    # second must run the other way with the same weight, a third is bad.
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    pos = np.arange(m)
+    order = np.lexsort((pos, hi, lo))
+    slo, shi = lo[order], hi[order]
+    new_pair = np.ones(m, dtype=bool)
+    new_pair[1:] = (slo[1:] != slo[:-1]) | (shi[1:] != shi[:-1])
+    start = np.maximum.accumulate(np.where(new_pair, pos, 0))
+    first = order[start]
+    rank = pos - start
+    repeated = np.empty(m, dtype=bool)
+    repeated[order] = (rank >= 2) | ((rank == 1) & (
+        (a[order] == a[first]) | (w[order] != w[first])))
+    bad = ((a < 0) | (b < 0) | (a == b) | ~((w > 0.0) & (w < np.inf))
+           | repeated)
+    if bad.any():
+        _refuse_edge(edges[int(np.argmax(bad))], index)
 
-    adj = {i: {} for i in range(len(labels))}
-    seen = {}
-    for x, y, w in edges:
-        if x not in index or y not in index:
-            missing = x if x not in index else y
-            raise InvalidGraphData(f"edge endpoint {missing!r} has no measure")
-        w = float(w)
-        if not (w > 0.0) or not math.isfinite(w):
-            raise NonPositiveWeight(f"omega({x!r},{y!r}) = {w}")
-        a, b = index[x], index[y]
-        if a == b:
-            raise SelfLoop(f"self-loop at {x!r}")
-        pair = (a, b) if a < b else (b, a)
-        if pair in seen:
-            first, w0, count = seen[pair]
-            if count >= 2 or first == (a, b) or w != w0:
-                raise DuplicateEdge(f"edge {x!r}--{y!r} listed inconsistently")
-            seen[pair] = (first, w0, 2)
-        else:
-            seen[pair] = ((a, b), w, 1)
-            adj[a][b] = w
-            adj[b][a] = w
-
-    for i, row in adj.items():
-        if not row:
-            raise IsolatedVertex(f"vertex {labels[i]!r} has no edges")
-
-    _check_connected(adj, labels)
-
-    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
-    indices = []
-    weights = []
-    for i in range(len(labels)):
-        nbrs = sorted(adj[i].items())
-        indptr[i + 1] = indptr[i] + len(nbrs)
-        indices.extend(k for k, _ in nbrs)
-        weights.extend(w for _, w in nbrs)
-    return WeightedGraph(labels, indptr,
-                         np.asarray(indices, dtype=np.int64),
-                         np.asarray(weights, dtype=float),
-                         mu,
-                         np.ones(len(labels), dtype=bool))
-
-
-def _check_connected(adj, labels):
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    if len(seen) != len(labels):
+    kept = order[new_pair]
+    rows = np.concatenate((a[kept], b[kept]))
+    cols = np.concatenate((b[kept], a[kept]))
+    degree = np.bincount(rows, minlength=n)
+    if not degree.all():
+        i = int(np.argmin(degree))
+        raise IsolatedVertex(f"vertex {labels[i]!r} has no edges")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degree, out=indptr[1:])
+    csr = np.lexsort((cols, rows))
+    g = WeightedGraph(labels, indptr, cols[csr],
+                      np.concatenate((w[kept], w[kept]))[csr], mu,
+                      np.ones(n, dtype=bool))
+    unreachable = int(np.count_nonzero(_bfs_distances(g, (0,)) < 0))
+    if unreachable:
         raise DisconnectedGraph(
-            f"graph has {len(labels) - len(seen)} vertices unreachable "
-            f"from {labels[0]!r}")
+            f"graph has {unreachable} vertices unreachable from "
+            f"{labels[0]!r}")
+    return g
+
+
+def _refuse_edge(edge, index):
+    """Raise the error of a bad edge: its first failed check, in the order
+    endpoints, weight, self-loop, repeated listing."""
+    x, y, w = edge
+    if x not in index or y not in index:
+        missing = x if x not in index else y
+        raise InvalidGraphData(f"edge endpoint {missing!r} has no measure")
+    w = float(w)
+    if not (w > 0.0) or not math.isfinite(w):
+        raise NonPositiveWeight(f"omega({x!r},{y!r}) = {w}")
+    if index[x] == index[y]:
+        raise SelfLoop(f"self-loop at {x!r}")
+    raise DuplicateEdge(f"edge {x!r}--{y!r} listed inconsistently")
 
 
 @dataclass(frozen=True)
@@ -308,18 +312,22 @@ def domain_from_labels(g, labels):
 
 
 def _bfs_distances(g, seed_ids):
+    """Hop distance of every vertex from the nearest seed, -1 where none
+    reaches: one sweep over the CSR rows of each level's frontier."""
     dist = np.full(g.num_vertices, -1, dtype=np.int64)
-    queue = deque()
-    for s in sorted(seed_ids):
-        dist[s] = 0
-        queue.append(s)
-    while queue:
-        i = queue.popleft()
-        nbrs, _ = g.neighbors(i)
-        for j in nbrs:
-            if dist[j] < 0:
-                dist[j] = dist[i] + 1
-                queue.append(int(j))
+    # a new vertex listed by several frontier rows is kept once, at the
+    # position that the write to ``place`` left for it
+    place = np.empty(g.num_vertices, dtype=np.int64)
+    frontier = np.asarray(seed_ids, dtype=np.int64)
+    level = 0
+    while frontier.size:
+        dist[frontier] = level
+        level += 1
+        nbrs = g.indices[g.row_slots(frontier)[0]]
+        nbrs = nbrs[dist[nbrs] < 0]
+        at = np.arange(nbrs.size)
+        place[nbrs] = at
+        frontier = nbrs[place[nbrs] == at]
     return dist
 
 

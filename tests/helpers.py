@@ -1,8 +1,22 @@
 """Shared builders for the test suite."""
 
+import math
+from collections import deque
+
 import numpy as np
 
 from graphrothe import build_finite_graph, field_on_interior, make_domain
+from graphrothe.errors import (
+    DisconnectedGraph,
+    DuplicateEdge,
+    EmptyScope,
+    InvalidGraphData,
+    IsolatedVertex,
+    NonPositiveMeasure,
+    NonPositiveWeight,
+    SelfLoop,
+)
+from graphrothe.graph import WeightedGraph, _label_key
 
 
 def path_graph(k, mu=1.0, w=1.0):
@@ -70,3 +84,90 @@ def five_path_domain():
     """P5 with omega {1,2,3}: boundary {1,3}, single interior vertex 2."""
     g = path_graph(5)
     return g, make_domain(g, [1, 2, 3])
+
+
+def reference_build_finite_graph(edges, measure):
+    """Reference for ``build_finite_graph``: the per-edge loop over dicts,
+    checking each edge as it is read, then a deque BFS from vertex 0."""
+    labels = sorted(measure.keys(), key=_label_key)
+    if not labels:
+        raise EmptyScope("no vertices")
+    index = {lab: i for i, lab in enumerate(labels)}
+    mu = np.empty(len(labels))
+    for lab, i in index.items():
+        m = float(measure[lab])
+        if not (m > 0.0) or not math.isfinite(m):
+            raise NonPositiveMeasure(f"mu({lab!r}) = {m}")
+        mu[i] = m
+
+    adj = {i: {} for i in range(len(labels))}
+    seen = {}
+    for x, y, w in edges:
+        if x not in index or y not in index:
+            missing = x if x not in index else y
+            raise InvalidGraphData(f"edge endpoint {missing!r} has no measure")
+        w = float(w)
+        if not (w > 0.0) or not math.isfinite(w):
+            raise NonPositiveWeight(f"omega({x!r},{y!r}) = {w}")
+        a, b = index[x], index[y]
+        if a == b:
+            raise SelfLoop(f"self-loop at {x!r}")
+        pair = (a, b) if a < b else (b, a)
+        if pair in seen:
+            first, w0, count = seen[pair]
+            if count >= 2 or first == (a, b) or w != w0:
+                raise DuplicateEdge(f"edge {x!r}--{y!r} listed inconsistently")
+            seen[pair] = (first, w0, 2)
+        else:
+            seen[pair] = ((a, b), w, 1)
+            adj[a][b] = w
+            adj[b][a] = w
+
+    for i, row in adj.items():
+        if not row:
+            raise IsolatedVertex(f"vertex {labels[i]!r} has no edges")
+
+    reached = {0}
+    queue = deque([0])
+    while queue:
+        i = queue.popleft()
+        for j in adj[i]:
+            if j not in reached:
+                reached.add(j)
+                queue.append(j)
+    if len(reached) != len(labels):
+        raise DisconnectedGraph(
+            f"graph has {len(labels) - len(reached)} vertices unreachable "
+            f"from {labels[0]!r}")
+
+    indptr = np.zeros(len(labels) + 1, dtype=np.int64)
+    indices = []
+    weights = []
+    for i in range(len(labels)):
+        nbrs = sorted(adj[i].items())
+        indptr[i + 1] = indptr[i] + len(nbrs)
+        indices.extend(k for k, _ in nbrs)
+        weights.extend(w for _, w in nbrs)
+    return WeightedGraph(labels, indptr,
+                         np.asarray(indices, dtype=np.int64),
+                         np.asarray(weights, dtype=float),
+                         mu,
+                         np.ones(len(labels), dtype=bool))
+
+
+def reference_bfs_distances(g, seed_ids):
+    """Reference hop distances from the nearest seed, -1 where none
+    reaches: a deque BFS, one vertex at a time."""
+    dist = np.full(g.num_vertices, -1, dtype=np.int64)
+    queue = deque()
+    for s in sorted(seed_ids):
+        dist[s] = 0
+        queue.append(s)
+    while queue:
+        i = queue.popleft()
+        nbrs, _ = g.neighbors(i)
+        for j in nbrs:
+            if dist[j] < 0:
+                dist[j] = dist[i] + 1
+                queue.append(int(j))
+    return dist

@@ -284,6 +284,27 @@ class TestValidation:
         assert err.count("\n") == 1
 
 
+    def test_repeated_records_exit_2(self, tmp_path, capsys):
+        graph = tmp_path / "g.txt"
+        graph.write_text("graph 2\nv 0 1.0\nv 1 1.0\nv 00 2.0\n"
+                         "e 0 1 1.0\n")
+        cases = [({"graph": {"file": str(graph)}}, [],
+                  f"{graph}:4: vertex 0 listed twice")]
+        for name, text, message in (
+                ("twice.txt", "2 1.0\n02 3.0\n", "vertex 2 listed twice"),
+                ("unknown.txt", "2 1.0\nzz 3.0\n",
+                 "unknown vertex label 'zz'")):
+            field = tmp_path / name
+            field.write_text(text)
+            cases.append(({}, ["--initial", str(field)],
+                          f"{field}:2: {message}"))
+        for overrides, extra, message in cases:
+            cfg_path, _ = heat_config(tmp_path, **overrides)
+            assert main(["run", cfg_path, *extra]) == 2
+            assert not (tmp_path / "out").exists()
+            assert capsys.readouterr().err == f"error[CONFIG]: {message}\n"
+
+
 class TestRunSpectral:
     def test_basis_outputs(self, tmp_path):
         cfg = {

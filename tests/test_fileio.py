@@ -1,3 +1,4 @@
+import collections
 import csv
 import io
 import math
@@ -6,8 +7,9 @@ import numpy as np
 import pytest
 
 from graphrothe import VertexField, build_finite_graph, fileio
-from graphrothe.errors import InvalidGraphData, IoError
-from helpers import path_graph
+from graphrothe import LatticeZ2, materialize_ball
+from graphrothe.errors import DuplicateEdge, InvalidGraphData, IoError
+from helpers import path_graph, random_connected_graph
 
 
 GRAPH_TEXT = """\
@@ -34,6 +36,8 @@ class TestGraphFile:
         assert g.mu[g.vertex(2)] == 1.5
         out = tmp_path / "g2.txt"
         fileio.write_graph_file(g, str(out))
+        assert out.read_text() == "".join(
+            line + "\n" for line in GRAPH_TEXT.splitlines()[1:])
         g2 = fileio.read_graph_file(str(out))
         assert g2.labels == g.labels
         assert np.array_equal(g2.weights, g.weights)
@@ -54,6 +58,57 @@ class TestGraphFile:
     def test_missing_file(self):
         with pytest.raises(IoError):
             fileio.read_graph_file("/nonexistent/g.txt")
+
+    def test_each_label_token_parsed_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "grid.txt"
+        fileio.write_graph_file(materialize_ball(LatticeZ2(), [(0, 0)], 4),
+                                str(path))
+        tokens = {tok for line in path.read_text().splitlines()[1:]
+                  for tok in line.split()[1:-1]}
+        calls = collections.Counter()
+        parse = fileio.parse_label
+
+        def counting(token):
+            calls[token] += 1
+            return parse(token)
+
+        monkeypatch.setattr(fileio, "parse_label", counting)
+        g = fileio.read_graph_file(str(path))
+        assert len(tokens) == g.num_vertices == 41
+        assert calls == collections.Counter(tokens)
+
+    def test_malformed_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "g.txt"
+        for bad, message in (("e 1 2 heavy", "could not convert"),
+                             ("v 3", "unrecognized record"),
+                             ("e 1 2", "unrecognized record")):
+            path.write_text(GRAPH_TEXT.replace("e 1 2 0.5", bad))
+            with pytest.raises(InvalidGraphData,
+                               match=f"^{path}:9: {message}"):
+                fileio.read_graph_file(str(path))
+
+    def test_vertex_listed_twice(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(GRAPH_TEXT.replace("v 4 1.0", "v 4 1.0\nv 01 5.0"))
+        with pytest.raises(InvalidGraphData,
+                           match=f"^{path}:8: vertex 1 listed twice$"):
+            fileio.read_graph_file(str(path))
+
+    def test_refused_graph_names_file(self, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(GRAPH_TEXT + "e 2 1 0.25\n")
+        with pytest.raises(DuplicateEdge,
+                           match=f"^{path}: edge 2--1 listed inconsistently$"):
+            fileio.read_graph_file(str(path))
+
+    def test_writer_bytes_match_per_vertex_reference(self, tmp_path):
+        rng = np.random.default_rng(23)
+        path = tmp_path / "g.txt"
+        for g in (mixed_label_graph(), random_connected_graph(rng),
+                  materialize_ball(LatticeZ2(), [(0, 0)], 3)):
+            fileio.write_graph_file(g, str(path))
+            assert path.read_bytes().decode("utf-8") == \
+                reference_graph_file(g)
 
 
 class TestLabels:
@@ -83,6 +138,22 @@ class TestFieldFile:
             with pytest.raises(InvalidGraphData,
                                match=f"^{path}:2: non-finite value"):
                 fileio.read_field_file(g, str(path))
+
+    def test_label_listed_twice(self, tmp_path):
+        g = path_graph(5)
+        path = tmp_path / "h.txt"
+        path.write_text("2 1.5\n# comment\n02 -1.0\n")
+        with pytest.raises(InvalidGraphData,
+                           match=f"^{path}:3: vertex 2 listed twice$"):
+            fileio.read_field_file(g, str(path))
+
+    def test_unknown_label_names_path_and_line(self, tmp_path):
+        g = path_graph(5)
+        path = tmp_path / "h.txt"
+        path.write_text("2 1.5\nzz 1.0\n")
+        with pytest.raises(InvalidGraphData,
+                           match=f"^{path}:2: unknown vertex label 'zz'$"):
+            fileio.read_field_file(g, str(path))
 
     def test_round_trip(self, tmp_path):
         g = path_graph(4)
@@ -128,7 +199,6 @@ class TestCsv:
         assert path.read_text() == "a,b\n1,\n"
 
     def test_tuple_labels_round_trip(self, tmp_path):
-        from graphrothe import LatticeZ2, materialize_ball
         g = materialize_ball(LatticeZ2(), [(0, 0)], 1)
         fields = [VertexField.from_mapping(g, {(0, 0): 1.0}),
                   VertexField.from_mapping(g, {(0, 1): -2.0})]
@@ -152,6 +222,22 @@ def reference_trajectory_csv(fields, times, graph):
                              fileio.format_label(graph.labels[v]),
                              fileio.fmt(u.values[v])))
     return buf.getvalue()
+
+
+def reference_graph_file(g):
+    """Reference: the graph-file text written vertex by vertex, each
+    vertex's edges to higher ids in neighbor order."""
+    lines = [f"graph {g.num_vertices}"]
+    for i, lab in enumerate(g.labels):
+        lines.append(f"v {fileio.format_label(lab)} {fileio.fmt(g.mu[i])}")
+    for i in range(g.num_vertices):
+        nbrs, w = g.neighbors(i)
+        for j, wj in zip(nbrs, w):
+            if i < j:
+                lines.append(f"e {fileio.format_label(g.labels[i])} "
+                             f"{fileio.format_label(g.labels[int(j)])} "
+                             f"{fileio.fmt(wj)}")
+    return "\n".join(lines) + "\n"
 
 
 def reference_field_file(field):

@@ -1,7 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphrothe import (
     LatticeZ,
@@ -16,6 +19,7 @@ from graphrothe import (
 )
 from graphrothe.errors import (
     DisconnectedGraph,
+    GraphrotheError,
     DuplicateEdge,
     EmptyInteriorWarning,
     EmptyOmega,
@@ -27,7 +31,14 @@ from graphrothe.errors import (
     SeedOutsideDomain,
     SelfLoop,
 )
-from helpers import path_graph, random_connected_graph, star_graph
+from graphrothe.graph import Domain, _bfs_distances
+from helpers import (
+    path_graph,
+    random_connected_graph,
+    reference_bfs_distances,
+    reference_build_finite_graph,
+    star_graph,
+)
 
 
 def loop_boundary(g, omega):
@@ -101,6 +112,121 @@ class TestBuildFiniteGraph:
         g = star_graph(4)
         nbrs, _ = g.neighbors(0)
         assert list(nbrs) == sorted(nbrs)
+
+
+LABELS = (0, 1, 2, 3, 4, 5, (0, 1), (-2, 7), "a", "b")
+GOOD = (0.5, 1.0, 2.5, 1.0 / 3.0, 2)
+BAD = (0.0, -0.0, -1.0, math.nan, math.inf, -math.inf)
+SOUND_EDITS = ("flip", "chord", "drop", "component")
+FAULTY_EDITS = ("again", "clash", "bad_weight", "loop", "missing", "isolated",
+                "bad_measure")
+
+
+@st.composite
+def graph_inputs(draw):
+    """(edges, measure) near a connected graph: a spanning path over up to
+    six labels of mixed kinds, then edits that list an edge again (either
+    way, with the same or another weight), add chords, self-loops, bad
+    weights or measures and unknown endpoints, drop edges, or add an
+    isolated vertex or a second component; the edge list comes out in a
+    drawn order."""
+    def pick(seq):
+        return draw(st.sampled_from(seq))
+
+    labels = draw(st.permutations(LABELS))[:draw(st.integers(1, 6))]
+    measure = {lab: pick(GOOD) for lab in labels}
+    edges = []
+    for x, y in zip(labels, labels[1:]):
+        edges.append((x, y, pick(GOOD)) if draw(st.booleans())
+                     else (y, x, pick(GOOD)))
+    edits = (draw(st.lists(st.sampled_from(SOUND_EDITS), max_size=3))
+             + draw(st.lists(st.sampled_from(FAULTY_EDITS), max_size=3)))
+    for edit in edits:
+        x, y = pick(labels), pick(labels)
+        if edit in ("flip", "again", "clash", "drop") and edges:
+            k = draw(st.integers(0, len(edges) - 1))
+            x, y, w = edges[k]
+            if edit == "flip":
+                edges.append((y, x, w))
+            elif edit == "again":
+                edges.append((x, y, w))
+            elif edit == "clash":
+                edges.append((y, x, pick([v for v in GOOD if v != w])))
+            else:
+                del edges[k]
+        elif edit == "chord" and x != y:
+            edges.append((x, y, pick(GOOD)))
+        elif edit == "bad_weight":
+            edges.append((x, y, pick(BAD)))
+        elif edit == "loop":
+            edges.append((x, x, pick(GOOD)))
+        elif edit == "missing":
+            edges.append((x, "zz", pick(GOOD)) if draw(st.booleans())
+                         else ("zz", x, pick(GOOD)))
+        elif edit == "isolated":
+            measure[99] = pick(GOOD)
+        elif edit == "component":
+            measure[10] = measure[11] = pick(GOOD)
+            edges.append((10, 11, pick(GOOD)))
+        elif edit == "bad_measure":
+            measure[x] = pick(BAD)
+    return draw(st.permutations(edges)), measure
+
+
+def _outcome(build, edges, measure):
+    try:
+        return build(edges, measure)
+    except GraphrotheError as exc:
+        return type(exc), str(exc)
+
+
+class TestBuildMatchesLoopReference:
+    """The array build gives the loop build's graph bit for bit, or its
+    exception type and message: for several bad edges, the first listed."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(inputs=graph_inputs(), data=st.data())
+    def test_random_edge_lists(self, inputs, data):
+        edges, measure = inputs
+        ref = _outcome(reference_build_finite_graph, edges, measure)
+        g = _outcome(build_finite_graph, iter(edges), measure)
+        if isinstance(ref, tuple):
+            assert g == ref
+            return
+        assert g.labels == ref.labels
+        for name in ("indptr", "indices", "weights", "mu", "complete"):
+            new, old = getattr(g, name), getattr(ref, name)
+            assert new.dtype == old.dtype
+            assert new.tobytes() == old.tobytes()
+        n = g.num_vertices
+        seeds = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
+        omega = data.draw(st.sets(st.integers(0, n - 1))) | seeds
+        exh = exhaust(Domain(g, omega), seeds, 3)
+        want = np.full(n, -1, dtype=np.int64)
+        ids = sorted(omega)
+        want[ids] = reference_bfs_distances(g, seeds)[ids]
+        assert np.array_equal(exh.dist, want)
+
+    def test_first_bad_edge_named(self):
+        measure = {i: 1.0 for i in range(4)}
+        edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 1, 2.0), (3, 3, 1.0),
+                 (2, 3, 0.0)]
+        with pytest.raises(DuplicateEdge, match=r"^edge 2--1 listed"):
+            build_finite_graph(edges, measure)
+        with pytest.raises(SelfLoop, match="^self-loop at 3$"):
+            build_finite_graph(edges[:2] + edges[3:], measure)
+
+    def test_bfs_distances_match_deque(self):
+        rng = np.random.default_rng(13)
+        graphs = [random_connected_graph(rng) for _ in range(20)]
+        graphs += [path_graph(300), materialize_ball(LatticeZ2(), [(0, 0)],
+                                                     9)]
+        for g in graphs:
+            n = g.num_vertices
+            for size in (1, 2, 5):
+                seeds = rng.choice(n, size=min(size, n), replace=False)
+                assert np.array_equal(_bfs_distances(g, seeds),
+                                      reference_bfs_distances(g, seeds))
 
 
 class TestMetrics:
