@@ -204,8 +204,12 @@ def _validate_config(cfg):
                 "lipschitz_bound must be a nonnegative number")
     tol = cfg.get("tolerances", {})
     _expect(isinstance(tol, dict), "tolerances must be an object")
+    _expect("psor_relax" not in tol,
+            "tolerances.psor_relax is no longer accepted: the obstacle "
+            "solver is now the primal-dual active set method (PDAS), which "
+            "takes no relaxation")
     for key, val in tol.items():
-        _expect(key in ("newton_factor", "psor", "psor_relax", "ode_oracle"),
+        _expect(key in ("newton_factor", "psor", "ode_oracle"),
                 f"unknown tolerance {key!r}")
         _expect(_is_number(val) and val > 0,
                 f"tolerance {key} must be positive")
@@ -253,8 +257,7 @@ class PreparedRun:
         self.kind = prob["kind"]
         tol = cfg.get("tolerances", {})
         self.newton_factor = float(tol.get("newton_factor", 1e-12))
-        self.psor_tol = float(tol.get("psor", 1e-10))
-        self.psor_relax = float(tol.get("psor_relax", 1.0))
+        self.kkt_tol = float(tol.get("psor", vi.KKT_TOL))
         self.ode_tol = float(tol.get("ode_oracle", 1e-10))
 
         for path in _referenced_files(cfg):
@@ -279,8 +282,7 @@ class PreparedRun:
             if dspec == "all":
                 ids = range(self.graph.num_vertices)
             elif "file" in dspec:
-                ids = map(self.graph.vertex,
-                          fileio.read_domain_file(dspec["file"]))
+                ids = fileio.read_domain_file(self.graph, dspec["file"])
             else:
                 ids = (self.graph.vertex(fileio.parse_label(str(s)))
                        for s in dspec["omega"])
@@ -314,8 +316,15 @@ class PreparedRun:
     def _field(self, spec):
         if "file" in spec:
             return fileio.read_field_file(self.graph, spec["file"])
-        mapping = {fileio.parse_label(str(k)): float(v)
-                   for k, v in spec["values"].items()}
+        mapping = {}
+        keys = {}
+        for key, value in spec["values"].items():
+            label = fileio.parse_label(str(key))
+            if label in keys:
+                _fail(f"values keys {keys[label]!r} and {key!r} name one "
+                      f"vertex {label!r}")
+            keys[label] = key
+            mapping[label] = float(value)
         return VertexField.from_mapping(self.graph, mapping)
 
     def _forcing(self, spec):
@@ -334,8 +343,7 @@ class PreparedRun:
 
     def tolerances(self):
         return {"newton_factor": self.newton_factor,
-                "psor": self.psor_tol, "psor_relax": self.psor_relax,
-                "ode_oracle": self.ode_tol}
+                "psor": self.kkt_tol, "ode_oracle": self.ode_tol}
 
 
 def _estimate_rows(report):
@@ -449,7 +457,7 @@ def _run_vi(prep, outdir):
     diagnostics = {}
     outputs = []
     part = heat.TimePartition(prep.horizon, prep.steps)
-    opts = {"psor_relax": prep.psor_relax, "psor_tol": prep.psor_tol}
+    opts = {"kkt_tol": prep.kkt_tol}
 
     sample = part.times[:: max(1, part.steps // 32)]
     dom_for_lip = (prep.exhaustion.level(max(prep.levels))
@@ -493,11 +501,12 @@ def _run_vi(prep, outdir):
                      nb.l2_interior, nb.grad_l2, delta_l2,
                      rep.variational_residual, rep.primal_residual,
                      rep.dual_residual, rep.complementarity, rep.beta,
-                     rep.sweeps))
+                     rep.iterations))
     fileio.write_csv(os.path.join(outdir, "vi_reports.csv"),
                      ("i", "t", "l2", "grad_l2", "delta_l2",
                       "variational_residual", "primal_residual",
-                      "dual_residual", "complementarity", "beta", "sweeps"),
+                      "dual_residual", "complementarity", "beta",
+                      "iterations"),
                      rows)
     fileio.write_csv(os.path.join(outdir, "norms.csv"),
                      ("t", "l2_interior", "grad_l2", "lq", "energy"),
@@ -556,12 +565,18 @@ def cmd_run(args):
         raise IoError(f"cannot create output directory {outdir}: {exc}") \
             from None
     try:
-        if prep.kind == "heat":
-            outputs, diagnostics = _run_heat(prep, outdir)
-        elif prep.kind == "vi":
-            outputs, diagnostics = _run_vi(prep, outdir)
-        else:
-            outputs, diagnostics = _run_spectral(prep, outdir)
+        # data too large for float64 stop the run instead of printing
+        # numpy warnings and writing infinite norms
+        with np.errstate(over="raise", invalid="raise"):
+            if prep.kind == "heat":
+                outputs, diagnostics = _run_heat(prep, outdir)
+            elif prep.kind == "vi":
+                outputs, diagnostics = _run_vi(prep, outdir)
+            else:
+                outputs, diagnostics = _run_spectral(prep, outdir)
+    except FloatingPointError as exc:
+        raise SolveError(f"{exc}: the data exceed the float64 range") \
+            from None
     except GraphrotheError as exc:
         if isinstance(exc, (ConfigError, IoError)):
             raise
@@ -590,8 +605,7 @@ def cmd_graph_info(args):
         "dmu": metrics.dmu,
     }
     if args.domain:
-        dom = _quiet_domain(
-            g, map(g.vertex, fileio.read_domain_file(args.domain)))
+        dom = _quiet_domain(g, fileio.read_domain_file(g, args.domain))
         info["omega_size"] = len(dom.omega)
         info["boundary_size"] = len(dom.boundary)
         info["interior_size"] = len(dom.interior)
@@ -602,8 +616,7 @@ def cmd_graph_info(args):
 def cmd_compare(args):
     g = fileio.read_graph_file(args.graph)
     if args.domain:
-        dom = _problem_domain(
-            g, map(g.vertex, fileio.read_domain_file(args.domain)))
+        dom = _problem_domain(g, fileio.read_domain_file(g, args.domain))
     else:
         dom = _problem_domain(g, range(g.num_vertices))
     times_a, steps_a = fileio.read_trajectory_csv(args.traj_a)

@@ -131,13 +131,20 @@ def write_graph_file(g, path):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def read_domain_file(path):
-    labels = []
+def read_domain_file(g, path):
+    """The vertex ids of ``omega <label>`` lines on ``g``, in file order.
+    A malformed line and a label that is not a vertex of ``g`` raise with
+    the file's name and line."""
+    labels = _Labels()
+    ids = []
     for lineno, parts in _lines(path):
-        if parts[0] != "omega" or len(parts) != 2:
-            raise InvalidGraphData(f"{path}:{lineno}: expected 'omega <label>'")
-        labels.append(parse_label(parts[1]))
-    return labels
+        try:
+            if parts[0] != "omega" or len(parts) != 2:
+                raise ValueError("expected 'omega <label>'")
+            ids.append(g.vertex(labels[parts[1]]))
+        except (ValueError, InvalidGraphData) as exc:
+            raise InvalidGraphData(f"{path}:{lineno}: {exc}") from None
+    return ids
 
 
 def read_field_file(g, path):

@@ -1,16 +1,18 @@
 """The numeric kernels of the Rothe schemes: an ordered sum, an ordered
-dot product, ordered per-row sums over CSR slots and one projected-SOR
-sweep.
+dot product and ordered per-row sums over CSR slots, plus one
+projected-SOR sweep kept as a reference.
 
 The sums are bit-reproducible: every result equals the strict
 left-to-right loop ``s = 0.0; for x in a: s = s + x``, and ``row_sums``
 gives each row that loop over its slots.
 
-``psor_sweep`` takes any indexable sequences. Python lists are its fast
-path: reading a list element costs far less than boxing a numpy scalar,
-and Python floats round exactly as numpy float64 does, so a sweep over
-the ``tolist()`` of numpy arrays gives the same bits as one over the
-arrays.
+``psor_sweep`` is called from nowhere in the package: the obstacle step
+is solved by the primal-dual active set method (``vi.active_set_solve``).
+It stays, unchanged, only because ``e2ebench/spans.py`` wraps it as a
+span target and ``tests/test_bench_targets.py`` requires every span
+target to resolve; it is deleted together with that span. It takes any
+indexable sequences, and a sweep over Python lists gives the bits of a
+sweep over numpy arrays.
 """
 
 import numpy as np

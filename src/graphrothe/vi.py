@@ -7,8 +7,9 @@ elliptic inequality a(u, v-u) >= <F, v-u> with the coercive form
 a(w, v) = (1/l) I(w v) + gradient energy; over the admissible subspace
 this is exactly the SPD system (M/l + A) u = M (f_i + u_prev/l). The
 obstacle-constrained admissible set {v >= psi on the interior} is an
-extension beyond the subspace theory and is solved by projected SOR with
-a pointwise complementarity (KKT) stopping test.
+extension beyond the subspace theory. Its step is the complementarity
+problem S u >= b, u >= psi, (S u - b)(u - psi) = 0, solved by the
+primal-dual active set method and accepted by a pointwise KKT test.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .calculus import VertexField, require_admissible
 from .errors import (
     DomainMismatch,
@@ -31,8 +31,7 @@ from .graph import Domain, ExhaustionSequence
 from .heat import TimePartition, _run_levels
 from .operators import DIRECT_SOLVE_MAX, CachedSPD
 
-PSOR_TOL = 1e-10
-PSOR_MAX_SWEEPS = 50_000
+KKT_TOL = 1e-10
 
 
 # -- admissible-set descriptors ---------------------------------------------
@@ -135,16 +134,14 @@ class VIStepReport:
     dual_residual: float
     complementarity: float
     beta: float
-    sweeps: int
+    iterations: int
 
 
 class ViStepper:
     """Step solver with the form assembled (and, in the subspace case,
     factorized) once for a fixed step size."""
 
-    def __init__(self, dom, ell, constraint=Subspace(),
-                 psor_relax=1.0, psor_tol=PSOR_TOL,
-                 psor_max_sweeps=PSOR_MAX_SWEEPS,
+    def __init__(self, dom, ell, constraint=Subspace(), kkt_tol=KKT_TOL,
                  direct_threshold=DIRECT_SOLVE_MAX):
         if not (ell > 0.0):
             raise ValueError(f"step size must be positive, got {ell}")
@@ -152,22 +149,15 @@ class ViStepper:
         self.ell = float(ell)
         self.constraint = constraint
         self.beta = min(1.0 / self.ell, 1.0)
-        self.relax = float(psor_relax)
-        self.tol = float(psor_tol)
-        self.max_sweeps = int(psor_max_sweeps)
+        self.tol = float(kkt_tol)
+        self.direct_threshold = direct_threshold
         S = self.S = self.op.step_matrix(self.ell)
         if isinstance(constraint, Subspace):
             self._solver = CachedSPD(S, direct_threshold)
         elif isinstance(constraint, Obstacle):
             if constraint.psi.graph is not dom.graph:
                 raise DomainMismatch("obstacle lives on a different graph")
-            # Python lists: the sweep's fast path (see kernels)
-            self._indptr = S.indptr.tolist()
-            self._indices = S.indices.tolist()
-            self._data = S.data.tolist()
-            self._diag = S.diagonal().tolist()
             self._lower = constraint.psi.values[self.op.interior_ids]
-            self._lower_list = self._lower.tolist()
         else:
             raise TypeError(f"unknown constraint {constraint!r}")
 
@@ -186,33 +176,65 @@ class ViStepper:
                 res = float(np.max(np.abs(self.S @ w - b), initial=0.0))
             report = (res, 0.0, 0.0, 0.0, 0)
         else:
-            w, report = self._psor(b, w_prev, scale)
+            w, report = self._obstacle(b, w_prev, scale)
         u = self.op.extend(w)
         dq = self.op.extend((w - w_prev) / self.ell)
-        var, primal, dual, compl, sweeps = report
+        var, primal, dual, compl, iterations = report
         return VIStepReport(index, u, dq, var, primal, dual, compl,
-                            self.beta, sweeps)
+                            self.beta, iterations)
 
-    def _psor(self, b, w_start, scale):
-        ul = np.maximum(w_start, self._lower).tolist()
-        bl = b.tolist()
-        for sweep in range(1, self.max_sweeps + 1):
-            kernels.psor_sweep(self._indptr, self._indices, self._data,
-                               self._diag, bl, self._lower_list, ul,
-                               self.relax)
-            u = np.array(ul)
-            r = self.S @ u - b
-            gap = u - self._lower
-            primal = max(0.0, float(np.max(-gap, initial=0.0)))
-            dual = max(0.0, float(np.max(-r, initial=0.0)))
-            compl = float(np.max(np.abs(r * gap), initial=0.0))
-            uscale = 1.0 + float(np.max(np.abs(gap), initial=0.0))
-            if dual <= self.tol * scale and compl <= self.tol * scale * uscale:
-                var = float(np.max(np.abs(np.minimum(r, gap)), initial=0.0))
-                return u, (var, primal, dual, compl, sweep)
+    def _obstacle(self, b, w_start, scale):
+        """The active-set solution, accepted only if its KKT residuals
+        meet the tolerance."""
+        u, r, iterations = active_set_solve(self.S, b, self._lower, w_start,
+                                            self.direct_threshold)
+        gap = u - self._lower
+        primal = max(0.0, float(np.max(-gap, initial=0.0)))
+        dual = max(0.0, float(np.max(-r, initial=0.0)))
+        compl = float(np.max(np.abs(r * gap), initial=0.0))
+        uscale = 1.0 + float(np.max(np.abs(gap), initial=0.0))
+        if dual <= self.tol * scale and compl <= self.tol * scale * uscale:
+            var = float(np.max(np.abs(np.minimum(r, gap)), initial=0.0))
+            return u, (var, primal, dual, compl, iterations)
         raise NonConvergence(
-            f"projected SOR did not meet tol {self.tol:g} in "
-            f"{self.max_sweeps} sweeps")
+            f"obstacle step missed the KKT tolerance {self.tol:g}: dual "
+            f"residual {dual:.3g}, complementarity {compl:.3g}")
+
+
+def active_set_solve(S, b, lower, u_start, direct_threshold=DIRECT_SOLVE_MAX):
+    """The complementarity problem S u >= b, u >= lower,
+    (S u - b)(u - lower) = 0 by the primal-dual active set method
+    (Hintermueller, Ito and Kunisch, SIAM J. Optim. 13, 2002); returns
+    (u, S u - b, iterations).
+
+    Each iteration fixes u = lower on the active set A, solves the
+    inactive rows I of S u = b by ``CachedSPD`` and takes the multiplier
+    lam = S u - b on A, 0 on I. The next active set is
+    {lam - c (u - lower) > 0} with c the diagonal of S, which puts lam
+    in the units of u. As u equals lower on A and lam vanishes on I, c
+    only shapes the first set, built from u = max(u_start, lower). For
+    an M-matrix S the sets settle after finitely many iterations; more
+    than n + 1 raise NonConvergence.
+    """
+    c = S.diagonal()
+    u = np.maximum(u_start, lower)
+    lam = np.maximum(S @ u - b, 0.0)
+    active = lam - c * (u - lower) > 0.0
+    for iteration in range(1, lower.size + 2):
+        u = np.where(active, lower, 0.0)
+        free = np.flatnonzero(~active)
+        if free.size:
+            rhs = b[free] - (S @ u)[free]
+            u[free] = CachedSPD(S[free][:, free], direct_threshold).solve(rhs)
+        r = S @ u - b
+        lam = np.where(active, r, 0.0)
+        settled = lam - c * (u - lower) > 0.0
+        if np.array_equal(settled, active):
+            return u, r, iteration
+        active = settled
+    raise NonConvergence(
+        f"primal-dual active set did not settle in {lower.size + 1} "
+        f"iterations")
 
 
 def vi_step(dom, u_prev, f_i, ell, constraint=Subspace(), **opts):

@@ -171,3 +171,50 @@ def reference_bfs_distances(g, seed_ids):
                 dist[j] = dist[i] + 1
                 queue.append(int(j))
     return dist
+
+
+def csr_parts(S):
+    """(indptr, indices, data, diagonal) of a CSR matrix as contiguous
+    arrays."""
+    return (np.ascontiguousarray(S.indptr, dtype=np.int64),
+            np.ascontiguousarray(S.indices, dtype=np.int64),
+            np.ascontiguousarray(S.data),
+            np.ascontiguousarray(S.diagonal()))
+
+
+def reference_sweep(indptr, indices, data, diag, b, lower, u, relax):
+    """Reference: one sweep over numpy arrays in numpy float64 scalar
+    arithmetic, each row sum added left to right from 0.0."""
+    maxdelta = 0.0
+    for row in range(len(diag)):
+        acc = 0.0
+        for k in range(indptr[row], indptr[row + 1]):
+            acc = acc + data[k] * u[indices[k]]
+        cand = u[row] + relax * (b[row] - acc) / diag[row]
+        if cand < lower[row]:
+            cand = lower[row]
+        delta = abs(cand - u[row])
+        if delta > maxdelta:
+            maxdelta = delta
+        u[row] = cand
+    return maxdelta
+
+
+def reference_psor(S, lower, b, w_start, scale, relax, tol):
+    """Reference obstacle solve, apart from the active-set method of
+    ``ViStepper``: projected SOR sweeps over numpy arrays, with the KKT
+    test of ``ViStepper`` after every sweep."""
+    indptr, indices, data, diag = csr_parts(S)
+    u = np.maximum(w_start, lower)
+    for sweep in range(1, 1000):
+        reference_sweep(indptr, indices, data, diag, b, lower, u, relax)
+        r = S @ u - b
+        gap = u - lower
+        primal = max(0.0, float(np.max(-gap, initial=0.0)))
+        dual = max(0.0, float(np.max(-r, initial=0.0)))
+        compl = float(np.max(np.abs(r * gap), initial=0.0))
+        uscale = 1.0 + float(np.max(np.abs(gap), initial=0.0))
+        if dual <= tol * scale and compl <= tol * scale * uscale:
+            var = float(np.max(np.abs(np.minimum(r, gap)), initial=0.0))
+            return u, (var, primal, dual, compl, sweep)
+    raise AssertionError("reference PSOR did not converge")

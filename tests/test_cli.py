@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import os
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphrothe.cli import main
 from helpers import path_graph
@@ -31,6 +37,31 @@ def heat_config(tmp_path, **overrides):
             "horizon": 1.0,
             "steps": 40,
             "initial": {"values": {"2": 1.0}},
+        },
+        "output": str(tmp_path / "out"),
+    }
+    cfg["problem"].update(overrides.pop("problem", {}))
+    cfg.update(overrides)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return str(path), cfg
+
+
+def vi_obstacle_config(tmp_path, **overrides):
+    """A small obstacle VI on the 5-vertex path, omega {1, 2, 3}."""
+    cfg = {
+        "graph": {"file": write_p5_graph(tmp_path)},
+        "domain": {"file": write_domain_123(tmp_path)},
+        "problem": {
+            "kind": "vi",
+            "horizon": 1.0,
+            "steps": 4,
+            "initial": {"values": {"2": 1.0}},
+            "forcing": {"kind": "constant",
+                        "field": {"values": {"2": -5.0}}},
+            "constraint": {"kind": "obstacle",
+                           "psi": {"values": {"2": 0.0}}},
+            "lipschitz_bound": 0.0,
         },
         "output": str(tmp_path / "out"),
     }
@@ -125,6 +156,9 @@ class TestRunVi:
         reports = (tmp_path / "out" / "vi_reports.csv").read_text()
         header = reports.splitlines()[0].split(",")
         assert "complementarity" in header and "beta" in header
+        assert header[-1] == "iterations"
+        for row in reports.splitlines()[1:]:
+            assert 1 <= int(row.split(",")[-1]) <= 2
 
     def test_lipschitz_violation_downgrades(self, tmp_path):
         cfg = {
@@ -283,6 +317,71 @@ class TestValidation:
         assert err.startswith(f"error[CONFIG]: {bad}: not UTF-8 text")
         assert err.count("\n") == 1
 
+
+    def test_psor_relax_refused(self, tmp_path, capsys):
+        cfg_path, _ = vi_obstacle_config(
+            tmp_path, tolerances={"psor": 1e-10, "psor_relax": 1.5})
+        for command in ("validate-config", "run"):
+            assert main([command, cfg_path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error[CONFIG]: tolerances.psor_relax ")
+            assert "primal-dual active set method (PDAS)" in err
+            assert "no relaxation" in err
+            assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        # the obstacle KKT tolerance keeps its key
+        cfg_path, _ = vi_obstacle_config(tmp_path,
+                                         tolerances={"psor": 1e-10})
+        assert main(["run", cfg_path]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json")
+                              .read_text())
+        assert manifest["tolerances"] == {"newton_factor": 1e-12,
+                                          "psor": 1e-10, "ode_oracle": 1e-10}
+
+    def test_overflowing_data_exit_3(self, tmp_path, capsys):
+        # finite inputs whose squares leave the float64 range
+        for cfg_path, _ in (
+                vi_obstacle_config(tmp_path,
+                                   problem={"initial": {"values":
+                                                        {"2": 1e300}}}),
+                heat_config(tmp_path, problem={"initial": {"values":
+                                                           {"2": 1e200}}})):
+            assert main(["run", cfg_path]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error[SOLVE]: overflow encountered in ")
+            assert err.endswith(": the data exceed the float64 range\n")
+            assert err.count("error[") == 1 and "Warning" not in err
+
+    def test_repeated_values_keys_exit_2(self, tmp_path, capsys):
+        for problem, message in (
+                ({"initial": {"values": {"1": 1.0, "01": 5.0}}},
+                 "values keys '1' and '01' name one vertex 1"),
+                ({"constraint": {"kind": "obstacle",
+                                 "psi": {"values": {"2": 0.0,
+                                                    "+2": 0.5}}}},
+                 "values keys '2' and '+2' name one vertex 2")):
+            cfg_path, _ = vi_obstacle_config(tmp_path, problem=problem)
+            assert main(["validate-config", cfg_path]) == 2
+            assert capsys.readouterr().err == f"error[CONFIG]: {message}\n"
+
+    def test_unknown_domain_label_names_file_and_line(self, tmp_path,
+                                                        capsys):
+        domain = tmp_path / "dom_zz.txt"
+        domain.write_text("omega 1\n# a comment\nomega zz\n")
+        message = f"error[CONFIG]: {domain}:3: unknown vertex label 'zz'\n"
+        cfg_path, _ = heat_config(tmp_path, domain={"file": str(domain)})
+        assert main(["validate-config", cfg_path]) == 2
+        assert capsys.readouterr().err == message
+        p5 = str(tmp_path / "p5.txt")
+        assert main(["graph-info", p5, "--domain", str(domain)]) == 2
+        assert capsys.readouterr().err == message
+        cfg_path, _ = heat_config(tmp_path, problem={"steps": 4})
+        assert main(["run", cfg_path]) == 0
+        traj = str(tmp_path / "out" / "trajectory.csv")
+        capsys.readouterr()
+        assert main(["compare", traj, traj, "--graph", p5,
+                     "--domain", str(domain)]) == 2
+        assert capsys.readouterr().err == message
 
     def test_repeated_records_exit_2(self, tmp_path, capsys):
         graph = tmp_path / "g.txt"
@@ -446,3 +545,92 @@ class TestCompare:
             assert captured.out == ""
             assert captured.err.startswith("error[CONFIG]:")
             assert captured.err.count("\n") == 1
+
+
+# keys that parse to the same label ("2", "+2", "002"; "1", "01"),
+# labels outside the interior {2} or the graph, and a tuple label that the
+# path does not have
+INTERIOR_KEYS = st.sampled_from(["2", "+2", "002"])
+LABEL_KEYS = st.sampled_from(["0", "1", "01", "2", "+2", "002", "3", "4",
+                              "-1", "zz", "1,2"])
+NUMBERS = st.one_of(st.floats(-10.0, 10.0), st.integers(-3, 3))
+ODD_NUMBERS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, 1e-300, 1e300, 5e-324, 10**400]))
+
+
+def _junk():
+    return st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                     st.lists(st.integers(), max_size=2))
+
+
+def _mostly(good, bad, odds=4):
+    """``good``, and ``bad`` once in ``odds`` draws."""
+    return st.sampled_from([good] * (odds - 1) + [bad]).flatmap(
+        lambda strategy: strategy)
+
+
+def _values_block(keys):
+    return _mostly(
+        st.fixed_dictionaries({"values": st.dictionaries(
+            keys, _mostly(NUMBERS, st.one_of(ODD_NUMBERS, _junk()), 12),
+            max_size=3)}),
+        st.one_of(st.fixed_dictionaries({"values": _junk()}),
+                  st.just({"file": "no-such-field.txt"}),
+                  st.just({"values": {}, "file": "f.txt"}),
+                  _junk()))
+
+
+def _constraint_block():
+    return _mostly(
+        st.one_of(st.just({"kind": "subspace"}),
+                  st.fixed_dictionaries({
+                      "kind": st.just("obstacle"),
+                      "psi": _values_block(LABEL_KEYS)})),
+        st.one_of(st.just({"kind": "obstacle"}),
+                  st.fixed_dictionaries({"kind": st.text(max_size=4)}),
+                  _junk()))
+
+
+def _tolerances_block():
+    return _mostly(
+        st.dictionaries(
+            st.sampled_from(["newton_factor", "psor", "psor_relax",
+                             "ode_oracle", "sweeps"]),
+            _mostly(st.floats(1e-14, 1e-6),
+                    st.one_of(NUMBERS, ODD_NUMBERS, _junk())),
+            max_size=3),
+        _junk())
+
+
+class TestViConfigFuzz:
+    """Generated constraint, tolerances and inline values blocks of a
+    small VI run: ``main`` returns a documented exit code and prints one
+    error line exactly when it fails."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(initial=_values_block(st.one_of(INTERIOR_KEYS, LABEL_KEYS)),
+           forcing=_values_block(LABEL_KEYS),
+           constraint=_constraint_block(), tolerances=_tolerances_block(),
+           drop_tolerances=st.booleans())
+    def test_vi_config_blocks(self, initial, forcing, constraint,
+                              tolerances, drop_tolerances):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp_path = pathlib.Path(tmp)
+            cfg_path, cfg = vi_obstacle_config(tmp_path)
+            prob = cfg["problem"]
+            prob["initial"] = initial
+            prob["forcing"]["field"] = forcing
+            prob["constraint"] = constraint
+            if not drop_tolerances:
+                cfg["tolerances"] = tolerances
+            # allow_nan: NaN and Infinity literals must be refused too
+            with open(cfg_path, "w") as fh:
+                fh.write(json.dumps(cfg, allow_nan=True))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["run", cfg_path])
+        errors = [line for line in err.getvalue().splitlines()
+                  if line.startswith("error[")]
+        assert code in (0, 2, 3, 4)
+        assert len(errors) == (0 if code == 0 else 1)

@@ -166,15 +166,23 @@ class TestFieldFile:
 
 class TestDomainFile:
     def test_read(self, tmp_path):
+        g = build_finite_graph([("a", "b", 1.0), ("b", "c", 1.0)],
+                               {"a": 1.0, "b": 1.0, "c": 1.0})
         path = tmp_path / "dom.txt"
-        path.write_text("omega 1\nomega 2\nomega 3\n")
-        assert fileio.read_domain_file(str(path)) == [1, 2, 3]
+        path.write_text("omega c\nomega a\nomega b\n")
+        assert fileio.read_domain_file(g, str(path)) == [2, 0, 1]
 
     def test_bad_line(self, tmp_path):
+        g = path_graph(5)
         path = tmp_path / "dom.txt"
-        path.write_text("omega 1\ninterior 2\n")
-        with pytest.raises(InvalidGraphData):
-            fileio.read_domain_file(str(path))
+        for text, message in (("omega 1\ninterior 2\n",
+                               "2: expected 'omega <label>'"),
+                              ("omega 1\n\nomega 7\n",
+                               "3: unknown vertex label 7")):
+            path.write_text(text)
+            with pytest.raises(InvalidGraphData) as info:
+                fileio.read_domain_file(g, str(path))
+            assert str(info.value) == f"{path}:{message}"
 
 
 class TestCsv:

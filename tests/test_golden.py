@@ -148,8 +148,7 @@ def config_vi_obstacle_overrelaxed(tmp_path):
                                         "a,b": -2.0, 'say"hi"': 0.5}}},
                         "constraint": {"kind": "obstacle",
                                        "psi": {"values": {"2,2": 0.125}}},
-                        "lipschitz_bound": 0.0},
-            "tolerances": {"psor_relax": 1.5}}
+                        "lipschitz_bound": 0.0}}
 
 
 def run_manifest(tmp_path, make_config):
@@ -229,14 +228,14 @@ GOLDEN = {
                 "estimate": 0.0,
                 "violated": False
             },
-            "max_quotient_l2": 2.0410083400964347,
+            "max_quotient_l2": 2.0410083401732804,
             "quotient_bound": 5.59773963022651,
-            "quotient_recurrence_max_slack": -0.27387624021064405
+            "quotient_recurrence_max_slack": -0.27387624007566447
         },
         "outputs": {
-            "norms.csv": "dbc9d82d962559470aea729b0b50e0cc1e50b4d89b2285a9a41b52fd22b4c04b",
-            "trajectory.csv": "ea2e82b82ac7d0b2a22705e5971b104d430c6127847163a980422dc581e6d127",
-            "vi_reports.csv": "def884c67b09475600b309886cb92fa16b061df26ee99312e2ec456a33ab644a"
+            "norms.csv": "9cb4f81be9c0dc397653f2e6088fb0166f86d43eecbfa0879c65bb0399741be7",
+            "trajectory.csv": "c734e48c3cbc51c21ba8ac0d92175992704027e7b824ffef04c7840e81cda700",
+            "vi_reports.csv": "639df1f64188d195aa1ad3b3445e5761d30ba03002cbf15a50b17bf57a4b5b23"
         }
     },
     "vi_obstacle_overrelaxed": {
@@ -246,14 +245,14 @@ GOLDEN = {
                 "estimate": 0.0,
                 "violated": False
             },
-            "max_quotient_l2": 1.2172796655101479,
+            "max_quotient_l2": 1.2172796654841853,
             "quotient_bound": 7.774773904824381,
-            "quotient_recurrence_max_slack": -0.7894440089285005
+            "quotient_recurrence_max_slack": -0.7894440089178765
         },
         "outputs": {
-            "norms.csv": "781ed800cb6698ccf3d0f87f99e065ee60af5ddb0b80b810763430f815c7a2c2",
-            "trajectory.csv": "b069e51cc3073cd204da533ff75a01df4dccd3a095340f0cddf84b2b34b0372d",
-            "vi_reports.csv": "fbb873b9b613eb8b9cb331edf0b54760f65a6286f252abe5fd1b47ed410190f4"
+            "norms.csv": "645c46013d2e6670d4b6c2c188fbd0a9a18af0e5948abb3e5136d120148da3fd",
+            "trajectory.csv": "7a8fead337a123ef407e43208144baefc1865304b9184420833f6e30f0dc9958",
+            "vi_reports.csv": "45a12865b230bee0f23d517d4110b1d16543731b1d40cb04395425b6ec7fd48a"
         }
     },
     "vi_separable": {
@@ -271,7 +270,7 @@ GOLDEN = {
         "outputs": {
             "norms.csv": "9cd81bda43c5a454efbb1e767a743cf7c1a74020c0e0761dd7c9cb3320724058",
             "trajectory.csv": "068bbcdc2f41e3d41c46c3c9beb85fa4fbc71499d96a6fac0796bf59f06c4423",
-            "vi_reports.csv": "df7986298ce2d5a5d5656bdddce7517a89ea273e5d9f2ab865a499b7b8a1da71"
+            "vi_reports.csv": "1e7f9b0470a156549899d4fbbb4f353623acb0ac048729dd3e69d6a24e6ca75e"
         }
     }
 }

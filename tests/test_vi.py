@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphrothe import (
     ConstantForcing,
@@ -12,6 +15,7 @@ from graphrothe import (
     TimePartition,
     VertexField,
     VIProblem,
+    build_finite_graph,
     exhaust,
     field_on_interior,
     inner_product,
@@ -23,16 +27,21 @@ from graphrothe import (
     vi_monotonicity_monitor,
     vi_step,
 )
-from graphrothe.errors import InsufficientSamples, TimeOutOfRange
+from graphrothe.errors import (
+    InsufficientSamples,
+    NonConvergence,
+    TimeOutOfRange,
+)
 from graphrothe.operators import DirichletOperator
 from graphrothe.timeexpr import compile_time_expression
-from graphrothe.vi import ViStepper, forcing_step_function
+from graphrothe.vi import ViStepper, active_set_solve, forcing_step_function
 from helpers import (
     five_path_domain,
     path_graph,
     random_admissible,
     random_connected_graph,
     random_domain,
+    reference_psor,
 )
 
 
@@ -101,15 +110,22 @@ class TestViStep:
             assert np.abs(r * gap).max() <= 1e-8 * (1.0 + np.abs(b).max())
 
     def test_uniqueness_across_relaxations(self):
+        # the obstacle step has one solution: projected SOR reaches the
+        # active-set answer at every relaxation
         rng = np.random.default_rng(13)
         g = random_connected_graph(rng, 5, 25)
         dom = random_domain(rng, g)
         u_prev = random_admissible(rng, dom)
         psi = field_on_interior(dom, np.zeros(len(dom.interior_ids)))
         f = VertexField(g, rng.normal(size=g.num_vertices))
-        a = vi_step(dom, u_prev, f, 0.2, Obstacle(psi), psor_relax=1.0)
-        b = vi_step(dom, u_prev, f, 0.2, Obstacle(psi), psor_relax=1.4)
-        assert float(np.max(np.abs(a.u.values - b.u.values))) <= 1e-8
+        stepper = ViStepper(dom, 0.2, Obstacle(psi))
+        u = stepper.op.restrict(stepper.step(1, u_prev, f).u)
+        b, scale = _obstacle_rhs(stepper, u_prev, f)
+        for relax in (1.0, 1.4):
+            w, _ = reference_psor(stepper.S, stepper.op.restrict(psi), b,
+                                  stepper.op.restrict(u_prev), scale, relax,
+                                  1e-12)
+            assert float(np.max(np.abs(u - w))) <= 1e-8
 
 
 class TestCoercivity:
@@ -321,17 +337,152 @@ class TestViExhaustion:
             assert np.all(res.run.fields[-1].values == 0.0)
 
 
-class TestPsorBudget:
-    def test_sweep_budget_exhausted(self):
-        from graphrothe.errors import NonConvergence
+class TestActiveSetBudget:
+    def test_cycle_stopped_by_budget(self):
+        # a P-matrix that is no M-matrix, on which the active sets cycle
+        # (Ben Gharbia and Gilbert, Math. Program. 134, 2012): the step
+        # stops after n + 1 iterations instead of looping
+        S = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 2.0],
+                                    [2.0, 0.0, 1.0]]))
+        with pytest.raises(NonConvergence, match="did not settle in 4"):
+            active_set_solve(S, np.ones(3), np.zeros(3),
+                             np.array([-1.0, -1.0, 1.0]))
+
+    def test_kkt_target_unmet(self):
         rng = np.random.default_rng(61)
         g = random_connected_graph(rng, 10, 20)
         dom = random_domain(rng, g)
         u_prev = random_admissible(rng, dom)
         f = VertexField(g, rng.normal(size=g.num_vertices))
         psi = field_on_interior(dom, np.zeros(len(dom.interior_ids)))
-        with pytest.raises(NonConvergence):
-            vi_step(dom, u_prev, f, 0.2, Obstacle(psi), psor_max_sweeps=1)
+        with pytest.raises(NonConvergence, match="KKT tolerance 1e-30"):
+            vi_step(dom, u_prev, f, 0.2, Obstacle(psi), kkt_tol=1e-30)
+
+
+def _obstacle_rhs(stepper, u_prev, f):
+    """(b, scale) of one obstacle step, as ``ViStepper.step`` forms them."""
+    op = stepper.op
+    b = op.mass * (op.restrict(f) + op.restrict(u_prev) / stepper.ell)
+    return b, 1.0 + float(np.max(np.abs(b), initial=0.0))
+
+
+def grid_graph(rng, side):
+    """side x side grid, mu and omega uniform in [0.5, 1.5]."""
+    ids = np.arange(side * side).reshape(side, side)
+    pairs = [(int(a), int(b)) for a, b in
+             zip(ids[:, :-1].ravel(), ids[:, 1:].ravel())]
+    pairs += [(int(a), int(b)) for a, b in
+              zip(ids[:-1, :].ravel(), ids[1:, :].ravel())]
+    edges = [(a, b, float(rng.uniform(0.5, 1.5))) for a, b in pairs]
+    measure = {i: float(rng.uniform(0.5, 1.5)) for i in range(side * side)}
+    return build_finite_graph(edges, measure)
+
+
+class TestActiveSetDifferential:
+    """The active-set step against projected SOR on numpy arrays."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           ell=st.floats(0.05, 2.0),
+           relax=st.floats(1.0, 1.6),
+           psi_kind=st.sampled_from(["zero", "random", "low"]),
+           u_scale=st.floats(0.1, 10.0),
+           f_scale=st.floats(0.1, 30.0))
+    def test_step_matches_reference_psor(self, seed, ell, relax, psi_kind,
+                                         u_scale, f_scale):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, 5, 30)
+        dom = random_domain(rng, g)
+        n = len(dom.interior_ids)
+        lower = {"zero": np.zeros(n),
+                 "random": rng.uniform(-0.5, 0.3, size=n),
+                 "low": np.full(n, -1e3)}[psi_kind]
+        psi = field_on_interior(dom, lower)
+        u_prev = random_admissible(rng, dom, u_scale)
+        f = VertexField(g, rng.normal(size=g.num_vertices) * f_scale)
+        stepper = ViStepper(dom, ell, Obstacle(psi))
+        rep = stepper.step(1, u_prev, f)
+        u = stepper.op.restrict(rep.u)
+        b, scale = _obstacle_rhs(stepper, u_prev, f)
+        w, _ = reference_psor(stepper.S, lower, b,
+                              stepper.op.restrict(u_prev), scale, relax,
+                              1e-12)
+        assert float(np.max(np.abs(u - w))) \
+            <= 1e-9 * (1.0 + float(np.max(np.abs(u))))
+        # entries the reference holds on the obstacle with a clear margin
+        # of multiplier sit exactly on psi
+        held = stepper.S @ w - b > 1e-6 * scale
+        assert np.array_equal(u[held], lower[held])
+        assert np.all(u >= lower)
+        for residual in (rep.primal_residual, rep.dual_residual,
+                         rep.complementarity, rep.variational_residual):
+            assert residual <= 1e-12 * scale
+        assert 1 <= rep.iterations <= n + 1
+
+    def test_cg_path_matches_direct(self):
+        rng = np.random.default_rng(63)
+        g = random_connected_graph(rng, 20, 40)
+        dom = random_domain(rng, g)
+        psi = field_on_interior(dom, np.zeros(len(dom.interior_ids)))
+        u_prev = random_admissible(rng, dom)
+        f = VertexField(g, rng.normal(size=g.num_vertices) * 5.0)
+        a = vi_step(dom, u_prev, f, 0.5, Obstacle(psi))
+        b = vi_step(dom, u_prev, f, 0.5, Obstacle(psi), direct_threshold=0)
+        assert 0 < np.count_nonzero(a.u.values[dom.interior_ids] == 0.0) \
+            < len(dom.interior_ids)
+        assert float(np.max(np.abs(a.u.values - b.u.values))) <= 1e-9
+
+    def test_grid_iteration_count(self):
+        # grid-obstacle's kind of data: a bump, a sign-changing forcing,
+        # psi = 0, step 1 on a 16 x 16 grid
+        side = 16
+        rng = np.random.default_rng(16)
+        g = grid_graph(rng, side)
+        dom = make_domain(g, range(g.num_vertices))
+        ii, jj = np.divmod(np.arange(side * side), side)
+        bump = np.maximum(0.0, 1.0 - ((ii - 7.5) ** 2 + (jj - 6.5) ** 2)
+                          / (0.3 * side) ** 2)
+        forcing = 0.2 * np.sin(2.0 * np.pi * ii / side + 1.0) \
+            * np.cos(2.0 * np.pi * jj / side)
+        prob = VIProblem(dom, ConstantForcing(VertexField(g, forcing)),
+                         VertexField(g, bump), 3.0,
+                         constraint=Obstacle(VertexField.zeros(g)))
+        run = run_vi(prob, TimePartition(3.0, 3))
+        for rep in run.reports:
+            on = rep.u.values[dom.interior_ids] == 0.0
+            assert 0 < np.count_nonzero(on) < len(dom.interior_ids)
+            assert 1 <= rep.iterations <= 6
+
+    def test_exhaustion_levels(self):
+        from graphrothe import LatticeZ2, exhaust_generative
+        exh = exhaust_generative(LatticeZ2(), [(0, 0)], 5)
+        g = exh.graph
+        forcing = VertexField(g, np.array(
+            [1.0 if lab[0] > 0 else -2.0 for lab in g.labels]))
+        psi = VertexField(g, np.array(
+            [-0.25 if lab[1] > 0 else 0.0 for lab in g.labels]))
+        prob = VIProblem(exh, ConstantForcing(forcing),
+                         VertexField.from_mapping(g, {(0, 0): 1.0}), 1.0,
+                         constraint=Obstacle(psi))
+        results = run_vi_exhaustion(prob, TimePartition(1.0, 4),
+                                    levels=[3, 4, 5])
+        assert results[1].delta_prev > 0.0 and results[2].delta_prev > 0.0
+        for res in results:
+            ids = res.domain.interior_ids
+            lower = psi.values[ids]
+            stepper = ViStepper(res.domain, 0.25, Obstacle(psi))
+            held = 0
+            for rep, u_prev in zip(res.run.reports, res.run.fields):
+                b, scale = _obstacle_rhs(stepper, u_prev, forcing)
+                u = rep.u.values[ids]
+                r = stepper.S @ u - b
+                assert np.all(u >= lower)
+                assert float(np.max(-r)) <= 1e-12 * scale
+                assert float(np.max(np.abs(r * (u - lower)))) \
+                    <= 1e-12 * scale * (1.0 + float(np.max(np.abs(u))))
+                assert 1 <= rep.iterations <= len(ids) + 1
+                held += np.count_nonzero(u == lower)
+            assert held > 0
 
 
 class TestStepperCaching:
