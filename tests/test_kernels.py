@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphrothe import kernels
-from helpers import csr_parts, reference_sweep
+from graphrothe import Obstacle, VertexField, field_on_interior, kernels
+from graphrothe.vi import ViStepper
+from helpers import (
+    csr_parts, random_admissible, random_connected_graph, random_domain,
+    reference_psor, reference_sweep,
+)
 
 
 def _random_spd_csr(rng, n):
@@ -152,3 +156,40 @@ class TestPsorListBitIdentity:
                 assert same_bits(d_list, d_arr) and same_bits(d_list, d_ref)
                 assert same_array_bits(u_list, u_arr)
                 assert same_array_bits(u_list, u_ref)
+
+    @pytest.mark.parametrize("relax", [1.0, 1.5])
+    def test_obstacle_step_matches_array_reference(self, relax):
+        """The obstacle step is the projected-SOR solution on numpy arrays
+        at this relaxation, up to the reference's own convergence; the
+        quotient is formed from the step's own iterate bit for bit."""
+        rng = np.random.default_rng(72)
+        for _ in range(6):
+            g = random_connected_graph(rng, 8, 30)
+            dom = random_domain(rng, g)
+            ids = dom.interior_ids
+            psi = field_on_interior(dom, rng.uniform(-0.5, 0.3,
+                                                     size=len(ids)))
+            u_prev = random_admissible(rng, dom)
+            f = VertexField(g, rng.normal(size=g.num_vertices))
+            ell = float(rng.uniform(0.05, 2.0))
+            stepper = ViStepper(dom, ell, Obstacle(psi))
+            rep = stepper.step(1, u_prev, f)
+
+            op = stepper.op
+            w_prev = op.restrict(u_prev)
+            b = op.mass * (op.restrict(f) + w_prev / ell)
+            scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
+            lower = psi.values[ids]
+            w, _ = reference_psor(stepper.S, lower, b, w_prev, scale, relax,
+                                  1e-12)
+            u = op.restrict(rep.u)
+            assert float(np.max(np.abs(u - w))) \
+                <= 1e-9 * (1.0 + float(np.max(np.abs(u))))
+            assert same_array_bits(rep.u.values, op.extend(u).values)
+            assert same_array_bits(rep.quotient.values,
+                                   op.extend((u - w_prev) / ell).values)
+            assert np.all(u >= lower)
+            for residual in (rep.variational_residual, rep.primal_residual,
+                             rep.dual_residual, rep.complementarity):
+                assert residual <= stepper.tol * scale
+            assert 1 <= rep.iterations <= len(ids) + 1
