@@ -128,11 +128,20 @@ def _validate_config(cfg):
             ^ ("generative" in gspec)),
             "graph must give exactly one of 'file' or 'generative'")
     if "generative" in gspec:
-        _expect(gspec["generative"] in GENERATORS,
+        _expect(isinstance(gspec["generative"], str)
+                and gspec["generative"] in GENERATORS,
                 f"unknown generative graph {gspec['generative']!r} "
                 f"(choose from {sorted(GENERATORS)})")
         _expect(cfg["domain"] == "all",
                 "generative graphs require domain 'all'")
+        params = gspec.get("params", {})
+        _expect(isinstance(params, dict), "graph.params must be an object")
+        for key, val in params.items():
+            _expect(key in ("weight", "mu"),
+                    f"unknown graph.params key {key!r} (choose from mu, "
+                    f"weight)")
+            _expect(_is_number(val) and val > 0,
+                    f"graph.params.{key} must be a finite number > 0")
     dspec = cfg["domain"]
     _expect(dspec == "all" or (isinstance(dspec, dict)
             and (("file" in dspec) ^ ("omega" in dspec))),
@@ -164,12 +173,15 @@ def _validate_config(cfg):
         _validate_field_spec(prob["initial"], "problem.initial")
         exh = prob.get("exhaustion")
         if exh is not None:
-            _expect(isinstance(exh, dict) and exh.get("seeds")
+            _expect(isinstance(exh, dict)
+                    and isinstance(exh.get("seeds"), list) and exh["seeds"]
                     and isinstance(exh.get("levels"), list)
                     and all(_is_int(m) and m >= 1 for m in exh["levels"])
                     and exh["levels"] == sorted(set(exh["levels"])),
-                    "exhaustion needs seeds and a strictly increasing "
-                    "list of integer levels")
+                    "exhaustion needs a list of seeds and a strictly "
+                    "increasing list of integer levels")
+            if "generative" in gspec:
+                _validate_lattice_seeds(gspec["generative"], exh["seeds"])
     if kind == "heat":
         p = prob.get("p", 1.0)
         _expect(_is_number(p) and p >= 1.0,
@@ -213,6 +225,15 @@ def _validate_config(cfg):
                 f"unknown tolerance {key!r}")
         _expect(_is_number(val) and val > 0,
                 f"tolerance {key} must be positive")
+
+
+def _validate_lattice_seeds(name, seeds):
+    lattice = GENERATORS[name]
+    form = "an integer" if lattice.dim == 1 else 'a pair "i,j" of integers'
+    for seed in seeds:
+        _expect(lattice.is_vertex(fileio.parse_label(str(seed))),
+                f"exhaustion seed {seed!r} is not a vertex of {name}: a "
+                f"seed is {form}")
 
 
 def _validate_field_spec(spec, what):
@@ -301,6 +322,8 @@ class PreparedRun:
                                          or [prob["steps"]]))
             self.steps = self.steps_list[-1]
             self.initial = self._field(prob["initial"])
+            if self.exhaustion is None:
+                self._refuse_exterior_initial()
             self.compare_oracle = bool(prob.get("compare_oracle", False))
         if self.kind == "heat":
             self.p = float(prob.get("p", 1.0))
@@ -312,6 +335,18 @@ class PreparedRun:
             else:
                 self.constraint = vi.Obstacle(self._field(cspec["psi"]))
             self.lipschitz_bound = prob.get("lipschitz_bound")
+
+    def _refuse_exterior_initial(self):
+        """An initial field must vanish outside the domain interior; an
+        exhaustion restricts it to each level instead."""
+        outside = np.ones(self.graph.num_vertices, dtype=bool)
+        outside[self.domain.interior_ids] = False
+        nonzero = np.flatnonzero(outside & (self.initial.values != 0.0))
+        if nonzero.size:
+            i = int(nonzero[0])
+            _fail(f"problem.initial must vanish outside the domain "
+                  f"interior, but it is {float(self.initial.values[i])!r} at "
+                  f"vertex {self.graph.label_of(i)!r}")
 
     def _field(self, spec):
         if "file" in spec:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .calculus import VertexField
 from .errors import GraphrotheError, InvalidGraphData, IoError
-from .graph import build_finite_graph
+from .graph import build_finite_graph, format_label  # noqa: F401
 
 
 def fmt(x):
@@ -44,12 +44,6 @@ def parse_label(token):
         return int(token)
     except ValueError:
         return token
-
-
-def format_label(label):
-    if isinstance(label, tuple):
-        return ",".join(str(p) for p in label)
-    return str(label)
 
 
 class _Labels(dict):
@@ -120,7 +114,7 @@ def read_graph_file(path):
 
 def write_graph_file(g, path):
     lines = [f"graph {g.num_vertices}"]
-    names = [format_label(lab) for lab in g.labels]
+    names = g.names
     lines.extend(f"v {name} {mu}"
                  for name, mu in zip(names, map(repr, g.mu.tolist())))
     rows = np.repeat(np.arange(g.num_vertices), np.diff(g.indptr))
@@ -179,9 +173,8 @@ def _finite(token):
 
 def write_field_file(field, path):
     # repr of a Python float is fmt of the numpy value
-    lines = [f"{format_label(lab)} {v}"
-             for lab, v in zip(field.graph.labels,
-                               map(repr, field.values.tolist()))]
+    lines = map("{} {}".format, field.graph.names,
+                map(repr, field.values.tolist()))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -228,7 +221,7 @@ def _csv_cell(text):
 def write_trajectory_csv(path, fields, times, graph):
     """One ``i,t,vertex,value`` row per step and vertex, byte-identical to
     ``write_csv`` over those rows; each label is quoted once."""
-    cells = [_csv_cell(format_label(lab)) for lab in graph.labels]
+    cells = [_csv_cell(name) for name in graph.names]
     lines = ["i,t,vertex,value"]
     for i, (t, u) in enumerate(zip(times, fields)):
         prefix = f"{i},{fmt(t)},"

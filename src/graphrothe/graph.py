@@ -1,9 +1,12 @@
 """Locally finite weighted graphs, subdomains, and exhaustion sequences.
 
 A graph is the quadruple (V, E, mu, omega): a vertex measure mu > 0 and
-symmetric positive edge weights. Finite graphs are materialized fully;
-infinite graphs are represented by a neighbor oracle and materialized as
-graph-distance balls, which is all an exhaustion ever touches.
+symmetric positive edge weights. Finite graphs are materialized fully.
+The infinite lattices Z and Z^2 are materialized as graph-distance
+balls, which is all an exhaustion ever touches. A ball is built from
+int64 coordinate arrays: the L1 diamond of offsets around each seed,
+merged on an encoded key that sorts in label order, with the neighbors
+of each vertex found by binary search on that key.
 """
 
 from __future__ import annotations
@@ -44,6 +47,14 @@ def _label_key(label):
     raise InvalidGraphData(f"bad vertex label {label!r}")
 
 
+def format_label(label):
+    """A label as the text files write it: ints in decimal, int tuples
+    comma-joined, strings as they are."""
+    if isinstance(label, tuple):
+        return ",".join(str(p) for p in label)
+    return str(label)
+
+
 class WeightedGraph:
     """Immutable finite materialization of a weighted graph.
 
@@ -57,7 +68,7 @@ class WeightedGraph:
     """
 
     __slots__ = ("labels", "indptr", "indices", "weights", "mu", "complete",
-                 "_index")
+                 "_index", "_names")
 
     def __init__(self, labels, indptr, indices, weights, mu, complete):
         self.labels = tuple(labels)
@@ -66,9 +77,18 @@ class WeightedGraph:
         self.weights = weights
         self.mu = mu
         self.complete = complete
-        self._index = {lab: i for i, lab in enumerate(self.labels)}
+        self._index = dict(zip(self.labels, range(len(self.labels))))
+        self._names = None
         for arr in (indptr, indices, weights, mu, complete):
             arr.setflags(write=False)
+
+    @property
+    def names(self):
+        """Every label as text (``format_label``), in vertex order:
+        formatted on first use and shared by every file written."""
+        if self._names is None:
+            self._names = tuple(map(format_label, self.labels))
+        return self._names
 
     @property
     def num_vertices(self):
@@ -166,8 +186,19 @@ def build_finite_graph(edges, measure):
         _refuse_edge(edges[int(np.argmax(bad))], index)
 
     kept = order[new_pair]
-    rows = np.concatenate((a[kept], b[kept]))
-    cols = np.concatenate((b[kept], a[kept]))
+    g = WeightedGraph(labels, *_csr(labels, a[kept], b[kept], w[kept]), mu,
+                      np.ones(n, dtype=bool))
+    _refuse_disconnected(g)
+    return g
+
+
+def _csr(labels, a, b, w):
+    """(indptr, indices, weights) of the undirected edges a--b of weight
+    w, each vertex pair given once, with every row sorted by neighbor id.
+    A vertex on no edge raises IsolatedVertex, naming the first."""
+    n = len(labels)
+    rows = np.concatenate((a, b))
+    cols = np.concatenate((b, a))
     degree = np.bincount(rows, minlength=n)
     if not degree.all():
         i = int(np.argmin(degree))
@@ -175,15 +206,15 @@ def build_finite_graph(edges, measure):
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(degree, out=indptr[1:])
     csr = np.lexsort((cols, rows))
-    g = WeightedGraph(labels, indptr, cols[csr],
-                      np.concatenate((w[kept], w[kept]))[csr], mu,
-                      np.ones(n, dtype=bool))
+    return indptr, cols[csr], np.concatenate((w, w))[csr]
+
+
+def _refuse_disconnected(g):
     unreachable = int(np.count_nonzero(_bfs_distances(g, (0,)) < 0))
     if unreachable:
         raise DisconnectedGraph(
             f"graph has {unreachable} vertices unreachable from "
-            f"{labels[0]!r}")
-    return g
+            f"{g.labels[0]!r}")
 
 
 def _refuse_edge(edge, index):
@@ -386,9 +417,15 @@ def exhaust(dom, seeds, max_level):
 class LatticeZ:
     """The integer line: vertices are ints, neighbors x-1 and x+1."""
 
+    dim = 1
+
     def __init__(self, weight=1.0, mu=1.0):
         self.weight = float(weight)
         self.mu = float(mu)
+
+    @staticmethod
+    def is_vertex(label):
+        return type(label) is int
 
     def neighbors(self, x):
         return ((x - 1, self.weight), (x + 1, self.weight))
@@ -400,9 +437,16 @@ class LatticeZ:
 class LatticeZ2:
     """The square lattice: vertices are (i, j) int pairs, 4 neighbors."""
 
+    dim = 2
+
     def __init__(self, weight=1.0, mu=1.0):
         self.weight = float(weight)
         self.mu = float(mu)
+
+    @staticmethod
+    def is_vertex(label):
+        return (type(label) is tuple and len(label) == 2
+                and all(type(c) is int for c in label))
 
     def neighbors(self, x):
         i, j = x
@@ -416,49 +460,100 @@ class LatticeZ2:
 
 GENERATORS = {"lattice_z": LatticeZ, "lattice_z2": LatticeZ2}
 
+# bound on the coordinates and on the key of a ball vertex, so that the
+# int64 arithmetic on them cannot wrap
+_KEY_LIMIT = 2 ** 62
 
-def _materialize(oracle, seed_labels, radius):
-    """BFS ball of ``radius`` around the seeds; returns (graph, distances).
 
-    Every materialized vertex is queried once, so rim-to-rim edges are
-    kept and the completeness mask is exact. Deterministic: vertex order
-    is the sorted label order, independent of BFS traversal order.
+def _seed_labels(oracle, seed_labels):
+    """The distinct seeds in label order; a seed that is not a vertex of
+    the lattice raises InvalidGraphData."""
+    seed_labels = list(seed_labels)
+    for lab in seed_labels:
+        if not oracle.is_vertex(lab):
+            raise InvalidGraphData(
+                f"seed {lab!r} is not a vertex of {type(oracle).__name__}")
+    return sorted(set(seed_labels))
+
+
+def _lattice_ball(oracle, seeds, radius):
+    """The ball of ``radius`` around ``seeds`` (distinct, ascending):
+    (graph, hop distance of each vertex from the nearest seed, seed ids).
+
+    Vertex order is the label order, and a vertex is complete when all
+    its lattice neighbors lie in the ball. Measure, weight, isolation and
+    connectivity are checked as ``build_finite_graph`` checks them, with
+    the errors it raises on the edges of the ball listed seed by seed.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    seed_labels = sorted(set(seed_labels), key=_label_key)
-    dist = {lab: 0 for lab in seed_labels}
-    frontier = list(seed_labels)
-    for d in range(1, radius + 1):
-        nxt = []
-        for lab in frontier:
-            for nbr, _ in oracle.neighbors(lab):
-                if nbr not in dist:
-                    dist[nbr] = d
-                    nxt.append(nbr)
-        frontier = nxt
-    edges = []
-    complete_by_label = {}
-    for lab in dist:
-        ok = True
-        for nbr, w in oracle.neighbors(lab):
-            if nbr in dist:
-                if _label_key(lab) < _label_key(nbr):
-                    edges.append((lab, nbr, w))
-            else:
-                ok = False
-        complete_by_label[lab] = ok
-    measure = {lab: oracle.measure(lab) for lab in dist}
-    g = build_finite_graph(edges, measure)
-    complete = np.array([complete_by_label[lab] for lab in g.labels])
-    g2 = WeightedGraph(g.labels, g.indptr, g.indices, g.weights, g.mu, complete)
-    return g2, dist
+    dim = oracle.dim
+    columns = list(zip(*seeds)) if dim == 2 else [seeds]
+    # one spare coordinate on each side, so that a neighbor key of a ball
+    # vertex never aliases another vertex
+    lo = [min(c) - radius - 1 for c in columns]
+    span = [max(c) + radius + 2 - low for c, low in zip(columns, lo)]
+    if (min(lo) < -_KEY_LIMIT or math.prod(span) > _KEY_LIMIT
+            or max(low + s for low, s in zip(lo, span)) > _KEY_LIMIT):
+        raise InvalidGraphData(
+            f"the ball of radius {radius} around the seeds exceeds the "
+            f"int64 coordinate range")
+    strides = np.cumprod([1] + span[:0:-1])[::-1]
+    axis = np.arange(-radius, radius + 1)
+    offsets = np.stack(np.meshgrid(*(axis,) * dim, indexing="ij"),
+                       axis=-1).reshape(-1, dim)
+    hops = np.abs(offsets).sum(axis=1)
+    near = hops <= radius
+    points = np.array(columns, dtype=np.int64).T
+    seed_keys = (points - lo) @ strides
+    keys = (seed_keys[:, None] + offsets[near] @ strides).ravel()
+    hops = np.tile(hops[near], len(seeds))
+    # keep each vertex once, at its smallest distance
+    order = np.lexsort((hops, keys))
+    keys, hops = keys[order], hops[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys, dist = keys[first], hops[first]
+    n = keys.size
+
+    coords = [c + low for c, low in zip(np.unravel_index(keys, span), lo)]
+    labels = (coords[0].tolist() if dim == 1
+              else list(zip(*(c.tolist() for c in coords))))
+    if not (oracle.mu > 0.0 and oracle.mu < math.inf):
+        raise NonPositiveMeasure(f"mu({labels[0]!r}) = {oracle.mu}")
+
+    # the edges to the next vertex along each axis, found by binary search
+    a, b = [], []
+    for stride in strides:
+        at = np.searchsorted(keys, keys + stride)
+        hit = keys[np.minimum(at, n - 1)] == keys + stride
+        a.append(np.flatnonzero(hit))
+        b.append(at[hit])
+    a, b = np.concatenate(a), np.concatenate(b)
+    seed_ids = np.searchsorted(keys, seed_keys)
+    w = oracle.weight
+    if a.size and not (w > 0.0 and w < math.inf):
+        # name the first edge of a BFS edge list, as build_finite_graph
+        # would: the list starts at the seeds, each with its edges to
+        # later vertices, the last in label order first
+        x = a[np.isin(a, seed_ids)].min()
+        raise NonPositiveWeight(
+            f"omega({labels[x]!r},{labels[b[a == x].max()]!r}) = {w}")
+    indptr, indices, weights = _csr(labels, a, b, np.full(a.size, w))
+    g = WeightedGraph(labels, indptr, indices, weights, np.full(n, oracle.mu),
+                      np.diff(indptr) == 2 * dim)
+    # the diamonds of two seeds within 2 * radius + 1 of each other touch
+    if np.abs(points - points[0]).sum(axis=1).max() > 2 * radius + 1:
+        _refuse_disconnected(g)
+    return g, dist, seed_ids
 
 
 def materialize_ball(oracle, seed_labels, radius):
     """Finite materialization of the ball of ``radius`` around the seeds."""
-    g, _ = _materialize(oracle, seed_labels, radius)
-    return g
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    seeds = _seed_labels(oracle, seed_labels)
+    if not seeds:
+        raise EmptyScope("no vertices")
+    return _lattice_ball(oracle, seeds, radius)[0]
 
 
 def exhaust_generative(oracle, seed_labels, max_level, membership=None):
@@ -470,17 +565,17 @@ def exhaust_generative(oracle, seed_labels, max_level, membership=None):
     """
     if max_level < 1:
         raise ValueError("max_level must be >= 1")
-    seed_labels = sorted(set(seed_labels), key=_label_key)
-    if not seed_labels:
+    seeds = _seed_labels(oracle, seed_labels)
+    if not seeds:
         raise SeedOutsideDomain("empty seed set")
     if membership is not None:
-        for lab in seed_labels:
+        for lab in seeds:
             if not membership(lab):
                 raise SeedOutsideDomain(f"seed {lab!r} is not in omega")
-    g, dist_by_label = _materialize(oracle, seed_labels, max_level + 1)
-    dist = np.full(g.num_vertices, -1, dtype=np.int64)
-    for lab, d in dist_by_label.items():
-        if membership is None or membership(lab):
-            dist[g.vertex(lab)] = d
-    seeds = tuple(g.vertex(lab) for lab in seed_labels)
-    return ExhaustionSequence(g, dist, range(1, max_level + 1), seeds)
+    g, dist, seed_ids = _lattice_ball(oracle, seeds, max_level + 1)
+    if membership is not None:
+        inside = np.fromiter(map(membership, g.labels), dtype=bool,
+                             count=g.num_vertices)
+        dist[~inside] = -1
+    return ExhaustionSequence(g, dist, range(1, max_level + 1),
+                              seed_ids.tolist())

@@ -14,9 +14,10 @@ from graphrothe.errors import (
     IsolatedVertex,
     NonPositiveMeasure,
     NonPositiveWeight,
+    SeedOutsideDomain,
     SelfLoop,
 )
-from graphrothe.graph import WeightedGraph, _label_key
+from graphrothe.graph import ExhaustionSequence, WeightedGraph, _label_key
 
 
 def path_graph(k, mu=1.0, w=1.0):
@@ -171,6 +172,64 @@ def reference_bfs_distances(g, seed_ids):
                 dist[j] = dist[i] + 1
                 queue.append(int(j))
     return dist
+
+
+def reference_materialize(oracle, seed_labels, radius):
+    """Reference for the lattice ball: a BFS over labels with the oracle's
+    ``neighbors`` and ``measure``, every edge listed once from its smaller
+    label, built by ``reference_build_finite_graph``. Returns (graph,
+    {label: distance})."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    seed_labels = sorted(set(seed_labels), key=_label_key)
+    dist = {lab: 0 for lab in seed_labels}
+    frontier = list(seed_labels)
+    for d in range(1, radius + 1):
+        nxt = []
+        for lab in frontier:
+            for nbr, _ in oracle.neighbors(lab):
+                if nbr not in dist:
+                    dist[nbr] = d
+                    nxt.append(nbr)
+        frontier = nxt
+    edges = []
+    complete_by_label = {}
+    for lab in dist:
+        ok = True
+        for nbr, w in oracle.neighbors(lab):
+            if nbr in dist:
+                if _label_key(lab) < _label_key(nbr):
+                    edges.append((lab, nbr, w))
+            else:
+                ok = False
+        complete_by_label[lab] = ok
+    measure = {lab: oracle.measure(lab) for lab in dist}
+    g = reference_build_finite_graph(edges, measure)
+    complete = np.array([complete_by_label[lab] for lab in g.labels])
+    return WeightedGraph(g.labels, g.indptr, g.indices, g.weights, g.mu,
+                         complete), dist
+
+
+def reference_exhaust_generative(oracle, seed_labels, max_level,
+                                 membership=None):
+    """Reference for ``exhaust_generative`` on ``reference_materialize``."""
+    if max_level < 1:
+        raise ValueError("max_level must be >= 1")
+    seed_labels = sorted(set(seed_labels), key=_label_key)
+    if not seed_labels:
+        raise SeedOutsideDomain("empty seed set")
+    if membership is not None:
+        for lab in seed_labels:
+            if not membership(lab):
+                raise SeedOutsideDomain(f"seed {lab!r} is not in omega")
+    g, dist_by_label = reference_materialize(oracle, seed_labels,
+                                             max_level + 1)
+    dist = np.full(g.num_vertices, -1, dtype=np.int64)
+    for lab, d in dist_by_label.items():
+        if membership is None or membership(lab):
+            dist[g.vertex(lab)] = d
+    seeds = tuple(g.vertex(lab) for lab in seed_labels)
+    return ExhaustionSequence(g, dist, range(1, max_level + 1), seeds)
 
 
 def csr_parts(S):

@@ -404,6 +404,81 @@ class TestValidation:
             assert capsys.readouterr().err == f"error[CONFIG]: {message}\n"
 
 
+def lattice_config(tmp_path, generative, seeds, params=None):
+    cfg = {
+        "graph": {"generative": generative, "params": params or {}},
+        "domain": "all",
+        "problem": {"kind": "heat", "horizon": 1.0, "steps": 4,
+                    "initial": {"values": {}},
+                    "exhaustion": {"seeds": seeds, "levels": [2, 4]}},
+        "output": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+class TestGenerativeValidation:
+    """A malformed seed or ``params`` entry of a generative graph exits 2
+    with one error line from ``validate-config``, before any ball is
+    built."""
+
+    @pytest.mark.parametrize("generative, seeds, params, message", [
+        ("lattice_z2", ["1,2,3"], None, "seed '1,2,3' is not a vertex"),
+        ("lattice_z2", ["a"], None, "seed 'a' is not a vertex"),
+        ("lattice_z", ["0,0"], None, "seed '0,0' is not a vertex"),
+        ("lattice_z", ["0"], {"weight": "x"}, "graph.params.weight must"),
+        ("lattice_z", ["0"], {"wieght": 1.0}, "unknown graph.params key"),
+        ("lattice_z", ["0"], {"weight": True}, "graph.params.weight must"),
+        ("lattice_z2", ["0,0"], {"mu": True}, "graph.params.mu must"),
+        ("lattice_z2", "0,0", None, "exhaustion needs a list of seeds"),
+        ("lattice_z2", ["99999999999999999999,0"], None, "int64"),
+    ])
+    def test_refused(self, tmp_path, capsys, generative, seeds, params,
+                     message):
+        cfg_path = lattice_config(tmp_path, generative, seeds, params)
+        assert main(["validate-config", cfg_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[CONFIG]:")
+        assert message in captured.err and captured.err.count("\n") == 1
+
+    def test_accepted_seed_forms(self, tmp_path, capsys):
+        for generative, seeds in (("lattice_z", [0, "-3"]),
+                                  ("lattice_z2", ["0,0", "-2,5"])):
+            cfg_path = lattice_config(tmp_path, generative, seeds,
+                                      {"weight": 2, "mu": 0.5})
+            assert main(["validate-config", cfg_path]) == 0
+            assert capsys.readouterr().out == "config ok\n"
+
+
+class TestInitialOutsideInterior:
+    """An initial field that is nonzero outside the interior of a finite
+    domain is a config error, refused by ``validate-config`` too."""
+
+    @pytest.mark.parametrize("make_config", [heat_config,
+                                             vi_obstacle_config])
+    def test_exit_2(self, tmp_path, capsys, make_config):
+        for command in ("validate-config", "run"):
+            cfg_path, _ = make_config(
+                tmp_path, problem={"initial": {"values": {"2": 1.0,
+                                                          "3": 0.5}}})
+            assert main([command, cfg_path]) == 2
+            assert not (tmp_path / "out").exists()
+            err = capsys.readouterr().err
+            assert err == ("error[CONFIG]: problem.initial must vanish "
+                           "outside the domain interior, but it is 0.5 "
+                           "at vertex 3\n")
+
+    def test_exhaustion_restricts_initial(self, tmp_path, capsys):
+        # on a file graph the levels restrict the initial field instead
+        cfg_path, _ = heat_config(
+            tmp_path, domain="all",
+            problem={"initial": {"values": {"0": 1.0, "2": 1.0}},
+                     "exhaustion": {"seeds": ["2"], "levels": [1, 2]}})
+        assert main(["validate-config", cfg_path]) == 0
+
+
 class TestRunSpectral:
     def test_basis_outputs(self, tmp_path):
         cfg = {

@@ -37,6 +37,8 @@ from helpers import (
     random_connected_graph,
     reference_bfs_distances,
     reference_build_finite_graph,
+    reference_exhaust_generative,
+    reference_materialize,
     star_graph,
 )
 
@@ -173,11 +175,19 @@ def graph_inputs(draw):
     return draw(st.permutations(edges)), measure
 
 
-def _outcome(build, edges, measure):
+def _outcome(build, *args):
     try:
-        return build(edges, measure)
+        return build(*args)
     except GraphrotheError as exc:
         return type(exc), str(exc)
+
+
+def assert_same_graph(g, ref):
+    assert g.labels == ref.labels
+    for name in ("indptr", "indices", "weights", "mu", "complete"):
+        new, old = getattr(g, name), getattr(ref, name)
+        assert new.dtype == old.dtype
+        assert new.tobytes() == old.tobytes()
 
 
 class TestBuildMatchesLoopReference:
@@ -193,11 +203,7 @@ class TestBuildMatchesLoopReference:
         if isinstance(ref, tuple):
             assert g == ref
             return
-        assert g.labels == ref.labels
-        for name in ("indptr", "indices", "weights", "mu", "complete"):
-            new, old = getattr(g, name), getattr(ref, name)
-            assert new.dtype == old.dtype
-            assert new.tobytes() == old.tobytes()
+        assert_same_graph(g, ref)
         n = g.num_vertices
         seeds = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
         omega = data.draw(st.sets(st.integers(0, n - 1))) | seeds
@@ -396,3 +402,85 @@ class TestExhaust:
         exh = exhaust_generative(LatticeZ(), [0], 5)
         top = exh.level(5)
         assert all(exh.graph.complete[i] for i in top.omega)
+
+
+LATTICES = {1: LatticeZ, 2: LatticeZ2}
+
+
+class TestLatticeBallMatchesBfsReference:
+    """The array ball gives the label BFS's graph, distances and seeds bit
+    for bit, or its exception type and message."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_balls(self, data):
+        dim = data.draw(st.sampled_from([1, 2]), label="dim")
+        radius = data.draw(st.integers(0, 10), label="radius")
+        # seeds near each other, or far apart
+        spread = data.draw(st.sampled_from([2, 2 * radius + 2, 1000]))
+        coord = st.integers(-spread, spread)
+        point = coord if dim == 1 else st.tuples(coord, coord)
+        seeds = data.draw(st.lists(point, min_size=1, max_size=4))
+        seeds += data.draw(st.lists(st.sampled_from(seeds), max_size=2))
+        positive = st.floats(0.01, 100.0)
+        oracle = LATTICES[dim](data.draw(positive), data.draw(positive))
+
+        g = _outcome(materialize_ball, oracle, seeds, radius)
+        ref = _outcome(lambda *a: reference_materialize(*a)[0],
+                       oracle, seeds, radius)
+        if isinstance(ref, tuple):
+            assert g == ref
+            return
+        assert_same_graph(g, ref)
+        if radius < 2:
+            return
+        # Omega a half-line or half-plane that holds every seed
+        first = min(s if dim == 1 else s[0] for s in seeds)
+        cut = first - data.draw(st.integers(0, radius))
+        membership = data.draw(st.sampled_from(
+            [None, lambda x: (x if dim == 1 else x[0]) >= cut]))
+        exh = exhaust_generative(oracle, seeds, radius - 1, membership)
+        want = reference_exhaust_generative(oracle, seeds, radius - 1,
+                                            membership)
+        assert_same_graph(exh.graph, want.graph)
+        assert exh.dist.dtype == want.dist.dtype
+        assert exh.dist.tobytes() == want.dist.tobytes()
+        assert exh.seeds == want.seeds
+        assert exh.radii == want.radii
+
+    @pytest.mark.parametrize("oracle, seeds, radius", [
+        (LatticeZ2(weight=0.0), [(0, 0)], 3),
+        (LatticeZ2(weight=-1.0), [(2, 0), (0, 1), (0, 0)], 0),
+        (LatticeZ(weight=math.inf), [4, 5], 0),
+        (LatticeZ2(weight=math.nan, mu=0.0), [(0, 0)], 2),
+        (LatticeZ2(mu=math.nan), [(1, 1)], 1),
+        (LatticeZ(mu=-1.0), [7], 0),
+        (LatticeZ(), [3], 0),
+        (LatticeZ2(weight=-2.0), [(0, 0), (3, 0), (3, 1), (4, 0)], 0),
+    ])
+    def test_bad_data_raise_the_reference_error(self, oracle, seeds, radius):
+        ref = _outcome(reference_materialize, oracle, seeds, radius)
+        assert isinstance(ref, tuple)
+        assert _outcome(materialize_ball, oracle, seeds, radius) == ref
+
+    def test_argument_errors(self):
+        with pytest.raises(ValueError, match="radius"):
+            materialize_ball(LatticeZ(), [0], -1)
+        with pytest.raises(EmptyScope):
+            materialize_ball(LatticeZ2(), [], 2)
+        with pytest.raises(SeedOutsideDomain, match="empty seed set"):
+            exhaust_generative(LatticeZ2(), [], 2)
+        with pytest.raises(SeedOutsideDomain, match=r"seed \(0, 1\) is not"):
+            exhaust_generative(LatticeZ2(), [(0, 0), (0, 1)], 2,
+                               membership=lambda x: x[1] <= 0)
+        for oracle, seed in ((LatticeZ(), (0, 0)), (LatticeZ(), True),
+                             (LatticeZ(), np.int64(0)), (LatticeZ2(), 0),
+                             (LatticeZ2(), (1, 2, 3)), (LatticeZ2(), "a"),
+                             (LatticeZ2(), (0, 1.0))):
+            with pytest.raises(InvalidGraphData, match="is not a vertex"):
+                exhaust_generative(oracle, [seed], 2)
+        # coordinates whose ball would wrap int64
+        for seeds in ([2 ** 62], [(0, 0), (2 ** 40, 2 ** 40)]):
+            oracle = LatticeZ() if len(seeds) == 1 else LatticeZ2()
+            with pytest.raises(InvalidGraphData, match="int64"):
+                materialize_ball(oracle, seeds, 1)
