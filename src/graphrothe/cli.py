@@ -12,6 +12,7 @@ The config schema is documented in README.md.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -696,8 +697,20 @@ def cmd_compare(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError, so that
+    they leave ``main`` as one ``error[CONFIG]:`` line and exit code 2
+    like every other bad input. Subcommand parsers are of this class
+    too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+@functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The command-line parser, built once per process."""
+    parser = _Parser(
         prog="graphrothe",
         description="Heat flow and parabolic variational inequalities on "
                     "weighted graphs by Rothe time stepping.")
@@ -739,8 +752,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error[CONFIG]: {exc}", file=sys.stderr)

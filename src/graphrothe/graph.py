@@ -464,6 +464,20 @@ GENERATORS = {"lattice_z": LatticeZ, "lattice_z2": LatticeZ2}
 # int64 arithmetic on them cannot wrap
 _KEY_LIMIT = 2 ** 62
 
+# bound on the offsets and keys one lattice ball lays out (``ball_entries``).
+# Building a ball peaks at about 170 bytes per entry (lattice_z2 at levels
+# 300 and 600, lattice_z at level 300,000), so a ball keeps to about 2 GB.
+MAX_BALL_ENTRIES = 12_000_000
+
+
+def ball_entries(dim, num_seeds, radius):
+    """Offsets and keys that ``_lattice_ball`` lays out for the ball of
+    ``radius`` around ``num_seeds`` distinct seeds in dimension ``dim``:
+    the (2r + 1)^dim offset grid and the L1 diamond of keys per seed,
+    counted from their closed forms."""
+    diamond = 2 * radius + 1 if dim == 1 else 2 * radius * (radius + 1) + 1
+    return (2 * radius + 1) ** dim + num_seeds * diamond
+
 
 def _seed_labels(oracle, seed_labels):
     """The distinct seeds in label order; a seed that is not a vertex of
@@ -484,8 +498,17 @@ def _lattice_ball(oracle, seeds, radius):
     its lattice neighbors lie in the ball. Measure, weight, isolation and
     connectivity are checked as ``build_finite_graph`` checks them, with
     the errors it raises on the edges of the ball listed seed by seed.
+    A ball of more than MAX_BALL_ENTRIES entries is refused before any
+    array is built.
     """
     dim = oracle.dim
+    entries = ball_entries(dim, len(seeds), radius)
+    if entries > MAX_BALL_ENTRIES:
+        raise InvalidGraphData(
+            f"the ball of radius {radius} around {len(seeds)} seed(s) needs "
+            f"{entries} offsets and keys, more than the {MAX_BALL_ENTRIES} "
+            f"(about 2 GB) a ball may hold; an exhaustion to level m "
+            f"builds the ball of radius m + 1")
     columns = list(zip(*seeds)) if dim == 2 else [seeds]
     # one spare coordinate on each side, so that a neighbor key of a ball
     # vertex never aliases another vertex

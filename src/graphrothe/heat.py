@@ -12,14 +12,16 @@ Omega; the minimizer solves (u - u_prev)/l + |u|^(p-1) u = Laplacian u.
 For p = 1 this is one SPD solve; for p > 1 a damped (semismooth) Newton
 iteration with an Armijo line search on F. Its Jacobian is
 J = S0 + diag(mu p |w|^(p-1)) with S0 = A + M/l, so S0^{-1} J has its
-spectrum in [1, 1 + l max p|w|^(p-1)]: each Newton system is solved by CG
-preconditioned with one factorization of S0, made once per stepper, and
-refactored at the current Jacobian only when a solve needs more than
-NEWTON_PCG_MAX_ITER iterations (stiff data). Newton is inexact: system k
-is solved to the relative residual eta_k that Eisenstat and Walker's
-choice 2 sets from the decrease of the Newton residual G (SIAM J. Sci.
-Comput. 17, 1996), so systems far from the minimizer take few CG
-iterations; the step still ends only when max|G/mass| <= tol.
+spectrum in [1, 1 + l max p|w|^(p-1)]: each Newton system is solved by
+``operators.pcg`` preconditioned with one factorization of S0, made once
+per stepper, and refactored at the current Jacobian only when a solve
+needs more than NEWTON_PCG_MAX_ITER iterations (stiff data). Every
+matrix A + diag(d) and every solver comes from ``operators``. Newton is
+inexact: system k is solved to the relative residual eta_k that
+Eisenstat and Walker's choice 2 sets from the decrease of the Newton
+residual G (SIAM J. Sci. Comput. 17, 1996), so systems far from the
+minimizer take few CG iterations; the step still ends only when
+max|G/mass| <= tol.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
-from . import calculus, kernels
+from . import calculus, kernels, operators
 from .calculus import VertexField, field_on_interior, require_admissible
 from .errors import (
     DomainMismatch,
@@ -40,7 +41,7 @@ from .errors import (
     TimeOutOfRange,
 )
 from .graph import Domain, ExhaustionSequence
-from .operators import CG_RTOL, DIRECT_SOLVE_MAX, CachedSPD
+from .operators import CG_RTOL, CachedSPD, pcg
 
 NEWTON_TOL_FACTOR = 1e-12
 NEWTON_MAX_ITER = 100
@@ -169,29 +170,25 @@ def step_functional(u, u_prev, prob, ell):
 
 
 class _HeatStepper:
-    """Per-step solver on the domain's shared operator, with one
-    factorization made once for a fixed step size: for p = 1 the factor
-    of A + M(1 + 1/l), for p > 1 the Newton preconditioner, initially the
-    factor of S0 = A + M/l (none above the direct-solve size, where each
-    Newton system is solved by Jacobi-PCG on its own Jacobian)."""
+    """Per-step solver on the domain's shared operator for a fixed step
+    size. For p = 1 it factors A + M(1 + 1/l) once. For p > 1 it keeps
+    the Newton preconditioner, initially the factor of S0 = A + M/l;
+    above ``operators.DIRECT_SOLVE_MAX`` unknowns it keeps none, and each
+    Newton system is one Jacobi-PCG solve of ``CachedSPD``."""
 
-    def __init__(self, prob, ell, tol_factor=NEWTON_TOL_FACTOR,
-                 max_iter=NEWTON_MAX_ITER, direct_threshold=DIRECT_SOLVE_MAX):
+    def __init__(self, prob, ell, tol_factor=NEWTON_TOL_FACTOR):
         self.op = prob.domain.operator
         self.p = float(prob.p)
         self.ell = float(ell)
         self.tol_factor = tol_factor
-        self.max_iter = max_iter
-        self.direct_threshold = direct_threshold
         self.mass = self.op.mass
         self.A = self.op.stiffness
         self._linear = self._pre = None
         if self.p == 1.0:
-            S = self.A + sp.diags(self.mass * (1.0 + 1.0 / self.ell))
-            self._linear = CachedSPD(S, direct_threshold)
-        elif self.op.n <= direct_threshold:
-            self._pre = CachedSPD(self.op.step_matrix(self.ell),
-                                  direct_threshold)
+            self._linear = CachedSPD(
+                self.op.shifted(self.mass * (1.0 + 1.0 / self.ell)))
+        elif self.op.n <= operators.DIRECT_SOLVE_MAX:
+            self._pre = CachedSPD(self.op.step_matrix(self.ell))
 
     def _grad_half(self, w, u_prev):
         """Half the functional gradient: mass*((w-u_prev)/l + |w|^(p-1) w)
@@ -201,29 +198,17 @@ class _HeatStepper:
                     + self.A @ w)
 
     def _newton_direction(self, jd, b, eta):
-        """Solve (A + diag(jd)) s = b to the relative residual ``eta`` by CG
-        preconditioned with the factored ``_pre``. A solve that reaches
-        NEWTON_PCG_MAX_ITER iterations replaces ``_pre`` by the factor of
-        this Jacobian, solves with it and keeps it for the later systems."""
-        target = eta * float(np.linalg.norm(b))
-        x = np.zeros_like(b)
-        r = b.copy()
-        z = self._pre.solve(r)
-        d = z
-        rz = float(np.dot(r, z))
-        for _ in range(NEWTON_PCG_MAX_ITER):
-            q = self.A @ d + jd * d
-            alpha = rz / float(np.dot(d, q))
-            x += alpha * d
-            r -= alpha * q
-            if float(np.linalg.norm(r)) <= target:
-                return x
-            z = self._pre.solve(r)
-            rz_next = float(np.dot(r, z))
-            d = z + (rz_next / rz) * d
-            rz = rz_next
-        self._pre = CachedSPD(self.A + sp.diags(jd), self.direct_threshold)
-        return self._pre.solve(b)
+        """Solve (A + diag(jd)) s = b to the relative residual ``eta`` by
+        ``pcg`` preconditioned with the factored ``_pre``. A solve that
+        reaches NEWTON_PCG_MAX_ITER iterations replaces ``_pre`` by the
+        factor of this Jacobian, solves with it and keeps it for the later
+        systems."""
+        s = pcg(lambda d: self.A @ d + jd * d, b, self._pre.solve, eta,
+                NEWTON_PCG_MAX_ITER)
+        if s is None:
+            self._pre = CachedSPD(self.op.shifted(jd))
+            s = self._pre.solve(b)
+        return s
 
     def solve(self, u_prev, x0=None):
         """Interior minimizer of F given the previous interior vector."""
@@ -232,7 +217,8 @@ class _HeatStepper:
         if self.p == 1.0:
             rhs = self.mass * u_prev / self.ell
             w = self._linear.solve(rhs)
-            # one refinement round keeps the residual at rounding level
+            # at most three refinement rounds bring the residual to
+            # rounding level
             for _ in range(3):
                 G = self._grad_half(w, u_prev)
                 if float(np.max(np.abs(G / self.mass), initial=0.0)) <= tol:
@@ -242,7 +228,7 @@ class _HeatStepper:
         p = self.p
         w = u_prev.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
         eta = g_norm = None
-        for _ in range(self.max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             G = self._grad_half(w, u_prev)
             _require_finite(G, "gradient", p)
             if float(np.max(np.abs(G / self.mass), initial=0.0)) <= tol:
@@ -254,8 +240,7 @@ class _HeatStepper:
                     np.abs(w), POWER_DERIV_FLOOR) ** (p - 1.0))
             _require_finite(jd, "Jacobian", p)
             if self._pre is None:
-                s = CachedSPD(self.A + sp.diags(jd),
-                              self.direct_threshold).solve(-G)
+                s = CachedSPD(self.op.shifted(jd)).solve(-G)
             else:
                 s = self._newton_direction(jd, -G, eta)
             fw = _functional(self.op, w, u_prev, p, self.ell)
@@ -270,7 +255,7 @@ class _HeatStepper:
                     alpha *= 0.5
             w = w + alpha * s
         raise NonConvergence(
-            f"Newton did not reach residual {tol:g} in {self.max_iter} "
+            f"Newton did not reach residual {tol:g} in {NEWTON_MAX_ITER} "
             f"iterations")
 
 

@@ -10,6 +10,13 @@ field u vanishing outside the interior,
 
 so A is symmetric positive semidefinite (definite whenever the interior
 has exterior contact).
+
+This module holds all of the package's SPD linear algebra: every
+A + diag(d), step matrix or Jacobian, comes from
+``DirichletOperator.shifted``; ``CachedSPD`` solves by sparse LU or, above
+DIRECT_SOLVE_MAX unknowns, by Jacobi-preconditioned CG; and ``pcg`` is
+the one conjugate-gradient loop, shared by ``CachedSPD`` and the Newton
+directions of ``heat``.
 """
 
 from __future__ import annotations
@@ -62,12 +69,15 @@ class DirichletOperator:
                     self.stiffness.indptr):
             arr.setflags(write=False)
 
-    def step_matrix(self, ell):
-        """S0 = A + M/l, the matrix of one Rothe step of size ``ell``, in
-        CSR with sorted indices."""
-        S = (self.stiffness + sp.diags(self.mass / ell)).tocsr()
+    def shifted(self, d):
+        """A + diag(d) in CSR with sorted indices."""
+        S = (self.stiffness + sp.diags(d)).tocsr()
         S.sort_indices()
         return S
+
+    def step_matrix(self, ell):
+        """S0 = A + M/l, the matrix of one Rothe step of size ``ell``."""
+        return self.shifted(self.mass / ell)
 
     def restrict(self, field):
         """Interior values of a field, in ascending id order."""
@@ -86,33 +96,64 @@ class DirichletOperator:
         return float(np.sqrt(np.dot(self.mass * w, w)))
 
 
-class CachedSPD:
-    """SPD solver: direct factorization at small size, Jacobi-preconditioned
-    conjugate gradients above ``direct_threshold``. The factorization (or
-    preconditioner) is built once and reused across solves."""
+def pcg(matvec, b, precondition, rtol, cap):
+    """Preconditioned conjugate gradients for the SPD system S x = b from
+    x = 0, where ``matvec`` applies S and ``precondition`` the inverse of
+    an SPD approximation of S: the first iterate whose residual norm
+    |b - S x| is at most ``rtol`` |b| (zeros when b = 0), or None when
+    ``cap`` iterations do not reach it."""
+    x = np.zeros_like(b)
+    b_norm = float(np.linalg.norm(b))
+    target = rtol * b_norm
+    if b_norm <= target:
+        return x
+    r = b.copy()
+    z = precondition(r)
+    d = z
+    rz = float(np.dot(r, z))
+    for _ in range(cap):
+        q = matvec(d)
+        alpha = rz / float(np.dot(d, q))
+        x += alpha * d
+        r -= alpha * q
+        if float(np.linalg.norm(r)) <= target:
+            return x
+        z = precondition(r)
+        rz_next = float(np.dot(r, z))
+        d = z + (rz_next / rz) * d
+        rz = rz_next
+    return None
 
-    def __init__(self, S, direct_threshold=DIRECT_SOLVE_MAX):
+
+class CachedSPD:
+    """Solver of the SPD system with the CSR matrix ``S``: sparse LU up
+    to DIRECT_SOLVE_MAX unknowns (read when the solver is built), above
+    it ``pcg`` with the Jacobi preconditioner to the relative residual
+    CG_RTOL within 50 n iterations. The factor (or the inverse diagonal)
+    is built once and reused across solves."""
+
+    def __init__(self, S):
         self.n = S.shape[0]
-        self.direct = self.n <= direct_threshold
+        self.direct = self.n <= DIRECT_SOLVE_MAX
         if self.direct:
             try:
                 self._lu = spla.splu(sp.csc_matrix(S))
             except RuntimeError as exc:  # "Factor is exactly singular"
                 raise SolverBreakdown(f"sparse LU failed: {exc}") from None
         else:
-            self._S = S.tocsr()
+            self._S = S
             d = S.diagonal()
             if np.any(d <= 0):
                 raise SolverBreakdown("non-positive diagonal in SPD system")
             self._minv = 1.0 / d
 
-    def solve(self, rhs, x0=None):
+    def solve(self, rhs):
         if self.direct:
             return self._lu.solve(rhs)
-        pre = spla.LinearOperator(
-            (self.n, self.n), matvec=lambda r: self._minv * r)
-        x, info = spla.cg(self._S, rhs, x0=x0, rtol=CG_RTOL, atol=0.0,
-                          maxiter=50 * self.n, M=pre)
-        if info != 0:
-            raise SolverBreakdown(f"conjugate gradient failed (info={info})")
+        x = pcg(lambda d: self._S @ d, rhs, lambda r: self._minv * r,
+                CG_RTOL, 50 * self.n)
+        if x is None:
+            raise SolverBreakdown(
+                f"conjugate gradients missed the relative residual "
+                f"{CG_RTOL:g} in {50 * self.n} iterations")
         return x

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .graph import Domain, ExhaustionSequence
 from .heat import TimePartition, _run_levels
-from .operators import DIRECT_SOLVE_MAX, CachedSPD
+from .operators import CachedSPD
 
 KKT_TOL = 1e-10
 
@@ -141,8 +141,7 @@ class ViStepper:
     """Step solver with the form assembled (and, in the subspace case,
     factorized) once for a fixed step size."""
 
-    def __init__(self, dom, ell, constraint=Subspace(), kkt_tol=KKT_TOL,
-                 direct_threshold=DIRECT_SOLVE_MAX):
+    def __init__(self, dom, ell, constraint=Subspace(), kkt_tol=KKT_TOL):
         if not (ell > 0.0):
             raise ValueError(f"step size must be positive, got {ell}")
         self.op = dom.operator
@@ -150,10 +149,9 @@ class ViStepper:
         self.constraint = constraint
         self.beta = min(1.0 / self.ell, 1.0)
         self.tol = float(kkt_tol)
-        self.direct_threshold = direct_threshold
         S = self.S = self.op.step_matrix(self.ell)
         if isinstance(constraint, Subspace):
-            self._solver = CachedSPD(S, direct_threshold)
+            self._solver = CachedSPD(S)
         elif isinstance(constraint, Obstacle):
             if constraint.psi.graph is not dom.graph:
                 raise DomainMismatch("obstacle lives on a different graph")
@@ -163,9 +161,7 @@ class ViStepper:
 
     def step(self, index, u_prev, f_field):
         w_prev = self.op.restrict(u_prev)
-        f_int = self.op.restrict(f_field) if isinstance(f_field, VertexField) \
-            else np.asarray(f_field, dtype=float)
-        b = self.op.mass * (f_int + w_prev / self.ell)
+        b = self.op.mass * (self.op.restrict(f_field) + w_prev / self.ell)
         scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
         if isinstance(self.constraint, Subspace):
             w = self._solver.solve(b)
@@ -186,8 +182,7 @@ class ViStepper:
     def _obstacle(self, b, w_start, scale):
         """The active-set solution, accepted only if its KKT residuals
         meet the tolerance."""
-        u, r, iterations = active_set_solve(self.S, b, self._lower, w_start,
-                                            self.direct_threshold)
+        u, r, iterations = active_set_solve(self.S, b, self._lower, w_start)
         gap = u - self._lower
         primal = max(0.0, float(np.max(-gap, initial=0.0)))
         dual = max(0.0, float(np.max(-r, initial=0.0)))
@@ -201,7 +196,7 @@ class ViStepper:
             f"residual {dual:.3g}, complementarity {compl:.3g}")
 
 
-def active_set_solve(S, b, lower, u_start, direct_threshold=DIRECT_SOLVE_MAX):
+def active_set_solve(S, b, lower, u_start):
     """The complementarity problem S u >= b, u >= lower,
     (S u - b)(u - lower) = 0 by the primal-dual active set method
     (Hintermueller, Ito and Kunisch, SIAM J. Optim. 13, 2002); returns
@@ -225,7 +220,7 @@ def active_set_solve(S, b, lower, u_start, direct_threshold=DIRECT_SOLVE_MAX):
         free = np.flatnonzero(~active)
         if free.size:
             rhs = b[free] - (S @ u)[free]
-            u[free] = CachedSPD(S[free][:, free], direct_threshold).solve(rhs)
+            u[free] = CachedSPD(S[free][:, free]).solve(rhs)
         r = S @ u - b
         lam = np.where(active, r, 0.0)
         settled = lam - c * (u - lower) > 0.0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphrothe.cli import main
+from graphrothe.cli import build_parser, main
 from helpers import path_graph
 from graphrothe import fileio
 
@@ -404,13 +404,49 @@ class TestValidation:
             assert capsys.readouterr().err == f"error[CONFIG]: {message}\n"
 
 
-def lattice_config(tmp_path, generative, seeds, params=None):
+class TestUsageErrors:
+    """Command-line usage errors keep the contract: exit 2 and one
+    ``error[CONFIG]:`` line, with no usage block and no SystemExit."""
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "graphrothe: the following arguments are required: command"),
+        (["run"], "graphrothe run: the following arguments are required: "
+                  "config"),
+        (["run", "CONFIG", "--steps", "abc"],
+         "graphrothe run: argument --steps: invalid int value: 'abc'"),
+        (["frobnicate"], "graphrothe: argument command: invalid choice: "
+                         "'frobnicate'"),
+    ])
+    def test_one_config_line(self, tmp_path, capsys, argv, message):
+        cfg_path, _ = heat_config(tmp_path)
+        argv = [cfg_path if a == "CONFIG" else a for a in argv]
+        # twice: the parser is built once per process and reused
+        for _ in range(2):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error[CONFIG]: {message}")
+            assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_parser_reused_across_calls(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        cfg_path, _ = heat_config(tmp_path)
+        assert main(["run", cfg_path, "--steps", "x"]) == 2
+        for _ in range(2):
+            assert main(["validate-config", cfg_path]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "config ok\nconfig ok\n"
+        assert captured.err.count("\n") == 1
+
+
+def lattice_config(tmp_path, generative, seeds, params=None, levels=(2, 4)):
     cfg = {
         "graph": {"generative": generative, "params": params or {}},
         "domain": "all",
         "problem": {"kind": "heat", "horizon": 1.0, "steps": 4,
                     "initial": {"values": {}},
-                    "exhaustion": {"seeds": seeds, "levels": [2, 4]}},
+                    "exhaustion": {"seeds": seeds, "levels": list(levels)}},
         "output": str(tmp_path / "out"),
     }
     path = tmp_path / "config.json"
@@ -442,6 +478,28 @@ class TestGenerativeValidation:
         assert captured.out == ""
         assert captured.err.startswith("error[CONFIG]:")
         assert message in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("generative, seed, level", [
+        ("lattice_z2", "0,0", 10 ** 6), ("lattice_z", "0", 10 ** 12)])
+    def test_oversized_level_refused(self, tmp_path, capsys, generative,
+                                     seed, level):
+        # levels whose ball asks for terabytes, so they fail at once even
+        # without the bound; none near the bound is run here
+        cfg_path = lattice_config(tmp_path, generative, [seed],
+                                  levels=(2, level))
+        (tmp_path / "small").mkdir()
+        small = lattice_config(tmp_path / "small", generative, [seed])
+        for argv in (["validate-config", cfg_path],
+                     ["run", cfg_path],
+                     ["run", small, "--levels", f"2,{level}"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error[CONFIG]: the ball of "
+                                           f"radius {level + 1} around 1 ")
+            assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "small" / "out").exists()
 
     def test_accepted_seed_forms(self, tmp_path, capsys):
         for generative, seeds in (("lattice_z", [0, "-3"]),

@@ -1,6 +1,8 @@
 """Golden outputs: the SHA-256 of every output file and the manifest
 diagnostics of a few small runs, pinned so that a refactor has to prove
-byte-identical output rather than rerun determinism alone.
+byte-identical output rather than rerun determinism alone, on the direct
+solver path and, with the direct-solve size forced to 0, on the iterative
+one.
 
 The dense ``eigh`` paths (``kind: spectral`` and the p = 1 oracle study)
 are left out, so that the pins do not depend on the LAPACK build. A
@@ -11,6 +13,7 @@ import json
 
 import pytest
 
+from graphrothe import operators
 from graphrothe.cli import main
 
 SIDE = 5
@@ -290,3 +293,110 @@ CONFIGS = {
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_golden_outputs(tmp_path, name):
     assert run_manifest(tmp_path, CONFIGS[name]) == GOLDEN[name]
+
+
+# The same configs with every SPD system on the iterative path
+# (``operators.DIRECT_SOLVE_MAX`` = 0): Jacobi-preconditioned CG in place
+# of sparse LU for p = 1, the VI subspace and the active-set blocks, and
+# one Jacobi-PCG solve per Newton system for p = 2. Each differs from its
+# direct-path pin above in the last bits of the fields.
+GOLDEN_ITERATIVE = {
+    "heat_p1": {
+        "diagnostics": {
+            "max_energy_defect": -0.04323045480240284,
+            "max_energy_residual": -0.0018012689501001183
+        },
+        "outputs": {
+            "estimates.csv": "8c39a90c5a6e88fdadb13b9c23b00187b0f987093fef43f0422deb855ae4035c",
+            "norms.csv": "242f9fdbf64b5139d90c8baf6d8a7e1ac0a7a26cb23b36a0e290d4993e3960bb",
+            "trajectory.csv": "24336e62e7743a0602256d34386e8211669bb56b47f26bdddefe3ba5afd4ab0d"
+        }
+    },
+    "heat_p2_lattice": {
+        "diagnostics": {
+            "level_deltas": [
+                0.24765205197328272,
+                0.12990013020621707
+            ]
+        },
+        "outputs": {
+            "levels.csv": "25521f9ef2f0a385278dfe1dce15bd12605a7974cf656c3ecc60fe1b98f2c399",
+            "terminal_level_2.txt": "8a0051bc4cb9822414745c11f95c2d607e4503929c7ef1ca331f9357e75a6771",
+            "terminal_level_3.txt": "2ce243c3dbf799682498b41e31b5785bc6b9619ea4f17f7c286ea2ad7acbaa26",
+            "terminal_level_4.txt": "61331ea0afe16722bde34c4c5b9786d799a3bbac5e29696b32bf5ce7ea3b4007"
+        }
+    },
+    "heat_p2_oracle": {
+        "diagnostics": {
+            "max_energy_defect": -0.30252813262736966,
+            "max_energy_residual": -0.009454004144605288
+        },
+        "outputs": {
+            "estimates.csv": "569d64afdedf45f5eac4a6cc8c2ad47daf1cd84a065ace753c0ac41898dbf1f8",
+            "norms.csv": "a7e25810d0c1796d40bd7a6faa3ffff65bee860d62f93b9096058fa679e07a25",
+            "oracle_error.csv": "4f94cf997126310e03ddbde119d7e44845f838cbc5f364a6127ca38a62deab72",
+            "oracle_trajectory.csv": "302601c2f5dd5604184b2bfe828424532de9422c82a851bde19464679955e841",
+            "trajectory.csv": "e7ab351d5ef05f554b4d3ecf4f836d5647a4d5658d9cb070f5c98cce6ac6e393"
+        }
+    },
+    "vi_lattice": {
+        "diagnostics": {
+            "level_deltas": [
+                0.21656343861328795,
+                0.01169341608417374
+            ],
+            "lipschitz": {
+                "declared": 0.0,
+                "estimate": 0.0,
+                "violated": False
+            }
+        },
+        "outputs": {
+            "levels.csv": "fa0961dc5da3df7290b87e968f45c5027a773bdbf5509c091bf8cc03d3508944",
+            "terminal_level_2.txt": "435a80a1446a81798446517c3fffcc1ed0d18650517089e7c9fdbea2aaf35b58",
+            "terminal_level_4.txt": "bf62f17cd8a5749e63c122eb0390cc1537872e769dd6176922054e8189ddfed7",
+            "terminal_level_6.txt": "430eb3ee0925114a106cb9d3d6c1b30b9a7a3b4b6995a875cfd3848bf2898538"
+        }
+    },
+    "vi_obstacle": {
+        "diagnostics": {
+            "lipschitz": {
+                "declared": 1.0,
+                "estimate": 0.0,
+                "violated": False
+            },
+            "max_quotient_l2": 2.0410083401732804,
+            "quotient_bound": 5.59773963022651,
+            "quotient_recurrence_max_slack": -0.2738762400756647
+        },
+        "outputs": {
+            "norms.csv": "56f220038f1b9179d0c21124322b9636c273ab4109ff170c17888261d287d1ce",
+            "trajectory.csv": "3609e95a3dde129ccc20232c333557ef329ba59dff8153cce10452bbd163843d",
+            "vi_reports.csv": "0724ca5279af6ff3f44c98e25ff3c6ea652f8035fe92b27b9aba78fdaea5e923"
+        }
+    },
+    "vi_separable": {
+        "diagnostics": {
+            "convergence_claims": "downgraded: declared Lipschitz bound exceeded by the sampled forcing",
+            "lipschitz": {
+                "declared": 2.0,
+                "estimate": 2.2072645460806095,
+                "violated": True
+            },
+            "max_quotient_l2": 3.3087896927292153,
+            "quotient_bound": 9.549941367077198,
+            "quotient_recurrence_max_slack": -0.269413854087584
+        },
+        "outputs": {
+            "norms.csv": "4608dcbc48b735ea42063275b13bce538660a46bc123ad54bdab69ec9b4c60ba",
+            "trajectory.csv": "43788da97756215203b5f95e768b37d650774d68c4437f01aab729469ed7941d",
+            "vi_reports.csv": "229a5f0ae2c053084f7099022e7e34d0d79b7dc317135731ca38a4893607bb42"
+        }
+    }
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ITERATIVE))
+def test_golden_outputs_iterative(tmp_path, monkeypatch, name):
+    monkeypatch.setattr(operators, "DIRECT_SOLVE_MAX", 0)
+    assert run_manifest(tmp_path, CONFIGS[name]) == GOLDEN_ITERATIVE[name]

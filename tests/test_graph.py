@@ -31,7 +31,8 @@ from graphrothe.errors import (
     SeedOutsideDomain,
     SelfLoop,
 )
-from graphrothe.graph import Domain, _bfs_distances
+from graphrothe.graph import MAX_BALL_ENTRIES, Domain, _bfs_distances, \
+    ball_entries
 from helpers import (
     path_graph,
     random_connected_graph,
@@ -484,3 +485,27 @@ class TestLatticeBallMatchesBfsReference:
             oracle = LatticeZ() if len(seeds) == 1 else LatticeZ2()
             with pytest.raises(InvalidGraphData, match="int64"):
                 materialize_ball(oracle, seeds, 1)
+
+    def test_ball_entries_closed_form(self):
+        # the offset grid plus one diamond, of as many vertices as the
+        # ball of one seed, per seed
+        for oracle in (LatticeZ(), LatticeZ2()):
+            dim = oracle.dim
+            for radius in range(1, 7):
+                g = materialize_ball(oracle, [(0, 0) if dim == 2 else 0],
+                                     radius)
+                grid = (2 * radius + 1) ** dim
+                assert ball_entries(dim, 1, radius) == grid + g.num_vertices
+                assert ball_entries(dim, 3, radius) \
+                    == grid + 3 * g.num_vertices
+
+    def test_oversized_ball_refused_before_it_is_built(self):
+        # both asks fail at once without the bound: terabytes of offsets
+        for oracle, seed, level in ((LatticeZ2(), (0, 0), 10 ** 6),
+                                    (LatticeZ(), 0, 10 ** 12)):
+            assert ball_entries(oracle.dim, 1, level + 1) > MAX_BALL_ENTRIES
+            with pytest.raises(InvalidGraphData,
+                               match=f"radius {level + 1} around 1 seed"):
+                exhaust_generative(oracle, [seed], level)
+            with pytest.raises(InvalidGraphData, match="offsets and keys"):
+                materialize_ball(oracle, [seed], level)

@@ -25,7 +25,7 @@ from graphrothe import (
     solve_step,
     step_functional,
 )
-from graphrothe import heat
+from graphrothe import heat, operators
 from graphrothe.errors import DomainMismatch, TimeOutOfRange
 from graphrothe.operators import DirichletOperator
 from helpers import (
@@ -345,7 +345,7 @@ class TestExhaustion:
 
 
 class TestLinearSolverPaths:
-    def test_cg_path_matches_direct(self):
+    def test_cg_path_matches_direct(self, monkeypatch):
         # force the iterative branch by dropping the direct-solve threshold
         rng = np.random.default_rng(71)
         for p in (1.0, 2.0):
@@ -354,7 +354,9 @@ class TestLinearSolverPaths:
             u_prev = random_admissible(rng, dom)
             prob = HeatProblem(dom, p, u_prev, 1.0)
             a = solve_step(u_prev, prob, 0.1)
-            b = solve_step(u_prev, prob, 0.1, direct_threshold=0)
+            with monkeypatch.context() as m:
+                m.setattr(operators, "DIRECT_SOLVE_MAX", 0)
+                b = solve_step(u_prev, prob, 0.1)
             assert float(np.max(np.abs(a.values - b.values))) <= 1e-9
 
 
@@ -504,12 +506,12 @@ class TestNewtonOneFactorization:
 
 
 class TestSolverBudget:
-    def test_newton_budget_exhausted(self):
+    def test_newton_budget_exhausted(self, monkeypatch):
         from graphrothe.errors import NonConvergence
         g, dom, prob = single_interior_problem(p=3.0)
+        monkeypatch.setattr(heat, "NEWTON_MAX_ITER", 1)
         with pytest.raises(NonConvergence):
-            solve_step(prob.initial, prob, 0.1, max_iter=1,
-                       x0=VertexField.zeros(g))
+            solve_step(prob.initial, prob, 0.1, x0=VertexField.zeros(g))
 
 
 class TestProblemValidation:

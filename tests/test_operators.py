@@ -1,6 +1,7 @@
 """The Dirichlet operator: CSR assembly against the per-vertex loop it
-replaced, read-only sharing, the step matrix, and one operator per
-domain across every solver and monitor."""
+replaced, read-only sharing, the shifted and step matrices, one operator
+per domain across every solver and monitor, and the edge cases of the
+shared conjugate-gradient loop."""
 
 import gc
 import weakref
@@ -15,9 +16,11 @@ from graphrothe import (
     TimePartition,
     VertexField,
     LatticeZ2,
+    Subspace,
     VIProblem,
     build_finite_graph,
     dirichlet_eigenbasis,
+    errors,
     exhaust_generative,
     kernels,
     make_domain,
@@ -30,7 +33,7 @@ from graphrothe import (
     step_functional,
     vi_monotonicity_monitor,
 )
-from helpers import path_graph, random_domain
+from helpers import path_graph, random_connected_graph, random_domain
 
 
 def hub_graph(rng, n_min=12, n_max=60):
@@ -109,17 +112,21 @@ class TestAssembly:
                 arr[0] = 0.0
 
     def test_step_matrix_divides_the_mass(self):
+        # and any shifted stiffness A + diag(d) is formed the same way
         rng = np.random.default_rng(3)
         g = hub_graph(rng)
         op = make_domain(g, range(g.num_vertices)).operator
         ell = 0.3
-        S = op.step_matrix(ell)
-        assert S.has_sorted_indices
-        ref = (op.stiffness + sp.diags(op.mass / ell)).tocsr()
-        ref.sort_indices()
-        assert same_bytes(S.data, ref.data)
-        assert same_bytes(S.diagonal(),
-                          op.stiffness.diagonal() + op.mass / ell)
+        d = rng.uniform(0.1, 5.0, size=op.n)
+        for S, diag in ((op.shifted(d), d), (op.step_matrix(ell),
+                                             op.mass / ell)):
+            assert S.format == "csr" and S.has_sorted_indices
+            ref = (op.stiffness + sp.diags(diag)).tocsr()
+            ref.sort_indices()
+            assert same_bytes(S.indptr, ref.indptr)
+            assert same_bytes(S.indices, ref.indices)
+            assert same_bytes(S.data, ref.data)
+            assert same_bytes(S.diagonal(), op.stiffness.diagonal() + diag)
 
 
 def test_one_operator_per_domain(monkeypatch):
@@ -165,3 +172,51 @@ def test_exhaustion_frees_each_solved_level(monkeypatch):
     # one operator per level solved, none alive once its level is done
     assert len(built) == len(heat_levels) + len(vi_levels)
     assert all(ref() is None for ref in built)
+
+
+def spd_system(seed):
+    rng = np.random.default_rng(seed)
+    g = random_connected_graph(rng, 20, 40)
+    S = random_domain(rng, g).operator.step_matrix(0.5)
+    return rng, S, 1.0 / S.diagonal()
+
+
+class TestPcg:
+    def test_zero_rhs_gives_exact_zeros(self):
+        _, S, minv = spd_system(21)
+        x = operators.pcg(lambda d: S @ d, np.zeros(S.shape[0]),
+                          lambda r: minv * r, 1e-13, 10)
+        assert same_bytes(x, np.zeros(S.shape[0]))
+
+    def test_none_when_the_cap_is_too_small(self):
+        rng, S, minv = spd_system(22)
+        b = rng.normal(size=S.shape[0])
+        x = operators.pcg(lambda d: S @ d, b, lambda r: minv * r, 1e-13,
+                          50 * S.shape[0])
+        assert float(np.linalg.norm(b - S @ x)) \
+            <= 1e-13 * float(np.linalg.norm(b))
+        assert operators.pcg(lambda d: S @ d, b, lambda r: minv * r, 1e-13,
+                             1) is None
+
+    def test_cached_spd_raises_when_pcg_gives_up(self, monkeypatch):
+        rng, S, _ = spd_system(23)
+        monkeypatch.setattr(operators, "DIRECT_SOLVE_MAX", 0)
+        solver = operators.CachedSPD(S)
+        assert not solver.direct
+        monkeypatch.setattr(operators, "pcg", lambda *args: None)
+        with pytest.raises(errors.SolverBreakdown):
+            solver.solve(rng.normal(size=S.shape[0]))
+
+    def test_zero_data_stay_exactly_zero_on_the_iterative_path(
+            self, monkeypatch):
+        monkeypatch.setattr(operators, "DIRECT_SOLVE_MAX", 0)
+        rng = np.random.default_rng(24)
+        g = random_connected_graph(rng, 10, 30)
+        dom = random_domain(rng, g)
+        zero = VertexField.zeros(g)
+        part = TimePartition(0.5, 3)
+        heat_run = run_rothe(HeatProblem(dom, 1.0, zero, 0.5), part)
+        vi_run = run_vi(VIProblem(dom, ConstantForcing(zero), zero, 0.5,
+                                  constraint=Subspace()), part)
+        for u in heat_run.fields + vi_run.fields:
+            assert same_bytes(u.values, np.zeros(g.num_vertices))

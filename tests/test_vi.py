@@ -32,6 +32,7 @@ from graphrothe.errors import (
     NonConvergence,
     TimeOutOfRange,
 )
+from graphrothe import operators
 from graphrothe.operators import DirichletOperator
 from graphrothe.timeexpr import compile_time_expression
 from graphrothe.vi import ViStepper, active_set_solve, forcing_step_function
@@ -419,7 +420,7 @@ class TestActiveSetDifferential:
             assert residual <= 1e-12 * scale
         assert 1 <= rep.iterations <= n + 1
 
-    def test_cg_path_matches_direct(self):
+    def test_cg_path_matches_direct(self, monkeypatch):
         rng = np.random.default_rng(63)
         g = random_connected_graph(rng, 20, 40)
         dom = random_domain(rng, g)
@@ -427,7 +428,8 @@ class TestActiveSetDifferential:
         u_prev = random_admissible(rng, dom)
         f = VertexField(g, rng.normal(size=g.num_vertices) * 5.0)
         a = vi_step(dom, u_prev, f, 0.5, Obstacle(psi))
-        b = vi_step(dom, u_prev, f, 0.5, Obstacle(psi), direct_threshold=0)
+        monkeypatch.setattr(operators, "DIRECT_SOLVE_MAX", 0)
+        b = vi_step(dom, u_prev, f, 0.5, Obstacle(psi))
         assert 0 < np.count_nonzero(a.u.values[dom.interior_ids] == 0.0) \
             < len(dom.interior_ids)
         assert float(np.max(np.abs(a.u.values - b.u.values))) <= 1e-9
@@ -486,14 +488,15 @@ class TestActiveSetDifferential:
 
 
 class TestStepperCaching:
-    def test_cg_path_matches_direct(self):
+    def test_cg_path_matches_direct(self, monkeypatch):
         rng = np.random.default_rng(62)
         g = random_connected_graph(rng, 10, 30)
         dom = random_domain(rng, g)
         u_prev = random_admissible(rng, dom)
         f = VertexField(g, rng.normal(size=g.num_vertices))
         a = vi_step(dom, u_prev, f, 0.1)
-        b = vi_step(dom, u_prev, f, 0.1, direct_threshold=0)
+        monkeypatch.setattr(operators, "DIRECT_SOLVE_MAX", 0)
+        b = vi_step(dom, u_prev, f, 0.1)
         assert float(np.max(np.abs(a.u.values - b.u.values))) <= 1e-9
 
     def test_cached_stepper_matches_oneshot(self):
