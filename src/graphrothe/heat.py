@@ -124,15 +124,15 @@ def _power(w, p):
     return np.abs(w) ** (p - 1.0) * w if p != 1.0 else w
 
 
-def _functional(op, w, u_prev, p, ell):
-    """F at the interior vector ``w`` given the previous interior vector;
-    +inf when the power term overflows."""
-    mass = op.mass
+def _functional(mass, w, Aw, u_prev, p, ell):
+    """F at the interior vector ``w``, with ``Aw`` its stiffness product,
+    given the previous interior vector; +inf when the power term
+    overflows."""
     sq = float(np.dot(mass * w, w))
     cross = float(np.dot(mass * u_prev, w))
     with np.errstate(over="ignore"):
         powr = float(np.dot(mass, np.abs(w) ** (p + 1.0)))
-    grad = float(np.dot(w, op.stiffness @ w))
+    grad = float(np.dot(w, Aw))
     return (sq / ell - 2.0 * cross / ell
             + 2.0 / (p + 1.0) * powr + grad)
 
@@ -165,7 +165,8 @@ def step_functional(u, u_prev, prob, ell):
     require_admissible(u, dom, "u")
     require_admissible(u_prev, dom, "u_prev")
     op = dom.operator
-    return _functional(op, op.restrict(u), op.restrict(u_prev),
+    w = op.restrict(u)
+    return _functional(op.mass, w, op.stiffness @ w, op.restrict(u_prev),
                        float(prob.p), ell)
 
 
@@ -190,12 +191,13 @@ class _HeatStepper:
         elif self.op.n <= operators.DIRECT_SOLVE_MAX:
             self._pre = CachedSPD(self.op.step_matrix(self.ell))
 
-    def _grad_half(self, w, u_prev):
+    def _grad_half(self, w, Aw, u_prev):
         """Half the functional gradient: mass*((w-u_prev)/l + |w|^(p-1) w)
-        + A w; the pointwise Euler-Lagrange residual is this over mass."""
+        + A w, with ``Aw`` = A w; the pointwise Euler-Lagrange residual is
+        this over mass."""
         with np.errstate(over="ignore", invalid="ignore"):
             return (self.mass * ((w - u_prev) / self.ell + _power(w, self.p))
-                    + self.A @ w)
+                    + Aw)
 
     def _newton_direction(self, jd, b, eta):
         """Solve (A + diag(jd)) s = b to the relative residual ``eta`` by
@@ -220,16 +222,21 @@ class _HeatStepper:
             # at most three refinement rounds bring the residual to
             # rounding level
             for _ in range(3):
-                G = self._grad_half(w, u_prev)
+                G = self._grad_half(w, self.A @ w, u_prev)
                 if float(np.max(np.abs(G / self.mass), initial=0.0)) <= tol:
                     break
                 w = w - self._linear.solve(G)
             return w
         p = self.p
         w = u_prev.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
+        # A w and F(w) of the current iterate: an accepted Armijo trial
+        # hands on both, so each iteration makes one stiffness product
+        # outside CG, plus one per backtrack
+        Aw = self.A @ w
+        fw = None
         eta = g_norm = None
         for _ in range(NEWTON_MAX_ITER):
-            G = self._grad_half(w, u_prev)
+            G = self._grad_half(w, Aw, u_prev)
             _require_finite(G, "gradient", p)
             if float(np.max(np.abs(G / self.mass), initial=0.0)) <= tol:
                 return w
@@ -243,17 +250,28 @@ class _HeatStepper:
                 s = CachedSPD(self.op.shifted(jd)).solve(-G)
             else:
                 s = self._newton_direction(jd, -G, eta)
-            fw = _functional(self.op, w, u_prev, p, self.ell)
+            if fw is None:
+                fw = _functional(self.mass, w, Aw, u_prev, p, self.ell)
             slope = 2.0 * float(np.dot(G, s))
-            alpha = 1.0
             # Armijo only while the predicted decrease is measurable above
             # the rounding noise of F; near the minimum the full (damped)
             # Newton step is safe by strict convexity.
             if abs(slope) > 1e-13 * (1.0 + abs(fw)):
-                while (_functional(self.op, w + alpha * s, u_prev, p, self.ell)
-                       > fw + 1e-4 * alpha * slope and alpha > 1e-14):
+                alpha = 1.0
+                while True:
+                    w_new = w + alpha * s
+                    Aw = self.A @ w_new
+                    f_new = _functional(self.mass, w_new, Aw, u_prev, p,
+                                        self.ell)
+                    if not (f_new > fw + 1e-4 * alpha * slope
+                            and alpha > 1e-14):
+                        break
                     alpha *= 0.5
-            w = w + alpha * s
+                w, fw = w_new, f_new
+            else:
+                w = w + s
+                Aw = self.A @ w
+                fw = None
         raise NonConvergence(
             f"Newton did not reach residual {tol:g} in {NEWTON_MAX_ITER} "
             f"iterations")

@@ -21,6 +21,8 @@ directions of ``heat``.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -103,7 +105,7 @@ def pcg(matvec, b, precondition, rtol, cap):
     |b - S x| is at most ``rtol`` |b| (zeros when b = 0), or None when
     ``cap`` iterations do not reach it."""
     x = np.zeros_like(b)
-    b_norm = float(np.linalg.norm(b))
+    b_norm = math.sqrt(float(np.dot(b, b)))
     target = rtol * b_norm
     if b_norm <= target:
         return x
@@ -116,7 +118,7 @@ def pcg(matvec, b, precondition, rtol, cap):
         alpha = rz / float(np.dot(d, q))
         x += alpha * d
         r -= alpha * q
-        if float(np.linalg.norm(r)) <= target:
+        if math.sqrt(float(np.dot(r, r))) <= target:
             return x
         z = precondition(r)
         rz_next = float(np.dot(r, z))

@@ -277,3 +277,67 @@ def reference_psor(S, lower, b, w_start, scale, relax, tol):
             var = float(np.max(np.abs(np.minimum(r, gap)), initial=0.0))
             return u, (var, primal, dual, compl, sweep)
     raise AssertionError("reference PSOR did not converge")
+
+
+def reference_newton_solve(stepper, u_prev, x0=None, stats=None):
+    """Reference for ``heat._HeatStepper.solve`` at p > 1: its Newton loop
+    before the stiffness product and F of an accepted Armijo trial were
+    handed on, so each iteration computes A w three times (gradient, F at
+    w, the first trial). Directions come from the stepper's own
+    ``_newton_direction`` (or a ``CachedSPD`` of the Jacobian without a
+    preconditioner), so a run on a fresh stepper shares every
+    factorization with the library. ``x0`` is the first iterate (default
+    ``u_prev``). ``stats``, a dict, counts
+    ``gradients``, ``backtracks`` and ``skipped`` (iterations whose slope
+    is below the rounding noise of F)."""
+    from graphrothe import heat
+
+    op, A, mass = stepper.op, stepper.A, stepper.mass
+    p, ell = stepper.p, stepper.ell
+    stats = {} if stats is None else stats
+    for key in ("gradients", "backtracks", "skipped"):
+        stats.setdefault(key, 0)
+
+    def grad_half(w):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return mass * ((w - u_prev) / ell + heat._power(w, p)) + A @ w
+
+    def functional(w):
+        with np.errstate(over="ignore"):
+            powr = float(np.dot(mass, np.abs(w) ** (p + 1.0)))
+        return (float(np.dot(mass * w, w)) / ell
+                - 2.0 * float(np.dot(mass * u_prev, w)) / ell
+                + 2.0 / (p + 1.0) * powr + float(np.dot(w, A @ w)))
+
+    tol = stepper.tol_factor * (1.0 + float(np.max(np.abs(u_prev),
+                                                   initial=0.0)))
+    w = u_prev.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
+    eta = g_norm = None
+    for _ in range(heat.NEWTON_MAX_ITER):
+        G = grad_half(w)
+        stats["gradients"] += 1
+        heat._require_finite(G, "gradient", p)
+        if float(np.max(np.abs(G / mass), initial=0.0)) <= tol:
+            return w
+        g_norm_prev, g_norm = g_norm, float(np.linalg.norm(G))
+        eta = heat._forcing(eta, g_norm, g_norm_prev)
+        with np.errstate(over="ignore"):
+            jd = mass * (1.0 / ell + p * np.maximum(
+                np.abs(w), heat.POWER_DERIV_FLOOR) ** (p - 1.0))
+        heat._require_finite(jd, "Jacobian", p)
+        if stepper._pre is None:
+            s = heat.CachedSPD(op.shifted(jd)).solve(-G)
+        else:
+            s = stepper._newton_direction(jd, -G, eta)
+        fw = functional(w)
+        slope = 2.0 * float(np.dot(G, s))
+        alpha = 1.0
+        if abs(slope) > 1e-13 * (1.0 + abs(fw)):
+            while (functional(w + alpha * s) > fw + 1e-4 * alpha * slope
+                   and alpha > 1e-14):
+                alpha *= 0.5
+                stats["backtracks"] += 1
+        else:
+            stats["skipped"] += 1
+        w = w + alpha * s
+    raise AssertionError("reference Newton did not converge")

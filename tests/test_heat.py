@@ -34,6 +34,7 @@ from helpers import (
     random_admissible,
     random_connected_graph,
     random_domain,
+    reference_newton_solve,
 )
 
 
@@ -503,6 +504,114 @@ class TestNewtonOneFactorization:
         prob = replace(stiff_problem(), p=p)
         traj = run_rothe(prob, TimePartition(3.0, 3), tol_factor=1e-14)
         self.assert_stationary(traj, tol_factor=1e-14)
+
+
+def newton_pair(prob, part, zero_start=False):
+    """Interior Rothe fields of ``_HeatStepper.solve`` and of
+    ``reference_newton_solve``, each on a fresh stepper and from the
+    previous field (or, with ``zero_start``, from zero), and the
+    reference's Newton counts."""
+    stepper = heat._HeatStepper(prob, part.step_size)
+    ref_stepper = heat._HeatStepper(prob, part.step_size)
+    w = v = stepper.op.restrict(prob.initial)
+    got, ref, stats = [w], [v], {}
+    for _ in range(part.steps):
+        x0 = np.zeros_like(w) if zero_start else None
+        w = stepper.solve(w, x0=x0)
+        v = reference_newton_solve(ref_stepper, v, x0=x0, stats=stats)
+        got.append(w)
+        ref.append(v)
+    return np.array(got), np.array(ref), stats
+
+
+def backtracking_problem():
+    """``stiff_problem`` at ten times the data: Newton from zero
+    overshoots, and Armijo backtracks."""
+    prob = stiff_problem()
+    return replace(prob, initial=VertexField(prob.domain.graph,
+                                             10.0 * prob.initial.values))
+
+
+class CountingStiffness:
+    """Stands in for a stepper's stiffness matrix and counts the products
+    made outside ``pcg``."""
+
+    def __init__(self, A, monkeypatch):
+        self.A = A
+        self.products = 0
+        self.in_cg = False
+
+        def counting_pcg(*args):
+            self.in_cg = True
+            try:
+                return operators.pcg(*args)
+            finally:
+                self.in_cg = False
+
+        monkeypatch.setattr(heat, "pcg", counting_pcg)
+
+    def __matmul__(self, x):
+        if not self.in_cg:
+            self.products += 1
+        return self.A @ x
+
+
+class TestNewtonProductReuse:
+    """p > 1 Newton hands the stiffness product and F of an accepted
+    Armijo trial on to the next iteration: the fields stay bit-identical
+    to the loop that computed A w three times per iteration."""
+
+    @pytest.mark.parametrize("ell", [0.01, 1.0])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
+    def test_bit_identical_to_three_product_loop(self, p, ell):
+        rng = np.random.default_rng([int(10 * p), int(100 * ell), 13])
+        skipped = 0
+        for amplitude in (1.0, 10.0):
+            g = random_connected_graph(rng, 30, 60)
+            dom = random_domain(rng, g, keep=0.9)
+            vals = amplitude * rng.uniform(-1.0, 1.0, len(dom.interior_ids))
+            prob = HeatProblem(dom, p, field_on_interior(dom, vals), 3 * ell)
+            for zero_start in (False, True):
+                got, ref, stats = newton_pair(
+                    prob, TimePartition(3 * ell, 3), zero_start)
+                assert got.tobytes() == ref.tobytes()
+                skipped += stats["skipped"]
+        # the full step below the rounding noise of F is taken
+        assert skipped > 0
+
+    def test_bit_identical_with_backtracking(self, spd_count):
+        got, ref, stats = newton_pair(backtracking_problem(),
+                                      TimePartition(3.0, 3), zero_start=True)
+        assert got.tobytes() == ref.tobytes()
+        assert stats["backtracks"] > 3 and stats["skipped"] > 0
+        # both steppers refactored at their stiff Jacobians
+        assert spd_count[0] > 2
+
+    def test_bit_identical_without_preconditioner(self, monkeypatch):
+        monkeypatch.setattr(operators, "DIRECT_SOLVE_MAX", 0)
+        got, ref, stats = newton_pair(backtracking_problem(),
+                                      TimePartition(3.0, 3), zero_start=True)
+        assert got.tobytes() == ref.tobytes()
+        assert stats["backtracks"] > 3
+
+    def test_one_product_per_iteration_and_backtrack(self, monkeypatch):
+        prob, part = backtracking_problem(), TimePartition(3.0, 3)
+        stepper = heat._HeatStepper(prob, part.step_size)
+        counter = CountingStiffness(stepper.A, monkeypatch)
+        stepper.A = counter
+        ref_stepper = heat._HeatStepper(prob, part.step_size)
+        w = v = stepper.op.restrict(prob.initial)
+        backtracks = 0
+        for _ in range(part.steps):
+            stats = {}
+            counter.products = 0
+            x0 = np.zeros_like(w)
+            w = stepper.solve(w, x0=x0)
+            v = reference_newton_solve(ref_stepper, v, x0=x0, stats=stats)
+            assert counter.products \
+                == stats["gradients"] + stats["backtracks"]
+            backtracks += stats["backtracks"]
+        assert backtracks > 3
 
 
 class TestSolverBudget:
