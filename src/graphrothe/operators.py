@@ -139,7 +139,9 @@ class CachedSPD:
         self.direct = self.n <= DIRECT_SOLVE_MAX
         if self.direct:
             try:
-                self._lu = spla.splu(sp.csc_matrix(S))
+                self._lu = spla.splu(
+                    sp.csc_matrix(S), permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
             except RuntimeError as exc:  # "Factor is exactly singular"
                 raise SolverBreakdown(f"sparse LU failed: {exc}") from None
         else:

@@ -169,13 +169,13 @@ def run_manifest(tmp_path, make_config):
 GOLDEN = {
     "heat_p1": {
         "diagnostics": {
-            "max_energy_defect": -0.04323045480240173,
-            "max_energy_residual": -0.0018012689501000698
+            "max_energy_defect": -0.04323045480240181,
+            "max_energy_residual": -0.0018012689501000767
         },
         "outputs": {
-            "estimates.csv": "19e130e6bf49bdbef35dcc4abf366aa46d5bf6f0da2f7a7bddb0c6ec0c38b1ba",
-            "norms.csv": "a183327c6d373872b50d0ee96b8d7d180c5b6eccd8983195737d4bc466efeb00",
-            "trajectory.csv": "dd25c1d1da8c5ff5eed8be7bf2d2ecfc34657dc24a9882ae5ee9f7c2e57a0f10"
+            "estimates.csv": "322f7a7e933e28009ef6f8a4041be8eae3361d8104bf0ee22a44be803c9299ae",
+            "norms.csv": "b0d836d09fca5891c3ed429755f3d7a1daafcf752be05e4bfbf18a23ad0782c3",
+            "trajectory.csv": "bbff86484831b5869a96e6598218398c406aec9c4f11110c64d6fe0ad7752eae"
         }
     },
     "heat_p2_lattice": {
@@ -189,7 +189,7 @@ GOLDEN = {
             "levels.csv": "85e4d090170503675ec55889ef5a794de9f866d635926ceffba9e2ec88ddd426",
             "terminal_level_2.txt": "a6b3bcb2c020b21fb5c0c9257c39e3b37e1b096b33c57952b82d6ea13afdc046",
             "terminal_level_3.txt": "f9429050dc1d1e0cb664b2bba112b4bc384312cc1ac9535154da937539142bbe",
-            "terminal_level_4.txt": "2adc5220bb8fadca63963908e2117f8f5a5cc970cfac75dca83e7eafb40f88a3"
+            "terminal_level_4.txt": "19349478d2e01e7ddf50162a13500d304d057689f092ecb96230626bfab638fe"
         }
     },
     "heat_p2_oracle": {
@@ -200,16 +200,16 @@ GOLDEN = {
         "outputs": {
             "estimates.csv": "bbbac869f01fd042c6171d252957ce25837b99cef4a2620d102e7cc6a1f6f9a4",
             "norms.csv": "7b39b0294a26f6c8a908273fe8b77f90a8aa79734fb62345a3334192767d631e",
-            "oracle_error.csv": "aa27c587a1ed066e374160296b44b9a5b56534c9fffa6cd28604e1980fcc743d",
+            "oracle_error.csv": "dd275948f9c2e750461041f1041aa532ede4d659fd6f0cb1e53c30e53f0fd032",
             "oracle_trajectory.csv": "302601c2f5dd5604184b2bfe828424532de9422c82a851bde19464679955e841",
-            "trajectory.csv": "ee92ec7a975379dae9e4b8c0c482a35d02837a9b3b5a732695887c9faf4c2b75"
+            "trajectory.csv": "9e3ef0a109ed24d103b1dbf69b9402d7a4d628d2689016a122295a63bacd028e"
         }
     },
     "vi_lattice": {
         "diagnostics": {
             "level_deltas": [
-                0.21656343861328775,
-                0.01169341608417374
+                0.21656343861328758,
+                0.011693416084173751
             ],
             "lipschitz": {
                 "declared": 0.0,
@@ -218,10 +218,10 @@ GOLDEN = {
             }
         },
         "outputs": {
-            "levels.csv": "78a269bbb931b8d34faa1876908444820e79f57db51296b155f19631ba57470d",
-            "terminal_level_2.txt": "590f89304aa9c03ad489a35e63b285bdac919b93abdf7d68976d2f48d2f1bc06",
-            "terminal_level_4.txt": "7da2d1a08b395c22960852c8f51dad84d33806b36ede3d2f3132a206ea0a0e1a",
-            "terminal_level_6.txt": "bc2cefb621c95ac5edb6d7df4548e77f0f71217c212383045ee39e503a911275"
+            "levels.csv": "707217153f245274a9d6dc52a126c27a7e967164d0edcaa501a47b98d87caa3e",
+            "terminal_level_2.txt": "1d647e2045a0a94e85f9bb59be668329a4c188a5c85a01c3531b7fbce459d9b3",
+            "terminal_level_4.txt": "945c9bd37927af68bd6a9b35083c1e8591f310ec94dc07bfdb094ac5995ee783",
+            "terminal_level_6.txt": "c9801fa33f72191b0fe5a78d357981e8adac6cac5ed559b7c197d9dc28e0b7f0"
         }
     },
     "vi_obstacle": {
@@ -233,12 +233,12 @@ GOLDEN = {
             },
             "max_quotient_l2": 2.0410083401732804,
             "quotient_bound": 5.59773963022651,
-            "quotient_recurrence_max_slack": -0.27387624007566447
+            "quotient_recurrence_max_slack": -0.27387624007566513
         },
         "outputs": {
-            "norms.csv": "9cb4f81be9c0dc397653f2e6088fb0166f86d43eecbfa0879c65bb0399741be7",
-            "trajectory.csv": "c734e48c3cbc51c21ba8ac0d92175992704027e7b824ffef04c7840e81cda700",
-            "vi_reports.csv": "639df1f64188d195aa1ad3b3445e5761d30ba03002cbf15a50b17bf57a4b5b23"
+            "norms.csv": "219872ce441eb9a6504d9ebb831aa525237af7bbb332ca5ba54b3feee64ee513",
+            "trajectory.csv": "627ef9c71c66f36e3200d838e7bed07eaf7fd0eddc5ee7a5ad0f3d55e0d6d876",
+            "vi_reports.csv": "427c8bd6c756c7d12eff0cd6766302adfd64d5b98f0a232bc16ebf4658ff87f6"
         }
     },
     "vi_obstacle_overrelaxed": {
@@ -248,14 +248,14 @@ GOLDEN = {
                 "estimate": 0.0,
                 "violated": False
             },
-            "max_quotient_l2": 1.2172796654841853,
+            "max_quotient_l2": 1.217279665484185,
             "quotient_bound": 7.774773904824381,
-            "quotient_recurrence_max_slack": -0.7894440089178765
+            "quotient_recurrence_max_slack": -0.7894440089178764
         },
         "outputs": {
             "norms.csv": "645c46013d2e6670d4b6c2c188fbd0a9a18af0e5948abb3e5136d120148da3fd",
-            "trajectory.csv": "7a8fead337a123ef407e43208144baefc1865304b9184420833f6e30f0dc9958",
-            "vi_reports.csv": "45a12865b230bee0f23d517d4110b1d16543731b1d40cb04395425b6ec7fd48a"
+            "trajectory.csv": "b7757c0f9d84ed0e2acf3138ff74a5b9877a685f77ab1359ef8e381dbd9f1880",
+            "vi_reports.csv": "5c0ce73b3f52631acd2457f1452c14962fb91877f6d8f7742ae8bd3a8125b4dd"
         }
     },
     "vi_separable": {
@@ -266,14 +266,14 @@ GOLDEN = {
                 "estimate": 2.2072645460806095,
                 "violated": True
             },
-            "max_quotient_l2": 3.3087896927292184,
+            "max_quotient_l2": 3.308789692729219,
             "quotient_bound": 9.549941367077198,
-            "quotient_recurrence_max_slack": -0.2694138540875032
+            "quotient_recurrence_max_slack": -0.26941385408750185
         },
         "outputs": {
-            "norms.csv": "9cd81bda43c5a454efbb1e767a743cf7c1a74020c0e0761dd7c9cb3320724058",
-            "trajectory.csv": "068bbcdc2f41e3d41c46c3c9beb85fa4fbc71499d96a6fac0796bf59f06c4423",
-            "vi_reports.csv": "1e7f9b0470a156549899d4fbbb4f353623acb0ac048729dd3e69d6a24e6ca75e"
+            "norms.csv": "0db3ec0b5431ec6402393d433383e5cbe2f9773da14535285f8c7476af088d31",
+            "trajectory.csv": "248d905faa18d7fd7a1e787d3f2cbaff383bd256084978f2c26e38d18f6dd684",
+            "vi_reports.csv": "0d3c118b4f442f49537edb2d976cad1771ac6c9d82a6af1a09d2c73e048d192b"
         }
     }
 }

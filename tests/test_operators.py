@@ -1,7 +1,8 @@
 """The Dirichlet operator: CSR assembly against the per-vertex loop it
 replaced, read-only sharing, the shifted and step matrices, one operator
-per domain across every solver and monitor, and the edge cases of the
-shared conjugate-gradient loop."""
+per domain across every solver and monitor, the symmetric sparse LU of
+``CachedSPD``, and the edge cases of the shared conjugate-gradient
+loop."""
 
 import gc
 import weakref
@@ -9,6 +10,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from graphrothe import (
     ConstantForcing,
@@ -220,3 +222,37 @@ class TestPcg:
                                   constraint=Subspace()), part)
         for u in heat_run.fields + vi_run.fields:
             assert same_bytes(u.values, np.zeros(g.num_vertices))
+
+
+class TestSymmetricLU:
+    """``CachedSPD`` factors every SPD system with a symmetric minimum
+    degree ordering and diagonal pivots."""
+
+    def test_solves_match_dense(self):
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            g = random_connected_graph(rng, 5, 80)
+            op = random_domain(rng, g).operator
+            S = op.shifted(rng.uniform(1e-3, 10.0, op.n))
+            solver = operators.CachedSPD(S)
+            assert solver.direct
+            for _ in range(3):
+                b = rng.normal(size=op.n)
+                x = solver.solve(b)
+                ref = np.linalg.solve(S.toarray(), b)
+                assert float(np.linalg.norm(x - ref)) \
+                    <= 1e-12 * float(np.linalg.norm(ref))
+
+    def test_level_18_fill_below_colamd(self):
+        # the level-18 step matrix of the lattice-newton benchmark; COLAMD
+        # with partial pivoting (splu's defaults) fills 16,314 entries
+        dom = exhaust_generative(LatticeZ2(), [(0, 0)], 18).level(18)
+        S = dom.operator.step_matrix(0.05)
+        lu = operators.CachedSPD(S)._lu
+        colamd = spla.splu(sp.csc_matrix(S))
+        fill = lu.L.nnz + lu.U.nnz
+        assert S.shape == (613, 613)
+        assert fill < colamd.L.nnz + colamd.U.nnz
+        assert fill <= 11_728
+        # diagonal pivots: the row and column orders are one permutation
+        assert np.array_equal(lu.perm_r, lu.perm_c)
