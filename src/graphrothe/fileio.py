@@ -250,7 +250,8 @@ def _trajectory_step(i_s, t_s, times, steps):
 
 def read_trajectory_csv(path):
     """Returns (times list, list of {label: value} per step). Steps are
-    numbered from 0 without gaps, and all rows of a step carry its time."""
+    numbered from 0 without gaps, all rows of a step carry its time, and a
+    vertex has at most one row per step."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -278,7 +279,20 @@ def read_trajectory_csv(path):
         except ValueError as exc:
             raise InvalidGraphData(f"{path}:{rowno}: {exc}") from None
         steps[i][labels[lab_s]] = value
+    if sum(map(len, steps)) != len(rows) - 1:
+        _raise_repeated_row(path, rows, step_of, labels)
     return times, steps
+
+
+def _raise_repeated_row(path, rows, step_of, labels):
+    """Raise for the first data row that repeats a (step, vertex) pair."""
+    seen = set()
+    for rowno, (i_s, t_s, lab_s, _) in enumerate(rows[1:], 2):
+        key = (step_of[i_s, t_s], labels[lab_s])
+        if key in seen:
+            raise InvalidGraphData(f"{path}:{rowno}: vertex {key[1]!r} "
+                                   f"listed twice in step {key[0]}")
+        seen.add(key)
 
 
 def sha256_file(path):

@@ -660,6 +660,24 @@ class TestCompare:
             err = capsys.readouterr().err
             assert err == f"error[CONFIG]: {bad}:{rowno}: {msg}\n"
 
+    def test_repeated_row_exit_2(self, tmp_path, capsys):
+        traj = self._run(tmp_path, 8, "out_a")
+        gpath = str(tmp_path / "p5.txt")
+        good = open(traj).read().splitlines()
+        step1 = next(row for row in good if row.startswith("1,"))
+        t1 = step1.split(",")[1]
+        bad = tmp_path / "bad.csv"
+        capsys.readouterr()
+        # a second row for (step 1, vertex 2), at the end and with a label
+        # token that parses to the same vertex
+        for extra in (f"1,{t1},2,99.0", f"1,{t1},+2,99.0"):
+            bad.write_text("\n".join(good + [extra]) + "\n")
+            assert main(["compare", traj, str(bad), "--graph", gpath]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error[CONFIG]: {bad}:{len(good) + 1}: "
+                                    f"vertex 2 listed twice in step 1\n")
+
     def test_graph_mismatch(self, tmp_path, capsys):
         traj = self._run(tmp_path, 8, "out_a")
         other = path_graph(4)
