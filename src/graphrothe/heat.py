@@ -16,12 +16,15 @@ spectrum in [1, 1 + l max p|w|^(p-1)]: each Newton system is solved by
 ``operators.pcg`` preconditioned with one factorization of S0, made once
 per stepper, and refactored at the current Jacobian only when a solve
 needs more than NEWTON_PCG_MAX_ITER iterations (stiff data). Every
-matrix A + diag(d) and every solver comes from ``operators``. Newton is
-inexact: system k is solved to the relative residual eta_k that
-Eisenstat and Walker's choice 2 sets from the decrease of the Newton
-residual G (SIAM J. Sci. Comput. 17, 1996), so systems far from the
-minimizer take few CG iterations; the step still ends only when
-max|G/mass| <= tol.
+matrix A + diag(d) and every solver comes from ``operators``; its sparse
+LU orders and pivots symmetrically, as all these matrices are SPD.
+Newton is inexact: system k is solved to the relative residual eta_k
+that Eisenstat and Walker's choice 2 sets from the decrease of the
+Newton residual G (SIAM J. Sci. Comput. 17, 1996), so systems far from
+the minimizer take few CG iterations; the step still ends only when
+max|G/mass| <= tol. Outside CG, each Newton iteration computes one
+stiffness product A w, plus one per Armijo backtrack: the accepted trial
+hands its A w and its value of F on to the next iteration.
 """
 
 from __future__ import annotations
@@ -229,9 +232,8 @@ class _HeatStepper:
             return w
         p = self.p
         w = u_prev.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
-        # A w and F(w) of the current iterate: an accepted Armijo trial
-        # hands on both, so each iteration makes one stiffness product
-        # outside CG, plus one per backtrack
+        # A w and F(w) of the iterate; an accepted Armijo trial hands on
+        # both, a full step below the noise of F only its product
         Aw = self.A @ w
         fw = None
         eta = g_norm = None

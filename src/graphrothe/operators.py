@@ -16,7 +16,9 @@ A + diag(d), step matrix or Jacobian, comes from
 ``DirichletOperator.shifted``; ``CachedSPD`` solves by sparse LU or, above
 DIRECT_SOLVE_MAX unknowns, by Jacobi-preconditioned CG; and ``pcg`` is
 the one conjugate-gradient loop, shared by ``CachedSPD`` and the Newton
-directions of ``heat``.
+directions of ``heat``. Every matrix factored here is SPD, the active-set
+blocks of ``vi`` as principal submatrices of one, so the LU orders by
+minimum degree on the symmetric pattern and pivots on the diagonal.
 """
 
 from __future__ import annotations
@@ -132,7 +134,10 @@ class CachedSPD:
     to DIRECT_SOLVE_MAX unknowns (read when the solver is built), above
     it ``pcg`` with the Jacobi preconditioner to the relative residual
     CG_RTOL within 50 n iterations. The factor (or the inverse diagonal)
-    is built once and reused across solves."""
+    is built once and reused across solves. The LU takes one symmetric
+    permutation, a minimum degree ordering of the pattern of S + S^T, and
+    pivots on the diagonal, which SPD matrices allow: less fill than
+    ``splu``'s COLAMD column ordering with partial pivoting."""
 
     def __init__(self, S):
         self.n = S.shape[0]
