@@ -22,7 +22,6 @@ from .graph import (
     WeightedGraph,
     build_finite_graph,
     compute_metrics,
-    domain_from_labels,
     exhaust,
     exhaust_generative,
     make_domain,

@@ -199,6 +199,21 @@ def inner_product(g, w_field, v_field, dom, kind="L2"):
     raise ValueError(f"unknown inner product kind {kind!r}")
 
 
+def w12_gram(g, dom, vectors):
+    """Gram matrix of ``inner_product(kind="W12")`` over the columns of
+    ``vectors``, the interior values (ascending id order) of admissible
+    fields, added by matrix products over the graph's CSR slots. A slot
+    to an unmaterialized neighbour would join two zeros, so an incomplete
+    boundary vertex is not refused here."""
+    ids = dom.omega_ids
+    phi = np.zeros((g.num_vertices, vectors.shape[1]))
+    phi[dom.interior_ids] = vectors
+    slots, ptr = g.row_slots(ids)
+    dphi = phi[g.indices[slots]] - phi[np.repeat(ids, np.diff(ptr))]
+    return (0.5 * (dphi.T * g.weights[slots]) @ dphi
+            + (phi[ids].T * g.mu[ids]) @ phi[ids])
+
+
 def green_identity_check(g, dom, v1, v2):
     """|LHS - RHS| for the admissible-field identity
     -integral over the interior of (Laplacian v1) v2 dmu

@@ -328,6 +328,13 @@ class PreparedRun:
             self.compare_oracle = bool(prob.get("compare_oracle", False))
         if self.kind == "heat":
             self.p = float(prob.get("p", 1.0))
+        dense = self.kind == "spectral" or (
+            self.kind == "heat" and self.compare_oracle and self.p == 1.0
+            and self.exhaustion is None)
+        if dense and self.domain.num_interior > spectral.MAX_DENSE_INTERIOR:
+            _fail(f"a dense eigenbasis (kind spectral, p = 1 oracle study) "
+                  f"of {self.domain.num_interior} interior vertices is "
+                  f"above the limit of {spectral.MAX_DENSE_INTERIOR}")
         if self.kind == "vi":
             self.forcing = self._forcing(prob["forcing"])
             cspec = prob.get("constraint", {"kind": "subspace"})
@@ -568,17 +575,11 @@ def _run_spectral(prep, outdir):
         name = f"basis_field_{j + 1}.txt"
         fileio.write_field_file(phi, os.path.join(outdir, name))
         outputs.append(name)
-    gram_defect = 0.0
-    for a in range(basis.size):
-        for b in range(a, basis.size):
-            val = calculus.inner_product(prep.graph, basis.fields[a],
-                                         basis.fields[b], prep.domain, "W12")
-            gram_defect = max(gram_defect,
-                              abs(val - (1.0 if a == b else 0.0)))
+    gram = calculus.w12_gram(prep.graph, prep.domain, basis.vectors)
     diagnostics = {
-        "max_eigen_residual": float(np.max(basis.residuals))
-        if basis.size else 0.0,
-        "max_orthonormality_defect": gram_defect,
+        "max_eigen_residual": float(np.max(basis.residuals)),
+        "max_orthonormality_defect":
+            float(np.max(np.abs(gram - np.eye(basis.size)))),
         "nonpositive_modes": basis.has_nonpositive_modes,
     }
     return outputs, diagnostics

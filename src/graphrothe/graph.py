@@ -338,10 +338,6 @@ def make_domain(g, omega_ids):
     return dom
 
 
-def domain_from_labels(g, labels):
-    return make_domain(g, (g.vertex(lab) for lab in labels))
-
-
 def _bfs_distances(g, seed_ids):
     """Hop distance of every vertex from the nearest seed, -1 where none
     reaches: one sweep over the CSR rows of each level's frontier."""

@@ -1,6 +1,6 @@
-"""The numeric kernels of the Rothe schemes: an ordered sum, an ordered
-dot product and ordered per-row sums over CSR slots, plus one
-projected-SOR sweep kept as a reference.
+"""The numeric kernels of the Rothe schemes: an ordered sum and ordered
+per-row sums over CSR slots, plus one projected-SOR sweep kept as a
+reference.
 
 The sums are bit-reproducible: every result equals the strict
 left-to-right loop ``s = 0.0; for x in a: s = s + x``, and ``row_sums``
@@ -18,26 +18,14 @@ sweep over numpy arrays.
 import numpy as np
 
 
-def _ordered_total(a):
+def seq_sum(a):
+    """Sum of ``a`` added strictly in index order, starting from 0.0."""
     if len(a) == 0:
         return 0.0
     # accumulate must add in index order because every prefix is an
     # output; np.sum and np.add.reduce sum pairwise and can differ in the
     # last bits. Adding 0.0 turns a -0.0 total into the loop's +0.0.
     return float(np.add.accumulate(a)[-1]) + 0.0
-
-
-def seq_sum(a):
-    """Sum of ``a`` added strictly in index order, starting from 0.0."""
-    return _ordered_total(a)
-
-
-def seq_dot(a, b):
-    """Dot product of ``a`` and ``b``, the products added strictly in
-    index order."""
-    if len(a) != len(b):
-        raise ValueError("length mismatch")
-    return _ordered_total(a * b)
 
 
 def row_sums(start, degree, terms):

@@ -341,3 +341,47 @@ def reference_newton_solve(stepper, u_prev, x0=None, stats=None):
             stats["skipped"] += 1
         w = w + alpha * s
     raise AssertionError("reference Newton did not converge")
+
+
+def reference_dirichlet_eigenbasis(dom):
+    """Reference for ``spectral.dirichlet_eigenbasis``: the same ``eigh``,
+    then each mode scaled, sign-fixed, checked and extended one at a time.
+    Returns (eigenvalues, tuple of eigenfields, residuals)."""
+    op = dom.operator
+    d = 1.0 / np.sqrt(op.mass)
+    B = op.stiffness.toarray() * d[:, None] * d[None, :]
+    B = 0.5 * (B + B.T)
+    lam, psi = np.linalg.eigh(B)
+    fields = []
+    residuals = np.empty(op.n)
+    for j in range(op.n):
+        w = d * psi[:, j] / math.sqrt(1.0 + max(lam[j], 0.0))
+        nz = np.nonzero(w)[0]
+        if nz.size and w[nz[0]] < 0.0:
+            w = -w
+        residuals[j] = op.l2(op.neg_laplacian(w) - lam[j] * w)
+        fields.append(op.extend(w))
+    return lam, tuple(fields), residuals
+
+
+def reference_w12_coefficients(dom, lam, fields, h):
+    """Reference for ``spectral.w12_coefficients``: one ordered dot
+    product per mode."""
+    from graphrothe import kernels
+
+    ids = dom.interior_ids
+    mu_h = dom.graph.mu[ids] * h.values[ids]
+    return np.array([(1.0 + lam[j]) * kernels.seq_sum(mu_h * phi.values[ids])
+                     for j, phi in enumerate(fields)])
+
+
+def reference_exact_p1_solution(dom, lam, fields, h, times):
+    """Reference for ``spectral.exact_p1_solution``: the modes added one
+    at a time."""
+    coeff = reference_w12_coefficients(dom, lam, fields, h)
+    ids = dom.interior_ids
+    w = np.zeros((len(times), len(ids)))
+    for j, phi in enumerate(fields):
+        decay = [coeff[j] * math.exp(-(lam[j] + 1.0) * t) for t in times]
+        w += np.array(decay)[:, None] * phi.values[ids]
+    return [field_on_interior(dom, row) for row in w]

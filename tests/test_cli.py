@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from graphrothe.cli import build_parser, main
 from helpers import path_graph
-from graphrothe import fileio
+from graphrothe import calculus, fileio, spectral
+from test_golden import config_heat_p1
 
 
 def write_p5_graph(tmp_path):
@@ -72,6 +73,19 @@ def vi_obstacle_config(tmp_path, **overrides):
     return str(path), cfg
 
 
+def grid_config(tmp_path, name, problem):
+    """The 5x5 grid p = 1 heat config of the golden tests, with its
+    problem block updated by ``problem``, written to ``name``; its output
+    directory is named after the file. The domain has 19 interior
+    vertices."""
+    cfg = config_heat_p1(tmp_path)
+    cfg["problem"].update(problem)
+    cfg["output"] = str(tmp_path / pathlib.Path(name).stem)
+    path = tmp_path / name
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
 class TestRunHeat:
     def test_outputs_and_manifest(self, tmp_path):
         cfg_path, cfg = heat_config(tmp_path)
@@ -87,14 +101,23 @@ class TestRunHeat:
 
     def test_deterministic_reruns(self, tmp_path):
         cfg_path, cfg = heat_config(tmp_path)
-        assert main(["run", cfg_path]) == 0
-        out = tmp_path / "out"
-        first = {name: (out / name).read_bytes()
-                 for name in os.listdir(out)}
-        assert main(["run", cfg_path]) == 0
-        second = {name: (out / name).read_bytes()
-                  for name in os.listdir(out)}
-        assert first == second
+        configs = [cfg_path,
+                   grid_config(tmp_path, "oracle.json",
+                               {"steps_list": [3, 6],
+                                "compare_oracle": True}),
+                   grid_config(tmp_path, "spectral.json",
+                               {"kind": "spectral"})]
+        for path in configs:
+            out = pathlib.Path(json.loads(open(path).read())["output"])
+            assert main(["run", path]) == 0
+            first = {name: (out / name).read_bytes()
+                     for name in os.listdir(out)}
+            assert main(["run", path]) == 0
+            second = {name: (out / name).read_bytes()
+                      for name in os.listdir(out)}
+            assert first == second
+        assert "oracle_trajectory.csv" in os.listdir(tmp_path / "oracle")
+        assert len(os.listdir(tmp_path / "spectral")) > 3
 
     def test_compare_oracle_order(self, tmp_path):
         cfg_path, cfg = heat_config(
@@ -557,6 +580,86 @@ class TestRunSpectral:
         diag = manifest["diagnostics"]
         assert diag["max_eigen_residual"] <= 1e-10 * 3.0
         assert diag["max_orthonormality_defect"] <= 1e-10
+
+        # a multi-mode domain: one row and one field file per mode
+        assert main(["run", grid_config(tmp_path, "grid.json",
+                                        {"kind": "spectral"})]) == 0
+        out = tmp_path / "grid"
+        rows = (out / "basis.csv").read_text().splitlines()[1:]
+        assert [int(r.split(",")[0]) for r in rows] == list(range(1, 20))
+        lams = [float(r.split(",")[1]) for r in rows]
+        assert lams == sorted(lams) and lams[0] > 0.0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == sorted(
+            ["basis.csv"] + [f"basis_field_{j}.txt" for j in range(1, 20)])
+        for j in range(1, 20):
+            text = (out / f"basis_field_{j}.txt").read_text()
+            assert len(text.splitlines()) == 25
+        diag = manifest["diagnostics"]
+        assert diag["max_eigen_residual"] <= 1e-10 * (1.0 + lams[-1])
+        assert diag["max_orthonormality_defect"] <= 1e-10
+        assert diag["nonpositive_modes"] is False
+
+    def test_no_pairwise_inner_products(self, tmp_path, monkeypatch):
+        calls = []
+        inner_product = calculus.inner_product
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner_product(*args, **kwargs)
+
+        monkeypatch.setattr(calculus, "inner_product", counted)
+        assert main(["run", grid_config(tmp_path, "grid.json",
+                                        {"kind": "spectral"})]) == 0
+        assert calls == []
+
+
+class TestDenseSizeGuard:
+    """A dense eigenbasis above ``spectral.MAX_DENSE_INTERIOR`` interior
+    vertices is refused at validation; the limit is lowered here, so no
+    large ``eigh`` runs."""
+
+    def _refuses(self, path, capsys, monkeypatch):
+        def no_eigh(dom):
+            raise AssertionError("eigenbasis built past the guard")
+
+        monkeypatch.setattr(spectral, "dirichlet_eigenbasis", no_eigh)
+        for command in ("validate-config", "run"):
+            assert main([command, path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error[CONFIG]: a dense eigenbasis (kind spectral, p = 1 "
+                "oracle study) of 19 interior vertices is above the limit "
+                "of 18\n")
+        assert not os.path.exists(
+            json.loads(open(path).read())["output"])
+
+    def test_spectral_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_DENSE_INTERIOR", 18)
+        path = grid_config(tmp_path, "grid.json", {"kind": "spectral"})
+        self._refuses(path, capsys, monkeypatch)
+
+    def test_p1_oracle_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_DENSE_INTERIOR", 18)
+        path = grid_config(tmp_path, "grid.json",
+                           {"steps_list": [3, 6], "compare_oracle": True})
+        self._refuses(path, capsys, monkeypatch)
+        # the same through --compare-oracle on a config without it
+        path = grid_config(tmp_path, "plain.json", {})
+        assert main(["run", path, "--compare-oracle"]) == 2
+        assert "limit of 18" in capsys.readouterr().err
+
+    def test_at_limit_and_other_runs_pass(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectral, "MAX_DENSE_INTERIOR", 19)
+        assert main(["run", grid_config(tmp_path, "spectral.json",
+                                        {"kind": "spectral"})]) == 0
+        monkeypatch.setattr(spectral, "MAX_DENSE_INTERIOR", 1)
+        # no eigenbasis: plain heat, and the p > 1 oracle (RK4)
+        assert main(["run", grid_config(tmp_path, "heat.json", {})]) == 0
+        assert main(["run", grid_config(
+            tmp_path, "p2.json",
+            {"p": 2.0, "steps_list": [3, 6], "compare_oracle": True})]) == 0
 
 
 class TestGraphInfo:

@@ -55,16 +55,6 @@ class TestLeftToRightReference:
         for a in cases:
             assert same_bits(kernels.seq_sum(a), loop_sum(a))
 
-    def test_seq_dot(self):
-        rng = np.random.default_rng(2)
-        for size in (0, 1, 4, 513):
-            for _ in range(50):
-                a = _mixed_magnitudes(rng, size)
-                b = rng.normal(size=size)
-                assert same_bits(kernels.seq_dot(a, b), loop_sum(a * b))
-        with pytest.raises(ValueError):
-            kernels.seq_dot(np.zeros(1), np.zeros(3))  # would broadcast
-
     def test_row_sums(self):
         rng = np.random.default_rng(3)
         for _ in range(50):

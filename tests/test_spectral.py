@@ -5,6 +5,7 @@ import pytest
 
 from graphrothe import (
     HeatProblem,
+    LatticeZ2,
     VertexField,
     build_finite_graph,
     dirichlet_eigenbasis,
@@ -12,9 +13,11 @@ from graphrothe import (
     inner_product,
     integrate,
     make_domain,
+    materialize_ball,
     norms,
     ode_oracle,
 )
+from graphrothe.calculus import w12_gram
 from graphrothe.errors import StiffnessFailure, TimeOutOfRange
 from helpers import (
     five_path_domain,
@@ -22,6 +25,8 @@ from helpers import (
     random_admissible,
     random_connected_graph,
     random_domain,
+    reference_dirichlet_eigenbasis,
+    reference_exact_p1_solution,
 )
 
 
@@ -52,13 +57,13 @@ class TestEigenbasis:
         self._check_invariants(g, dom, basis)
 
     def _check_invariants(self, g, dom, basis):
-        for j, phi in enumerate(basis.fields):
+        fields = basis.fields
+        for j, phi in enumerate(fields):
             assert phi.is_admissible(dom)
             assert basis.residuals[j] <= 1e-10 * (1.0 + basis.eigenvalues[j])
         for a in range(basis.size):
             for b in range(basis.size):
-                val = inner_product(g, basis.fields[a], basis.fields[b],
-                                    dom, "W12")
+                val = inner_product(g, fields[a], fields[b], dom, "W12")
                 assert val == pytest.approx(1.0 if a == b else 0.0,
                                             abs=1e-10)
 
@@ -88,6 +93,96 @@ class TestEigenbasis:
         dom = make_domain(g, range(4))
         basis = dirichlet_eigenbasis(dom)
         assert basis.has_nonpositive_modes
+
+
+def _random_cases(seed, count=20):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        g = random_connected_graph(rng, 5, 40)
+        dom = random_domain(rng, g)
+        yield rng, g, dom
+
+
+class TestAgainstPerModeReference:
+    """The matrix form of the basis against the parent's per-mode loops."""
+
+    def test_basis_bit_identical(self):
+        for _, g, dom in _random_cases(21):
+            basis = dirichlet_eigenbasis(dom)
+            lam, fields, residuals = reference_dirichlet_eigenbasis(dom)
+            assert basis.eigenvalues.tobytes() == lam.tobytes()
+            ids = dom.interior_ids
+            ref = np.column_stack([phi.values[ids] for phi in fields])
+            assert basis.vectors.tobytes() == ref.tobytes()
+            for phi, ref_phi in zip(basis.fields, fields):
+                assert phi.values.tobytes() == ref_phi.values.tobytes()
+            assert np.allclose(basis.residuals, residuals,
+                               rtol=1e-12, atol=1e-30)
+            assert not basis.vectors.flags.writeable
+
+    def test_exact_p1_agrees(self):
+        for rng, g, dom in _random_cases(22):
+            h = random_admissible(rng, dom)
+            basis = dirichlet_eigenbasis(dom)
+            lam, fields, _ = reference_dirichlet_eigenbasis(dom)
+            times = [0.0, 0.1, 0.75, 3.0]
+            got = exact_p1_solution(basis, h, times)
+            ref = reference_exact_p1_solution(dom, lam, fields, h, times)
+            scale = max(float(np.max(np.abs(u.values))) for u in ref)
+            for u, v in zip(got, ref):
+                assert u.is_admissible(dom)
+                assert float(np.max(np.abs(u.values - v.values))) \
+                    <= 1e-13 * scale
+
+    def test_empty_times(self):
+        g, dom = five_path_domain()
+        basis = dirichlet_eigenbasis(dom)
+        assert exact_p1_solution(basis, VertexField.indicator(g, 2), []) \
+            == []
+
+    def test_gram_defect_matches_pairwise(self):
+        for _, g, dom in _random_cases(23):
+            basis = dirichlet_eigenbasis(dom)
+            fields = basis.fields
+            pairwise = max(
+                abs(inner_product(g, fields[a], fields[b], dom, "W12")
+                    - (1.0 if a == b else 0.0))
+                for a in range(basis.size) for b in range(a, basis.size))
+            gram = w12_gram(g, dom, basis.vectors)
+            assert gram.shape == (basis.size, basis.size)
+            defect = float(np.max(np.abs(gram - np.eye(basis.size))))
+            assert abs(defect - pairwise) <= 1e-13
+
+    def test_gram_of_arbitrary_fields(self):
+        # not only of an orthonormal basis: any admissible fields
+        rng = np.random.default_rng(24)
+        g = random_connected_graph(rng, 10, 30)
+        dom = random_domain(rng, g)
+        fields = [random_admissible(rng, dom) for _ in range(4)]
+        vectors = np.column_stack([f.values[dom.interior_ids]
+                                   for f in fields])
+        gram = w12_gram(g, dom, vectors)
+        for a in range(4):
+            for b in range(4):
+                assert gram[a, b] == pytest.approx(
+                    inner_product(g, fields[a], fields[b], dom, "W12"),
+                    rel=1e-12, abs=1e-12)
+
+
+    def test_gram_on_incomplete_boundary(self):
+        # the rim of a lattice ball has unmaterialized neighbours; with one
+        # more ring materialized the same domain has none
+        rim = materialize_ball(LatticeZ2(), [(0, 0)], 3)
+        dom = make_domain(rim, range(rim.num_vertices))
+        big = materialize_ball(LatticeZ2(), [(0, 0)], 4)
+        dom_big = make_domain(big, [big.vertex(lab) for lab in rim.labels])
+        assert [big.labels[i] for i in dom_big.interior_ids] \
+            == [rim.labels[i] for i in dom.interior_ids]
+        rng = np.random.default_rng(25)
+        vectors = rng.normal(size=(dom.num_interior, 3))
+        assert np.allclose(w12_gram(rim, dom, vectors),
+                           w12_gram(big, dom_big, vectors),
+                           rtol=1e-14, atol=1e-14)
 
 
 class TestExactP1:
