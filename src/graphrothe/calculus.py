@@ -12,6 +12,14 @@ terms omega * (dw * dv) of every vertex's slots go through
 order from 0.0 exactly as ``gamma`` does; one ordered sum over the
 vertices finishes the integral. ``laplacian`` and ``gamma`` stay as the
 per-vertex reference definitions.
+
+``norms`` and ``power_integral`` also take a stack of fields, one per row
+(the steps of a trajectory), and reduce every row in one pass: each row
+is added in vertex order on its own, so its result is bit for bit that of
+its field alone. A field alone is the one-row case of the same code.
+Square roots and ``1/q`` powers are taken on Python floats, row by row,
+because numpy's array power computes ``** 0.5`` as ``sqrt``, which can
+differ from ``pow`` in the last bit.
 """
 
 from __future__ import annotations
@@ -128,24 +136,27 @@ def integrate(g, v, over=None):
     return kernels.seq_sum(np.ascontiguousarray(g.mu[ids] * v.values[ids]))
 
 
-def _power_integral(g, v, ids, q):
-    vals = np.abs(v.values[ids]) ** q
-    return kernels.seq_sum(np.ascontiguousarray(g.mu[ids] * vals))
+def power_integral(g, values, ids, q):
+    """Integral over ``ids`` of mu |v|^q, summed in the order given: a
+    float for one field's values, one per row for a stack of them."""
+    return kernels.seq_sum(g.mu[ids] * np.abs(values[..., ids]) ** q)
 
 
-def _gamma_values(g, w_field, v_field, ids):
+def _gamma_values(g, wv, vv, ids):
     """``gamma`` at every vertex of ``ids``, bit for bit, in one pass over
-    the neighbour slots; refuses the first incomplete vertex of ``ids``."""
+    the neighbour slots, for the field values ``wv`` and ``vv`` (one field
+    each, or stacks with one field per row); refuses the first incomplete
+    vertex of ``ids``."""
     ids = np.asarray(ids, dtype=np.int64)
     incomplete = np.flatnonzero(~g.complete[ids])
     if incomplete.size:
         _require_complete(g, int(ids[incomplete[0]]))
-    wv, vv = w_field.values, v_field.values
 
     def terms(slots, rows):
         nbrs = g.indices[slots]
         at = ids[rows]
-        return g.weights[slots] * ((wv[nbrs] - wv[at]) * (vv[nbrs] - vv[at]))
+        return g.weights[slots] * ((wv[..., nbrs] - wv[..., at])
+                                   * (vv[..., nbrs] - vv[..., at]))
 
     start = g.indptr[ids]
     return (kernels.row_sums(start, g.indptr[ids + 1] - start, terms)
@@ -154,7 +165,8 @@ def _gamma_values(g, w_field, v_field, ids):
 
 def _gamma_integral(g, w_field, v_field, ids):
     """Integral of Gamma(w, v) over ``ids``, summed in the order given."""
-    return kernels.seq_sum(g.mu[ids] * _gamma_values(g, w_field, v_field, ids))
+    return kernels.seq_sum(
+        g.mu[ids] * _gamma_values(g, w_field.values, v_field.values, ids))
 
 
 @dataclass(frozen=True)
@@ -168,20 +180,37 @@ class NormBundle:
 
 def norms(g, v, dom, q=2.0):
     """L2 over the interior and over Omega, Lq over Omega (q in [1, inf]),
-    the W^{1,2}(Omega) norm, and the gradient L2 norm over Omega."""
+    the W^{1,2}(Omega) norm, and the gradient L2 norm over Omega.
+
+    ``v`` is a field, which gives one NormBundle, or a stack of field
+    values with one field per row (K x V), which gives a tuple of K
+    bundles in one pass. Each row is added in vertex order on its own, so
+    a stacked bundle is bit for bit the bundle of its field alone. The
+    roots are taken on Python floats: numpy's array power turns
+    ``** 0.5`` into ``sqrt``, which can differ from ``pow`` in the last
+    bit."""
     if math.isnan(q) or q < 1.0:
         raise InvalidQ(f"q = {q}")
-    grad_sq = _gamma_integral(g, v, v, dom.omega_ids)
-    l2i = math.sqrt(_power_integral(g, v, dom.interior_ids, 2.0))
-    l2d = math.sqrt(_power_integral(g, v, dom.omega_ids, 2.0))
+    single = isinstance(v, VertexField)
+    values = v.values[None] if single else np.asarray(v, dtype=float)
+    omega = dom.omega_ids
+    grad_sq = kernels.seq_sum(
+        g.mu[omega] * _gamma_values(g, values, values, omega))
+    int_sq = power_integral(g, values, dom.interior_ids, 2.0)
+    dom_sq = power_integral(g, values, omega, 2.0)
     if math.isinf(q):
-        lq = float(np.max(np.abs(v.values[dom.omega_ids]))) \
-            if dom.omega_ids.size else 0.0
+        lq = np.max(np.abs(values[:, omega]), axis=1, initial=0.0).tolist()
     else:
-        lq = _power_integral(g, v, dom.omega_ids, q) ** (1.0 / q)
-    grad = math.sqrt(max(grad_sq, 0.0))
-    w12 = math.sqrt(max(grad_sq, 0.0) + l2d * l2d)
-    return NormBundle(l2i, l2d, lq, w12, grad)
+        lq_sums = dom_sq if q == 2.0 else power_integral(g, values, omega, q)
+        lq = [s ** (1.0 / q) for s in lq_sums.tolist()]
+    bundles = []
+    for gs, si, sd, lq_k in zip(grad_sq.tolist(), int_sq.tolist(),
+                                dom_sq.tolist(), lq):
+        l2d = math.sqrt(sd)
+        gs = max(gs, 0.0)
+        bundles.append(NormBundle(math.sqrt(si), l2d, lq_k,
+                                  math.sqrt(gs + l2d * l2d), math.sqrt(gs)))
+    return bundles[0] if single else tuple(bundles)
 
 
 def inner_product(g, w_field, v_field, dom, kind="L2"):
@@ -193,7 +222,7 @@ def inner_product(g, w_field, v_field, dom, kind="L2"):
         return kernels.seq_sum(np.ascontiguousarray(prods))
     if kind == "W12":
         ids = dom.omega_ids
-        gam = _gamma_values(g, w_field, v_field, ids)
+        gam = _gamma_values(g, w_field.values, v_field.values, ids)
         return kernels.seq_sum(
             g.mu[ids] * (gam + w_field.values[ids] * v_field.values[ids]))
     raise ValueError(f"unknown inner product kind {kind!r}")

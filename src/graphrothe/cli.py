@@ -403,9 +403,10 @@ def _write_levels(results, outdir, diagnostics):
     rows = []
     for res in results:
         terminal = res.run.fields[-1]
-        nb = calculus.norms(res.domain.graph, terminal, res.domain)
-        rows.append((res.level, res.domain.num_interior,
-                     nb.l2_interior, res.delta_prev))
+        l2_terminal = math.sqrt(calculus.power_integral(
+            res.domain.graph, terminal.values, res.domain.interior_ids, 2.0))
+        rows.append((res.level, res.domain.num_interior, l2_terminal,
+                     res.delta_prev))
         name = f"terminal_level_{res.level}.txt"
         fileio.write_field_file(terminal, os.path.join(outdir, name))
         outputs.append(name)
@@ -534,14 +535,16 @@ def _run_vi(prep, outdir):
     fileio.write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
                                 run.fields, part.times, g)
     dom = prep.domain
-    bundles = [calculus.norms(g, u, dom) for u in run.fields]
+    bundles = calculus.norms(g, np.stack([u.values for u in run.fields]),
+                             dom)
+    delta_sqs = calculus.power_integral(
+        g, np.stack([rep.quotient.values for rep in run.reports]),
+        dom.interior_ids, 2.0).tolist()
     rows = []
-    for rep in run.reports:
+    for rep, delta_sq in zip(run.reports, delta_sqs):
         nb = bundles[rep.index]
-        delta_l2 = math.sqrt(
-            calculus._power_integral(g, rep.quotient, dom.interior_ids, 2.0))
         rows.append((rep.index, float(part.times[rep.index]),
-                     nb.l2_interior, nb.grad_l2, delta_l2,
+                     nb.l2_interior, nb.grad_l2, math.sqrt(delta_sq),
                      rep.variational_residual, rep.primal_residual,
                      rep.dual_residual, rep.complementarity, rep.beta,
                      rep.iterations))
@@ -650,6 +653,18 @@ def cmd_graph_info(args):
     return 0
 
 
+def _step_values(g, steps, name):
+    """The steps of a trajectory as one array, a row per step with its
+    values in vertex order; refuses a step whose vertices are not the
+    graph's."""
+    labels = set(g.labels)
+    if any(step.keys() != labels for step in steps):
+        raise GraphMismatch(
+            f"{name}: trajectory vertices do not match the graph")
+    values = [list(map(step.__getitem__, g.labels)) for step in steps]
+    return np.array(values, dtype=float).reshape(len(steps), g.num_vertices)
+
+
 def cmd_compare(args):
     g = fileio.read_graph_file(args.graph)
     if args.domain:
@@ -658,32 +673,30 @@ def cmd_compare(args):
         dom = _problem_domain(g, range(g.num_vertices))
     times_a, steps_a = fileio.read_trajectory_csv(args.traj_a)
     times_b, steps_b = fileio.read_trajectory_csv(args.traj_b)
-    labels = set(g.labels)
-    for steps, name in ((steps_a, args.traj_a), (steps_b, args.traj_b)):
-        for step in steps:
-            if set(step) != labels:
-                raise GraphMismatch(
-                    f"{name}: trajectory vertices do not match the graph")
+    values_a = _step_values(g, steps_a, args.traj_a)
+    values_b = _step_values(g, steps_b, args.traj_b)
     if args.times:
         wanted = _list_option(args.times, float, "--times (numbers)")
     else:
         wanted = [t for t in times_a
                   if any(math.isclose(t, s, rel_tol=0.0, abs_tol=1e-12)
                          for s in times_b)]
+    if not wanted:
+        raise ConfigError(f"{args.traj_a} and {args.traj_b} have no time "
+                          "in common to compare")
 
-    def step_at(times, steps, t):
+    def step_at(times, t):
         for i, ti in enumerate(times):
             if math.isclose(t, ti, rel_tol=0.0, abs_tol=1e-12):
-                return steps[i]
+                return i
         raise ConfigError(f"time {t} is not on both trajectory grids")
 
     op = dom.operator
     rows = []
     max_l2 = 0.0
     for t in wanted:
-        sa = step_at(times_a, steps_a, t)
-        sb = step_at(times_b, steps_b, t)
-        diff = np.array([sa[lab] - sb[lab] for lab in g.labels])
+        diff = (values_a[step_at(times_a, t)]
+                - values_b[step_at(times_b, t)])
         l2 = op.l2(diff[op.interior_ids])
         sup = float(np.max(np.abs(diff), initial=0.0))
         rows.append((t, l2, sup))

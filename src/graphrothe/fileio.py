@@ -218,10 +218,18 @@ def _csv_cell(text):
     return buf.getvalue()[:-2]
 
 
+def _label_cells(names):
+    """The labels as cells of ``write_csv``: a label without a comma,
+    quote or line break as it is, one whose only such character is a
+    comma in quotes, and only the rest through ``_csv_cell``."""
+    return [_csv_cell(name) if '"' in name or "\r" in name or "\n" in name
+            else f'"{name}"' if "," in name else name for name in names]
+
+
 def write_trajectory_csv(path, fields, times, graph):
     """One ``i,t,vertex,value`` row per step and vertex, byte-identical to
     ``write_csv`` over those rows; each label is quoted once."""
-    cells = [_csv_cell(name) for name in graph.names]
+    cells = _label_cells(graph.names)
     lines = ["i,t,vertex,value"]
     for i, (t, u) in enumerate(zip(times, fields)):
         prefix = f"{i},{fmt(t)},"

@@ -17,6 +17,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import connected_components
 
 from . import kernels
 from .errors import (
@@ -210,7 +212,11 @@ def _csr(labels, a, b, w):
 
 
 def _refuse_disconnected(g):
-    unreachable = int(np.count_nonzero(_bfs_distances(g, (0,)) < 0))
+    n = g.num_vertices
+    _, component = connected_components(
+        csr_array((g.weights, g.indices, g.indptr), shape=(n, n)),
+        directed=False)
+    unreachable = int(np.count_nonzero(component != component[0]))
     if unreachable:
         raise DisconnectedGraph(
             f"graph has {unreachable} vertices unreachable from "

@@ -385,3 +385,62 @@ def reference_exact_p1_solution(dom, lam, fields, h, times):
         decay = [coeff[j] * math.exp(-(lam[j] + 1.0) * t) for t in times]
         w += np.array(decay)[:, None] * phi.values[ids]
     return [field_on_interior(dom, row) for row in w]
+
+
+def reference_power_integral(g, v, ids, q):
+    """Reference for ``calculus.power_integral``: one field at a time."""
+    from graphrothe import kernels
+
+    vals = np.abs(v.values[ids]) ** q
+    return kernels.seq_sum(np.ascontiguousarray(g.mu[ids] * vals))
+
+
+def reference_norms(g, v, dom, q=2.0):
+    """Reference for ``calculus.norms``: the bundle of one field, each
+    integral reduced on its own."""
+    from graphrothe.calculus import NormBundle, _gamma_integral
+
+    grad_sq = _gamma_integral(g, v, v, dom.omega_ids)
+    l2i = math.sqrt(reference_power_integral(g, v, dom.interior_ids, 2.0))
+    l2d = math.sqrt(reference_power_integral(g, v, dom.omega_ids, 2.0))
+    if math.isinf(q):
+        lq = float(np.max(np.abs(v.values[dom.omega_ids]))) \
+            if dom.omega_ids.size else 0.0
+    else:
+        lq = reference_power_integral(g, v, dom.omega_ids, q) ** (1.0 / q)
+    grad = math.sqrt(max(grad_sq, 0.0))
+    w12 = math.sqrt(max(grad_sq, 0.0) + l2d * l2d)
+    return NormBundle(l2i, l2d, lq, w12, grad)
+
+
+def reference_monitor_estimates(traj):
+    """Reference for ``heat.monitor_estimates``: one norm bundle and one
+    power integral per field, in a loop over the steps."""
+    from graphrothe import VertexField
+    from graphrothe.heat import EstimateReport, StepEstimate
+
+    prob = traj.problem
+    dom = prob.domain
+    g = dom.graph
+    ell = traj.partition.step_size
+    p = prob.p
+    rows = []
+    prev_sq = None
+    for i, u in enumerate(traj.fields):
+        nb = reference_norms(g, u, dom, q=2.0 * p)
+        sq = nb.l2_interior ** 2
+        powr = reference_power_integral(g, u, dom.interior_ids, p + 1.0)
+        grad_sq = nb.grad_l2 ** 2
+        energy = 0.5 * grad_sq + powr / (p + 1.0)
+        if i == 0:
+            delta_l2 = r = d = math.nan
+        else:
+            du = VertexField(g, (u.values - traj.fields[i - 1].values) / ell)
+            delta_l2 = math.sqrt(
+                reference_power_integral(g, du, dom.omega_ids, 2.0))
+            r = sq + ell * (powr + grad_sq) - 0.5 * (sq + prev_sq)
+            d = (sq - prev_sq) / ell + 2.0 * powr + 2.0 * grad_sq
+        rows.append(StepEstimate(i, nb.l2_domain, nb.l2_interior, nb.grad_l2,
+                                 nb.lq, energy, delta_l2, r, d))
+        prev_sq = sq
+    return EstimateReport(tuple(rows))

@@ -22,7 +22,7 @@ from graphrothe import (
     LatticeZ,
     LatticeZ2,
 )
-from graphrothe.calculus import _gamma_integral
+from graphrothe.calculus import _gamma_integral, power_integral
 from graphrothe.errors import (
     EmptyInteriorWarning,
     InvalidQ,
@@ -35,6 +35,8 @@ from helpers import (
     random_admissible,
     random_connected_graph,
     random_domain,
+    reference_norms,
+    reference_power_integral,
 )
 
 
@@ -350,6 +352,68 @@ class TestVectorizedGammaBitIdentity:
             with pytest.raises(UnmaterializedNeighbor) as got:
                 call()
             assert str(got.value) == str(ref.value)
+
+
+def bundle_bits(nb):
+    return [bits(getattr(nb, name)) for name in
+            ("l2_interior", "l2_domain", "lq", "w12", "grad_l2")]
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+class TestStackedNorms:
+    """``norms`` and ``power_integral`` on a stack of fields, one per row,
+    against the per-field reference, bit for bit."""
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 3.0, 4.0, 6.0, math.inf])
+    def test_rows_match_per_field_reference(self, q):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            g = dense_random_graph(rng)
+            dom = random_domain(rng, g, keep=rng.uniform(0.3, 1.0))
+            fields = [wide_field(rng, g)
+                      for _ in range(int(rng.integers(1, 6)))]
+            stack = np.stack([v.values for v in fields])
+            got = norms(g, stack, dom, q=q)
+            assert isinstance(got, tuple) and len(got) == len(fields)
+            for nb, v in zip(got, fields):
+                assert bundle_bits(nb) \
+                    == bundle_bits(reference_norms(g, v, dom, q=q))
+                assert bundle_bits(norms(g, v, dom, q=q)) == bundle_bits(nb)
+            for ids in (dom.interior_ids, dom.omega_ids, []):
+                sums = power_integral(g, stack, ids, q)
+                assert [bits(x) for x in sums] == [
+                    bits(reference_power_integral(g, v, ids, q))
+                    for v in fields]
+
+    def test_signed_zero_rows(self):
+        g = dense_random_graph(np.random.default_rng(6))
+        dom = random_domain(np.random.default_rng(7), g, keep=0.6)
+        stack = np.zeros((3, g.num_vertices))
+        stack[1] = -0.0
+        stack[2, ::2] = -0.0
+        for q in (1.0, 2.0, 3.0, math.inf):
+            for nb, row in zip(norms(g, stack, dom, q=q), stack):
+                assert bundle_bits(nb) == bundle_bits(
+                    reference_norms(g, VertexField(g, row), dom, q=q))
+                assert bundle_bits(nb) == [bits(0.0)] * 5
+
+    def test_refuses_first_incomplete_omega_vertex(self):
+        g = materialize_ball(LatticeZ2(), [(0, 0)], 3)
+        dom = make_domain(g, range(g.num_vertices))
+        rng = np.random.default_rng(9)
+        stack = rng.normal(size=(4, g.num_vertices))
+        with pytest.raises(UnmaterializedNeighbor) as ref:
+            reference_norms(g, VertexField(g, stack[0]), dom)
+        with pytest.raises(UnmaterializedNeighbor) as got:
+            norms(g, stack, dom)
+        assert str(got.value) == str(ref.value)
+
+    def test_refuses_q_below_one(self):
+        g = path_graph(4)
+        dom = make_domain(g, range(4))
+        with pytest.raises(InvalidQ):
+            norms(g, np.zeros((2, 4)), dom, q=0.5)
 
 
 class TestVertexField:

@@ -800,6 +800,27 @@ class TestCompare:
             assert captured.err.startswith("error[CONFIG]:")
             assert captured.err.count("\n") == 1
 
+    def test_nothing_to_compare_exit_2(self, tmp_path, capsys):
+        # grids with no time in common, and a trajectory without steps
+        g = path_graph(3)
+        gpath = str(tmp_path / "p3.txt")
+        fileio.write_graph_file(g, gpath)
+        fields = [calculus.VertexField(g, [0.0, float(k), 0.0])
+                  for k in range(2)]
+        traj_a = str(tmp_path / "a.csv")
+        traj_b = str(tmp_path / "b.csv")
+        empty = tmp_path / "empty.csv"
+        fileio.write_trajectory_csv(traj_a, fields, [0.0, 0.5], g)
+        fileio.write_trajectory_csv(traj_b, fields[1:], [0.1], g)
+        empty.write_text("i,t,vertex,value\n")
+        for a, b in ((traj_a, traj_b), (traj_a, str(empty)),
+                     (str(empty), traj_a), (str(empty), str(empty))):
+            assert main(["compare", a, b, "--graph", gpath]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (f"error[CONFIG]: {a} and {b} have no "
+                                    "time in common to compare\n")
+
 
 # keys that parse to the same label ("2", "+2", "002"; "1", "01"),
 # labels outside the interior {2} or the graph, and a tuple label that the

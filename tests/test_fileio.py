@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graphrothe import VertexField, build_finite_graph, fileio
 from graphrothe import LatticeZ2, materialize_ball
@@ -305,3 +307,9 @@ class TestWriterByteIdentity:
             fileio.write_field_file(field, str(path))
             assert path.read_bytes().decode("utf-8") == \
                 reference_field_file(field)
+
+    @given(st.lists(st.text(alphabet=',"\r\n \tab;\'', max_size=6),
+                    max_size=8))
+    def test_label_cells_match_csv_writer(self, names):
+        assert fileio._label_cells(names) \
+            == [fileio._csv_cell(name) for name in names]

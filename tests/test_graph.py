@@ -86,6 +86,11 @@ class TestBuildFiniteGraph:
         with pytest.raises(DisconnectedGraph):
             build_finite_graph([(0, 1, 1.0), (2, 3, 1.0)],
                                {i: 1.0 for i in range(4)})
+        # the count is of every vertex outside the first vertex's component
+        with pytest.raises(DisconnectedGraph) as exc:
+            build_finite_graph([(5, 1, 1.0), (2, 3, 1.0), (3, 4, 1.0),
+                                (6, 7, 1.0)], {i: 1.0 for i in range(1, 8)})
+        assert str(exc.value) == "graph has 5 vertices unreachable from 1"
 
     def test_self_loop(self):
         with pytest.raises(SelfLoop):

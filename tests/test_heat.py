@@ -5,6 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import scipy.sparse.linalg as spla
 
 from graphrothe import (
@@ -34,6 +36,7 @@ from helpers import (
     random_admissible,
     random_connected_graph,
     random_domain,
+    reference_monitor_estimates,
     reference_newton_solve,
 )
 
@@ -309,6 +312,58 @@ class TestMonitor:
             scale = (1.0 + report.rows[0].l2) ** 2
             assert report.max_r <= 1e-10 * scale
             assert report.max_d <= 1e-10 * scale
+
+
+def boundary_domain(rng, g):
+    """A random domain whose Omega has vertices outside its interior."""
+    for _ in range(50):
+        dom = random_domain(rng, g, keep=rng.uniform(0.4, 0.9))
+        if dom.omega_ids.size > dom.interior_ids.size:
+            return dom
+    return make_domain(g, range(g.num_vertices - 1))
+
+
+def estimate_bits(report):
+    """Every field of every row; repr tells -0.0 from 0.0 and shows NaN."""
+    return [tuple(map(repr, (row.index, row.l2, row.l2_interior,
+                             row.grad_l2, row.l2p, row.energy,
+                             row.delta_l2, row.r, row.d)))
+            for row in report.rows]
+
+
+class TestStackedMonitorMatchesReference:
+    """``monitor_estimates`` reduces the whole trajectory as one stack;
+    every row equals the per-field loop of ``reference_monitor_estimates``
+    bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           steps=st.integers(1, 12),
+           kind=st.sampled_from(["solved", "random", "zero"]))
+    def test_bit_identical(self, seed, p, steps, kind):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, 5, 30)
+        dom = boundary_domain(rng, g)
+        assert dom.omega_ids.size > dom.interior_ids.size
+        h = random_admissible(rng, dom, scale=float(rng.uniform(0.1, 3.0)))
+        part = TimePartition(float(rng.uniform(0.1, 2.0)), steps)
+        prob = HeatProblem(dom, p, h, part.horizon)
+        if kind == "solved":
+            traj = run_rothe(prob, part)
+        else:
+            # random fields, also off the interior, with -0.0 at about a
+            # third of their entries, or the all-zero trajectory
+            fields = []
+            for _ in range(steps + 1):
+                vals = rng.normal(size=g.num_vertices)
+                vals[rng.random(vals.size) < 0.3] = -0.0
+                fields.append(VertexField(g, vals) if kind == "random"
+                              else VertexField.zeros(g))
+            traj = heat.RotheTrajectory(prob, part, tuple(fields))
+        got = estimate_bits(monitor_estimates(traj))
+        assert got == estimate_bits(reference_monitor_estimates(traj))
+        assert got[0][6:] == ("nan", "nan", "nan")
 
 
 class TestExhaustion:

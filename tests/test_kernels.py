@@ -75,6 +75,54 @@ class TestLeftToRightReference:
                 assert same_bits(float(sums[r]), loop_sum(row))
 
 
+class TestStacks:
+    """A stack of rows is reduced along its last axis, each row bit for
+    bit as the 1-D call on that row alone."""
+
+    def test_seq_sum(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            k = int(rng.integers(0, 6))
+            a = _mixed_magnitudes(rng, (k, int(rng.integers(0, 30))))
+            if k and rng.random() < 0.2:
+                a[int(rng.integers(0, k))] = -0.0
+            sums = kernels.seq_sum(a)
+            assert sums.shape == (k,)
+            for row, total in zip(a, sums.tolist()):
+                assert same_bits(total, kernels.seq_sum(row))
+        # more stack axes, and the 1-D case as a float
+        a = _mixed_magnitudes(rng, (2, 3, 17))
+        sums = kernels.seq_sum(a)
+        assert sums.shape == (2, 3)
+        assert same_bits(sums[1, 2], kernels.seq_sum(a[1, 2]))
+        assert type(kernels.seq_sum(a[0, 0])) is float
+
+    def test_row_sums(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            n = int(rng.integers(1, 40))
+            k = int(rng.integers(1, 6))
+            degree = rng.integers(0, 13, size=n)
+            degree[rng.random(n) < 0.2] = 0
+            start = np.concatenate(([0], np.cumsum(degree)[:-1]))
+            values = _mixed_magnitudes(rng, (k, int(degree.sum())))
+            scale = rng.normal(size=n)
+            sums = kernels.row_sums(
+                start, degree,
+                lambda slots, rows: values[:, slots] * scale[rows])
+            assert sums.shape == (k, n)
+            for row, stacked in zip(values, sums):
+                alone = kernels.row_sums(
+                    start, degree,
+                    lambda slots, rows: row[slots] * scale[rows])
+                assert stacked.tobytes() == alone.tobytes()
+
+    def test_row_sums_without_slots(self):
+        sums = kernels.row_sums(np.zeros(3, dtype=np.int64),
+                                np.zeros(3, dtype=np.int64), None)
+        assert sums.tobytes() == np.zeros(3).tobytes()
+
+
 class TestSeqSemantics:
     def test_strict_left_to_right(self):
         # a sum whose value depends on evaluation order
