@@ -402,13 +402,15 @@ def _write_levels(results, outdir, diagnostics):
     outputs = []
     rows = []
     for res in results:
-        terminal = res.run.fields[-1]
+        g = res.domain.graph
+        terminal = res.run.values[-1]
         l2_terminal = math.sqrt(calculus.power_integral(
-            res.domain.graph, terminal.values, res.domain.interior_ids, 2.0))
+            g, terminal, res.domain.interior_ids, 2.0))
         rows.append((res.level, res.domain.num_interior, l2_terminal,
                      res.delta_prev))
         name = f"terminal_level_{res.level}.txt"
-        fileio.write_field_file(terminal, os.path.join(outdir, name))
+        fileio.write_field_file(VertexField(g, terminal),
+                                os.path.join(outdir, name))
         outputs.append(name)
     fileio.write_csv(os.path.join(outdir, "levels.csv"),
                      ("m", "interior_size", "l2_terminal", "delta_prev"),
@@ -435,7 +437,7 @@ def _run_heat(prep, outdir):
     traj = heat.run_rothe(prob, part, tol_factor=prep.newton_factor)
     g = prep.graph
     fileio.write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
-                                traj.fields, part.times, g)
+                                traj.values, part.times, g)
     report = heat.monitor_estimates(traj)
     fileio.write_csv(os.path.join(outdir, "estimates.csv"),
                      ("i", "l2", "grad_l2", "l2p", "delta_l2", "r_i", "d_i"),
@@ -463,8 +465,6 @@ def _oracle_study(prep, prob, finest, outdir):
         basis = spectral.dirichlet_eigenbasis(prep.domain)
     rows = []
     prev = None
-    oracle_fields = None
-    oracle_times = None
     for n in prep.steps_list:
         if n == finest.partition.steps:
             traj, part = finest, finest.partition
@@ -477,9 +477,7 @@ def _oracle_study(prep, prob, finest, outdir):
         else:
             refs = spectral.ode_oracle(prob, [float(t) for t in times],
                                        tol=prep.ode_tol)
-        oracle_fields, oracle_times = refs, times
-        errs = [op.l2(op.restrict(u) - op.restrict(ref))
-                for u, ref in zip(traj.fields, refs)]
+        errs = [op.l2(diff) for diff in op.restrict_rows(traj.values - refs)]
         err = max(errs)
         order = None
         if prev is not None:
@@ -493,7 +491,7 @@ def _oracle_study(prep, prob, finest, outdir):
                       "observed_order"), rows)
     # the reference itself, in the common trajectory schema (finest grid)
     fileio.write_trajectory_csv(os.path.join(outdir, "oracle_trajectory.csv"),
-                                oracle_fields, oracle_times, prep.graph)
+                                refs, times, prep.graph)
     return ["oracle_error.csv", "oracle_trajectory.csv"]
 
 
@@ -533,13 +531,11 @@ def _run_vi(prep, outdir):
     run = vi.run_vi(prob, part, **opts)
     g = prep.graph
     fileio.write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
-                                run.fields, part.times, g)
+                                run.values, part.times, g)
     dom = prep.domain
-    bundles = calculus.norms(g, np.stack([u.values for u in run.fields]),
-                             dom)
-    delta_sqs = calculus.power_integral(
-        g, np.stack([rep.quotient.values for rep in run.reports]),
-        dom.interior_ids, 2.0).tolist()
+    bundles = calculus.norms(g, run.values, dom)
+    delta_sqs = calculus.power_integral(g, run.quotients, dom.interior_ids,
+                                        2.0).tolist()
     rows = []
     for rep, delta_sq in zip(run.reports, delta_sqs):
         nb = bundles[rep.index]

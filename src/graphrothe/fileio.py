@@ -226,15 +226,18 @@ def _label_cells(names):
             else f'"{name}"' if "," in name else name for name in names]
 
 
-def write_trajectory_csv(path, fields, times, graph):
-    """One ``i,t,vertex,value`` row per step and vertex, byte-identical to
-    ``write_csv`` over those rows; each label is quoted once."""
+def write_trajectory_csv(path, values, times, graph):
+    """One ``i,t,vertex,value`` row per step and vertex of ``graph``, from
+    ``values``, a K x V array with row i the values of step i in vertex
+    order (a run's ``values``), at ``times[i]``; byte-identical to
+    ``write_csv`` over those rows. Each label is quoted once."""
     cells = _label_cells(graph.names)
     lines = ["i,t,vertex,value"]
-    for i, (t, u) in enumerate(zip(times, fields)):
+    rows = np.asarray(values, dtype=float).tolist()
+    for i, (t, row) in enumerate(zip(times, rows)):
         prefix = f"{i},{fmt(t)},"
         lines.extend(f"{prefix}{cell},{v}" for cell, v in
-                     zip(cells, map(repr, u.values.tolist())))
+                     zip(cells, map(repr, row)))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

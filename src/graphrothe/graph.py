@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_array
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from . import kernels
 from .errors import (
@@ -211,11 +211,14 @@ def _csr(labels, a, b, w):
     return indptr, cols[csr], np.concatenate((w, w))[csr]
 
 
-def _refuse_disconnected(g):
+def _adjacency(g):
+    """The weighted adjacency matrix of ``g``, for ``scipy.sparse.csgraph``."""
     n = g.num_vertices
-    _, component = connected_components(
-        csr_array((g.weights, g.indices, g.indptr), shape=(n, n)),
-        directed=False)
+    return csr_array((g.weights, g.indices, g.indptr), shape=(n, n))
+
+
+def _refuse_disconnected(g):
+    _, component = connected_components(_adjacency(g), directed=False)
     unreachable = int(np.count_nonzero(component != component[0]))
     if unreachable:
         raise DisconnectedGraph(
@@ -346,22 +349,10 @@ def make_domain(g, omega_ids):
 
 def _bfs_distances(g, seed_ids):
     """Hop distance of every vertex from the nearest seed, -1 where none
-    reaches: one sweep over the CSR rows of each level's frontier."""
-    dist = np.full(g.num_vertices, -1, dtype=np.int64)
-    # a new vertex listed by several frontier rows is kept once, at the
-    # position that the write to ``place`` left for it
-    place = np.empty(g.num_vertices, dtype=np.int64)
-    frontier = np.asarray(seed_ids, dtype=np.int64)
-    level = 0
-    while frontier.size:
-        dist[frontier] = level
-        level += 1
-        nbrs = g.indices[g.row_slots(frontier)[0]]
-        nbrs = nbrs[dist[nbrs] < 0]
-        at = np.arange(nbrs.size)
-        place[nbrs] = at
-        frontier = nbrs[place[nbrs] == at]
-    return dist
+    reaches."""
+    dist = dijkstra(_adjacency(g), unweighted=True, indices=seed_ids,
+                    min_only=True)
+    return np.where(np.isinf(dist), -1, dist).astype(np.int64)
 
 
 class ExhaustionSequence:

@@ -25,6 +25,11 @@ the minimizer take few CG iterations; the step still ends only when
 max|G/mass| <= tol. Outside CG, each Newton iteration computes one
 stiffness product A w, plus one per Armijo backtrack: the accepted trial
 hands its A w and its value of F on to the next iteration.
+
+A run holds its Rothe sequence as one read-only (steps + 1) x V array,
+a row per step, filled row by row by the step loop that ``run_rothe``
+and ``vi.run_vi`` share; the steppers work on interior vectors, and the
+monitors, the level deltas and the writers read the array.
 """
 
 from __future__ import annotations
@@ -104,23 +109,41 @@ class HeatProblem:
             require_admissible(self.initial, self.domain, "initial field")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RotheTrajectory:
-    """The Rothe sequence u_{n,0}, ..., u_{n,n} on one finite domain."""
+    """The Rothe sequence u_{n,0}, ..., u_{n,n} on one finite domain.
 
-    problem: HeatProblem
+    ``values`` is one read-only (steps + 1) x V array: row i holds u_{n,i}
+    on every vertex of the graph, in vertex id order. It is copied from
+    the array given, and a non-finite entry refuses the whole run, with
+    the error of a non-finite ``VertexField``."""
+
+    problem: object
     partition: TimePartition
-    fields: tuple
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.array(self.values, dtype=float)
+        shape = (self.partition.steps + 1,
+                 self.problem.domain.graph.num_vertices)
+        if values.shape != shape:
+            raise ValueError(f"expected {shape} values, got {values.shape}")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("field contains non-finite values")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def fields(self):
+        """The steps as VertexFields, built on each read."""
+        g = self.problem.domain.graph
+        return tuple(VertexField(g, row) for row in self.values)
 
     @property
     def quotients(self):
-        """Difference quotients (u_i - u_{i-1}) / l for i = 1..n."""
-        ell = self.partition.step_size
-        g = self.fields[0].graph
-        return tuple(
-            VertexField(g, (self.fields[i].values
-                            - self.fields[i - 1].values) / ell)
-            for i in range(1, len(self.fields)))
+        """Difference quotients (u_i - u_{i-1}) / l for i = 1..n, one row
+        each."""
+        return np.diff(self.values, axis=0) / self.partition.step_size
 
 
 def _power(w, p):
@@ -297,18 +320,29 @@ def solve_step(u_prev, prob, ell, x0=None, **opts):
     return stepper.op.extend(w)
 
 
+def _step_rows(prob, part, step):
+    """The Rothe sequence of ``prob`` on ``part`` as one (steps + 1) x V
+    array, filled row by row: row 0 holds the initial field and row i the
+    zero extension of ``step(i, w)``, the interior vector of u_i computed
+    from w, that of u_{i-1}."""
+    op = prob.domain.operator
+    values = np.zeros((part.steps + 1, prob.domain.graph.num_vertices))
+    w = op.restrict(prob.initial)
+    values[0, op.interior_ids] = w
+    for i in range(1, part.steps + 1):
+        w = step(i, w)
+        values[i, op.interior_ids] = w
+    return values
+
+
 def run_rothe(prob, part, **opts):
     """Full Rothe sequence on a finite domain."""
     if not isinstance(prob.domain, Domain):
         raise TypeError("run_rothe needs a finite Domain; "
                         "use run_exhaustion for exhaustion targets")
     stepper = _HeatStepper(prob, part.step_size, **opts)
-    w = stepper.op.restrict(prob.initial)
-    fields = [stepper.op.extend(w)]
-    for _ in range(part.steps):
-        w = stepper.solve(w)
-        fields.append(stepper.op.extend(w))
-    return RotheTrajectory(prob, part, tuple(fields))
+    return RotheTrajectory(
+        prob, part, _step_rows(prob, part, lambda i, w: stepper.solve(w)))
 
 
 def evaluate_interpolant(traj, t, kind="linear"):
@@ -328,24 +362,24 @@ def evaluate_interpolant(traj, t, kind="linear"):
         exact = idx - 1
     else:
         exact = None
+    g = traj.problem.domain.graph
+    values = traj.values
     if kind == "linear":
         if t < 0.0 or t > part.horizon:
             raise TimeOutOfRange(f"t = {t} outside [0, {part.horizon}]")
         if exact is not None:
-            return traj.fields[exact]
+            return VertexField(g, values[exact])
         i = min(max(idx, 1), n)
-        g = traj.fields[0].graph
-        du = (traj.fields[i].values - traj.fields[i - 1].values) / ell
-        return VertexField(g, traj.fields[i - 1].values
-                           + (t - grid[i - 1]) * du)
+        return VertexField(g, values[i - 1]
+                           + (t - grid[i - 1]) * traj.quotients[i - 1])
     if kind == "step":
         if t < -ell - 1e-14 * part.horizon or t > part.horizon:
             raise TimeOutOfRange(f"t = {t} outside [{-ell}, {part.horizon}]")
         if t <= 0.0:
-            return traj.fields[0]
+            return VertexField(g, values[0])
         if exact is not None:
-            return traj.fields[exact]
-        return traj.fields[min(max(idx, 1), n)]
+            return VertexField(g, values[exact])
+        return VertexField(g, values[min(max(idx, 1), n)])
     raise ValueError(f"unknown interpolant kind {kind!r}")
 
 
@@ -386,8 +420,9 @@ class EstimateReport:
 
 
 def monitor_estimates(traj):
-    """Norm and energy monitors along a trajectory, from the stack of its
-    fields (one per row) in one norm pass and two power-integral passes.
+    """Norm and energy monitors along a trajectory, from its values (a row
+    per step) and quotients in one norm pass and two power-integral
+    passes.
 
     Row i >= 1 reports, for u_i: the L2(Omega) and L2(interior) norms,
     the gradient L2 norm, the L^{2p}(Omega) norm, the energy, the quotient
@@ -406,12 +441,11 @@ def monitor_estimates(traj):
     g = dom.graph
     ell = traj.partition.step_size
     p = prob.p
-    stack = np.stack([u.values for u in traj.fields])
-    bundles = calculus.norms(g, stack, dom, q=2.0 * p)
-    powrs = calculus.power_integral(g, stack, dom.interior_ids,
+    bundles = calculus.norms(g, traj.values, dom, q=2.0 * p)
+    powrs = calculus.power_integral(g, traj.values, dom.interior_ids,
                                     p + 1.0).tolist()
     delta_sqs = [math.nan] + calculus.power_integral(
-        g, np.diff(stack, axis=0) / ell, dom.omega_ids, 2.0).tolist()
+        g, traj.quotients, dom.omega_ids, 2.0).tolist()
     rows = []
     prev_sq = None
     for i, (nb, powr, delta_sq) in enumerate(zip(bundles, powrs, delta_sqs)):
@@ -434,7 +468,7 @@ def monitor_estimates(traj):
 class LevelResult:
     """One exhaustion level: ball radius, its domain, the run on it (a
     RotheTrajectory or a VIRun), and the L2(Omega_prev) distance between
-    this and the previous level's terminal fields (None on the first
+    this and the previous level's terminal rows (None on the first
     level)."""
 
     level: int
@@ -443,9 +477,10 @@ class LevelResult:
     delta_prev: object
 
 
-def _level_delta(g, prev_dom, u_prev, u_cur):
+def _level_delta(g, prev_dom, prev_values, cur_values):
+    """L2(Omega_prev) distance of two fields' values."""
     ids = prev_dom.omega_ids
-    diff = u_cur.values[ids] - u_prev.values[ids]
+    diff = cur_values[ids] - prev_values[ids]
     return math.sqrt(kernels.seq_sum(
         np.ascontiguousarray(g.mu[ids] * diff * diff)))
 
@@ -477,7 +512,7 @@ def _run_levels(prob, part, levels, solve, **opts):
         if results:
             prev = results[-1]
             delta = _level_delta(exh.graph, prev.domain,
-                                 prev.run.fields[-1], run.fields[-1])
+                                 prev.run.values[-1], run.values[-1])
         results.append(LevelResult(m, dom, run, delta))
     return results
 

@@ -91,6 +91,20 @@ class DirichletOperator:
         """Admissible field with interior values ``w`` and zeros elsewhere."""
         return field_on_interior(self.dom, w)
 
+    def restrict_rows(self, values):
+        """Interior columns of a stack of fields (a row per field), each
+        row C-contiguous. ``values[:, ids]`` alone is column-major, and on
+        a strided row ``np.dot`` (as in ``l2``) adds in another order
+        than on the contiguous ``restrict`` of that row's field."""
+        return np.ascontiguousarray(values[:, self.interior_ids])
+
+    def extend_rows(self, W):
+        """The zero extensions of the interior vectors in the rows of
+        ``W``, as a stack of field values with a row per field."""
+        values = np.zeros((len(W), self.dom.graph.num_vertices))
+        values[:, self.interior_ids] = W
+        return values
+
     def neg_laplacian(self, w):
         """-Laplacian of the zero-extended interior vector, on the interior."""
         return (self.stiffness @ w) / self.mass

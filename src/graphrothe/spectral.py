@@ -12,7 +12,9 @@ matrix with a column per mode (``SpectralBasis.vectors``), so both are
 matrix products. For general p >= 1 the interior system is a smooth ODE
 and a classical fourth-order explicit integrator with Richardson
 step-halving serves as an oracle that shares no machinery with the
-implicit Rothe solver.
+implicit Rothe solver. Both oracles return one K x V array, a row per
+requested time in the order requested, in the layout of a run's
+``values``.
 """
 
 from __future__ import annotations
@@ -93,8 +95,8 @@ def w12_coefficients(basis, h):
 
 
 def exact_p1_solution(basis, h, times):
-    """Closed-form solution of the p = 1 flow, one field per time t >= 0
-    in ``times``."""
+    """Closed-form solution of the p = 1 flow as a K x V array, row k the
+    field values at the time t_k >= 0 of ``times``."""
     times = [float(t) for t in times]
     if any(t < 0.0 for t in times):
         raise TimeOutOfRange(f"t = {min(times)} must be >= 0")
@@ -102,7 +104,7 @@ def exact_p1_solution(basis, h, times):
     require_admissible(h, basis.domain, "initial field")
     coeff = w12_coefficients(basis, h)
     decay = np.exp(-np.outer(times, basis.eigenvalues + 1.0))
-    return [op.extend(row) for row in (coeff * decay) @ basis.vectors.T]
+    return op.extend_rows((coeff * decay) @ basis.vectors.T)
 
 
 def _rk4_segment(op, p, w, t0, t1, nsteps):
@@ -125,7 +127,8 @@ def _rk4_segment(op, p, w, t0, t1, nsteps):
 
 
 def ode_oracle(prob, t_eval, tol=1e-10):
-    """High-accuracy reference fields at the requested times.
+    """High-accuracy reference values at the requested times, as a K x V
+    array with a row per time in the order given.
 
     Classical RK4 with a uniform base step, halved until the answers at
     every requested time move by less than ``tol`` in the sup norm; the
@@ -177,8 +180,7 @@ def ode_oracle(prob, t_eval, tol=1e-10):
             if defect < tol:
                 break
         prev = cur
-    fields_sorted = [op.extend(w) for w in cur]
-    fields = [None] * len(times)
-    for pos, k in enumerate(order):
-        fields[k] = fields_sorted[pos]
-    return fields
+    # row k of ``cur`` is at the time order[k]
+    W = np.empty((len(times), op.n))
+    W[order] = np.reshape(cur, W.shape)
+    return op.extend_rows(W)

@@ -10,6 +10,11 @@ obstacle-constrained admissible set {v >= psi on the interior} is an
 extension beyond the subspace theory. Its step is the complementarity
 problem S u >= b, u >= psi, (S u - b)(u - psi) = 0, solved by the
 primal-dual active set method and accepted by a pointwise KKT test.
+
+``ViStepper.step`` maps interior vectors to interior vectors and a
+report of scalar diagnostics; ``run_vi`` fills the run's (steps + 1) x V
+array row by row through the step loop it shares with ``heat.run_rothe``,
+so a ``VIRun`` is a ``heat.RotheTrajectory`` plus its step reports.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .errors import (
     TimeOutOfRange,
 )
 from .graph import Domain, ExhaustionSequence
-from .heat import TimePartition, _run_levels
+from .heat import RotheTrajectory, _run_levels, _step_rows
 from .operators import CachedSPD
 
 KKT_TOL = 1e-10
@@ -117,7 +122,8 @@ class VIProblem:
 
 @dataclass(frozen=True)
 class VIStepReport:
-    """One elliptic step: solution, quotient, and residual diagnostics.
+    """Residual diagnostics of one elliptic step; its solution and
+    quotient are rows of the run's ``values`` and ``quotients``.
 
     ``variational_residual`` is sup |S u - b| in the subspace case and the
     sup of the pointwise complementarity function min(r, u - psi) in the
@@ -127,8 +133,6 @@ class VIStepReport:
     """
 
     index: int
-    u: VertexField
-    quotient: VertexField
     variational_residual: float
     primal_residual: float
     dual_residual: float
@@ -159,9 +163,11 @@ class ViStepper:
         else:
             raise TypeError(f"unknown constraint {constraint!r}")
 
-    def step(self, index, u_prev, f_field):
-        w_prev = self.op.restrict(u_prev)
-        b = self.op.mass * (self.op.restrict(f_field) + w_prev / self.ell)
+    def step(self, index, w_prev, f):
+        """Step ``index`` from the interior vector ``w_prev`` with the
+        interior forcing values ``f``: the interior solution and its
+        VIStepReport."""
+        b = self.op.mass * (f + w_prev / self.ell)
         scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
         if isinstance(self.constraint, Subspace):
             w = self._solver.solve(b)
@@ -173,11 +179,9 @@ class ViStepper:
             report = (res, 0.0, 0.0, 0.0, 0)
         else:
             w, report = self._obstacle(b, w_prev, scale)
-        u = self.op.extend(w)
-        dq = self.op.extend((w - w_prev) / self.ell)
         var, primal, dual, compl, iterations = report
-        return VIStepReport(index, u, dq, var, primal, dual, compl,
-                            self.beta, iterations)
+        return w, VIStepReport(index, var, primal, dual, compl, self.beta,
+                               iterations)
 
     def _obstacle(self, b, w_start, scale):
         """The active-set solution, accepted only if its KKT residuals
@@ -233,21 +237,21 @@ def active_set_solve(S, b, lower, u_start):
 
 
 def vi_step(dom, u_prev, f_i, ell, constraint=Subspace(), **opts):
-    """One elliptic VI step (one-shot; run_vi caches the assembly)."""
+    """One elliptic VI step (one-shot; run_vi caches the assembly): the
+    solution field and its VIStepReport."""
     require_admissible(u_prev, dom, "u_prev")
-    return ViStepper(dom, ell, constraint, **opts).step(1, u_prev, f_i)
+    stepper = ViStepper(dom, ell, constraint, **opts)
+    op = stepper.op
+    w, report = stepper.step(1, op.restrict(u_prev), op.restrict(f_i))
+    return op.extend(w), report
 
 
-@dataclass(frozen=True)
-class VIRun:
-    problem: VIProblem
-    partition: TimePartition
-    fields: tuple
+@dataclass(frozen=True, eq=False)
+class VIRun(RotheTrajectory):
+    """A VI run: its Rothe sequence as a RotheTrajectory, plus the report
+    of each step i = 1..n."""
+
     reports: tuple
-
-    @property
-    def quotients(self):
-        return tuple(r.quotient for r in self.reports)
 
 
 def run_vi(prob, part, **opts):
@@ -257,14 +261,18 @@ def run_vi(prob, part, **opts):
         raise TypeError("run_vi needs a finite Domain; "
                         "use run_vi_exhaustion for exhaustion targets")
     stepper = ViStepper(prob.domain, part.step_size, prob.constraint, **opts)
-    fields = [stepper.op.extend(stepper.op.restrict(prob.initial))]
-    reports = []
+    op = stepper.op
     times = part.times
-    for i in range(1, part.steps + 1):
-        rep = stepper.step(i, fields[-1], prob.forcing.at(float(times[i])))
-        fields.append(rep.u)
-        reports.append(rep)
-    return VIRun(prob, part, tuple(fields), tuple(reports))
+    reports = []
+
+    def step(i, w):
+        w, report = stepper.step(
+            i, w, op.restrict(prob.forcing.at(float(times[i]))))
+        reports.append(report)
+        return w
+
+    values = _step_rows(prob, part, step)
+    return VIRun(prob, part, values, tuple(reports))
 
 
 def forcing_step_function(prob, part, t):
@@ -347,7 +355,7 @@ def vi_monotonicity_monitor(run):
     times = run.partition.times
     ell = run.partition.step_size
     f_vals = [op.restrict(prob.forcing.at(float(t))) for t in times]
-    q_norms = [op.l2(op.restrict(q)) for q in run.quotients]
+    q_norms = [op.l2(q) for q in op.restrict_rows(run.quotients)]
     rows = []
     for j in range(1, len(q_norms) + 1):
         finc = op.l2(f_vals[j] - f_vals[j - 1])

@@ -444,3 +444,72 @@ def reference_monitor_estimates(traj):
                                  nb.lq, energy, delta_l2, r, d))
         prev_sq = sq
     return EstimateReport(tuple(rows))
+
+
+def reference_run_rothe(prob, part, **opts):
+    """Reference for ``heat.run_rothe``: the per-step loop that extends
+    each step's interior vector to a full-graph field. Returns the tuple
+    of fields."""
+    from graphrothe import heat
+
+    stepper = heat._HeatStepper(prob, part.step_size, **opts)
+    w = stepper.op.restrict(prob.initial)
+    fields = [stepper.op.extend(w)]
+    for _ in range(part.steps):
+        w = stepper.solve(w)
+        fields.append(stepper.op.extend(w))
+    return tuple(fields)
+
+
+def reference_quotients(fields, ell):
+    """Reference for ``RotheTrajectory.quotients``: one field per step."""
+    from graphrothe import VertexField
+
+    return tuple(VertexField(u.graph, (u.values - prev.values) / ell)
+                 for prev, u in zip(fields, fields[1:]))
+
+
+def reference_run_vi(prob, part, **opts):
+    """Reference for ``vi.run_vi``: the per-step loop over full-graph
+    fields, each step restricting the previous field and the forcing
+    field, with each quotient extended from its step's interior vectors.
+    Returns (fields, quotients, reports)."""
+    from graphrothe.vi import ViStepper
+
+    stepper = ViStepper(prob.domain, part.step_size, prob.constraint, **opts)
+    op = stepper.op
+    fields = [op.extend(op.restrict(prob.initial))]
+    quotients = []
+    reports = []
+    for i in range(1, part.steps + 1):
+        w_prev = op.restrict(fields[-1])
+        f = op.restrict(prob.forcing.at(float(part.times[i])))
+        w, report = stepper.step(i, w_prev, f)
+        fields.append(op.extend(w))
+        quotients.append(op.extend((w - w_prev) / stepper.ell))
+        reports.append(report)
+    return tuple(fields), tuple(quotients), tuple(reports)
+
+
+def reference_vi_monotonicity_monitor(run, quotients):
+    """Reference for ``vi.vi_monotonicity_monitor``: the norm of each
+    quotient field (``reference_run_vi``) on its own contiguous interior
+    restriction."""
+    from graphrothe.vi import MonotonicityReport, QuotientRow
+
+    prob = run.problem
+    op = prob.domain.operator
+    times = run.partition.times
+    ell = run.partition.step_size
+    f_vals = [op.restrict(prob.forcing.at(float(t))) for t in times]
+    q_norms = [op.l2(op.restrict(q)) for q in quotients]
+    rows = []
+    for j in range(1, len(q_norms) + 1):
+        finc = op.l2(f_vals[j] - f_vals[j - 1])
+        slack = (q_norms[j - 1] - q_norms[j - 2] - finc
+                 if j >= 2 else math.nan)
+        rows.append(QuotientRow(j, q_norms[j - 1], finc, slack))
+    grid_rate = max((r.forcing_increment_l2 / ell for r in rows), default=0.0)
+    lap_g = op.l2(op.neg_laplacian(op.restrict(prob.initial)))
+    bound = lap_g + op.l2(f_vals[0]) + grid_rate * run.partition.horizon
+    return MonotonicityReport(tuple(rows), bound, grid_rate)

@@ -179,10 +179,10 @@ def test_criterion_05_spectral_oracle_agreement():
     errs = []
     for i, t in enumerate(part.times):
         ref = exact_p1_solution(basis, h, [float(t)])[0]
-        diff = VertexField(g, traj.fields[i].values - ref.values)
+        diff = VertexField(g, traj.values[i] - ref)
         errs.append(norms(g, diff, dom).l2_interior)
     max_err_1 = max(errs)
-    end_err = abs(traj.fields[-1][2] - math.exp(-3.0))
+    end_err = abs(traj.values[-1, g.vertex(2)] - math.exp(-3.0))
     h_norm_1 = norms(g, h, dom).l2_interior
 
     g6 = path_graph(6)
@@ -193,7 +193,7 @@ def test_criterion_05_spectral_oracle_agreement():
     errs6 = []
     for i, t in enumerate(part.times):
         ref = exact_p1_solution(basis6, h6, [float(t)])[0]
-        diff = VertexField(g6, traj6.fields[i].values - ref.values)
+        diff = VertexField(g6, traj6.values[i] - ref)
         errs6.append(norms(g6, diff, dom6).l2_interior)
     max_err_2 = max(errs6)
     h_norm_2 = norms(g6, h6, dom6).l2_interior
@@ -225,7 +225,7 @@ def test_criterion_06_time_convergence_order():
         errors = []
         for n in (125, 250, 500, 1000):
             traj = run_rothe(prob, TimePartition(1.0, n))
-            diff = VertexField(g, traj.fields[-1].values - ref.values)
+            diff = VertexField(g, traj.values[-1] - ref)
             errors.append(norms(g, diff, dom).l2_interior)
         orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
         orders_all[p] = orders
@@ -267,13 +267,13 @@ def test_criterion_08a_vi_subspace_equivalence():
         u_prev = random_admissible(rng, dom)
         f = VertexField(g, rng.normal(size=g.num_vertices))
         ell = float(rng.uniform(0.05, 0.5))
-        rep = vi_step(dom, u_prev, f, ell)
+        u, _ = vi_step(dom, u_prev, f, ell)
         op = DirichletOperator(dom)
         S = op.stiffness.toarray() + np.diag(op.mass / ell)
         b = op.mass * (op.restrict(f) + op.restrict(u_prev) / ell)
         ref = np.linalg.solve(S, b)
         scale = 1.0 + float(np.max(np.abs(b)))
-        gap = float(np.max(np.abs(op.restrict(rep.u) - ref))) / scale
+        gap = float(np.max(np.abs(op.restrict(u) - ref))) / scale
         worst = max(worst, gap)
         assert gap <= 1e-10
     assert report(8, "VI subspace step equals direct SPD solve", True,
@@ -289,7 +289,7 @@ def test_criterion_08b_vi_linear_decay():
     prob = VIProblem(dom, ConstantForcing(VertexField.zeros(g)),
                      VertexField.indicator(g, 2), 1.0)
     run = run_vi(prob, TimePartition(1.0, 1000))
-    err = abs(run.fields[-1][2] - math.exp(-2.0))
+    err = abs(run.values[-1, g.vertex(2)] - math.exp(-2.0))
     report(8, "VI linear decay endpoint at n=1000", err <= 2e-4,
            f"endpoint error {err:.3e} vs 2e-4")
     assert err <= 2e-4
@@ -327,11 +327,11 @@ def test_criterion_10_obstacle_kkt():
             dom, rng.uniform(-0.4, 0.4, size=len(dom.interior_ids)))
         f = VertexField(g, rng.normal(size=g.num_vertices))
         ell = float(rng.uniform(0.05, 0.5))
-        rep = vi_step(dom, u_prev, f, ell, Obstacle(psi))
+        u_new, _ = vi_step(dom, u_prev, f, ell, Obstacle(psi))
         op = DirichletOperator(dom)
         S = op.stiffness.toarray() + np.diag(op.mass / ell)
         b = op.mass * (op.restrict(f) + op.restrict(u_prev) / ell)
-        u = op.restrict(rep.u)
+        u = op.restrict(u_new)
         r = S @ u - b
         gap = u - op.restrict(psi)
         assert gap.min() >= -1e-8
@@ -339,10 +339,10 @@ def test_criterion_10_obstacle_kkt():
         assert np.abs(r * gap).max() <= 1e-8 * (1.0 + np.abs(b).max())
     # one-variable hand case: clamp to the obstacle exactly
     g, dom = five_path_domain()
-    rep = vi_step(dom, VertexField.indicator(g, 2),
-                  VertexField.from_mapping(g, {2: -20.0}), 0.1,
-                  Obstacle(VertexField.zeros(g)))
-    assert rep.u[2] == 0.0
+    u, rep = vi_step(dom, VertexField.indicator(g, 2),
+                     VertexField.from_mapping(g, {2: -20.0}), 0.1,
+                     Obstacle(VertexField.zeros(g)))
+    assert u[2] == 0.0
     assert rep.complementarity == 0.0
     assert report(10, "obstacle KKT residuals", True,
                   "20 random problems plus exact hand case")

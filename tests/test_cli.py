@@ -6,6 +6,7 @@ import os
 import pathlib
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -805,13 +806,12 @@ class TestCompare:
         g = path_graph(3)
         gpath = str(tmp_path / "p3.txt")
         fileio.write_graph_file(g, gpath)
-        fields = [calculus.VertexField(g, [0.0, float(k), 0.0])
-                  for k in range(2)]
+        values = np.array([[0.0, float(k), 0.0] for k in range(2)])
         traj_a = str(tmp_path / "a.csv")
         traj_b = str(tmp_path / "b.csv")
         empty = tmp_path / "empty.csv"
-        fileio.write_trajectory_csv(traj_a, fields, [0.0, 0.5], g)
-        fileio.write_trajectory_csv(traj_b, fields[1:], [0.1], g)
+        fileio.write_trajectory_csv(traj_a, values, [0.0, 0.5], g)
+        fileio.write_trajectory_csv(traj_b, values[1:], [0.1], g)
         empty.write_text("i,t,vertex,value\n")
         for a, b in ((traj_a, traj_b), (traj_a, str(empty)),
                      (str(empty), traj_a), (str(empty), str(empty))):

@@ -198,7 +198,8 @@ class TestCsv:
                   for k in range(3)]
         times = [0.0, 0.5, 1.0]
         path = tmp_path / "traj.csv"
-        fileio.write_trajectory_csv(str(path), fields, times, g)
+        fileio.write_trajectory_csv(
+            str(path), np.array([u.values for u in fields]), times, g)
         rtimes, steps = fileio.read_trajectory_csv(str(path))
         assert rtimes == times
         assert steps[2][1] == 2.0 and steps[0][0] == 0.0
@@ -213,7 +214,8 @@ class TestCsv:
         fields = [VertexField.from_mapping(g, {(0, 0): 1.0}),
                   VertexField.from_mapping(g, {(0, 1): -2.0})]
         path = tmp_path / "traj.csv"
-        fileio.write_trajectory_csv(str(path), fields, [0.0, 1.0], g)
+        fileio.write_trajectory_csv(
+            str(path), np.array([u.values for u in fields]), [0.0, 1.0], g)
         _, steps = fileio.read_trajectory_csv(str(path))
         assert steps[0][(0, 0)] == 1.0
         assert steps[1][(0, 1)] == -2.0
@@ -284,7 +286,8 @@ class TestWriterByteIdentity:
         fields = self._fields(g)
         times = np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1e-300, 1e300])
         path = tmp_path / "traj.csv"
-        fileio.write_trajectory_csv(str(path), fields, times, g)
+        fileio.write_trajectory_csv(
+            str(path), np.array([u.values for u in fields]), times, g)
         text = path.read_bytes().decode("utf-8")
         assert text == reference_trajectory_csv(fields, times, g)
         assert '"a,b"' in text and '"say""hi"""' in text

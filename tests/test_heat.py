@@ -273,11 +273,11 @@ class TestInterpolant:
             evaluate_interpolant(self.traj, -1.5 * ell, "step")
 
     def test_gap_between_interpolants_bounded(self):
-        g = self.traj.fields[0].graph
         dom = self.traj.problem.domain
+        g = dom.graph
         ell = self.traj.partition.step_size
-        bound = max(norms(g, q, dom).l2_domain
-                    for q in self.traj.quotients) * ell
+        bound = max(nb.l2_domain
+                    for nb in norms(g, self.traj.quotients, dom)) * ell
         worst = 0.0
         for t in np.linspace(0.0, 1.0, 101):
             lin = evaluate_interpolant(self.traj, float(t), "linear")
@@ -354,13 +354,13 @@ class TestStackedMonitorMatchesReference:
         else:
             # random fields, also off the interior, with -0.0 at about a
             # third of their entries, or the all-zero trajectory
-            fields = []
+            rows = []
             for _ in range(steps + 1):
                 vals = rng.normal(size=g.num_vertices)
                 vals[rng.random(vals.size) < 0.3] = -0.0
-                fields.append(VertexField(g, vals) if kind == "random"
-                              else VertexField.zeros(g))
-            traj = heat.RotheTrajectory(prob, part, tuple(fields))
+                rows.append(vals if kind == "random"
+                            else np.zeros(g.num_vertices))
+            traj = heat.RotheTrajectory(prob, part, np.array(rows))
         got = estimate_bits(monitor_estimates(traj))
         assert got == estimate_bits(reference_monitor_estimates(traj))
         assert got[0][6:] == ("nan", "nan", "nan")

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from graphrothe import Obstacle, VertexField, field_on_interior, kernels
+from graphrothe import (
+    ConstantForcing, Obstacle, TimePartition, VertexField, VIProblem,
+    field_on_interior, kernels, run_vi,
+)
 from graphrothe.vi import ViStepper
 from helpers import (
     csr_parts, random_admissible, random_connected_graph, random_domain,
@@ -211,20 +214,22 @@ class TestPsorListBitIdentity:
             f = VertexField(g, rng.normal(size=g.num_vertices))
             ell = float(rng.uniform(0.05, 2.0))
             stepper = ViStepper(dom, ell, Obstacle(psi))
-            rep = stepper.step(1, u_prev, f)
-
             op = stepper.op
             w_prev = op.restrict(u_prev)
+            u, rep = stepper.step(1, w_prev, op.restrict(f))
+            run = run_vi(VIProblem(dom, ConstantForcing(f), u_prev, ell,
+                                   constraint=Obstacle(psi)),
+                         TimePartition(ell, 1))
+
             b = op.mass * (op.restrict(f) + w_prev / ell)
             scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
             lower = psi.values[ids]
             w, _ = reference_psor(stepper.S, lower, b, w_prev, scale, relax,
                                   1e-12)
-            u = op.restrict(rep.u)
             assert float(np.max(np.abs(u - w))) \
                 <= 1e-9 * (1.0 + float(np.max(np.abs(u))))
-            assert same_array_bits(rep.u.values, op.extend(u).values)
-            assert same_array_bits(rep.quotient.values,
+            assert same_array_bits(run.values[1], op.extend(u).values)
+            assert same_array_bits(run.quotients[0],
                                    op.extend((u - w_prev) / ell).values)
             assert np.all(u >= lower)
             for residual in (rep.variational_residual, rep.primal_residual,

@@ -50,15 +50,15 @@ class TestViStep:
     def test_scalar_subspace(self):
         g, dom = five_path_domain()
         u_prev = VertexField.indicator(g, 2)
-        rep = vi_step(dom, u_prev, VertexField.zeros(g), 0.1)
-        assert rep.u[2] == pytest.approx(5.0 / 6.0, abs=1e-14)
+        u, rep = vi_step(dom, u_prev, VertexField.zeros(g), 0.1)
+        assert u[2] == pytest.approx(5.0 / 6.0, abs=1e-14)
         assert rep.variational_residual <= 1e-10 * (1.0 + 10.0)
         assert rep.beta == pytest.approx(min(10.0, 1.0))
 
     def test_zero_rhs(self):
         g, dom = five_path_domain()
-        rep = vi_step(dom, VertexField.zeros(g), VertexField.zeros(g), 0.1)
-        assert np.all(rep.u.values == 0.0)
+        u, _ = vi_step(dom, VertexField.zeros(g), VertexField.zeros(g), 0.1)
+        assert np.all(u.values == 0.0)
 
     def test_scalar_obstacle_clamps(self):
         # unconstrained value (10 - 20)/12 < 0 clamps to the obstacle 0;
@@ -66,8 +66,8 @@ class TestViStep:
         g, dom = five_path_domain()
         u_prev = VertexField.indicator(g, 2)
         f = VertexField.from_mapping(g, {2: -20.0})
-        rep = vi_step(dom, u_prev, f, 0.1, Obstacle(VertexField.zeros(g)))
-        assert rep.u[2] == 0.0
+        u, rep = vi_step(dom, u_prev, f, 0.1, Obstacle(VertexField.zeros(g)))
+        assert u[2] == 0.0
         assert rep.dual_residual == 0.0
         assert rep.complementarity == 0.0
         assert rep.primal_residual == 0.0
@@ -80,13 +80,13 @@ class TestViStep:
             u_prev = random_admissible(rng, dom)
             f = VertexField(g, rng.normal(size=g.num_vertices))
             ell = float(rng.uniform(0.05, 0.5))
-            rep = vi_step(dom, u_prev, f, ell)
+            u, _ = vi_step(dom, u_prev, f, ell)
             op = DirichletOperator(dom)
             S = op.stiffness.toarray() + np.diag(op.mass / ell)
             b = op.mass * (op.restrict(f) + op.restrict(u_prev) / ell)
             ref = np.linalg.solve(S, b)
             scale = 1.0 + float(np.max(np.abs(b)))
-            assert float(np.max(np.abs(op.restrict(rep.u) - ref))) \
+            assert float(np.max(np.abs(op.restrict(u) - ref))) \
                 <= 1e-10 * scale
 
     def test_obstacle_kkt_random(self):
@@ -99,11 +99,11 @@ class TestViStep:
                 dom, rng.uniform(-0.5, 0.3, size=len(dom.interior_ids)))
             f = VertexField(g, rng.normal(size=g.num_vertices))
             ell = float(rng.uniform(0.05, 0.5))
-            rep = vi_step(dom, u_prev, f, ell, Obstacle(psi))
+            u_new, _ = vi_step(dom, u_prev, f, ell, Obstacle(psi))
             op = DirichletOperator(dom)
             S = op.stiffness.toarray() + np.diag(op.mass / ell)
             b = op.mass * (op.restrict(f) + op.restrict(u_prev) / ell)
-            u = op.restrict(rep.u)
+            u = op.restrict(u_new)
             r = S @ u - b
             gap = u - op.restrict(psi)
             assert gap.min() >= -1e-8
@@ -120,7 +120,8 @@ class TestViStep:
         psi = field_on_interior(dom, np.zeros(len(dom.interior_ids)))
         f = VertexField(g, rng.normal(size=g.num_vertices))
         stepper = ViStepper(dom, 0.2, Obstacle(psi))
-        u = stepper.op.restrict(stepper.step(1, u_prev, f).u)
+        u, _ = stepper.step(1, stepper.op.restrict(u_prev),
+                            stepper.op.restrict(f))
         b, scale = _obstacle_rhs(stepper, u_prev, f)
         for relax in (1.0, 1.4):
             w, _ = reference_psor(stepper.S, stepper.op.restrict(psi), b,
@@ -402,8 +403,8 @@ class TestActiveSetDifferential:
         u_prev = random_admissible(rng, dom, u_scale)
         f = VertexField(g, rng.normal(size=g.num_vertices) * f_scale)
         stepper = ViStepper(dom, ell, Obstacle(psi))
-        rep = stepper.step(1, u_prev, f)
-        u = stepper.op.restrict(rep.u)
+        u, rep = stepper.step(1, stepper.op.restrict(u_prev),
+                              stepper.op.restrict(f))
         b, scale = _obstacle_rhs(stepper, u_prev, f)
         w, _ = reference_psor(stepper.S, lower, b,
                               stepper.op.restrict(u_prev), scale, relax,
@@ -427,12 +428,12 @@ class TestActiveSetDifferential:
         psi = field_on_interior(dom, np.zeros(len(dom.interior_ids)))
         u_prev = random_admissible(rng, dom)
         f = VertexField(g, rng.normal(size=g.num_vertices) * 5.0)
-        a = vi_step(dom, u_prev, f, 0.5, Obstacle(psi))
+        a, _ = vi_step(dom, u_prev, f, 0.5, Obstacle(psi))
         monkeypatch.setattr(operators, "DIRECT_SOLVE_MAX", 0)
-        b = vi_step(dom, u_prev, f, 0.5, Obstacle(psi))
-        assert 0 < np.count_nonzero(a.u.values[dom.interior_ids] == 0.0) \
+        b, _ = vi_step(dom, u_prev, f, 0.5, Obstacle(psi))
+        assert 0 < np.count_nonzero(a.values[dom.interior_ids] == 0.0) \
             < len(dom.interior_ids)
-        assert float(np.max(np.abs(a.u.values - b.u.values))) <= 1e-9
+        assert float(np.max(np.abs(a.values - b.values))) <= 1e-9
 
     def test_grid_iteration_count(self):
         # grid-obstacle's kind of data: a bump, a sign-changing forcing,
@@ -450,8 +451,8 @@ class TestActiveSetDifferential:
                          VertexField(g, bump), 3.0,
                          constraint=Obstacle(VertexField.zeros(g)))
         run = run_vi(prob, TimePartition(3.0, 3))
-        for rep in run.reports:
-            on = rep.u.values[dom.interior_ids] == 0.0
+        for rep, u in zip(run.reports, run.values[1:], strict=True):
+            on = u[dom.interior_ids] == 0.0
             assert 0 < np.count_nonzero(on) < len(dom.interior_ids)
             assert 1 <= rep.iterations <= 6
 
@@ -474,9 +475,10 @@ class TestActiveSetDifferential:
             lower = psi.values[ids]
             stepper = ViStepper(res.domain, 0.25, Obstacle(psi))
             held = 0
-            for rep, u_prev in zip(res.run.reports, res.run.fields):
+            for rep, u_prev, u_next in zip(res.run.reports, res.run.fields,
+                                           res.run.values[1:]):
                 b, scale = _obstacle_rhs(stepper, u_prev, forcing)
-                u = rep.u.values[ids]
+                u = u_next[ids]
                 r = stepper.S @ u - b
                 assert np.all(u >= lower)
                 assert float(np.max(-r)) <= 1e-12 * scale
@@ -494,10 +496,10 @@ class TestStepperCaching:
         dom = random_domain(rng, g)
         u_prev = random_admissible(rng, dom)
         f = VertexField(g, rng.normal(size=g.num_vertices))
-        a = vi_step(dom, u_prev, f, 0.1)
+        a, _ = vi_step(dom, u_prev, f, 0.1)
         monkeypatch.setattr(operators, "DIRECT_SOLVE_MAX", 0)
-        b = vi_step(dom, u_prev, f, 0.1)
-        assert float(np.max(np.abs(a.u.values - b.u.values))) <= 1e-9
+        b, _ = vi_step(dom, u_prev, f, 0.1)
+        assert float(np.max(np.abs(a.values - b.values))) <= 1e-9
 
     def test_cached_stepper_matches_oneshot(self):
         rng = np.random.default_rng(55)
@@ -506,6 +508,8 @@ class TestStepperCaching:
         stepper = ViStepper(dom, 0.1)
         u_prev = random_admissible(rng, dom)
         f = VertexField(g, rng.normal(size=g.num_vertices))
-        a = stepper.step(1, u_prev, f)
-        b = vi_step(dom, u_prev, f, 0.1)
-        assert np.array_equal(a.u.values, b.u.values)
+        a, rep_a = stepper.step(1, stepper.op.restrict(u_prev),
+                                stepper.op.restrict(f))
+        b, rep_b = vi_step(dom, u_prev, f, 0.1)
+        assert np.array_equal(stepper.op.extend(a).values, b.values)
+        assert rep_a == rep_b
