@@ -12,6 +12,7 @@ The config schema is documented in README.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -26,7 +27,6 @@ from .calculus import VertexField
 from .errors import (
     ConfigError,
     EmptyInteriorWarning,
-    GraphMismatch,
     GraphrotheError,
     IoError,
     SolveError,
@@ -584,6 +584,18 @@ def _run_spectral(prep, outdir):
     return outputs, diagnostics
 
 
+@contextlib.contextmanager
+def _within_float64():
+    """Data too large for float64 stop the command with a SolveError
+    instead of printing numpy warnings and writing infinite norms."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise SolveError(f"{exc}: the data exceed the float64 range") \
+            from None
+
+
 def cmd_run(args):
     overrides = {"p": args.p, "horizon": args.horizon, "steps": args.steps,
                  "levels": (_list_option(args.levels, int,
@@ -601,18 +613,13 @@ def cmd_run(args):
         raise IoError(f"cannot create output directory {outdir}: {exc}") \
             from None
     try:
-        # data too large for float64 stop the run instead of printing
-        # numpy warnings and writing infinite norms
-        with np.errstate(over="raise", invalid="raise"):
+        with _within_float64():
             if prep.kind == "heat":
                 outputs, diagnostics = _run_heat(prep, outdir)
             elif prep.kind == "vi":
                 outputs, diagnostics = _run_vi(prep, outdir)
             else:
                 outputs, diagnostics = _run_spectral(prep, outdir)
-    except FloatingPointError as exc:
-        raise SolveError(f"{exc}: the data exceed the float64 range") \
-            from None
     except GraphrotheError as exc:
         if isinstance(exc, (ConfigError, IoError)):
             raise
@@ -649,16 +656,12 @@ def cmd_graph_info(args):
     return 0
 
 
-def _step_values(g, steps, name):
-    """The steps of a trajectory as one array, a row per step with its
-    values in vertex order; refuses a step whose vertices are not the
-    graph's."""
-    labels = set(g.labels)
-    if any(step.keys() != labels for step in steps):
-        raise GraphMismatch(
-            f"{name}: trajectory vertices do not match the graph")
-    values = [list(map(step.__getitem__, g.labels)) for step in steps]
-    return np.array(values, dtype=float).reshape(len(steps), g.num_vertices)
+def _near(times, grid):
+    """``near[k, i]``: ``times[k]`` is within 1e-12 of ``grid[i]``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.abs(np.subtract.outer(np.asarray(times, dtype=float),
+                                        np.asarray(grid, dtype=float))) \
+            <= 1e-12
 
 
 def cmd_compare(args):
@@ -667,36 +670,31 @@ def cmd_compare(args):
         dom = _problem_domain(g, fileio.read_domain_file(g, args.domain))
     else:
         dom = _problem_domain(g, range(g.num_vertices))
-    times_a, steps_a = fileio.read_trajectory_csv(args.traj_a)
-    times_b, steps_b = fileio.read_trajectory_csv(args.traj_b)
-    values_a = _step_values(g, steps_a, args.traj_a)
-    values_b = _step_values(g, steps_b, args.traj_b)
+    times_a, values_a = fileio.read_trajectory_csv(args.traj_a, g)
+    times_b, values_b = fileio.read_trajectory_csv(args.traj_b, g)
     if args.times:
         wanted = _list_option(args.times, float, "--times (numbers)")
     else:
-        wanted = [t for t in times_a
-                  if any(math.isclose(t, s, rel_tol=0.0, abs_tol=1e-12)
-                         for s in times_b)]
+        on_b = _near(times_a, times_b).any(axis=1).tolist()
+        wanted = [t for t, on in zip(times_a, on_b) if on]
     if not wanted:
         raise ConfigError(f"{args.traj_a} and {args.traj_b} have no time "
                           "in common to compare")
-
-    def step_at(times, t):
-        for i, ti in enumerate(times):
-            if math.isclose(t, ti, rel_tol=0.0, abs_tol=1e-12):
-                return i
+    near_a = _near(wanted, times_a)
+    near_b = _near(wanted, times_b)
+    on_both = near_a.any(axis=1) & near_b.any(axis=1)
+    if not on_both.all():
+        t = wanted[int(np.argmin(on_both))]
         raise ConfigError(f"time {t} is not on both trajectory grids")
-
     op = dom.operator
-    rows = []
-    max_l2 = 0.0
-    for t in wanted:
-        diff = (values_a[step_at(times_a, t)]
-                - values_b[step_at(times_b, t)])
-        l2 = op.l2(diff[op.interior_ids])
-        sup = float(np.max(np.abs(diff), initial=0.0))
-        rows.append((t, l2, sup))
-        max_l2 = max(max_l2, l2)
+    with _within_float64():
+        # argmax takes each time's first step within 1e-12
+        diff = values_a[near_a.argmax(axis=1)] \
+            - values_b[near_b.argmax(axis=1)]
+        l2s = list(map(op.l2, op.restrict_rows(diff)))
+    sups = np.max(np.abs(diff), axis=1, initial=0.0).tolist()
+    rows = list(zip(wanted, l2s, sups))
+    max_l2 = max([0.0, *l2s])
     if args.output:
         fileio.write_csv(args.output, ("t", "l2_diff", "sup_diff"), rows)
     else:

@@ -9,6 +9,22 @@ with unlisted vertices defaulting to 0. Labels are ints, comma-joined int
 tuples like ``0,1``, or plain strings; a vertex has at most one ``v`` line
 in a graph file and one line in a field file.
 
+Trajectory CSV: the header ``i,t,vertex,value``, then one row per step
+and vertex, with the step index, its time, the vertex's label (quoted
+when it holds a comma or quote) and its value. The writer emits the steps
+in order and each step's rows in vertex order; the reader takes the rows
+in any order. It reads them with ``csv.reader`` and numbers with
+``float()``, so a value or time is any token ``float()`` reads as a
+finite number (``1_0``, ``+3`` and a number after spaces too, ``0x1p3``
+and ``nan`` not). A label cell names a vertex by its label as written or
+by any token that reads as that label (``02`` and ``+2`` name vertex 2).
+Every row has four cells, steps are numbered from 0 and first appear in
+order, every row of a step carries its time, and no vertex has two rows
+in one step: the error for a file that breaks one of these rules names
+its first faulty row, as ``path:row`` with the header as row 1. Each
+step must then name every vertex of the graph and no other, or the file
+does not match the graph.
+
 All floats are written with shortest round-trip decimal formatting, and
 files are written to a temp name then atomically moved into place.
 """
@@ -20,12 +36,18 @@ import hashlib
 import io
 import json
 import math
+import operator
 import os
 
 import numpy as np
 
 from .calculus import VertexField
-from .errors import GraphrotheError, InvalidGraphData, IoError
+from .errors import (
+    GraphMismatch,
+    GraphrotheError,
+    InvalidGraphData,
+    IoError,
+)
 from .graph import build_finite_graph, format_label  # noqa: F401
 
 
@@ -241,17 +263,17 @@ def write_trajectory_csv(path, values, times, graph):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _trajectory_step(i_s, t_s, times, steps):
+def _trajectory_step(i_s, t_s, times):
     """Index of the step that a row's ``i`` and ``t`` strings name: the
-    next new step, or a step already read, at the time it was read with."""
+    next new step (its time appended to ``times``), or a step already
+    read, at the time it was read with."""
     i = int(i_s)
     t = _finite(t_s)
     if i < 0:
         raise ValueError(f"negative step index {i}")
-    if i > len(steps):
-        raise ValueError(f"step index {i} skips step {len(steps)}")
-    if i == len(steps):
-        steps.append({})
+    if i > len(times):
+        raise ValueError(f"step index {i} skips step {len(times)}")
+    if i == len(times):
         times.append(t)
     elif t != times[i]:
         raise ValueError(f"step {i} at time {t_s}, read before at "
@@ -259,24 +281,104 @@ def _trajectory_step(i_s, t_s, times, steps):
     return i
 
 
-def read_trajectory_csv(path):
-    """Returns (times list, list of {label: value} per step). Steps are
-    numbered from 0 without gaps, all rows of a step carry its time, and a
-    vertex has at most one row per step."""
+class _VertexIds(dict):
+    """``{label cell: vertex id}`` on a graph, seeded with its names. A
+    cell that is not a name is read once by ``parse_label``: a label of
+    the graph gets its vertex's id, and each other label the next id from
+    V up (in ``unknown``), so its repeats are found like any other."""
+
+    def __init__(self, graph):
+        super().__init__(zip(graph.names, range(graph.num_vertices)))
+        self.graph = graph
+        self.unknown = {}
+
+    def __missing__(self, cell):
+        label = parse_label(cell)
+        try:
+            vid = self.graph.vertex(label)
+        except InvalidGraphData:
+            vid = self.unknown.setdefault(
+                label, self.graph.num_vertices + len(self.unknown))
+        self[cell] = vid
+        return vid
+
+
+def _csv_rows(path):
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            return list(reader)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
+    except csv.Error as exc:
+        raise InvalidGraphData(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def read_trajectory_csv(path, graph):
+    """The steps of a trajectory CSV on ``graph``: ``(times, values)``,
+    the list of step times and a read-only K x V array whose row i holds
+    the values of step i in ``graph``'s vertex order.
+
+    Rows may come in any order. A faulty row raises with the file's name
+    and the number of its first faulty row (see the module docstring),
+    and a file whose steps do not each name every vertex of ``graph``
+    exactly once raises ``GraphMismatch``."""
+    rows = _csv_rows(path)
     if not rows or rows[0] != ["i", "t", "vertex", "value"]:
         raise InvalidGraphData(f"{path}: not a trajectory CSV")
+    n = len(rows) - 1
+    V = graph.num_vertices
     times = []
-    steps = []
-    # each distinct (i, t) pair and label string is parsed once
+    if n == 0:
+        return times, _frozen(np.empty((0, V)))
+    if set(map(len, rows)) != {4}:
+        _raise_row_fault(path, rows)
+    i_col, t_col, cells, val_col = (col[1:] for col in zip(*rows))
+    # a step's rows are read in runs of equal (i, t) strings, and each run
+    # start goes through _trajectory_step
+    new = np.fromiter(map(operator.ne, i_col[1:], i_col), bool, n - 1)
+    new |= np.fromiter(map(operator.ne, t_col[1:], t_col), bool, n - 1)
+    starts = np.flatnonzero(np.concatenate(([True], new)))
+    try:
+        run_steps = [_trajectory_step(i_col[s], t_col[s], times)
+                     for s in starts.tolist()]
+        vals = np.fromiter(map(float, val_col), float, n)
+    except ValueError:
+        _raise_row_fault(path, rows)
+    if not np.isfinite(vals).all():
+        _raise_row_fault(path, rows)
+    step = np.repeat(run_steps, np.diff(starts, append=n))
+    ids = _VertexIds(graph)
+    vid = np.fromiter(map(ids.__getitem__, cells), np.intp, n)
+    K, W = len(times), V + len(ids.unknown)
+    counts = np.bincount(step * W + vid, minlength=K * W)
+    if counts.max() > 1:
+        _raise_row_fault(path, rows)
+    if W > V or not counts.all():
+        raise GraphMismatch(
+            f"{path}: trajectory vertices do not match the graph")
+    values = np.empty(K * V)
+    values[step * V + vid] = vals
+    return times, _frozen(values.reshape(K, V))
+
+
+def _frozen(values):
+    values.setflags(write=False)
+    return values
+
+
+def _raise_row_fault(path, rows):
+    """Raise for the first data row of a file's ``rows`` (header first)
+    that has not four cells, a bad step or a bad value; failing those, for
+    the first that repeats a (step, vertex) pair. Only diagnoses a file
+    that ``read_trajectory_csv`` found faulty: it builds no result."""
+    times = []
     step_of = {}
     labels = _Labels()
+    seen = set()
+    repeat = None
     for rowno, row in enumerate(rows[1:], 2):
         try:
             if len(row) != 4:
@@ -284,26 +386,16 @@ def read_trajectory_csv(path):
             i_s, t_s, lab_s, val_s = row
             i = step_of.get((i_s, t_s))
             if i is None:
-                i = step_of[i_s, t_s] = _trajectory_step(i_s, t_s, times,
-                                                         steps)
-            value = _finite(val_s)
+                i = step_of[i_s, t_s] = _trajectory_step(i_s, t_s, times)
+            _finite(val_s)
         except ValueError as exc:
             raise InvalidGraphData(f"{path}:{rowno}: {exc}") from None
-        steps[i][labels[lab_s]] = value
-    if sum(map(len, steps)) != len(rows) - 1:
-        _raise_repeated_row(path, rows, step_of, labels)
-    return times, steps
-
-
-def _raise_repeated_row(path, rows, step_of, labels):
-    """Raise for the first data row that repeats a (step, vertex) pair."""
-    seen = set()
-    for rowno, (i_s, t_s, lab_s, _) in enumerate(rows[1:], 2):
-        key = (step_of[i_s, t_s], labels[lab_s])
-        if key in seen:
-            raise InvalidGraphData(f"{path}:{rowno}: vertex {key[1]!r} "
-                                   f"listed twice in step {key[0]}")
+        key = (i, labels[lab_s])
+        if repeat is None and key in seen:
+            repeat = InvalidGraphData(f"{path}:{rowno}: vertex {key[1]!r} "
+                                      f"listed twice in step {i}")
         seen.add(key)
+    raise repeat
 
 
 def sha256_file(path):

@@ -35,7 +35,7 @@ ODE_MAX_STEPS = 1 << 21
 MAX_DENSE_INTERIOR = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralBasis:
     """Dirichlet eigenpairs on a finite domain, ascending eigenvalues.
 

@@ -513,3 +513,76 @@ def reference_vi_monotonicity_monitor(run, quotients):
     lap_g = op.l2(op.neg_laplacian(op.restrict(prob.initial)))
     bound = lap_g + op.l2(f_vals[0]) + grid_rate * run.partition.horizon
     return MonotonicityReport(tuple(rows), bound, grid_rate)
+
+
+def _reference_finite(token):
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {token!r}")
+    return value
+
+
+def reference_read_trajectory_csv(path, graph):
+    """Reference for ``fileio.read_trajectory_csv``: every row read into
+    one ``{label: value}`` dict per step, each label parsed by
+    ``parse_label``, then one array row per step built from the dicts in
+    vertex order."""
+    import csv
+
+    from graphrothe.errors import GraphMismatch, IoError
+    from graphrothe.fileio import parse_label
+
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidGraphData(f"{path}: not UTF-8 text ({exc.reason} at "
+                               f"byte {exc.start})") from None
+    if not rows or rows[0] != ["i", "t", "vertex", "value"]:
+        raise InvalidGraphData(f"{path}: not a trajectory CSV")
+    times = []
+    steps = []
+    step_of = {}
+    for rowno, row in enumerate(rows[1:], 2):
+        try:
+            if len(row) != 4:
+                raise ValueError(f"expected 4 columns, got {len(row)}")
+            i_s, t_s, lab_s, val_s = row
+            i = step_of.get((i_s, t_s))
+            if i is None:
+                i = int(i_s)
+                t = _reference_finite(t_s)
+                if i < 0:
+                    raise ValueError(f"negative step index {i}")
+                if i > len(steps):
+                    raise ValueError(f"step index {i} skips step "
+                                     f"{len(steps)}")
+                if i == len(steps):
+                    steps.append({})
+                    times.append(t)
+                elif t != times[i]:
+                    raise ValueError(f"step {i} at time {t_s}, read before "
+                                     f"at {times[i]!r}")
+                step_of[i_s, t_s] = i
+            value = _reference_finite(val_s)
+        except ValueError as exc:
+            raise InvalidGraphData(f"{path}:{rowno}: {exc}") from None
+        steps[i][parse_label(lab_s)] = value
+    if sum(map(len, steps)) != len(rows) - 1:
+        seen = set()
+        for rowno, (i_s, t_s, lab_s, _) in enumerate(rows[1:], 2):
+            key = (step_of[i_s, t_s], parse_label(lab_s))
+            if key in seen:
+                raise InvalidGraphData(f"{path}:{rowno}: vertex {key[1]!r} "
+                                       f"listed twice in step {key[0]}")
+            seen.add(key)
+    labels = set(graph.labels)
+    if any(step.keys() != labels for step in steps):
+        raise GraphMismatch(
+            f"{path}: trajectory vertices do not match the graph")
+    values = [list(map(step.__getitem__, graph.labels)) for step in steps]
+    return times, np.array(values, dtype=float).reshape(len(steps),
+                                                       graph.num_vertices)
+

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphrothe.cli import build_parser, main
-from helpers import path_graph
+from graphrothe.errors import InvalidGraphData
+from helpers import path_graph, reference_read_trajectory_csv
 from graphrothe import calculus, fileio, spectral
 from test_golden import config_heat_p1
 
@@ -822,6 +824,149 @@ class TestCompare:
                                     "time in common to compare\n")
 
 
+class TestCompareTimes:
+    """How ``compare`` matches the wanted times to the two grids: each
+    time takes the first step within 1e-12 on each grid."""
+
+    def _files(self, tmp_path, *grids):
+        """The graph file of a 3-vertex path and one trajectory per
+        ``(times, middle values)``, zero at the ends."""
+        g = path_graph(3)
+        gpath = str(tmp_path / "p3.txt")
+        fileio.write_graph_file(g, gpath)
+        paths = []
+        for k, (times, middle) in enumerate(grids):
+            values = np.zeros((len(times), 3))
+            values[:, 1] = middle
+            paths.append(str(tmp_path / f"traj{k}.csv"))
+            fileio.write_trajectory_csv(paths[-1], values, times, g)
+        return gpath, paths
+
+    def test_time_on_one_grid_only_exit_2(self, tmp_path, capsys):
+        gpath, (a, b) = self._files(tmp_path, ([0.0, 0.5, 1.0], [1, 2, 3]),
+                                    ([0.0, 1.0], [10, 30]))
+        for times in ("0.5", "0.0,0.5", "1.0,0.75"):
+            assert main(["compare", a, b, "--graph", gpath,
+                         "--times", times]) == 2
+            bad = times.split(",")[-1]
+            assert capsys.readouterr() == (
+                "", f"error[CONFIG]: time {float(bad)} is not on both "
+                "trajectory grids\n")
+
+    def test_near_time_matches_first_step(self, tmp_path, capsys):
+        t = float("0.5000000000004")
+        gpath, (a, b) = self._files(
+            tmp_path, ([0.0, 0.5, t, 1.0], [1, 2, 5, 3]),
+            ([0.0, 0.5 + 8e-13], [10, 20]))
+        assert main(["compare", a, b, "--graph", gpath,
+                     "--times", "0.5000000000004"]) == 0
+        # step 1 of a (0.5), not step 2 (t itself): |2 - 20| = 18
+        assert capsys.readouterr().out == (
+            "t,l2_diff,sup_diff\n0.5000000000004,18.0,18.0\n"
+            "max_l2_diff 18.0\n")
+
+    def test_steps_at_one_time(self, tmp_path, capsys):
+        gpath, (a, b) = self._files(tmp_path, ([0.0, 0.5, 0.5], [1, 2, 4]),
+                                    ([0.0, 0.5], [1, 7]))
+        assert main(["compare", a, b, "--graph", gpath]) == 0
+        # both rows at 0.5 compare a's first step there, |2 - 7| = 5
+        assert capsys.readouterr().out == (
+            "t,l2_diff,sup_diff\n0.0,0.0,0.0\n0.5,5.0,5.0\n0.5,5.0,5.0\n"
+            "max_l2_diff 5.0\n")
+
+    def test_output_file_matches_stdout(self, tmp_path, capsys):
+        gpath, (a, b) = self._files(
+            tmp_path, ([0.0, 0.25, 0.5], [1.0 / 3.0, -0.0, 1e150]),
+            ([0.0, 0.5, 0.25], [0.1, -1e-300, 2.0]))
+        for extra in ([], ["--times", "0.5,0.0"]):
+            assert main(["compare", a, b, "--graph", gpath, *extra]) == 0
+            table, max_line = capsys.readouterr().out.rsplit("\n", 2)[:2]
+            out = str(tmp_path / "cmp.csv")
+            assert main(["compare", a, b, "--graph", gpath, *extra,
+                         "--output", out]) == 0
+            assert capsys.readouterr().out == max_line + "\n"
+            assert open(out).read() == table + "\n"
+
+    def test_overflowing_difference_exit_3(self, tmp_path, capsys):
+        # as in run: no numpy warning and no infinite norm in the table
+        gpath, (a, b, c) = self._files(tmp_path, ([0.0], [1e300]),
+                                       ([0.0], [-1e308]), ([0.0], [1e308]))
+        for x, y, op in ((a, c, "dot"), (b, c, "subtract")):
+            assert main(["compare", x, y, "--graph", gpath]) == 3
+            assert capsys.readouterr() == (
+                "", f"error[SOLVE]: overflow encountered in {op}: the data "
+                "exceed the float64 range\n")
+
+    def test_vertex_mismatch_of_a_before_parse_fault_of_b(self, tmp_path,
+                                                          capsys):
+        # each file is read whole, vertex check included, before the next
+        gpath, (good,) = self._files(tmp_path, ([0.0], [1.0]))
+        short = str(tmp_path / "short.csv")
+        fileio.write_trajectory_csv(short, np.zeros((1, 2)), [0.0],
+                                    path_graph(2))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(open(good).read().replace(",1,1.0", ",1,abc"))
+        mismatch = "trajectory vertices do not match the graph"
+        for a, b, err in (
+                (short, str(bad), f"{short}: {mismatch}"),
+                (str(bad), short, f"{bad}:3: could not convert string to "
+                 "float: 'abc'"),
+                (good, short, f"{short}: {mismatch}")):
+            assert main(["compare", a, b, "--graph", gpath]) == 2
+            assert capsys.readouterr() == ("", f"error[CONFIG]: {err}\n")
+
+
+# value and time tokens around the edges of float(): underscores,
+# whitespace, signs, hex, overflow and non-finite words
+NUMBER_TOKENS = {"1_0": True, " 2.5": True, "+3": True, "0x1p3": False,
+                 "1e999": False, "nan": False, "-inf": False, "-0.0": True}
+
+
+class TestCompareNumberTokens:
+    """``compare`` accepts a value or time token exactly when ``float()``
+    reads it as a finite number, with the reference reader's message when
+    it refuses."""
+
+    @pytest.mark.parametrize("column", ["value", "time"])
+    @pytest.mark.parametrize("token", sorted(NUMBER_TOKENS))
+    def test_token(self, tmp_path, capsys, token, column):
+        g = path_graph(3)
+        gpath = str(tmp_path / "p3.txt")
+        fileio.write_graph_file(g, gpath)
+        a = str(tmp_path / "a.csv")
+        fileio.write_trajectory_csv(a, np.ones((2, 3)), [0.0, 0.5], g)
+        with open(a, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for row in rows[1:]:
+            if row[0] == "1" and column == "time":
+                row[1] = token
+            elif row[:3] == ["1", "0.5", "1"] and column == "value":
+                row[3] = token
+        b = str(tmp_path / "b.csv")
+        with open(b, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        try:
+            times, values = reference_read_trajectory_csv(b, g)
+            expected = None
+        except InvalidGraphData as exc:
+            expected = f"error[CONFIG]: {exc}\n"
+        assert (expected is None) == NUMBER_TOKENS[token]
+        code = main(["compare", b, b, "--graph", gpath])
+        captured = capsys.readouterr()
+        if expected is not None:
+            assert code == 2 and captured == ("", expected)
+            return
+        assert code == 0 and captured.err == ""
+        lines = captured.out.splitlines()
+        assert [float(line.split(",")[0]) for line in lines[1:-1]] == times
+        if column == "value":
+            assert values[1, 1] == float(token)
+            assert main(["compare", a, b, "--graph", gpath, "--times",
+                         "0.5"]) == 0
+            sup = float(capsys.readouterr().out.splitlines()[1]
+                        .split(",")[2])
+            assert sup == abs(1.0 - float(token))
+
 # keys that parse to the same label ("2", "+2", "002"; "1", "01"),
 # labels outside the interior {2} or the graph, and a tuple label that the
 # path does not have
@@ -909,3 +1054,94 @@ class TestViConfigFuzz:
                   if line.startswith("error[")]
         assert code in (0, 2, 3, 4)
         assert len(errors) == (0 if code == 0 else 1)
+
+
+
+TRAJECTORY_TOKENS = {
+    "i": ["0", "1", "2", "-1", "+1", "x", ""],
+    "t": ["0.0", "0.5", "1.0", "-0.0", "1e-13", "1e308", "-1e308", "nan",
+          "1e999", "0x1p3", "1_0"],
+    "vertex": ["0", "1", "2", "3", "+1", "01", "zz", "1,2", 'q"'],
+    "value": ["0.0", "-0.0", "1.5", "5e-324", "1e300", "-1e308", "nan",
+              "-inf", " 2.5", "abc", ""],
+}
+
+
+@st.composite
+def _trajectory_text(draw):
+    """A trajectory CSV on the 3-vertex path: written whole, then with a
+    few cells, rows or the header damaged."""
+    times = draw(st.lists(st.sampled_from([0.0, 0.5, 0.5, 1.0, 1e-13]),
+                          min_size=draw(_mostly(st.just(1), st.just(0))),
+                          max_size=3))
+    values = draw(st.lists(
+        _mostly(st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.125]),
+                st.sampled_from([1e300, -1e308]), odds=8),
+        min_size=3 * len(times), max_size=3 * len(times)))
+    rows = [[str(i), fileio.fmt(t), str(v), fileio.fmt(values[3 * i + v])]
+            for i, t in enumerate(times) for v in draw(st.permutations(
+                range(3)))]
+    for _ in range(draw(_mostly(st.just(0), st.integers(1, 2), odds=2))):
+        col = draw(st.integers(0, 3))
+        token = draw(st.sampled_from(TRAJECTORY_TOKENS[
+            ("i", "t", "vertex", "value")[col]]))
+        if rows and draw(st.booleans()):
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            row[min(col, len(row) - 1)] = token
+        else:
+            rows.append(draw(st.lists(st.sampled_from(
+                TRAJECTORY_TOKENS["t"]), min_size=3, max_size=5)))
+    header = draw(_mostly(st.just(["i", "t", "vertex", "value"]),
+                          st.sampled_from([["i", "t", "v", "value"], []]),
+                          odds=8))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))
+               ).writerows([header, *rows])
+    return buf.getvalue()
+
+
+class TestCompareFuzz:
+    """Generated trajectory files and ``compare`` options: ``main``
+    returns a documented exit code and prints one error line exactly when
+    it fails."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(text_a=_trajectory_text(), text_b=_trajectory_text(),
+           same=st.booleans(),
+           b_file=_mostly(st.just("b.csv"),
+                          st.sampled_from(["missing.csv", "latin1.csv"])),
+           times=_mostly(
+               st.sampled_from([None, "0.0", "0.5,0.5000000000001"]),
+               st.sampled_from(["1e-13", "abc", "1e999", "nan", "1e308"])),
+           domain=_mostly(
+               st.sampled_from([None, "omega 0\nomega 1\nomega 2\n"]),
+               st.sampled_from(["omega 2\n", "omega 9\n"])),
+           output=_mostly(st.sampled_from([None, "cmp.csv"]),
+                          st.just("no-dir/cmp.csv")))
+    def test_compare_files_and_options(self, text_a, text_b, same, b_file,
+                                       times, domain, output):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp_path = pathlib.Path(tmp)
+            gpath = str(tmp_path / "p3.txt")
+            fileio.write_graph_file(path_graph(3), gpath)
+            (tmp_path / "a.csv").write_text(text_a)
+            (tmp_path / "b.csv").write_text(text_a if same else text_b)
+            (tmp_path / "latin1.csv").write_bytes(text_b.encode() + b"\xff")
+            argv = ["compare", str(tmp_path / "a.csv"),
+                    str(tmp_path / b_file), "--graph", gpath]
+            if times is not None:
+                argv += ["--times", times]
+            if domain is not None:
+                (tmp_path / "dom.txt").write_text(domain)
+                argv += ["--domain", str(tmp_path / "dom.txt")]
+            if output is not None:
+                argv += ["--output", str(tmp_path / output)]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        errors = [line for line in err.getvalue().splitlines()
+                  if line.startswith("error[")]
+        assert code in (0, 2, 3, 4)
+        assert len(errors) == (0 if code == 0 else 1)
+        assert err.getvalue().count("\n") == len(errors)

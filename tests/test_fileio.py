@@ -1,17 +1,28 @@
 import collections
 import csv
 import io
-import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphrothe import VertexField, build_finite_graph, fileio
 from graphrothe import LatticeZ2, materialize_ball
-from graphrothe.errors import DuplicateEdge, InvalidGraphData, IoError
-from helpers import path_graph, random_connected_graph
+from graphrothe.errors import (
+    DuplicateEdge,
+    GraphMismatch,
+    GraphrotheError,
+    InvalidGraphData,
+    IoError,
+)
+from helpers import (
+    path_graph,
+    random_connected_graph,
+    reference_read_trajectory_csv,
+)
 
 
 GRAPH_TEXT = """\
@@ -200,9 +211,11 @@ class TestCsv:
         path = tmp_path / "traj.csv"
         fileio.write_trajectory_csv(
             str(path), np.array([u.values for u in fields]), times, g)
-        rtimes, steps = fileio.read_trajectory_csv(str(path))
+        rtimes, values = fileio.read_trajectory_csv(str(path), g)
         assert rtimes == times
-        assert steps[2][1] == 2.0 and steps[0][0] == 0.0
+        assert values.tolist() == [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                   [0.0, 2.0, 0.0]]
+        assert not values.flags.writeable
 
     def test_none_becomes_empty(self, tmp_path):
         path = tmp_path / "x.csv"
@@ -216,10 +229,10 @@ class TestCsv:
         path = tmp_path / "traj.csv"
         fileio.write_trajectory_csv(
             str(path), np.array([u.values for u in fields]), [0.0, 1.0], g)
-        _, steps = fileio.read_trajectory_csv(str(path))
-        assert steps[0][(0, 0)] == 1.0
-        assert steps[1][(0, 1)] == -2.0
-        assert steps[1][(1, 0)] == 0.0
+        _, values = fileio.read_trajectory_csv(str(path), g)
+        assert values[0, g.vertex((0, 0))] == 1.0
+        assert values[1, g.vertex((0, 1))] == -2.0
+        assert values[1, g.vertex((1, 0))] == 0.0
 
 
 def reference_trajectory_csv(fields, times, graph):
@@ -295,13 +308,11 @@ class TestWriterByteIdentity:
         assert (tmp_path / "empty.csv").read_text() == \
             reference_trajectory_csv([], [], g)
 
-        rtimes, steps = fileio.read_trajectory_csv(str(path))
+        rtimes, values = fileio.read_trajectory_csv(str(path), g)
         assert rtimes == [float(t) for t in times]
-        for u, step in zip(fields, steps, strict=True):
-            assert list(step) == list(g.labels)
-            for lab, v in zip(g.labels, u.values):
-                assert step[lab] == v
-                assert math.copysign(1.0, step[lab]) == math.copysign(1.0, v)
+        # bytes keep the sign of -0.0
+        assert values.tobytes() == \
+            np.array([u.values for u in fields]).tobytes()
 
     def test_field_file(self, tmp_path):
         g = mixed_label_graph()
@@ -316,3 +327,191 @@ class TestWriterByteIdentity:
     def test_label_cells_match_csv_writer(self, names):
         assert fileio._label_cells(names) \
             == [fileio._csv_cell(name) for name in names]
+
+
+# value and time tokens around float()'s edges: underscores, whitespace,
+# signs, hex, overflow, non-finite words, -0.0 and non-ASCII digits
+ODD_TOKENS = ["1_0", " 2.5", "+3", "0x1p3", "1e999", "nan", "-inf", "-0.0",
+              "abc", "", "1e-320", "\u0661", "1__0"]
+LABELS = st.one_of(
+    st.integers(-20, 20),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    # strings that a graph file could name: parse_label reads them back
+    st.text(alphabet='ab,"\r\n x', min_size=1, max_size=4).filter(
+        lambda s: fileio.parse_label(s) == s))
+VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1030, 1e300,
+                     -1e300, 1.0 / 3.0]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def mixed_graphs(draw):
+    """A random tree on 1 to 6 mixed int, tuple and string labels."""
+    labels = draw(st.lists(LABELS, min_size=2, max_size=6,
+                           unique_by=fileio.format_label))
+    edges = [(labels[draw(st.integers(0, k - 1))], labels[k], 1.0)
+             for k in range(1, len(labels))]
+    return build_finite_graph(edges, {lab: 1.0 for lab in labels})
+
+
+def _interleave(rng, steps):
+    """The rows of ``steps`` (a row list per step) in a random order in
+    which each step's first row still follows the previous step's."""
+    queues = [rng.sample(rows, len(rows)) for rows in steps]
+    started = 0
+    out = []
+    while any(queues):
+        k = rng.choice([k for k in range(min(started + 1, len(queues)))
+                        if queues[k]])
+        started = max(started, k + 1)
+        out.append(queues[k].pop())
+    return out
+
+
+def _equivalent_token(cell):
+    """Another token that ``parse_label`` reads as the same int or tuple
+    label as ``cell``, or ``cell``."""
+    label = fileio.parse_label(cell)
+    if isinstance(label, int):
+        return f"+{label}" if label >= 0 else f"-0{-label}"
+    if isinstance(label, tuple):
+        return ", ".join(f"0{p}" if p >= 0 else str(p) for p in label)
+    return cell
+
+
+def _mutate(rng, rows, kind):
+    """Apply one kind of damage (or an equivalent rewrite) to ``rows``."""
+    if not rows:
+        return
+    r = rng.randrange(len(rows))
+    row = rows[r]
+    if kind == "drop":
+        del rows[r]
+    elif kind == "duplicate":
+        rows.insert(rng.randrange(len(rows) + 1), list(row))
+    elif kind == "equivalent" and len(row) == 4:
+        row[2] = _equivalent_token(row[2])
+    elif kind == "unknown" and len(row) == 4:
+        row[2] = "zz"
+    elif kind == "unknown_repeat" and len(row) == 4:
+        for _ in range(2):
+            rows.insert(rng.randrange(len(rows) + 1), row[:2] + ["zz", "1.0"])
+    elif kind == "wrong_time" and len(row) == 4:
+        row[1] = rng.choice(["0.7", "1e-300", row[1] + "1"])
+    elif kind == "skip_step" and len(row) == 4:
+        row[0] = str(int(row[0]) + rng.choice([1, 2, -1]))
+    elif kind == "bad_value" and len(row) == 4:
+        row[3] = rng.choice(ODD_TOKENS)
+    elif kind == "bad_time" and len(row) == 4:
+        token = rng.choice(ODD_TOKENS)
+        for other in rows:
+            if other[:2] == row[:2]:
+                other[1] = token
+    elif kind == "columns":
+        if row and rng.random() < 0.5:
+            row.pop()
+        else:
+            row.append("x")
+    elif kind == "empty_row":
+        rows.insert(r, [])
+
+
+MUTATIONS = ["drop", "duplicate", "equivalent", "unknown", "unknown_repeat",
+             "wrong_time", "skip_step", "bad_value", "bad_time", "columns",
+             "empty_row"]
+
+
+def _outcome(read, path, graph):
+    """``(times, values)`` as bytes (keeping the sign of -0.0), or the
+    type and message of the error."""
+    try:
+        times, values = read(path, graph)
+    except GraphrotheError as exc:
+        return type(exc), str(exc)
+    return (np.array(times, dtype=float).tobytes(), values.shape,
+            values.tobytes())
+
+
+class TestTrajectoryReader:
+    """``read_trajectory_csv`` against the reference reader (a dict per
+    step, then one array) on written, reordered and damaged files."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=mixed_graphs(), data=st.data(), rng=st.randoms(),
+           mutations=st.lists(st.sampled_from(MUTATIONS), max_size=2),
+           shuffle=st.sampled_from(["none", "interleave", "any"]),
+           crlf=st.booleans())
+    def test_matches_reference(self, g, data, rng, mutations, shuffle,
+                               crlf):
+        K = data.draw(st.integers(0, 3))
+        values = np.array(data.draw(st.lists(
+            VALUES, min_size=K * g.num_vertices,
+            max_size=K * g.num_vertices)), dtype=float).reshape(
+                K, g.num_vertices)
+        times = data.draw(st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 1e-300]),
+                      st.floats(-1e3, 1e3)), min_size=K, max_size=K))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "traj.csv")
+            fileio.write_trajectory_csv(path, values, times, g)
+            if mutations or shuffle != "none" or crlf:
+                with open(path, newline="") as fh:
+                    header, *rows = csv.reader(fh)
+                if shuffle == "interleave":
+                    rows = _interleave(rng, [
+                        [row for row in rows if row[:1] == [str(k)]]
+                        for k in range(K)])
+                elif shuffle == "any":
+                    rng.shuffle(rows)
+                for kind in mutations:
+                    _mutate(rng, rows, kind)
+                with open(path, "w", newline="") as fh:
+                    csv.writer(fh, lineterminator="\r\n" if crlf
+                               else "\n").writerows([header, *rows])
+            got = _outcome(fileio.read_trajectory_csv, path, g)
+            assert got == _outcome(reference_read_trajectory_csv, path, g)
+        if not mutations and shuffle != "any" \
+                and not any("\r" in name for name in g.names):
+            assert got == (np.array(times, dtype=float).tobytes(),
+                           values.shape, values.tobytes())
+
+    def test_rows_in_any_vertex_order(self, tmp_path):
+        g = path_graph(3)
+        path = tmp_path / "traj.csv"
+        path.write_text("i,t,vertex,value\n0,0.0,2,3.0\n0,0.0,0,1.0\n"
+                        "1,0.5,1,5.0\n0,0.0,1,2.0\n1,0.5,+2,6.0\n"
+                        "1,5e-1,00,4.0\n")
+        times, values = fileio.read_trajectory_csv(str(path), g)
+        assert times == [0.0, 0.5]
+        assert values.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0, 0] = 0.0
+
+    def test_empty_trajectory(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        path.write_text("i,t,vertex,value\n")
+        times, values = fileio.read_trajectory_csv(str(path), path_graph(3))
+        assert times == [] and values.shape == (0, 3)
+
+    def test_vertex_mismatch(self, tmp_path):
+        path = tmp_path / "traj.csv"
+        # a vertex missing from step 1, and a label that is not the graph's
+        for text in ("i,t,vertex,value\n0,0.0,0,1.0\n0,0.0,1,1.0\n"
+                     "1,1.0,0,1.0\n",
+                     "i,t,vertex,value\n0,0.0,0,1.0\n0,0.0,1,1.0\n"
+                     "0,0.0,zz,1.0\n"):
+            path.write_text(text)
+            with pytest.raises(GraphMismatch) as info:
+                fileio.read_trajectory_csv(str(path), path_graph(2))
+            assert str(info.value) == \
+                f"{path}: trajectory vertices do not match the graph"
+
+    def test_oversized_field_refused(self, tmp_path):
+        # csv.reader refuses a field over its size limit: an input error
+        path = tmp_path / "traj.csv"
+        path.write_text("i,t,vertex,value\n0,0.0," + "7" * 200_000 + "\n")
+        with pytest.raises(InvalidGraphData) as info:
+            fileio.read_trajectory_csv(str(path), path_graph(2))
+        assert str(info.value).startswith(f"{path}:2: field larger than")

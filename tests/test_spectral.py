@@ -47,6 +47,14 @@ class TestEigenbasis:
         assert sorted(dom.interior) == [2, 3]
         assert np.allclose(basis.eigenvalues, [1.0, 3.0], atol=1e-12)
 
+    def test_bases_hash_and_compare_by_identity(self):
+        g = path_graph(6)
+        dom = make_domain(g, range(6))
+        a, b = dirichlet_eigenbasis(dom), dirichlet_eigenbasis(dom)
+        assert a.size > 1
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
     def test_degenerate_pair_invariants(self):
         # two decoupled interior vertices, each with two exterior contacts
         g = path_graph(9)
