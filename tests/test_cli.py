@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from graphrothe.cli import build_parser, main
 from graphrothe.errors import InvalidGraphData
 from helpers import path_graph, reference_read_trajectory_csv
-from graphrothe import calculus, fileio, spectral
+from graphrothe import calculus, cli, fileio, spectral
 from test_golden import config_heat_p1
 
 
@@ -561,6 +561,284 @@ class TestInitialOutsideInterior:
             problem={"initial": {"values": {"0": 1.0, "2": 1.0}},
                      "exhaustion": {"seeds": ["2"], "levels": [1, 2]}})
         assert main(["validate-config", cfg_path]) == 0
+
+
+DROP = object()
+
+
+def _edited(cfg, edits):
+    """``cfg`` with each dotted key path of ``edits`` set to its value, or
+    removed for ``DROP``; the empty path replaces the whole config."""
+    for path, value in edits.items():
+        if not path:
+            return value
+        *parents, last = path.split(".")
+        node = cfg
+        for key in parents:
+            node = node[key]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    return cfg
+
+
+def _in_dir(value, tmp_path):
+    """``value`` with ``{tmp}`` in its strings replaced by ``tmp_path``."""
+    if isinstance(value, str):
+        return value.replace("{tmp}", str(tmp_path))
+    if isinstance(value, list):
+        return [_in_dir(v, tmp_path) for v in value]
+    if isinstance(value, dict):
+        return {k: _in_dir(v, tmp_path) for k, v in value.items()}
+    return value
+
+
+def _base_config(tmp_path, base):
+    """The config dict of ``base`` (heat, vi or lattice), with its files
+    written under ``tmp_path``; the heat and vi runs take 4 steps."""
+    if base == "heat":
+        _, cfg = heat_config(tmp_path, problem={"steps": 4})
+    elif base == "vi":
+        _, cfg = vi_obstacle_config(tmp_path)
+    else:
+        cfg = json.loads(open(lattice_config(tmp_path, "lattice_z2",
+                                             ["0,0"])).read())
+    return cfg
+
+
+TABLE_FORCING = {"kind": "table", "times": [0.0, 0.5, 1.0],
+                 "fields": [{"values": {}}] * 3}
+
+# one fault per check of a run config, in the order the checks run: the
+# config, its structure, the referenced files, then what the files and
+# values hold. ``{tmp}`` is the directory of the config's files.
+CONFIG_FAULTS = [
+    ("not_object", "heat", {"": []}, 2,
+     "config must be a JSON object"),
+    ("missing_graph", "heat", {"graph": DROP}, 2,
+     "config is missing 'graph'"),
+    ("missing_domain", "heat", {"domain": DROP}, 2,
+     "config is missing 'domain'"),
+    ("missing_problem", "heat", {"problem": DROP}, 2,
+     "config is missing 'problem'"),
+    ("missing_output", "heat", {"output": DROP}, 2,
+     "config is missing 'output'"),
+    ("graph_both", "heat", {"graph.generative": "lattice_z"}, 2,
+     "graph must give exactly one of 'file' or 'generative'"),
+    ("graph_not_object", "heat", {"graph": "p5.txt"}, 2,
+     "graph must give exactly one of 'file' or 'generative'"),
+    ("unknown_generative", "lattice", {"graph.generative": "lattice_z3"}, 2,
+     "unknown generative graph 'lattice_z3' (choose from ['lattice_z', "
+     "'lattice_z2'])"),
+    ("generative_domain", "lattice", {"domain": {"omega": ["0,0"]}}, 2,
+     "generative graphs require domain 'all'"),
+    ("params_not_object", "lattice", {"graph.params": [1.0]}, 2,
+     "graph.params must be an object"),
+    ("params_key", "lattice", {"graph.params": {"size": 1.0}}, 2,
+     "unknown graph.params key 'size' (choose from mu, weight)"),
+    ("params_value", "lattice", {"graph.params": {"mu": 0}}, 2,
+     "graph.params.mu must be a finite number > 0"),
+    ("domain_shape", "heat", {"domain": "interior"}, 2,
+     "domain must be 'all', {'file': ...}, or {'omega': [...]}"),
+    ("domain_both", "heat", {"domain.omega": ["1"]}, 2,
+     "domain must be 'all', {'file': ...}, or {'omega': [...]}"),
+    ("problem_not_object", "heat", {"problem": []}, 2,
+     "problem must be an object"),
+    ("kind", "heat", {"problem.kind": "wave"}, 2,
+     "problem.kind must be one of heat, vi, spectral"),
+    ("generative_no_exhaustion", "lattice", {"problem.exhaustion": DROP}, 2,
+     "generative graphs are used through problem.exhaustion (heat or vi)"),
+    ("generative_spectral", "lattice", {"problem.kind": "spectral"}, 2,
+     "generative graphs are used through problem.exhaustion (heat or vi)"),
+    ("horizon", "heat", {"problem.horizon": 0}, 2,
+     "problem.horizon must be a finite number > 0"),
+    ("no_steps", "heat", {"problem.steps": DROP}, 2,
+     "problem needs steps or steps_list"),
+    ("steps", "heat", {"problem.steps": 0}, 2,
+     "problem.steps must be an integer >= 1"),
+    ("steps_list", "heat", {"problem.steps_list": []}, 2,
+     "problem.steps_list must be a list of integers >= 1"),
+    ("no_initial", "heat", {"problem.initial": DROP}, 2,
+     "problem.initial is required"),
+    ("initial_both", "heat", {"problem.initial.file": "h.txt"}, 2,
+     "problem.initial must give exactly one of 'file' or 'values'"),
+    ("initial_values", "heat", {"problem.initial.values": {"2": "abc"}}, 2,
+     "problem.initial.values must map labels to finite numbers"),
+    ("exhaustion_levels", "heat",
+     {"problem.exhaustion": {"seeds": ["2"], "levels": [2, 1]}}, 2,
+     "exhaustion needs a list of seeds and a strictly increasing list of "
+     "integer levels"),
+    ("exhaustion_seeds", "heat",
+     {"problem.exhaustion": {"seeds": "2", "levels": [1]}}, 2,
+     "exhaustion needs a list of seeds and a strictly increasing list of "
+     "integer levels"),
+    ("lattice_seed", "lattice", {"problem.exhaustion.seeds": ["0"]}, 2,
+     "exhaustion seed '0' is not a vertex of lattice_z2: a seed is a pair "
+     "\"i,j\" of integers"),
+    ("p", "heat", {"problem.p": 0.5}, 2,
+     "problem.p must be a finite number >= 1, got 0.5"),
+    ("forcing_kind", "vi", {"problem.forcing.kind": "step"}, 2,
+     "problem.forcing.kind must be constant, separable, or table"),
+    ("no_forcing", "vi", {"problem.forcing": DROP}, 2,
+     "problem.forcing.kind must be constant, separable, or table"),
+    ("forcing_field", "vi", {"problem.forcing.field": DROP}, 2,
+     "forcing.field must give exactly one of 'file' or 'values'"),
+    ("forcing_values", "vi", {"problem.forcing.field.values": {"2": None}},
+     2, "forcing.field.values must map labels to finite numbers"),
+    ("separable_no_time", "vi", {"problem.forcing.kind": "separable"}, 2,
+     "separable forcing needs a 'time' expression"),
+    ("separable_time", "vi", {"problem.forcing.kind": "separable",
+                              "problem.forcing.time": "x"}, 2,
+     "time expression: unsupported construct Name(id='x', ctx=Load())"),
+    ("table_shape", "vi",
+     {"problem.forcing": dict(TABLE_FORCING, times=[0.0, 1.0])}, 2,
+     "table forcing needs parallel 'times' and 'fields'"),
+    ("table_field", "vi",
+     {"problem.forcing": dict(TABLE_FORCING, fields=[{}] * 3)}, 2,
+     "forcing.fields[] must give exactly one of 'file' or 'values'"),
+    ("constraint_kind", "vi", {"problem.constraint.kind": "box"}, 2,
+     "constraint.kind must be subspace or obstacle"),
+    ("obstacle_psi", "vi", {"problem.constraint.psi": DROP}, 2,
+     "constraint.psi must give exactly one of 'file' or 'values'"),
+    ("lipschitz_bound", "vi", {"problem.lipschitz_bound": -1.0}, 2,
+     "lipschitz_bound must be a nonnegative number"),
+    ("tolerances_not_object", "heat", {"tolerances": [1e-12]}, 2,
+     "tolerances must be an object"),
+    ("psor_relax", "vi", {"tolerances": {"psor_relax": 1.5}}, 2,
+     "tolerances.psor_relax is no longer accepted: the obstacle solver is "
+     "now the primal-dual active set method (PDAS), which takes no "
+     "relaxation"),
+    ("tolerance_key", "heat", {"tolerances": {"newton": 1e-12}}, 2,
+     "unknown tolerance 'newton'"),
+    ("tolerance_value", "heat", {"tolerances": {"ode_oracle": 0.0}}, 2,
+     "tolerance ode_oracle must be positive"),
+    ("missing_graph_file", "heat", {"graph.file": "{tmp}/none.txt"}, 4,
+     "referenced file {tmp}/none.txt does not exist"),
+    ("missing_domain_file", "heat", {"domain.file": "{tmp}/none.txt"}, 4,
+     "referenced file {tmp}/none.txt does not exist"),
+    ("missing_initial_file", "heat",
+     {"problem.initial": {"file": "{tmp}/none.txt"}}, 4,
+     "referenced file {tmp}/none.txt does not exist"),
+    ("missing_forcing_file", "vi",
+     {"problem.forcing.field": {"file": "{tmp}/none.txt"}}, 4,
+     "referenced file {tmp}/none.txt does not exist"),
+    ("missing_table_file", "vi",
+     {"problem.forcing": dict(TABLE_FORCING,
+                              fields=[{"file": "{tmp}/none.txt"}] * 3)}, 4,
+     "referenced file {tmp}/none.txt does not exist"),
+    ("missing_psi_file", "vi",
+     {"problem.constraint.psi": {"file": "{tmp}/none.txt"}}, 4,
+     "referenced file {tmp}/none.txt does not exist"),
+    ("graph_file_parse", "heat", {"graph.file": "{tmp}/dom.txt"}, 2,
+     "{tmp}/dom.txt:1: unrecognized record"),
+    ("lattice_ball", "lattice", {"problem.exhaustion.levels": [2, 10 ** 6]},
+     2, "the ball of radius 1000001 around 1 seed(s) needs 6000018000014 "
+     "offsets and keys, more than the 12000000 (about 2 GB) a ball may "
+     "hold; an exhaustion to level m builds the ball of radius m + 1"),
+    ("domain_file_label", "heat", {"domain.file": "{tmp}/h_zz.txt"}, 2,
+     "{tmp}/h_zz.txt:1: expected 'omega <label>'"),
+    ("omega_label", "heat", {"domain": {"omega": ["1", "zz", "3"]}}, 2,
+     "unknown vertex label 'zz'"),
+    ("empty_interior", "heat", {"domain": {"omega": ["1", "2"]}}, 2,
+     "domain has an empty interior (every omega vertex is on its "
+     "boundary); it cannot pose a problem"),
+    ("exhaustion_seed_label", "heat",
+     {"domain": "all", "problem.exhaustion": {"seeds": ["zz"],
+                                              "levels": [1]}}, 2,
+     "unknown vertex label 'zz'"),
+    ("exhaustion_seed_outside", "heat",
+     {"problem.exhaustion": {"seeds": ["0"], "levels": [1]}}, 2,
+     "seed 0 is not in omega"),
+    ("initial_file_label", "heat",
+     {"problem.initial": {"file": "{tmp}/h_zz.txt"}}, 2,
+     "{tmp}/h_zz.txt:1: unknown vertex label 'zz'"),
+    ("initial_key_label", "heat", {"problem.initial.values": {"zz": 1.0}},
+     2, "unknown vertex label 'zz'"),
+    ("initial_keys_repeat", "heat",
+     {"problem.initial.values": {"2": 1.0, "02": 1.0}}, 2,
+     "values keys '2' and '02' name one vertex 2"),
+    ("initial_outside", "heat", {"problem.initial.values": {"1": 0.5}}, 2,
+     "problem.initial must vanish outside the domain interior, but it is "
+     "0.5 at vertex 1"),
+    ("forcing_key_label", "vi",
+     {"problem.forcing.field.values": {"zz": 1.0}}, 2,
+     "unknown vertex label 'zz'"),
+    ("table_times", "vi",
+     {"problem.forcing": dict(TABLE_FORCING, times=[0.0, 0.4, 1.0])}, 2,
+     "t = 0.25 is not a tabulated forcing time"),
+    ("psi_keys_repeat", "vi",
+     {"problem.constraint.psi.values": {"3": 0.0, "+3": 0.5}}, 2,
+     "values keys '3' and '+3' name one vertex 3"),
+]
+
+
+class TestConfigChecks:
+    """Each check of a run config, met by a config with that one fault:
+    ``validate-config`` and ``run`` exit with its code, print its one
+    line and write nothing."""
+
+    @pytest.mark.parametrize("base, edits, code, message", [
+        case[1:] for case in CONFIG_FAULTS],
+        ids=[case[0] for case in CONFIG_FAULTS])
+    def test_single_fault(self, tmp_path, capsys, base, edits, code,
+                          message):
+        cfg = _base_config(tmp_path, base)
+        (tmp_path / "h_zz.txt").write_text("zz 1.0\n")
+        edits = {key: _in_dir(value, tmp_path)
+                 for key, value in edits.items()}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_edited(cfg, edits)))
+        prefix = {2: "CONFIG", 4: "IO"}[code]
+        line = message.replace("{tmp}", str(tmp_path))
+        for command in ("validate-config", "run"):
+            assert main([command, str(path)]) == code
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error[{prefix}]: {line}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_structure_before_missing_file(self, tmp_path, capsys):
+        cfg = _edited(_base_config(tmp_path, "heat"),
+                      {"graph.file": str(tmp_path / "none.txt"),
+                       "problem.horizon": -1.0})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate-config", str(path)]) == 2
+        assert capsys.readouterr().err == ("error[CONFIG]: problem.horizon "
+                                           "must be a finite number > 0\n")
+
+    def test_missing_file_before_parse_error(self, tmp_path, capsys):
+        # the graph file is malformed and the psi file, read later, is
+        # missing: the missing file is reported first
+        bad = tmp_path / "bad_graph.txt"
+        bad.write_text("graph 1\nv 0\n")
+        cfg = _edited(_base_config(tmp_path, "vi"),
+                      {"graph.file": str(bad),
+                       "problem.constraint.psi": {
+                           "file": str(tmp_path / "none.txt")}})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate-config", str(path)]) == 4
+        assert capsys.readouterr().err == (
+            f"error[IO]: referenced file {tmp_path / 'none.txt'} does not "
+            "exist\n")
+
+    def test_generative_structure_before_ball(self, tmp_path, capsys,
+                                              monkeypatch):
+        def no_ball(*args, **kwargs):
+            raise AssertionError("lattice ball built before validation")
+
+        monkeypatch.setattr(cli, "exhaust_generative", no_ball)
+        cfg = _edited(_base_config(tmp_path, "lattice"),
+                      {"problem.horizon": "1"})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        for command in ("validate-config", "run"):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr().err == (
+                "error[CONFIG]: problem.horizon must be a finite number "
+                "> 0\n")
 
 
 class TestRunSpectral:
