@@ -94,9 +94,17 @@ def field_on_interior(dom, interior_values):
 
 
 def require_admissible(field, dom, what="field"):
-    if not field.is_admissible(dom):
+    """Refuse ``field`` unless it lives on ``dom``'s graph and vanishes
+    outside its interior, naming the first vertex where it does not."""
+    if field.graph is not dom.graph:
         raise NotDirichletAdmissible(
-            f"{what} does not vanish outside the domain interior")
+            f"{what} lives on a different graph than the domain")
+    bad = np.setdiff1d(np.flatnonzero(field.values), dom.interior_ids)
+    if bad.size:
+        label = field.graph.label_of(int(bad[0]))
+        raise NotDirichletAdmissible(
+            f"{what} must vanish outside the domain interior, but it is "
+            f"{field[label]!r} at vertex {label!r}")
 
 
 def _require_complete(graph, i):

@@ -93,7 +93,8 @@ def _problem_domain(g, ids):
 
 
 def load_config(path, overrides=None):
-    """Read, override, and structurally validate a run config."""
+    """Read a run config and apply the command-line overrides;
+    ``PreparedRun`` checks it."""
     if not os.path.exists(path):
         raise IoError(f"config file {path} does not exist")
     try:
@@ -110,55 +111,129 @@ def load_config(path, overrides=None):
             continue
         if key == "output":
             cfg["output"] = value
-        elif key == "levels":
-            prob = cfg.setdefault("problem", {})
-            prob.setdefault("exhaustion", {})["levels"] = value
+            continue
+        target = cfg.setdefault("problem", {})
+        _expect(isinstance(target, dict), "problem must be an object")
+        if key == "levels":
+            target = target.setdefault("exhaustion", {})
+            _expect(isinstance(target, dict), "exhaustion must be an object")
         elif key == "initial":
-            cfg.setdefault("problem", {})["initial"] = {"file": value}
-        else:
-            cfg.setdefault("problem", {})[key] = value
-    _validate_config(cfg)
+            value = {"file": value}
+        _expect(key != "steps" or target.get("steps_list") is None,
+                "--steps sets problem.steps, which the config's "
+                "problem.steps_list overrides; drop one of them")
+        target[key] = value
     return cfg
 
 
-def _validate_config(cfg):
-    for key in ("graph", "domain", "problem", "output"):
-        _expect(key in cfg, f"config is missing {key!r}")
-    gspec = cfg["graph"]
-    _expect(isinstance(gspec, dict) and (("file" in gspec)
-            ^ ("generative" in gspec)),
-            "graph must give exactly one of 'file' or 'generative'")
-    if "generative" in gspec:
-        _expect(isinstance(gspec["generative"], str)
-                and gspec["generative"] in GENERATORS,
-                f"unknown generative graph {gspec['generative']!r} "
-                f"(choose from {sorted(GENERATORS)})")
-        _expect(cfg["domain"] == "all",
-                "generative graphs require domain 'all'")
-        params = gspec.get("params", {})
-        _expect(isinstance(params, dict), "graph.params must be an object")
-        for key, val in params.items():
-            _expect(key in ("weight", "mu"),
-                    f"unknown graph.params key {key!r} (choose from mu, "
-                    f"weight)")
+class PreparedRun:
+    """Everything a run needs, built fail-fast before any solve: pass 1
+    checks the config's structure and keeps each value it checked, pass 2
+    reads the files it names once they all exist. A block that the problem
+    kind does not use is not opened."""
+
+    def __init__(self, cfg):
+        self._files = []
+        self._check(cfg)
+        for path in self._files:
+            if not os.path.exists(path):
+                raise IoError(f"referenced file {path} does not exist")
+        self._build()
+
+    def _file(self, path, what):
+        _expect(isinstance(path, str), f"{what} must be a file name")
+        self._files.append(path)
+        return path
+
+    def _field_spec(self, spec, what):
+        _expect(isinstance(spec, dict)
+                and (("file" in spec) ^ ("values" in spec)),
+                f"{what} must give exactly one of 'file' or 'values'")
+        if "file" in spec:
+            self._file(spec["file"], f"{what}.file")
+        else:
+            _expect(isinstance(spec["values"], dict)
+                    and all(_is_number(v) for v in spec["values"].values()),
+                    f"{what}.values must map labels to finite numbers")
+        return spec
+
+    def _check(self, cfg):
+        """Pass 1: the structure of ``cfg``, in a fixed order."""
+        for key in ("graph", "domain", "problem", "output"):
+            _expect(key in cfg, f"config is missing {key!r}")
+        gspec = cfg["graph"]
+        _expect(isinstance(gspec, dict) and (("file" in gspec)
+                ^ ("generative" in gspec)),
+                "graph must give exactly one of 'file' or 'generative'")
+        self.generative = gspec.get("generative")
+        dspec = cfg["domain"]
+        if "generative" in gspec:
+            _expect(isinstance(self.generative, str)
+                    and self.generative in GENERATORS,
+                    f"unknown generative graph {self.generative!r} "
+                    f"(choose from {sorted(GENERATORS)})")
+            _expect(dspec == "all", "generative graphs require domain 'all'")
+            self.params = gspec.get("params", {})
+            _expect(isinstance(self.params, dict),
+                    "graph.params must be an object")
+            for key, val in self.params.items():
+                _expect(key in ("weight", "mu"),
+                        f"unknown graph.params key {key!r} (choose from mu, "
+                        f"weight)")
+                _expect(_is_number(val) and val > 0,
+                        f"graph.params.{key} must be a finite number > 0")
+        else:
+            self.graph_file = self._file(gspec["file"], "graph.file")
+        _expect(dspec == "all" or (isinstance(dspec, dict)
+                and ("file" in dspec) ^ ("omega" in dspec)
+                and isinstance(dspec.get("omega", []), list)),
+                "domain must be 'all', {'file': ...}, or {'omega': [...]}")
+        if isinstance(dspec, dict) and "file" in dspec:
+            self._file(dspec["file"], "domain.file")
+        self.domain_spec = dspec
+        prob = cfg["problem"]
+        _expect(isinstance(prob, dict), "problem must be an object")
+        self.kind = prob.get("kind")
+        _expect(self.kind in ("heat", "vi", "spectral"),
+                "problem.kind must be one of heat, vi, spectral")
+        if self.generative is not None:
+            _expect(self.kind in ("heat", "vi")
+                    and prob.get("exhaustion") is not None,
+                    "generative graphs are used through problem.exhaustion "
+                    "(heat or vi)")
+        self.seeds = None
+        if self.kind in ("heat", "vi"):
+            self._check_evolution(prob)
+        if self.kind == "heat":
+            p = prob.get("p", 1.0)
+            _expect(_is_number(p) and p >= 1.0,
+                    f"problem.p must be a finite number >= 1, got {p!r}")
+            self.p = float(p)
+        if self.kind == "vi":
+            self._check_vi(prob)
+        tol = cfg.get("tolerances", {})
+        _expect(isinstance(tol, dict), "tolerances must be an object")
+        _expect("psor_relax" not in tol,
+                "tolerances.psor_relax is no longer accepted: the obstacle "
+                "solver is now the primal-dual active set method (PDAS), "
+                "which takes no relaxation")
+        for key, val in tol.items():
+            _expect(key in ("newton_factor", "psor", "ode_oracle"),
+                    f"unknown tolerance {key!r}")
             _expect(_is_number(val) and val > 0,
-                    f"graph.params.{key} must be a finite number > 0")
-    dspec = cfg["domain"]
-    _expect(dspec == "all" or (isinstance(dspec, dict)
-            and (("file" in dspec) ^ ("omega" in dspec))),
-            "domain must be 'all', {'file': ...}, or {'omega': [...]}")
-    prob = cfg["problem"]
-    _expect(isinstance(prob, dict), "problem must be an object")
-    kind = prob.get("kind")
-    _expect(kind in ("heat", "vi", "spectral"),
-            "problem.kind must be one of heat, vi, spectral")
-    if "generative" in gspec:
-        _expect(kind in ("heat", "vi") and "exhaustion" in prob,
-                "generative graphs are used through problem.exhaustion "
-                "(heat or vi)")
-    if kind in ("heat", "vi"):
-        _expect(_is_number(prob.get("horizon")) and prob["horizon"] > 0,
+                    f"tolerance {key} must be positive")
+        self.newton_factor = float(tol.get("newton_factor", 1e-12))
+        self.kkt_tol = float(tol.get("psor", vi.KKT_TOL))
+        self.ode_tol = float(tol.get("ode_oracle", 1e-10))
+        self.output = cfg["output"]
+        _expect(isinstance(self.output, str), "output must name a directory")
+
+    def _check_evolution(self, prob):
+        """The time grid, initial field and exhaustion of heat or vi."""
+        horizon = prob.get("horizon")
+        _expect(_is_number(horizon) and horizon > 0,
                 "problem.horizon must be a finite number > 0")
+        self.horizon = float(horizon)
         steps = prob.get("steps")
         steps_list = prob.get("steps_list")
         _expect(steps is not None or steps_list is not None,
@@ -170,137 +245,83 @@ def _validate_config(cfg):
             _expect(isinstance(steps_list, list) and steps_list
                     and all(_is_int(n) and n >= 1 for n in steps_list),
                     "problem.steps_list must be a list of integers >= 1")
+        self.steps_list = sorted(set(steps_list or [steps]))
+        self.steps = self.steps_list[-1]
         _expect("initial" in prob, "problem.initial is required")
-        _validate_field_spec(prob["initial"], "problem.initial")
+        self.initial_spec = self._field_spec(prob["initial"],
+                                             "problem.initial")
         exh = prob.get("exhaustion")
         if exh is not None:
             _expect(isinstance(exh, dict)
                     and isinstance(exh.get("seeds"), list) and exh["seeds"]
-                    and isinstance(exh.get("levels"), list)
+                    and isinstance(exh.get("levels"), list) and exh["levels"]
                     and all(_is_int(m) and m >= 1 for m in exh["levels"])
                     and exh["levels"] == sorted(set(exh["levels"])),
                     "exhaustion needs a list of seeds and a strictly "
                     "increasing list of integer levels")
-            if "generative" in gspec:
-                _validate_lattice_seeds(gspec["generative"], exh["seeds"])
-    if kind == "heat":
-        p = prob.get("p", 1.0)
-        _expect(_is_number(p) and p >= 1.0,
-                f"problem.p must be a finite number >= 1, got {p!r}")
-    if kind == "vi":
+            self.seeds = exh["seeds"]
+            self.levels = list(exh["levels"])
+            if self.generative is not None:
+                lattice = GENERATORS[self.generative]
+                form = "an integer" if lattice.dim == 1 \
+                    else 'a pair "i,j" of integers'
+                for seed in self.seeds:
+                    _expect(lattice.is_vertex(fileio.parse_label(str(seed))),
+                            f"exhaustion seed {seed!r} is not a vertex of "
+                            f"{self.generative}: a seed is {form}")
+        self.compare_oracle = prob.get("compare_oracle", False)
+        _expect(isinstance(self.compare_oracle, bool),
+                "problem.compare_oracle must be true or false")
+
+    def _check_vi(self, prob):
+        """The forcing, constraint and Lipschitz bound of a vi."""
         fspec = prob.get("forcing")
         _expect(isinstance(fspec, dict)
                 and fspec.get("kind") in ("constant", "separable", "table"),
                 "problem.forcing.kind must be constant, separable, or table")
-        if fspec["kind"] in ("constant", "separable"):
-            _validate_field_spec(fspec.get("field"), "forcing.field")
-        if fspec["kind"] == "separable":
+        self.forcing_kind = fspec["kind"]
+        if self.forcing_kind in ("constant", "separable"):
+            self.forcing_specs = [self._field_spec(fspec.get("field"),
+                                                   "forcing.field")]
+        if self.forcing_kind == "separable":
             _expect(isinstance(fspec.get("time"), str),
                     "separable forcing needs a 'time' expression")
-            compile_time_expression(fspec["time"])
-        if fspec["kind"] == "table":
-            _expect(isinstance(fspec.get("times"), list)
+            self.forcing_time = compile_time_expression(fspec["time"])
+        if self.forcing_kind == "table":
+            times = fspec.get("times")
+            _expect(isinstance(times, list)
+                    and all(_is_number(t) for t in times)
                     and isinstance(fspec.get("fields"), list)
-                    and len(fspec["times"]) == len(fspec["fields"])
+                    and len(times) == len(fspec["fields"])
                     and fspec["fields"],
                     "table forcing needs parallel 'times' and 'fields'")
-            for fs in fspec["fields"]:
-                _validate_field_spec(fs, "forcing.fields[]")
+            self.forcing_times = [float(t) for t in times]
+            self.forcing_specs = [self._field_spec(fs, "forcing.fields[]")
+                                  for fs in fspec["fields"]]
         cspec = prob.get("constraint", {"kind": "subspace"})
         _expect(isinstance(cspec, dict)
                 and cspec.get("kind") in ("subspace", "obstacle"),
                 "constraint.kind must be subspace or obstacle")
-        if cspec.get("kind") == "obstacle":
-            _validate_field_spec(cspec.get("psi"), "constraint.psi")
+        self.psi_spec = (self._field_spec(cspec.get("psi"), "constraint.psi")
+                         if cspec["kind"] == "obstacle" else None)
         lb = prob.get("lipschitz_bound")
         _expect(lb is None or (_is_number(lb) and lb >= 0),
                 "lipschitz_bound must be a nonnegative number")
-    tol = cfg.get("tolerances", {})
-    _expect(isinstance(tol, dict), "tolerances must be an object")
-    _expect("psor_relax" not in tol,
-            "tolerances.psor_relax is no longer accepted: the obstacle "
-            "solver is now the primal-dual active set method (PDAS), which "
-            "takes no relaxation")
-    for key, val in tol.items():
-        _expect(key in ("newton_factor", "psor", "ode_oracle"),
-                f"unknown tolerance {key!r}")
-        _expect(_is_number(val) and val > 0,
-                f"tolerance {key} must be positive")
+        self.lipschitz_bound = lb
 
-
-def _validate_lattice_seeds(name, seeds):
-    lattice = GENERATORS[name]
-    form = "an integer" if lattice.dim == 1 else 'a pair "i,j" of integers'
-    for seed in seeds:
-        _expect(lattice.is_vertex(fileio.parse_label(str(seed))),
-                f"exhaustion seed {seed!r} is not a vertex of {name}: a "
-                f"seed is {form}")
-
-
-def _validate_field_spec(spec, what):
-    _expect(isinstance(spec, dict) and (("file" in spec) ^ ("values" in spec)),
-            f"{what} must give exactly one of 'file' or 'values'")
-    if "values" in spec:
-        _expect(isinstance(spec["values"], dict)
-                and all(_is_number(v) for v in spec["values"].values()),
-                f"{what}.values must map labels to finite numbers")
-
-
-def _referenced_files(cfg):
-    files = []
-    if "file" in cfg["graph"]:
-        files.append(cfg["graph"]["file"])
-    if isinstance(cfg["domain"], dict) and "file" in cfg["domain"]:
-        files.append(cfg["domain"]["file"])
-    prob = cfg["problem"]
-
-    def field_file(spec):
-        if isinstance(spec, dict) and "file" in spec:
-            files.append(spec["file"])
-
-    field_file(prob.get("initial"))
-    fspec = prob.get("forcing")
-    if isinstance(fspec, dict):
-        field_file(fspec.get("field"))
-        for fs in fspec.get("fields", []):
-            field_file(fs)
-    cspec = prob.get("constraint")
-    if isinstance(cspec, dict):
-        field_file(cspec.get("psi"))
-    return files
-
-
-class PreparedRun:
-    """Everything a run needs, built fail-fast before any solve."""
-
-    def __init__(self, cfg):
-        self.cfg = cfg
-        prob = cfg["problem"]
-        self.kind = prob["kind"]
-        tol = cfg.get("tolerances", {})
-        self.newton_factor = float(tol.get("newton_factor", 1e-12))
-        self.kkt_tol = float(tol.get("psor", vi.KKT_TOL))
-        self.ode_tol = float(tol.get("ode_oracle", 1e-10))
-
-        for path in _referenced_files(cfg):
-            if not os.path.exists(path):
-                raise IoError(f"referenced file {path} does not exist")
-
-        gspec = cfg["graph"]
+    def _build(self):
+        """Pass 2: the graph, domain, exhaustion and fields."""
         self.exhaustion = None
-        if "generative" in gspec:
-            oracle = GENERATORS[gspec["generative"]](
-                **gspec.get("params", {}))
-            exh_spec = prob["exhaustion"]
-            seeds = [fileio.parse_label(str(s)) for s in exh_spec["seeds"]]
+        if self.generative is not None:
+            seeds = [fileio.parse_label(str(s)) for s in self.seeds]
             self.exhaustion = exhaust_generative(
-                oracle, seeds, max(exh_spec["levels"]))
-            self.levels = list(exh_spec["levels"])
+                GENERATORS[self.generative](**self.params), seeds,
+                self.levels[-1])
             self.graph = self.exhaustion.graph
             self.domain = None
         else:
-            self.graph = fileio.read_graph_file(gspec["file"])
-            dspec = cfg["domain"]
+            self.graph = fileio.read_graph_file(self.graph_file)
+            dspec = self.domain_spec
             if dspec == "all":
                 ids = range(self.graph.num_vertices)
             elif "file" in dspec:
@@ -309,25 +330,16 @@ class PreparedRun:
                 ids = (self.graph.vertex(fileio.parse_label(str(s)))
                        for s in dspec["omega"])
             self.domain = _problem_domain(self.graph, ids)
-            exh_spec = prob.get("exhaustion")
-            if exh_spec is not None:
+            if self.seeds is not None:
                 seeds = [self.graph.vertex(fileio.parse_label(str(s)))
-                         for s in exh_spec["seeds"]]
+                         for s in self.seeds]
                 self.exhaustion = exhaust(self.domain, seeds,
-                                          max(exh_spec["levels"]))
-                self.levels = list(exh_spec["levels"])
-
+                                          self.levels[-1])
         if self.kind in ("heat", "vi"):
-            self.horizon = float(prob["horizon"])
-            self.steps_list = sorted(set(prob.get("steps_list")
-                                         or [prob["steps"]]))
-            self.steps = self.steps_list[-1]
-            self.initial = self._field(prob["initial"])
+            self.initial = self._field(self.initial_spec)
             if self.exhaustion is None:
-                self._refuse_exterior_initial()
-            self.compare_oracle = bool(prob.get("compare_oracle", False))
-        if self.kind == "heat":
-            self.p = float(prob.get("p", 1.0))
+                calculus.require_admissible(self.initial, self.domain,
+                                            "problem.initial")
         dense = self.kind == "spectral" or (
             self.kind == "heat" and self.compare_oracle and self.p == 1.0
             and self.exhaustion is None)
@@ -336,51 +348,31 @@ class PreparedRun:
                   f"of {self.domain.num_interior} interior vertices is "
                   f"above the limit of {spectral.MAX_DENSE_INTERIOR}")
         if self.kind == "vi":
-            self.forcing = self._forcing(prob["forcing"])
-            cspec = prob.get("constraint", {"kind": "subspace"})
-            if cspec["kind"] == "subspace":
-                self.constraint = vi.Subspace()
-            else:
-                self.constraint = vi.Obstacle(self._field(cspec["psi"]))
-            self.lipschitz_bound = prob.get("lipschitz_bound")
-
-    def _refuse_exterior_initial(self):
-        """An initial field must vanish outside the domain interior; an
-        exhaustion restricts it to each level instead."""
-        outside = np.ones(self.graph.num_vertices, dtype=bool)
-        outside[self.domain.interior_ids] = False
-        nonzero = np.flatnonzero(outside & (self.initial.values != 0.0))
-        if nonzero.size:
-            i = int(nonzero[0])
-            _fail(f"problem.initial must vanish outside the domain "
-                  f"interior, but it is {float(self.initial.values[i])!r} at "
-                  f"vertex {self.graph.label_of(i)!r}")
+            self.forcing = self._forcing()
+            self.constraint = vi.Subspace() if self.psi_spec is None \
+                else vi.Obstacle(self._field(self.psi_spec))
 
     def _field(self, spec):
         if "file" in spec:
             return fileio.read_field_file(self.graph, spec["file"])
-        mapping = {}
+        values = spec["values"]
         keys = {}
-        for key, value in spec["values"].items():
+        for key in values:
             label = fileio.parse_label(str(key))
-            if label in keys:
-                _fail(f"values keys {keys[label]!r} and {key!r} name one "
-                      f"vertex {label!r}")
-            keys[label] = key
-            mapping[label] = float(value)
-        return VertexField.from_mapping(self.graph, mapping)
+            _expect(keys.setdefault(label, key) == key,
+                    f"values keys {keys[label]!r} and {key!r} name one "
+                    f"vertex {label!r}")
+        return VertexField.from_mapping(
+            self.graph, {label: values[key] for label, key in keys.items()})
 
-    def _forcing(self, spec):
-        if spec["kind"] == "constant":
-            return vi.ConstantForcing(self._field(spec["field"]))
-        if spec["kind"] == "separable":
-            return vi.SeparableForcing(
-                self._field(spec["field"]),
-                compile_time_expression(spec["time"]))
-        fields = [self._field(fs) for fs in spec["fields"]]
-        forcing = vi.TableForcing([float(t) for t in spec["times"]], fields)
-        part = heat.TimePartition(self.horizon, self.steps)
-        for t in part.times:
+    def _forcing(self):
+        fields = [self._field(spec) for spec in self.forcing_specs]
+        if self.forcing_kind == "constant":
+            return vi.ConstantForcing(fields[0])
+        if self.forcing_kind == "separable":
+            return vi.SeparableForcing(fields[0], self.forcing_time)
+        forcing = vi.TableForcing(self.forcing_times, fields)
+        for t in heat.TimePartition(self.horizon, self.steps).times:
             forcing.at(float(t))
         return forcing
 
@@ -601,12 +593,11 @@ def cmd_run(args):
                  "levels": (_list_option(args.levels, int,
                                          "--levels (integers)")
                             if args.levels else None),
-                 "initial": args.initial, "output": args.output}
-    if args.compare_oracle:
-        overrides["compare_oracle"] = True
+                 "initial": args.initial, "output": args.output,
+                 "compare_oracle": args.compare_oracle or None}
     cfg = load_config(args.config, overrides)
     prep = PreparedRun(cfg)
-    outdir = cfg["output"]
+    outdir = prep.output
     try:
         os.makedirs(outdir, exist_ok=True)
     except OSError as exc:

@@ -233,26 +233,23 @@ def write_csv(path, header, rows):
     atomic_write_text(path, buf.getvalue())
 
 
-def _csv_cell(text):
-    """``text`` as ``write_csv`` writes it in a row of several cells."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((text, ""))
-    return buf.getvalue()[:-2]
-
-
 def _label_cells(names):
-    """The labels as cells of ``write_csv``: a label without a comma,
-    quote or line break as it is, one whose only such character is a
-    comma in quotes, and only the rest through ``_csv_cell``."""
-    return [_csv_cell(name) if '"' in name or "\r" in name or "\n" in name
-            else f'"{name}"' if "," in name else name for name in names]
+    """The labels as CSV cells: one that holds a comma, a quote, a carriage
+    return or a line feed in quotes, each quote doubled, and any other as
+    it is."""
+    return ['"' + name.replace('"', '""') + '"'
+            if "," in name or '"' in name or "\r" in name or "\n" in name
+            else name for name in names]
 
 
 def write_trajectory_csv(path, values, times, graph):
     """One ``i,t,vertex,value`` row per step and vertex of ``graph``, from
     ``values``, a K x V array with row i the values of step i in vertex
-    order (a run's ``values``), at ``times[i]``; byte-identical to
-    ``write_csv`` over those rows. Each label is quoted once."""
+    order (a run's ``values``), at ``times[i]``. Each label is quoted once,
+    and the file is byte-identical to ``write_csv`` over those rows, but
+    for a label with a bare carriage return: ``csv.writer`` leaves it
+    unquoted, which would split its rows on reading, and it is quoted
+    here."""
     cells = _label_cells(graph.names)
     lines = ["i,t,vertex,value"]
     rows = np.asarray(values, dtype=float).tolist()

@@ -841,6 +841,76 @@ class TestConfigChecks:
                 "> 0\n")
 
 
+    def test_unused_blocks_not_opened(self, tmp_path, capsys):
+        # a heat run reads no forcing or obstacle, a spectral run no
+        # initial field, time grid or exhaustion: their files need not
+        # exist and their blocks are not checked
+        missing = {"file": str(tmp_path / "none.txt")}
+        for problem in (
+                {"forcing": {"kind": "constant", "field": missing},
+                 "constraint": {"kind": "obstacle", "psi": missing},
+                 "lipschitz_bound": "x"},
+                {"kind": "spectral", "initial": missing, "horizon": None,
+                 "exhaustion": 5, "compare_oracle": "no"}):
+            cfg_path, _ = heat_config(tmp_path, problem=problem)
+            assert main(["validate-config", cfg_path]) == 0
+            assert capsys.readouterr() == ("config ok\n", "")
+
+
+class TestOverrides:
+    """A command-line override lands in the config or is refused with one
+    error line; it never raises and is never dropped."""
+
+    @pytest.mark.parametrize("value", ["no", "false", 1, None])
+    def test_compare_oracle_not_bool(self, tmp_path, capsys, value):
+        cfg_path, _ = heat_config(tmp_path,
+                                  problem={"compare_oracle": value})
+        for command in ("validate-config", "run"):
+            assert main([command, cfg_path]) == 2
+            assert capsys.readouterr().err == (
+                "error[CONFIG]: problem.compare_oracle must be true or "
+                "false\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_compare_oracle_false(self, tmp_path, capsys):
+        cfg_path, _ = heat_config(tmp_path, problem={
+            "steps": 4, "compare_oracle": False})
+        assert main(["run", cfg_path]) == 0
+        assert not (tmp_path / "out" / "oracle_error.csv").exists()
+        assert main(["run", cfg_path, "--compare-oracle"]) == 0
+        assert (tmp_path / "out" / "oracle_error.csv").exists()
+
+    @pytest.mark.parametrize("problem, extra, message", [
+        ([], ["--p", "2"], "problem must be an object"),
+        ("heat", ["--horizon", "2"], "problem must be an object"),
+        ({"exhaustion": 5}, ["--levels", "1,2"],
+         "exhaustion must be an object"),
+        ({"exhaustion": None}, ["--levels", "1,2"],
+         "exhaustion must be an object"),
+        ({"steps_list": [2, 3]}, ["--steps", "7"],
+         "--steps sets problem.steps, which the config's "
+         "problem.steps_list overrides; drop one of them"),
+    ], ids=["problem_list", "problem_string", "exhaustion_int",
+            "exhaustion_null", "steps_with_steps_list"])
+    def test_refused(self, tmp_path, capsys, problem, extra, message):
+        cfg_path, cfg = heat_config(tmp_path)
+        if isinstance(problem, dict):
+            cfg["problem"].update(problem)
+        else:
+            cfg["problem"] = problem
+        open(cfg_path, "w").write(json.dumps(cfg))
+        assert main(["run", cfg_path, *extra]) == 2
+        assert capsys.readouterr().err == f"error[CONFIG]: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_steps_list_without_steps_override(self, tmp_path, capsys):
+        cfg_path, _ = heat_config(tmp_path, problem={"steps_list": [2, 3]})
+        assert main(["run", cfg_path, "--horizon", "2"]) == 0
+        times, values = fileio.read_trajectory_csv(
+            str(tmp_path / "out" / "trajectory.csv"), path_graph(5))
+        assert times == [0.0, 2.0 / 3.0, 4.0 / 3.0, 2.0]
+
+
 class TestRunSpectral:
     def test_basis_outputs(self, tmp_path):
         cfg = {
@@ -1300,10 +1370,44 @@ def _tolerances_block():
         _junk())
 
 
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+              st.text(max_size=3)),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=3)),
+    max_leaves=4)
+
+
+def _evolution_problem():
+    """A heat or spectral problem block on the 5-vertex path, its keys
+    mostly well formed."""
+    exhaustion = _mostly(st.fixed_dictionaries({
+        "seeds": _mostly(st.lists(st.sampled_from(["1", "2", 3, "zz"]),
+                                  min_size=1, max_size=2), JSON_VALUES),
+        "levels": _mostly(st.lists(st.integers(0, 3), min_size=1,
+                                   max_size=3), JSON_VALUES)}),
+        JSON_VALUES)
+    return st.fixed_dictionaries({
+        "kind": _mostly(st.sampled_from(["heat", "spectral"]), JSON_VALUES,
+                        8),
+        "horizon": _mostly(st.sampled_from([0.5, 1, 2.0]), JSON_VALUES),
+        "steps": _mostly(st.integers(1, 4), JSON_VALUES),
+        "initial": _values_block(st.one_of(INTERIOR_KEYS, LABEL_KEYS)),
+    }, optional={
+        "p": _mostly(st.sampled_from([1.0, 1.5, 2, 3.0]), JSON_VALUES),
+        "steps_list": _mostly(st.lists(st.integers(1, 4), min_size=1,
+                                       max_size=3), JSON_VALUES),
+        "exhaustion": exhaustion,
+        "compare_oracle": _mostly(st.booleans(), JSON_VALUES),
+    })
+
+
 class TestViConfigFuzz:
-    """Generated constraint, tolerances and inline values blocks of a
-    small VI run: ``main`` returns a documented exit code and prints one
-    error line exactly when it fails."""
+    """Generated blocks of small runs: the constraint, tolerances and
+    inline values of a VI, and heat or spectral problem blocks of any
+    JSON type under command-line overrides. ``main`` returns a documented
+    exit code and prints one error line exactly when it fails."""
 
     @settings(max_examples=150, deadline=None)
     @given(initial=_values_block(st.one_of(INTERIOR_KEYS, LABEL_KEYS)),
@@ -1333,6 +1437,40 @@ class TestViConfigFuzz:
         assert code in (0, 2, 3, 4)
         assert len(errors) == (0 if code == 0 else 1)
 
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=_mostly(_evolution_problem(), JSON_VALUES, odds=8),
+           domain=st.sampled_from(["file", "all"]),
+           overrides=st.fixed_dictionaries({}, optional={
+               "--p": st.sampled_from(["1", "2.5", "0.5", "nan", "x"]),
+               "--steps": st.sampled_from(["1", "3", "0", "-2", "x"]),
+               "--levels": st.sampled_from(["1", "1,2", "2,1", "0",
+                                            "a,b", ","]),
+               "--initial": st.sampled_from(["h.txt", "h_zz.txt",
+                                             "none.txt"])}))
+    def test_heat_and_spectral_configs(self, problem, domain, overrides):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp_path = pathlib.Path(tmp)
+            cfg_path, cfg = heat_config(tmp_path)
+            (tmp_path / "h.txt").write_text("2 0.5\n")
+            (tmp_path / "h_zz.txt").write_text("zz 1.0\n")
+            cfg["problem"] = problem
+            if domain == "all":
+                cfg["domain"] = "all"
+            with open(cfg_path, "w") as fh:
+                fh.write(json.dumps(cfg, allow_nan=True))
+            if "--initial" in overrides:
+                overrides["--initial"] = str(tmp_path
+                                             / overrides["--initial"])
+            extra = [token for item in overrides.items() for token in item]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(["run", cfg_path, *extra])
+        errors = [line for line in err.getvalue().splitlines()
+                  if line.startswith("error[")]
+        assert code in (0, 2, 3, 4)
+        assert len(errors) == (0 if code == 0 else 1)
 
 
 TRAJECTORY_TOKENS = {
