@@ -99,7 +99,9 @@ def require_admissible(field, dom, what="field"):
     if field.graph is not dom.graph:
         raise NotDirichletAdmissible(
             f"{what} lives on a different graph than the domain")
-    bad = np.setdiff1d(np.flatnonzero(field.values), dom.interior_ids)
+    outside = np.ones(field.graph.num_vertices, dtype=bool)
+    outside[dom.interior_ids] = False
+    bad = np.flatnonzero(outside & (field.values != 0.0))
     if bad.size:
         label = field.graph.label_of(int(bad[0]))
         raise NotDirichletAdmissible(

@@ -120,8 +120,7 @@ def load_config(path, overrides=None):
         elif key == "initial":
             value = {"file": value}
         _expect(key != "steps" or target.get("steps_list") is None,
-                "--steps sets problem.steps, which the config's "
-                "problem.steps_list overrides; drop one of them")
+                "problem.steps_list takes precedence over --steps; drop one")
         target[key] = value
     return cfg
 
@@ -622,8 +621,7 @@ def cmd_run(args):
 
 
 def cmd_validate_config(args):
-    cfg = load_config(args.config)
-    PreparedRun(cfg)
+    PreparedRun(load_config(args.config))
     print("config ok")
     return 0
 

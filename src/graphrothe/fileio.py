@@ -245,11 +245,10 @@ def _label_cells(names):
 def write_trajectory_csv(path, values, times, graph):
     """One ``i,t,vertex,value`` row per step and vertex of ``graph``, from
     ``values``, a K x V array with row i the values of step i in vertex
-    order (a run's ``values``), at ``times[i]``. Each label is quoted once,
-    and the file is byte-identical to ``write_csv`` over those rows, but
-    for a label with a bare carriage return: ``csv.writer`` leaves it
-    unquoted, which would split its rows on reading, and it is quoted
-    here."""
+    order (a run's ``values``), at ``times[i]``; byte-identical to
+    ``write_csv`` over those rows, except that a label with a bare carriage
+    return is quoted too, so that its rows read back whole. Each label is
+    quoted once."""
     cells = _label_cells(graph.names)
     lines = ["i,t,vertex,value"]
     rows = np.asarray(values, dtype=float).tolist()

@@ -888,8 +888,7 @@ class TestOverrides:
         ({"exhaustion": None}, ["--levels", "1,2"],
          "exhaustion must be an object"),
         ({"steps_list": [2, 3]}, ["--steps", "7"],
-         "--steps sets problem.steps, which the config's "
-         "problem.steps_list overrides; drop one of them"),
+         "problem.steps_list takes precedence over --steps; drop one"),
     ], ids=["problem_list", "problem_string", "exhaustion_int",
             "exhaustion_null", "steps_with_steps_list"])
     def test_refused(self, tmp_path, capsys, problem, extra, message):
