@@ -15,8 +15,9 @@ per-vertex reference definitions.
 
 ``norms`` and ``power_integral`` also take a stack of fields, one per row
 (the steps of a trajectory), and reduce every row in one pass: each row
-is added in vertex order on its own, so its result is bit for bit that of
-its field alone. A field alone is the one-row case of the same code.
+is added in vertex order on its own, whatever the stack's memory layout,
+so its result is bit for bit that of its field alone. Every L2 norm the
+package reports is the square root of ``power_integral(..., 2.0)``.
 Square roots and ``1/q`` powers are taken on Python floats, row by row,
 because numpy's array power computes ``** 0.5`` as ``sqrt``, which can
 differ from ``pow`` in the last bit.
@@ -119,8 +120,7 @@ def laplacian(g, v, at):
     """mu-Laplacian (1/mu(x)) * sum over y~x of omega_xy (v(y) - v(x))."""
     _require_complete(g, at)
     nbrs, w = g.neighbors(at)
-    contrib = np.ascontiguousarray(w * (v.values[nbrs] - v.values[at]))
-    return kernels.seq_sum(contrib) / g.mu[at]
+    return kernels.seq_sum(w * (v.values[nbrs] - v.values[at])) / g.mu[at]
 
 
 def gamma(g, w_field, v_field, at):
@@ -130,8 +130,7 @@ def gamma(g, w_field, v_field, at):
     dw = w_field.values[nbrs] - w_field.values[at]
     dv = v_field.values[nbrs] - v_field.values[at]
     # group (dw * dv) first so swapping the arguments is exactly neutral
-    contrib = np.ascontiguousarray(w * (dw * dv))
-    return kernels.seq_sum(contrib) / (2.0 * g.mu[at])
+    return kernels.seq_sum(w * (dw * dv)) / (2.0 * g.mu[at])
 
 
 def integrate(g, v, over=None):
@@ -143,13 +142,18 @@ def integrate(g, v, over=None):
         ids = np.asarray(sorted(int(i) for i in over), dtype=np.int64)
     if ids.size == 0:
         return 0.0
-    return kernels.seq_sum(np.ascontiguousarray(g.mu[ids] * v.values[ids]))
+    return kernels.seq_sum(g.mu[ids] * v.values[ids])
 
 
 def power_integral(g, values, ids, q):
     """Integral over ``ids`` of mu |v|^q, summed in the order given: a
     float for one field's values, one per row for a stack of them."""
     return kernels.seq_sum(g.mu[ids] * np.abs(values[..., ids]) ** q)
+
+
+def _l2_rows(g, values, ids):
+    """The L2 norm over ``ids`` of each row of a stack of field values."""
+    return [math.sqrt(s) for s in power_integral(g, values, ids, 2.0).tolist()]
 
 
 def _gamma_values(g, wv, vv, ids):
@@ -228,8 +232,8 @@ def inner_product(g, w_field, v_field, dom, kind="L2"):
     product integral of (Gamma(w, v) + w v) over Omega."""
     if kind == "L2":
         ids = dom.interior_ids
-        prods = g.mu[ids] * (w_field.values[ids] * v_field.values[ids])
-        return kernels.seq_sum(np.ascontiguousarray(prods))
+        return kernels.seq_sum(
+            g.mu[ids] * (w_field.values[ids] * v_field.values[ids]))
     if kind == "W12":
         ids = dom.omega_ids
         gam = _gamma_values(g, w_field.values, v_field.values, ids)

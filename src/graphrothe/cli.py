@@ -61,6 +61,14 @@ def _is_number(x):
         return False
 
 
+def _label(entry, what):
+    """The vertex label named by a config entry, a string or an int."""
+    _expect(isinstance(entry, str) or _is_int(entry),
+            f"{what} {json.dumps(entry)} is not a vertex label (a string "
+            f"or an integer)")
+    return fileio.parse_label(str(entry))
+
+
 def _reject_constant(name):
     _fail(f"non-finite number {name} is not allowed")
 
@@ -93,8 +101,9 @@ def _problem_domain(g, ids):
 
 
 def load_config(path, overrides=None):
-    """Read a run config and apply the command-line overrides;
-    ``PreparedRun`` checks it."""
+    """Read a run config and apply the command-line overrides, refusing
+    one that the config's problem kind does not read; ``PreparedRun``
+    checks the rest."""
     if not os.path.exists(path):
         raise IoError(f"config file {path} does not exist")
     try:
@@ -106,12 +115,17 @@ def load_config(path, overrides=None):
         # JSONDecodeError, undecodable bytes, or an int too long to parse
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     _expect(isinstance(cfg, dict), "config must be a JSON object")
+    problem = cfg.get("problem")
+    kind = problem.get("kind") if isinstance(problem, dict) else None
     for key, value in (overrides or {}).items():
         if value is None:
             continue
         if key == "output":
             cfg["output"] = value
             continue
+        _expect(key == "compare_oracle" or not (
+            kind == "spectral" or kind == "vi" and key == "p"),
+            f"--{key} does not apply to kind {kind}")
         target = cfg.setdefault("problem", {})
         _expect(isinstance(target, dict), "problem must be an object")
         if key == "levels":
@@ -187,8 +201,11 @@ class PreparedRun:
                 and ("file" in dspec) ^ ("omega" in dspec)
                 and isinstance(dspec.get("omega", []), list)),
                 "domain must be 'all', {'file': ...}, or {'omega': [...]}")
-        if isinstance(dspec, dict) and "file" in dspec:
+        if dspec != "all" and "file" in dspec:
             self._file(dspec["file"], "domain.file")
+        elif dspec != "all":
+            self.omega = [_label(s, "domain.omega entry")
+                          for s in dspec["omega"]]
         self.domain_spec = dspec
         prob = cfg["problem"]
         _expect(isinstance(prob, dict), "problem must be an object")
@@ -210,6 +227,12 @@ class PreparedRun:
             self.p = float(p)
         if self.kind == "vi":
             self._check_vi(prob)
+        if prob.get("compare_oracle") is True:
+            _expect(self.kind == "heat" and self.seeds is None,
+                    "problem.compare_oracle (or --compare-oracle) applies to "
+                    "kind heat on a finite domain, not to " + (
+                        "a heat exhaustion" if self.kind == "heat"
+                        else f"kind {self.kind}"))
         tol = cfg.get("tolerances", {})
         _expect(isinstance(tol, dict), "tolerances must be an object")
         _expect("psor_relax" not in tol,
@@ -258,14 +281,14 @@ class PreparedRun:
                     and exh["levels"] == sorted(set(exh["levels"])),
                     "exhaustion needs a list of seeds and a strictly "
                     "increasing list of integer levels")
-            self.seeds = exh["seeds"]
+            self.seeds = [_label(s, "exhaustion seed") for s in exh["seeds"]]
             self.levels = list(exh["levels"])
             if self.generative is not None:
                 lattice = GENERATORS[self.generative]
                 form = "an integer" if lattice.dim == 1 \
                     else 'a pair "i,j" of integers'
-                for seed in self.seeds:
-                    _expect(lattice.is_vertex(fileio.parse_label(str(seed))),
+                for seed, label in zip(exh["seeds"], self.seeds):
+                    _expect(lattice.is_vertex(label),
                             f"exhaustion seed {seed!r} is not a vertex of "
                             f"{self.generative}: a seed is {form}")
         self.compare_oracle = prob.get("compare_oracle", False)
@@ -312,9 +335,8 @@ class PreparedRun:
         """Pass 2: the graph, domain, exhaustion and fields."""
         self.exhaustion = None
         if self.generative is not None:
-            seeds = [fileio.parse_label(str(s)) for s in self.seeds]
             self.exhaustion = exhaust_generative(
-                GENERATORS[self.generative](**self.params), seeds,
+                GENERATORS[self.generative](**self.params), self.seeds,
                 self.levels[-1])
             self.graph = self.exhaustion.graph
             self.domain = None
@@ -326,22 +348,19 @@ class PreparedRun:
             elif "file" in dspec:
                 ids = fileio.read_domain_file(self.graph, dspec["file"])
             else:
-                ids = (self.graph.vertex(fileio.parse_label(str(s)))
-                       for s in dspec["omega"])
+                ids = map(self.graph.vertex, self.omega)
             self.domain = _problem_domain(self.graph, ids)
             if self.seeds is not None:
-                seeds = [self.graph.vertex(fileio.parse_label(str(s)))
-                         for s in self.seeds]
-                self.exhaustion = exhaust(self.domain, seeds,
-                                          self.levels[-1])
+                self.exhaustion = exhaust(
+                    self.domain, list(map(self.graph.vertex, self.seeds)),
+                    self.levels[-1])
         if self.kind in ("heat", "vi"):
             self.initial = self._field(self.initial_spec)
             if self.exhaustion is None:
                 calculus.require_admissible(self.initial, self.domain,
                                             "problem.initial")
-        dense = self.kind == "spectral" or (
-            self.kind == "heat" and self.compare_oracle and self.p == 1.0
-            and self.exhaustion is None)
+        dense = self.kind == "spectral" or (self.compare_oracle
+                                            and self.p == 1.0)
         if dense and self.domain.num_interior > spectral.MAX_DENSE_INTERIOR:
             _fail(f"a dense eigenbasis (kind spectral, p = 1 oracle study) "
                   f"of {self.domain.num_interior} interior vertices is "
@@ -357,7 +376,7 @@ class PreparedRun:
         values = spec["values"]
         keys = {}
         for key in values:
-            label = fileio.parse_label(str(key))
+            label = _label(key, "values key")
             _expect(keys.setdefault(label, key) == key,
                     f"values keys {keys[label]!r} and {key!r} name one "
                     f"vertex {label!r}")
@@ -450,7 +469,6 @@ def _run_heat(prep, outdir):
 def _oracle_study(prep, prob, finest, outdir):
     """Error against the oracle for each n in ``steps_list``; ``finest``
     is the trajectory already solved for the largest n."""
-    op = prep.domain.operator
     basis = None
     if prep.p == 1.0:
         basis = spectral.dirichlet_eigenbasis(prep.domain)
@@ -468,7 +486,8 @@ def _oracle_study(prep, prob, finest, outdir):
         else:
             refs = spectral.ode_oracle(prob, [float(t) for t in times],
                                        tol=prep.ode_tol)
-        errs = [op.l2(diff) for diff in op.restrict_rows(traj.values - refs)]
+        errs = calculus._l2_rows(prep.graph, traj.values - refs,
+                                 prep.domain.interior_ids)
         err = max(errs)
         order = None
         if prev is not None:
@@ -523,15 +542,13 @@ def _run_vi(prep, outdir):
     g = prep.graph
     fileio.write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
                                 run.values, part.times, g)
-    dom = prep.domain
-    bundles = calculus.norms(g, run.values, dom)
-    delta_sqs = calculus.power_integral(g, run.quotients, dom.interior_ids,
-                                        2.0).tolist()
+    bundles = calculus.norms(g, run.values, prep.domain)
+    mono = vi.vi_monotonicity_monitor(run)
     rows = []
-    for rep, delta_sq in zip(run.reports, delta_sqs):
+    for rep, qrow in zip(run.reports, mono.rows):
         nb = bundles[rep.index]
         rows.append((rep.index, float(part.times[rep.index]),
-                     nb.l2_interior, nb.grad_l2, math.sqrt(delta_sq),
+                     nb.l2_interior, nb.grad_l2, qrow.quotient_l2,
                      rep.variational_residual, rep.primal_residual,
                      rep.dual_residual, rep.complementarity, rep.beta,
                      rep.iterations))
@@ -547,7 +564,6 @@ def _run_vi(prep, outdir):
                        0.5 * nb.grad_l2 ** 2)
                       for t, nb in zip(part.times, bundles)))
     outputs += ["trajectory.csv", "vi_reports.csv", "norms.csv"]
-    mono = vi.vi_monotonicity_monitor(run)
     diagnostics["quotient_recurrence_max_slack"] = mono.max_slack
     diagnostics["quotient_bound"] = mono.cumulative_bound
     diagnostics["max_quotient_l2"] = mono.max_quotient
@@ -675,12 +691,11 @@ def cmd_compare(args):
     if not on_both.all():
         t = wanted[int(np.argmin(on_both))]
         raise ConfigError(f"time {t} is not on both trajectory grids")
-    op = dom.operator
     with _within_float64():
         # argmax takes each time's first step within 1e-12
         diff = values_a[near_a.argmax(axis=1)] \
             - values_b[near_b.argmax(axis=1)]
-        l2s = list(map(op.l2, op.restrict_rows(diff)))
+        l2s = calculus._l2_rows(g, diff, dom.interior_ids)
     sups = np.max(np.abs(diff), axis=1, initial=0.0).tolist()
     rows = list(zip(wanted, l2s, sups))
     max_l2 = max([0.0, *l2s])

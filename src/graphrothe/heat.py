@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import calculus, kernels, operators
+from . import calculus, operators
 from .calculus import VertexField, field_on_interior, require_admissible
 from .errors import (
     DomainMismatch,
@@ -477,14 +477,6 @@ class LevelResult:
     delta_prev: object
 
 
-def _level_delta(g, prev_dom, prev_values, cur_values):
-    """L2(Omega_prev) distance of two fields' values."""
-    ids = prev_dom.omega_ids
-    diff = cur_values[ids] - prev_values[ids]
-    return math.sqrt(kernels.seq_sum(
-        np.ascontiguousarray(g.mu[ids] * diff * diff)))
-
-
 def restrict_initial(initial, dom):
     """h restricted to the level interior and zero elsewhere."""
     return field_on_interior(dom, initial.values[dom.interior_ids])
@@ -511,8 +503,9 @@ def _run_levels(prob, part, levels, solve, **opts):
         delta = None
         if results:
             prev = results[-1]
-            delta = _level_delta(exh.graph, prev.domain,
-                                 prev.run.values[-1], run.values[-1])
+            delta = math.sqrt(calculus.power_integral(
+                exh.graph, run.values[-1] - prev.run.values[-1],
+                prev.domain.omega_ids, 2.0))
         results.append(LevelResult(m, dom, run, delta))
     return results
 

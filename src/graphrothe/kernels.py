@@ -8,7 +8,9 @@ gives each row that loop over its slots. Both take a stack too: a K x n
 array (one field per row, such as every step of a trajectory) is reduced
 along its last axis, each row in index or slot order, so row k of a
 stacked sum is bit for bit the sum of row k alone and a whole
-trajectory's monitors cost one pass.
+trajectory's monitors cost one pass. ``np.add.accumulate`` adds in index
+order whatever the memory layout, so a row of a Fortran-ordered, strided
+or reversed stack gives the bits of its contiguous copy.
 
 ``psor_sweep`` is called from nowhere in the package: the obstacle step
 is solved by the primal-dual active set method (``vi.active_set_solve``).

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import require_admissible
+from .calculus import _l2_rows, require_admissible
 from .errors import StiffnessFailure, TimeOutOfRange
 from .graph import Domain
 
@@ -83,7 +83,8 @@ def dirichlet_eigenbasis(dom):
     W *= np.where(first < 0.0, -1.0, 1.0)
     W.setflags(write=False)
     R = (op.stiffness @ W) / op.mass[:, None] - W * lam
-    return SpectralBasis(dom, lam, W, np.sqrt(op.mass @ (R * R)))
+    return SpectralBasis(dom, lam, W, np.array(_l2_rows(
+        dom.graph, op.extend_rows(R.T), dom.interior_ids)))
 
 
 def w12_coefficients(basis, h):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import VertexField, require_admissible
+from .calculus import VertexField, _l2_rows, require_admissible
 from .errors import (
     DomainMismatch,
     EmptyInterior,
@@ -305,18 +305,16 @@ def lipschitz_validate(forcing, time_samples, dom, c_declared=None):
         raise InsufficientSamples("need at least two distinct sample times")
     g = dom.graph
     ids = dom.interior_ids
-    mu = g.mu[ids]
-    vals = [forcing.at(t).values[ids] for t in times]
+    vals = np.zeros((len(times), g.num_vertices))
+    vals[:, ids] = [forcing.at(t).values[ids] for t in times]
     best = 0.0
     worst = (times[0], times[1])
-    for a in range(len(times)):
-        for b in range(a + 1, len(times)):
-            diff = vals[b] - vals[a]
-            q = math.sqrt(float(np.dot(mu * diff, diff))) \
-                / (times[b] - times[a])
+    for a in range(len(times) - 1):
+        l2s = _l2_rows(g, vals[a + 1:] - vals[a], ids)
+        for b, l2 in enumerate(l2s, a + 1):
+            q = l2 / (times[b] - times[a])
             if q > best:
-                best = q
-                worst = (times[a], times[b])
+                best, worst = q, (times[a], times[b])
     violated = c_declared is not None and best > 1.01 * float(c_declared)
     return LipschitzReport(best, c_declared, violated, worst)
 
@@ -350,21 +348,26 @@ class MonotonicityReport:
 
 
 def vi_monotonicity_monitor(run):
+    """Quotient rows and cumulative bound of a VI run, from one ordered
+    reduction over the quotients, forcing increments, f(., 0) and -Lap g."""
     prob = run.problem
-    op = prob.domain.operator
-    times = run.partition.times
+    dom = prob.domain
+    op = dom.operator
+    n = run.partition.steps
     ell = run.partition.step_size
-    f_vals = [op.restrict(prob.forcing.at(float(t))) for t in times]
-    q_norms = [op.l2(q) for q in op.restrict_rows(run.quotients)]
-    rows = []
-    for j in range(1, len(q_norms) + 1):
-        finc = op.l2(f_vals[j] - f_vals[j - 1])
-        slack = (q_norms[j - 1] - q_norms[j - 2] - finc
-                 if j >= 2 else math.nan)
-        rows.append(QuotientRow(j, q_norms[j - 1], finc, slack))
+    f_vals = np.array([op.restrict(prob.forcing.at(float(t)))
+                       for t in run.partition.times])
+    lap_g = op.neg_laplacian(op.restrict(prob.initial))
+    norms = _l2_rows(dom.graph, np.vstack((run.quotients, op.extend_rows(
+        np.vstack((np.diff(f_vals, axis=0), f_vals[0], lap_g))))),
+        dom.interior_ids)
+    q, finc = norms[:n], norms[n:2 * n]
+    rows = [QuotientRow(j, q[j - 1], finc[j - 1],
+                        q[j - 1] - q[j - 2] - finc[j - 1] if j >= 2
+                        else math.nan)
+            for j in range(1, n + 1)]
     grid_rate = max((r.forcing_increment_l2 / ell for r in rows), default=0.0)
-    lap_g = op.l2(op.neg_laplacian(op.restrict(prob.initial)))
-    bound = lap_g + op.l2(f_vals[0]) + grid_rate * run.partition.horizon
+    bound = norms[-1] + norms[-2] + grid_rate * run.partition.horizon
     return MonotonicityReport(tuple(rows), bound, grid_rate)
 
 

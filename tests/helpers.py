@@ -359,7 +359,7 @@ def reference_dirichlet_eigenbasis(dom):
         nz = np.nonzero(w)[0]
         if nz.size and w[nz[0]] < 0.0:
             w = -w
-        residuals[j] = op.l2(op.neg_laplacian(w) - lam[j] * w)
+        residuals[j] = reference_l2(dom, op.neg_laplacian(w) - lam[j] * w)
         fields.append(op.extend(w))
     return lam, tuple(fields), residuals
 
@@ -393,6 +393,13 @@ def reference_power_integral(g, v, ids, q):
 
     vals = np.abs(v.values[ids]) ** q
     return kernels.seq_sum(np.ascontiguousarray(g.mu[ids] * vals))
+
+
+def reference_l2(dom, w):
+    """L2(interior) norm of the interior vector ``w`` (ascending id
+    order), from its zero extension alone."""
+    return math.sqrt(reference_power_integral(
+        dom.graph, field_on_interior(dom, w), dom.interior_ids, 2.0))
 
 
 def reference_norms(g, v, dom, q=2.0):
@@ -493,8 +500,8 @@ def reference_run_vi(prob, part, **opts):
 
 def reference_vi_monotonicity_monitor(run, quotients):
     """Reference for ``vi.vi_monotonicity_monitor``: the norm of each
-    quotient field (``reference_run_vi``) on its own contiguous interior
-    restriction."""
+    quotient field (``reference_run_vi``), forcing increment, f(., 0) and
+    -Laplacian g, each from its own field."""
     from graphrothe.vi import MonotonicityReport, QuotientRow
 
     prob = run.problem
@@ -502,16 +509,18 @@ def reference_vi_monotonicity_monitor(run, quotients):
     times = run.partition.times
     ell = run.partition.step_size
     f_vals = [op.restrict(prob.forcing.at(float(t))) for t in times]
-    q_norms = [op.l2(op.restrict(q)) for q in quotients]
+    dom = prob.domain
+    q_norms = [reference_l2(dom, op.restrict(q)) for q in quotients]
     rows = []
     for j in range(1, len(q_norms) + 1):
-        finc = op.l2(f_vals[j] - f_vals[j - 1])
+        finc = reference_l2(dom, f_vals[j] - f_vals[j - 1])
         slack = (q_norms[j - 1] - q_norms[j - 2] - finc
                  if j >= 2 else math.nan)
         rows.append(QuotientRow(j, q_norms[j - 1], finc, slack))
     grid_rate = max((r.forcing_increment_l2 / ell for r in rows), default=0.0)
-    lap_g = op.l2(op.neg_laplacian(op.restrict(prob.initial)))
-    bound = lap_g + op.l2(f_vals[0]) + grid_rate * run.partition.horizon
+    lap_g = reference_l2(dom, op.neg_laplacian(op.restrict(prob.initial)))
+    bound = lap_g + reference_l2(dom, f_vals[0]) \
+        + grid_rate * run.partition.horizon
     return MonotonicityReport(tuple(rows), bound, grid_rate)
 
 

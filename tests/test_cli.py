@@ -610,6 +610,12 @@ def _base_config(tmp_path, base):
 TABLE_FORCING = {"kind": "table", "times": [0.0, 0.5, 1.0],
                  "fields": [{"values": {}}] * 3}
 
+# entries that are neither a string nor an integer, and their JSON
+NOT_LABELS = [("null", None), ("true", True), ("float", 1.5), ("list", [1]),
+              ("object", {"a": 1})]
+ORACLE_ONLY_HEAT = ("problem.compare_oracle (or --compare-oracle) applies "
+                    "to kind heat on a finite domain, not to ")
+
 # one fault per check of a run config, in the order the checks run: the
 # config, its structure, the referenced files, then what the files and
 # values hold. ``{tmp}`` is the directory of the config's files.
@@ -643,6 +649,9 @@ CONFIG_FAULTS = [
      "domain must be 'all', {'file': ...}, or {'omega': [...]}"),
     ("domain_both", "heat", {"domain.omega": ["1"]}, 2,
      "domain must be 'all', {'file': ...}, or {'omega': [...]}"),
+    *((f"omega_entry_{name}", "heat", {"domain": {"omega": ["1", entry]}},
+       2, f"domain.omega entry {json.dumps(entry)} is not a vertex label "
+       "(a string or an integer)") for name, entry in NOT_LABELS),
     ("problem_not_object", "heat", {"problem": []}, 2,
      "problem must be an object"),
     ("kind", "heat", {"problem.kind": "wave"}, 2,
@@ -673,6 +682,13 @@ CONFIG_FAULTS = [
      {"problem.exhaustion": {"seeds": "2", "levels": [1]}}, 2,
      "exhaustion needs a list of seeds and a strictly increasing list of "
      "integer levels"),
+    *((f"exhaustion_seed_{name}", "heat",
+       {"problem.exhaustion": {"seeds": ["2", entry], "levels": [1]}}, 2,
+       f"exhaustion seed {json.dumps(entry)} is not a vertex label (a "
+       "string or an integer)") for name, entry in NOT_LABELS),
+    ("lattice_seed_bool", "lattice", {"problem.exhaustion.seeds": [True]},
+     2, "exhaustion seed true is not a vertex label (a string or an "
+     "integer)"),
     ("lattice_seed", "lattice", {"problem.exhaustion.seeds": ["0"]}, 2,
      "exhaustion seed '0' is not a vertex of lattice_z2: a seed is a pair "
      "\"i,j\" of integers"),
@@ -703,6 +719,17 @@ CONFIG_FAULTS = [
      "constraint.psi must give exactly one of 'file' or 'values'"),
     ("lipschitz_bound", "vi", {"problem.lipschitz_bound": -1.0}, 2,
      "lipschitz_bound must be a nonnegative number"),
+    ("oracle_vi", "vi", {"problem.compare_oracle": True}, 2,
+     ORACLE_ONLY_HEAT + "kind vi"),
+    ("oracle_spectral", "heat", {"problem.kind": "spectral",
+                                 "problem.compare_oracle": True}, 2,
+     ORACLE_ONLY_HEAT + "kind spectral"),
+    ("oracle_exhaustion", "heat",
+     {"problem.exhaustion": {"seeds": ["2"], "levels": [1]},
+      "problem.compare_oracle": True}, 2,
+     ORACLE_ONLY_HEAT + "a heat exhaustion"),
+    ("oracle_lattice", "lattice", {"problem.compare_oracle": True}, 2,
+     ORACLE_ONLY_HEAT + "a heat exhaustion"),
     ("tolerances_not_object", "heat", {"tolerances": [1e-12]}, 2,
      "tolerances must be an object"),
     ("psor_relax", "vi", {"tolerances": {"psor_relax": 1.5}}, 2,
@@ -797,6 +824,49 @@ class TestConfigChecks:
             assert captured.out == ""
             assert captured.err == f"error[{prefix}]: {line}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("base, edits, extra, message", [
+        ("vi", {}, ["--p", "2"], "--p does not apply to kind vi"),
+        *(("heat", {"problem.kind": "spectral"}, [option, value],
+           f"{option} does not apply to kind spectral")
+          for option, value in (("--p", "2"), ("--horizon", "2"),
+                                ("--steps", "3"), ("--initial", "h.txt"),
+                                ("--levels", "1,2"))),
+        ("vi", {}, ["--compare-oracle"], ORACLE_ONLY_HEAT + "kind vi"),
+        ("heat", {"problem.kind": "spectral"}, ["--compare-oracle"],
+         ORACLE_ONLY_HEAT + "kind spectral"),
+        ("heat", {"problem.exhaustion": {"seeds": ["2"], "levels": [1]}},
+         ["--compare-oracle"], ORACLE_ONLY_HEAT + "a heat exhaustion"),
+    ], ids=["p_vi", "p_spectral", "horizon_spectral", "steps_spectral",
+            "initial_spectral", "levels_spectral", "oracle_vi",
+            "oracle_spectral", "oracle_exhaustion"])
+    def test_unread_override(self, tmp_path, capsys, base, edits, extra,
+                             message):
+        # an override the problem kind would not read is refused before
+        # any file is opened; the config alone stays valid
+        cfg = _edited(_base_config(tmp_path, base),
+                      {"graph.file": str(tmp_path / "none.txt"), **edits})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), *extra]) == 2
+        assert capsys.readouterr() == ("", f"error[CONFIG]: {message}\n")
+        assert not (tmp_path / "out").exists()
+        path.write_text(json.dumps(_edited(
+            cfg, {"graph.file": str(tmp_path / "p5.txt")})))
+        assert main(["validate-config", str(path)]) == 0
+        assert capsys.readouterr() == ("config ok\n", "")
+
+    def test_oracle_false_accepted(self, tmp_path, capsys):
+        for base, edits in (
+                ("vi", {}), ("heat", {"problem.kind": "spectral"}),
+                ("heat", {"problem.exhaustion": {"seeds": ["2"],
+                                                 "levels": [1]}})):
+            cfg = _edited(_base_config(tmp_path, base),
+                          {"problem.compare_oracle": False, **edits})
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(cfg))
+            assert main(["validate-config", str(path)]) == 0
+            assert capsys.readouterr() == ("config ok\n", "")
 
     def test_structure_before_missing_file(self, tmp_path, capsys):
         cfg = _edited(_base_config(tmp_path, "heat"),
@@ -1238,7 +1308,7 @@ class TestCompareTimes:
         # as in run: no numpy warning and no infinite norm in the table
         gpath, (a, b, c) = self._files(tmp_path, ([0.0], [1e300]),
                                        ([0.0], [-1e308]), ([0.0], [1e308]))
-        for x, y, op in ((a, c, "dot"), (b, c, "subtract")):
+        for x, y, op in ((a, c, "power"), (b, c, "subtract")):
             assert main(["compare", x, y, "--graph", gpath]) == 3
             assert capsys.readouterr() == (
                 "", f"error[SOLVE]: overflow encountered in {op}: the data "

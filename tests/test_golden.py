@@ -181,12 +181,12 @@ GOLDEN = {
     "heat_p2_lattice": {
         "diagnostics": {
             "level_deltas": [
-                0.24765205197325285,
+                0.24765205197325288,
                 0.12990013020621569
             ]
         },
         "outputs": {
-            "levels.csv": "85e4d090170503675ec55889ef5a794de9f866d635926ceffba9e2ec88ddd426",
+            "levels.csv": "ad47e7025620ee690882ac6d4933baff030d6e7ecbc5cc399da9230b9a606966",
             "terminal_level_2.txt": "a6b3bcb2c020b21fb5c0c9257c39e3b37e1b096b33c57952b82d6ea13afdc046",
             "terminal_level_3.txt": "f9429050dc1d1e0cb664b2bba112b4bc384312cc1ac9535154da937539142bbe",
             "terminal_level_4.txt": "19349478d2e01e7ddf50162a13500d304d057689f092ecb96230626bfab638fe"
@@ -200,7 +200,7 @@ GOLDEN = {
         "outputs": {
             "estimates.csv": "bbbac869f01fd042c6171d252957ce25837b99cef4a2620d102e7cc6a1f6f9a4",
             "norms.csv": "7b39b0294a26f6c8a908273fe8b77f90a8aa79734fb62345a3334192767d631e",
-            "oracle_error.csv": "dd275948f9c2e750461041f1041aa532ede4d659fd6f0cb1e53c30e53f0fd032",
+            "oracle_error.csv": "444223d055c55cc76dd89cf2d0a5f8b4d564806b9eab0659bf5ac184f64d4675",
             "oracle_trajectory.csv": "302601c2f5dd5604184b2bfe828424532de9422c82a851bde19464679955e841",
             "trajectory.csv": "9e3ef0a109ed24d103b1dbf69b9402d7a4d628d2689016a122295a63bacd028e"
         }
@@ -248,9 +248,9 @@ GOLDEN = {
                 "estimate": 0.0,
                 "violated": False
             },
-            "max_quotient_l2": 1.217279665484185,
+            "max_quotient_l2": 1.2172796654841853,
             "quotient_bound": 7.774773904824381,
-            "quotient_recurrence_max_slack": -0.7894440089178764
+            "quotient_recurrence_max_slack": -0.7894440089178766
         },
         "outputs": {
             "norms.csv": "645c46013d2e6670d4b6c2c188fbd0a9a18af0e5948abb3e5136d120148da3fd",
@@ -334,7 +334,7 @@ GOLDEN_ITERATIVE = {
         "outputs": {
             "estimates.csv": "569d64afdedf45f5eac4a6cc8c2ad47daf1cd84a065ace753c0ac41898dbf1f8",
             "norms.csv": "a7e25810d0c1796d40bd7a6faa3ffff65bee860d62f93b9096058fa679e07a25",
-            "oracle_error.csv": "4f94cf997126310e03ddbde119d7e44845f838cbc5f364a6127ca38a62deab72",
+            "oracle_error.csv": "4e321dc702f6b6848946588392e6b5168c6c9778cf1c5c5b6e3771a75578c18c",
             "oracle_trajectory.csv": "302601c2f5dd5604184b2bfe828424532de9422c82a851bde19464679955e841",
             "trajectory.csv": "e7ab351d5ef05f554b4d3ecf4f836d5647a4d5658d9cb070f5c98cce6ac6e393"
         }
@@ -342,7 +342,7 @@ GOLDEN_ITERATIVE = {
     "vi_lattice": {
         "diagnostics": {
             "level_deltas": [
-                0.21656343861328795,
+                0.21656343861328797,
                 0.01169341608417374
             ],
             "lipschitz": {
@@ -352,7 +352,7 @@ GOLDEN_ITERATIVE = {
             }
         },
         "outputs": {
-            "levels.csv": "fa0961dc5da3df7290b87e968f45c5027a773bdbf5509c091bf8cc03d3508944",
+            "levels.csv": "46a8d4e49b7f22874c99267a85ac7c5e4491660830d0540003fb0b2a701d13c5",
             "terminal_level_2.txt": "435a80a1446a81798446517c3fffcc1ed0d18650517089e7c9fdbea2aaf35b58",
             "terminal_level_4.txt": "bf62f17cd8a5749e63c122eb0390cc1537872e769dd6176922054e8189ddfed7",
             "terminal_level_6.txt": "430eb3ee0925114a106cb9d3d6c1b30b9a7a3b4b6995a875cfd3848bf2898538"

@@ -1,10 +1,17 @@
 """A run is one read-only (steps + 1) x V array: bit for bit the per-step
 field loops it replaced, checked for finite values once, and read by the
-monitors and the oracle study in contiguous rows."""
+monitors and the oracle study row by row in any memory layout."""
 
+import ast
+import contextlib
+import csv
 import dataclasses
+import io
 import json
 import math
+import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -26,12 +33,14 @@ from graphrothe import (
     field_on_interior,
     fileio,
     heat,
+    kernels,
     make_domain,
     run_rothe,
     run_vi,
     vi,
     vi_monotonicity_monitor,
 )
+from graphrothe.calculus import power_integral
 from graphrothe.cli import PreparedRun, load_config, main
 from graphrothe.errors import SolverBreakdown
 from helpers import (
@@ -39,11 +48,13 @@ from helpers import (
     random_admissible,
     random_connected_graph,
     random_domain,
+    reference_l2,
     reference_quotients,
     reference_run_rothe,
     reference_run_vi,
     reference_vi_monotonicity_monitor,
 )
+from test_golden import CONFIGS, run_manifest
 
 
 def stacked(fields):
@@ -190,11 +201,94 @@ def grid_file(tmp_path, side):
     return str(path)
 
 
-class TestContiguousRows:
-    """``x[:, ids]`` is column-major, and ``np.dot`` adds a strided row in
-    another order than a contiguous one. The monitors and the oracle
-    errors read the run's interior rows contiguously, so they give the
-    bits of the per-field loops."""
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "graphrothe")
+# the solver internals whose dot products are never written out
+SOLVER_DOTS = {"heat._functional", "heat._HeatStepper.solve",
+               "operators.pcg"}
+
+
+def dot_calls(path):
+    """The enclosing ``module.Class.function`` and the line of every call
+    of ``dot`` (``np.dot``, ``numpy.dot``, ``x.dot`` or a bare ``dot``)
+    in the source file ``path``."""
+    module = os.path.splitext(os.path.basename(path))[0]
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) \
+                    else getattr(func, "id", None)
+                if name == "dot":
+                    found.append((".".join(scope), child.lineno))
+            visit(child, scope)
+
+    visit(tree, (module,))
+    return found
+
+
+def test_dot_only_in_solver_internals():
+    """Every reported norm is an ordered ``power_integral``: a dot product,
+    whose order of addition BLAS chooses, appears only inside the solver
+    functions of SOLVER_DOTS."""
+    calls = [call for name in sorted(os.listdir(SRC)) if name.endswith(".py")
+             for call in dot_calls(os.path.join(SRC, name))]
+    assert calls, "the scan found no dot product at all"
+    assert [call for call in calls if call[0] not in SOLVER_DOTS] == []
+
+
+def layouts(a):
+    """The values of the K x V array ``a`` as C-ordered, Fortran-ordered,
+    strided and reversed (negative strides) stacks."""
+    big = np.zeros((2 * a.shape[0], 3 * a.shape[1]))
+    big[::2, ::3] = a
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a),
+            "strided": big[::2, ::3],
+            "reversed": np.ascontiguousarray(a[::-1, ::-1])[::-1, ::-1]}
+
+
+class TestRowLayout:
+    """``power_integral`` and ``kernels.seq_sum`` give each row of a stack
+    the bits of that row alone, whatever the stack's memory layout, so the
+    monitors and the oracle errors read a run's rows without copying them
+    and give the bits of the per-field loops."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 7),
+           q=st.sampled_from([1.0, 2.0, 3.0, 4.5]))
+    def test_row_bits_any_layout(self, seed, rows, q):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, 5, 60)
+        dom = random_domain(rng, g)
+        a = rng.normal(size=(rows, g.num_vertices)) \
+            * 10.0 ** rng.integers(-8, 8, size=(rows, 1))
+        for ids in (dom.interior_ids, dom.omega_ids, dom.omega_ids[::-1]):
+            alone = [power_integral(g, row.copy(), ids, q) for row in a]
+            for name, stack in layouts(a).items():
+                assert stack.tobytes() == a.tobytes(), name
+                got = power_integral(g, stack, ids, q)
+                assert got.tobytes() == np.array(alone).tobytes(), name
+        for name, stack in layouts(a).items():
+            for row, total in zip(a, kernels.seq_sum(stack).tolist()):
+                s = 0.0
+                for x in row.tolist():
+                    s = s + x
+                assert repr(total) == repr(s), name
+
+    def test_layouts_differ(self):
+        stacks = layouts(np.arange(12.0).reshape(3, 4))
+        assert stacks["C"].flags.c_contiguous
+        assert stacks["F"].flags.f_contiguous
+        assert not stacks["F"].flags.c_contiguous
+        assert not stacks["strided"].flags.c_contiguous
+        assert all(step < 0 for step in stacks["reversed"].strides)
 
     def test_vi_monitor_matches_per_quotient_l2(self):
         rng = np.random.default_rng(2024)
@@ -246,7 +340,7 @@ class TestContiguousRows:
             fields = reference_run_rothe(prob, part)
             refs = [VertexField(prep.graph, row) for row in
                     exact_p1_solution(basis, prep.initial, part.times)]
-            errs = [op.l2(op.restrict(u) - op.restrict(ref))
+            errs = [reference_l2(dom, op.restrict(u) - op.restrict(ref))
                     for u, ref in zip(fields, refs)]
             err = max(errs)
             order = None
@@ -260,3 +354,86 @@ class TestContiguousRows:
                           "observed_order"), rows)
         assert (out / "oracle_error.csv").read_bytes() == \
             ref_path.read_bytes()
+
+
+def _max_delta_and_manifest(out):
+    """The largest ``delta_l2`` of a VI run's ``vi_reports.csv`` and the
+    manifest's ``max_quotient_l2``."""
+    with open(out / "vi_reports.csv", newline="") as fh:
+        deltas = [float(row["delta_l2"]) for row in csv.DictReader(fh)]
+    manifest = json.loads((out / "manifest.json").read_text())
+    return max(deltas), manifest["diagnostics"]["max_quotient_l2"]
+
+
+class TestOneNumberPerQuantity:
+    """A quantity that a run reports in two places is one number: the
+    largest ``delta_l2`` of ``vi_reports.csv`` is the manifest's
+    ``max_quotient_l2``, and ``compare`` of a p = 1 trajectory against
+    its oracle prints the finest ``max_l2_error`` of the oracle study."""
+
+    @pytest.mark.parametrize("name", ["vi_obstacle", "vi_obstacle_overrelaxed",
+                                      "vi_separable"])
+    def test_golden_vi(self, tmp_path, name):
+        run_manifest(tmp_path, CONFIGS[name])
+        delta, reported = _max_delta_and_manifest(tmp_path / "out")
+        assert delta.hex() == reported.hex()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           constraint=st.sampled_from(["subspace", "obstacle"]),
+           steps=st.integers(1, 8))
+    def test_random_vi(self, seed, constraint, steps):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, 5, 40)
+        dom = random_domain(rng, g)
+
+        def values(ids, lo, hi):
+            return {"values": {str(g.label_of(int(i))): float(v)
+                               for i, v in zip(ids, rng.uniform(
+                                   lo, hi, size=len(ids)))}}
+
+        problem = {"kind": "vi", "horizon": float(rng.uniform(0.1, 2.0)),
+                   "steps": steps, "lipschitz_bound": 100.0,
+                   "initial": values(dom.interior_ids, -1.0, 1.0),
+                   "forcing": {"kind": "separable",
+                               "field": values(range(g.num_vertices),
+                                               -2.0, 2.0),
+                               "time": "1 + sin(3 * t) / 2"}}
+        if constraint == "obstacle":
+            problem["constraint"] = {
+                "kind": "obstacle",
+                "psi": values(dom.interior_ids, -0.5, 0.3)}
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            fileio.write_graph_file(g, str(tmp / "graph.txt"))
+            cfg = {"graph": {"file": str(tmp / "graph.txt")},
+                   "domain": {"omega": [str(g.label_of(int(i)))
+                                        for i in dom.omega_ids]},
+                   "problem": problem, "output": str(tmp / "out")}
+            (tmp / "config.json").write_text(json.dumps(cfg))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["run", str(tmp / "config.json")]) == 0
+            delta, reported = _max_delta_and_manifest(tmp / "out")
+        assert delta.hex() == reported.hex()
+
+    def test_compare_matches_oracle_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        gpath = grid_file(tmp_path, 6)
+        cfg = {"graph": {"file": gpath}, "domain": "all",
+               "output": str(out),
+               "problem": {"kind": "heat", "p": 1.0, "horizon": 1.0,
+                           "steps_list": [5, 20], "compare_oracle": True,
+                           "initial": {"values": {"2,3": 1.0,
+                                                  "4,1": -0.5}}}}
+        cpath = tmp_path / "config.json"
+        cpath.write_text(json.dumps(cfg))
+        assert main(["run", str(cpath)]) == 0
+        with open(out / "oracle_error.csv", newline="") as fh:
+            finest = list(csv.DictReader(fh))[-1]
+        assert finest["n"] == "20"
+        capsys.readouterr()
+        assert main(["compare", str(out / "trajectory.csv"),
+                     str(out / "oracle_trajectory.csv"),
+                     "--graph", gpath]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == f"max_l2_diff {finest['max_l2_error']}"

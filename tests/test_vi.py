@@ -42,6 +42,7 @@ from helpers import (
     random_admissible,
     random_connected_graph,
     random_domain,
+    reference_l2,
     reference_psor,
 )
 
@@ -270,6 +271,32 @@ class TestLipschitz:
                                                      for k in range(8, -1, -1)],
                                    dom)
         assert dense.estimate > rep.estimate  # grows with sample density
+
+    def test_matches_pairwise_reference(self):
+        # each pair's quotient from its own difference field, pairs in the
+        # order of a double loop; the first strict maximum wins, so equal
+        # fields (a zero quotient) keep the first pair
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            g = random_connected_graph(rng, 5, 30)
+            dom = random_domain(rng, g)
+            times = sorted((rng.choice(200, size=int(rng.integers(2, 9)),
+                                       replace=False) / 100.0).tolist())
+            fields = [VertexField(g, rng.normal(size=g.num_vertices))]
+            for _ in times[1:]:
+                fields.append(fields[-1] if rng.random() < 0.3 else
+                              VertexField(g, rng.normal(size=g.num_vertices)))
+            ids = dom.interior_ids
+            best, worst = 0.0, (times[0], times[1])
+            for a in range(len(times)):
+                for b in range(a + 1, len(times)):
+                    q = reference_l2(dom, fields[b].values[ids]
+                                     - fields[a].values[ids]) \
+                        / (times[b] - times[a])
+                    if q > best:
+                        best, worst = q, (times[a], times[b])
+            rep = lipschitz_validate(TableForcing(times, fields), times, dom)
+            assert (rep.estimate, rep.worst_pair) == (best, worst)
 
     def test_insufficient_samples(self):
         g, dom = five_path_domain()
