@@ -19,6 +19,8 @@ the one conjugate-gradient loop, shared by ``CachedSPD`` and the Newton
 directions of ``heat``. Every matrix factored here is SPD, the active-set
 blocks of ``vi`` as principal submatrices of one, so the LU orders by
 minimum degree on the symmetric pattern and pivots on the diagonal.
+``PrincipalBlocks`` cuts those blocks from the step matrix's CSC arrays
+by one mask and reuses a block's factor while its index set repeats.
 """
 
 from __future__ import annotations
@@ -133,14 +135,16 @@ def pcg(matvec, b, precondition, rtol, cap):
 
 
 class CachedSPD:
-    """Solver of the SPD system with the CSR matrix ``S``: sparse LU up
-    to DIRECT_SOLVE_MAX unknowns (read when the solver is built), above
-    it ``pcg`` with the Jacobi preconditioner to the relative residual
-    CG_RTOL within 50 n iterations. The factor (or the inverse diagonal)
-    is built once and reused across solves. The LU takes one symmetric
-    permutation, a minimum degree ordering of the pattern of S + S^T, and
-    pivots on the diagonal, which SPD matrices allow: less fill than
-    ``splu``'s COLAMD column ordering with partial pivoting."""
+    """Solver of the SPD system with the CSR or CSC matrix ``S``: sparse
+    LU up to DIRECT_SOLVE_MAX unknowns (read when the solver is built),
+    above it ``pcg`` with the Jacobi preconditioner to the relative
+    residual CG_RTOL within 50 n iterations. The factor (or the inverse
+    diagonal) is built once and reused across solves. The LU takes one
+    symmetric permutation, a minimum degree ordering of the pattern of
+    S + S^T, and pivots on the diagonal, which SPD matrices allow: less
+    fill than ``splu``'s COLAMD column ordering with partial pivoting.
+    A CSC matrix, such as a block of ``PrincipalBlocks``, is factored as
+    given; a CSR one is converted first."""
 
     def __init__(self, S):
         self.n = S.shape[0]
@@ -148,7 +152,8 @@ class CachedSPD:
         if self.direct:
             try:
                 self._lu = spla.splu(
-                    sp.csc_matrix(S), permc_spec="MMD_AT_PLUS_A",
+                    S if S.format == "csc" else S.tocsc(),
+                    permc_spec="MMD_AT_PLUS_A",
                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
             except RuntimeError as exc:  # "Factor is exactly singular"
                 raise SolverBreakdown(f"sparse LU failed: {exc}") from None
@@ -169,3 +174,38 @@ class CachedSPD:
                 f"conjugate gradients missed the relative residual "
                 f"{CG_RTOL:g} in {50 * self.n} iterations")
         return x
+
+
+class PrincipalBlocks:
+    """Solvers of the principal submatrices S[I][:, I] of one matrix S,
+    for the inactive sets I of the active-set method. S's CSC arrays and
+    diagonal are built once; each block is cut from them by one boolean
+    mask over the row and column of every entry, and its ``CachedSPD``
+    is kept and reused while I repeats, element by element. Kept entries
+    stay in their order, so a block's arrays are those of
+    ``sp.csc_matrix(S[I][:, I])``; S need not be symmetric."""
+
+    def __init__(self, S):
+        self.S = S
+        self.diagonal = S.diagonal()
+        csc = S.tocsc()
+        self._data, self._rows, self._ptr = csc.data, csc.indices, csc.indptr
+        self._cols = np.repeat(np.arange(S.shape[1], dtype=self._rows.dtype),
+                               np.diff(self._ptr))
+        self._mask = None
+        self._solver = None
+
+    def solver(self, mask):
+        """The ``CachedSPD`` of S[I][:, I] for the boolean mask ``mask``
+        of I, which must hold at least one True."""
+        if self._mask is None or not np.array_equal(mask, self._mask):
+            keep = mask[self._rows] & mask[self._cols]
+            index = np.cumsum(mask, dtype=self._rows.dtype) - 1
+            kept = np.concatenate(([0], np.cumsum(keep)))
+            ptr = kept[self._ptr[np.append(mask, True)]]
+            k = int(index[-1]) + 1
+            self._solver = CachedSPD(sp.csc_matrix(
+                (self._data[keep], index[self._rows[keep]],
+                 ptr.astype(self._ptr.dtype)), shape=(k, k)))
+            self._mask = mask
+        return self._solver

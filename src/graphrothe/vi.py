@@ -10,6 +10,8 @@ obstacle-constrained admissible set {v >= psi on the interior} is an
 extension beyond the subspace theory. Its step is the complementarity
 problem S u >= b, u >= psi, (S u - b)(u - psi) = 0, solved by the
 primal-dual active set method and accepted by a pointwise KKT test.
+Each inactive block of S is cut from its CSC arrays by one mask, and a
+block's factor is reused while the inactive set repeats.
 
 ``ViStepper.step`` maps interior vectors to interior vectors and a
 report of scalar diagnostics; ``run_vi`` fills the run's (steps + 1) x V
@@ -34,7 +36,7 @@ from .errors import (
 )
 from .graph import Domain, ExhaustionSequence
 from .heat import RotheTrajectory, _run_levels, _step_rows
-from .operators import CachedSPD
+from .operators import CachedSPD, PrincipalBlocks
 
 KKT_TOL = 1e-10
 
@@ -143,7 +145,9 @@ class VIStepReport:
 
 class ViStepper:
     """Step solver with the form assembled (and, in the subspace case,
-    factorized) once for a fixed step size."""
+    factorized) once for a fixed step size. In the obstacle case the
+    stepper keeps the ``PrincipalBlocks`` of its matrix, so a factor
+    outlives the step that built it."""
 
     def __init__(self, dom, ell, constraint=Subspace(), kkt_tol=KKT_TOL):
         if not (ell > 0.0):
@@ -160,6 +164,7 @@ class ViStepper:
             if constraint.psi.graph is not dom.graph:
                 raise DomainMismatch("obstacle lives on a different graph")
             self._lower = constraint.psi.values[self.op.interior_ids]
+            self._blocks = PrincipalBlocks(S)
         else:
             raise TypeError(f"unknown constraint {constraint!r}")
 
@@ -186,7 +191,8 @@ class ViStepper:
     def _obstacle(self, b, w_start, scale):
         """The active-set solution, accepted only if its KKT residuals
         meet the tolerance."""
-        u, r, iterations = active_set_solve(self.S, b, self._lower, w_start)
+        u, r, iterations = active_set_solve(self._blocks, b, self._lower,
+                                            w_start)
         gap = u - self._lower
         primal = max(0.0, float(np.max(-gap, initial=0.0)))
         dual = max(0.0, float(np.max(-r, initial=0.0)))
@@ -200,31 +206,34 @@ class ViStepper:
             f"residual {dual:.3g}, complementarity {compl:.3g}")
 
 
-def active_set_solve(S, b, lower, u_start):
+def active_set_solve(blocks, b, lower, u_start):
     """The complementarity problem S u >= b, u >= lower,
     (S u - b)(u - lower) = 0 by the primal-dual active set method
-    (Hintermueller, Ito and Kunisch, SIAM J. Optim. 13, 2002); returns
+    (Hintermueller, Ito and Kunisch, SIAM J. Optim. 13, 2002), with S the
+    matrix of the ``PrincipalBlocks`` ``blocks``; returns
     (u, S u - b, iterations).
 
     Each iteration fixes u = lower on the active set A, solves the
-    inactive rows I of S u = b by ``CachedSPD`` and takes the multiplier
-    lam = S u - b on A, 0 on I. The next active set is
+    inactive rows I of S u = b with the factor of S[I][:, I] (cut by one
+    mask, and reused while I repeats, across steps too) and takes the
+    multiplier lam = S u - b on A, 0 on I. The next active set is
     {lam - c (u - lower) > 0} with c the diagonal of S, which puts lam
     in the units of u. As u equals lower on A and lam vanishes on I, c
     only shapes the first set, built from u = max(u_start, lower). For
     an M-matrix S the sets settle after finitely many iterations; more
     than n + 1 raise NonConvergence.
     """
-    c = S.diagonal()
+    S = blocks.S
+    c = blocks.diagonal
     u = np.maximum(u_start, lower)
     lam = np.maximum(S @ u - b, 0.0)
     active = lam - c * (u - lower) > 0.0
     for iteration in range(1, lower.size + 2):
         u = np.where(active, lower, 0.0)
-        free = np.flatnonzero(~active)
-        if free.size:
-            rhs = b[free] - (S @ u)[free]
-            u[free] = CachedSPD(S[free][:, free]).solve(rhs)
+        inactive = ~active
+        if inactive.any():
+            rhs = b[inactive] - (S @ u)[inactive]
+            u[inactive] = blocks.solver(inactive).solve(rhs)
         r = S @ u - b
         lam = np.where(active, r, 0.0)
         settled = lam - c * (u - lower) > 0.0

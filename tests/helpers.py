@@ -12,12 +12,14 @@ from graphrothe.errors import (
     EmptyScope,
     InvalidGraphData,
     IsolatedVertex,
+    NonConvergence,
     NonPositiveMeasure,
     NonPositiveWeight,
     SeedOutsideDomain,
     SelfLoop,
 )
 from graphrothe.graph import ExhaustionSequence, WeightedGraph, _label_key
+from graphrothe.operators import CachedSPD
 
 
 def path_graph(k, mu=1.0, w=1.0):
@@ -277,6 +279,31 @@ def reference_psor(S, lower, b, w_start, scale, relax, tol):
             var = float(np.max(np.abs(np.minimum(r, gap)), initial=0.0))
             return u, (var, primal, dual, compl, sweep)
     raise AssertionError("reference PSOR did not converge")
+
+
+def reference_active_set_solve(S, b, lower, u_start):
+    """Reference for ``vi.active_set_solve`` on the matrix S itself: the
+    same primal-dual active set loop, slicing every inactive block as
+    ``S[free][:, free]`` and factoring it afresh in each iteration."""
+    c = S.diagonal()
+    u = np.maximum(u_start, lower)
+    lam = np.maximum(S @ u - b, 0.0)
+    active = lam - c * (u - lower) > 0.0
+    for iteration in range(1, lower.size + 2):
+        u = np.where(active, lower, 0.0)
+        free = np.flatnonzero(~active)
+        if free.size:
+            rhs = b[free] - (S @ u)[free]
+            u[free] = CachedSPD(S[free][:, free]).solve(rhs)
+        r = S @ u - b
+        lam = np.where(active, r, 0.0)
+        settled = lam - c * (u - lower) > 0.0
+        if np.array_equal(settled, active):
+            return u, r, iteration
+        active = settled
+    raise NonConvergence(
+        f"primal-dual active set did not settle in {lower.size + 1} "
+        f"iterations")
 
 
 def reference_newton_solve(stepper, u_prev, x0=None, stats=None):

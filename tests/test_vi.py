@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,10 +31,11 @@ from graphrothe import (
 from graphrothe.errors import (
     InsufficientSamples,
     NonConvergence,
+    SolverBreakdown,
     TimeOutOfRange,
 )
-from graphrothe import operators
-from graphrothe.operators import DirichletOperator
+from graphrothe import operators, vi
+from graphrothe.operators import DirichletOperator, PrincipalBlocks
 from graphrothe.timeexpr import compile_time_expression
 from graphrothe.vi import ViStepper, active_set_solve, forcing_step_function
 from helpers import (
@@ -42,6 +44,7 @@ from helpers import (
     random_admissible,
     random_connected_graph,
     random_domain,
+    reference_active_set_solve,
     reference_l2,
     reference_psor,
 )
@@ -374,7 +377,7 @@ class TestActiveSetBudget:
         S = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 2.0],
                                     [2.0, 0.0, 1.0]]))
         with pytest.raises(NonConvergence, match="did not settle in 4"):
-            active_set_solve(S, np.ones(3), np.zeros(3),
+            active_set_solve(PrincipalBlocks(S), np.ones(3), np.zeros(3),
                              np.array([-1.0, -1.0, 1.0]))
 
     def test_kkt_target_unmet(self):
@@ -405,6 +408,23 @@ def grid_graph(rng, side):
     edges = [(a, b, float(rng.uniform(0.5, 1.5))) for a, b in pairs]
     measure = {i: float(rng.uniform(0.5, 1.5)) for i in range(side * side)}
     return build_finite_graph(edges, measure)
+
+
+def grid_obstacle_problem():
+    """grid-obstacle's kind of data: a bump, a sign-changing forcing and
+    psi = 0 on a seeded 16 x 16 grid, over [0, 3]."""
+    side = 16
+    rng = np.random.default_rng(16)
+    g = grid_graph(rng, side)
+    dom = make_domain(g, range(g.num_vertices))
+    ii, jj = np.divmod(np.arange(side * side), side)
+    bump = np.maximum(0.0, 1.0 - ((ii - 7.5) ** 2 + (jj - 6.5) ** 2)
+                      / (0.3 * side) ** 2)
+    forcing = 0.2 * np.sin(2.0 * np.pi * ii / side + 1.0) \
+        * np.cos(2.0 * np.pi * jj / side)
+    return VIProblem(dom, ConstantForcing(VertexField(g, forcing)),
+                     VertexField(g, bump), 3.0,
+                     constraint=Obstacle(VertexField.zeros(g)))
 
 
 class TestActiveSetDifferential:
@@ -463,20 +483,8 @@ class TestActiveSetDifferential:
         assert float(np.max(np.abs(a.values - b.values))) <= 1e-9
 
     def test_grid_iteration_count(self):
-        # grid-obstacle's kind of data: a bump, a sign-changing forcing,
-        # psi = 0, step 1 on a 16 x 16 grid
-        side = 16
-        rng = np.random.default_rng(16)
-        g = grid_graph(rng, side)
-        dom = make_domain(g, range(g.num_vertices))
-        ii, jj = np.divmod(np.arange(side * side), side)
-        bump = np.maximum(0.0, 1.0 - ((ii - 7.5) ** 2 + (jj - 6.5) ** 2)
-                          / (0.3 * side) ** 2)
-        forcing = 0.2 * np.sin(2.0 * np.pi * ii / side + 1.0) \
-            * np.cos(2.0 * np.pi * jj / side)
-        prob = VIProblem(dom, ConstantForcing(VertexField(g, forcing)),
-                         VertexField(g, bump), 3.0,
-                         constraint=Obstacle(VertexField.zeros(g)))
+        prob = grid_obstacle_problem()
+        dom = prob.domain
         run = run_vi(prob, TimePartition(3.0, 3))
         for rep, u in zip(run.reports, run.values[1:], strict=True):
             on = u[dom.interior_ids] == 0.0
@@ -514,6 +522,104 @@ class TestActiveSetDifferential:
                 assert 1 <= rep.iterations <= len(ids) + 1
                 held += np.count_nonzero(u == lower)
             assert held > 0
+
+
+def same_outcome(solve, reference):
+    """Both calls give the same bits, returned, or raise the same error
+    (None)."""
+    try:
+        expected = reference()
+    except (NonConvergence, SolverBreakdown) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            solve()
+        return None
+    got = solve()
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    return expected
+
+
+class TestActiveSetBitIdentity:
+    """The active-set method on mask-cut blocks, with a factor reused
+    while the inactive set repeats, gives the same bits as slicing and
+    factoring every block afresh (``reference_active_set_solve``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           ell=st.floats(0.05, 2.0),
+           psi_kind=st.sampled_from(["zero", "random", "low"]),
+           u_scale=st.floats(0.1, 10.0),
+           f_scale=st.floats(0.1, 30.0),
+           direct=st.booleans())
+    def test_steps_and_runs_match_reference(self, seed, ell, psi_kind,
+                                             u_scale, f_scale, direct):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, 5, 30)
+        dom = random_domain(rng, g)
+        op = dom.operator
+        n = op.n
+        lower = {"zero": np.zeros(n),
+                 "random": rng.uniform(-0.5, 0.3, size=n),
+                 "low": np.full(n, -1e3)}[psi_kind]
+        psi = field_on_interior(dom, lower)
+        S = op.step_matrix(ell)
+        with pytest.MonkeyPatch.context() as mp:
+            if not direct:
+                mp.setattr(operators, "DIRECT_SOLVE_MAX", 0)
+            # consecutive steps on one PrincipalBlocks, so a factor may
+            # carry over from one step to the next
+            blocks = PrincipalBlocks(S)
+            w = rng.normal(0.0, u_scale, size=n)
+            for _ in range(4):
+                b = op.mass * (rng.normal(size=n) * f_scale + w / ell)
+                w = same_outcome(
+                    lambda: active_set_solve(blocks, b, lower, w),
+                    lambda: reference_active_set_solve(S, b, lower, w))[0]
+            field = VertexField(g, rng.normal(size=g.num_vertices) * f_scale)
+            prob = VIProblem(dom, SeparableForcing(
+                field, compile_time_expression("sin(3*t)")),
+                random_admissible(rng, dom, u_scale), 6.0 * ell,
+                constraint=Obstacle(psi))
+            part = TimePartition(6.0 * ell, 6)
+            run = run_vi(prob, part)
+            mp.setattr(vi, "active_set_solve",
+                       lambda blocks, b, lower, u_start:
+                       reference_active_set_solve(blocks.S, b, lower,
+                                                  u_start))
+            ref = run_vi(prob, part)
+        assert run.values.tobytes() == ref.values.tobytes()
+        assert run.reports == ref.reports
+
+    @settings(max_examples=60, deadline=None)
+    @given(b=st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9),
+           u_start=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+           lower=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    def test_cycling_nonsymmetric_matrix(self, b, u_start, lower):
+        # the P-matrix of TestActiveSetBudget: not symmetric, and the sets
+        # may cycle; three solves share one PrincipalBlocks
+        S = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 2.0],
+                                    [2.0, 0.0, 1.0]]))
+        blocks = PrincipalBlocks(S)
+        lower = np.array(lower)
+        u = np.array(u_start)
+        for rhs in np.reshape(b, (3, 3)):
+            same_outcome(
+                lambda: active_set_solve(blocks, rhs, lower, u),
+                lambda: reference_active_set_solve(S, rhs, lower, u))
+
+    def test_factor_reused_while_inactive_set_repeats(self, monkeypatch):
+        builds = [0]
+
+        class Counting(operators.CachedSPD):
+            def __init__(self, *args, **kwargs):
+                builds[0] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(operators, "CachedSPD", Counting)
+        run = run_vi(grid_obstacle_problem(), TimePartition(3.0, 3))
+        iterations = sum(rep.iterations for rep in run.reports)
+        assert 0 < builds[0] < iterations
 
 
 class TestStepperCaching:
