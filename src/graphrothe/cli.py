@@ -386,12 +386,14 @@ class PreparedRun:
     def _forcing(self):
         fields = [self._field(spec) for spec in self.forcing_specs]
         if self.forcing_kind == "constant":
-            return vi.ConstantForcing(fields[0])
-        if self.forcing_kind == "separable":
-            return vi.SeparableForcing(fields[0], self.forcing_time)
-        forcing = vi.TableForcing(self.forcing_times, fields)
-        for t in heat.TimePartition(self.horizon, self.steps).times:
-            forcing.at(float(t))
+            forcing = vi.ConstantForcing(fields[0])
+        elif self.forcing_kind == "separable":
+            forcing = vi.SeparableForcing(fields[0], self.forcing_time)
+        else:
+            forcing = vi.TableForcing(self.forcing_times, fields)
+        # every grid time, at no vertex: refuses a table that misses one
+        # and a time expression that fails or is not finite at one
+        forcing.rows(heat.TimePartition(self.horizon, self.steps).times, [])
         return forcing
 
     def tolerances(self):
@@ -529,15 +531,12 @@ def _run_vi(prep, outdir):
         diagnostics["convergence_claims"] = "downgraded: declared Lipschitz " \
             "bound exceeded by the sampled forcing"
 
+    prob = vi.VIProblem(prep.exhaustion or prep.domain, prep.forcing,
+                        prep.initial, prep.horizon, prep.lipschitz_bound,
+                        prep.constraint)
     if prep.exhaustion is not None:
-        prob = vi.VIProblem(prep.exhaustion, prep.forcing, prep.initial,
-                            prep.horizon, prep.lipschitz_bound,
-                            prep.constraint)
         results = vi.run_vi_exhaustion(prob, part, levels=prep.levels, **opts)
         return _write_levels(results, outdir, diagnostics)
-
-    prob = vi.VIProblem(prep.domain, prep.forcing, prep.initial,
-                        prep.horizon, prep.lipschitz_bound, prep.constraint)
     run = vi.run_vi(prob, part, **opts)
     g = prep.graph
     fileio.write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),

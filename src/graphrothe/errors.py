@@ -91,6 +91,10 @@ class TimeOutOfRange(GraphrotheError):
     pass
 
 
+class AmbiguousTable(GraphrotheError):
+    """Two tabulated forcing times match one time."""
+
+
 class InsufficientSamples(GraphrotheError):
     pass
 

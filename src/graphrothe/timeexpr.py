@@ -36,7 +36,8 @@ def _validate(node):
 
 
 def compile_time_expression(text):
-    """Compile ``text`` into a float -> float function, or raise ConfigError."""
+    """Compile ``text`` into a float -> float function, or raise ConfigError;
+    the function raises ConfigError where ``text`` fails or is not finite."""
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
@@ -47,6 +48,13 @@ def compile_time_expression(text):
     env.update(_FUNCS)
 
     def fn(t):
-        return float(eval(code, env, {"t": float(t)}))
+        try:
+            value = float(eval(code, env, {"t": float(t)}))
+            if not math.isfinite(value):
+                raise ValueError(f"value {value}")
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            raise ConfigError(f"time expression {text!r} fails at t = {t}: "
+                              f"{exc}") from None
+        return value
 
     return fn

@@ -17,6 +17,11 @@ block's factor is reused while the inactive set repeats.
 report of scalar diagnostics; ``run_vi`` fills the run's (steps + 1) x V
 array row by row through the step loop it shares with ``heat.run_rothe``,
 so a ``VIRun`` is a ``heat.RotheTrajectory`` plus its step reports.
+
+Each forcing provider samples f in one call, ``rows(times, ids)``: a
+read-only array with f(., t) on the vertex ids ``ids`` in the row of each
+time t. ``run_vi``, the monitor and ``lipschitz_validate`` each make one
+such call per run, and step i reads row i, f(., t_i).
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import numpy as np
 
 from .calculus import VertexField, _l2_rows, require_admissible
 from .errors import (
+    AmbiguousTable,
     DomainMismatch,
     EmptyInterior,
     InsufficientSamples,
@@ -59,45 +65,70 @@ class Obstacle:
 # -- forcing providers -------------------------------------------------------
 
 class ConstantForcing:
-    """f(x, t) = chi(x)."""
+    """f(x, t) = chi(x); its rows are views of one vector."""
 
     def __init__(self, field):
         self.graph = field.graph
         self._field = field
 
-    def at(self, t):
-        return self._field
+    def rows(self, times, ids):
+        chi = self._field.values[ids]
+        return np.broadcast_to(chi, (len(times), chi.size))
 
 
 class SeparableForcing:
-    """f(x, t) = chi(x) * s(t) for a scalar function s."""
+    """f(x, t) = chi(x) * s(t) for a scalar function s, called once per
+    time."""
 
     def __init__(self, field, time_fn):
         self.graph = field.graph
         self._field = field
         self._time_fn = time_fn
 
-    def at(self, t):
-        return VertexField(self.graph,
-                           self._field.values * float(self._time_fn(t)))
+    def rows(self, times, ids):
+        s = [float(self._time_fn(float(t))) for t in times]
+        values = np.multiply.outer(np.array(s, float), self._field.values[ids])
+        values.setflags(write=False)
+        return values
 
 
 class TableForcing:
-    """Fields tabulated at fixed times; ``at`` requires an exact grid hit."""
+    """Fields tabulated at fixed times t_k; a time t reads the field of the
+    t_k with |t - t_k| <= 1e-9 max(1, |t_k|). A table in which one time
+    is that close to two t_k is refused."""
 
     def __init__(self, times, fields):
-        if len(times) != len(fields) or not fields:
-            raise ValueError("times and fields must align and be nonempty")
+        times = np.asarray(times, dtype=float)
+        if times.shape != (len(fields),) or not fields \
+                or not np.all(np.isfinite(times)):
+            raise ValueError("times and fields must align, be finite and "
+                             "be nonempty")
         self.graph = fields[0].graph
-        self._times = [float(t) for t in times]
-        self._fields = tuple(fields)
+        order = np.argsort(times)
+        self._times = times[order]
+        self._tol = 1e-9 * np.maximum(1.0, np.abs(self._times))
+        close = np.diff(self._times) <= self._tol[:-1] + self._tol[1:]
+        if close.any():
+            a, b = self._times[np.argmax(close):][:2].tolist()
+            raise AmbiguousTable(
+                f"tabulated forcing times {a} and {b} lie within "
+                f"1e-9 * max(1, |t|) of one time, which would match both "
+                f"fields")
+        self._values = np.array([fields[k].values for k in order])
 
-    def at(self, t):
-        for tk, fk in zip(self._times, self._fields):
-            if math.isclose(t, tk, rel_tol=0.0,
-                            abs_tol=1e-9 * max(1.0, abs(tk))):
-                return fk
-        raise TimeOutOfRange(f"t = {t} is not a tabulated forcing time")
+    def rows(self, times, ids):
+        times = np.asarray(times, dtype=float)
+        tk, tol = self._times, self._tol
+        above = np.minimum(np.searchsorted(tk, times), tk.size - 1)
+        below = np.maximum(above - 1, 0)
+        k = np.where(np.abs(times - tk[below]) <= tol[below], below, above)
+        miss = np.abs(times - tk[k]) > tol[k]
+        if miss.any():
+            t = times[np.argmax(miss)]
+            raise TimeOutOfRange(f"t = {t} is not a tabulated forcing time")
+        values = self._values[:, ids][k]
+        values.setflags(write=False)
+        return values
 
 
 @dataclass(frozen=True)
@@ -270,13 +301,11 @@ def run_vi(prob, part, **opts):
         raise TypeError("run_vi needs a finite Domain; "
                         "use run_vi_exhaustion for exhaustion targets")
     stepper = ViStepper(prob.domain, part.step_size, prob.constraint, **opts)
-    op = stepper.op
-    times = part.times
+    f = prob.forcing.rows(part.times, stepper.op.interior_ids)
     reports = []
 
     def step(i, w):
-        w, report = stepper.step(
-            i, w, op.restrict(prob.forcing.at(float(times[i]))))
+        w, report = stepper.step(i, w, f[i])
         reports.append(report)
         return w
 
@@ -290,10 +319,11 @@ def forcing_step_function(prob, part, t):
     ell = part.step_size
     if t < -ell - 1e-14 * part.horizon or t > part.horizon:
         raise TimeOutOfRange(f"t = {t} outside [{-ell}, {part.horizon}]")
-    if t <= 0.0:
-        return prob.forcing.at(0.0)
-    i = min(max(int(math.ceil(t / ell - 1e-12)), 1), part.steps)
-    return prob.forcing.at(float(part.times[i]))
+    i = 0 if t <= 0.0 else min(max(int(math.ceil(t / ell - 1e-12)), 1),
+                               part.steps)
+    g = prob.domain.graph
+    return VertexField(g, prob.forcing.rows(part.times[i:i + 1],
+                                            np.arange(g.num_vertices))[0])
 
 
 # -- validation and monitors -------------------------------------------------
@@ -315,7 +345,7 @@ def lipschitz_validate(forcing, time_samples, dom, c_declared=None):
     g = dom.graph
     ids = dom.interior_ids
     vals = np.zeros((len(times), g.num_vertices))
-    vals[:, ids] = [forcing.at(t).values[ids] for t in times]
+    vals[:, ids] = forcing.rows(times, ids)
     best = 0.0
     worst = (times[0], times[1])
     for a in range(len(times) - 1):
@@ -340,7 +370,10 @@ class QuotientRow:
 class MonotonicityReport:
     """Per-triple check of |delta u_j| <= |delta u_{j-1}| + |f_j - f_{j-1}|
     plus the cumulative bound |delta u_i| <= |Laplacian g| + |f(., 0)| +
-    c_grid * T with the grid-sampled forcing increment rate c_grid."""
+    c_grid * T with the grid-sampled forcing increment rate c_grid. For an
+    obstacle run whose g lies below psi at an interior vertex that bound
+    fails at the first step, and the cumulative bound is |delta u_1| +
+    c_grid * T, the sum of the triples from j = 2 on."""
 
     rows: tuple
     cumulative_bound: float
@@ -364,19 +397,21 @@ def vi_monotonicity_monitor(run):
     op = dom.operator
     n = run.partition.steps
     ell = run.partition.step_size
-    f_vals = np.array([op.restrict(prob.forcing.at(float(t)))
-                       for t in run.partition.times])
-    lap_g = op.neg_laplacian(op.restrict(prob.initial))
+    f_vals = prob.forcing.rows(run.partition.times, op.interior_ids)
+    g = op.restrict(prob.initial)
     norms = _l2_rows(dom.graph, np.vstack((run.quotients, op.extend_rows(
-        np.vstack((np.diff(f_vals, axis=0), f_vals[0], lap_g))))),
-        dom.interior_ids)
+        np.vstack((np.diff(f_vals, axis=0), f_vals[0],
+                   op.neg_laplacian(g)))))), dom.interior_ids)
     q, finc = norms[:n], norms[n:2 * n]
     rows = [QuotientRow(j, q[j - 1], finc[j - 1],
                         q[j - 1] - q[j - 2] - finc[j - 1] if j >= 2
                         else math.nan)
             for j in range(1, n + 1)]
     grid_rate = max((r.forcing_increment_l2 / ell for r in rows), default=0.0)
-    bound = norms[-1] + norms[-2] + grid_rate * run.partition.horizon
+    below_psi = isinstance(prob.constraint, Obstacle) and bool(
+        np.any(g < op.restrict(prob.constraint.psi)))
+    start = q[0] if below_psi else norms[-1] + norms[-2]
+    bound = start + grid_rate * run.partition.horizon
     return MonotonicityReport(tuple(rows), bound, grid_rate)
 
 

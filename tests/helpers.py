@@ -460,7 +460,9 @@ def reference_monitor_estimates(traj):
     p = prob.p
     rows = []
     prev_sq = None
-    for i, u in enumerate(traj.fields):
+    values = traj.values
+    for i, row in enumerate(values):
+        u = VertexField(g, row)
         nb = reference_norms(g, u, dom, q=2.0 * p)
         sq = nb.l2_interior ** 2
         powr = reference_power_integral(g, u, dom.interior_ids, p + 1.0)
@@ -469,7 +471,7 @@ def reference_monitor_estimates(traj):
         if i == 0:
             delta_l2 = r = d = math.nan
         else:
-            du = VertexField(g, (u.values - traj.fields[i - 1].values) / ell)
+            du = VertexField(g, (u.values - values[i - 1]) / ell)
             delta_l2 = math.sqrt(
                 reference_power_integral(g, du, dom.omega_ids, 2.0))
             r = sq + ell * (powr + grad_sq) - 0.5 * (sq + prev_sq)
@@ -517,7 +519,8 @@ def reference_run_vi(prob, part, **opts):
     reports = []
     for i in range(1, part.steps + 1):
         w_prev = op.restrict(fields[-1])
-        f = op.restrict(prob.forcing.at(float(part.times[i])))
+        f = op.restrict(reference_forcing_at(prob.forcing,
+                                             float(part.times[i])))
         w, report = stepper.step(i, w_prev, f)
         fields.append(op.extend(w))
         quotients.append(op.extend((w - w_prev) / stepper.ell))
@@ -528,14 +531,16 @@ def reference_run_vi(prob, part, **opts):
 def reference_vi_monotonicity_monitor(run, quotients):
     """Reference for ``vi.vi_monotonicity_monitor``: the norm of each
     quotient field (``reference_run_vi``), forcing increment, f(., 0) and
-    -Laplacian g, each from its own field."""
-    from graphrothe.vi import MonotonicityReport, QuotientRow
+    -Laplacian g, each from its own field. The bound starts from the first
+    quotient when an obstacle lies above g at some interior vertex."""
+    from graphrothe.vi import MonotonicityReport, Obstacle, QuotientRow
 
     prob = run.problem
     op = prob.domain.operator
     times = run.partition.times
     ell = run.partition.step_size
-    f_vals = [op.restrict(prob.forcing.at(float(t))) for t in times]
+    f_vals = [op.restrict(reference_forcing_at(prob.forcing, float(t)))
+              for t in times]
     dom = prob.domain
     q_norms = [reference_l2(dom, op.restrict(q)) for q in quotients]
     rows = []
@@ -546,9 +551,37 @@ def reference_vi_monotonicity_monitor(run, quotients):
         rows.append(QuotientRow(j, q_norms[j - 1], finc, slack))
     grid_rate = max((r.forcing_increment_l2 / ell for r in rows), default=0.0)
     lap_g = reference_l2(dom, op.neg_laplacian(op.restrict(prob.initial)))
-    bound = lap_g + reference_l2(dom, f_vals[0]) \
-        + grid_rate * run.partition.horizon
+    below_psi = isinstance(prob.constraint, Obstacle) and any(
+        prob.initial.values[i] < prob.constraint.psi.values[i]
+        for i in dom.interior_ids)
+    if below_psi:
+        bound = q_norms[0] + grid_rate * run.partition.horizon
+    else:
+        bound = lap_g + reference_l2(dom, f_vals[0]) \
+            + grid_rate * run.partition.horizon
     return MonotonicityReport(tuple(rows), bound, grid_rate)
+
+
+def reference_forcing_at(forcing, t):
+    """Reference for the providers' ``rows``: the field of ``forcing`` at
+    the one time ``t``, as a full-graph VertexField. A table is scanned
+    time by time with ``math.isclose`` and the first time within
+    1e-9 max(1, |t_k|) of ``t`` wins."""
+    from graphrothe import (ConstantForcing, SeparableForcing, TableForcing,
+                            VertexField)
+    from graphrothe.errors import TimeOutOfRange
+
+    if isinstance(forcing, ConstantForcing):
+        return forcing._field
+    if isinstance(forcing, SeparableForcing):
+        return VertexField(forcing.graph, forcing._field.values
+                           * float(forcing._time_fn(t)))
+    assert isinstance(forcing, TableForcing)
+    for tk, values in zip(forcing._times.tolist(), forcing._values):
+        if math.isclose(t, tk, rel_tol=0.0,
+                        abs_tol=1e-9 * max(1.0, abs(tk))):
+            return VertexField(forcing.graph, values)
+    raise TimeOutOfRange(f"t = {t} is not a tabulated forcing time")
 
 
 def _reference_finite(token):

@@ -186,6 +186,22 @@ class TestRunVi:
         for row in reports.splitlines()[1:]:
             assert 1 <= int(row.split(",")[-1]) <= 2
 
+    def test_initial_below_obstacle_bound(self, tmp_path):
+        # g = 0 below psi = 1 at vertex 2: the first step lifts u onto
+        # psi, and the bound starts from its quotient (zero forcing, c = 0)
+        cfg_path, _ = vi_obstacle_config(
+            tmp_path, domain={"omega": ["0", "1", "2", "3", "4"]},
+            problem={"initial": {"values": {}},
+                     "forcing": {"kind": "constant",
+                                 "field": {"values": {}}},
+                     "constraint": {"kind": "obstacle",
+                                    "psi": {"values": {"2": 1.0}}}})
+        assert main(["run", cfg_path]) == 0
+        diagnostics = json.loads(
+            (tmp_path / "out" / "manifest.json").read_text())["diagnostics"]
+        assert diagnostics["max_quotient_l2"] == 4.12180766827143
+        assert diagnostics["quotient_bound"] == 4.12180766827143
+
     def test_lipschitz_violation_downgrades(self, tmp_path):
         cfg = {
             "graph": {"file": write_p5_graph(tmp_path)},
@@ -791,9 +807,31 @@ CONFIG_FAULTS = [
     ("forcing_key_label", "vi",
      {"problem.forcing.field.values": {"zz": 1.0}}, 2,
      "unknown vertex label 'zz'"),
+    ("table_overlap", "vi",
+     {"problem.forcing": dict(TABLE_FORCING, times=[1.0, 0.5, 0.5])}, 2,
+     "tabulated forcing times 0.5 and 0.5 lie within 1e-9 * max(1, |t|) "
+     "of one time, which would match both fields"),
     ("table_times", "vi",
      {"problem.forcing": dict(TABLE_FORCING, times=[0.0, 0.4, 1.0])}, 2,
      "t = 0.25 is not a tabulated forcing time"),
+    *((f"separable_fails_{name}", "vi",
+       {"problem.forcing.kind": "separable", "problem.forcing.time": expr},
+       2, f"time expression {expr!r} {failure}")
+      for name, expr, failure in [
+          ("overflow", "exp(1000*t)", "fails at t = 0.75: math range error"),
+          ("division", "1/t", "fails at t = 0.0: float division by zero"),
+          ("negative_power", "t**-1", "fails at t = 0.0: 0.0 cannot be "
+           "raised to a negative power"),
+          ("complex", "(0-t)**0.5", "fails at t = 0.25: float() argument "
+           "must be a string or a real number, not 'complex'"),
+          ("int_overflow", "10**400*t", "fails at t = 0.0: int too large "
+           "to convert to float"),
+          ("domain", "sin(1e308*t*10)", "fails at t = 0.25: math domain "
+           "error"),
+          ("inf_times_zero", "exp(700)*exp(700)*t", "fails at t = 0.0: "
+           "value nan"),
+          ("inf_literal", "1e308*10*t", "fails at t = 0.0: value nan"),
+      ]),
     ("psi_keys_repeat", "vi",
      {"problem.constraint.psi.values": {"3": 0.0, "+3": 0.5}}, 2,
      "values keys '3' and '+3' name one vertex 3"),

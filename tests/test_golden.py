@@ -249,7 +249,7 @@ GOLDEN = {
                 "violated": False
             },
             "max_quotient_l2": 1.2172796654841853,
-            "quotient_bound": 7.774773904824381,
+            "quotient_bound": 1.2172796654841853,
             "quotient_recurrence_max_slack": -0.7894440089178766
         },
         "outputs": {

@@ -29,6 +29,7 @@ from graphrothe import (
     vi_step,
 )
 from graphrothe.errors import (
+    AmbiguousTable,
     InsufficientSamples,
     NonConvergence,
     SolverBreakdown,
@@ -45,6 +46,7 @@ from helpers import (
     random_connected_graph,
     random_domain,
     reference_active_set_solve,
+    reference_forcing_at,
     reference_l2,
     reference_psor,
 )
@@ -236,6 +238,30 @@ class TestMonotonicityMonitor:
         for a, b in zip(qs, qs[1:]):
             assert b <= a + 1e-10 * (1.0 + qs[0])
 
+    def test_initial_below_obstacle(self):
+        # g below psi at an interior vertex: the first step lifts u onto
+        # psi, and the bound starts from that step's quotient
+        rng = np.random.default_rng(47)
+        for _ in range(10):
+            g = random_connected_graph(rng, 5, 20)
+            dom = random_domain(rng, g)
+            init = random_admissible(rng, dom)
+            lower = init.values + rng.normal(size=g.num_vertices)
+            lower[dom.interior_ids[0]] = init.values[dom.interior_ids[0]] + 0.5
+            psi = VertexField(g, lower)
+            chi = VertexField(g, rng.normal(size=g.num_vertices))
+            forcing = SeparableForcing(chi,
+                                       compile_time_expression("sin(5*t)"))
+            prob = VIProblem(dom, forcing, init, 1.0,
+                             constraint=Obstacle(psi))
+            report = vi_monotonicity_monitor(run_vi(prob,
+                                                    TimePartition(1.0, 15)))
+            assert report.cumulative_bound == report.rows[0].quotient_l2 \
+                + report.grid_rate * 1.0
+            bound_scale = 1.0 + report.max_quotient
+            assert report.max_quotient <= report.cumulative_bound \
+                + 1e-10 * bound_scale
+
     def test_zero_run_zero_quotients(self):
         g, dom = five_path_domain()
         prob = VIProblem(dom, ConstantForcing(VertexField.zeros(g)),
@@ -308,15 +334,114 @@ class TestLipschitz:
                                [0.5], dom)
 
 
+class _CountingForcing:
+    """A forcing provider that counts the calls of its ``rows``."""
+
+    def __init__(self, inner):
+        self.graph = inner.graph
+        self.calls = 0
+        self._inner = inner
+
+    def rows(self, times, ids):
+        self.calls += 1
+        return self._inner.rows(times, ids)
+
+
 class TestForcingProviders:
     def test_table_forcing_exact_times(self):
         g, dom = five_path_domain()
         fields = [VertexField.from_mapping(g, {2: float(k)})
                   for k in range(3)]
         forcing = TableForcing([0.0, 0.5, 1.0], fields)
-        assert forcing.at(0.5)[2] == 1.0
+        assert forcing.rows([0.5], [g.vertex(2)]).tolist() == [[1.0]]
+        # |t - 0| equals the tolerance 1e-9 exactly at both edges
+        assert forcing.rows([1e-9, -1e-9], [g.vertex(2)]).tolist() \
+            == [[0.0], [0.0]]
+        with pytest.raises(TimeOutOfRange, match=r"^t = 0\.3 is not a "
+                           r"tabulated forcing time$"):
+            forcing.rows([0.5, 0.3, 0.4], [g.vertex(2)])
         with pytest.raises(TimeOutOfRange):
-            forcing.at(0.3)
+            forcing.rows([np.nextafter(1e-9, 1.0)], [g.vertex(2)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_per_time_reference(self, data):
+        # times at, just inside and just outside each tabulated time's
+        # tolerance, on a table listed out of order
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        g = random_connected_graph(rng, 3, 12)
+        ids = np.flatnonzero(rng.random(g.num_vertices) < 0.6)
+        scale = data.draw(st.sampled_from([1e-3, 0.25, 1.0, 1e6]))
+        ks = data.draw(st.lists(st.integers(-40, 40), min_size=1,
+                                max_size=6, unique=True))
+        table_times = [k * scale for k in ks]
+        fields = [VertexField(g, rng.normal(size=g.num_vertices))
+                  for _ in ks]
+        near = []
+        for tk in table_times:
+            tol = 1e-9 * max(1.0, abs(tk))
+            for edge in (tk - tol, tk + tol):
+                near += [edge, np.nextafter(edge, tk),
+                         np.nextafter(edge, 2 * edge - tk)]
+            near.append(tk)
+        times = data.draw(st.lists(st.sampled_from(near), max_size=12))
+        chi = VertexField(g, rng.normal(size=g.num_vertices))
+        providers = [
+            ConstantForcing(chi),
+            SeparableForcing(chi, compile_time_expression("sin(3*t) + t")),
+            TableForcing(table_times, fields),
+        ]
+        for forcing in providers:
+            try:
+                want = np.array([reference_forcing_at(forcing,
+                                                      float(t)).values[ids]
+                                 for t in times]).reshape(len(times),
+                                                          ids.size)
+            except TimeOutOfRange as exc:
+                with pytest.raises(TimeOutOfRange) as info:
+                    forcing.rows(times, ids)
+                assert str(info.value) == str(exc)
+                continue
+            got = forcing.rows(times, ids)
+            assert not got.flags.writeable
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    def test_constant_rows_are_one_vector(self):
+        g, dom = five_path_domain()
+        rows = ConstantForcing(VertexField.indicator(g, 2)).rows(
+            TimePartition(1.0, 1000).times, dom.interior_ids)
+        assert rows.shape == (1001, 1) and rows.strides[0] == 0
+
+    def test_overlapping_table_refused(self):
+        g, dom = five_path_domain()
+        f = VertexField.zeros(g)
+        # 0.5 and 0.5 + 1.5e-9 are each within 1e-9 of 0.5 + 0.75e-9
+        for times in ([0.5, 0.0, 0.5 + 1.5e-9], [1.0, 0.5, 0.5]):
+            with pytest.raises(AmbiguousTable, match=r"^tabulated forcing "
+                               r"times 0\.5 and 0\.5(000000015)? lie within "
+                               r"1e-9 \* max\(1, \|t\|\) of one time, "
+                               r"which would match both fields$"):
+                TableForcing(times, [f, f, f])
+        # windows 2.5e-9 apart do not overlap: each time reads one field
+        fields = [VertexField.from_mapping(g, {2: k}) for k in (1.0, 2.0)]
+        forcing = TableForcing([0.5 + 2.5e-9, 0.5], fields)
+        assert forcing.rows([0.5 + 0.5e-9, 0.5 + 2e-9],
+                            [g.vertex(2)]).tolist() == [[2.0], [1.0]]
+
+    def test_sampled_once_per_run(self):
+        g, dom = five_path_domain()
+        part = TimePartition(1.0, 50)
+        forcing = _CountingForcing(TableForcing(
+            part.times, [VertexField.from_mapping(g, {2: math.sin(t)})
+                         for t in part.times]))
+        run = run_vi(VIProblem(dom, forcing, VertexField.zeros(g), 1.0),
+                     part)
+        assert forcing.calls == 1
+        vi_monotonicity_monitor(run)
+        assert forcing.calls == 2
+        lipschitz_validate(forcing, part.times, dom)
+        assert forcing.calls == 3
 
     def test_step_function_reconstruction(self):
         g, dom = five_path_domain()
