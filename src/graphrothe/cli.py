@@ -308,7 +308,8 @@ class PreparedRun:
         if self.forcing_kind == "separable":
             _expect(isinstance(fspec.get("time"), str),
                     "separable forcing needs a 'time' expression")
-            self.forcing_time = compile_time_expression(fspec["time"])
+            self.forcing_text = fspec["time"]
+            self.forcing_time = compile_time_expression(self.forcing_text)
         if self.forcing_kind == "table":
             times = fspec.get("times")
             _expect(isinstance(times, list)
@@ -385,15 +386,29 @@ class PreparedRun:
 
     def _forcing(self):
         fields = [self._field(spec) for spec in self.forcing_specs]
+        ids = []
         if self.forcing_kind == "constant":
             forcing = vi.ConstantForcing(fields[0])
         elif self.forcing_kind == "separable":
             forcing = vi.SeparableForcing(fields[0], self.forcing_time)
+            # float products round monotonically in |chi|, so the vertex
+            # of largest |chi| that the run reads overflows first
+            read = (self.domain if self.exhaustion is None else
+                    self.exhaustion.level(self.levels[-1])).interior_ids
+            if read.size:
+                ids = read[[int(np.argmax(np.abs(fields[0].values[read])))]]
         else:
             forcing = vi.TableForcing(self.forcing_times, fields)
-        # every grid time, at no vertex: refuses a table that misses one
-        # and a time expression that fails or is not finite at one
-        forcing.rows(heat.TimePartition(self.horizon, self.steps).times, [])
+        # every grid time: refuses a table that misses one, and a time
+        # expression that fails or is not finite at one or whose product
+        # with the field overflows there
+        times = heat.TimePartition(self.horizon, self.steps).times
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(forcing.rows(times, ids)).all(axis=1)
+        if not finite.all():
+            _fail(f"time expression {self.forcing_text!r} fails at "
+                  f"t = {float(times[np.argmin(finite)])}: its product "
+                  f"with the forcing field overflows")
         return forcing
 
     def tolerances(self):

@@ -7,7 +7,9 @@ Graph file (line oriented, ``#`` comments):
 Domain file: lines ``omega <label>``. Field file: lines ``<label> <value>``
 with unlisted vertices defaulting to 0. Labels are ints, comma-joined int
 tuples like ``0,1``, or plain strings; a vertex has at most one ``v`` line
-in a graph file and one line in a field file.
+in a graph file and one line in a field file. A domain or field file
+names a vertex by any token that reads as its label (``01`` names vertex
+1); ``WeightedGraph.vertex_named`` parses each token once per graph.
 
 Trajectory CSV: the header ``i,t,vertex,value``, then one row per step
 and vertex, with the step index, its time, the vertex's label (quoted
@@ -48,24 +50,12 @@ from .errors import (
     InvalidGraphData,
     IoError,
 )
-from .graph import build_finite_graph, format_label  # noqa: F401
+from .graph import build_finite_graph, format_label, parse_label  # noqa: F401
 
 
 def fmt(x):
     """Shortest decimal that round-trips to the same float."""
     return repr(float(x))
-
-
-def parse_label(token):
-    if "," in token:
-        try:
-            return tuple(map(int, token.split(",")))
-        except ValueError:
-            return token
-    try:
-        return int(token)
-    except ValueError:
-        return token
 
 
 class _Labels(dict):
@@ -151,13 +141,12 @@ def read_domain_file(g, path):
     """The vertex ids of ``omega <label>`` lines on ``g``, in file order.
     A malformed line and a label that is not a vertex of ``g`` raise with
     the file's name and line."""
-    labels = _Labels()
     ids = []
     for lineno, parts in _lines(path):
         try:
             if parts[0] != "omega" or len(parts) != 2:
                 raise ValueError("expected 'omega <label>'")
-            ids.append(g.vertex(labels[parts[1]]))
+            ids.append(g.vertex_named(parts[1]))
         except (ValueError, InvalidGraphData) as exc:
             raise InvalidGraphData(f"{path}:{lineno}: {exc}") from None
     return ids
@@ -167,17 +156,15 @@ def read_field_file(g, path):
     """The field of ``<label> <value>`` lines, 0 at unlisted vertices. A
     malformed line, an unknown label and a label listed twice raise with
     the file's name and line."""
-    labels = _Labels()
     values = {}
     for lineno, parts in _lines(path):
         try:
             if len(parts) != 2:
                 raise ValueError("expected '<label> <value>'")
             value = _finite(parts[1])
-            label = labels[parts[0]]
-            i = g.vertex(label)
+            i = g.vertex_named(parts[0])
             if i in values:
-                raise ValueError(f"vertex {label!r} listed twice")
+                raise ValueError(f"vertex {g.label_of(i)!r} listed twice")
             values[i] = value
         except (ValueError, InvalidGraphData) as exc:
             raise InvalidGraphData(f"{path}:{lineno}: {exc}") from None

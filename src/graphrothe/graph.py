@@ -57,6 +57,21 @@ def format_label(label):
     return str(label)
 
 
+def parse_label(token):
+    """The label a text token names: an int, a tuple of ints for a
+    comma-joined token, else the token itself (``format_label``'s
+    inverse)."""
+    if "," in token:
+        try:
+            return tuple(map(int, token.split(",")))
+        except ValueError:
+            return token
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
 class WeightedGraph:
     """Immutable finite materialization of a weighted graph.
 
@@ -70,7 +85,7 @@ class WeightedGraph:
     """
 
     __slots__ = ("labels", "indptr", "indices", "weights", "mu", "complete",
-                 "_index", "_names")
+                 "_index", "_names", "_token_ids")
 
     def __init__(self, labels, indptr, indices, weights, mu, complete):
         self.labels = tuple(labels)
@@ -81,6 +96,7 @@ class WeightedGraph:
         self.complete = complete
         self._index = dict(zip(self.labels, range(len(self.labels))))
         self._names = None
+        self._token_ids = {}
         for arr in (indptr, indices, weights, mu, complete):
             arr.setflags(write=False)
 
@@ -105,6 +121,16 @@ class WeightedGraph:
             return self._index[label]
         except KeyError:
             raise InvalidGraphData(f"unknown vertex label {label!r}") from None
+
+    def vertex_named(self, token):
+        """The vertex id that a label token of a text file names, the
+        vertex of ``parse_label(token)``: each token is parsed once per
+        graph and its id kept, so every file read on the graph shares
+        the lookups."""
+        i = self._token_ids.get(token)
+        if i is None:
+            i = self._token_ids[token] = self.vertex(parse_label(token))
+        return i
 
     def label_of(self, i):
         return self.labels[i]

@@ -22,9 +22,20 @@ Newton is inexact: system k is solved to the relative residual eta_k
 that Eisenstat and Walker's choice 2 sets from the decrease of the
 Newton residual G (SIAM J. Sci. Comput. 17, 1996), so systems far from
 the minimizer take few CG iterations; the step still ends only when
-max|G/mass| <= tol. Outside CG, each Newton iteration computes one
-stiffness product A w, plus one per Armijo backtrack: the accepted trial
-hands its A w and its value of F on to the next iteration.
+max|G/mass| <= tol. eta_k is kept at or above
+FORCING_TOL_SHARE tol min(mass) / |G_k| (Kelley, Iterative Methods for
+Linear and Nonlinear Equations, SIAM 1995, section 6.3): CG bounds the
+2-norm of the residual r = -G - J s it leaves, and
+max|r/mass| <= |r| / min(mass), so the linear part of the next
+max|G/mass| stays within FORCING_TOL_SHARE tol and the last system of a
+step is not solved past what the stopping test can use. Outside CG,
+each Newton iteration computes one stiffness product A w, plus one per
+Armijo backtrack: the accepted trial hands its A w and its value of F on
+to the next iteration. The loop runs in one numpy error state that
+ignores overflow: a gradient or Jacobian that overflows shows in the
+reductions the loop computes anyway and stops the step with
+``SolverBreakdown``, while the direction solves, and the rare replays
+of an overflowing residual or norm, run in the caller's error state.
 
 A run holds its Rothe sequence as one read-only (steps + 1) x V array,
 a row per step, filled row by row by the step loop that ``run_rothe``
@@ -56,11 +67,12 @@ NEWTON_MAX_ITER = 100
 NEWTON_PCG_MAX_ITER = 15
 # Eisenstat-Walker choice 2 forcing terms: Newton system k is solved to the
 # relative residual eta_k = GAMMA (|G_k| / |G_k-1|)^ALPHA, eta_0 = ETA0,
-# within [CG_RTOL, MAX]
+# at least TOL_SHARE tol min(mass) / |G_k|, within [CG_RTOL, MAX]
 FORCING_ETA0 = 0.1
 FORCING_GAMMA = 0.9
 FORCING_ALPHA = 2.0
 FORCING_MAX = 0.5
+FORCING_TOL_SHARE = 0.5
 POWER_DERIV_FLOOR = 1e-12
 
 
@@ -153,11 +165,10 @@ def _power(w, p):
 def _functional(mass, w, Aw, u_prev, p, ell):
     """F at the interior vector ``w``, with ``Aw`` its stiffness product,
     given the previous interior vector; +inf when the power term
-    overflows."""
+    overflows, which callers run with numpy's overflow ignored."""
     sq = float(np.dot(mass * w, w))
     cross = float(np.dot(mass * u_prev, w))
-    with np.errstate(over="ignore"):
-        powr = float(np.dot(mass, np.abs(w) ** (p + 1.0)))
+    powr = float(np.dot(mass, np.abs(w) ** (p + 1.0)))
     grad = float(np.dot(w, Aw))
     return (sq / ell - 2.0 * cross / ell
             + 2.0 / (p + 1.0) * powr + grad)
@@ -169,17 +180,30 @@ def _require_finite(x, what, p):
             f"Newton {what} is not finite at p = {p:g} (overflow)")
 
 
-def _forcing(eta_prev, g_norm, g_norm_prev):
+def _replay(caller, fn, *args):
+    """``fn(*args)`` in the numpy error state ``caller``, so that an
+    overflow the Newton loop let pass warns or raises where the caller
+    asks for it."""
+    with np.errstate(**caller):
+        fn(*args)
+
+
+def _forcing(eta_prev, g_norm, g_norm_prev, g_target):
     """Relative residual for the next Newton system from the decrease of
     Newton's own residual, with Eisenstat and Walker's safeguard against
-    a sudden drop of the forcing term."""
+    a sudden drop of the forcing term, and at least the share
+    FORCING_TOL_SHARE of ``g_target`` / ``g_norm``, where ``g_target`` =
+    tol min(mass) is a 2-norm of G below which the stopping test
+    holds."""
     if eta_prev is None:
-        return FORCING_ETA0
-    ratio = g_norm / g_norm_prev if g_norm < g_norm_prev else 1.0
-    eta = FORCING_GAMMA * ratio ** FORCING_ALPHA
-    guard = FORCING_GAMMA * eta_prev ** FORCING_ALPHA
-    if guard > 0.1:
-        eta = max(eta, guard)
+        eta = FORCING_ETA0
+    else:
+        ratio = g_norm / g_norm_prev if g_norm < g_norm_prev else 1.0
+        eta = FORCING_GAMMA * ratio ** FORCING_ALPHA
+        guard = FORCING_GAMMA * eta_prev ** FORCING_ALPHA
+        if guard > 0.1:
+            eta = max(eta, guard)
+    eta = max(eta, FORCING_TOL_SHARE * g_target / g_norm)
     return max(min(eta, FORCING_MAX), CG_RTOL)
 
 
@@ -192,8 +216,9 @@ def step_functional(u, u_prev, prob, ell):
     require_admissible(u_prev, dom, "u_prev")
     op = dom.operator
     w = op.restrict(u)
-    return _functional(op.mass, w, op.stiffness @ w, op.restrict(u_prev),
-                       float(prob.p), ell)
+    with np.errstate(over="ignore"):
+        return _functional(op.mass, w, op.stiffness @ w,
+                           op.restrict(u_prev), float(prob.p), ell)
 
 
 class _HeatStepper:
@@ -220,10 +245,10 @@ class _HeatStepper:
     def _grad_half(self, w, Aw, u_prev):
         """Half the functional gradient: mass*((w-u_prev)/l + |w|^(p-1) w)
         + A w, with ``Aw`` = A w; the pointwise Euler-Lagrange residual is
-        this over mass."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return (self.mass * ((w - u_prev) / self.ell + _power(w, self.p))
-                    + Aw)
+        this over mass. Callers ignore numpy's overflow and invalid
+        warnings: an overflow shows as a non-finite entry."""
+        return (self.mass * ((w - u_prev) / self.ell + _power(w, self.p))
+                + Aw)
 
     def _newton_direction(self, jd, b, eta):
         """Solve (A + diag(jd)) s = b to the relative residual ``eta`` by
@@ -240,16 +265,17 @@ class _HeatStepper:
 
     def solve(self, u_prev, x0=None):
         """Interior minimizer of F given the previous interior vector."""
-        tol = self.tol_factor * (1.0 + float(np.max(np.abs(u_prev),
-                                                    initial=0.0)))
+        tol = self.tol_factor * (1.0 + float(np.abs(u_prev).max()))
         if self.p == 1.0:
             rhs = self.mass * u_prev / self.ell
             w = self._linear.solve(rhs)
             # at most three refinement rounds bring the residual to
             # rounding level
             for _ in range(3):
-                G = self._grad_half(w, self.A @ w, u_prev)
-                if float(np.max(np.abs(G / self.mass), initial=0.0)) <= tol:
+                Aw = self.A @ w
+                with np.errstate(over="ignore", invalid="ignore"):
+                    G = self._grad_half(w, Aw, u_prev)
+                if float(np.abs(G / self.mass).max()) <= tol:
                     break
                 w = w - self._linear.solve(G)
             return w
@@ -260,43 +286,55 @@ class _HeatStepper:
         Aw = self.A @ w
         fw = None
         eta = g_norm = None
-        for _ in range(NEWTON_MAX_ITER):
-            G = self._grad_half(w, Aw, u_prev)
-            _require_finite(G, "gradient", p)
-            if float(np.max(np.abs(G / self.mass), initial=0.0)) <= tol:
-                return w
-            g_norm_prev, g_norm = g_norm, float(np.linalg.norm(G))
-            eta = _forcing(eta, g_norm, g_norm_prev)
-            with np.errstate(over="ignore"):
+        g_target = tol * float(self.mass.min())
+        caller = np.geterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(NEWTON_MAX_ITER):
+                G = self._grad_half(w, Aw, u_prev)
+                # non-finite when G is, or when G / mass overflows
+                residual = float(np.abs(G / self.mass).max())
+                if residual <= tol:
+                    return w
+                if not math.isfinite(residual):
+                    _require_finite(G, "gradient", p)
+                    _replay(caller, np.divide, G, self.mass)
+                g_norm_prev, g_norm = g_norm, float(np.linalg.norm(G))
+                if not math.isfinite(g_norm):
+                    _replay(caller, np.linalg.norm, G)
+                eta = _forcing(eta, g_norm, g_norm_prev, g_target)
                 jd = self.mass * (1.0 / self.ell + p * np.maximum(
                     np.abs(w), POWER_DERIV_FLOOR) ** (p - 1.0))
-            _require_finite(jd, "Jacobian", p)
-            if self._pre is None:
-                s = CachedSPD(self.op.shifted(jd)).solve(-G)
-            else:
-                s = self._newton_direction(jd, -G, eta)
-            if fw is None:
-                fw = _functional(self.mass, w, Aw, u_prev, p, self.ell)
-            slope = 2.0 * float(np.dot(G, s))
-            # Armijo only while the predicted decrease is measurable above
-            # the rounding noise of F; near the minimum the full (damped)
-            # Newton step is safe by strict convexity.
-            if abs(slope) > 1e-13 * (1.0 + abs(fw)):
-                alpha = 1.0
-                while True:
-                    w_new = w + alpha * s
-                    Aw = self.A @ w_new
-                    f_new = _functional(self.mass, w_new, Aw, u_prev, p,
-                                        self.ell)
-                    if not (f_new > fw + 1e-4 * alpha * slope
-                            and alpha > 1e-14):
-                        break
-                    alpha *= 0.5
-                w, fw = w_new, f_new
-            else:
-                w = w + s
-                Aw = self.A @ w
-                fw = None
+                # jd >= 0, so its maximum is finite exactly when jd is
+                if not math.isfinite(jd.max()):
+                    _require_finite(jd, "Jacobian", p)
+                # an overflow inside CG warns or raises as the caller asks
+                with np.errstate(**caller):
+                    if self._pre is None:
+                        s = CachedSPD(self.op.shifted(jd)).solve(-G)
+                    else:
+                        s = self._newton_direction(jd, -G, eta)
+                if fw is None:
+                    fw = _functional(self.mass, w, Aw, u_prev, p, self.ell)
+                slope = 2.0 * float(np.dot(G, s))
+                # Armijo only while the predicted decrease is measurable
+                # above the rounding noise of F; near the minimum the full
+                # (damped) Newton step is safe by strict convexity.
+                if abs(slope) > 1e-13 * (1.0 + abs(fw)):
+                    alpha = 1.0
+                    while True:
+                        w_new = w + alpha * s
+                        Aw = self.A @ w_new
+                        f_new = _functional(self.mass, w_new, Aw, u_prev, p,
+                                            self.ell)
+                        if not (f_new > fw + 1e-4 * alpha * slope
+                                and alpha > 1e-14):
+                            break
+                        alpha *= 0.5
+                    w, fw = w_new, f_new
+                else:
+                    w = w + s
+                    Aw = self.A @ w
+                    fw = None
         raise NonConvergence(
             f"Newton did not reach residual {tol:g} in {NEWTON_MAX_ITER} "
             f"iterations")

@@ -306,17 +306,21 @@ def reference_active_set_solve(S, b, lower, u_start):
         f"iterations")
 
 
-def reference_newton_solve(stepper, u_prev, x0=None, stats=None):
+def reference_newton_solve(stepper, u_prev, x0=None, stats=None,
+                           floor=True):
     """Reference for ``heat._HeatStepper.solve`` at p > 1: its Newton loop
     before the stiffness product and F of an accepted Armijo trial were
     handed on, so each iteration computes A w three times (gradient, F at
-    w, the first trial). Directions come from the stepper's own
-    ``_newton_direction`` (or a ``CachedSPD`` of the Jacobian without a
-    preconditioner), so a run on a fresh stepper shares every
-    factorization with the library. ``x0`` is the first iterate (default
-    ``u_prev``). ``stats``, a dict, counts
-    ``gradients``, ``backtracks`` and ``skipped`` (iterations whose slope
-    is below the rounding noise of F)."""
+    w, the first trial), and with the finiteness tests and the error
+    state of each evaluation kept apart. Directions come from the
+    stepper's own ``_newton_direction`` (or a ``CachedSPD`` of the
+    Jacobian without a preconditioner), so a run on a fresh stepper
+    shares every factorization with the library. ``x0`` is the first
+    iterate (default ``u_prev``). With ``floor`` false the forcing terms
+    have no floor at the stopping tolerance: the loop before that floor
+    was added. ``stats``, a dict, counts ``gradients``, ``backtracks``
+    and ``skipped`` (iterations whose slope is below the rounding noise
+    of F)."""
     from graphrothe import heat
 
     op, A, mass = stepper.op, stepper.A, stepper.mass
@@ -338,6 +342,7 @@ def reference_newton_solve(stepper, u_prev, x0=None, stats=None):
 
     tol = stepper.tol_factor * (1.0 + float(np.max(np.abs(u_prev),
                                                    initial=0.0)))
+    g_target = tol * float(mass.min()) if floor else 0.0
     w = u_prev.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
     eta = g_norm = None
     for _ in range(heat.NEWTON_MAX_ITER):
@@ -347,7 +352,7 @@ def reference_newton_solve(stepper, u_prev, x0=None, stats=None):
         if float(np.max(np.abs(G / mass), initial=0.0)) <= tol:
             return w
         g_norm_prev, g_norm = g_norm, float(np.linalg.norm(G))
-        eta = heat._forcing(eta, g_norm, g_norm_prev)
+        eta = heat._forcing(eta, g_norm, g_norm_prev, g_target)
         with np.errstate(over="ignore"):
             jd = mass * (1.0 / ell + p * np.maximum(
                 np.abs(w), heat.POWER_DERIV_FLOOR) ** (p - 1.0))

@@ -832,6 +832,11 @@ CONFIG_FAULTS = [
            "value nan"),
           ("inf_literal", "1e308*10*t", "fails at t = 0.0: value nan"),
       ]),
+    ("separable_product_overflow", "vi",
+     {"problem.forcing.kind": "separable", "problem.forcing.time": "1e300*t",
+      "problem.forcing.field.values": {"2": 1e10}}, 2,
+     "time expression '1e300*t' fails at t = 0.25: its product with the "
+     "forcing field overflows"),
     ("psi_keys_repeat", "vi",
      {"problem.constraint.psi.values": {"3": 0.0, "+3": 0.5}}, 2,
      "values keys '3' and '+3' name one vertex 3"),
@@ -948,6 +953,23 @@ class TestConfigChecks:
                 "error[CONFIG]: problem.horizon must be a finite number "
                 "> 0\n")
 
+
+    def test_separable_overflow_off_the_interior_accepted(self, tmp_path,
+                                                          capsys):
+        # the run reads the forcing on the interior {2} only, so a field
+        # value whose product with s(t) overflows on the boundary vertex 1
+        # is never read
+        cfg = _edited(_base_config(tmp_path, "vi"), {
+            "problem.forcing": {"kind": "separable", "time": "1e300*t",
+                                "field": {"values": {"1": 1e10,
+                                                     "2": -1e-300}}},
+            "problem.lipschitz_bound": 2.0})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["validate-config", str(path)]) == 0
+        assert capsys.readouterr() == ("config ok\n", "")
+        assert main(["run", str(path)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_unused_blocks_not_opened(self, tmp_path, capsys):
         # a heat run reads no forcing or obstacle, a spectral run no

@@ -160,6 +160,32 @@ class TestFieldFile:
                            match=f"^{path}:3: vertex 2 listed twice$"):
             fileio.read_field_file(g, str(path))
 
+    def test_spellings_of_one_label(self, tmp_path, monkeypatch):
+        # each token is parsed once per graph, whatever file reads it
+        from graphrothe import graph as graph_module
+
+        calls = collections.Counter()
+        parse = graph_module.parse_label
+
+        def counting(token):
+            calls[token] += 1
+            return parse(token)
+
+        monkeypatch.setattr(graph_module, "parse_label", counting)
+        g = build_finite_graph([((0, 1), (0, 2), 1.0)],
+                               {(0, 1): 1.0, (0, 2): 1.0})
+        path = tmp_path / "h.txt"
+        path.write_text("0,01 1.5\n+0,2 -1.0\n")
+        assert fileio.read_field_file(g, str(path)).values.tolist() \
+            == [1.5, -1.0]
+        for text in ("0,1 1.5\n0,01 2.0\n", "0,01 1.5\n0,1 2.0\n"):
+            path.write_text(text)
+            with pytest.raises(InvalidGraphData,
+                               match=rf"^{path}:2: vertex \(0, 1\) listed "
+                                     rf"twice$"):
+                fileio.read_field_file(g, str(path))
+        assert calls == {"0,01": 1, "+0,2": 1, "0,1": 1}
+
     def test_unknown_label_names_path_and_line(self, tmp_path):
         g = path_graph(5)
         path = tmp_path / "h.txt"
@@ -184,6 +210,12 @@ class TestDomainFile:
         path = tmp_path / "dom.txt"
         path.write_text("omega c\nomega a\nomega b\n")
         assert fileio.read_domain_file(g, str(path)) == [2, 0, 1]
+
+    def test_label_spellings(self, tmp_path):
+        path = tmp_path / "dom.txt"
+        path.write_text("omega 01\nomega +2\nomega 3\n")
+        assert fileio.read_domain_file(path_graph(5), str(path)) \
+            == [1, 2, 3]
 
     def test_bad_line(self, tmp_path):
         g = path_graph(5)

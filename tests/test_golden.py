@@ -181,28 +181,28 @@ GOLDEN = {
     "heat_p2_lattice": {
         "diagnostics": {
             "level_deltas": [
-                0.24765205197325288,
-                0.12990013020621569
+                0.24765205197325285,
+                0.12990013020621902
             ]
         },
         "outputs": {
-            "levels.csv": "ad47e7025620ee690882ac6d4933baff030d6e7ecbc5cc399da9230b9a606966",
-            "terminal_level_2.txt": "a6b3bcb2c020b21fb5c0c9257c39e3b37e1b096b33c57952b82d6ea13afdc046",
-            "terminal_level_3.txt": "f9429050dc1d1e0cb664b2bba112b4bc384312cc1ac9535154da937539142bbe",
-            "terminal_level_4.txt": "19349478d2e01e7ddf50162a13500d304d057689f092ecb96230626bfab638fe"
+            "levels.csv": "3282f538fea0808e05c1e61b797bd05707e73b32fe033ba844be6e7f91a31d8b",
+            "terminal_level_2.txt": "9bd4d024b5245110d10ae50a5b159e8352375a9f8eb97f11d936f92ec6887ecb",
+            "terminal_level_3.txt": "d08d8e458452945799231216738a94687ff594519bf186547206718ab1d44af5",
+            "terminal_level_4.txt": "27c7cd7253359dfa6746aff4da03975f75f8952a1945e4bdb003c6cef72293ca"
         }
     },
     "heat_p2_oracle": {
         "diagnostics": {
-            "max_energy_defect": -0.3025281326272222,
-            "max_energy_residual": -0.009454004144600736
+            "max_energy_defect": -0.3025281326272182,
+            "max_energy_residual": -0.009454004144600625
         },
         "outputs": {
-            "estimates.csv": "bbbac869f01fd042c6171d252957ce25837b99cef4a2620d102e7cc6a1f6f9a4",
-            "norms.csv": "7b39b0294a26f6c8a908273fe8b77f90a8aa79734fb62345a3334192767d631e",
-            "oracle_error.csv": "444223d055c55cc76dd89cf2d0a5f8b4d564806b9eab0659bf5ac184f64d4675",
+            "estimates.csv": "2953c7cb8fd91436277708564b7938bc51c955fde5c2be3e9805f69bd09e0e0d",
+            "norms.csv": "a900db4606f83bde70848fc0289a55d3e835aec1a029191d72cf016f7052a49b",
+            "oracle_error.csv": "f01850ab6dddbb15f2fa885aae18c2547ae8e2ccb21f68fb7094eadb4d4b4b59",
             "oracle_trajectory.csv": "302601c2f5dd5604184b2bfe828424532de9422c82a851bde19464679955e841",
-            "trajectory.csv": "9e3ef0a109ed24d103b1dbf69b9402d7a4d628d2689016a122295a63bacd028e"
+            "trajectory.csv": "9d6e3e5ed7f93db8a3505895df00c1894495a818dc2182ed3e45ef7b5730eba8"
         }
     },
     "vi_lattice": {

@@ -28,7 +28,8 @@ from graphrothe import (
     step_functional,
 )
 from graphrothe import heat, operators
-from graphrothe.errors import DomainMismatch, TimeOutOfRange
+from graphrothe.errors import (DomainMismatch, SolverBreakdown,
+                               TimeOutOfRange)
 from graphrothe.operators import DirichletOperator
 from helpers import (
     five_path_domain,
@@ -550,9 +551,38 @@ class TestNewtonOneFactorization:
         run_exhaustion(lattice_exhaustion_problem(), part, levels=[4, 8, 12])
         assert 2 * forced <= spd_count[1]
 
-    def test_stiff_data_refactors_and_matches(self, spd_count):
+    def test_floor_cuts_solves_not_iterations(self, spd_count,
+                                              monkeypatch):
+        # forcing terms floored at FORCING_TOL_SHARE tol min(mass) / |G|
+        # against no floor (share 0): 251 against 329 preconditioner
+        # solves, and 129 Newton iterations on both sides
+        counts = {}
+        gradients = [0]
+        grad_half = heat._HeatStepper._grad_half
+
+        def counting(self, *args):
+            gradients[0] += 1
+            return grad_half(self, *args)
+
+        monkeypatch.setattr(heat._HeatStepper, "_grad_half", counting)
+        for share in (heat.FORCING_TOL_SHARE, 0.0):
+            monkeypatch.setattr(heat, "FORCING_TOL_SHARE", share)
+            spd_count[:] = [0, 0]
+            gradients[0] = 0
+            run_exhaustion(lattice_exhaustion_problem(),
+                           TimePartition(0.5, 10), levels=[4, 8, 12])
+            counts[share] = (spd_count[0], spd_count[1], gradients[0])
+        floored, unfloored = counts[0.5], counts[0.0]
+        assert floored[0] == unfloored[0] == 3
+        assert floored[1] < 0.8 * unfloored[1]
+        assert floored[2] <= unfloored[2]
+
+    def test_stiff_data_refactors_and_matches(self, spd_count, monkeypatch):
+        # with the forcing floor, this data keeps the one factor of S0
+        # (the fixed 1e-13 target refactored 13 times); a lower PCG cap
+        # forces the refactoring fallback
+        monkeypatch.setattr(heat, "NEWTON_PCG_MAX_ITER", 8)
         self.compare(stiff_problem(), TimePartition(3.0, 3))
-        # the fixed 1e-13 target refactored 13 times on this data
         assert 1 < spd_count[0] <= 13
 
     @pytest.mark.parametrize("p", [2.0, 5.0])
@@ -560,6 +590,43 @@ class TestNewtonOneFactorization:
         prob = replace(stiff_problem(), p=p)
         traj = run_rothe(prob, TimePartition(3.0, 3), tol_factor=1e-14)
         self.assert_stationary(traj, tol_factor=1e-14)
+
+
+class TestForcingFloor:
+    """The forcing floor FORCING_TOL_SHARE tol min(mass) / |G| stops
+    solving the last Newton system of a step past what the stopping test
+    can use: every step still meets max|G/mass| <= tol, in no more Newton
+    iterations than the loop without the floor."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.floats(1.5, 5.0),
+           log_ell=st.floats(-3.0, 0.5), log_amplitude=st.floats(-1.0, 1.0))
+    def test_stationary_in_no_more_iterations(self, seed, p, log_ell,
+                                              log_amplitude):
+        rng = np.random.default_rng(seed)
+        ell = 10.0 ** log_ell
+        g = random_connected_graph(rng, 5, 40)
+        dom = random_domain(rng, g, keep=0.9)
+        vals = 10.0 ** log_amplitude * rng.uniform(
+            -1.0, 1.0, len(dom.interior_ids))
+        prob = HeatProblem(dom, p, field_on_interior(dom, vals), 3 * ell)
+        op = dom.operator
+        w = op.restrict(prob.initial)
+        for _ in range(3):
+            # a fresh stepper per solve: each starts from the factor of S0
+            got = heat._HeatStepper(prob, ell).solve(w)
+            floored, unfloored = {}, {}
+            ref = reference_newton_solve(heat._HeatStepper(prob, ell), w,
+                                         stats=floored)
+            reference_newton_solve(heat._HeatStepper(prob, ell), w,
+                                   stats=unfloored, floor=False)
+            assert got.tobytes() == ref.tobytes()
+            assert floored["gradients"] <= unfloored["gradients"]
+            G = op.mass * ((got - w) / ell + np.abs(got) ** (p - 1.0) * got) \
+                + op.stiffness @ got
+            assert float(np.max(np.abs(G / op.mass))) \
+                <= heat.NEWTON_TOL_FACTOR * (1.0 + float(np.max(np.abs(w))))
+            w = got
 
 
 def newton_pair(prob, part, zero_start=False):
@@ -668,6 +735,55 @@ class TestNewtonProductReuse:
                 == stats["gradients"] + stats["backtracks"]
             backtracks += stats["backtracks"]
         assert backtracks > 3
+
+
+class TestNewtonOverflow:
+    """The Newton loop runs in one error state that ignores overflow, yet
+    stops where the loop with a scope per evaluation stopped: a gradient
+    or Jacobian that overflows raises ``SolverBreakdown``, and an
+    overflowing residual, norm or direction solve warns or raises as the
+    caller's error state asks."""
+
+    @staticmethod
+    def problem(p, value, mu=1.0):
+        g = path_graph(5, mu=mu)
+        dom = make_domain(g, [1, 2, 3])
+        return HeatProblem(dom, p, VertexField.from_mapping(g, {2: value}),
+                           1.0)
+
+    @pytest.mark.parametrize("state", ["warn", "raise"])
+    def test_gradient_overflow(self, state):
+        prob = self.problem(5.0, 1e100)
+        with np.errstate(over=state, invalid=state), \
+                pytest.raises(SolverBreakdown,
+                              match=r"^Newton gradient is not finite at "
+                                    r"p = 5 \(overflow\)$"):
+            solve_step(prob.initial, prob, 0.1)
+
+    def test_jacobian_overflow(self):
+        # p |w|^(p-1) overflows while |w|^p does not: G is finite, and
+        # only its 2-norm overflows
+        prob = self.problem(300.0, 10.6)
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(SolverBreakdown,
+                              match=r"^Newton Jacobian is not finite at "
+                                    r"p = 300 \(overflow\)$"):
+            warnings.simplefilter("always")
+            solve_step(prob.initial, prob, 0.1)
+        assert [str(w.message) for w in caught] \
+            == ["overflow encountered in dot"]
+        with np.errstate(over="raise"), \
+                pytest.raises(FloatingPointError,
+                              match="overflow encountered in dot"):
+            solve_step(prob.initial, prob, 0.1)
+
+    def test_residual_overflow_raises_in_callers_state(self):
+        # G is finite, G / mass is not
+        prob = self.problem(2.0, 1e10, mu=1e-300)
+        with np.errstate(over="raise"), \
+                pytest.raises(FloatingPointError,
+                              match="overflow encountered in divide"):
+            solve_step(prob.initial, prob, 0.1)
 
 
 class TestSolverBudget:
