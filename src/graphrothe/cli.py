@@ -95,7 +95,7 @@ def _problem_domain(g, ids):
     problem can be posed on it, and every exhaustion level inside it has
     an empty interior too."""
     dom = _quiet_domain(g, ids)
-    _expect(dom.interior, "domain has an empty interior (every omega "
+    _expect(dom.num_interior, "domain has an empty interior (every omega "
             "vertex is on its boundary); it cannot pose a problem")
     return dom
 
@@ -367,6 +367,10 @@ class PreparedRun:
                   f"of {self.domain.num_interior} interior vertices is "
                   f"above the limit of {spectral.MAX_DENSE_INTERIOR}")
         if self.kind == "vi":
+            # the domain the run reads: the domain, or on an exhaustion the
+            # largest level
+            self.vi_domain = self.domain if self.exhaustion is None \
+                else self.exhaustion.level(self.levels[-1])
             self.forcing = self._forcing()
             self.constraint = vi.Subspace() if self.psi_spec is None \
                 else vi.Obstacle(self._field(self.psi_spec))
@@ -393,8 +397,7 @@ class PreparedRun:
             forcing = vi.SeparableForcing(fields[0], self.forcing_time)
             # float products round monotonically in |chi|, so the vertex
             # of largest |chi| that the run reads overflows first
-            read = (self.domain if self.exhaustion is None else
-                    self.exhaustion.level(self.levels[-1])).interior_ids
+            read = self.vi_domain.interior_ids
             if read.size:
                 ids = read[[int(np.argmax(np.abs(fields[0].values[read])))]]
         else:
@@ -529,9 +532,7 @@ def _run_vi(prep, outdir):
     opts = {"kkt_tol": prep.kkt_tol}
 
     sample = part.times[:: max(1, part.steps // 32)]
-    dom_for_lip = (prep.exhaustion.level(max(prep.levels))
-                   if prep.exhaustion is not None else prep.domain)
-    lip = vi.lipschitz_validate(prep.forcing, sample, dom_for_lip,
+    lip = vi.lipschitz_validate(prep.forcing, sample, prep.vi_domain,
                                 prep.lipschitz_bound)
     diagnostics["lipschitz"] = {
         "estimate": lip.estimate,
@@ -591,8 +592,9 @@ def _run_spectral(prep, outdir):
                      ((j + 1, float(lam))
                       for j, lam in enumerate(basis.eigenvalues)))
     outputs.append("basis.csv")
-    for j, phi in enumerate(basis.fields):
+    for j in range(basis.size):
         name = f"basis_field_{j + 1}.txt"
+        phi = calculus.field_on_interior(prep.domain, basis.vectors[:, j])
         fileio.write_field_file(phi, os.path.join(outdir, name))
         outputs.append(name)
     gram = calculus.w12_gram(prep.graph, prep.domain, basis.vectors)
@@ -668,9 +670,9 @@ def cmd_graph_info(args):
     }
     if args.domain:
         dom = _quiet_domain(g, fileio.read_domain_file(g, args.domain))
-        info["omega_size"] = len(dom.omega)
-        info["boundary_size"] = len(dom.boundary)
-        info["interior_size"] = len(dom.interior)
+        info["omega_size"] = dom.omega_ids.size
+        info["boundary_size"] = dom.boundary_ids.size
+        info["interior_size"] = dom.num_interior
     print(json.dumps(info, sort_keys=True, indent=2))
     return 0
 

@@ -7,6 +7,10 @@ balls, which is all an exhaustion ever touches. A ball is built from
 int64 coordinate arrays: the L1 diamond of offsets around each seed,
 merged on an encoded key that sorts in label order, with the neighbors
 of each vertex found by binary search on that key.
+
+A Domain holds Omega, its boundary and its interior as sorted arrays of
+vertex ids and nothing else; an ExhaustionSequence builds the Domain of
+a level on first use (``level``).
 """
 
 from __future__ import annotations
@@ -299,23 +303,24 @@ def compute_metrics(g, scope=None):
 
 
 class Domain:
-    """A vertex subset Omega with its boundary and interior.
+    """A vertex subset Omega with its boundary and interior, each held
+    only as a read-only array of vertex ids in ascending order:
+    ``omega_ids``, ``boundary_ids`` and ``interior_ids``.
 
-    The boundary is {x in Omega : x has a neighbor outside Omega},
-    computed against the ambient graph over the CSR slots of Omega's rows;
-    a vertex whose neighborhood is incomplete in the materialization is
-    boundary by definition (its missing neighbors are certainly outside
-    Omega).
+    The ids given may come in any order and repeat. The boundary is
+    {x in Omega : x has a neighbor outside Omega}, computed against the
+    ambient graph over the CSR slots of Omega's rows; a vertex whose
+    neighborhood is incomplete in the materialization is boundary by
+    definition (its missing neighbors are certainly outside Omega).
     """
 
-    __slots__ = ("graph", "omega", "boundary", "interior",
-                 "omega_ids", "interior_ids", "boundary_ids", "_operator")
+    __slots__ = ("graph", "omega_ids", "interior_ids", "boundary_ids",
+                 "_operator")
 
     def __init__(self, graph, omega_ids):
-        omega = frozenset(int(i) for i in omega_ids)
-        if not omega:
+        ids = np.unique(np.fromiter(omega_ids, np.int64))
+        if not ids.size:
             raise EmptyOmega("empty vertex subset")
-        ids = np.asarray(sorted(omega), dtype=np.int64)
         if ids[0] < 0 or ids[-1] >= graph.num_vertices:
             raise InvalidGraphData(
                 f"vertex id {ids[0] if ids[0] < 0 else ids[-1]} is not in "
@@ -328,14 +333,9 @@ class Domain:
                              minlength=ids.size)
         on_boundary = ~graph.complete[ids] | (leaves > 0)
         self.graph = graph
-        self.omega = omega
         self.omega_ids = ids
         self.boundary_ids = ids[on_boundary]
         self.interior_ids = ids[~on_boundary]
-        self.boundary = frozenset(self.boundary_ids.tolist())
-        # shares omega's ints (tolist() would make new ones): an exhaustion
-        # keeps the domain of every level it has solved
-        self.interior = omega - self.boundary
         self.omega_ids.setflags(write=False)
         self.boundary_ids.setflags(write=False)
         self.interior_ids.setflags(write=False)
@@ -343,7 +343,7 @@ class Domain:
 
     @property
     def num_interior(self):
-        return len(self.interior)
+        return self.interior_ids.size
 
     @property
     def operator(self):
@@ -360,14 +360,14 @@ class Domain:
         self._operator = None
 
     def __repr__(self):
-        return (f"Domain(|omega|={len(self.omega)}, "
-                f"|interior|={len(self.interior)})")
+        return (f"Domain(|omega|={self.omega_ids.size}, "
+                f"|interior|={self.num_interior})")
 
 
 def make_domain(g, omega_ids):
     """Build a Domain from vertex ids; warns if the interior is empty."""
     dom = Domain(g, omega_ids)
-    if not dom.interior:
+    if not dom.num_interior:
         warnings.warn("domain has empty interior; it cannot pose a problem",
                       EmptyInteriorWarning, stacklevel=2)
     return dom
@@ -410,11 +410,6 @@ class ExhaustionSequence:
             self._levels[m] = dom
         return dom
 
-    @property
-    def levels(self):
-        """Every level's domain, in radius order."""
-        return tuple(self.level(m) for m in self.radii)
-
 
 def exhaust(dom, seeds, max_level):
     """Exhaustion of a finite Domain by balls around ``seeds`` (vertex ids)."""
@@ -423,9 +418,10 @@ def exhaust(dom, seeds, max_level):
     seeds = tuple(sorted(int(s) for s in seeds))
     if not seeds:
         raise SeedOutsideDomain("empty seed set")
-    for s in seeds:
-        if s not in dom.omega:
-            raise SeedOutsideDomain(f"seed {dom.graph.label_of(s)!r} is not in omega")
+    outside = np.setdiff1d(seeds, dom.omega_ids)
+    if outside.size:
+        raise SeedOutsideDomain(
+            f"seed {dom.graph.label_of(int(outside[0]))!r} is not in omega")
     dist = np.full(dom.graph.num_vertices, -1, dtype=np.int64)
     dist[dom.omega_ids] = _bfs_distances(dom.graph, seeds)[dom.omega_ids]
     return ExhaustionSequence(dom.graph, dist, range(1, max_level + 1), seeds)

@@ -36,11 +36,15 @@ ignores overflow: a gradient or Jacobian that overflows shows in the
 reductions the loop computes anyway and stops the step with
 ``SolverBreakdown``, while the direction solves, and the rare replays
 of an overflowing residual or norm, run in the caller's error state.
+A replay that does not raise there stops the step with
+``SolverBreakdown`` before its direction solve.
 
 A run holds its Rothe sequence as one read-only (steps + 1) x V array,
 a row per step, filled row by row by the step loop that ``run_rothe``
 and ``vi.run_vi`` share; the steppers work on interior vectors, and the
-monitors, the level deltas and the writers read the array.
+monitors, the level deltas, the interpolant and the writers read the
+array. A caller that wants step i as a field builds
+``VertexField(graph, values[i])``; nothing builds every step's field.
 """
 
 from __future__ import annotations
@@ -116,7 +120,7 @@ class HeatProblem:
         if self.initial.graph is not self.domain.graph:
             raise DomainMismatch("initial field lives on a different graph")
         if isinstance(self.domain, Domain):
-            if not self.domain.interior:
+            if not self.domain.num_interior:
                 raise EmptyInterior("problem domain has empty interior")
             require_admissible(self.initial, self.domain, "initial field")
 
@@ -144,12 +148,6 @@ class RotheTrajectory:
             raise ValueError("field contains non-finite values")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-    @property
-    def fields(self):
-        """The steps as VertexFields, built on each read."""
-        g = self.problem.domain.graph
-        return tuple(VertexField(g, row) for row in self.values)
 
     @property
     def quotients(self):
@@ -307,6 +305,11 @@ class _HeatStepper:
                 # jd >= 0, so its maximum is finite exactly when jd is
                 if not math.isfinite(jd.max()):
                     _require_finite(jd, "Jacobian", p)
+                # a residual or norm whose replay did not raise
+                if not (math.isfinite(residual) and math.isfinite(g_norm)):
+                    raise SolverBreakdown(
+                        f"Newton residual is not finite at p = {p:g} "
+                        f"(overflow)")
                 # an overflow inside CG warns or raises as the caller asks
                 with np.errstate(**caller):
                     if self._pre is None:
@@ -355,7 +358,7 @@ def solve_step(u_prev, prob, ell, x0=None, **opts):
     stepper = _HeatStepper(prob, ell, **opts)
     w0 = None if x0 is None else stepper.op.restrict(x0)
     w = stepper.solve(stepper.op.restrict(u_prev), x0=w0)
-    return stepper.op.extend(w)
+    return field_on_interior(dom, w)
 
 
 def _step_rows(prob, part, step):
@@ -392,8 +395,8 @@ def evaluate_interpolant(traj, t, kind="linear"):
     n = part.steps
     grid = part.times
     idx = int(np.searchsorted(grid, t))
-    if idx <= n and math.isclose(t, grid[idx] if idx <= n else 0.0,
-                                 rel_tol=0.0, abs_tol=1e-14 * part.horizon):
+    if idx <= n and math.isclose(t, grid[idx], rel_tol=0.0,
+                                 abs_tol=1e-14 * part.horizon):
         exact = idx
     elif idx >= 1 and math.isclose(t, grid[idx - 1], rel_tol=0.0,
                                    abs_tol=1e-14 * part.horizon):
@@ -408,8 +411,8 @@ def evaluate_interpolant(traj, t, kind="linear"):
         if exact is not None:
             return VertexField(g, values[exact])
         i = min(max(idx, 1), n)
-        return VertexField(g, values[i - 1]
-                           + (t - grid[i - 1]) * traj.quotients[i - 1])
+        return VertexField(g, values[i - 1] + (t - grid[i - 1])
+                           * ((values[i] - values[i - 1]) / ell))
     if kind == "step":
         if t < -ell - 1e-14 * part.horizon or t > part.horizon:
             raise TimeOutOfRange(f"t = {t} outside [{-ell}, {part.horizon}]")
@@ -515,11 +518,6 @@ class LevelResult:
     delta_prev: object
 
 
-def restrict_initial(initial, dom):
-    """h restricted to the level interior and zero elsewhere."""
-    return field_on_interior(dom, initial.values[dom.interior_ids])
-
-
 def _run_levels(prob, part, levels, solve, **opts):
     """``solve(sub, part, **opts)`` on each selected exhaustion level of
     ``prob.domain``, where ``sub`` is ``prob`` with that level's domain and
@@ -530,10 +528,10 @@ def _run_levels(prob, part, levels, solve, **opts):
     results = []
     for m in radii:
         dom = exh.level(m)
-        if not dom.interior:
+        if not dom.num_interior:
             raise EmptyInterior(f"exhaustion level {m} has empty interior")
-        sub = replace(prob, domain=dom,
-                      initial=restrict_initial(prob.initial, dom))
+        sub = replace(prob, domain=dom, initial=field_on_interior(
+            dom, prob.initial.values[dom.interior_ids]))
         run = solve(sub, part, **opts)
         # a solved level keeps its domain, not its stiffness: peak memory
         # stays that of the largest level, not the sum over the levels

@@ -31,7 +31,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .calculus import field_on_interior
 from .errors import EmptyInterior, SolverBreakdown
 
 DIRECT_SOLVE_MAX = 10_000
@@ -50,7 +49,7 @@ class DirichletOperator:
     interior row is complete."""
 
     def __init__(self, dom):
-        if not dom.interior:
+        if not dom.num_interior:
             raise EmptyInterior("domain has no interior vertices")
         g = dom.graph
         ids = dom.interior_ids
@@ -89,10 +88,6 @@ class DirichletOperator:
         """Interior values of a field, in ascending id order."""
         return np.ascontiguousarray(field.values[self.interior_ids])
 
-    def extend(self, w):
-        """Admissible field with interior values ``w`` and zeros elsewhere."""
-        return field_on_interior(self.dom, w)
-
     def extend_rows(self, W):
         """The zero extensions of the interior vectors in the rows of
         ``W``, as a stack of field values with a row per field."""
@@ -122,7 +117,12 @@ def pcg(matvec, b, precondition, rtol, cap):
     rz = float(np.dot(r, z))
     for _ in range(cap):
         q = matvec(d)
-        alpha = rz / float(np.dot(d, q))
+        curvature = float(np.dot(d, q))
+        if not curvature > 0.0:
+            raise SolverBreakdown(
+                f"conjugate gradients broke down: the curvature d.Sd = "
+                f"{curvature:g} of a search direction is not positive")
+        alpha = rz / curvature
         x += alpha * d
         r -= alpha * q
         if math.sqrt(float(np.dot(r, r))) <= target:

@@ -9,12 +9,13 @@ where (lambda_j, phi_j) are the Dirichlet eigenpairs of -Laplacian and
 the basis is orthonormal in the gradient+mass inner product, so the
 coefficients are c_j = (h, phi_j) in that inner product. The basis is one
 matrix with a column per mode (``SpectralBasis.vectors``), so both are
-matrix products. For general p >= 1 the interior system is a smooth ODE
-and a classical fourth-order explicit integrator with Richardson
-step-halving serves as an oracle that shares no machinery with the
-implicit Rothe solver. Both oracles return one K x V array, a row per
-requested time in the order requested, in the layout of a run's
-``values``.
+matrix products; mode j as a field is the zero extension
+``field_on_interior(domain, vectors[:, j])``. For general p >= 1 the
+interior system is a smooth ODE and a classical fourth-order explicit
+integrator with Richardson step-halving serves as an oracle that shares
+no machinery with the implicit Rothe solver. Both oracles return one
+K x V array, a row per requested time in the order requested, in the
+layout of a run's ``values``.
 """
 
 from __future__ import annotations
@@ -56,11 +57,6 @@ class SpectralBasis:
     @property
     def size(self):
         return self.eigenvalues.size
-
-    @property
-    def fields(self):
-        """The eigenfields as admissible VertexFields, built on each read."""
-        return tuple(map(self.domain.operator.extend, self.vectors.T))
 
     @property
     def has_nonpositive_modes(self):

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import VertexField, _l2_rows, require_admissible
+from .calculus import VertexField, _l2_rows, field_on_interior, \
+    require_admissible
 from .errors import (
     AmbiguousTable,
     DomainMismatch,
@@ -148,7 +149,7 @@ class VIProblem:
         if self.forcing.graph is not self.domain.graph:
             raise DomainMismatch("forcing lives on a different graph")
         if isinstance(self.domain, Domain):
-            if not self.domain.interior:
+            if not self.domain.num_interior:
                 raise EmptyInterior("problem domain has empty interior")
             require_admissible(self.initial, self.domain, "initial field")
 
@@ -283,7 +284,7 @@ def vi_step(dom, u_prev, f_i, ell, constraint=Subspace(), **opts):
     stepper = ViStepper(dom, ell, constraint, **opts)
     op = stepper.op
     w, report = stepper.step(1, op.restrict(u_prev), op.restrict(f_i))
-    return op.extend(w), report
+    return field_on_interior(dom, w), report
 
 
 @dataclass(frozen=True, eq=False)

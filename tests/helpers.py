@@ -73,9 +73,30 @@ def random_domain(rng, g, keep=0.7):
                 dom = make_domain(g, omega)
             except EmptyOmega:
                 continue
-            if dom.interior:
+            if dom.num_interior:
                 return dom
     return make_domain(g, range(n))
+
+
+def reference_domain(g, omega_ids):
+    """Reference for ``Domain``: Omega as a frozenset of ints, and the
+    boundary test vertex by vertex over its neighbors. Returns the
+    (omega, boundary, interior) id arrays in ascending order, or raises
+    the error ``Domain`` raises."""
+    from graphrothe.errors import EmptyOmega
+
+    omega = frozenset(int(i) for i in omega_ids)
+    if not omega:
+        raise EmptyOmega("empty vertex subset")
+    lo, hi = min(omega), max(omega)
+    if lo < 0 or hi >= g.num_vertices:
+        raise InvalidGraphData(
+            f"vertex id {lo if lo < 0 else hi} is not in the graph")
+    boundary = frozenset(
+        i for i in omega if not g.complete[i]
+        or any(int(j) not in omega for j in g.neighbors(i)[0]))
+    return tuple(np.array(sorted(ids), dtype=np.int64)
+                 for ids in (omega, boundary, omega - boundary))
 
 
 def random_admissible(rng, dom, scale=1.0):
@@ -392,7 +413,7 @@ def reference_dirichlet_eigenbasis(dom):
         if nz.size and w[nz[0]] < 0.0:
             w = -w
         residuals[j] = reference_l2(dom, op.neg_laplacian(w) - lam[j] * w)
-        fields.append(op.extend(w))
+        fields.append(field_on_interior(dom, w))
     return lam, tuple(fields), residuals
 
 
@@ -495,10 +516,10 @@ def reference_run_rothe(prob, part, **opts):
 
     stepper = heat._HeatStepper(prob, part.step_size, **opts)
     w = stepper.op.restrict(prob.initial)
-    fields = [stepper.op.extend(w)]
+    fields = [field_on_interior(prob.domain, w)]
     for _ in range(part.steps):
         w = stepper.solve(w)
-        fields.append(stepper.op.extend(w))
+        fields.append(field_on_interior(prob.domain, w))
     return tuple(fields)
 
 
@@ -519,7 +540,8 @@ def reference_run_vi(prob, part, **opts):
 
     stepper = ViStepper(prob.domain, part.step_size, prob.constraint, **opts)
     op = stepper.op
-    fields = [op.extend(op.restrict(prob.initial))]
+    dom = prob.domain
+    fields = [field_on_interior(dom, op.restrict(prob.initial))]
     quotients = []
     reports = []
     for i in range(1, part.steps + 1):
@@ -527,8 +549,8 @@ def reference_run_vi(prob, part, **opts):
         f = op.restrict(reference_forcing_at(prob.forcing,
                                              float(part.times[i])))
         w, report = stepper.step(i, w_prev, f)
-        fields.append(op.extend(w))
-        quotients.append(op.extend((w - w_prev) / stepper.ell))
+        fields.append(field_on_interior(dom, w))
+        quotients.append(field_on_interior(dom, (w - w_prev) / stepper.ell))
         reports.append(report)
     return tuple(fields), tuple(quotients), tuple(reports)
 

@@ -43,14 +43,14 @@ from helpers import (
 def green_both_sides_bruteforce(g, dom, v1, v2):
     """Independent double-sum evaluation of both sides of the identity."""
     lhs = 0.0
-    for x in sorted(dom.interior):
+    for x in dom.interior_ids.tolist():
         acc = 0.0
         nbrs, w = g.neighbors(x)
         for j, wj in zip(nbrs, w):
             acc += wj * (v1.values[int(j)] - v1.values[x])
         lhs -= acc * v2.values[x]
     rhs = 0.0
-    for x in sorted(dom.omega):
+    for x in dom.omega_ids.tolist():
         nbrs, w = g.neighbors(x)
         for j, wj in zip(nbrs, w):
             rhs += 0.5 * wj * (v1.values[int(j)] - v1.values[x]) \
@@ -230,7 +230,7 @@ class TestLaplacianBound:
             v = random_admissible(rng, dom)
             m = compute_metrics(g)
             lap_sq = 0.0
-            for i in sorted(dom.interior):
+            for i in dom.interior_ids.tolist():
                 lap_sq += g.mu[i] * laplacian(g, v, i) ** 2
             bound = 2.0 * (m.dmu * m.max_degree) ** 2 \
                 * norms(g, v, dom).l2_domain ** 2

@@ -394,6 +394,31 @@ class TestValidation:
             assert err.endswith(": the data exceed the float64 range\n")
             assert err.count("error[") == 1 and "Warning" not in err
 
+    def test_cg_breakdown_exit_3(self, tmp_path, capsys):
+        # measures near 1e-150 and weights near 1e150: a Newton direction
+        # of the first step has curvature d.Sd = 0.0 in CG, which once
+        # ended the run with a ZeroDivisionError traceback
+        gpath = tmp_path / "tree.txt"
+        gpath.write_text(
+            "graph 6\n"
+            "v 0 6.911045135733596e-151\nv 1 6.10344357995948e-151\n"
+            "v 2 6.05489380353827e-151\nv 3 1.803281441520979e-150\n"
+            "v 4 1.4511049690211648e-150\nv 5 1.2448575406982796e-150\n"
+            "e 0 1 6.3165183013923015e+149\ne 0 2 1.8102839466810983e+150\n"
+            "e 1 3 1.2084505051250171e+150\ne 2 4 1.6488756766083085e+150\n"
+            "e 4 5 1.8729859401676487e+150\n")
+        initial = {"0": 57.93314649197407, "1": -81.45090489532384,
+                   "2": 15.751700664700508, "3": -60.55301054082629,
+                   "4": 61.62735036271363, "5": -2.2307927741480142}
+        cfg_path, _ = heat_config(
+            tmp_path, graph={"file": str(gpath)}, domain="all",
+            problem={"p": 1.5, "horizon": 0.04, "steps": 4,
+                     "initial": {"values": initial}})
+        assert main(["run", cfg_path]) == 3
+        assert capsys.readouterr() == (
+            "", "error[SOLVE]: conjugate gradients broke down: the "
+            "curvature d.Sd = 0 of a search direction is not positive\n")
+
     def test_repeated_values_keys_exit_2(self, tmp_path, capsys):
         for problem, message in (
                 ({"initial": {"values": {"1": 1.0, "01": 5.0}}},
@@ -970,6 +995,36 @@ class TestConfigChecks:
         assert capsys.readouterr() == ("config ok\n", "")
         assert main(["run", str(path)]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_vi_reads_one_domain(self, tmp_path, monkeypatch):
+        # the forcing check and the Lipschitz sample read one domain: the
+        # domain, or on an exhaustion its largest level, built once
+        from graphrothe import graph
+
+        prep = cli.PreparedRun(_base_config(tmp_path, "vi"))
+        assert prep.vi_domain is prep.domain
+        built = []
+        make_domain = graph.make_domain
+
+        def counting(g, ids):
+            built.append(1)
+            return make_domain(g, ids)
+
+        monkeypatch.setattr(graph, "make_domain", counting)
+        cfg = json.loads(open(lattice_config(tmp_path, "lattice_z2",
+                                             ["0,0"])).read())
+        cfg["problem"].update({
+            "kind": "vi", "initial": {"values": {"0,0": 1.0}},
+            "forcing": {"kind": "separable", "time": "1 + t",
+                        "field": {"values": {"1,0": 2.0}}}})
+        prep = cli.PreparedRun(cfg)
+        assert prep.vi_domain is prep.exhaustion.level(4)
+        assert len(built) == 1
+        path = tmp_path / "vi_lattice.json"
+        path.write_text(json.dumps(cfg))
+        built.clear()
+        assert main(["run", str(path)]) == 0
+        assert len(built) == len(prep.levels) == 2
 
     def test_unused_blocks_not_opened(self, tmp_path, capsys):
         # a heat run reads no forcing or obstacle, a spectral run no

@@ -38,21 +38,11 @@ from helpers import (
     random_connected_graph,
     reference_bfs_distances,
     reference_build_finite_graph,
+    reference_domain,
     reference_exhaust_generative,
     reference_materialize,
     star_graph,
 )
-
-
-def loop_boundary(g, omega):
-    """Per-vertex boundary: an Omega vertex that is incomplete or has a
-    neighbor outside Omega."""
-    boundary = set()
-    for i in omega:
-        nbrs, _ = g.neighbors(i)
-        if not g.complete[i] or any(int(j) not in omega for j in nbrs):
-            boundary.add(i)
-    return boundary
 
 
 def loop_metrics(g, ids):
@@ -289,25 +279,32 @@ class TestMetrics:
                 assert (m.mu0, m.max_degree, m.dmu) == ref
 
 
+# the ball's rim vertices are incomplete, so they are boundary however
+# Omega is chosen
+DOMAIN_GRAPHS = (path_graph(6), star_graph(4),
+                 random_connected_graph(np.random.default_rng(9), 8, 20),
+                 materialize_ball(LatticeZ2(), [(0, 0)], 2))
+
+
 class TestDomain:
     def test_p3_full_domain_no_boundary(self):
         g = path_graph(3)
         dom = make_domain(g, [0, 1, 2])
-        assert dom.boundary == frozenset()
-        assert dom.interior == frozenset({0, 1, 2})
+        assert dom.boundary_ids.tolist() == []
+        assert dom.interior_ids.tolist() == [0, 1, 2]
 
     def test_p5_interior(self):
         g = path_graph(5)
         dom = make_domain(g, [1, 2, 3])
-        assert dom.boundary == frozenset({1, 3})
-        assert dom.interior == frozenset({2})
+        assert dom.boundary_ids.tolist() == [1, 3]
+        assert dom.interior_ids.tolist() == [2]
 
     def test_single_vertex_empty_interior_warns(self):
         g = path_graph(5)
         with pytest.warns(EmptyInteriorWarning):
             dom = make_domain(g, [2])
-        assert dom.boundary == frozenset({2})
-        assert dom.interior == frozenset()
+        assert dom.boundary_ids.tolist() == [2]
+        assert dom.interior_ids.tolist() == []
 
     def test_empty_omega(self):
         with pytest.raises(EmptyOmega):
@@ -323,11 +320,14 @@ class TestDomain:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", EmptyInteriorWarning)
                 dom = make_domain(g, omega)
-            assert dom.boundary | dom.interior == dom.omega
-            assert not (dom.boundary & dom.interior)
-            for i in dom.interior:
+            assert dom.omega_ids.tolist() == omega
+            # boundary and interior split omega: together they hold each
+            # omega vertex once
+            assert sorted(dom.boundary_ids.tolist()
+                          + dom.interior_ids.tolist()) == omega
+            for i in dom.interior_ids.tolist():
                 nbrs, _ = g.neighbors(i)
-                assert all(int(j) in dom.omega for j in nbrs)
+                assert all(int(j) in omega for j in nbrs)
 
     def test_boundary_matches_per_vertex_reference(self):
         rng = np.random.default_rng(6)
@@ -343,18 +343,54 @@ class TestDomain:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", EmptyInteriorWarning)
                     dom = make_domain(g, omega)
-                boundary = loop_boundary(g, omega)
-                assert dom.omega == omega
-                assert dom.boundary == boundary
-                assert dom.interior == omega - boundary
+                ref_omega, boundary, interior = reference_domain(g, omega)
                 assert list(dom.omega_ids) == sorted(omega)
-                assert list(dom.boundary_ids) == sorted(boundary)
-                assert list(dom.interior_ids) == sorted(omega - boundary)
+                assert list(dom.omega_ids) == list(ref_omega)
+                assert list(dom.boundary_ids) == list(boundary)
+                assert list(dom.interior_ids) == list(interior)
 
     def test_vertex_outside_graph(self):
         for ids in ([0, 3], [-1, 1]):
             with pytest.raises(InvalidGraphData):
                 make_domain(path_graph(3), ids)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference_construction(self, data):
+        # ids in every form a caller passes: lists with repeats, shuffled
+        # arrays, ranges, generators and maps, empty or out of range too
+        g = data.draw(st.sampled_from(DOMAIN_GRAPHS))
+        n = g.num_vertices
+        form = data.draw(st.sampled_from(
+            ["list", "array", "int32 array", "range", "generator", "map"]))
+        if form == "range":
+            args = data.draw(st.tuples(st.integers(-2, n + 2),
+                                       st.integers(-2, n + 2),
+                                       st.integers(1, 3)))
+            make = lambda: range(*args)  # noqa: E731
+        else:
+            xs = data.draw(st.lists(st.integers(0, n - 1), max_size=3 * n)
+                           | st.lists(st.integers(-2, n + 1), max_size=n)
+                           | st.permutations(range(n)))
+            make = {"list": lambda: list(xs),
+                    "array": lambda: np.array(xs, dtype=np.int64),
+                    "int32 array": lambda: np.array(xs, dtype=np.int32),
+                    "generator": lambda: (x for x in xs),
+                    "map": lambda: map(int, xs)}[form]
+        try:
+            expect = reference_domain(g, make())
+        except GraphrotheError as exc:
+            with pytest.raises(GraphrotheError) as caught:
+                Domain(g, make())
+            assert type(caught.value) is type(exc)
+            assert str(caught.value) == str(exc)
+            return
+        dom = Domain(g, make())
+        got = (dom.omega_ids, dom.boundary_ids, dom.interior_ids)
+        for a, b in zip(got, expect, strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+        assert dom.num_interior == expect[2].size
 
 
 class TestExhaust:
@@ -362,22 +398,24 @@ class TestExhaust:
         exh = exhaust_generative(LatticeZ(), [0], 3)
         for m in (1, 2, 3):
             dom = exh.level(m)
-            omega = sorted(exh.graph.label_of(i) for i in dom.omega)
-            interior = sorted(exh.graph.label_of(i) for i in dom.interior)
+            omega = sorted(map(exh.graph.label_of, dom.omega_ids.tolist()))
+            interior = sorted(map(exh.graph.label_of,
+                                  dom.interior_ids.tolist()))
             assert omega == list(range(-m, m + 1))
             assert interior == list(range(-(m - 1), m))
 
     def test_nesting(self):
         exh = exhaust_generative(LatticeZ2(), [(0, 0)], 4)
-        for a, b in zip(exh.levels, exh.levels[1:]):
-            assert a.omega <= b.omega
+        levels = [exh.level(m) for m in exh.radii]
+        for a, b in zip(levels, levels[1:]):
+            assert np.isin(a.omega_ids, b.omega_ids).all()
 
     def test_finite_stabilizes(self):
         g = path_graph(4)
         dom = make_domain(g, range(4))
         exh = exhaust(dom, [0], 10)
-        assert exh.level(10).omega == dom.omega
-        assert exh.level(4).omega == dom.omega
+        assert exh.level(10).omega_ids.tolist() == dom.omega_ids.tolist()
+        assert exh.level(4).omega_ids.tolist() == dom.omega_ids.tolist()
 
     def test_seed_outside(self):
         g = path_graph(5)
@@ -407,7 +445,7 @@ class TestExhaust:
     def test_generative_level_vertices_complete(self):
         exh = exhaust_generative(LatticeZ(), [0], 5)
         top = exh.level(5)
-        assert all(exh.graph.complete[i] for i in top.omega)
+        assert all(exh.graph.complete[i] for i in top.omega_ids)
 
 
 LATTICES = {1: LatticeZ, 2: LatticeZ2}

@@ -130,7 +130,7 @@ class TestSolveStep:
             ell = float(rng.uniform(0.02, 0.5))
             u = solve_step(u_prev, prob, ell)
             tol = 1e-10 * (1.0 + float(np.max(np.abs(u_prev.values))))
-            for x in sorted(dom.interior):
+            for x in dom.interior_ids.tolist():
                 res = ((u.values[x] - u_prev.values[x]) / ell
                        + abs(u.values[x]) ** (p - 1.0) * u.values[x]
                        - laplacian(g, u, x))
@@ -194,13 +194,12 @@ class TestRunRothe:
         g, dom, prob = single_interior_problem()
         traj = run_rothe(prob, TimePartition(0.1, 1))
         step = solve_step(prob.initial, prob, 0.1)
-        assert np.array_equal(traj.fields[1].values, step.values)
+        assert np.array_equal(traj.values[1], step.values)
 
     def test_zero_initial(self):
         g, dom, prob = single_interior_problem(value=0.0)
         traj = run_rothe(prob, TimePartition(1.0, 10))
-        for u in traj.fields:
-            assert np.all(u.values == 0.0)
+        assert np.all(traj.values == 0.0)
 
     def test_l2_monotone(self):
         rng = np.random.default_rng(17)
@@ -220,8 +219,8 @@ class TestRunRothe:
         # first-order scheme: |1.003^-1000 - e^-3| = 2.241e-4
         g, dom, prob = single_interior_problem()
         traj = run_rothe(prob, TimePartition(1.0, 1000))
-        assert traj.fields[-1][2] == pytest.approx(math.exp(-3.0),
-                                                   abs=2.5e-4)
+        assert traj.values[-1, g.vertex(2)] == pytest.approx(
+            math.exp(-3.0), abs=2.5e-4)
 
     def test_first_order_in_time(self):
         g, dom, prob = single_interior_problem()
@@ -248,22 +247,21 @@ class TestInterpolant:
             t = float(part.times[i])
             for kind in ("linear", "step"):
                 u = evaluate_interpolant(self.traj, t, kind)
-                assert np.array_equal(u.values, self.traj.fields[i].values)
+                assert np.array_equal(u.values, self.traj.values[i])
 
     def test_midpoint_linear(self):
         part = self.traj.partition
         t = 0.5 * (part.times[0] + part.times[1])
         u = evaluate_interpolant(self.traj, float(t), "linear")
-        expect = 0.5 * (self.traj.fields[0].values
-                        + self.traj.fields[1].values)
+        expect = 0.5 * (self.traj.values[0] + self.traj.values[1])
         assert np.allclose(u.values, expect, rtol=0.0, atol=1e-15)
 
     def test_step_initial_extension(self):
         ell = self.traj.partition.step_size
         u = evaluate_interpolant(self.traj, -0.5 * ell, "step")
-        assert np.array_equal(u.values, self.traj.fields[0].values)
+        assert np.array_equal(u.values, self.traj.values[0])
         mid = evaluate_interpolant(self.traj, 0.25 * ell, "step")
-        assert np.array_equal(mid.values, self.traj.fields[1].values)
+        assert np.array_equal(mid.values, self.traj.values[1])
 
     def test_out_of_range(self):
         with pytest.raises(TimeOutOfRange):
@@ -273,6 +271,26 @@ class TestInterpolant:
         ell = self.traj.partition.step_size
         with pytest.raises(TimeOutOfRange):
             evaluate_interpolant(self.traj, -1.5 * ell, "step")
+
+    def test_linear_reads_its_quotient_row_bit_for_bit(self):
+        # off the grid, u(t) = u_{i-1} + (t - t_{i-1}) * row i - 1 of
+        # ``quotients``, whose row the interpolant forms on its own
+        rng = np.random.default_rng(43)
+        for p in (1.0, 1.5, 2.0, 3.0):
+            g = random_connected_graph(rng, 5, 25)
+            dom = random_domain(rng, g)
+            n = int(rng.integers(2, 12))
+            traj = run_rothe(HeatProblem(dom, p, random_admissible(rng, dom),
+                                         0.7), TimePartition(0.7, n))
+            grid = traj.partition.times
+            quotients = traj.quotients
+            for i in range(1, n + 1):
+                t = float(grid[i - 1]
+                          + rng.uniform(0.05, 0.95) * (grid[i] - grid[i - 1]))
+                u = evaluate_interpolant(traj, t, "linear")
+                expect = (traj.values[i - 1]
+                          + (t - grid[i - 1]) * quotients[i - 1])
+                assert u.values.tobytes() == expect.tobytes()
 
     def test_gap_between_interpolants_bounded(self):
         dom = self.traj.problem.domain
@@ -386,8 +404,8 @@ class TestExhaustion:
         prob = HeatProblem(exh, 1.0, h, 0.5)
         results = run_exhaustion(prob, TimePartition(0.5, 10),
                                  levels=[3, 5, 10])
-        assert np.all(results[0].run.fields[-1].values == 0.0)
-        assert np.all(results[1].run.fields[-1].values == 0.0)
+        assert np.all(results[0].run.values[-1] == 0.0)
+        assert np.all(results[1].run.values[-1] == 0.0)
         assert results[1].delta_prev == 0.0
         assert results[2].delta_prev > 0.0
 
@@ -505,8 +523,8 @@ class TestNewtonOneFactorization:
         prob, ell = traj.problem, traj.partition.step_size
         op, p = prob.domain.operator, float(prob.p)
         A, m = op.stiffness, op.mass
-        for prev, cur in zip(traj.fields, traj.fields[1:]):
-            u_prev, w = op.restrict(prev), op.restrict(cur)
+        for prev, cur in zip(traj.values, traj.values[1:]):
+            u_prev, w = prev[op.interior_ids], cur[op.interior_ids]
             G = m * ((w - u_prev) / ell + np.abs(w) ** (p - 1.0) * w) + A @ w
             assert float(np.max(np.abs(G / m))) \
                 <= tol_factor * (1.0 + float(np.max(np.abs(u_prev))))
@@ -516,7 +534,7 @@ class TestNewtonOneFactorization:
         dom = prob.domain
         traj = run_rothe(prob, part)
         cls.assert_stationary(traj)
-        got = np.array([u.values[dom.interior_ids] for u in traj.fields])
+        got = traj.values[:, dom.interior_ids]
         ref = splu_newton_rothe(prob, part)
         assert float(np.max(np.abs(got - ref))) \
             <= 1e-12 * float(np.max(np.abs(ref)))
@@ -784,6 +802,46 @@ class TestNewtonOverflow:
                 pytest.raises(FloatingPointError,
                               match="overflow encountered in divide"):
             solve_step(prob.initial, prob, 0.1)
+
+
+class TestNewtonOverflowNotRaised:
+    """In a caller's numpy error state that does not raise, a finite
+    gradient whose pointwise residual G / mass or 2-norm |G| overflows
+    stops the step with ``SolverBreakdown`` in the Newton iteration that
+    meets it, after the replay has warned as that state asks."""
+
+    CASES = {
+        # |w|^5 = 1e155: G is finite, |G|^2 is not
+        "norm": (8, 1.0, range(8), 5.0, 3, 1e31, "dot"),
+        # G is finite, G / mass with mass 1e-300 is not
+        "residual": (5, 1e-300, [1, 2, 3], 2.0, 2, 1e10, "divide"),
+    }
+
+    @pytest.mark.parametrize("state", ["ignore", "warn"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_breakdown_in_first_iteration(self, monkeypatch, case, state):
+        size, mu, omega, p, vertex, value, op = self.CASES[case]
+        g = path_graph(size, mu=mu)
+        prob = HeatProblem(make_domain(g, omega), p,
+                           VertexField.from_mapping(g, {vertex: value}), 1.0)
+        iterations = []
+        grad_half = heat._HeatStepper._grad_half
+
+        def counting(stepper, *args):
+            iterations.append(1)
+            return grad_half(stepper, *args)
+
+        monkeypatch.setattr(heat._HeatStepper, "_grad_half", counting)
+        with warnings.catch_warnings(record=True) as caught, \
+                np.errstate(all=state), \
+                pytest.raises(SolverBreakdown,
+                              match=rf"^Newton residual is not finite at "
+                                    rf"p = {p:g} \(overflow\)$"):
+            warnings.simplefilter("always")
+            solve_step(prob.initial, prob, 0.1)
+        assert len(iterations) == 1
+        assert [str(w.message) for w in caught] \
+            == ([f"overflow encountered in {op}"] if state == "warn" else [])
 
 
 class TestSolverBudget:

@@ -146,7 +146,8 @@ def test_one_operator_per_domain(monkeypatch):
     heat_prob = HeatProblem(dom, 2.0, h, 0.5)
     for steps in (4, 8):
         traj = run_rothe(heat_prob, TimePartition(0.5, steps))
-    step_functional(traj.fields[1], traj.fields[0], heat_prob, 0.0625)
+    step_functional(VertexField(g, traj.values[1]),
+                    VertexField(g, traj.values[0]), heat_prob, 0.0625)
     dirichlet_eigenbasis(dom)
     ode_oracle(heat_prob, [0.25, 0.5])
     vi_prob = VIProblem(dom, ConstantForcing(h), h, 0.5)
@@ -200,6 +201,16 @@ class TestPcg:
         assert operators.pcg(lambda d: S @ d, b, lambda r: minv * r, 1e-13,
                              1) is None
 
+    @pytest.mark.parametrize("scale, curvature", [(0.0, "0"), (-1.0, "-3")])
+    def test_nonpositive_curvature_breaks_down(self, scale, curvature):
+        # a zero curvature d.Sd once raised a bare ZeroDivisionError
+        with pytest.raises(errors.SolverBreakdown,
+                           match=rf"^conjugate gradients broke down: the "
+                                 rf"curvature d\.Sd = {curvature} of a search "
+                                 rf"direction is not positive$"):
+            operators.pcg(lambda d: scale * d, np.ones(3), lambda r: r,
+                          1e-13, 5)
+
     def test_cached_spd_raises_when_pcg_gives_up(self, monkeypatch):
         rng, S, _ = spd_system(23)
         monkeypatch.setattr(operators, "DIRECT_SOLVE_MAX", 0)
@@ -220,8 +231,8 @@ class TestPcg:
         heat_run = run_rothe(HeatProblem(dom, 1.0, zero, 0.5), part)
         vi_run = run_vi(VIProblem(dom, ConstantForcing(zero), zero, 0.5,
                                   constraint=Subspace()), part)
-        for u in heat_run.fields + vi_run.fields:
-            assert same_bytes(u.values, np.zeros(g.num_vertices))
+        for row in np.concatenate((heat_run.values, vi_run.values)):
+            assert same_bytes(row, np.zeros(g.num_vertices))
 
 
 class TestSymmetricLU:

@@ -171,17 +171,6 @@ class TestRunArray:
         with pytest.raises(ValueError, match="expected"):
             heat.RotheTrajectory(prob, TimePartition(1.0, 2), np.zeros((2, 4)))
 
-    def test_fields_built_on_read(self):
-        g = path_graph(5)
-        dom = make_domain(g, range(5))
-        traj = run_rothe(HeatProblem(dom, 2.0, VertexField.indicator(g, 2),
-                                     1.0), TimePartition(1.0, 3))
-        fields = traj.fields
-        assert len(fields) == 4
-        for u, row in zip(fields, traj.values, strict=True):
-            assert u.graph is g
-            assert u.values.tobytes() == row.tobytes()
-
 
 def grid_file(tmp_path, side):
     """A side x side grid with uneven measures and weights."""
