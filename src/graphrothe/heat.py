@@ -39,6 +39,14 @@ of an overflowing residual or norm, run in the caller's error state.
 A replay that does not raise there stops the step with
 ``SolverBreakdown`` before its direction solve.
 
+An exhaustion run solves its levels in order, and every level after the
+first starts the Newton iteration of step i at the previous level's u_i
+on its interior (0 where the previous level has no interior vertex): the
+levels converge as the balls grow, so a large level's steps start near
+their answers. A step still ends only at max|G/mass| <= tol, so a level
+agrees with its cold-started run within the Newton tolerance, not bit
+for bit; p = 1 runs and VI levels start cold.
+
 A run holds its Rothe sequence as one read-only (steps + 1) x V array,
 a row per step, filled row by row by the step loop that ``run_rothe``
 and ``vi.run_vi`` share; the steppers work on interior vectors, and the
@@ -299,6 +307,13 @@ class _HeatStepper:
                 g_norm_prev, g_norm = g_norm, float(np.linalg.norm(G))
                 if not math.isfinite(g_norm):
                     _replay(caller, np.linalg.norm, G)
+                elif g_norm == 0.0:
+                    # G is nonzero (its residual is above tol), but the
+                    # squares of its entries underflow
+                    raise SolverBreakdown(
+                        f"Newton residual norm underflows to 0 at "
+                        f"p = {p:g} while max|G/mass| = {residual:g} is "
+                        f"above the tolerance {tol:g}")
                 eta = _forcing(eta, g_norm, g_norm_prev, g_target)
                 jd = self.mass * (1.0 / self.ell + p * np.maximum(
                     np.abs(w), POWER_DERIV_FLOOR) ** (p - 1.0))
@@ -347,7 +362,8 @@ def solve_step(u_prev, prob, ell, x0=None, **opts):
     """One Rothe step from ``u_prev`` (admissible field) with step size l.
 
     ``x0`` optionally overrides the initial Newton iterate (the default is
-    u_prev); the minimizer is unique, so the result must not depend on it.
+    u_prev); the minimizer is unique, so the result depends on ``x0`` only
+    within the Newton tolerance.
     """
     dom = prob.domain
     if u_prev.graph is not dom.graph:
@@ -519,10 +535,11 @@ class LevelResult:
 
 
 def _run_levels(prob, part, levels, solve, **opts):
-    """``solve(sub, part, **opts)`` on each selected exhaustion level of
-    ``prob.domain``, where ``sub`` is ``prob`` with that level's domain and
-    the initial field restricted to it, with cross-level terminal deltas.
-    ``levels`` selects ball radii (None: every level)."""
+    """``solve(sub, part, prev, **opts)`` on each selected exhaustion level
+    of ``prob.domain``, where ``sub`` is ``prob`` with that level's domain
+    and the initial field restricted to it and ``prev`` is the previous
+    level's LevelResult (None on the first level), with cross-level
+    terminal deltas. ``levels`` selects ball radii (None: every level)."""
     exh = prob.domain
     radii = list(exh.radii) if levels is None else list(levels)
     results = []
@@ -532,7 +549,7 @@ def _run_levels(prob, part, levels, solve, **opts):
             raise EmptyInterior(f"exhaustion level {m} has empty interior")
         sub = replace(prob, domain=dom, initial=field_on_interior(
             dom, prob.initial.values[dom.interior_ids]))
-        run = solve(sub, part, **opts)
+        run = solve(sub, part, results[-1] if results else None, **opts)
         # a solved level keeps its domain, not its stiffness: peak memory
         # stays that of the largest level, not the sum over the levels
         dom.release_operator()
@@ -546,13 +563,30 @@ def _run_levels(prob, part, levels, solve, **opts):
     return results
 
 
+def _warm_rothe(sub, part, prev, **opts):
+    """``run_rothe(sub, part)``, with Newton step i started at the previous
+    level's row i on this level's interior (outside the previous level's
+    interior that row is 0); the first level and p = 1, which has no
+    Newton iteration, run cold."""
+    if prev is None or sub.p == 1.0:
+        return run_rothe(sub, part, **opts)
+    stepper = _HeatStepper(sub, part.step_size, **opts)
+    rows = prev.run.values[:, stepper.op.interior_ids]
+    return RotheTrajectory(sub, part, _step_rows(
+        sub, part, lambda i, w: stepper.solve(w, x0=rows[i])))
+
+
 def run_exhaustion(prob, part, levels=None, **opts):
     """Rothe runs over exhaustion levels with cross-level terminal deltas.
 
     ``prob.domain`` must be an ExhaustionSequence; ``levels`` selects ball
     radii (default: every level). The initial field lives on the ambient
-    graph and is restricted per level.
+    graph and is restricted per level. Every level after the first starts
+    the Newton iteration of step i at the previous level's u_i: the levels
+    converge, so that start is close, and a step lands within the Newton
+    tolerance of its cold-started answer in fewer iterations. p = 1 runs
+    start cold.
     """
     if not isinstance(prob.domain, ExhaustionSequence):
         raise TypeError("run_exhaustion needs an ExhaustionSequence domain")
-    return _run_levels(prob, part, levels, run_rothe, **opts)
+    return _run_levels(prob, part, levels, _warm_rothe, **opts)

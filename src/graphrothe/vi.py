@@ -421,4 +421,6 @@ def run_vi_exhaustion(prob, part, levels=None, **opts):
     g and psi restricted per level and forcing read on level interiors."""
     if not isinstance(prob.domain, ExhaustionSequence):
         raise TypeError("run_vi_exhaustion needs an ExhaustionSequence domain")
-    return _run_levels(prob, part, levels, run_vi, **opts)
+    return _run_levels(prob, part, levels,
+                       lambda sub, part, prev, **o: run_vi(sub, part, **o),
+                       **opts)

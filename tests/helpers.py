@@ -2,6 +2,7 @@
 
 import math
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
@@ -102,6 +103,13 @@ def reference_domain(g, omega_ids):
 def random_admissible(rng, dom, scale=1.0):
     vals = rng.normal(0.0, scale, size=len(dom.interior_ids))
     return field_on_interior(dom, vals)
+
+
+def level_problem(prob, dom):
+    """``prob`` on the exhaustion level ``dom``, with the initial field
+    restricted to its interior, as an exhaustion run poses it."""
+    return replace(prob, domain=dom, initial=field_on_interior(
+        dom, prob.initial.values[dom.interior_ids]))
 
 
 def five_path_domain():

@@ -419,6 +419,23 @@ class TestValidation:
             "", "error[SOLVE]: conjugate gradients broke down: the "
             "curvature d.Sd = 0 of a search direction is not positive\n")
 
+    def test_newton_norm_underflow_exit_3(self, tmp_path, capsys):
+        # measures of 1e-300 and an initial value of 1e-170: |G| underflows
+        # to 0.0 while max|G/mass| is above tol, which once ended the run
+        # with a ZeroDivisionError traceback
+        gpath = tmp_path / "tiny.txt"
+        fileio.write_graph_file(path_graph(5, mu=1e-300), str(gpath))
+        cfg_path, _ = heat_config(
+            tmp_path, graph={"file": str(gpath)},
+            problem={"p": 2.0, "horizon": 0.1, "steps": 1,
+                     "initial": {"values": {"2": 1e-170}}})
+        assert main(["run", cfg_path]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error[SOLVE]: Newton residual norm underflows "
+                              "to 0 at p = 2 while max|G/mass| = ")
+        assert err.count("\n") == 1
+
     def test_repeated_values_keys_exit_2(self, tmp_path, capsys):
         for problem, message in (
                 ({"initial": {"values": {"1": 1.0, "01": 5.0}}},

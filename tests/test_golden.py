@@ -181,15 +181,15 @@ GOLDEN = {
     "heat_p2_lattice": {
         "diagnostics": {
             "level_deltas": [
-                0.24765205197325285,
-                0.12990013020621902
+                0.2476520519733811,
+                0.12990013020616656
             ]
         },
         "outputs": {
-            "levels.csv": "3282f538fea0808e05c1e61b797bd05707e73b32fe033ba844be6e7f91a31d8b",
+            "levels.csv": "c6fcb0fa6a7f829462816287c63738654fd3f1514954e202751bd4c6bff60700",
             "terminal_level_2.txt": "9bd4d024b5245110d10ae50a5b159e8352375a9f8eb97f11d936f92ec6887ecb",
-            "terminal_level_3.txt": "d08d8e458452945799231216738a94687ff594519bf186547206718ab1d44af5",
-            "terminal_level_4.txt": "27c7cd7253359dfa6746aff4da03975f75f8952a1945e4bdb003c6cef72293ca"
+            "terminal_level_3.txt": "c1a32ea2f133a3b96fcb95809d397fc86a4c00ff4f48a40b9a1743ebcc359731",
+            "terminal_level_4.txt": "50ab6564f908248ed3a56883e09603dd1963f949a2550cbf91226e13f0c45ffe"
         }
     },
     "heat_p2_oracle": {
@@ -315,15 +315,15 @@ GOLDEN_ITERATIVE = {
     "heat_p2_lattice": {
         "diagnostics": {
             "level_deltas": [
-                0.24765205197328272,
-                0.12990013020621707
+                0.24765205197326617,
+                0.12990013020621374
             ]
         },
         "outputs": {
-            "levels.csv": "25521f9ef2f0a385278dfe1dce15bd12605a7974cf656c3ecc60fe1b98f2c399",
+            "levels.csv": "daa76c8b4f44060085ab3db0b554591c33939a3763e59385e844352186e87fe2",
             "terminal_level_2.txt": "8a0051bc4cb9822414745c11f95c2d607e4503929c7ef1ca331f9357e75a6771",
-            "terminal_level_3.txt": "2ce243c3dbf799682498b41e31b5785bc6b9619ea4f17f7c286ea2ad7acbaa26",
-            "terminal_level_4.txt": "61331ea0afe16722bde34c4c5b9786d799a3bbac5e29696b32bf5ce7ea3b4007"
+            "terminal_level_3.txt": "6e1885e7086bc1e7f812cb65f8a9f09920b25bac7e2b065aada2a8886a47cb76",
+            "terminal_level_4.txt": "eb15c870a8422da285dfa3e6ac9109c7f63316443994cff0a1cca9b73ce61889"
         }
     },
     "heat_p2_oracle": {

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,7 @@ from graphrothe.errors import (DomainMismatch, SolverBreakdown,
 from graphrothe.operators import DirichletOperator
 from helpers import (
     five_path_domain,
+    level_problem,
     path_graph,
     random_admissible,
     random_connected_graph,
@@ -572,8 +574,8 @@ class TestNewtonOneFactorization:
     def test_floor_cuts_solves_not_iterations(self, spd_count,
                                               monkeypatch):
         # forcing terms floored at FORCING_TOL_SHARE tol min(mass) / |G|
-        # against no floor (share 0): 251 against 329 preconditioner
-        # solves, and 129 Newton iterations on both sides
+        # against no floor (share 0): 231 against 335 preconditioner
+        # solves, and 127 Newton iterations on both sides
         counts = {}
         gradients = [0]
         grad_half = heat._HeatStepper._grad_half
@@ -755,6 +757,72 @@ class TestNewtonProductReuse:
         assert backtracks > 3
 
 
+class TestLevelWarmStart:
+    """Each exhaustion level after the first starts Newton step i at the
+    previous level's u_i: its steps stop within the Newton tolerance of
+    the cold-started ones, in fewer iterations on the largest level. The
+    first level and p = 1 steps are their cold runs bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_levels_match_cold_runs(self, data):
+        dim = data.draw(st.sampled_from([1, 2]), label="dim")
+        p = data.draw(st.sampled_from([1.0, 1.5, 2.0, 3.0]), label="p")
+        weight = data.draw(st.floats(0.5, 2.0), label="weight")
+        mu = data.draw(st.floats(0.5, 2.0), label="mu")
+        levels = sorted(data.draw(st.sets(st.integers(2, 8), min_size=2,
+                                          max_size=3), label="levels"))
+        horizon = data.draw(st.floats(0.05, 1.0), label="horizon")
+        steps = data.draw(st.integers(1, 6), label="steps")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        if dim == 1:
+            exh = exhaust_generative(LatticeZ(weight, mu), [0], levels[-1])
+            support = range(-2, 3)
+        else:
+            exh = exhaust_generative(LatticeZ2(weight, mu), [(0, 0)],
+                                     levels[-1])
+            support = [(i, j) for i in range(-2, 3) for j in range(-2, 3)
+                       if abs(i) + abs(j) <= 2]
+        h = VertexField.from_mapping(exh.graph, {
+            x: float(rng.uniform(-2.0, 2.0)) for x in support})
+        prob = HeatProblem(exh, p, h, horizon)
+        part = TimePartition(horizon, steps)
+        # two answers of a step that each meet max|G/mass| <= tol differ
+        # by at most 2 l tol in the max norm (A + M/l + a nonnegative
+        # diagonal is an M-matrix whose rows exceed M/l), and the step
+        # map does not grow the difference of the previous fields; tol is
+        # at most NEWTON_TOL_FACTOR (1 + max|h|) by the maximum principle
+        bound = (2.0 * horizon * heat.NEWTON_TOL_FACTOR
+                 * (1.0 + float(np.abs(h.values).max())))
+        results = run_exhaustion(prob, part, levels=levels)
+        for res in results:
+            cold = run_rothe(level_problem(prob, res.domain), part)
+            if p == 1.0 or res is results[0]:
+                assert res.run.values.tobytes() == cold.values.tobytes()
+            else:
+                TestNewtonOneFactorization.assert_stationary(res.run)
+                assert float(np.abs(res.run.values - cold.values).max()) \
+                    <= bound
+
+    def test_largest_level_takes_fewer_gradients(self, monkeypatch):
+        # 34 against 43 gradient evaluations on the level-12 ball
+        gradients = Counter()
+        grad_half = heat._HeatStepper._grad_half
+
+        def counting(stepper, *args):
+            gradients[stepper.op.n] += 1
+            return grad_half(stepper, *args)
+
+        monkeypatch.setattr(heat._HeatStepper, "_grad_half", counting)
+        prob, part = lattice_exhaustion_problem(), TimePartition(0.5, 10)
+        top = run_exhaustion(prob, part, levels=[4, 8, 12])[-1]
+        n = top.domain.num_interior
+        warm = gradients[n]
+        gradients.clear()
+        run_rothe(level_problem(prob, top.domain), part)
+        assert 0 < warm < gradients[n]
+
+
 class TestNewtonOverflow:
     """The Newton loop runs in one error state that ignores overflow, yet
     stops where the loop with a scope per evaluation stopped: a gradient
@@ -802,6 +870,23 @@ class TestNewtonOverflow:
                 pytest.raises(FloatingPointError,
                               match="overflow encountered in divide"):
             solve_step(prob.initial, prob, 0.1)
+
+    @pytest.mark.parametrize("state", ["ignore", "raise"])
+    @pytest.mark.parametrize("value", [1e-165, 1e-170])
+    def test_norm_underflow_breaks_down(self, value, state):
+        # max|G/mass| is far above tol, while the squares of G's entries
+        # underflow and |G| is 0.0 (this once raised ZeroDivisionError)
+        prob = self.problem(2.0, value, mu=1e-300)
+        with np.errstate(over=state, invalid=state), \
+                pytest.raises(SolverBreakdown,
+                              match=r"^Newton residual norm underflows to 0 "
+                                    r"at p = 2 while max\|G/mass\| = "):
+            solve_step(prob.initial, prob, 0.1)
+
+    def test_small_data_still_solve(self):
+        prob = self.problem(2.0, 1e-150, mu=1e-300)
+        w = solve_step(prob.initial, prob, 0.1)
+        assert np.all(np.isfinite(w.values))
 
 
 class TestNewtonOverflowNotRaised:

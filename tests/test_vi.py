@@ -41,6 +41,7 @@ from graphrothe.timeexpr import compile_time_expression
 from graphrothe.vi import ViStepper, active_set_solve, forcing_step_function
 from helpers import (
     five_path_domain,
+    level_problem,
     path_graph,
     random_admissible,
     random_connected_graph,
@@ -481,6 +482,28 @@ class TestViExhaustion:
                                     levels=[4, 8, 12])
         deltas = [r.delta_prev for r in results[1:]]
         assert deltas[0] > deltas[1] > 0.0
+
+    @pytest.mark.parametrize("obstacle", [False, True])
+    def test_levels_match_cold_runs(self, obstacle):
+        # VI levels start cold: each is bit for bit its own run_vi
+        from graphrothe import LatticeZ2, exhaust_generative
+        exh = exhaust_generative(LatticeZ2(1.1, 0.9), [(0, 0)], 8)
+        g = exh.graph
+        rng = np.random.default_rng(24)
+        support = [(i, j) for i in range(-2, 3) for j in range(-2, 3)
+                   if abs(i) + abs(j) <= 2]
+        h = VertexField.from_mapping(g, {
+            x: float(rng.uniform(0.0, 2.0)) for x in support})
+        f = VertexField.from_mapping(g, {
+            x: float(rng.uniform(-3.0, 1.0)) for x in support})
+        constraint = (Obstacle(VertexField.zeros(g)) if obstacle
+                      else Subspace())
+        prob = VIProblem(exh, ConstantForcing(f), h, 0.5,
+                         constraint=constraint)
+        part = TimePartition(0.5, 6)
+        for res in run_vi_exhaustion(prob, part, levels=[3, 5, 8]):
+            cold = run_vi(level_problem(prob, res.domain), part)
+            assert res.run.values.tobytes() == cold.values.tobytes()
 
     def test_zero_data_zero_levels(self):
         g = path_graph(6)
