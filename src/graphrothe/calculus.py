@@ -16,11 +16,13 @@ per-vertex reference definitions.
 ``norms`` and ``power_integral`` also take a stack of fields, one per row
 (the steps of a trajectory), and reduce every row in one pass: each row
 is added in vertex order on its own, whatever the stack's memory layout,
-so its result is bit for bit that of its field alone. Every L2 norm the
-package reports is the square root of ``power_integral(..., 2.0)``.
-Square roots and ``1/q`` powers are taken on Python floats, row by row,
-because numpy's array power computes ``** 0.5`` as ``sqrt``, which can
-differ from ``pow`` in the last bit.
+so its result is bit for bit that of its field alone. On a stack,
+``norms`` gives one NormBundle whose fields are read-only arrays with
+one entry per row. Every L2 norm the package reports is the square root
+of ``power_integral(..., 2.0)``, taken by ``np.sqrt``, which rounds
+correctly as ``math.sqrt`` does. The ``1/q`` powers are taken on Python
+floats, row by row, because numpy's array power computes ``** 0.5`` as
+``sqrt``, which can differ from ``pow`` in the last bit.
 """
 
 from __future__ import annotations
@@ -153,7 +155,14 @@ def power_integral(g, values, ids, q):
 
 def _l2_rows(g, values, ids):
     """The L2 norm over ``ids`` of each row of a stack of field values."""
-    return [math.sqrt(s) for s in power_integral(g, values, ids, 2.0).tolist()]
+    return np.sqrt(power_integral(g, values, ids, 2.0))
+
+
+def _read_only(a):
+    """``a`` as a float array that refuses writes."""
+    a = np.asarray(a, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 def _gamma_values(g, wv, vv, ids):
@@ -185,46 +194,47 @@ def _gamma_integral(g, w_field, v_field, ids):
 
 @dataclass(frozen=True)
 class NormBundle:
-    l2_interior: float
-    l2_domain: float
-    lq: float
-    w12: float
-    grad_l2: float
+    """The norms of ``norms``: floats for one field, and read-only arrays
+    with one entry per row for a stack of fields."""
+
+    l2_interior: object
+    l2_domain: object
+    lq: object
+    w12: object
+    grad_l2: object
 
 
 def norms(g, v, dom, q=2.0):
     """L2 over the interior and over Omega, Lq over Omega (q in [1, inf]),
     the W^{1,2}(Omega) norm, and the gradient L2 norm over Omega.
 
-    ``v`` is a field, which gives one NormBundle, or a stack of field
-    values with one field per row (K x V), which gives a tuple of K
-    bundles in one pass. Each row is added in vertex order on its own, so
-    a stacked bundle is bit for bit the bundle of its field alone. The
-    roots are taken on Python floats: numpy's array power turns
-    ``** 0.5`` into ``sqrt``, which can differ from ``pow`` in the last
-    bit."""
+    ``v`` is a field, which gives a NormBundle of floats, or a stack of
+    field values with one field per row (K x V), which gives one
+    NormBundle of length-K arrays in one pass. Each row is added in
+    vertex order on its own, so entry k of a stacked bundle is bit for
+    bit the bundle of row k's field alone. The ``1/q`` roots are taken on
+    Python floats: numpy's array power turns ``** 0.5`` into ``sqrt``,
+    which can differ from ``pow`` in the last bit."""
     if math.isnan(q) or q < 1.0:
         raise InvalidQ(f"q = {q}")
     single = isinstance(v, VertexField)
     values = v.values[None] if single else np.asarray(v, dtype=float)
     omega = dom.omega_ids
-    grad_sq = kernels.seq_sum(
-        g.mu[omega] * _gamma_values(g, values, values, omega))
+    grad_sq = np.maximum(kernels.seq_sum(
+        g.mu[omega] * _gamma_values(g, values, values, omega)), 0.0)
     int_sq = power_integral(g, values, dom.interior_ids, 2.0)
     dom_sq = power_integral(g, values, omega, 2.0)
     if math.isinf(q):
-        lq = np.max(np.abs(values[:, omega]), axis=1, initial=0.0).tolist()
+        lq = np.max(np.abs(values[:, omega]), axis=1, initial=0.0)
     else:
         lq_sums = dom_sq if q == 2.0 else power_integral(g, values, omega, q)
         lq = [s ** (1.0 / q) for s in lq_sums.tolist()]
-    bundles = []
-    for gs, si, sd, lq_k in zip(grad_sq.tolist(), int_sq.tolist(),
-                                dom_sq.tolist(), lq):
-        l2d = math.sqrt(sd)
-        gs = max(gs, 0.0)
-        bundles.append(NormBundle(math.sqrt(si), l2d, lq_k,
-                                  math.sqrt(gs + l2d * l2d), math.sqrt(gs)))
-    return bundles[0] if single else tuple(bundles)
+    l2d = np.sqrt(dom_sq)
+    columns = (np.sqrt(int_sq), l2d, lq, np.sqrt(grad_sq + l2d * l2d),
+               np.sqrt(grad_sq))
+    if single:
+        return NormBundle(*(float(c[0]) for c in columns))
+    return NormBundle(*map(_read_only, columns))
 
 
 def inner_product(g, w_field, v_field, dom, kind="L2"):

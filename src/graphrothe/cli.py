@@ -419,12 +419,9 @@ class PreparedRun:
                 "psor": self.kkt_tol, "ode_oracle": self.ode_tol}
 
 
-def _estimate_rows(report):
-    for row in report.rows:
-        yield (row.index, row.l2, row.grad_l2, row.l2p,
-               None if math.isnan(row.delta_l2) else row.delta_l2,
-               None if math.isnan(row.r) else row.r,
-               None if math.isnan(row.d) else row.d)
+def _cells(column):
+    """A float column as CSV cells, with an empty cell for NaN."""
+    return [None if math.isnan(x) else x for x in column.tolist()]
 
 
 def _write_levels(results, outdir, diagnostics):
@@ -455,28 +452,31 @@ def _run_heat(prep, outdir):
     diagnostics = {}
     outputs = []
     if prep.exhaustion is not None:
-        prob = heat.HeatProblem(prep.exhaustion, prep.p, prep.initial,
-                                prep.horizon)
+        prob = heat.HeatProblem(prep.exhaustion, prep.p, prep.initial)
         part = heat.TimePartition(prep.horizon, prep.steps)
         results = heat.run_exhaustion(prob, part, levels=prep.levels,
                                       tol_factor=prep.newton_factor)
         return _write_levels(results, outdir, diagnostics)
 
-    prob = heat.HeatProblem(prep.domain, prep.p, prep.initial, prep.horizon)
+    prob = heat.HeatProblem(prep.domain, prep.p, prep.initial)
     part = heat.TimePartition(prep.horizon, prep.steps)
     traj = heat.run_rothe(prob, part, tol_factor=prep.newton_factor)
     g = prep.graph
     fileio.write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
                                 traj.values, part.times, g)
     report = heat.monitor_estimates(traj)
+    nb = report.norms
     fileio.write_csv(os.path.join(outdir, "estimates.csv"),
                      ("i", "l2", "grad_l2", "l2p", "delta_l2", "r_i", "d_i"),
-                     _estimate_rows(report))
+                     zip(range(part.steps + 1), nb.l2_domain.tolist(),
+                         nb.grad_l2.tolist(), nb.lq.tolist(),
+                         _cells(report.delta_l2), _cells(report.r),
+                         _cells(report.d)))
     fileio.write_csv(os.path.join(outdir, "norms.csv"),
                      ("t", "l2_interior", "grad_l2", "lq", "energy"),
-                     ((float(t), row.l2_interior, row.grad_l2, row.l2p,
-                       row.energy)
-                      for t, row in zip(part.times, report.rows)))
+                     zip(part.times.tolist(), nb.l2_interior.tolist(),
+                         nb.grad_l2.tolist(), nb.lq.tolist(),
+                         report.energy.tolist()))
     outputs += ["trajectory.csv", "estimates.csv", "norms.csv"]
     diagnostics["max_energy_residual"] = report.max_r
     diagnostics["max_energy_defect"] = report.max_d
@@ -507,7 +507,7 @@ def _oracle_study(prep, prob, finest, outdir):
             refs = spectral.ode_oracle(prob, [float(t) for t in times],
                                        tol=prep.ode_tol)
         errs = calculus._l2_rows(prep.graph, traj.values - refs,
-                                 prep.domain.interior_ids)
+                                 prep.domain.interior_ids).tolist()
         err = max(errs)
         order = None
         if prev is not None:
@@ -548,8 +548,7 @@ def _run_vi(prep, outdir):
             "bound exceeded by the sampled forcing"
 
     prob = vi.VIProblem(prep.exhaustion or prep.domain, prep.forcing,
-                        prep.initial, prep.horizon, prep.lipschitz_bound,
-                        prep.constraint)
+                        prep.initial, prep.constraint)
     if prep.exhaustion is not None:
         results = vi.run_vi_exhaustion(prob, part, levels=prep.levels, **opts)
         return _write_levels(results, outdir, diagnostics)
@@ -557,27 +556,27 @@ def _run_vi(prep, outdir):
     g = prep.graph
     fileio.write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
                                 run.values, part.times, g)
-    bundles = calculus.norms(g, run.values, prep.domain)
+    nb = calculus.norms(g, run.values, prep.domain)
     mono = vi.vi_monotonicity_monitor(run)
-    rows = []
-    for rep, qrow in zip(run.reports, mono.rows):
-        nb = bundles[rep.index]
-        rows.append((rep.index, float(part.times[rep.index]),
-                     nb.l2_interior, nb.grad_l2, qrow.quotient_l2,
-                     rep.variational_residual, rep.primal_residual,
-                     rep.dual_residual, rep.complementarity, rep.beta,
-                     rep.iterations))
+    times = part.times.tolist()
+    l2 = nb.l2_interior.tolist()
+    grad = nb.grad_l2.tolist()
     fileio.write_csv(os.path.join(outdir, "vi_reports.csv"),
                      ("i", "t", "l2", "grad_l2", "delta_l2",
                       "variational_residual", "primal_residual",
                       "dual_residual", "complementarity", "beta",
                       "iterations"),
-                     rows)
+                     ((rep.index, times[rep.index], l2[rep.index],
+                       grad[rep.index], q, rep.variational_residual,
+                       rep.primal_residual, rep.dual_residual,
+                       rep.complementarity, rep.beta, rep.iterations)
+                      for rep, q in zip(run.reports,
+                                        mono.quotient_l2.tolist())))
+    # 0.5 * x ** 2 on Python floats, as the heat monitor's energy squares
     fileio.write_csv(os.path.join(outdir, "norms.csv"),
                      ("t", "l2_interior", "grad_l2", "lq", "energy"),
-                     ((float(t), nb.l2_interior, nb.grad_l2, nb.lq,
-                       0.5 * nb.grad_l2 ** 2)
-                      for t, nb in zip(part.times, bundles)))
+                     zip(times, l2, grad, nb.lq.tolist(),
+                         [0.5 * x ** 2 for x in grad]))
     outputs += ["trajectory.csv", "vi_reports.csv", "norms.csv"]
     diagnostics["quotient_recurrence_max_slack"] = mono.max_slack
     diagnostics["quotient_bound"] = mono.cumulative_bound
@@ -711,7 +710,7 @@ def cmd_compare(args):
         # argmax takes each time's first step within 1e-12
         diff = values_a[near_a.argmax(axis=1)] \
             - values_b[near_b.argmax(axis=1)]
-        l2s = calculus._l2_rows(g, diff, dom.interior_ids)
+        l2s = calculus._l2_rows(g, diff, dom.interior_ids).tolist()
     sups = np.max(np.abs(diff), axis=1, initial=0.0).tolist()
     rows = list(zip(wanted, l2s, sups))
     max_l2 = max([0.0, *l2s])

@@ -109,22 +109,40 @@ class TimePartition:
     def times(self):
         return self.horizon * (np.arange(self.steps + 1) / self.steps)
 
+    def _locate(self, t):
+        """(i, True) when t lies within 1e-14 T of the grid time t_i, and
+        else (i, False) with t_{i-1} < t < t_i (i clamped to 1..n)."""
+        grid = self.times
+        idx = int(np.searchsorted(grid, t))
+        for i in (idx, idx - 1):
+            if 0 <= i <= self.steps and math.isclose(
+                    t, grid[i], rel_tol=0.0, abs_tol=1e-14 * self.horizon):
+                return i, True
+        return min(max(idx, 1), self.steps), False
+
+    def step_index(self, t):
+        """The step whose value the piecewise-constant reconstruction
+        takes at t: i on (t_{i-1}, t_i], 0 on [-l, 0], with a t within
+        1e-14 T of a grid time taken as that time."""
+        ell = self.step_size
+        if not -ell - 1e-14 * self.horizon <= t <= self.horizon:
+            raise TimeOutOfRange(f"t = {t} outside [{-ell}, {self.horizon}]")
+        return 0 if t <= 0.0 else self._locate(t)[0]
+
 
 @dataclass(frozen=True)
 class HeatProblem:
     """Problem data: domain (a finite Domain, or an ExhaustionSequence for
-    unbounded targets), exponent p >= 1, initial field h, horizon T."""
+    unbounded targets), exponent p >= 1 and initial field h; the horizon
+    is the TimePartition's."""
 
     domain: object
     p: float
     initial: VertexField
-    horizon: float
 
     def __post_init__(self):
         if not (self.p >= 1.0):
             raise ValueError(f"p must be >= 1, got {self.p}")
-        if not (self.horizon > 0.0):
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.initial.graph is not self.domain.graph:
             raise DomainMismatch("initial field lives on a different graph")
         if isinstance(self.domain, Domain):
@@ -405,75 +423,53 @@ def run_rothe(prob, part, **opts):
 def evaluate_interpolant(traj, t, kind="linear"):
     """Piecewise-linear Rothe interpolant, or the piecewise-constant step
     reconstruction (which also extends to t in [-l, 0] with the initial
-    field)."""
+    field); both take a t within 1e-14 T of a grid time as that time."""
     part = traj.partition
-    ell = part.step_size
-    n = part.steps
-    grid = part.times
-    idx = int(np.searchsorted(grid, t))
-    if idx <= n and math.isclose(t, grid[idx], rel_tol=0.0,
-                                 abs_tol=1e-14 * part.horizon):
-        exact = idx
-    elif idx >= 1 and math.isclose(t, grid[idx - 1], rel_tol=0.0,
-                                   abs_tol=1e-14 * part.horizon):
-        exact = idx - 1
-    else:
-        exact = None
     g = traj.problem.domain.graph
     values = traj.values
-    if kind == "linear":
-        if t < 0.0 or t > part.horizon:
-            raise TimeOutOfRange(f"t = {t} outside [0, {part.horizon}]")
-        if exact is not None:
-            return VertexField(g, values[exact])
-        i = min(max(idx, 1), n)
-        return VertexField(g, values[i - 1] + (t - grid[i - 1])
-                           * ((values[i] - values[i - 1]) / ell))
     if kind == "step":
-        if t < -ell - 1e-14 * part.horizon or t > part.horizon:
-            raise TimeOutOfRange(f"t = {t} outside [{-ell}, {part.horizon}]")
-        if t <= 0.0:
-            return VertexField(g, values[0])
-        if exact is not None:
-            return VertexField(g, values[exact])
-        return VertexField(g, values[min(max(idx, 1), n)])
-    raise ValueError(f"unknown interpolant kind {kind!r}")
+        return VertexField(g, values[part.step_index(t)])
+    if kind != "linear":
+        raise ValueError(f"unknown interpolant kind {kind!r}")
+    if not 0.0 <= t <= part.horizon:
+        raise TimeOutOfRange(f"t = {t} outside [0, {part.horizon}]")
+    i, on_grid = part._locate(t)
+    if on_grid:
+        return VertexField(g, values[i])
+    return VertexField(g, values[i - 1] + (t - part.times[i - 1])
+                       * ((values[i] - values[i - 1]) / part.step_size))
 
 
-@dataclass(frozen=True)
-class StepEstimate:
-    """Per-step monitored quantities; ``r`` and ``d`` are the one-step
-    energy-inequality residual and the discrete energy-production defect,
-    both <= 0 up to solver residual at the exact minimizer. ``energy`` is
-    E(u_i)/2 + I(|u_i|^{p+1})/(p+1)."""
-
-    index: int
-    l2: float
-    l2_interior: float
-    grad_l2: float
-    l2p: float
-    energy: float
-    delta_l2: float
-    r: float
-    d: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimateReport:
-    rows: tuple
+    """The monitors of a run, one read-only array per quantity with entry
+    i for u_i: ``norms`` is ``calculus.norms`` of the run's stack (its
+    ``lq`` is the L^{2p}(Omega) norm), ``energy`` is
+    E(u_i)/2 + I(|u_i|^{p+1})/(p+1), ``delta_l2`` the quotient norm
+    |delta u_i| over Omega, and ``r`` and ``d`` are the one-step
+    energy-inequality residual and the discrete energy-production defect,
+    both <= 0 up to solver residual at the exact minimizer. Entry 0 of
+    ``delta_l2``, ``r`` and ``d`` is NaN."""
+
+    norms: calculus.NormBundle
+    energy: np.ndarray
+    delta_l2: np.ndarray
+    r: np.ndarray
+    d: np.ndarray
 
     @property
     def max_r(self):
-        return max((row.r for row in self.rows if row.index > 0),
-                   default=0.0)
+        return max(self.r[1:].tolist(), default=0.0)
 
     @property
     def max_d(self):
-        return max((row.d for row in self.rows if row.index > 0),
-                   default=0.0)
+        return max(self.d[1:].tolist(), default=0.0)
 
-    def l2_values(self):
-        return [row.l2 for row in self.rows]
+
+def _squares(column):
+    """x ** 2 of each entry on Python floats, which call ``pow``: numpy's
+    array square multiplies, and the two can differ in the last bit."""
+    return np.array([x ** 2 for x in column.tolist()])
 
 
 def monitor_estimates(traj):
@@ -481,7 +477,7 @@ def monitor_estimates(traj):
     per step) and quotients in one norm pass and two power-integral
     passes.
 
-    Row i >= 1 reports, for u_i: the L2(Omega) and L2(interior) norms,
+    Entry i >= 1 reports, for u_i: the L2(Omega) and L2(interior) norms,
     the gradient L2 norm, the L^{2p}(Omega) norm, the energy, the quotient
     norm |delta u_i| over Omega, and
 
@@ -489,36 +485,27 @@ def monitor_estimates(traj):
               - (I(u_i^2) + I(u_{i-1}^2)) / 2,
         d_i = (I(u_i^2) - I(u_{i-1}^2)) / l + 2 I(|u_i|^{p+1}) + 2 E(u_i),
 
-    with I the interior integral and E the gradient energy over Omega.
-    Row 0 carries the initial norms with r, d, delta as NaN. Every number
-    is bit for bit the one computed from its step's field alone.
+    with I the interior integral and E the gradient energy over Omega,
+    where I(u_i^2) and E(u_i) are the Python-float squares of the L2 and
+    gradient norms. Entry 0 carries the initial norms with r, d, delta as
+    NaN. Every number is bit for bit the one computed from its step's
+    field alone.
     """
     prob = traj.problem
     dom = prob.domain
     g = dom.graph
     ell = traj.partition.step_size
     p = prob.p
-    bundles = calculus.norms(g, traj.values, dom, q=2.0 * p)
-    powrs = calculus.power_integral(g, traj.values, dom.interior_ids,
-                                    p + 1.0).tolist()
-    delta_sqs = [math.nan] + calculus.power_integral(
-        g, traj.quotients, dom.omega_ids, 2.0).tolist()
-    rows = []
-    prev_sq = None
-    for i, (nb, powr, delta_sq) in enumerate(zip(bundles, powrs, delta_sqs)):
-        sq = nb.l2_interior ** 2
-        grad_sq = nb.grad_l2 ** 2
-        energy = 0.5 * grad_sq + powr / (p + 1.0)
-        if i == 0:
-            delta_l2 = r = d = math.nan
-        else:
-            delta_l2 = math.sqrt(delta_sq)
-            r = sq + ell * (powr + grad_sq) - 0.5 * (sq + prev_sq)
-            d = (sq - prev_sq) / ell + 2.0 * powr + 2.0 * grad_sq
-        rows.append(StepEstimate(i, nb.l2_domain, nb.l2_interior, nb.grad_l2,
-                                 nb.lq, energy, delta_l2, r, d))
-        prev_sq = sq
-    return EstimateReport(tuple(rows))
+    nb = calculus.norms(g, traj.values, dom, q=2.0 * p)
+    powr = calculus.power_integral(g, traj.values, dom.interior_ids, p + 1.0)
+    sq = _squares(nb.l2_interior)
+    grad_sq = _squares(nb.grad_l2)
+    delta = calculus._l2_rows(g, traj.quotients, dom.omega_ids)
+    r = sq[1:] + ell * (powr[1:] + grad_sq[1:]) - 0.5 * (sq[1:] + sq[:-1])
+    d = (sq[1:] - sq[:-1]) / ell + 2.0 * powr[1:] + 2.0 * grad_sq[1:]
+    return EstimateReport(nb, *map(calculus._read_only, (
+        0.5 * grad_sq + powr / (p + 1.0),
+        *(np.insert(x, 0, math.nan) for x in (delta, r, d)))))
 
 
 @dataclass(frozen=True)

@@ -79,8 +79,8 @@ def dirichlet_eigenbasis(dom):
     W *= np.where(first < 0.0, -1.0, 1.0)
     W.setflags(write=False)
     R = (op.stiffness @ W) / op.mass[:, None] - W * lam
-    return SpectralBasis(dom, lam, W, np.array(_l2_rows(
-        dom.graph, op.extend_rows(R.T), dom.interior_ids)))
+    return SpectralBasis(dom, lam, W, _l2_rows(
+        dom.graph, op.extend_rows(R.T), dom.interior_ids))
 
 
 def w12_coefficients(basis, h):

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import VertexField, _l2_rows, field_on_interior, \
-    require_admissible
+from .calculus import VertexField, _l2_rows, _read_only, \
+    field_on_interior, require_admissible
 from .errors import (
     AmbiguousTable,
     DomainMismatch,
@@ -134,16 +134,16 @@ class TableForcing:
 
 @dataclass(frozen=True)
 class VIProblem:
+    """Problem data: domain (a finite Domain or an ExhaustionSequence),
+    forcing provider, initial field g and admissible set; the horizon is
+    the TimePartition's."""
+
     domain: object
     forcing: object
     initial: VertexField
-    horizon: float
-    lipschitz_bound: object = None
     constraint: object = Subspace()
 
     def __post_init__(self):
-        if not (self.horizon > 0.0):
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
         if self.initial.graph is not self.domain.graph:
             raise DomainMismatch("initial field lives on a different graph")
         if self.forcing.graph is not self.domain.graph:
@@ -316,12 +316,9 @@ def run_vi(prob, part, **opts):
 
 def forcing_step_function(prob, part, t):
     """The piecewise-constant forcing reconstruction: f(., t_i) on
-    (t_{i-1}, t_i], and f(., t_0) on [-l, 0]."""
-    ell = part.step_size
-    if t < -ell - 1e-14 * part.horizon or t > part.horizon:
-        raise TimeOutOfRange(f"t = {t} outside [{-ell}, {part.horizon}]")
-    i = 0 if t <= 0.0 else min(max(int(math.ceil(t / ell - 1e-12)), 1),
-                               part.steps)
+    (t_{i-1}, t_i], and f(., t_0) on [-l, 0], with i picked by
+    ``TimePartition.step_index`` as for the step interpolant."""
+    i = part.step_index(t)
     g = prob.domain.graph
     return VertexField(g, prob.forcing.rows(part.times[i:i + 1],
                                             np.arange(g.num_vertices))[0])
@@ -347,51 +344,53 @@ def lipschitz_validate(forcing, time_samples, dom, c_declared=None):
     ids = dom.interior_ids
     vals = np.zeros((len(times), g.num_vertices))
     vals[:, ids] = forcing.rows(times, ids)
+    grid = np.array(times)
     best = 0.0
     worst = (times[0], times[1])
     for a in range(len(times) - 1):
-        l2s = _l2_rows(g, vals[a + 1:] - vals[a], ids)
-        for b, l2 in enumerate(l2s, a + 1):
-            q = l2 / (times[b] - times[a])
-            if q > best:
-                best, worst = q, (times[a], times[b])
+        qs = _l2_rows(g, vals[a + 1:] - vals[a], ids) / (grid[a + 1:]
+                                                          - times[a])
+        # the first largest quotient of this row, as a strict > keeps
+        b = int(np.argmax(qs))
+        if qs[b] > best:
+            best, worst = float(qs[b]), (times[a], times[a + 1 + b])
     violated = c_declared is not None and best > 1.01 * float(c_declared)
     return LipschitzReport(best, c_declared, violated, worst)
 
 
-@dataclass(frozen=True)
-class QuotientRow:
-    index: int
-    quotient_l2: float
-    forcing_increment_l2: float
-    recurrence_slack: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonotonicityReport:
     """Per-triple check of |delta u_j| <= |delta u_{j-1}| + |f_j - f_{j-1}|
     plus the cumulative bound |delta u_i| <= |Laplacian g| + |f(., 0)| +
     c_grid * T with the grid-sampled forcing increment rate c_grid. For an
     obstacle run whose g lies below psi at an interior vertex that bound
     fails at the first step, and the cumulative bound is |delta u_1| +
-    c_grid * T, the sum of the triples from j = 2 on."""
+    c_grid * T, the sum of the triples from j = 2 on.
 
-    rows: tuple
+    ``quotient_l2``, ``forcing_increment_l2`` and ``recurrence_slack`` are
+    read-only arrays with entry j - 1 for step j = 1..n: |delta u_j|,
+    |f_j - f_{j-1}| and |delta u_j| - |delta u_{j-1}| - |f_j - f_{j-1}|
+    (NaN at j = 1)."""
+
+    quotient_l2: np.ndarray
+    forcing_increment_l2: np.ndarray
+    recurrence_slack: np.ndarray
     cumulative_bound: float
     grid_rate: float
 
     @property
     def max_slack(self):
-        return max((r.recurrence_slack for r in self.rows if r.index >= 2),
-                   default=0.0)
+        """The largest slack over j >= 2, which may be negative; 0.0 for a
+        one-step run."""
+        return max(self.recurrence_slack[1:].tolist(), default=0.0)
 
     @property
     def max_quotient(self):
-        return max((r.quotient_l2 for r in self.rows), default=0.0)
+        return max(self.quotient_l2.tolist(), default=0.0)
 
 
 def vi_monotonicity_monitor(run):
-    """Quotient rows and cumulative bound of a VI run, from one ordered
+    """Quotient norms and cumulative bound of a VI run, from one ordered
     reduction over the quotients, forcing increments, f(., 0) and -Lap g."""
     prob = run.problem
     dom = prob.domain
@@ -404,16 +403,14 @@ def vi_monotonicity_monitor(run):
         np.vstack((np.diff(f_vals, axis=0), f_vals[0],
                    op.neg_laplacian(g)))))), dom.interior_ids)
     q, finc = norms[:n], norms[n:2 * n]
-    rows = [QuotientRow(j, q[j - 1], finc[j - 1],
-                        q[j - 1] - q[j - 2] - finc[j - 1] if j >= 2
-                        else math.nan)
-            for j in range(1, n + 1)]
-    grid_rate = max((r.forcing_increment_l2 / ell for r in rows), default=0.0)
+    slack = np.concatenate(([math.nan], q[1:] - q[:-1] - finc[1:]))
+    grid_rate = max((finc / ell).tolist(), default=0.0)
     below_psi = isinstance(prob.constraint, Obstacle) and bool(
         np.any(g < op.restrict(prob.constraint.psi)))
     start = q[0] if below_psi else norms[-1] + norms[-2]
-    bound = start + grid_rate * run.partition.horizon
-    return MonotonicityReport(tuple(rows), bound, grid_rate)
+    bound = float(start + grid_rate * run.partition.horizon)
+    return MonotonicityReport(*map(_read_only, (q, finc, slack)), bound,
+                              grid_rate)
 
 
 def run_vi_exhaustion(prob, part, levels=None, **opts):

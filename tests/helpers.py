@@ -1,8 +1,8 @@
 """Shared builders for the test suite."""
 
+import dataclasses
 import math
 from collections import deque
-from dataclasses import replace
 
 import numpy as np
 
@@ -108,7 +108,7 @@ def random_admissible(rng, dom, scale=1.0):
 def level_problem(prob, dom):
     """``prob`` on the exhaustion level ``dom``, with the initial field
     restricted to its interior, as an exhaustion run poses it."""
-    return replace(prob, domain=dom, initial=field_on_interior(
+    return dataclasses.replace(prob, domain=dom, initial=field_on_interior(
         dom, prob.initial.values[dom.interior_ids]))
 
 
@@ -481,18 +481,42 @@ def reference_norms(g, v, dom, q=2.0):
     return NormBundle(l2i, l2d, lq, w12, grad)
 
 
+def stack_bundles(bundles):
+    """The NormBundle of a stack from the bundles of its rows: one array
+    per field."""
+    from graphrothe.calculus import NormBundle
+
+    return NormBundle(*(np.array([getattr(nb, f.name) for nb in bundles])
+                        for f in dataclasses.fields(NormBundle)))
+
+
+def exact_bits(obj):
+    """Every number of a report, NormBundle, array or float as exact bits,
+    for equality tests: arrays by dtype, shape and ``tobytes``, floats by
+    repr (which tells -0.0 from 0.0 and shows NaN), dataclasses field by
+    field."""
+    if dataclasses.is_dataclass(obj):
+        return (type(obj).__name__,
+                tuple((f.name, exact_bits(getattr(obj, f.name)))
+                      for f in dataclasses.fields(obj)))
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tobytes())
+    return repr(obj)
+
+
 def reference_monitor_estimates(traj):
     """Reference for ``heat.monitor_estimates``: one norm bundle and one
-    power integral per field, in a loop over the steps."""
+    power integral per field, in a loop over the steps, stacked into one
+    array per quantity at the end."""
     from graphrothe import VertexField
-    from graphrothe.heat import EstimateReport, StepEstimate
+    from graphrothe.heat import EstimateReport
 
     prob = traj.problem
     dom = prob.domain
     g = dom.graph
     ell = traj.partition.step_size
     p = prob.p
-    rows = []
+    bundles, energies, deltas, rs, ds = [], [], [], [], []
     prev_sq = None
     values = traj.values
     for i, row in enumerate(values):
@@ -510,10 +534,14 @@ def reference_monitor_estimates(traj):
                 reference_power_integral(g, du, dom.omega_ids, 2.0))
             r = sq + ell * (powr + grad_sq) - 0.5 * (sq + prev_sq)
             d = (sq - prev_sq) / ell + 2.0 * powr + 2.0 * grad_sq
-        rows.append(StepEstimate(i, nb.l2_domain, nb.l2_interior, nb.grad_l2,
-                                 nb.lq, energy, delta_l2, r, d))
+        bundles.append(nb)
+        energies.append(energy)
+        deltas.append(delta_l2)
+        rs.append(r)
+        ds.append(d)
         prev_sq = sq
-    return EstimateReport(tuple(rows))
+    return EstimateReport(stack_bundles(bundles), np.array(energies),
+                          np.array(deltas), np.array(rs), np.array(ds))
 
 
 def reference_run_rothe(prob, part, **opts):
@@ -566,9 +594,10 @@ def reference_run_vi(prob, part, **opts):
 def reference_vi_monotonicity_monitor(run, quotients):
     """Reference for ``vi.vi_monotonicity_monitor``: the norm of each
     quotient field (``reference_run_vi``), forcing increment, f(., 0) and
-    -Laplacian g, each from its own field. The bound starts from the first
-    quotient when an obstacle lies above g at some interior vertex."""
-    from graphrothe.vi import MonotonicityReport, Obstacle, QuotientRow
+    -Laplacian g, each from its own field, stacked into one array per
+    quantity at the end. The bound starts from the first quotient when an
+    obstacle lies above g at some interior vertex."""
+    from graphrothe.vi import MonotonicityReport, Obstacle
 
     prob = run.problem
     op = prob.domain.operator
@@ -578,13 +607,13 @@ def reference_vi_monotonicity_monitor(run, quotients):
               for t in times]
     dom = prob.domain
     q_norms = [reference_l2(dom, op.restrict(q)) for q in quotients]
-    rows = []
+    fincs, slacks = [], []
     for j in range(1, len(q_norms) + 1):
         finc = reference_l2(dom, f_vals[j] - f_vals[j - 1])
-        slack = (q_norms[j - 1] - q_norms[j - 2] - finc
-                 if j >= 2 else math.nan)
-        rows.append(QuotientRow(j, q_norms[j - 1], finc, slack))
-    grid_rate = max((r.forcing_increment_l2 / ell for r in rows), default=0.0)
+        fincs.append(finc)
+        slacks.append(q_norms[j - 1] - q_norms[j - 2] - finc
+                      if j >= 2 else math.nan)
+    grid_rate = max((finc / ell for finc in fincs), default=0.0)
     lap_g = reference_l2(dom, op.neg_laplacian(op.restrict(prob.initial)))
     below_psi = isinstance(prob.constraint, Obstacle) and any(
         prob.initial.values[i] < prob.constraint.psi.values[i]
@@ -594,7 +623,8 @@ def reference_vi_monotonicity_monitor(run, quotients):
     else:
         bound = lap_g + reference_l2(dom, f_vals[0]) \
             + grid_rate * run.partition.horizon
-    return MonotonicityReport(tuple(rows), bound, grid_rate)
+    return MonotonicityReport(np.array(q_norms), np.array(fincs),
+                              np.array(slacks), bound, grid_rate)
 
 
 def reference_forcing_at(forcing, t):

@@ -68,7 +68,7 @@ def random_heat_step(rng, p):
     g = random_connected_graph(rng, 5, 20)
     dom = random_domain(rng, g)
     u_prev = random_admissible(rng, dom)
-    prob = HeatProblem(dom, p, u_prev, 1.0)
+    prob = HeatProblem(dom, p, u_prev)
     ell = float(rng.uniform(0.05, 0.5))
     return g, dom, prob, u_prev, ell
 
@@ -153,9 +153,9 @@ def test_criterion_04_l2_monotonicity():
         g = random_connected_graph(rng, 5, 25)
         dom = random_domain(rng, g)
         h = random_admissible(rng, dom)
-        prob = HeatProblem(dom, p, h, 0.5)
+        prob = HeatProblem(dom, p, h)
         traj = run_rothe(prob, TimePartition(0.5, 25))
-        l2 = monitor_estimates(traj).l2_values()
+        l2 = monitor_estimates(traj).norms.l2_domain.tolist()
         scale = 1.0 + l2[0]
         for a, b in zip(l2, l2[1:]):
             assert b <= a + 1e-12 * scale
@@ -175,7 +175,7 @@ def test_criterion_05_spectral_oracle_agreement():
     g, dom = five_path_domain()
     h = VertexField.indicator(g, 2)
     basis = dirichlet_eigenbasis(dom)
-    traj = run_rothe(HeatProblem(dom, 1.0, h, 1.0), part)
+    traj = run_rothe(HeatProblem(dom, 1.0, h), part)
     errs = []
     for i, t in enumerate(part.times):
         ref = exact_p1_solution(basis, h, [float(t)])[0]
@@ -189,7 +189,7 @@ def test_criterion_05_spectral_oracle_agreement():
     dom6 = make_domain(g6, [1, 2, 3, 4])
     h6 = VertexField.from_mapping(g6, {2: 1.0, 3: 0.5})
     basis6 = dirichlet_eigenbasis(dom6)
-    traj6 = run_rothe(HeatProblem(dom6, 1.0, h6, 1.0), part)
+    traj6 = run_rothe(HeatProblem(dom6, 1.0, h6), part)
     errs6 = []
     for i, t in enumerate(part.times):
         ref = exact_p1_solution(basis6, h6, [float(t)])[0]
@@ -216,7 +216,7 @@ def test_criterion_06_time_convergence_order():
     h = field_on_interior(dom, [1.0, 0.5, -0.25, 0.0, 0.75, -0.5, 0.25, 1.0])
     orders_all = {}
     for p in (1.0, 3.0):
-        prob = HeatProblem(dom, p, h, 1.0)
+        prob = HeatProblem(dom, p, h)
         if p == 1.0:
             basis = dirichlet_eigenbasis(dom)
             ref = exact_p1_solution(basis, h, [1.0])[0]
@@ -245,13 +245,13 @@ def test_criterion_07_discrete_energy_production():
         g = random_connected_graph(rng, 5, 25)
         dom = random_domain(rng, g)
         h = random_admissible(rng, dom)
-        prob = HeatProblem(dom, p, h, 0.5)
+        prob = HeatProblem(dom, p, h)
         rep = monitor_estimates(run_rothe(prob, TimePartition(0.5, 25)))
-        scale = (1.0 + rep.rows[0].l2) ** 2
+        scale = (1.0 + float(rep.norms.l2_domain[0])) ** 2
         worst = max(worst, rep.max_d / scale)
         assert rep.max_d <= 1e-10 * scale
     g, dom = five_path_domain()
-    prob = HeatProblem(dom, 1.0, VertexField.indicator(g, 2), 1.0)
+    prob = HeatProblem(dom, 1.0, VertexField.indicator(g, 2))
     rep = monitor_estimates(run_rothe(prob, TimePartition(1.0, 200)))
     assert rep.max_d <= 1e-10 * 4.0
     assert report(7, "discrete energy production non-positive", True,
@@ -287,7 +287,7 @@ def test_criterion_08a_vi_subspace_equivalence():
 def test_criterion_08b_vi_linear_decay():
     g, dom = five_path_domain()
     prob = VIProblem(dom, ConstantForcing(VertexField.zeros(g)),
-                     VertexField.indicator(g, 2), 1.0)
+                     VertexField.indicator(g, 2))
     run = run_vi(prob, TimePartition(1.0, 1000))
     err = abs(run.values[-1, g.vertex(2)] - math.exp(-2.0))
     report(8, "VI linear decay endpoint at n=1000", err <= 2e-4,
@@ -305,7 +305,7 @@ def test_criterion_09_vi_quotient_recurrence():
         expr = ["1 + 0.5*t", "exp(-t)", "sin(3*t)", "2 - t"][
             int(rng.integers(0, 4))]
         forcing = SeparableForcing(chi, compile_time_expression(expr))
-        prob = VIProblem(dom, forcing, random_admissible(rng, dom), 1.0)
+        prob = VIProblem(dom, forcing, random_admissible(rng, dom))
         run = run_vi(prob, TimePartition(1.0, 20))
         mono = vi_monotonicity_monitor(run)
         scale = 1.0 + mono.max_quotient
@@ -351,7 +351,7 @@ def test_criterion_10_obstacle_kkt():
 def test_criterion_11_exhaustion_decay():
     exh = exhaust_generative(LatticeZ(), [0], 25)
     h = VertexField.from_mapping(exh.graph, {0: 1.0})
-    prob = HeatProblem(exh, 1.0, h, 1.0)
+    prob = HeatProblem(exh, 1.0, h)
     results = run_exhaustion(prob, TimePartition(1.0, 200),
                              levels=[5, 10, 15, 20, 25])
     deltas = [r.delta_prev for r in results[1:]]

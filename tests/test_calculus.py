@@ -37,6 +37,7 @@ from helpers import (
     random_domain,
     reference_norms,
     reference_power_integral,
+    stack_bundles,
 )
 
 
@@ -354,9 +355,14 @@ class TestVectorizedGammaBitIdentity:
             assert str(got.value) == str(ref.value)
 
 
+NORM_FIELDS = ("l2_interior", "l2_domain", "lq", "w12", "grad_l2")
+
+
 def bundle_bits(nb):
-    return [bits(getattr(nb, name)) for name in
-            ("l2_interior", "l2_domain", "lq", "w12", "grad_l2")]
+    """Each field of a bundle exactly: a float by ``bits``, an array by
+    the ``bits`` of each entry."""
+    return [bits(x) if isinstance(x, float) else [bits(e) for e in x.tolist()]
+            for x in (getattr(nb, name) for name in NORM_FIELDS)]
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -375,11 +381,16 @@ class TestStackedNorms:
                       for _ in range(int(rng.integers(1, 6)))]
             stack = np.stack([v.values for v in fields])
             got = norms(g, stack, dom, q=q)
-            assert isinstance(got, tuple) and len(got) == len(fields)
-            for nb, v in zip(got, fields):
-                assert bundle_bits(nb) \
-                    == bundle_bits(reference_norms(g, v, dom, q=q))
-                assert bundle_bits(norms(g, v, dom, q=q)) == bundle_bits(nb)
+            for name in NORM_FIELDS:
+                column = getattr(got, name)
+                assert column.shape == (len(fields),)
+                assert not column.flags.writeable
+            assert bundle_bits(got) == bundle_bits(stack_bundles(
+                [reference_norms(g, v, dom, q=q) for v in fields]))
+            alone = [norms(g, v, dom, q=q) for v in fields]
+            assert all(type(getattr(nb, name)) is float
+                       for nb in alone for name in NORM_FIELDS)
+            assert bundle_bits(got) == bundle_bits(stack_bundles(alone))
             for ids in (dom.interior_ids, dom.omega_ids, []):
                 sums = power_integral(g, stack, ids, q)
                 assert [bits(x) for x in sums] == [
@@ -393,10 +404,11 @@ class TestStackedNorms:
         stack[1] = -0.0
         stack[2, ::2] = -0.0
         for q in (1.0, 2.0, 3.0, math.inf):
-            for nb, row in zip(norms(g, stack, dom, q=q), stack):
-                assert bundle_bits(nb) == bundle_bits(
-                    reference_norms(g, VertexField(g, row), dom, q=q))
-                assert bundle_bits(nb) == [bits(0.0)] * 5
+            got = bundle_bits(norms(g, stack, dom, q=q))
+            assert got == bundle_bits(stack_bundles(
+                [reference_norms(g, VertexField(g, row), dom, q=q)
+                 for row in stack]))
+            assert got == [[bits(0.0)] * 3] * 5
 
     def test_refuses_first_incomplete_omega_vertex(self):
         g = materialize_ball(LatticeZ2(), [(0, 0)], 3)

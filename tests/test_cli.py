@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -201,6 +202,27 @@ class TestRunVi:
             (tmp_path / "out" / "manifest.json").read_text())["diagnostics"]
         assert diagnostics["max_quotient_l2"] == 4.12180766827143
         assert diagnostics["quotient_bound"] == 4.12180766827143
+
+    def test_norms_energy_squares_python_floats(self, tmp_path, monkeypatch):
+        # the energy column is 0.5 * x ** 2 of the grad_l2 column on Python
+        # floats (``pow``); this planted gradient norm squares differently
+        # by numpy's multiplication with common libms
+        value = 0.8683284008647664
+        norms = calculus.norms
+
+        def planted(g, v, dom, q=2.0):
+            nb = norms(g, v, dom, q)
+            return dataclasses.replace(
+                nb, grad_l2=np.full_like(nb.grad_l2, value))
+
+        monkeypatch.setattr(calculus, "norms", planted)
+        cfg_path, _ = vi_obstacle_config(tmp_path)
+        assert main(["run", cfg_path]) == 0
+        with open(tmp_path / "out" / "norms.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["grad_l2"] for row in rows] == [repr(value)] * 5
+        assert [row["energy"] for row in rows] \
+            == [repr(0.5 * value ** 2)] * 5
 
     def test_lipschitz_violation_downgrades(self, tmp_path):
         cfg = {

@@ -57,7 +57,7 @@ def bisect_root(f, lo, hi, iters=200):
 def single_interior_problem(p=1.0, value=1.0):
     g, dom = five_path_domain()
     h = VertexField.from_mapping(g, {2: value})
-    return g, dom, HeatProblem(dom, p, h, 1.0)
+    return g, dom, HeatProblem(dom, p, h)
 
 
 class TestTimePartition:
@@ -128,7 +128,7 @@ class TestSolveStep:
             g = random_connected_graph(rng, 5, 25)
             dom = random_domain(rng, g)
             u_prev = random_admissible(rng, dom)
-            prob = HeatProblem(dom, p, u_prev, 1.0)
+            prob = HeatProblem(dom, p, u_prev)
             ell = float(rng.uniform(0.02, 0.5))
             u = solve_step(u_prev, prob, ell)
             tol = 1e-10 * (1.0 + float(np.max(np.abs(u_prev.values))))
@@ -143,7 +143,7 @@ class TestSolveStep:
         g = random_connected_graph(rng, 8, 20)
         dom = random_domain(rng, g)
         u_prev = random_admissible(rng, dom)
-        prob = HeatProblem(dom, 2.0, u_prev, 1.0)
+        prob = HeatProblem(dom, 2.0, u_prev)
         u = solve_step(u_prev, prob, 0.1)
         fu = step_functional(u, u_prev, prob, 0.1)
         for _ in range(20):
@@ -159,7 +159,7 @@ class TestSolveStep:
             g = random_connected_graph(rng, 5, 20)
             dom = random_domain(rng, g)
             u_prev = random_admissible(rng, dom)
-            prob = HeatProblem(dom, p, u_prev, 1.0)
+            prob = HeatProblem(dom, p, u_prev)
             a = solve_step(u_prev, prob, 0.1)
             b = solve_step(u_prev, prob, 0.1, x0=VertexField.zeros(g))
             assert float(np.max(np.abs(a.values - b.values))) <= 1e-8
@@ -170,7 +170,7 @@ class TestSolveStep:
         g = random_connected_graph(rng, 5, 12)
         dom = random_domain(rng, g)
         u_prev = random_admissible(rng, dom)
-        prob = HeatProblem(dom, p, u_prev, 1.0)
+        prob = HeatProblem(dom, p, u_prev)
         ell = 0.1
         from graphrothe import laplacian
         u = random_admissible(rng, dom)
@@ -209,10 +209,10 @@ class TestRunRothe:
             g = random_connected_graph(rng, 5, 25)
             dom = random_domain(rng, g)
             h = random_admissible(rng, dom)
-            prob = HeatProblem(dom, p, h, 0.5)
+            prob = HeatProblem(dom, p, h)
             traj = run_rothe(prob, TimePartition(0.5, 20))
             report = monitor_estimates(traj)
-            l2 = report.l2_values()
+            l2 = report.norms.l2_domain.tolist()
             scale = 1.0 + l2[0]
             for a, b in zip(l2, l2[1:]):
                 assert b <= a + 1e-12 * scale
@@ -270,6 +270,9 @@ class TestInterpolant:
             evaluate_interpolant(self.traj, -0.01, "linear")
         with pytest.raises(TimeOutOfRange):
             evaluate_interpolant(self.traj, 1.01, "linear")
+        for kind in ("linear", "step"):
+            with pytest.raises(TimeOutOfRange):
+                evaluate_interpolant(self.traj, math.nan, kind)
         ell = self.traj.partition.step_size
         with pytest.raises(TimeOutOfRange):
             evaluate_interpolant(self.traj, -1.5 * ell, "step")
@@ -282,8 +285,8 @@ class TestInterpolant:
             g = random_connected_graph(rng, 5, 25)
             dom = random_domain(rng, g)
             n = int(rng.integers(2, 12))
-            traj = run_rothe(HeatProblem(dom, p, random_admissible(rng, dom),
-                                         0.7), TimePartition(0.7, n))
+            traj = run_rothe(HeatProblem(dom, p, random_admissible(rng, dom)),
+                             TimePartition(0.7, n))
             grid = traj.partition.times
             quotients = traj.quotients
             for i in range(1, n + 1):
@@ -298,8 +301,8 @@ class TestInterpolant:
         dom = self.traj.problem.domain
         g = dom.graph
         ell = self.traj.partition.step_size
-        bound = max(nb.l2_domain
-                    for nb in norms(g, self.traj.quotients, dom)) * ell
+        bound = max(norms(g, self.traj.quotients, dom).l2_domain.tolist()) \
+            * ell
         worst = 0.0
         for t in np.linspace(0.0, 1.0, 101):
             lin = evaluate_interpolant(self.traj, float(t), "linear")
@@ -313,9 +316,10 @@ class TestMonitor:
     def test_zero_data(self):
         g, dom, prob = single_interior_problem(value=0.0)
         report = monitor_estimates(run_rothe(prob, TimePartition(1.0, 5)))
-        for row in report.rows[1:]:
-            assert row.l2 == row.grad_l2 == row.l2p == row.delta_l2 == 0.0
-            assert row.r == 0.0 and row.d == 0.0
+        nb = report.norms
+        for column in (nb.l2_domain, nb.grad_l2, nb.lq, report.delta_l2,
+                       report.r, report.d):
+            assert column.shape == (6,) and np.all(column[1:] == 0.0)
 
     def test_energy_residual_single_interior(self):
         g, dom, prob = single_interior_problem()
@@ -329,9 +333,9 @@ class TestMonitor:
             g = random_connected_graph(rng, 5, 20)
             dom = random_domain(rng, g)
             h = random_admissible(rng, dom)
-            prob = HeatProblem(dom, p, h, 0.5)
+            prob = HeatProblem(dom, p, h)
             report = monitor_estimates(run_rothe(prob, TimePartition(0.5, 20)))
-            scale = (1.0 + report.rows[0].l2) ** 2
+            scale = (1.0 + float(report.norms.l2_domain[0])) ** 2
             assert report.max_r <= 1e-10 * scale
             assert report.max_d <= 1e-10 * scale
 
@@ -346,11 +350,12 @@ def boundary_domain(rng, g):
 
 
 def estimate_bits(report):
-    """Every field of every row; repr tells -0.0 from 0.0 and shows NaN."""
-    return [tuple(map(repr, (row.index, row.l2, row.l2_interior,
-                             row.grad_l2, row.l2p, row.energy,
-                             row.delta_l2, row.r, row.d)))
-            for row in report.rows]
+    """Every entry of every column, the five norms first; repr tells -0.0
+    from 0.0 and shows NaN."""
+    nb = report.norms
+    return [[repr(x) for x in column.tolist()] for column in (
+        nb.l2_domain, nb.l2_interior, nb.grad_l2, nb.lq, nb.w12,
+        report.energy, report.delta_l2, report.r, report.d)]
 
 
 class TestStackedMonitorMatchesReference:
@@ -370,7 +375,7 @@ class TestStackedMonitorMatchesReference:
         assert dom.omega_ids.size > dom.interior_ids.size
         h = random_admissible(rng, dom, scale=float(rng.uniform(0.1, 3.0)))
         part = TimePartition(float(rng.uniform(0.1, 2.0)), steps)
-        prob = HeatProblem(dom, p, h, part.horizon)
+        prob = HeatProblem(dom, p, h)
         if kind == "solved":
             traj = run_rothe(prob, part)
         else:
@@ -383,9 +388,38 @@ class TestStackedMonitorMatchesReference:
                 rows.append(vals if kind == "random"
                             else np.zeros(g.num_vertices))
             traj = heat.RotheTrajectory(prob, part, np.array(rows))
-        got = estimate_bits(monitor_estimates(traj))
+        report = monitor_estimates(traj)
+        got = estimate_bits(report)
         assert got == estimate_bits(reference_monitor_estimates(traj))
-        assert got[0][6:] == ("nan", "nan", "nan")
+        assert all(len(column) == steps + 1 for column in got)
+        assert [column[0] for column in got[6:]] == ["nan"] * 3
+        assert not any(column.flags.writeable for column in (
+            report.energy, report.delta_l2, report.r, report.d))
+
+    @pytest.mark.parametrize("p", [1.0, 4.0])
+    def test_norm_squares_are_python_floats(self, p):
+        # one interior vertex of measure 1 with one unit edge to the
+        # boundary: both the L2 and the gradient norm of this value are
+        # the value itself, whose Python square (``pow``) and numpy
+        # square differ in the last bit with common libms; at p = 4 the
+        # energy stays in the binade of |grad|^2 / 2, so a changed gradient
+        # square shows in it, which the p = 1 power term can round away
+        value = 0.8683284008647664
+        g = path_graph(3)
+        dom = make_domain(g, [0, 1])
+        assert dom.interior_ids.tolist() == [0]
+        prob = HeatProblem(dom, p, VertexField.indicator(g, 0))
+        for rows in ([value, 0.0], [value, value, 0.0], [0.0, value]):
+            values = np.zeros((len(rows), 3))
+            values[:, 0] = rows
+            traj = heat.RotheTrajectory(
+                prob, TimePartition(float(len(rows) - 1), len(rows) - 1),
+                values)
+            report = monitor_estimates(traj)
+            assert report.norms.l2_interior.tolist()[rows.index(value)] \
+                == value == report.norms.grad_l2.tolist()[rows.index(value)]
+            assert estimate_bits(report) \
+                == estimate_bits(reference_monitor_estimates(traj))
 
 
 class TestExhaustion:
@@ -394,7 +428,7 @@ class TestExhaustion:
         dom = make_domain(g, range(6))
         exh = exhaust(dom, [0], 8)
         h = VertexField.indicator(g, 2)
-        prob = HeatProblem(exh, 1.0, h, 0.5)
+        prob = HeatProblem(exh, 1.0, h)
         results = run_exhaustion(prob, TimePartition(0.5, 10),
                                  levels=[5, 6, 7, 8])
         assert results[1].delta_prev == 0.0
@@ -403,7 +437,7 @@ class TestExhaustion:
     def test_support_enters_late(self):
         exh = exhaust_generative(LatticeZ(), [0], 10)
         h = VertexField.from_mapping(exh.graph, {7: 1.0})
-        prob = HeatProblem(exh, 1.0, h, 0.5)
+        prob = HeatProblem(exh, 1.0, h)
         results = run_exhaustion(prob, TimePartition(0.5, 10),
                                  levels=[3, 5, 10])
         assert np.all(results[0].run.values[-1] == 0.0)
@@ -414,7 +448,7 @@ class TestExhaustion:
     def test_z_lattice_delta_decay(self):
         exh = exhaust_generative(LatticeZ(), [0], 16)
         h = VertexField.from_mapping(exh.graph, {0: 1.0})
-        prob = HeatProblem(exh, 1.0, h, 1.0)
+        prob = HeatProblem(exh, 1.0, h)
         results = run_exhaustion(prob, TimePartition(1.0, 50),
                                  levels=[4, 8, 12, 16])
         deltas = [r.delta_prev for r in results[1:]]
@@ -430,7 +464,7 @@ class TestLinearSolverPaths:
             g = random_connected_graph(rng, 10, 30)
             dom = random_domain(rng, g)
             u_prev = random_admissible(rng, dom)
-            prob = HeatProblem(dom, p, u_prev, 1.0)
+            prob = HeatProblem(dom, p, u_prev)
             a = solve_step(u_prev, prob, 0.1)
             with monkeypatch.context() as m:
                 m.setattr(operators, "DIRECT_SOLVE_MAX", 0)
@@ -504,14 +538,14 @@ def lattice_exhaustion_problem():
                for i in range(-4, 5) for j in range(-4, 5)
                if abs(i) + abs(j) <= 4}
     h = VertexField.from_mapping(exh.graph, support)
-    return HeatProblem(exh, 2.0, h, 0.5)
+    return HeatProblem(exh, 2.0, h)
 
 
 def stiff_problem():
     dom = exhaust_generative(LatticeZ2(), [(0, 0)], 8).level(8)
     rng = np.random.default_rng(8)
     vals = 10.0 * rng.uniform(-1.0, 1.0, len(dom.interior_ids))
-    return HeatProblem(dom, 5.0, field_on_interior(dom, vals), 3.0)
+    return HeatProblem(dom, 5.0, field_on_interior(dom, vals))
 
 
 class TestNewtonOneFactorization:
@@ -549,7 +583,7 @@ class TestNewtonOneFactorization:
             g = random_connected_graph(rng, 30, 60)
             dom = random_domain(rng, g, keep=0.9)
             vals = amplitude * rng.uniform(-1.0, 1.0, len(dom.interior_ids))
-            prob = HeatProblem(dom, p, field_on_interior(dom, vals), 3 * ell)
+            prob = HeatProblem(dom, p, field_on_interior(dom, vals))
             spd_count[0] = 0
             self.compare(prob, TimePartition(3 * ell, 3))
             # S0^{-1} J has its spectrum in [1, 1 + l max p|w|^(p-1)]
@@ -629,7 +663,7 @@ class TestForcingFloor:
         dom = random_domain(rng, g, keep=0.9)
         vals = 10.0 ** log_amplitude * rng.uniform(
             -1.0, 1.0, len(dom.interior_ids))
-        prob = HeatProblem(dom, p, field_on_interior(dom, vals), 3 * ell)
+        prob = HeatProblem(dom, p, field_on_interior(dom, vals))
         op = dom.operator
         w = op.restrict(prob.initial)
         for _ in range(3):
@@ -713,7 +747,7 @@ class TestNewtonProductReuse:
             g = random_connected_graph(rng, 30, 60)
             dom = random_domain(rng, g, keep=0.9)
             vals = amplitude * rng.uniform(-1.0, 1.0, len(dom.interior_ids))
-            prob = HeatProblem(dom, p, field_on_interior(dom, vals), 3 * ell)
+            prob = HeatProblem(dom, p, field_on_interior(dom, vals))
             for zero_start in (False, True):
                 got, ref, stats = newton_pair(
                     prob, TimePartition(3 * ell, 3), zero_start)
@@ -785,7 +819,7 @@ class TestLevelWarmStart:
                        if abs(i) + abs(j) <= 2]
         h = VertexField.from_mapping(exh.graph, {
             x: float(rng.uniform(-2.0, 2.0)) for x in support})
-        prob = HeatProblem(exh, p, h, horizon)
+        prob = HeatProblem(exh, p, h)
         part = TimePartition(horizon, steps)
         # two answers of a step that each meet max|G/mass| <= tol differ
         # by at most 2 l tol in the max norm (A + M/l + a nonnegative
@@ -834,8 +868,7 @@ class TestNewtonOverflow:
     def problem(p, value, mu=1.0):
         g = path_graph(5, mu=mu)
         dom = make_domain(g, [1, 2, 3])
-        return HeatProblem(dom, p, VertexField.from_mapping(g, {2: value}),
-                           1.0)
+        return HeatProblem(dom, p, VertexField.from_mapping(g, {2: value}))
 
     @pytest.mark.parametrize("state", ["warn", "raise"])
     def test_gradient_overflow(self, state):
@@ -908,7 +941,7 @@ class TestNewtonOverflowNotRaised:
         size, mu, omega, p, vertex, value, op = self.CASES[case]
         g = path_graph(size, mu=mu)
         prob = HeatProblem(make_domain(g, omega), p,
-                           VertexField.from_mapping(g, {vertex: value}), 1.0)
+                           VertexField.from_mapping(g, {vertex: value}))
         iterations = []
         grad_half = heat._HeatStepper._grad_half
 
@@ -942,13 +975,13 @@ class TestProblemValidation:
     def test_p_below_one(self):
         g, dom = five_path_domain()
         with pytest.raises(ValueError):
-            HeatProblem(dom, 0.5, VertexField.zeros(g), 1.0)
+            HeatProblem(dom, 0.5, VertexField.zeros(g))
 
     def test_initial_not_admissible(self):
         from graphrothe.errors import NotDirichletAdmissible
         g, dom = five_path_domain()
         with pytest.raises(NotDirichletAdmissible):
-            HeatProblem(dom, 1.0, VertexField.indicator(g, 0), 1.0)
+            HeatProblem(dom, 1.0, VertexField.indicator(g, 0))
 
     def test_empty_interior(self):
         from graphrothe.errors import EmptyInterior, EmptyInteriorWarning
@@ -957,4 +990,4 @@ class TestProblemValidation:
             warnings.simplefilter("ignore", EmptyInteriorWarning)
             dom = make_domain(g, [2])
         with pytest.raises(EmptyInterior):
-            HeatProblem(dom, 1.0, VertexField.zeros(g), 1.0)
+            HeatProblem(dom, 1.0, VertexField.zeros(g))

@@ -217,7 +217,7 @@ class TestPsorListBitIdentity:
             op = stepper.op
             w_prev = op.restrict(u_prev)
             u, rep = stepper.step(1, w_prev, op.restrict(f))
-            run = run_vi(VIProblem(dom, ConstantForcing(f), u_prev, ell,
+            run = run_vi(VIProblem(dom, ConstantForcing(f), u_prev,
                                    constraint=Obstacle(psi)),
                          TimePartition(ell, 1))
 

@@ -143,14 +143,14 @@ def test_one_operator_per_domain(monkeypatch):
     g = path_graph(7)
     dom = make_domain(g, range(1, 6))
     h = VertexField.from_mapping(g, {2: 1.0, 3: -0.5, 4: 0.25})
-    heat_prob = HeatProblem(dom, 2.0, h, 0.5)
+    heat_prob = HeatProblem(dom, 2.0, h)
     for steps in (4, 8):
         traj = run_rothe(heat_prob, TimePartition(0.5, steps))
     step_functional(VertexField(g, traj.values[1]),
                     VertexField(g, traj.values[0]), heat_prob, 0.0625)
     dirichlet_eigenbasis(dom)
     ode_oracle(heat_prob, [0.25, 0.5])
-    vi_prob = VIProblem(dom, ConstantForcing(h), h, 0.5)
+    vi_prob = VIProblem(dom, ConstantForcing(h), h)
     vi_monotonicity_monitor(run_vi(vi_prob, TimePartition(0.5, 4)))
     assert built[0] == 1
     assert dom.operator is dom.operator
@@ -168,9 +168,9 @@ def test_exhaustion_frees_each_solved_level(monkeypatch):
     exh = exhaust_generative(LatticeZ2(), [(0, 0)], 6)
     h = VertexField.from_mapping(exh.graph, {(0, 0): 1.0, (1, 0): -0.5})
     part = TimePartition(0.5, 3)
-    heat_levels = run_exhaustion(HeatProblem(exh, 2.0, h, 0.5), part)
+    heat_levels = run_exhaustion(HeatProblem(exh, 2.0, h), part)
     vi_levels = run_vi_exhaustion(
-        VIProblem(exh, ConstantForcing(h), h, 0.5), part, levels=[2, 4])
+        VIProblem(exh, ConstantForcing(h), h), part, levels=[2, 4])
     gc.collect()
     # one operator per level solved, none alive once its level is done
     assert len(built) == len(heat_levels) + len(vi_levels)
@@ -228,8 +228,8 @@ class TestPcg:
         dom = random_domain(rng, g)
         zero = VertexField.zeros(g)
         part = TimePartition(0.5, 3)
-        heat_run = run_rothe(HeatProblem(dom, 1.0, zero, 0.5), part)
-        vi_run = run_vi(VIProblem(dom, ConstantForcing(zero), zero, 0.5,
+        heat_run = run_rothe(HeatProblem(dom, 1.0, zero), part)
+        vi_run = run_vi(VIProblem(dom, ConstantForcing(zero), zero,
                                   constraint=Subspace()), part)
         for row in np.concatenate((heat_run.values, vi_run.values)):
             assert same_bytes(row, np.zeros(g.num_vertices))

@@ -258,7 +258,7 @@ class TestOdeOracle:
         dom = random_domain(rng, g)
         h = random_admissible(rng, dom)
         basis = dirichlet_eigenbasis(dom)
-        prob = HeatProblem(dom, 1.0, h, 1.0)
+        prob = HeatProblem(dom, 1.0, h)
         tol = 1e-10
         times = [0.2, 0.5, 1.0]
         values = ode_oracle(prob, times, tol=tol)
@@ -269,7 +269,7 @@ class TestOdeOracle:
 
     def test_zero_data(self):
         g, dom = five_path_domain()
-        prob = HeatProblem(dom, 2.0, VertexField.zeros(g), 1.0)
+        prob = HeatProblem(dom, 2.0, VertexField.zeros(g))
         for u in ode_oracle(prob, [0.3, 0.9], tol=1e-10):
             assert np.all(u == 0.0)
 
@@ -279,13 +279,13 @@ class TestOdeOracle:
         expect = (1.5 * math.exp(4.0 * t) - 0.5) ** -0.5
         assert expect == pytest.approx(0.7585914964015493, abs=1e-15)
         g, dom = five_path_domain()
-        prob = HeatProblem(dom, 3.0, VertexField.indicator(g, 2), 1.0)
+        prob = HeatProblem(dom, 3.0, VertexField.indicator(g, 2))
         u = ode_oracle(prob, [t], tol=1e-12)[0]
         assert u[g.vertex(2)] == pytest.approx(expect, abs=1e-10)
 
     def test_tolerance_floor(self):
         g, dom = five_path_domain()
-        prob = HeatProblem(dom, 1.0, VertexField.indicator(g, 2), 1.0)
+        prob = HeatProblem(dom, 1.0, VertexField.indicator(g, 2))
         with pytest.raises(ValueError):
             ode_oracle(prob, [0.5], tol=1e-14)
 
@@ -293,13 +293,13 @@ class TestOdeOracle:
         g = build_finite_graph([(0, 1, 1e9), (1, 2, 1e9)],
                                {i: 1.0 for i in range(3)})
         dom = make_domain(g, [0, 1, 2])
-        prob = HeatProblem(dom, 1.0, VertexField.indicator(g, 1), 1.0)
+        prob = HeatProblem(dom, 1.0, VertexField.indicator(g, 1))
         with pytest.raises(StiffnessFailure):
             ode_oracle(prob, [1.0], tol=1e-10)
 
     def test_unsorted_times(self):
         g, dom = five_path_domain()
-        prob = HeatProblem(dom, 1.0, VertexField.indicator(g, 2), 1.0)
+        prob = HeatProblem(dom, 1.0, VertexField.indicator(g, 2))
         a = ode_oracle(prob, [1.0, 0.25], tol=1e-11)
         b = ode_oracle(prob, [0.25, 1.0], tol=1e-11)
         assert np.array_equal(a[0], b[1])

@@ -38,6 +38,7 @@ from graphrothe.errors import (
 from graphrothe import operators, vi
 from graphrothe.operators import DirichletOperator, PrincipalBlocks
 from graphrothe.timeexpr import compile_time_expression
+from graphrothe.heat import RotheTrajectory, evaluate_interpolant
 from graphrothe.vi import ViStepper, active_set_solve, forcing_step_function
 from helpers import (
     five_path_domain,
@@ -155,7 +156,7 @@ class TestRunVi:
     def test_zero_everything(self):
         g, dom = five_path_domain()
         prob = VIProblem(dom, ConstantForcing(VertexField.zeros(g)),
-                         VertexField.zeros(g), 1.0)
+                         VertexField.zeros(g))
         run = run_vi(prob, TimePartition(1.0, 10))
         assert np.all(run.values == 0.0)
 
@@ -164,7 +165,7 @@ class TestRunVi:
         # error floor at n=1000 is |1.002^-1000 - e^-2| = 2.706e-4
         g, dom = five_path_domain()
         prob = VIProblem(dom, ConstantForcing(VertexField.zeros(g)),
-                         VertexField.indicator(g, 2), 1.0)
+                         VertexField.indicator(g, 2))
         run = run_vi(prob, TimePartition(1.0, 1000))
         assert run.values[-1, g.vertex(2)] == pytest.approx(math.exp(-2.0),
                                                            abs=3e-4)
@@ -173,7 +174,7 @@ class TestRunVi:
         g, dom = five_path_domain()
         f = VertexField.from_mapping(g, {2: 1.0})
         prob = VIProblem(dom, ConstantForcing(f),
-                         VertexField.zeros(g), 50.0)
+                         VertexField.zeros(g))
         run = run_vi(prob, TimePartition(50.0, 500))
         op = DirichletOperator(dom)
         steady = np.linalg.solve(op.stiffness.toarray(),
@@ -193,8 +194,8 @@ class TestRunVi:
         g1 = random_admissible(rng, dom)
         g2 = random_admissible(rng, dom)
         part = TimePartition(1.0, 20)
-        run1 = run_vi(VIProblem(dom, f, g1, 1.0), part)
-        run2 = run_vi(VIProblem(dom, f, g2, 1.0), part)
+        run1 = run_vi(VIProblem(dom, f, g1), part)
+        run2 = run_vi(VIProblem(dom, f, g2), part)
         prev = math.inf
         scale = 1.0 + norms(g, g1, dom).l2_interior \
             + norms(g, g2, dom).l2_interior
@@ -212,7 +213,7 @@ class TestMonotonicityMonitor:
         chi = VertexField(g, rng.normal(size=g.num_vertices))
         forcing = SeparableForcing(chi, compile_time_expression(time_expr))
         init = random_admissible(rng, dom)
-        prob = VIProblem(dom, forcing, init, 1.0)
+        prob = VIProblem(dom, forcing, init)
         return g, dom, run_vi(prob, TimePartition(1.0, 15))
 
     def test_recurrence_inequality(self):
@@ -222,9 +223,9 @@ class TestMonotonicityMonitor:
             report = vi_monotonicity_monitor(run)
             bound_scale = 1.0 + report.max_quotient
             assert report.max_slack <= 1e-10 * bound_scale
-            for row in report.rows:
-                assert row.quotient_l2 <= report.cumulative_bound \
-                    + 1e-10 * bound_scale
+            assert report.quotient_l2.shape == (15,)
+            assert np.all(report.quotient_l2 <= report.cumulative_bound
+                          + 1e-10 * bound_scale)
 
     def test_constant_forcing_nonincreasing_quotients(self):
         rng = np.random.default_rng(43)
@@ -232,10 +233,10 @@ class TestMonotonicityMonitor:
         dom = random_domain(rng, g)
         forcing = ConstantForcing(
             VertexField(g, rng.normal(size=g.num_vertices)))
-        prob = VIProblem(dom, forcing, random_admissible(rng, dom), 1.0)
+        prob = VIProblem(dom, forcing, random_admissible(rng, dom))
         run = run_vi(prob, TimePartition(1.0, 15))
         report = vi_monotonicity_monitor(run)
-        qs = [row.quotient_l2 for row in report.rows]
+        qs = report.quotient_l2.tolist()
         for a, b in zip(qs, qs[1:]):
             assert b <= a + 1e-10 * (1.0 + qs[0])
 
@@ -253,11 +254,11 @@ class TestMonotonicityMonitor:
             chi = VertexField(g, rng.normal(size=g.num_vertices))
             forcing = SeparableForcing(chi,
                                        compile_time_expression("sin(5*t)"))
-            prob = VIProblem(dom, forcing, init, 1.0,
+            prob = VIProblem(dom, forcing, init,
                              constraint=Obstacle(psi))
             report = vi_monotonicity_monitor(run_vi(prob,
                                                     TimePartition(1.0, 15)))
-            assert report.cumulative_bound == report.rows[0].quotient_l2 \
+            assert report.cumulative_bound == report.quotient_l2[0] \
                 + report.grid_rate * 1.0
             bound_scale = 1.0 + report.max_quotient
             assert report.max_quotient <= report.cumulative_bound \
@@ -266,7 +267,7 @@ class TestMonotonicityMonitor:
     def test_zero_run_zero_quotients(self):
         g, dom = five_path_domain()
         prob = VIProblem(dom, ConstantForcing(VertexField.zeros(g)),
-                         VertexField.zeros(g), 1.0)
+                         VertexField.zeros(g))
         report = vi_monotonicity_monitor(run_vi(prob, TimePartition(1.0, 6)))
         assert report.max_quotient == 0.0
 
@@ -436,7 +437,7 @@ class TestForcingProviders:
         forcing = _CountingForcing(TableForcing(
             part.times, [VertexField.from_mapping(g, {2: math.sin(t)})
                          for t in part.times]))
-        run = run_vi(VIProblem(dom, forcing, VertexField.zeros(g), 1.0),
+        run = run_vi(VIProblem(dom, forcing, VertexField.zeros(g)),
                      part)
         assert forcing.calls == 1
         vi_monotonicity_monitor(run)
@@ -448,7 +449,7 @@ class TestForcingProviders:
         g, dom = five_path_domain()
         chi = VertexField.indicator(g, 2)
         forcing = SeparableForcing(chi, compile_time_expression("t"))
-        prob = VIProblem(dom, forcing, VertexField.zeros(g), 1.0)
+        prob = VIProblem(dom, forcing, VertexField.zeros(g))
         part = TimePartition(1.0, 4)
         ell = part.step_size
         assert forcing_step_function(prob, part, -0.1)[2] == 0.0
@@ -458,6 +459,43 @@ class TestForcingProviders:
         with pytest.raises(TimeOutOfRange):
             forcing_step_function(prob, part, 1.2)
 
+    @pytest.mark.parametrize("horizon, steps",
+                             [(1.0, 10), (0.3, 7), (50.0, 500)])
+    def test_step_function_picks_the_interpolant_step(self, horizon, steps):
+        # row i of the run and tabulated field i both hold i everywhere,
+        # so each reconstruction shows the step it picks
+        g, dom = five_path_domain()
+        part = TimePartition(horizon, steps)
+        ell = part.step_size
+        rows = np.repeat(np.arange(steps + 1.0)[:, None], g.num_vertices,
+                         axis=1)
+        forcing = TableForcing(part.times,
+                               [VertexField(g, row) for row in rows])
+        prob = VIProblem(dom, forcing, VertexField.zeros(g))
+        traj = RotheTrajectory(prob, part, rows)
+
+        def picked(fn, t):
+            try:
+                return fn(t).values.tolist()
+            except TimeOutOfRange:
+                return "out of range"
+
+        offsets = [k * 1e-13 * ell for k in range(-10, 11)]
+        offsets += [s * 1e-14 * horizon
+                    for s in (-1.01, -1.0, -0.99, 0.99, 1.0, 1.01)]
+        for i, t_i in enumerate(part.times.tolist() + [-ell]):
+            for t in (t_i + dt for dt in offsets):
+                step = picked(
+                    lambda t: evaluate_interpolant(traj, t, "step"), t)
+                assert picked(lambda t: forcing_step_function(prob, part, t),
+                              t) == step, (i, t)
+                if abs(t - t_i) <= 1e-14 * horizon and 0.0 < t <= horizon:
+                    assert step == [float(i)] * g.num_vertices, (i, t)
+        for fn in (lambda t: evaluate_interpolant(traj, t, "step"),
+                   lambda t: forcing_step_function(prob, part, t)):
+            with pytest.raises(TimeOutOfRange):
+                fn(math.nan)
+
 
 class TestViExhaustion:
     def test_finite_stabilizes(self):
@@ -465,7 +503,7 @@ class TestViExhaustion:
         dom = make_domain(g, range(6))
         exh = exhaust(dom, [0], 8)
         forcing = ConstantForcing(VertexField.indicator(g, 3))
-        prob = VIProblem(exh, forcing, VertexField.indicator(g, 2), 0.5)
+        prob = VIProblem(exh, forcing, VertexField.indicator(g, 2))
         results = run_vi_exhaustion(prob, TimePartition(0.5, 8),
                                     levels=[6, 7, 8])
         assert results[1].delta_prev == 0.0
@@ -476,8 +514,7 @@ class TestViExhaustion:
         exh = exhaust_generative(LatticeZ(), [0], 12)
         g = exh.graph
         forcing = ConstantForcing(VertexField.from_mapping(g, {0: 1.0}))
-        prob = VIProblem(exh, forcing, VertexField.from_mapping(g, {0: 0.5}),
-                         1.0)
+        prob = VIProblem(exh, forcing, VertexField.from_mapping(g, {0: 0.5}))
         results = run_vi_exhaustion(prob, TimePartition(1.0, 25),
                                     levels=[4, 8, 12])
         deltas = [r.delta_prev for r in results[1:]]
@@ -498,7 +535,7 @@ class TestViExhaustion:
             x: float(rng.uniform(-3.0, 1.0)) for x in support})
         constraint = (Obstacle(VertexField.zeros(g)) if obstacle
                       else Subspace())
-        prob = VIProblem(exh, ConstantForcing(f), h, 0.5,
+        prob = VIProblem(exh, ConstantForcing(f), h,
                          constraint=constraint)
         part = TimePartition(0.5, 6)
         for res in run_vi_exhaustion(prob, part, levels=[3, 5, 8]):
@@ -510,7 +547,7 @@ class TestViExhaustion:
         dom = make_domain(g, range(6))
         exh = exhaust(dom, [0], 6)
         prob = VIProblem(exh, ConstantForcing(VertexField.zeros(g)),
-                         VertexField.zeros(g), 0.5)
+                         VertexField.zeros(g))
         results = run_vi_exhaustion(prob, TimePartition(0.5, 5),
                                     levels=[5, 6])
         for res in results:
@@ -571,7 +608,7 @@ def grid_obstacle_problem():
     forcing = 0.2 * np.sin(2.0 * np.pi * ii / side + 1.0) \
         * np.cos(2.0 * np.pi * jj / side)
     return VIProblem(dom, ConstantForcing(VertexField(g, forcing)),
-                     VertexField(g, bump), 3.0,
+                     VertexField(g, bump),
                      constraint=Obstacle(VertexField.zeros(g)))
 
 
@@ -648,7 +685,7 @@ class TestActiveSetDifferential:
         psi = VertexField(g, np.array(
             [-0.25 if lab[1] > 0 else 0.0 for lab in g.labels]))
         prob = VIProblem(exh, ConstantForcing(forcing),
-                         VertexField.from_mapping(g, {(0, 0): 1.0}), 1.0,
+                         VertexField.from_mapping(g, {(0, 0): 1.0}),
                          constraint=Obstacle(psi))
         results = run_vi_exhaustion(prob, TimePartition(1.0, 4),
                                     levels=[3, 4, 5])
@@ -728,7 +765,7 @@ class TestActiveSetBitIdentity:
             field = VertexField(g, rng.normal(size=g.num_vertices) * f_scale)
             prob = VIProblem(dom, SeparableForcing(
                 field, compile_time_expression("sin(3*t)")),
-                random_admissible(rng, dom, u_scale), 6.0 * ell,
+                random_admissible(rng, dom, u_scale),
                 constraint=Obstacle(psi))
             part = TimePartition(6.0 * ell, 6)
             run = run_vi(prob, part)
