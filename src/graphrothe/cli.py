@@ -659,7 +659,8 @@ def cmd_validate_config(args):
 
 def cmd_graph_info(args):
     g = fileio.read_graph_file(args.graph)
-    metrics = compute_metrics(g)
+    with _within_float64():
+        metrics = compute_metrics(g)
     info = {
         "num_vertices": g.num_vertices,
         "num_edges": g.num_edges,

@@ -11,13 +11,13 @@ where I integrates over the interior and E is the gradient energy over
 Omega; the minimizer solves (u - u_prev)/l + |u|^(p-1) u = Laplacian u.
 For p = 1 this is one SPD solve; for p > 1 a damped (semismooth) Newton
 iteration with an Armijo line search on F. Its Jacobian is
-J = S0 + diag(mu p |w|^(p-1)) with S0 = A + M/l, so S0^{-1} J has its
-spectrum in [1, 1 + l max p|w|^(p-1)]: each Newton system is solved by
-``operators.pcg`` preconditioned with one factorization of S0, made once
-per stepper, and refactored at the current Jacobian only when a solve
-needs more than NEWTON_PCG_MAX_ITER iterations (stiff data). Every
-matrix A + diag(d) and every solver comes from ``operators``; its sparse
-LU orders and pivots symmetrically, as all these matrices are SPD.
+J = A + diag(jd) with jd = M(1/l + p|w|^(p-1)) >= M/l, and each Newton
+system is one ``operators.pcg`` solve within 50 n iterations,
+preconditioned with J's diagonal D: nothing is factored. Off the
+diagonal, row a of A sums to at most deg_omega(a), so by Gershgorin
+D^{-1} J has its spectrum in [1 - rho, 1 + rho] with
+rho = max deg_omega/(deg_omega + mu/l), a condition number of at most
+1 + 2 l max(deg_omega/mu), however large w is.
 Newton is inexact: system k is solved to the relative residual eta_k
 that Eisenstat and Walker's choice 2 sets from the decrease of the
 Newton residual G (SIAM J. Sci. Comput. 17, 1996), so systems far from
@@ -62,11 +62,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import calculus, operators
+from . import calculus
 from .calculus import VertexField, field_on_interior, require_admissible
 from .errors import (
     DomainMismatch,
     EmptyInterior,
+    GraphrotheError,
     NonConvergence,
     SolverBreakdown,
     TimeOutOfRange,
@@ -76,7 +77,6 @@ from .operators import CG_RTOL, CachedSPD, pcg
 
 NEWTON_TOL_FACTOR = 1e-12
 NEWTON_MAX_ITER = 100
-NEWTON_PCG_MAX_ITER = 15
 # Eisenstat-Walker choice 2 forcing terms: Newton system k is solved to the
 # relative residual eta_k = GAMMA (|G_k| / |G_k-1|)^ALPHA, eta_0 = ETA0,
 # at least TOL_SHARE tol min(mass) / |G_k|, within [CG_RTOL, MAX]
@@ -247,10 +247,9 @@ def step_functional(u, u_prev, prob, ell):
 
 class _HeatStepper:
     """Per-step solver on the domain's shared operator for a fixed step
-    size. For p = 1 it factors A + M(1 + 1/l) once. For p > 1 it keeps
-    the Newton preconditioner, initially the factor of S0 = A + M/l;
-    above ``operators.DIRECT_SOLVE_MAX`` unknowns it keeps none, and each
-    Newton system is one Jacobi-PCG solve of ``CachedSPD``."""
+    size. For p = 1 it factors A + M(1 + 1/l) once. For p > 1 it factors
+    nothing: it keeps the diagonal of A, and each Newton system is one
+    ``pcg`` solve preconditioned with the Jacobian's own diagonal."""
 
     def __init__(self, prob, ell, tol_factor=NEWTON_TOL_FACTOR):
         self.op = prob.domain.operator
@@ -259,12 +258,11 @@ class _HeatStepper:
         self.tol_factor = tol_factor
         self.mass = self.op.mass
         self.A = self.op.stiffness
-        self._linear = self._pre = None
         if self.p == 1.0:
             self._linear = CachedSPD(
                 self.op.shifted(self.mass * (1.0 + 1.0 / self.ell)))
-        elif self.op.n <= operators.DIRECT_SOLVE_MAX:
-            self._pre = CachedSPD(self.op.step_matrix(self.ell))
+        else:
+            self._diag = self.A.diagonal()
 
     def _grad_half(self, w, Aw, u_prev):
         """Half the functional gradient: mass*((w-u_prev)/l + |w|^(p-1) w)
@@ -273,19 +271,6 @@ class _HeatStepper:
         warnings: an overflow shows as a non-finite entry."""
         return (self.mass * ((w - u_prev) / self.ell + _power(w, self.p))
                 + Aw)
-
-    def _newton_direction(self, jd, b, eta):
-        """Solve (A + diag(jd)) s = b to the relative residual ``eta`` by
-        ``pcg`` preconditioned with the factored ``_pre``. A solve that
-        reaches NEWTON_PCG_MAX_ITER iterations replaces ``_pre`` by the
-        factor of this Jacobian, solves with it and keeps it for the later
-        systems."""
-        s = pcg(lambda d: self.A @ d + jd * d, b, self._pre.solve, eta,
-                NEWTON_PCG_MAX_ITER)
-        if s is None:
-            self._pre = CachedSPD(self.op.shifted(jd))
-            s = self._pre.solve(b)
-        return s
 
     def solve(self, u_prev, x0=None):
         """Interior minimizer of F given the previous interior vector."""
@@ -311,6 +296,7 @@ class _HeatStepper:
         fw = None
         eta = g_norm = None
         g_target = tol * float(self.mass.min())
+        cap = 50 * self.op.n
         caller = np.geterr()
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(NEWTON_MAX_ITER):
@@ -343,12 +329,15 @@ class _HeatStepper:
                     raise SolverBreakdown(
                         f"Newton residual is not finite at p = {p:g} "
                         f"(overflow)")
+                jdiag = self._diag + jd
                 # an overflow inside CG warns or raises as the caller asks
                 with np.errstate(**caller):
-                    if self._pre is None:
-                        s = CachedSPD(self.op.shifted(jd)).solve(-G)
-                    else:
-                        s = self._newton_direction(jd, -G, eta)
+                    s = pcg(lambda d: self.A @ d + jd * d, -G,
+                            lambda r: r / jdiag, eta, cap)
+                if s is None:
+                    raise SolverBreakdown(
+                        f"conjugate gradients missed the relative residual "
+                        f"{eta:g} in {cap} iterations")
                 if fw is None:
                     fw = _functional(self.mass, w, Aw, u_prev, p, self.ell)
                 slope = 2.0 * float(np.dot(G, s))
@@ -399,13 +388,17 @@ def _step_rows(prob, part, step):
     """The Rothe sequence of ``prob`` on ``part`` as one (steps + 1) x V
     array, filled row by row: row 0 holds the initial field and row i the
     zero extension of ``step(i, w)``, the interior vector of u_i computed
-    from w, that of u_{i-1}."""
+    from w, that of u_{i-1}. An error of step i names i and t_i."""
     op = prob.domain.operator
     values = np.zeros((part.steps + 1, prob.domain.graph.num_vertices))
     w = op.restrict(prob.initial)
     values[0, op.interior_ids] = w
     for i in range(1, part.steps + 1):
-        w = step(i, w)
+        try:
+            w = step(i, w)
+        except (GraphrotheError, FloatingPointError) as exc:
+            raise type(exc)(f"step {i} (t = {part.times[i]:g}): {exc}") \
+                from exc
         values[i, op.interior_ids] = w
     return values
 
@@ -526,7 +519,8 @@ def _run_levels(prob, part, levels, solve, **opts):
     of ``prob.domain``, where ``sub`` is ``prob`` with that level's domain
     and the initial field restricted to it and ``prev`` is the previous
     level's LevelResult (None on the first level), with cross-level
-    terminal deltas. ``levels`` selects ball radii (None: every level)."""
+    terminal deltas. ``levels`` selects ball radii (None: every level).
+    An error of level m names m."""
     exh = prob.domain
     radii = list(exh.radii) if levels is None else list(levels)
     results = []
@@ -536,7 +530,10 @@ def _run_levels(prob, part, levels, solve, **opts):
             raise EmptyInterior(f"exhaustion level {m} has empty interior")
         sub = replace(prob, domain=dom, initial=field_on_interior(
             dom, prob.initial.values[dom.interior_ids]))
-        run = solve(sub, part, results[-1] if results else None, **opts)
+        try:
+            run = solve(sub, part, results[-1] if results else None, **opts)
+        except (GraphrotheError, FloatingPointError) as exc:
+            raise type(exc)(f"level {m}: {exc}") from exc
         # a solved level keeps its domain, not its stiffness: peak memory
         # stays that of the largest level, not the sum over the levels
         dom.release_operator()

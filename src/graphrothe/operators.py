@@ -12,7 +12,7 @@ so A is symmetric positive semidefinite (definite whenever the interior
 has exterior contact).
 
 This module holds all of the package's SPD linear algebra: every
-A + diag(d), step matrix or Jacobian, comes from
+assembled A + diag(d), the p = 1 matrix or the step matrix, comes from
 ``DirichletOperator.shifted``; ``CachedSPD`` solves by sparse LU or, above
 DIRECT_SOLVE_MAX unknowns, by Jacobi-preconditioned CG; and ``pcg`` is
 the one conjugate-gradient loop, shared by ``CachedSPD`` and the Newton

@@ -341,18 +341,18 @@ def reference_newton_solve(stepper, u_prev, x0=None, stats=None,
     before the stiffness product and F of an accepted Armijo trial were
     handed on, so each iteration computes A w three times (gradient, F at
     w, the first trial), and with the finiteness tests and the error
-    state of each evaluation kept apart. Directions come from the
-    stepper's own ``_newton_direction`` (or a ``CachedSPD`` of the
-    Jacobian without a preconditioner), so a run on a fresh stepper
-    shares every factorization with the library. ``x0`` is the first
-    iterate (default ``u_prev``). With ``floor`` false the forcing terms
+    state of each evaluation kept apart. Each direction is a ``pcg``
+    solve of the Jacobian preconditioned with its diagonal, to the
+    forcing term within 50 n iterations. ``x0`` is the first iterate
+    (default ``u_prev``). With ``floor`` false the forcing terms
     have no floor at the stopping tolerance: the loop before that floor
     was added. ``stats``, a dict, counts ``gradients``, ``backtracks``
     and ``skipped`` (iterations whose slope is below the rounding noise
     of F)."""
-    from graphrothe import heat
+    from graphrothe import heat, operators
 
     op, A, mass = stepper.op, stepper.A, stepper.mass
+    diag = op.stiffness.diagonal()
     p, ell = stepper.p, stepper.ell
     stats = {} if stats is None else stats
     for key in ("gradients", "backtracks", "skipped"):
@@ -386,10 +386,9 @@ def reference_newton_solve(stepper, u_prev, x0=None, stats=None,
             jd = mass * (1.0 / ell + p * np.maximum(
                 np.abs(w), heat.POWER_DERIV_FLOOR) ** (p - 1.0))
         heat._require_finite(jd, "Jacobian", p)
-        if stepper._pre is None:
-            s = heat.CachedSPD(op.shifted(jd)).solve(-G)
-        else:
-            s = stepper._newton_direction(jd, -G, eta)
+        s = operators.pcg(lambda d: A @ d + jd * d, -G,
+                          lambda r: r / (diag + jd), eta, 50 * op.n)
+        assert s is not None, "reference Newton direction missed its eta"
         fw = functional(w)
         slope = 2.0 * float(np.dot(G, s))
         alpha = 1.0

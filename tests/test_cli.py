@@ -361,6 +361,28 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("error[SOLVE]:") and err.count("\n") == 1
 
+    def test_solve_error_names_level_step_and_time(self, tmp_path, capsys):
+        # the same overflowing data on the 5-vertex path and on a lattice
+        # exhaustion: each line says where the solve failed
+        lines = []
+        for overrides in (
+                {"domain": "all",
+                 "problem": {"initial": {"values": {"2": 2000.0}}}},
+                {"graph": {"generative": "lattice_z"}, "domain": "all",
+                 "problem": {"initial": {"values": {"0": 2000.0}},
+                             "exhaustion": {"seeds": ["0"],
+                                            "levels": [2, 4]}}}):
+            overrides["problem"].update(p=100.0, steps=4)
+            cfg_path, _ = heat_config(tmp_path, **overrides)
+            assert main(["run", cfg_path]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            lines.append(err)
+        message = "Newton gradient is not finite at p = 100 (overflow)\n"
+        assert lines == [
+            f"error[SOLVE]: step 1 (t = 0.25): {message}",
+            f"error[SOLVE]: level 2: step 1 (t = 0.25): {message}"]
+
     def test_undecodable_input_files_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "utf16.txt"
         bad.write_bytes(b"\xff\xfeg\x00r\x00")
@@ -437,9 +459,25 @@ class TestValidation:
             problem={"p": 1.5, "horizon": 0.04, "steps": 4,
                      "initial": {"values": initial}})
         assert main(["run", cfg_path]) == 3
+        # preconditioned with the Jacobian's diagonal, CG gets through,
+        # and Newton stalls at the rounding level of A w / mass
         assert capsys.readouterr() == (
-            "", "error[SOLVE]: conjugate gradients broke down: the "
-            "curvature d.Sd = 0 of a search direction is not positive\n")
+            "", "error[SOLVE]: step 1 (t = 0.01): Newton did not reach "
+            "residual 8.24509e-11 in 100 iterations\n")
+        # measures of 1e-152, weights of 1e30 and an initial value of
+        # 1e-180: the curvature of the first search direction underflows
+        gpath = tmp_path / "stiff5.txt"
+        fileio.write_graph_file(path_graph(5, mu=1e-152, w=1e30),
+                                str(gpath))
+        cfg_path, _ = heat_config(
+            tmp_path, graph={"file": str(gpath)},
+            problem={"p": 2.0, "horizon": 0.1, "steps": 1,
+                     "initial": {"values": {"2": 1e-180}}})
+        assert main(["run", cfg_path]) == 3
+        assert capsys.readouterr() == (
+            "", "error[SOLVE]: step 1 (t = 0.1): conjugate gradients broke "
+            "down: the curvature d.Sd = 0 of a search direction is not "
+            "positive\n")
 
     def test_newton_norm_underflow_exit_3(self, tmp_path, capsys):
         # measures of 1e-300 and an initial value of 1e-170: |G| underflows
@@ -454,8 +492,9 @@ class TestValidation:
         assert main(["run", cfg_path]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error[SOLVE]: Newton residual norm underflows "
-                              "to 0 at p = 2 while max|G/mass| = ")
+        assert err.startswith("error[SOLVE]: step 1 (t = 0.1): Newton "
+                              "residual norm underflows to 0 at p = 2 while "
+                              "max|G/mass| = ")
         assert err.count("\n") == 1
 
     def test_repeated_values_keys_exit_2(self, tmp_path, capsys):
@@ -1237,6 +1276,18 @@ class TestDenseSizeGuard:
 
 
 class TestGraphInfo:
+    def test_overflowing_dmu_exit_3(self, tmp_path, capsys):
+        # D_mu = deg / mu overflows at a measure of 1e-320: as in run, one
+        # error line, no numpy warning and no "Infinity" in the JSON
+        gpath = tmp_path / "tiny.txt"
+        gpath.write_text("graph 2\nv 0 1e-320\nv 1 1\ne 0 1 1\n")
+        assert main(["graph-info", str(gpath)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error[SOLVE]: overflow encountered in divide: the "
+                       "data exceed the float64 range\n")
+        assert err.count("error[") == 1 and "Warning" not in err
+
     def test_info(self, tmp_path, capsys):
         gpath = write_p5_graph(tmp_path)
         dpath = write_domain_123(tmp_path)

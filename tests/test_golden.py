@@ -181,28 +181,28 @@ GOLDEN = {
     "heat_p2_lattice": {
         "diagnostics": {
             "level_deltas": [
-                0.2476520519733811,
-                0.12990013020616656
+                0.24765205197329837,
+                0.129900130206256
             ]
         },
         "outputs": {
-            "levels.csv": "c6fcb0fa6a7f829462816287c63738654fd3f1514954e202751bd4c6bff60700",
-            "terminal_level_2.txt": "9bd4d024b5245110d10ae50a5b159e8352375a9f8eb97f11d936f92ec6887ecb",
-            "terminal_level_3.txt": "c1a32ea2f133a3b96fcb95809d397fc86a4c00ff4f48a40b9a1743ebcc359731",
-            "terminal_level_4.txt": "50ab6564f908248ed3a56883e09603dd1963f949a2550cbf91226e13f0c45ffe"
+            "levels.csv": "ed6f6a2cd7fbe19ec2128a43536612a1c599dde0470a1865c5f410a64a3d62a8",
+            "terminal_level_2.txt": "16a09866adfe509786e32881d96fab969720c8a954bc9e4ea92d7018aad1bfe7",
+            "terminal_level_3.txt": "6b292b171a7926e6d5ab867e158ac818c9b7ee49b116c365429f876a4e56044c",
+            "terminal_level_4.txt": "82834488cd68183c4ed38a33e55c04e5c760dcb6b83a59ef7a36d9229d6263d2"
         }
     },
     "heat_p2_oracle": {
         "diagnostics": {
-            "max_energy_defect": -0.3025281326272182,
-            "max_energy_residual": -0.009454004144600625
+            "max_energy_defect": -0.30252813262733813,
+            "max_energy_residual": -0.009454004144604289
         },
         "outputs": {
-            "estimates.csv": "2953c7cb8fd91436277708564b7938bc51c955fde5c2be3e9805f69bd09e0e0d",
-            "norms.csv": "a900db4606f83bde70848fc0289a55d3e835aec1a029191d72cf016f7052a49b",
-            "oracle_error.csv": "f01850ab6dddbb15f2fa885aae18c2547ae8e2ccb21f68fb7094eadb4d4b4b59",
+            "estimates.csv": "ebe1cea98a8334271399eda53beaa6a803c3bd1604a12d9068853cfec6adeb6c",
+            "norms.csv": "ecfd63a8a86e6ea4ec5fee533df417dea37fe517537d3b8db25cf914d84e65a3",
+            "oracle_error.csv": "309eff98b7ef5fca6e64c5d02cb97e6cd868f9368c9ed9e831b8160fd94531bd",
             "oracle_trajectory.csv": "302601c2f5dd5604184b2bfe828424532de9422c82a851bde19464679955e841",
-            "trajectory.csv": "9d6e3e5ed7f93db8a3505895df00c1894495a818dc2182ed3e45ef7b5730eba8"
+            "trajectory.csv": "6975df4789974babbdf769d717f08563c717e9c164d5e4498116d965ebf02325"
         }
     },
     "vi_lattice": {
@@ -297,9 +297,10 @@ def test_golden_outputs(tmp_path, name):
 
 # The same configs with every SPD system on the iterative path
 # (``operators.DIRECT_SOLVE_MAX`` = 0): Jacobi-preconditioned CG in place
-# of sparse LU for p = 1, the VI subspace and the active-set blocks, and
-# one Jacobi-PCG solve per Newton system for p = 2. Each differs from its
-# direct-path pin above in the last bits of the fields.
+# of sparse LU for p = 1, the VI subspace and the active-set blocks. Each
+# of these differs from its direct-path pin above in the last bits of the
+# fields. A p = 2 run factors nothing on either path, so each p = 2
+# config's iterative pin is its direct pin.
 GOLDEN_ITERATIVE = {
     "heat_p1": {
         "diagnostics": {
@@ -312,33 +313,8 @@ GOLDEN_ITERATIVE = {
             "trajectory.csv": "24336e62e7743a0602256d34386e8211669bb56b47f26bdddefe3ba5afd4ab0d"
         }
     },
-    "heat_p2_lattice": {
-        "diagnostics": {
-            "level_deltas": [
-                0.24765205197326617,
-                0.12990013020621374
-            ]
-        },
-        "outputs": {
-            "levels.csv": "daa76c8b4f44060085ab3db0b554591c33939a3763e59385e844352186e87fe2",
-            "terminal_level_2.txt": "8a0051bc4cb9822414745c11f95c2d607e4503929c7ef1ca331f9357e75a6771",
-            "terminal_level_3.txt": "6e1885e7086bc1e7f812cb65f8a9f09920b25bac7e2b065aada2a8886a47cb76",
-            "terminal_level_4.txt": "eb15c870a8422da285dfa3e6ac9109c7f63316443994cff0a1cca9b73ce61889"
-        }
-    },
-    "heat_p2_oracle": {
-        "diagnostics": {
-            "max_energy_defect": -0.30252813262736966,
-            "max_energy_residual": -0.009454004144605288
-        },
-        "outputs": {
-            "estimates.csv": "569d64afdedf45f5eac4a6cc8c2ad47daf1cd84a065ace753c0ac41898dbf1f8",
-            "norms.csv": "a7e25810d0c1796d40bd7a6faa3ffff65bee860d62f93b9096058fa679e07a25",
-            "oracle_error.csv": "4e321dc702f6b6848946588392e6b5168c6c9778cf1c5c5b6e3771a75578c18c",
-            "oracle_trajectory.csv": "302601c2f5dd5604184b2bfe828424532de9422c82a851bde19464679955e841",
-            "trajectory.csv": "e7ab351d5ef05f554b4d3ecf4f836d5647a4d5658d9cb070f5c98cce6ac6e393"
-        }
-    },
+    "heat_p2_lattice": GOLDEN["heat_p2_lattice"],
+    "heat_p2_oracle": GOLDEN["heat_p2_oracle"],
     "vi_lattice": {
         "diagnostics": {
             "level_deltas": [

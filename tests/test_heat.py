@@ -471,6 +471,26 @@ class TestLinearSolverPaths:
                 b = solve_step(u_prev, prob, 0.1)
             assert float(np.max(np.abs(a.values - b.values))) <= 1e-9
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), p=st.floats(1.5, 5.0),
+           log_ell=st.floats(-3.0, math.log10(3.0)),
+           log_amplitude=st.floats(-1.0, 1.0))
+    def test_newton_ignores_direct_solve_size(self, seed, p, log_ell,
+                                              log_amplitude):
+        # p > 1 steps factor nothing, so the direct-solve threshold
+        # leaves them bit for bit as they are
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, 5, 40)
+        dom = random_domain(rng, g, keep=0.9)
+        prob = HeatProblem(dom, p, random_admissible(
+            rng, dom, scale=10.0 ** log_amplitude))
+        part = TimePartition(3.0 * 10.0 ** log_ell, 3)
+        direct = run_rothe(prob, part).values
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(operators, "DIRECT_SOLVE_MAX", 0)
+            iterative = run_rothe(prob, part).values
+        assert direct.tobytes() == iterative.tobytes()
+
 
 def splu_newton_rothe(prob, part):
     """Interior Rothe fields by damped Newton with a fresh sparse LU of the
@@ -513,21 +533,24 @@ def splu_newton_rothe(prob, part):
 
 
 @pytest.fixture
-def spd_count(monkeypatch):
-    """Numbers of ``CachedSPD`` constructions (item 0) and solves (item 1)
-    made by the heat stepper."""
+def solver_count(monkeypatch):
+    """Numbers of ``CachedSPD`` constructions (item 0) and of the CG
+    iterations of the heat stepper's ``pcg`` solves (item 1)."""
     count = [0, 0]
+    init = operators.CachedSPD.__init__
 
-    class Counting(heat.CachedSPD):
-        def __init__(self, *args, **kwargs):
-            count[0] += 1
-            super().__init__(*args, **kwargs)
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
 
-        def solve(self, *args, **kwargs):
+    def counting_pcg(matvec, *args):
+        def counted(d):
             count[1] += 1
-            return super().solve(*args, **kwargs)
+            return matvec(d)
+        return operators.pcg(counted, *args)
 
-    monkeypatch.setattr(heat, "CachedSPD", Counting)
+    monkeypatch.setattr(operators.CachedSPD, "__init__", counting_init)
+    monkeypatch.setattr(heat, "pcg", counting_pcg)
     return count
 
 
@@ -549,9 +572,9 @@ def stiff_problem():
 
 
 class TestNewtonOneFactorization:
-    """p > 1 Newton solves each system by CG preconditioned with one factor
-    of A + M/l per stepper, refactoring only on stiff data, to a relative
-    residual set by Newton's own progress (Eisenstat-Walker forcing)."""
+    """p > 1 Newton factors nothing: it solves each system by CG
+    preconditioned with the Jacobian's diagonal, to a relative residual
+    set by Newton's own progress (Eisenstat-Walker forcing)."""
 
     @staticmethod
     def assert_stationary(traj, tol_factor=heat.NEWTON_TOL_FACTOR):
@@ -577,39 +600,36 @@ class TestNewtonOneFactorization:
 
     @pytest.mark.parametrize("ell", [0.01, 1.0])
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0, 5.0])
-    def test_matches_per_iteration_lu(self, p, ell, spd_count):
+    def test_matches_per_iteration_lu(self, p, ell, solver_count):
         rng = np.random.default_rng([int(10 * p), int(100 * ell)])
         for amplitude in (1.0, 10.0):
             g = random_connected_graph(rng, 30, 60)
             dom = random_domain(rng, g, keep=0.9)
             vals = amplitude * rng.uniform(-1.0, 1.0, len(dom.interior_ids))
             prob = HeatProblem(dom, p, field_on_interior(dom, vals))
-            spd_count[0] = 0
             self.compare(prob, TimePartition(3 * ell, 3))
-            # S0^{-1} J has its spectrum in [1, 1 + l max p|w|^(p-1)]
-            if ell * p * amplitude ** (p - 1.0) <= 0.2:
-                assert spd_count[0] == 1
+        assert solver_count[0] == 0 and solver_count[1] > 0
 
-    def test_one_factorization_per_level(self, spd_count):
+    def test_no_factorization_per_level(self, solver_count):
         run_exhaustion(lattice_exhaustion_problem(), TimePartition(0.5, 10),
                        levels=[4, 8, 12])
-        assert spd_count[0] == 3
+        assert solver_count[0] == 0 and solver_count[1] > 0
 
-    def test_forcing_halves_preconditioner_solves(self, spd_count,
-                                                  monkeypatch):
+    def test_forcing_halves_cg_iterations(self, solver_count, monkeypatch):
+        # 371 against 1086 CG iterations
         part = TimePartition(0.5, 10)
         run_exhaustion(lattice_exhaustion_problem(), part, levels=[4, 8, 12])
-        forced = spd_count[1]
+        forced = solver_count[1]
         monkeypatch.setattr(heat, "_forcing", lambda *args: heat.CG_RTOL)
-        spd_count[1] = 0
+        solver_count[1] = 0
         run_exhaustion(lattice_exhaustion_problem(), part, levels=[4, 8, 12])
-        assert 2 * forced <= spd_count[1]
+        assert 2 * forced <= solver_count[1]
 
-    def test_floor_cuts_solves_not_iterations(self, spd_count,
+    def test_floor_cuts_solves_not_iterations(self, solver_count,
                                               monkeypatch):
         # forcing terms floored at FORCING_TOL_SHARE tol min(mass) / |G|
-        # against no floor (share 0): 231 against 335 preconditioner
-        # solves, and 127 Newton iterations on both sides
+        # against no floor (share 0): 371 against 527 CG iterations, and
+        # 140 Newton iterations on both sides
         counts = {}
         gradients = [0]
         grad_half = heat._HeatStepper._grad_half
@@ -621,23 +641,30 @@ class TestNewtonOneFactorization:
         monkeypatch.setattr(heat._HeatStepper, "_grad_half", counting)
         for share in (heat.FORCING_TOL_SHARE, 0.0):
             monkeypatch.setattr(heat, "FORCING_TOL_SHARE", share)
-            spd_count[:] = [0, 0]
+            solver_count[:] = [0, 0]
             gradients[0] = 0
             run_exhaustion(lattice_exhaustion_problem(),
                            TimePartition(0.5, 10), levels=[4, 8, 12])
-            counts[share] = (spd_count[0], spd_count[1], gradients[0])
+            counts[share] = (solver_count[0], solver_count[1], gradients[0])
         floored, unfloored = counts[0.5], counts[0.0]
-        assert floored[0] == unfloored[0] == 3
+        assert floored[0] == unfloored[0] == 0
         assert floored[1] < 0.8 * unfloored[1]
         assert floored[2] <= unfloored[2]
 
-    def test_stiff_data_refactors_and_matches(self, spd_count, monkeypatch):
-        # with the forcing floor, this data keeps the one factor of S0
-        # (the fixed 1e-13 target refactored 13 times); a lower PCG cap
-        # forces the refactoring fallback
-        monkeypatch.setattr(heat, "NEWTON_PCG_MAX_ITER", 8)
+    def test_stiff_data_matches_without_factoring(self, solver_count):
+        # D^{-1} J stays well conditioned however large w grows
         self.compare(stiff_problem(), TimePartition(3.0, 3))
-        assert 1 < spd_count[0] <= 13
+        assert solver_count[0] == 0
+
+    def test_cg_miss_raises(self, monkeypatch):
+        # a direction that misses its forcing term within 50 n iterations
+        # stops the step, as CachedSPD's iterative path does
+        monkeypatch.setattr(heat, "pcg", lambda *args: None)
+        _, dom, prob = single_interior_problem(p=2.0)
+        with pytest.raises(SolverBreakdown,
+                           match=r"^conjugate gradients missed the relative "
+                                 r"residual 0\.1 in 50 iterations$"):
+            solve_step(prob.initial, prob, 0.1)
 
     @pytest.mark.parametrize("p", [2.0, 5.0])
     def test_tight_newton_factor_converges(self, p):
@@ -667,7 +694,6 @@ class TestForcingFloor:
         op = dom.operator
         w = op.restrict(prob.initial)
         for _ in range(3):
-            # a fresh stepper per solve: each starts from the factor of S0
             got = heat._HeatStepper(prob, ell).solve(w)
             floored, unfloored = {}, {}
             ref = reference_newton_solve(heat._HeatStepper(prob, ell), w,
@@ -756,15 +782,16 @@ class TestNewtonProductReuse:
         # the full step below the rounding noise of F is taken
         assert skipped > 0
 
-    def test_bit_identical_with_backtracking(self, spd_count):
+    def test_bit_identical_with_backtracking(self, solver_count):
         got, ref, stats = newton_pair(backtracking_problem(),
                                       TimePartition(3.0, 3), zero_start=True)
         assert got.tobytes() == ref.tobytes()
         assert stats["backtracks"] > 3 and stats["skipped"] > 0
-        # both steppers refactored at their stiff Jacobians
-        assert spd_count[0] > 2
+        # neither stepper factored its stiff Jacobians
+        assert solver_count[0] == 0
 
     def test_bit_identical_without_preconditioner(self, monkeypatch):
+        # the direct-solve threshold leaves the Newton directions alone
         monkeypatch.setattr(operators, "DIRECT_SOLVE_MAX", 0)
         got, ref, stats = newton_pair(backtracking_problem(),
                                       TimePartition(3.0, 3), zero_start=True)
