@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -419,32 +420,27 @@ class PreparedRun:
                 "psor": self.kkt_tol, "ode_oracle": self.ode_tol}
 
 
-def _cells(column):
-    """A float column as CSV cells, with an empty cell for NaN."""
-    return [None if math.isnan(x) else x for x in column.tolist()]
-
-
 def _write_levels(results, outdir, diagnostics):
     """Terminal field of each exhaustion level and the levels table."""
     outputs = []
-    rows = []
+    l2_terminal = []
     for res in results:
         g = res.domain.graph
         terminal = res.run.values[-1]
-        l2_terminal = math.sqrt(calculus.power_integral(
-            g, terminal, res.domain.interior_ids, 2.0))
-        rows.append((res.level, res.domain.num_interior, l2_terminal,
-                     res.delta_prev))
+        l2_terminal.append(math.sqrt(calculus.power_integral(
+            g, terminal, res.domain.interior_ids, 2.0)))
         name = f"terminal_level_{res.level}.txt"
         fileio.write_field_file(VertexField(g, terminal),
                                 os.path.join(outdir, name))
         outputs.append(name)
-    fileio.write_csv(os.path.join(outdir, "levels.csv"),
-                     ("m", "interior_size", "l2_terminal", "delta_prev"),
-                     rows)
+    deltas = [res.delta_prev for res in results]
+    fileio.write_csv(os.path.join(outdir, "levels.csv"), {
+        "m": [res.level for res in results],
+        "interior_size": [res.domain.num_interior for res in results],
+        "l2_terminal": l2_terminal, "delta_prev": deltas})
     outputs.append("levels.csv")
-    diagnostics["level_deltas"] = [r.delta_prev for r in results
-                                   if r.delta_prev is not None]
+    # only the first level has no previous one
+    diagnostics["level_deltas"] = deltas[1:]
     return outputs, diagnostics
 
 
@@ -466,17 +462,13 @@ def _run_heat(prep, outdir):
                                 traj.values, part.times, g)
     report = heat.monitor_estimates(traj)
     nb = report.norms
-    fileio.write_csv(os.path.join(outdir, "estimates.csv"),
-                     ("i", "l2", "grad_l2", "l2p", "delta_l2", "r_i", "d_i"),
-                     zip(range(part.steps + 1), nb.l2_domain.tolist(),
-                         nb.grad_l2.tolist(), nb.lq.tolist(),
-                         _cells(report.delta_l2), _cells(report.r),
-                         _cells(report.d)))
-    fileio.write_csv(os.path.join(outdir, "norms.csv"),
-                     ("t", "l2_interior", "grad_l2", "lq", "energy"),
-                     zip(part.times.tolist(), nb.l2_interior.tolist(),
-                         nb.grad_l2.tolist(), nb.lq.tolist(),
-                         report.energy.tolist()))
+    fileio.write_csv(os.path.join(outdir, "estimates.csv"), {
+        "i": range(part.steps + 1), "l2": nb.l2_domain,
+        "grad_l2": nb.grad_l2, "l2p": nb.lq, "delta_l2": report.delta_l2,
+        "r_i": report.r, "d_i": report.d})
+    fileio.write_csv(os.path.join(outdir, "norms.csv"), {
+        "t": part.times, "l2_interior": nb.l2_interior,
+        "grad_l2": nb.grad_l2, "lq": nb.lq, "energy": report.energy})
     outputs += ["trajectory.csv", "estimates.csv", "norms.csv"]
     diagnostics["max_energy_residual"] = report.max_r
     diagnostics["max_energy_defect"] = report.max_d
@@ -492,9 +484,9 @@ def _oracle_study(prep, prob, finest, outdir):
     basis = None
     if prep.p == 1.0:
         basis = spectral.dirichlet_eigenbasis(prep.domain)
-    rows = []
-    prev = None
-    for n in prep.steps_list:
+    ns = prep.steps_list
+    ells, max_errs, end_errs = [], [], []
+    for n in ns:
         if n == finest.partition.steps:
             traj, part = finest, finest.partition
         else:
@@ -507,18 +499,16 @@ def _oracle_study(prep, prob, finest, outdir):
             refs = spectral.ode_oracle(prob, [float(t) for t in times],
                                        tol=prep.ode_tol)
         errs = calculus._l2_rows(prep.graph, traj.values - refs,
-                                 prep.domain.interior_ids).tolist()
-        err = max(errs)
-        order = None
-        if prev is not None:
-            prev_n, prev_err = prev
-            if err > 0 and prev_err > 0:
-                order = math.log(prev_err / err) / math.log(n / prev_n)
-        rows.append((n, part.step_size, err, errs[-1], order))
-        prev = (n, err)
-    fileio.write_csv(os.path.join(outdir, "oracle_error.csv"),
-                     ("n", "ell", "max_l2_error", "endpoint_l2_error",
-                      "observed_order"), rows)
+                                 prep.domain.interior_ids)
+        ells.append(part.step_size)
+        max_errs.append(float(errs.max()))
+        end_errs.append(errs[-1])
+    orders = [None] + [
+        math.log(e0 / e1) / math.log(n1 / n0) if e0 > 0 and e1 > 0 else None
+        for n0, n1, e0, e1 in zip(ns, ns[1:], max_errs, max_errs[1:])]
+    fileio.write_csv(os.path.join(outdir, "oracle_error.csv"), {
+        "n": ns, "ell": ells, "max_l2_error": max_errs,
+        "endpoint_l2_error": end_errs, "observed_order": orders})
     # the reference itself, in the common trajectory schema (finest grid)
     fileio.write_trajectory_csv(os.path.join(outdir, "oracle_trajectory.csv"),
                                 refs, times, prep.graph)
@@ -558,25 +548,18 @@ def _run_vi(prep, outdir):
                                 run.values, part.times, g)
     nb = calculus.norms(g, run.values, prep.domain)
     mono = vi.vi_monotonicity_monitor(run)
-    times = part.times.tolist()
-    l2 = nb.l2_interior.tolist()
-    grad = nb.grad_l2.tolist()
-    fileio.write_csv(os.path.join(outdir, "vi_reports.csv"),
-                     ("i", "t", "l2", "grad_l2", "delta_l2",
-                      "variational_residual", "primal_residual",
-                      "dual_residual", "complementarity", "beta",
-                      "iterations"),
-                     ((rep.index, times[rep.index], l2[rep.index],
-                       grad[rep.index], q, rep.variational_residual,
-                       rep.primal_residual, rep.dual_residual,
-                       rep.complementarity, rep.beta, rep.iterations)
-                      for rep, q in zip(run.reports,
-                                        mono.quotient_l2.tolist())))
-    # 0.5 * x ** 2 on Python floats, as the heat monitor's energy squares
-    fileio.write_csv(os.path.join(outdir, "norms.csv"),
-                     ("t", "l2_interior", "grad_l2", "lq", "energy"),
-                     zip(times, l2, grad, nb.lq.tolist(),
-                         [0.5 * x ** 2 for x in grad]))
+    idx = [rep.index for rep in run.reports]
+    # then every field of VIStepReport after its index, in field order
+    fileio.write_csv(os.path.join(outdir, "vi_reports.csv"), {
+        "i": idx, "t": part.times[idx], "l2": nb.l2_interior[idx],
+        "grad_l2": nb.grad_l2[idx], "delta_l2": mono.quotient_l2,
+        **{f.name: [getattr(rep, f.name) for rep in run.reports]
+           for f in dataclasses.fields(vi.VIStepReport)[1:]}})
+    # squared on Python floats, as the heat monitor's energy
+    fileio.write_csv(os.path.join(outdir, "norms.csv"), {
+        "t": part.times, "l2_interior": nb.l2_interior,
+        "grad_l2": nb.grad_l2, "lq": nb.lq,
+        "energy": 0.5 * heat._squares(nb.grad_l2)})
     outputs += ["trajectory.csv", "vi_reports.csv", "norms.csv"]
     diagnostics["quotient_recurrence_max_slack"] = mono.max_slack
     diagnostics["quotient_bound"] = mono.cumulative_bound
@@ -587,9 +570,8 @@ def _run_vi(prep, outdir):
 def _run_spectral(prep, outdir):
     basis = spectral.dirichlet_eigenbasis(prep.domain)
     outputs = []
-    fileio.write_csv(os.path.join(outdir, "basis.csv"), ("j", "lambda"),
-                     ((j + 1, float(lam))
-                      for j, lam in enumerate(basis.eigenvalues)))
+    fileio.write_csv(os.path.join(outdir, "basis.csv"), {
+        "j": range(1, basis.size + 1), "lambda": basis.eigenvalues})
     outputs.append("basis.csv")
     for j in range(basis.size):
         name = f"basis_field_{j + 1}.txt"
@@ -711,17 +693,14 @@ def cmd_compare(args):
         # argmax takes each time's first step within 1e-12
         diff = values_a[near_a.argmax(axis=1)] \
             - values_b[near_b.argmax(axis=1)]
-        l2s = calculus._l2_rows(g, diff, dom.interior_ids).tolist()
-    sups = np.max(np.abs(diff), axis=1, initial=0.0).tolist()
-    rows = list(zip(wanted, l2s, sups))
-    max_l2 = max([0.0, *l2s])
+        l2s = calculus._l2_rows(g, diff, dom.interior_ids)
+    table = {"t": wanted, "l2_diff": l2s,
+             "sup_diff": np.max(np.abs(diff), axis=1, initial=0.0)}
     if args.output:
-        fileio.write_csv(args.output, ("t", "l2_diff", "sup_diff"), rows)
+        fileio.write_csv(args.output, table)
     else:
-        print("t,l2_diff,sup_diff")
-        for t, l2, sup in rows:
-            print(f"{fileio.fmt(t)},{fileio.fmt(l2)},{fileio.fmt(sup)}")
-    print(f"max_l2_diff {fileio.fmt(max_l2)}")
+        print(fileio.csv_text(table), end="")
+    print(f"max_l2_diff {fileio.fmt(np.max(l2s, initial=0.0))}")
     return 0
 
 

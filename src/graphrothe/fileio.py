@@ -27,6 +27,11 @@ its first faulty row, as ``path:row`` with the header as row 1. Each
 step must then name every vertex of the graph and no other, or the file
 does not match the graph.
 
+Table CSV (every other CSV output, and ``compare``'s table): a header
+row, then one row per entry, formatted whole by ``csv_text`` from a
+``{header: column}`` mapping: integers in decimal, floats by ``fmt``,
+and an empty cell where a value is undefined.
+
 All floats are written with shortest round-trip decimal formatting, and
 files are written to a temp name then atomically moved into place.
 """
@@ -35,7 +40,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 import operator
@@ -197,27 +201,27 @@ def atomic_write_text(path, text):
         raise IoError(f"cannot write {path}: {exc}") from None
 
 
-def write_csv(path, header, rows):
-    """Deterministic CSV: fixed header, floats via ``fmt``, ints as-is,
-    None as empty; fields containing commas (tuple labels) are quoted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        cells = []
-        for cell in row:
-            if cell is None:
-                cells.append("")
-            elif isinstance(cell, (bool, np.bool_)):
-                cells.append(str(cell))
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            elif isinstance(cell, (float, np.floating)):
-                cells.append(fmt(cell))
-            else:
-                cells.append(str(cell))
-        writer.writerow(cells)
-    atomic_write_text(path, buf.getvalue())
+def csv_text(columns):
+    """The CSV text of a table given as ``{header: column}``, with
+    equal-length 1-D columns: a column of an integer dtype in decimal,
+    any other as floats by ``fmt``, with NaN (and None) as an empty cell.
+    A row of one empty cell is written ``""``, as ``csv.writer`` does."""
+    cells = []
+    for column in map(np.asarray, columns.values()):
+        if column.dtype.kind in "iu":
+            cells.append(list(map(str, column.tolist())))
+        else:
+            cells.append(["" if x != x else repr(x)
+                          for x in column.astype(float).tolist()])
+    if len(set(map(len, cells))) > 1:
+        raise ValueError("table columns differ in length")
+    rows = [",".join(row) or '""' for row in zip(*cells)]
+    return "\n".join([",".join(columns), *rows]) + "\n"
+
+
+def write_csv(path, columns):
+    """The table ``columns`` (see ``csv_text``) written to ``path``."""
+    atomic_write_text(path, csv_text(columns))
 
 
 def _label_cells(names):
@@ -233,9 +237,9 @@ def write_trajectory_csv(path, values, times, graph):
     """One ``i,t,vertex,value`` row per step and vertex of ``graph``, from
     ``values``, a K x V array with row i the values of step i in vertex
     order (a run's ``values``), at ``times[i]``; byte-identical to
-    ``write_csv`` over those rows, except that a label with a bare carriage
-    return is quoted too, so that its rows read back whole. Each label is
-    quoted once."""
+    ``csv.writer`` over those rows with floats by ``fmt``, except that a
+    label with a bare carriage return is quoted too, so that its rows read
+    back whole. Each label is quoted once."""
     cells = _label_cells(graph.names)
     lines = ["i,t,vertex,value"]
     rows = np.asarray(values, dtype=float).tolist()

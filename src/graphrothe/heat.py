@@ -22,11 +22,12 @@ Newton is inexact: system k is solved to the relative residual eta_k
 that Eisenstat and Walker's choice 2 sets from the decrease of the
 Newton residual G (SIAM J. Sci. Comput. 17, 1996), so systems far from
 the minimizer take few CG iterations; the step still ends only when
-max|G/mass| <= tol. eta_k is kept at or above
-FORCING_TOL_SHARE tol min(mass) / |G_k| (Kelley, Iterative Methods for
-Linear and Nonlinear Equations, SIAM 1995, section 6.3): CG bounds the
-2-norm of the residual r = -G - J s it leaves, and
-max|r/mass| <= |r| / min(mass), so the linear part of the next
+max|G/mass| <= tol, or with ``NonConvergence`` once an iteration that
+sees |G| unchanged leaves w unchanged, as every later one would. eta_k
+is kept at or above FORCING_TOL_SHARE tol min(mass) / |G_k| (Kelley,
+Iterative Methods for Linear and Nonlinear Equations, SIAM 1995,
+section 6.3): CG bounds the 2-norm of the residual r = -G - J s it
+leaves, and max|r/mass| <= |r| / min(mass), so the linear part of the next
 max|G/mass| stays within FORCING_TOL_SHARE tol and the last system of a
 step is not solved past what the stopping test can use. Outside CG,
 each Newton iteration computes one stiffness product A w, plus one per
@@ -355,11 +356,19 @@ class _HeatStepper:
                                 and alpha > 1e-14):
                             break
                         alpha *= 0.5
-                    w, fw = w_new, f_new
                 else:
-                    w = w + s
-                    Aw = self.A @ w
-                    fw = None
+                    w_new = w + s
+                    Aw = self.A @ w_new
+                    f_new = None
+                # |G_k| = |G_k-1| sets eta = FORCING_MAX, so an iteration
+                # that then leaves w unchanged is repeated bit for bit by
+                # every later one; the second of two in a row that leave w
+                # unchanged is one
+                if g_norm == g_norm_prev and np.array_equal(w_new, w):
+                    raise NonConvergence(
+                        f"Newton stalled at max|G/mass| = {residual:g}, "
+                        f"above the tolerance {tol:g}")
+                w, fw = w_new, f_new
         raise NonConvergence(
             f"Newton did not reach residual {tol:g} in {NEWTON_MAX_ITER} "
             f"iterations")

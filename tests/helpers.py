@@ -719,3 +719,34 @@ def reference_read_trajectory_csv(path, graph):
     return times, np.array(values, dtype=float).reshape(len(steps),
                                                        graph.num_vertices)
 
+
+
+def reference_write_csv(path, header, rows):
+    """Reference for ``fileio.write_csv``: the per-row writer it replaced.
+    Each cell's type is worked out on its own: None as an empty cell, a
+    bool by ``str``, an int in decimal, a float by ``fmt`` (NaN as
+    ``nan``), anything else by ``str``; the rows go through
+    ``csv.writer``."""
+    import csv
+    import io
+
+    from graphrothe.fileio import atomic_write_text, fmt
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        cells = []
+        for cell in row:
+            if cell is None:
+                cells.append("")
+            elif isinstance(cell, (bool, np.bool_)):
+                cells.append(str(cell))
+            elif isinstance(cell, (int, np.integer)):
+                cells.append(str(int(cell)))
+            elif isinstance(cell, (float, np.floating)):
+                cells.append(fmt(cell))
+            else:
+                cells.append(str(cell))
+        writer.writerow(cells)
+    atomic_write_text(path, buf.getvalue())

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from graphrothe.cli import build_parser, main
 from graphrothe.errors import InvalidGraphData
 from helpers import path_graph, reference_read_trajectory_csv
-from graphrothe import calculus, cli, fileio, spectral
+from graphrothe import calculus, cli, fileio, heat, spectral
 from test_golden import config_heat_p1
 
 
@@ -50,6 +50,28 @@ def heat_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path), cfg
+
+
+def stalling_tree_config(tmp_path):
+    """A p = 1.5 heat run on a six-vertex tree with measures near 1e-150
+    and weights near 1e150: Newton stalls in its first step with
+    max|G/mass| at the rounding level of A w / mass, far above tol."""
+    gpath = tmp_path / "tree.txt"
+    gpath.write_text(
+        "graph 6\n"
+        "v 0 6.911045135733596e-151\nv 1 6.10344357995948e-151\n"
+        "v 2 6.05489380353827e-151\nv 3 1.803281441520979e-150\n"
+        "v 4 1.4511049690211648e-150\nv 5 1.2448575406982796e-150\n"
+        "e 0 1 6.3165183013923015e+149\ne 0 2 1.8102839466810983e+150\n"
+        "e 1 3 1.2084505051250171e+150\ne 2 4 1.6488756766083085e+150\n"
+        "e 4 5 1.8729859401676487e+150\n")
+    initial = {"0": 57.93314649197407, "1": -81.45090489532384,
+               "2": 15.751700664700508, "3": -60.55301054082629,
+               "4": 61.62735036271363, "5": -2.2307927741480142}
+    return heat_config(
+        tmp_path, graph={"file": str(gpath)}, domain="all",
+        problem={"p": 1.5, "horizon": 0.04, "steps": 4,
+                 "initial": {"values": initial}})[0]
 
 
 def vi_obstacle_config(tmp_path, **overrides):
@@ -439,31 +461,16 @@ class TestValidation:
             assert err.count("error[") == 1 and "Warning" not in err
 
     def test_cg_breakdown_exit_3(self, tmp_path, capsys):
-        # measures near 1e-150 and weights near 1e150: a Newton direction
-        # of the first step has curvature d.Sd = 0.0 in CG, which once
-        # ended the run with a ZeroDivisionError traceback
-        gpath = tmp_path / "tree.txt"
-        gpath.write_text(
-            "graph 6\n"
-            "v 0 6.911045135733596e-151\nv 1 6.10344357995948e-151\n"
-            "v 2 6.05489380353827e-151\nv 3 1.803281441520979e-150\n"
-            "v 4 1.4511049690211648e-150\nv 5 1.2448575406982796e-150\n"
-            "e 0 1 6.3165183013923015e+149\ne 0 2 1.8102839466810983e+150\n"
-            "e 1 3 1.2084505051250171e+150\ne 2 4 1.6488756766083085e+150\n"
-            "e 4 5 1.8729859401676487e+150\n")
-        initial = {"0": 57.93314649197407, "1": -81.45090489532384,
-                   "2": 15.751700664700508, "3": -60.55301054082629,
-                   "4": 61.62735036271363, "5": -2.2307927741480142}
-        cfg_path, _ = heat_config(
-            tmp_path, graph={"file": str(gpath)}, domain="all",
-            problem={"p": 1.5, "horizon": 0.04, "steps": 4,
-                     "initial": {"values": initial}})
-        assert main(["run", cfg_path]) == 3
+        # on the stalling tree a Newton direction of the first step once
+        # had curvature d.Sd = 0.0 in CG, which ended the run with a
+        # ZeroDivisionError traceback
+        assert main(["run", stalling_tree_config(tmp_path)]) == 3
         # preconditioned with the Jacobian's diagonal, CG gets through,
         # and Newton stalls at the rounding level of A w / mass
         assert capsys.readouterr() == (
-            "", "error[SOLVE]: step 1 (t = 0.01): Newton did not reach "
-            "residual 8.24509e-11 in 100 iterations\n")
+            "", "error[SOLVE]: step 1 (t = 0.01): Newton stalled at "
+            "max|G/mass| = 2.40083e+285, above the tolerance "
+            "8.24509e-11\n")
         # measures of 1e-152, weights of 1e30 and an initial value of
         # 1e-180: the curvature of the first search direction underflows
         gpath = tmp_path / "stiff5.txt"
@@ -478,6 +485,21 @@ class TestValidation:
             "", "error[SOLVE]: step 1 (t = 0.1): conjugate gradients broke "
             "down: the curvature d.Sd = 0 of a search direction is not "
             "positive\n")
+
+    def test_newton_stall_stops_early(self, tmp_path, capsys, monkeypatch):
+        # w stops changing from the 5th gradient evaluation on; the loop
+        # used to run all NEWTON_MAX_ITER = 100 iterations
+        gradients = [0]
+        grad_half = heat._HeatStepper._grad_half
+
+        def counting(self, *args):
+            gradients[0] += 1
+            return grad_half(self, *args)
+
+        monkeypatch.setattr(heat._HeatStepper, "_grad_half", counting)
+        assert main(["run", stalling_tree_config(tmp_path)]) == 3
+        assert "Newton stalled" in capsys.readouterr().err
+        assert gradients[0] <= 10
 
     def test_newton_norm_underflow_exit_3(self, tmp_path, capsys):
         # measures of 1e-300 and an initial value of 1e-170: |G| underflows

@@ -1,6 +1,7 @@
 import collections
 import csv
 import io
+import math
 import os
 import tempfile
 
@@ -22,6 +23,7 @@ from helpers import (
     path_graph,
     random_connected_graph,
     reference_read_trajectory_csv,
+    reference_write_csv,
 )
 
 
@@ -251,8 +253,12 @@ class TestCsv:
 
     def test_none_becomes_empty(self, tmp_path):
         path = tmp_path / "x.csv"
-        fileio.write_csv(str(path), ("a", "b"), [(1, None)])
+        fileio.write_csv(str(path), {"a": [1], "b": [None]})
         assert path.read_text() == "a,b\n1,\n"
+
+    def test_unequal_columns_refused(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            fileio.csv_text({"a": range(2), "b": [0.5]})
 
     def test_tuple_labels_round_trip(self, tmp_path):
         g = materialize_ball(LatticeZ2(), [(0, 0)], 1)
@@ -265,6 +271,70 @@ class TestCsv:
         assert values[0, g.vertex((0, 0))] == 1.0
         assert values[1, g.vertex((0, 1))] == -2.0
         assert values[1, g.vertex((1, 0))] == 0.0
+
+
+# floats the formatting could get wrong: signed zero, infinities, the
+# subnormal range, the edges of the normal range, and integers near 1e16
+# where float spacing exceeds 1
+EDGE_FLOATS = [-0.0, 0.0, math.inf, -math.inf, 5e-324, -5e-324,
+               2.2250738585072014e-308, 2.225073858507201e-308,
+               1.7976931348623157e308, 1e16, 1e16 + 2.0, 9007199254740993.0,
+               -9999999999999998.0, 0.1, 1.0 / 3.0]
+
+
+@st.composite
+def _table(draw):
+    """``(columns, rows)``: a table as ``{header: column}`` with columns
+    of mixed forms, and the same table as the rows the per-row writer
+    took, with NaN as None as its callers passed it."""
+    n = draw(st.integers(0, 12))
+    columns = {}
+    for k in range(draw(st.integers(1, 5))):
+        form = draw(st.sampled_from(["int array", "int list", "range",
+                                     "float array", "float list"]))
+        if form == "range":
+            start = draw(st.integers(-5, 5))
+            column = range(start, start + n)
+        elif form.startswith("int"):
+            column = draw(st.lists(st.integers(-2**63, 2**63 - 1),
+                                   min_size=n, max_size=n))
+        else:
+            floats = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+            if form == "float list":
+                floats = st.one_of(floats, st.none())
+            column = draw(st.lists(floats, min_size=n, max_size=n))
+        if form.endswith("array"):
+            column = np.array(column, dtype=int if form.startswith("int")
+                              else float)
+        columns[f"c{k}"] = column
+    cells = [[None if isinstance(x, float) and math.isnan(x) else x
+              for x in (c.tolist() if isinstance(c, np.ndarray) else c)]
+             for c in columns.values()]
+    return columns, list(zip(*cells))
+
+
+class TestTableWriter:
+    """The column writer against the per-row writer it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=_table())
+    def test_matches_row_writer(self, table):
+        columns, rows = table
+        with tempfile.TemporaryDirectory() as d:
+            ref, new = os.path.join(d, "ref.csv"), os.path.join(d, "new.csv")
+            reference_write_csv(ref, list(columns), rows)
+            fileio.write_csv(new, columns)
+            with open(ref, "rb") as fh:
+                expected = fh.read()
+            with open(new, "rb") as fh:
+                assert fh.read() == expected
+        assert fileio.csv_text(columns).encode() == expected
+
+    def test_nan_and_none_are_empty(self):
+        assert fileio.csv_text({"i": np.arange(3),
+                                "x": np.array([math.nan, -0.0, math.inf]),
+                                "y": [None, 0.5, math.nan]}) == \
+            "i,x,y\n0,,\n1,-0.0,0.5\n2,inf,\n"
 
 
 def reference_trajectory_csv(fields, times, graph):

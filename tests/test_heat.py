@@ -455,6 +455,24 @@ class TestExhaustion:
         assert all(d > 0 for d in deltas)
         assert deltas[0] > deltas[1] > deltas[2]
 
+    def test_half_plane_p2(self):
+        # the paper's unbounded Omega, a proper subset of V: the half-plane
+        # {i >= 0} of Z^2, exhausted from the seed (0, 0) on its boundary
+        exh = exhaust_generative(LatticeZ2(), [(0, 0)], 6,
+                                 membership=lambda x: x[0] >= 0)
+        g = exh.graph
+        h = VertexField.from_mapping(g, {(1, 0): 1.0, (2, 0): 0.5,
+                                         (1, 1): 0.25})
+        results = run_exhaustion(HeatProblem(exh, 2.0, h),
+                                 TimePartition(0.5, 5), levels=[3, 4, 6])
+        assert min(lab[0] for lab in g.labels) < 0
+        for res in results:
+            assert all(g.label_of(i)[0] >= 0
+                       for i in res.domain.omega_ids.tolist())
+            TestNewtonOneFactorization.assert_stationary(res.run)
+        deltas = [res.delta_prev for res in results[1:]]
+        assert deltas[0] > deltas[1] > 0.0
+
 
 class TestLinearSolverPaths:
     def test_cg_path_matches_direct(self, monkeypatch):

@@ -54,6 +54,7 @@ from helpers import (
     reference_run_rothe,
     reference_run_vi,
     reference_vi_monotonicity_monitor,
+    reference_write_csv,
 )
 from test_golden import CONFIGS, run_manifest
 
@@ -340,9 +341,9 @@ class TestRowLayout:
             rows.append((n, part.step_size, err, errs[-1], order))
             prev = (n, err)
         ref_path = tmp_path / "reference_oracle_error.csv"
-        fileio.write_csv(str(ref_path),
-                         ("n", "ell", "max_l2_error", "endpoint_l2_error",
-                          "observed_order"), rows)
+        reference_write_csv(str(ref_path),
+                            ("n", "ell", "max_l2_error", "endpoint_l2_error",
+                             "observed_order"), rows)
         assert (out / "oracle_error.csv").read_bytes() == \
             ref_path.read_bytes()
 

@@ -97,6 +97,38 @@ class TestViStep:
             assert float(np.max(np.abs(op.restrict(u) - ref))) \
                 <= 1e-10 * scale
 
+    def test_subspace_refinement_round(self):
+        # a first solve that is off by 1e-6 leaves the residual above
+        # 1e-12 (1 + max|b|); the refinement round brings it back, and
+        # the report carries the refined residual
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            g = random_connected_graph(rng, 5, 30)
+            dom = random_domain(rng, g)
+            ell = float(rng.uniform(0.05, 0.5))
+            stepper = ViStepper(dom, ell)
+            solver = stepper._solver
+            calls = []
+
+            class OffFirst:
+                def solve(self, rhs):
+                    x = solver.solve(rhs)
+                    calls.append(rhs)
+                    if len(calls) == 1:
+                        x = x + 1e-6 * rng.normal(size=x.size)
+                    return x
+
+            stepper._solver = OffFirst()
+            op = stepper.op
+            w_prev = op.restrict(random_admissible(rng, dom))
+            f = rng.normal(size=w_prev.size)
+            w, rep = stepper.step(1, w_prev, f)
+            assert len(calls) == 2
+            b = op.mass * (f + w_prev / ell)
+            res = float(np.max(np.abs(stepper.S @ w - b)))
+            assert res <= 1e-12 * (1.0 + float(np.max(np.abs(b))))
+            assert rep.variational_residual == res
+
     def test_obstacle_kkt_random(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
@@ -541,6 +573,42 @@ class TestViExhaustion:
         for res in run_vi_exhaustion(prob, part, levels=[3, 5, 8]):
             cold = run_vi(level_problem(prob, res.domain), part)
             assert res.run.values.tobytes() == cold.values.tobytes()
+
+    def test_half_plane_obstacle_kkt(self):
+        # the half-plane Omega = {i >= 0} of Z^2, a proper subset of V,
+        # with the obstacle psi = 0 binding where the forcing pushes down:
+        # every step of every level meets the KKT tolerance
+        from graphrothe import LatticeZ2, exhaust_generative
+        exh = exhaust_generative(LatticeZ2(), [(0, 0)], 6,
+                                 membership=lambda x: x[0] >= 0)
+        g = exh.graph
+        h = VertexField.from_mapping(g, {(1, 0): 1.0, (2, 0): 0.5,
+                                         (1, 1): 0.25})
+        f = VertexField.from_mapping(g, {(1, 0): -4.0, (2, 1): -2.0,
+                                         (3, 0): 1.0})
+        prob = VIProblem(exh, ConstantForcing(f), h,
+                         constraint=Obstacle(VertexField.zeros(g)))
+        part = TimePartition(1.0, 4)
+        ell = part.step_size
+        tol = vi.KKT_TOL
+        binding = 0
+        for res in run_vi_exhaustion(prob, part, levels=[3, 4, 6]):
+            op = res.domain.operator
+            assert all(g.label_of(i)[0] >= 0
+                       for i in res.domain.omega_ids.tolist())
+            S = op.step_matrix(ell)
+            w_all = res.run.values[:, op.interior_ids]
+            fi = op.restrict(f)
+            for w_prev, w in zip(w_all, w_all[1:]):
+                b = op.mass * (fi + w_prev / ell)
+                r = S @ w - b
+                scale = 1.0 + float(np.max(np.abs(b)))
+                assert w.min() >= 0.0
+                assert r.min() >= -tol * scale
+                assert np.abs(r * w).max() \
+                    <= tol * scale * (1.0 + float(np.max(w)))
+                binding += int(np.count_nonzero((w == 0.0) & (r > 0.0)))
+        assert binding > 0
 
     def test_zero_data_zero_levels(self):
         g = path_graph(6)
