@@ -37,6 +37,11 @@ from .graph import GENERATORS, compute_metrics, exhaust, exhaust_generative, \
 from .timeexpr import compile_time_expression
 
 
+# bound on the bytes ``run_bytes`` estimates for one heat or vi run, about
+# 2 GB, as ``graph.MAX_BALL_ENTRIES`` bounds a ball
+MAX_RUN_BYTES = 2_000_000_000
+
+
 def _fail(msg):
     raise ConfigError(msg)
 
@@ -99,6 +104,18 @@ def _problem_domain(g, ids):
     _expect(dom.num_interior, "domain has an empty interior (every omega "
             "vertex is on its boundary); it cannot pose a problem")
     return dom
+
+
+def run_bytes(steps, vertices, levels, oracle):
+    """The bytes a heat or vi run of ``steps`` steps on a graph of
+    ``vertices`` vertices holds, estimated: 8 per value of each
+    (steps + 1) x V Rothe array, one per selected exhaustion level (the
+    count ``levels``, None on a finite domain) plus the oracle study's
+    reference when ``oracle``, and about 40 per value a trajectory file
+    writes (an exhaustion writes each level's terminal row)."""
+    rows = (steps + 1) * vertices
+    written = levels * vertices if levels else rows * (1 + oracle)
+    return 8 * rows * ((levels or 1) + oracle) + 40 * written
 
 
 def load_config(path, overrides=None):
@@ -361,6 +378,15 @@ class PreparedRun:
             if self.exhaustion is None:
                 calculus.require_admissible(self.initial, self.domain,
                                             "problem.initial")
+            # before a VI samples its forcing on the time grid
+            vertices = self.graph.num_vertices
+            need = run_bytes(self.steps, vertices, None if self.exhaustion
+                             is None else len(self.levels),
+                             self.compare_oracle)
+            if need > MAX_RUN_BYTES:
+                _fail(f"a run of {self.steps} steps on {vertices} vertices "
+                      f"needs about {need} bytes of arrays and output text, "
+                      f"more than the {MAX_RUN_BYTES} a run may hold")
         dense = self.kind == "spectral" or (self.compare_oracle
                                             and self.p == 1.0)
         if dense and self.domain.num_interior > spectral.MAX_DENSE_INTERIOR:

@@ -186,9 +186,9 @@ def _finite(token):
 
 def write_field_file(field, path):
     # repr of a Python float is fmt of the numpy value
-    lines = map("{} {}".format, field.graph.names,
-                map(repr, field.values.tolist()))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, "".join([
+        f"{name} {v!r}\n"
+        for name, v in zip(field.graph.names, field.values.tolist())]))
 
 
 def atomic_write_text(path, text):

@@ -57,7 +57,7 @@ def format_label(label):
     """A label as the text files write it: ints in decimal, int tuples
     comma-joined, strings as they are."""
     if isinstance(label, tuple):
-        return ",".join(str(p) for p in label)
+        return ",".join(map(str, label))
     return str(label)
 
 

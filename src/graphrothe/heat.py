@@ -32,7 +32,9 @@ max|G/mass| stays within FORCING_TOL_SHARE tol and the last system of a
 step is not solved past what the stopping test can use. Outside CG,
 each Newton iteration computes one stiffness product A w, plus one per
 Armijo backtrack: the accepted trial hands its A w and its value of F on
-to the next iteration. The loop runs in one numpy error state that
+to the next iteration. Every product with A, in and outside CG, is
+``operators.spmv``, and CG's Jacobian product adds jd d into it in
+place. The loop runs in one numpy error state that
 ignores overflow: a gradient or Jacobian that overflows shows in the
 reductions the loop computes anyway and stops the step with
 ``SolverBreakdown``, while the direction solves, and the rare replays
@@ -74,7 +76,7 @@ from .errors import (
     TimeOutOfRange,
 )
 from .graph import Domain, ExhaustionSequence
-from .operators import CG_RTOL, CachedSPD, pcg
+from .operators import CG_RTOL, CachedSPD, pcg, spmv
 
 NEWTON_TOL_FACTOR = 1e-12
 NEWTON_MAX_ITER = 100
@@ -242,7 +244,7 @@ def step_functional(u, u_prev, prob, ell):
     op = dom.operator
     w = op.restrict(u)
     with np.errstate(over="ignore"):
-        return _functional(op.mass, w, op.stiffness @ w,
+        return _functional(op.mass, w, spmv(op.stiffness, w),
                            op.restrict(u_prev), float(prob.p), ell)
 
 
@@ -282,7 +284,7 @@ class _HeatStepper:
             # at most three refinement rounds bring the residual to
             # rounding level
             for _ in range(3):
-                Aw = self.A @ w
+                Aw = spmv(self.A, w)
                 with np.errstate(over="ignore", invalid="ignore"):
                     G = self._grad_half(w, Aw, u_prev)
                 if float(np.abs(G / self.mass).max()) <= tol:
@@ -293,7 +295,7 @@ class _HeatStepper:
         w = u_prev.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
         # A w and F(w) of the iterate; an accepted Armijo trial hands on
         # both, a full step below the noise of F only its product
-        Aw = self.A @ w
+        Aw = spmv(self.A, w)
         fw = None
         eta = g_norm = None
         g_target = tol * float(self.mass.min())
@@ -309,9 +311,9 @@ class _HeatStepper:
                 if not math.isfinite(residual):
                     _require_finite(G, "gradient", p)
                     _replay(caller, np.divide, G, self.mass)
-                g_norm_prev, g_norm = g_norm, float(np.linalg.norm(G))
+                g_norm_prev, g_norm = g_norm, math.sqrt(float(np.dot(G, G)))
                 if not math.isfinite(g_norm):
-                    _replay(caller, np.linalg.norm, G)
+                    _replay(caller, np.dot, G, G)
                 elif g_norm == 0.0:
                     # G is nonzero (its residual is above tol), but the
                     # squares of its entries underflow
@@ -331,10 +333,15 @@ class _HeatStepper:
                         f"Newton residual is not finite at p = {p:g} "
                         f"(overflow)")
                 jdiag = self._diag + jd
+
+                def jacobian(d):
+                    q = spmv(self.A, d)
+                    q += jd * d
+                    return q
+
                 # an overflow inside CG warns or raises as the caller asks
                 with np.errstate(**caller):
-                    s = pcg(lambda d: self.A @ d + jd * d, -G,
-                            lambda r: r / jdiag, eta, cap)
+                    s = pcg(jacobian, -G, lambda r: r / jdiag, eta, cap)
                 if s is None:
                     raise SolverBreakdown(
                         f"conjugate gradients missed the relative residual "
@@ -349,7 +356,7 @@ class _HeatStepper:
                     alpha = 1.0
                     while True:
                         w_new = w + alpha * s
-                        Aw = self.A @ w_new
+                        Aw = spmv(self.A, w_new)
                         f_new = _functional(self.mass, w_new, Aw, u_prev, p,
                                             self.ell)
                         if not (f_new > fw + 1e-4 * alpha * slope
@@ -358,7 +365,7 @@ class _HeatStepper:
                         alpha *= 0.5
                 else:
                     w_new = w + s
-                    Aw = self.A @ w_new
+                    Aw = spmv(self.A, w_new)
                     f_new = None
                 # |G_k| = |G_k-1| sets eta = FORCING_MAX, so an iteration
                 # that then leaves w unchanged is repeated bit for bit by

@@ -21,6 +21,12 @@ blocks of ``vi`` as principal submatrices of one, so the LU orders by
 minimum degree on the symmetric pattern and pivots on the diagonal.
 ``PrincipalBlocks`` cuts those blocks from the step matrix's CSC arrays
 by one mask and reuses a block's factor while its index set repeats.
+
+Every product of an assembled CSR matrix with a vector, in this module,
+``heat`` and ``vi``, is ``spmv``: scipy's ``csr_matvec`` kernel, the one
+``S @ x`` ends in, called without the dispatch of ``@``, which costs
+several times the kernel at these sizes; the result is ``S @ x`` bit for
+bit.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvec
 
 from .errors import EmptyInterior, SolverBreakdown
 
@@ -97,7 +104,21 @@ class DirichletOperator:
 
     def neg_laplacian(self, w):
         """-Laplacian of the zero-extended interior vector, on the interior."""
-        return (self.stiffness @ w) / self.mass
+        return spmv(self.stiffness, w) / self.mass
+
+
+def spmv(S, x):
+    """``S @ x`` for a CSR float matrix ``S`` and a 1-D vector ``x``, bit
+    for bit, by scipy's ``csr_matvec`` kernel without ``@``'s dispatch.
+    The kernel reads n entries of ``x`` unchecked, so its shape is checked
+    here."""
+    m, n = S.shape
+    if x.shape != (n,):
+        raise ValueError(f"spmv of a {m} x {n} matrix with a vector of "
+                         f"shape {x.shape}")
+    y = np.zeros(m)
+    csr_matvec(m, n, S.indptr, S.indices, S.data, x, y)
+    return y
 
 
 def pcg(matvec, b, precondition, rtol, cap):
@@ -137,8 +158,8 @@ def pcg(matvec, b, precondition, rtol, cap):
 class CachedSPD:
     """Solver of the SPD system with the CSR or CSC matrix ``S``: sparse
     LU up to DIRECT_SOLVE_MAX unknowns (read when the solver is built),
-    above it ``pcg`` with the Jacobi preconditioner to the relative
-    residual CG_RTOL within 50 n iterations. The factor (or the inverse
+    above it ``pcg`` on S's CSR form with the Jacobi preconditioner to the
+    relative residual CG_RTOL within 50 n iterations. The factor (or the inverse
     diagonal) is built once and reused across solves. The LU takes one
     symmetric permutation, a minimum degree ordering of the pattern of
     S + S^T, and pivots on the diagonal, which SPD matrices allow: less
@@ -158,7 +179,7 @@ class CachedSPD:
             except RuntimeError as exc:  # "Factor is exactly singular"
                 raise SolverBreakdown(f"sparse LU failed: {exc}") from None
         else:
-            self._S = S
+            self._S = S.tocsr()
             d = S.diagonal()
             if np.any(d <= 0):
                 raise SolverBreakdown("non-positive diagonal in SPD system")
@@ -167,7 +188,7 @@ class CachedSPD:
     def solve(self, rhs):
         if self.direct:
             return self._lu.solve(rhs)
-        x = pcg(lambda d: self._S @ d, rhs, lambda r: self._minv * r,
+        x = pcg(lambda d: spmv(self._S, d), rhs, lambda r: self._minv * r,
                 CG_RTOL, 50 * self.n)
         if x is None:
             raise SolverBreakdown(
@@ -177,8 +198,8 @@ class CachedSPD:
 
 
 class PrincipalBlocks:
-    """Solvers of the principal submatrices S[I][:, I] of one matrix S,
-    for the inactive sets I of the active-set method. S's CSC arrays and
+    """Solvers of the principal submatrices S[I][:, I] of one CSR matrix
+    S, for the inactive sets I of the active-set method. S's CSC arrays and
     diagonal are built once; each block is cut from them by one boolean
     mask over the row and column of every entry, and its ``CachedSPD``
     is kept and reused while I repeats, element by element. Kept entries

@@ -43,7 +43,7 @@ from .errors import (
 )
 from .graph import Domain, ExhaustionSequence
 from .heat import RotheTrajectory, _run_levels, _step_rows
-from .operators import CachedSPD, PrincipalBlocks
+from .operators import CachedSPD, PrincipalBlocks, spmv
 
 KKT_TOL = 1e-10
 
@@ -208,11 +208,11 @@ class ViStepper:
         scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
         if isinstance(self.constraint, Subspace):
             w = self._solver.solve(b)
-            res = float(np.max(np.abs(self.S @ w - b), initial=0.0))
+            res = float(np.max(np.abs(spmv(self.S, w) - b), initial=0.0))
             # a refinement round if rounding left the residual above target
             if res > 1e-12 * scale:
-                w = w - self._solver.solve(self.S @ w - b)
-                res = float(np.max(np.abs(self.S @ w - b), initial=0.0))
+                w = w - self._solver.solve(spmv(self.S, w) - b)
+                res = float(np.max(np.abs(spmv(self.S, w) - b), initial=0.0))
             report = (res, 0.0, 0.0, 0.0, 0)
         else:
             w, report = self._obstacle(b, w_prev, scale)
@@ -258,15 +258,15 @@ def active_set_solve(blocks, b, lower, u_start):
     S = blocks.S
     c = blocks.diagonal
     u = np.maximum(u_start, lower)
-    lam = np.maximum(S @ u - b, 0.0)
+    lam = np.maximum(spmv(S, u) - b, 0.0)
     active = lam - c * (u - lower) > 0.0
     for iteration in range(1, lower.size + 2):
         u = np.where(active, lower, 0.0)
         inactive = ~active
         if inactive.any():
-            rhs = b[inactive] - (S @ u)[inactive]
+            rhs = b[inactive] - spmv(S, u)[inactive]
             u[inactive] = blocks.solver(inactive).solve(rhs)
-        r = S @ u - b
+        r = spmv(S, u) - b
         lam = np.where(active, r, 0.0)
         settled = lam - c * (u - lower) > 0.0
         if np.array_equal(settled, active):

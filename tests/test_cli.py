@@ -929,6 +929,14 @@ CONFIG_FAULTS = [
     ("initial_outside", "heat", {"problem.initial.values": {"1": 0.5}}, 2,
      "problem.initial must vanish outside the domain interior, but it is "
      "0.5 at vertex 1"),
+    ("run_bytes", "heat", {"problem.steps": 10 ** 9}, 2,
+     "a run of 1000000000 steps on 5 vertices needs about 240000000240 "
+     "bytes of arrays and output text, more than the 2000000000 a run may "
+     "hold"),
+    ("run_bytes_levels", "lattice", {"problem.steps": 10 ** 9}, 2,
+     "a run of 1000000000 steps on 61 vertices needs about 976000005856 "
+     "bytes of arrays and output text, more than the 2000000000 a run may "
+     "hold"),
     ("forcing_key_label", "vi",
      {"problem.forcing.field.values": {"zz": 1.0}}, 2,
      "unknown vertex label 'zz'"),
@@ -966,6 +974,39 @@ CONFIG_FAULTS = [
      {"problem.constraint.psi.values": {"3": 0.0, "+3": 0.5}}, 2,
      "values keys '3' and '+3' name one vertex 3"),
 ]
+
+
+class TestRunBudget:
+    """A heat or vi run whose estimated arrays and output text exceed
+    ``cli.MAX_RUN_BYTES`` is refused at validation, before any array the
+    size of its time grid is built."""
+
+    def test_estimate(self):
+        # 4 x 10 values per Rothe array
+        assert cli.run_bytes(3, 10, None, False) == 8 * 40 + 40 * 40
+        assert cli.run_bytes(3, 10, None, True) == 8 * 80 + 40 * 80
+        assert cli.run_bytes(3, 10, 2, False) == 8 * 80 + 40 * 20
+
+    def test_vi_refused_before_its_forcing(self, tmp_path, capsys,
+                                           monkeypatch):
+        # validation samples a vi's forcing on every grid time
+        path, cfg = vi_obstacle_config(tmp_path)
+        need = cli.run_bytes(4, 5, None, False)
+        monkeypatch.setattr(cli, "MAX_RUN_BYTES", need - 1)
+        sampled = []
+        forcing = cli.PreparedRun._forcing
+        monkeypatch.setattr(cli.PreparedRun, "_forcing",
+                            lambda prep: sampled.append(1) or forcing(prep))
+        for command in ("validate-config", "run"):
+            assert main([command, path]) == 2
+            assert capsys.readouterr().err == (
+                f"error[CONFIG]: a run of 4 steps on 5 vertices needs about "
+                f"{need} bytes of arrays and output text, more than the "
+                f"{need - 1} a run may hold\n")
+        assert not sampled
+        monkeypatch.setattr(cli, "MAX_RUN_BYTES", need)
+        assert main(["validate-config", path]) == 0
+        assert sampled
 
 
 class TestConfigChecks:

@@ -1,8 +1,8 @@
 """The Dirichlet operator: CSR assembly against the per-vertex loop it
 replaced, read-only sharing, the shifted and step matrices, one operator
 per domain across every solver and monitor, the symmetric sparse LU of
-``CachedSPD``, and the edge cases of the shared conjugate-gradient
-loop."""
+``CachedSPD``, the edge cases of the shared conjugate-gradient loop, and
+the CSR product ``spmv`` against ``@``."""
 
 import gc
 import weakref
@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphrothe import (
     ConstantForcing,
+    Obstacle,
     HeatProblem,
     TimePartition,
     VertexField,
@@ -24,6 +27,8 @@ from graphrothe import (
     dirichlet_eigenbasis,
     errors,
     exhaust_generative,
+    field_on_interior,
+    heat,
     kernels,
     make_domain,
     ode_oracle,
@@ -33,6 +38,7 @@ from graphrothe import (
     run_vi,
     run_vi_exhaustion,
     step_functional,
+    vi,
     vi_monotonicity_monitor,
 )
 from helpers import path_graph, random_connected_graph, random_domain
@@ -267,3 +273,73 @@ class TestSymmetricLU:
         assert fill <= 11_728
         # diagonal pivots: the row and column orders are one permutation
         assert np.array_equal(lu.perm_r, lu.perm_c)
+
+
+class TestSpmv:
+    """``spmv`` is ``S @ x`` bit for bit, and every product of the solvers
+    goes through it with a CSR matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           index=st.sampled_from([np.int32, np.int64]))
+    def test_matches_matmul(self, seed, index):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, 3, 60)
+        dom = random_domain(rng, g)
+        op = dom.operator
+        ell = float(rng.uniform(0.01, 2.0))
+        matrices = [op.stiffness, op.shifted(rng.uniform(1e-3, 10.0, op.n)),
+                    vi.ViStepper(dom, ell).S]
+        X = rng.normal(size=(op.n, 3)) * 10.0 ** rng.integers(-3, 4)
+        vectors = [X[:, 0].copy(), X[:, 1],
+                   rng.integers(-5, 6, size=op.n)]
+        for S in matrices:
+            # the constructor would narrow int64 indices that fit int32
+            S = S.copy()
+            S.indices = S.indices.astype(index)
+            S.indptr = S.indptr.astype(index)
+            for x in vectors:
+                assert same_bytes(operators.spmv(S, x), S @ x)
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), (1, 3)])
+    def test_shape_mismatch_refused(self, shape):
+        # the kernel would read past the end of a short vector
+        S = sp.csr_matrix(np.eye(3))
+        with pytest.raises(ValueError, match="spmv of a 3 x 3 matrix"):
+            operators.spmv(S, np.ones(shape))
+
+    @pytest.mark.parametrize("direct", [True, False])
+    def test_every_product_is_csr(self, monkeypatch, direct):
+        calls = []
+        spmv = operators.spmv
+
+        def checked_spmv(S, x):
+            assert S.format == "csr"
+            calls.append(S.shape)
+            y = spmv(S, x)
+            assert same_bytes(y, S @ x)
+            return y
+
+        if not direct:
+            monkeypatch.setattr(operators, "DIRECT_SOLVE_MAX", 0)
+        for module in (operators, heat, vi):
+            monkeypatch.setattr(module, "spmv", checked_spmv)
+        rng = np.random.default_rng(26)
+        g = random_connected_graph(rng, 15, 30)
+        dom = random_domain(rng, g)
+        h = field_on_interior(dom, rng.uniform(-1.0, 1.0, dom.num_interior))
+        part = TimePartition(0.5, 3)
+        for p in (2.0, 1.0):
+            calls.clear()
+            run = run_rothe(HeatProblem(dom, p, h), part)
+            step_functional(VertexField(g, run.values[1]), h,
+                            HeatProblem(dom, p, h), part.step_size)
+            assert calls
+        forcing = ConstantForcing(VertexField(g, rng.normal(
+            size=g.num_vertices)))
+        for constraint in (Subspace(), Obstacle(VertexField.zeros(g))):
+            calls.clear()
+            run = run_vi(VIProblem(dom, forcing, VertexField(g, np.maximum(
+                h.values, 0.0)), constraint=constraint), part)
+            vi_monotonicity_monitor(run)
+            assert calls
