@@ -442,12 +442,6 @@ class LatticeZ:
     def is_vertex(label):
         return type(label) is int
 
-    def neighbors(self, x):
-        return ((x - 1, self.weight), (x + 1, self.weight))
-
-    def measure(self, x):
-        return self.mu
-
 
 class LatticeZ2:
     """The square lattice: vertices are (i, j) int pairs, 4 neighbors."""
@@ -462,15 +456,6 @@ class LatticeZ2:
     def is_vertex(label):
         return (type(label) is tuple and len(label) == 2
                 and all(type(c) is int for c in label))
-
-    def neighbors(self, x):
-        i, j = x
-        w = self.weight
-        return (((i - 1, j), w), ((i + 1, j), w),
-                ((i, j - 1), w), ((i, j + 1), w))
-
-    def measure(self, x):
-        return self.mu
 
 
 GENERATORS = {"lattice_z": LatticeZ, "lattice_z2": LatticeZ2}

@@ -13,14 +13,18 @@ has exterior contact).
 
 This module holds all of the package's SPD linear algebra: every
 assembled A + diag(d), the p = 1 matrix or the step matrix, comes from
-``DirichletOperator.shifted``; ``CachedSPD`` solves by sparse LU or, above
-DIRECT_SOLVE_MAX unknowns, by Jacobi-preconditioned CG; and ``pcg`` is
-the one conjugate-gradient loop, shared by ``CachedSPD`` and the Newton
-directions of ``heat``. Every matrix factored here is SPD, the active-set
-blocks of ``vi`` as principal submatrices of one, so the LU orders by
-minimum degree on the symmetric pattern and pivots on the diagonal.
-``PrincipalBlocks`` cuts those blocks from the step matrix's CSC arrays
-by one mask and reuses a block's factor while its index set repeats.
+``DirichletOperator.shifted``; ``CachedSPD`` solves by LAPACK's banded
+Cholesky factorization in reverse Cuthill-McKee order or, when that band
+would hold more than DIRECT_SOLVE_MAX entries, by Jacobi-preconditioned
+CG; and ``pcg`` is the one conjugate-gradient loop, shared by
+``CachedSPD`` and the Newton directions of ``heat``. The matrices are
+graph Laplacians plus a diagonal, and on grids and lattice balls their
+reverse Cuthill-McKee bandwidth is a few tens. ``PrincipalBlocks`` orders
+the step matrix once and cuts the band of each active-set block of
+``vi`` from its upper-triangle entries by one mask: a principal
+submatrix in the restricted order is no wider than the matrix, so a
+block needs no ordering of its own. A block's factor is reused while its
+index set repeats.
 
 Every product of an assembled CSR matrix with a vector, in this module,
 ``heat`` and ``vi``, is ``spmv``: scipy's ``csr_matvec`` kernel, the one
@@ -35,12 +39,15 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import EmptyInterior, SolverBreakdown
 
-DIRECT_SOLVE_MAX = 10_000
+# entries of the largest band factored directly, (bandwidth + 1) * n:
+# 8 MB, which takes every 2-D grid up to 100 x 100 (bandwidth 100)
+DIRECT_SOLVE_MAX = 1_010_000
 CG_RTOL = 1e-13
 
 
@@ -155,31 +162,82 @@ def pcg(matvec, b, precondition, rtol, cap):
     return None
 
 
+class _Upper:
+    """A symmetric n x n matrix in the symmetric order ``order``: entry
+    (rows[k], cols[k]) of the reordered matrix, rows[k] <= cols[k], is
+    ``data[k]``, and row k of the reordered matrix is row ``order[k]`` of
+    the matrix. Every stored upper-triangle entry of the reordered matrix
+    appears once; the bandwidth is the largest cols[k] - rows[k]."""
+
+    def __init__(self, order, rows, cols, data, n):
+        self.order, self.rows, self.cols, self.data = order, rows, cols, data
+        self.n = n
+        self.bandwidth = int(np.max(cols - rows, initial=0))
+
+    @classmethod
+    def of(cls, S):
+        """The entries of the symmetric CSR matrix ``S``, which holds no
+        duplicate entries, in its reverse Cuthill-McKee order."""
+        order = reverse_cuthill_mckee(S, symmetric_mode=True)
+        n = S.shape[0]
+        pos = np.empty(n, dtype=np.intp)
+        pos[order] = np.arange(n)
+        rows = pos[np.repeat(np.arange(n), np.diff(S.indptr))]
+        cols = pos[S.indices]
+        up = rows <= cols
+        return cls(order, rows[up], cols[up], S.data[up], n)
+
+    def fits(self):
+        """Whether the band of this matrix is factored directly: it holds
+        at most DIRECT_SOLVE_MAX entries (read on each call)."""
+        return (self.bandwidth + 1) * self.n <= DIRECT_SOLVE_MAX
+
+    def band(self):
+        """The upper band storage of LAPACK's ``dpbtrf``: entry (i, j),
+        i <= j, of the reordered matrix at [bandwidth + i - j, j]."""
+        bw = self.bandwidth
+        ab = np.zeros((bw + 1, self.n), order="F")
+        ab[bw + self.rows - self.cols, self.cols] = self.data
+        return ab
+
+    def block(self, mask):
+        """The principal submatrix on the indices I of the boolean mask
+        ``mask``, in this order restricted to I."""
+        kept = mask[self.order]
+        index = np.cumsum(kept) - 1
+        keep = kept[self.rows] & kept[self.cols]
+        return _Upper((np.cumsum(mask) - 1)[self.order[kept]],
+                      index[self.rows[keep]], index[self.cols[keep]],
+                      self.data[keep], int(index[-1]) + 1)
+
+
 class CachedSPD:
-    """Solver of the SPD system with the CSR or CSC matrix ``S``: sparse
-    LU up to DIRECT_SOLVE_MAX unknowns (read when the solver is built),
-    above it ``pcg`` on S's CSR form with the Jacobi preconditioner to the
-    relative residual CG_RTOL within 50 n iterations. The factor (or the inverse
-    diagonal) is built once and reused across solves. The LU takes one
-    symmetric permutation, a minimum degree ordering of the pattern of
-    S + S^T, and pivots on the diagonal, which SPD matrices allow: less
-    fill than ``splu``'s COLAMD column ordering with partial pivoting.
-    A CSC matrix, such as a block of ``PrincipalBlocks``, is factored as
-    given; a CSR one is converted first."""
+    """Solver of the SPD system with the CSR matrix ``S``: a banded
+    Cholesky factor in S's reverse Cuthill-McKee order when the band
+    holds at most DIRECT_SOLVE_MAX entries (read when the solver is
+    built), otherwise ``pcg`` on S with the Jacobi preconditioner to the
+    relative residual CG_RTOL within 50 n iterations. The factor (or the
+    inverse diagonal) is built once and reused across solves. In place of
+    S, ``PrincipalBlocks`` passes a block's ``_Upper`` entries, which
+    always fit; their order is kept."""
 
     def __init__(self, S):
-        self.n = S.shape[0]
-        self.direct = self.n <= DIRECT_SOLVE_MAX
+        upper = S if isinstance(S, _Upper) else _Upper.of(S)
+        self.n = upper.n
+        self.direct = upper.fits()
         if self.direct:
-            try:
-                self._lu = spla.splu(
-                    S if S.format == "csc" else S.tocsc(),
-                    permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-            except RuntimeError as exc:  # "Factor is exactly singular"
-                raise SolverBreakdown(f"sparse LU failed: {exc}") from None
+            self._order = upper.order
+            factor, info = dpbtrf(upper.band(), lower=0, overwrite_ab=1)
+            if info > 0:
+                raise SolverBreakdown(
+                    f"banded Cholesky failed: the leading minor of order "
+                    f"{info} is not positive definite")
+            if not np.isfinite(factor).all():
+                raise SolverBreakdown(
+                    "banded Cholesky failed: the factor is not finite")
+            self._factor = factor
         else:
-            self._S = S.tocsr()
+            self._S = S
             d = S.diagonal()
             if np.any(d <= 0):
                 raise SolverBreakdown("non-positive diagonal in SPD system")
@@ -187,7 +245,10 @@ class CachedSPD:
 
     def solve(self, rhs):
         if self.direct:
-            return self._lu.solve(rhs)
+            x = np.empty(self.n)
+            x[self._order] = dpbtrs(self._factor, rhs[self._order],
+                                    lower=0, overwrite_b=1)[0]
+            return x
         x = pcg(lambda d: spmv(self._S, d), rhs, lambda r: self._minv * r,
                 CG_RTOL, 50 * self.n)
         if x is None:
@@ -198,21 +259,20 @@ class CachedSPD:
 
 
 class PrincipalBlocks:
-    """Solvers of the principal submatrices S[I][:, I] of one CSR matrix
-    S, for the inactive sets I of the active-set method. S's CSC arrays and
-    diagonal are built once; each block is cut from them by one boolean
-    mask over the row and column of every entry, and its ``CachedSPD``
-    is kept and reused while I repeats, element by element. Kept entries
-    stay in their order, so a block's arrays are those of
-    ``sp.csc_matrix(S[I][:, I])``; S need not be symmetric."""
+    """Solvers of the principal submatrices S[I][:, I] of one symmetric
+    CSR matrix S, for the inactive sets I of the active-set method. S's
+    reverse Cuthill-McKee order, its upper-triangle entries in that order
+    and its diagonal are computed once. Each block takes that order
+    restricted to I, and its entries are cut from S's by one mask. Only a
+    block whose band in that order is over DIRECT_SOLVE_MAX is sliced as
+    a matrix, which ``CachedSPD`` orders afresh and, if its own band is
+    over too, solves by CG. A block's ``CachedSPD`` is kept and reused
+    while I repeats, element by element."""
 
     def __init__(self, S):
         self.S = S
         self.diagonal = S.diagonal()
-        csc = S.tocsc()
-        self._data, self._rows, self._ptr = csc.data, csc.indices, csc.indptr
-        self._cols = np.repeat(np.arange(S.shape[1], dtype=self._rows.dtype),
-                               np.diff(self._ptr))
+        self._upper = _Upper.of(S)
         self._mask = None
         self._solver = None
 
@@ -220,13 +280,8 @@ class PrincipalBlocks:
         """The ``CachedSPD`` of S[I][:, I] for the boolean mask ``mask``
         of I, which must hold at least one True."""
         if self._mask is None or not np.array_equal(mask, self._mask):
-            keep = mask[self._rows] & mask[self._cols]
-            index = np.cumsum(mask, dtype=self._rows.dtype) - 1
-            kept = np.concatenate(([0], np.cumsum(keep)))
-            ptr = kept[self._ptr[np.append(mask, True)]]
-            k = int(index[-1]) + 1
-            self._solver = CachedSPD(sp.csc_matrix(
-                (self._data[keep], index[self._rows[keep]],
-                 ptr.astype(self._ptr.dtype)), shape=(k, k)))
+            upper = self._upper.block(mask)
+            self._solver = CachedSPD(
+                upper if upper.fits() else self.S[mask][:, mask])
             self._mask = mask
         return self._solver

@@ -10,8 +10,10 @@ obstacle-constrained admissible set {v >= psi on the interior} is an
 extension beyond the subspace theory. Its step is the complementarity
 problem S u >= b, u >= psi, (S u - b)(u - psi) = 0, solved by the
 primal-dual active set method and accepted by a pointwise KKT test.
-Each inactive block of S is cut from its CSC arrays by one mask, and a
-block's factor is reused while the inactive set repeats.
+Each inactive block of S is factored by banded Cholesky in S's reverse
+Cuthill-McKee order restricted to the block, its band cut from S's
+upper-triangle entries by one mask, and a block's factor is reused while
+the inactive set repeats.
 
 ``ViStepper.step`` maps interior vectors to interior vectors and a
 report of scalar diagnostics; ``run_vi`` fills the run's (steps + 1) x V
@@ -246,9 +248,9 @@ def active_set_solve(blocks, b, lower, u_start):
     (u, S u - b, iterations).
 
     Each iteration fixes u = lower on the active set A, solves the
-    inactive rows I of S u = b with the factor of S[I][:, I] (cut by one
-    mask, and reused while I repeats, across steps too) and takes the
-    multiplier lam = S u - b on A, 0 on I. The next active set is
+    inactive rows I of S u = b with the factor of S[I][:, I] (its band
+    cut by one mask, and reused while I repeats, across steps too) and
+    takes the multiplier lam = S u - b on A, 0 on I. The next active set is
     {lam - c (u - lower) > 0} with c the diagonal of S, which puts lam
     in the units of u. As u equals lower on A and lam vanishes on I, c
     only shapes the first set, built from u = max(u_start, lower). For

@@ -5,8 +5,11 @@ import math
 from collections import deque
 
 import numpy as np
+from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from graphrothe import build_finite_graph, field_on_interior, make_domain
+from graphrothe import build_finite_graph, field_on_interior, make_domain, \
+    operators
 from graphrothe.errors import (
     DisconnectedGraph,
     DuplicateEdge,
@@ -205,11 +208,21 @@ def reference_bfs_distances(g, seed_ids):
     return dist
 
 
+def lattice_neighbors(oracle, x):
+    """(label, weight) of each lattice neighbor of the vertex ``x`` of a
+    ``LatticeZ`` or ``LatticeZ2``, read label by label."""
+    w = oracle.weight
+    if oracle.dim == 1:
+        return ((x - 1, w), (x + 1, w))
+    i, j = x
+    return (((i - 1, j), w), ((i + 1, j), w), ((i, j - 1), w), ((i, j + 1), w))
+
+
 def reference_materialize(oracle, seed_labels, radius):
-    """Reference for the lattice ball: a BFS over labels with the oracle's
-    ``neighbors`` and ``measure``, every edge listed once from its smaller
-    label, built by ``reference_build_finite_graph``. Returns (graph,
-    {label: distance})."""
+    """Reference for the lattice ball: a BFS over labels with
+    ``lattice_neighbors`` and the oracle's constant measure, every edge
+    listed once from its smaller label, built by
+    ``reference_build_finite_graph``. Returns (graph, {label: distance})."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     seed_labels = sorted(set(seed_labels), key=_label_key)
@@ -218,7 +231,7 @@ def reference_materialize(oracle, seed_labels, radius):
     for d in range(1, radius + 1):
         nxt = []
         for lab in frontier:
-            for nbr, _ in oracle.neighbors(lab):
+            for nbr, _ in lattice_neighbors(oracle, lab):
                 if nbr not in dist:
                     dist[nbr] = d
                     nxt.append(nbr)
@@ -227,14 +240,14 @@ def reference_materialize(oracle, seed_labels, radius):
     complete_by_label = {}
     for lab in dist:
         ok = True
-        for nbr, w in oracle.neighbors(lab):
+        for nbr, w in lattice_neighbors(oracle, lab):
             if nbr in dist:
                 if _label_key(lab) < _label_key(nbr):
                     edges.append((lab, nbr, w))
             else:
                 ok = False
         complete_by_label[lab] = ok
-    measure = {lab: oracle.measure(lab) for lab in dist}
+    measure = {lab: oracle.mu for lab in dist}
     g = reference_build_finite_graph(edges, measure)
     complete = np.array([complete_by_label[lab] for lab in g.labels])
     return WeightedGraph(g.labels, g.indptr, g.indices, g.weights, g.mu,
@@ -310,11 +323,29 @@ def reference_psor(S, lower, b, w_start, scale, relax, tol):
     raise AssertionError("reference PSOR did not converge")
 
 
+def reference_band(M, order):
+    """The upper band storage of LAPACK's ``dpbtrf`` for the symmetric
+    sparse matrix M reordered by ``order``, built from the dense reordered
+    matrix one superdiagonal at a time: row ``bw - d`` holds superdiagonal
+    d, right-aligned, with ``bw`` the largest d that holds a nonzero."""
+    D = M.toarray()[np.ix_(order, order)]
+    rows, cols = np.nonzero(np.triu(D))
+    bw = int(np.max(cols - rows, initial=0))
+    ab = np.zeros((bw + 1, D.shape[0]))
+    for d in range(bw + 1):
+        ab[bw - d, d:] = np.diagonal(D, offset=d)
+    return ab
+
+
 def reference_active_set_solve(S, b, lower, u_start):
     """Reference for ``vi.active_set_solve`` on the matrix S itself: the
     same primal-dual active set loop, slicing every inactive block as
-    ``S[free][:, free]`` and factoring it afresh in each iteration."""
+    ``S[free][:, free]`` and factoring it afresh in each iteration, by
+    ``scipy.linalg.cholesky_banded`` in S's reverse Cuthill-McKee order
+    restricted to the block, or through ``CachedSPD`` when the band is
+    over ``operators.DIRECT_SOLVE_MAX``."""
     c = S.diagonal()
+    perm = reverse_cuthill_mckee(S, symmetric_mode=True)
     u = np.maximum(u_start, lower)
     lam = np.maximum(S @ u - b, 0.0)
     active = lam - c * (u - lower) > 0.0
@@ -323,7 +354,16 @@ def reference_active_set_solve(S, b, lower, u_start):
         free = np.flatnonzero(~active)
         if free.size:
             rhs = b[free] - (S @ u)[free]
-            u[free] = CachedSPD(S[free][:, free]).solve(rhs)
+            block = S[free][:, free]
+            order = np.searchsorted(free, perm[~active[perm]])
+            ab = reference_band(block, order)
+            if ab.size <= operators.DIRECT_SOLVE_MAX:
+                factor = cholesky_banded(ab, lower=False)
+                x = np.empty(free.size)
+                x[order] = cho_solve_banded((factor, False), rhs[order])
+                u[free] = x
+            else:
+                u[free] = CachedSPD(block).solve(rhs)
         r = S @ u - b
         lam = np.where(active, r, 0.0)
         settled = lam - c * (u - lower) > 0.0

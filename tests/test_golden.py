@@ -173,9 +173,9 @@ GOLDEN = {
             "max_energy_residual": -0.0018012689501000767
         },
         "outputs": {
-            "estimates.csv": "322f7a7e933e28009ef6f8a4041be8eae3361d8104bf0ee22a44be803c9299ae",
-            "norms.csv": "b0d836d09fca5891c3ed429755f3d7a1daafcf752be05e4bfbf18a23ad0782c3",
-            "trajectory.csv": "bbff86484831b5869a96e6598218398c406aec9c4f11110c64d6fe0ad7752eae"
+            "estimates.csv": "509fb674af8a90b4399743d2c7b4abf6fb84d491e0bee0ad5ec837600b313fd9",
+            "norms.csv": "b7762f29e18f4421288abf21e2b3c2e69851de53621d1a66515a8fee056c82ad",
+            "trajectory.csv": "316e54c7179e57ca6641640d2cf1b69f27ce14a2d2c600dd15db41c3d95ecdd9"
         }
     },
     "heat_p2_lattice": {
@@ -208,7 +208,7 @@ GOLDEN = {
     "vi_lattice": {
         "diagnostics": {
             "level_deltas": [
-                0.21656343861328758,
+                0.21656343861328772,
                 0.011693416084173751
             ],
             "lipschitz": {
@@ -218,10 +218,10 @@ GOLDEN = {
             }
         },
         "outputs": {
-            "levels.csv": "707217153f245274a9d6dc52a126c27a7e967164d0edcaa501a47b98d87caa3e",
-            "terminal_level_2.txt": "1d647e2045a0a94e85f9bb59be668329a4c188a5c85a01c3531b7fbce459d9b3",
-            "terminal_level_4.txt": "945c9bd37927af68bd6a9b35083c1e8591f310ec94dc07bfdb094ac5995ee783",
-            "terminal_level_6.txt": "c9801fa33f72191b0fe5a78d357981e8adac6cac5ed559b7c197d9dc28e0b7f0"
+            "levels.csv": "a7138316eba765060f6dfb5453fc3ac08459270c8a482bbcad2a7911fd55fce7",
+            "terminal_level_2.txt": "5d0f19232d91ddcfadf55f8469f69355af5e344f1ac1872817f39bb31a97c504",
+            "terminal_level_4.txt": "3239bb65694922979afaaf5f89f119ad34b7be72579fd4a8907091885e3b864d",
+            "terminal_level_6.txt": "08b07273af9aa68f259835b11af6902106cb4d653311a51c4fd4586145775462"
         }
     },
     "vi_obstacle": {
@@ -231,14 +231,14 @@ GOLDEN = {
                 "estimate": 0.0,
                 "violated": False
             },
-            "max_quotient_l2": 2.0410083401732804,
+            "max_quotient_l2": 2.04100834017328,
             "quotient_bound": 5.59773963022651,
-            "quotient_recurrence_max_slack": -0.27387624007566513
+            "quotient_recurrence_max_slack": -0.273876240075664
         },
         "outputs": {
-            "norms.csv": "219872ce441eb9a6504d9ebb831aa525237af7bbb332ca5ba54b3feee64ee513",
-            "trajectory.csv": "627ef9c71c66f36e3200d838e7bed07eaf7fd0eddc5ee7a5ad0f3d55e0d6d876",
-            "vi_reports.csv": "427c8bd6c756c7d12eff0cd6766302adfd64d5b98f0a232bc16ebf4658ff87f6"
+            "norms.csv": "ba0a7af92985b1734d4828946b01f48e03dd4ade379a4c287975a75164b414de",
+            "trajectory.csv": "88ab85fcd14c5eb07ff82c32d99aadd844c3a189a18fd2c4e9d378c68d6a1221",
+            "vi_reports.csv": "03608cce13d4539700b8ea7070681e5689e5472998c78f7b6d8190c1f0ca3096"
         }
     },
     "vi_obstacle_overrelaxed": {
@@ -250,12 +250,12 @@ GOLDEN = {
             },
             "max_quotient_l2": 1.2172796654841853,
             "quotient_bound": 1.2172796654841853,
-            "quotient_recurrence_max_slack": -0.7894440089178766
+            "quotient_recurrence_max_slack": -0.7894440089178767
         },
         "outputs": {
-            "norms.csv": "645c46013d2e6670d4b6c2c188fbd0a9a18af0e5948abb3e5136d120148da3fd",
-            "trajectory.csv": "b7757c0f9d84ed0e2acf3138ff74a5b9877a685f77ab1359ef8e381dbd9f1880",
-            "vi_reports.csv": "5c0ce73b3f52631acd2457f1452c14962fb91877f6d8f7742ae8bd3a8125b4dd"
+            "norms.csv": "643c5d47ccd5d74b6a5c5e8043e2e312e90dbfb39149faa06eeaf79f328a0e5b",
+            "trajectory.csv": "99cd4135241f109678758ecc9b18e5a2f10e55fc527600a9bdb5cd7f561adc7c",
+            "vi_reports.csv": "8e23979aac317670a5993e9d7b5e3be81226194e98a5c418862db1a62e1cbdde"
         }
     },
     "vi_separable": {
@@ -266,14 +266,14 @@ GOLDEN = {
                 "estimate": 2.2072645460806095,
                 "violated": True
             },
-            "max_quotient_l2": 3.308789692729219,
+            "max_quotient_l2": 3.308789692729218,
             "quotient_bound": 9.549941367077198,
-            "quotient_recurrence_max_slack": -0.26941385408750185
+            "quotient_recurrence_max_slack": -0.2694138540875014
         },
         "outputs": {
-            "norms.csv": "0db3ec0b5431ec6402393d433383e5cbe2f9773da14535285f8c7476af088d31",
-            "trajectory.csv": "248d905faa18d7fd7a1e787d3f2cbaff383bd256084978f2c26e38d18f6dd684",
-            "vi_reports.csv": "0d3c118b4f442f49537edb2d976cad1771ac6c9d82a6af1a09d2c73e048d192b"
+            "norms.csv": "da17802a0766fefae6bcc9aa248542b677be2c923507e3293e457961e73ac409",
+            "trajectory.csv": "5fbef9b32a9d97824bb87137674b30d8e8ee703ab6ad8a1fdaa99600bf2a4103",
+            "vi_reports.csv": "b521dcfa873d24db00616ed5cf18a449064a8ef98f8381cd393cb5c0cc4270bc"
         }
     }
 }
@@ -297,9 +297,9 @@ def test_golden_outputs(tmp_path, name):
 
 # The same configs with every SPD system on the iterative path
 # (``operators.DIRECT_SOLVE_MAX`` = 0): Jacobi-preconditioned CG in place
-# of sparse LU for p = 1, the VI subspace and the active-set blocks. Each
-# of these differs from its direct-path pin above in the last bits of the
-# fields. A p = 2 run factors nothing on either path, so each p = 2
+# of banded Cholesky for p = 1, the VI subspace and the active-set blocks.
+# Each of these differs from its direct-path pin above in the last bits of
+# the fields. A p = 2 run factors nothing on either path, so each p = 2
 # config's iterative pin is its direct pin.
 GOLDEN_ITERATIVE = {
     "heat_p1": {

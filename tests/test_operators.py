@@ -1,8 +1,9 @@
 """The Dirichlet operator: CSR assembly against the per-vertex loop it
 replaced, read-only sharing, the shifted and step matrices, one operator
-per domain across every solver and monitor, the symmetric sparse LU of
-``CachedSPD``, the edge cases of the shared conjugate-gradient loop, and
-the CSR product ``spmv`` against ``@``."""
+per domain across every solver and monitor, the banded Cholesky factor
+of ``CachedSPD`` and the block bands of ``PrincipalBlocks``, the edge
+cases of the shared conjugate-gradient loop, and the CSR product
+``spmv`` against ``@``."""
 
 import gc
 import weakref
@@ -10,9 +11,9 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from graphrothe import (
     ConstantForcing,
@@ -41,7 +42,8 @@ from graphrothe import (
     vi,
     vi_monotonicity_monitor,
 )
-from helpers import path_graph, random_connected_graph, random_domain
+from helpers import path_graph, random_connected_graph, random_domain, \
+    reference_band, star_graph
 
 
 def hub_graph(rng, n_min=12, n_max=60):
@@ -241,9 +243,10 @@ class TestPcg:
             assert same_bytes(row, np.zeros(g.num_vertices))
 
 
-class TestSymmetricLU:
-    """``CachedSPD`` factors every SPD system with a symmetric minimum
-    degree ordering and diagonal pivots."""
+class TestBandedCholesky:
+    """``CachedSPD`` factors every SPD system whose band fits by banded
+    Cholesky in reverse Cuthill-McKee order, and ``PrincipalBlocks`` cuts
+    each block's band from the matrix's by one mask."""
 
     def test_solves_match_dense(self):
         rng = np.random.default_rng(25)
@@ -260,19 +263,77 @@ class TestSymmetricLU:
                 assert float(np.linalg.norm(x - ref)) \
                     <= 1e-12 * float(np.linalg.norm(ref))
 
-    def test_level_18_fill_below_colamd(self):
-        # the level-18 step matrix of the lattice-newton benchmark; COLAMD
-        # with partial pivoting (splu's defaults) fills 16,314 entries
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           log_shift=st.floats(-3.0, 1.0))
+    def test_solves_match_dense_on_random_systems(self, seed, log_shift):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, 3, 60)
+        op = random_domain(rng, g).operator
+        S = op.shifted(op.mass * 10.0 ** log_shift
+                       * rng.uniform(0.5, 2.0, op.n))
+        solver = operators.CachedSPD(S)
+        assert solver.direct
+        b = rng.normal(size=op.n)
+        ref = np.linalg.solve(S.toarray(), b)
+        assert float(np.linalg.norm(solver.solve(b) - ref)) \
+            <= 1e-12 * float(np.linalg.norm(ref))
+
+    def test_star_takes_the_iterative_path(self, monkeypatch):
+        # reverse Cuthill-McKee leaves the hub's row 1,999 entries wide: a
+        # band of 2,000 x 2,001 entries, over the budget
+        def no_band(self):
+            raise AssertionError("a band was allocated")
+
+        monkeypatch.setattr(operators._Upper, "band", no_band)
+        S = make_domain(star_graph(2000), range(2001)).operator \
+            .step_matrix(1.0)
+        solver = operators.CachedSPD(S)
+        assert not solver.direct
+        b = np.random.default_rng(27).normal(size=S.shape[0])
+        x = solver.solve(b)
+        assert float(np.linalg.norm(b - S @ x)) \
+            <= operators.CG_RTOL * float(np.linalg.norm(b))
+
+    @pytest.mark.parametrize("entries, reason", [
+        ([[1.0, 2.0], [2.0, 1.0]], "not positive definite"),
+        ([[1.0, 0.0], [0.0, np.inf]], "not finite"),
+        ([[np.inf, 1.0], [1.0, 2.0]], "not finite"),
+    ])
+    def test_breakdown(self, entries, reason):
+        with pytest.raises(errors.SolverBreakdown,
+                           match=f"^banded Cholesky failed: .*{reason}"):
+            operators.CachedSPD(sp.csr_matrix(np.array(entries)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_block_band_matches_the_sliced_block(self, seed):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, 3, 60)
+        S = random_domain(rng, g).operator.step_matrix(
+            float(rng.uniform(0.05, 2.0)))
+        blocks = operators.PrincipalBlocks(S)
+        perm = reverse_cuthill_mckee(S, symmetric_mode=True)
+        for _ in range(3):
+            mask = rng.random(S.shape[0]) < rng.uniform(0.2, 1.0)
+            mask[rng.integers(S.shape[0])] = True
+            free = np.flatnonzero(mask)
+            order = np.searchsorted(free, perm[mask[perm]])
+            ref = reference_band(S[free][:, free], order)
+            band = blocks._upper.block(mask).band()
+            assert band.shape == ref.shape
+            assert band.tobytes() == ref.tobytes()
+
+    def test_level_18_band(self):
+        # the level-18 step matrix of the lattice-newton benchmark:
+        # reverse Cuthill-McKee keeps it within 35 diagonals of the main one
         dom = exhaust_generative(LatticeZ2(), [(0, 0)], 18).level(18)
         S = dom.operator.step_matrix(0.05)
-        lu = operators.CachedSPD(S)._lu
-        colamd = spla.splu(sp.csc_matrix(S))
-        fill = lu.L.nnz + lu.U.nnz
+        upper = operators._Upper.of(S)
         assert S.shape == (613, 613)
-        assert fill < colamd.L.nnz + colamd.U.nnz
-        assert fill <= 11_728
-        # diagonal pivots: the row and column orders are one permutation
-        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert upper.bandwidth == 35
+        assert upper.band().shape == (36, 613)
+        assert operators.CachedSPD(S).direct
 
 
 class TestSpmv:

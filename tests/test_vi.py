@@ -622,16 +622,25 @@ class TestViExhaustion:
             assert np.all(res.run.values[-1] == 0.0)
 
 
+# an SPD matrix with positive off-diagonal entries, and data on which the
+# active sets cycle from u_start with the obstacle 0
+CYCLING_SPD = sp.csr_matrix(np.array([[4.76, 4.73, -4.48],
+                                      [4.73, 5.94, -4.05],
+                                      [-4.48, -4.05, 4.72]]))
+CYCLING_RHS = np.array([-1.31, -2.02, 0.18])
+CYCLING_START = np.array([5.02, -2.97, 3.54])
+
+
 class TestActiveSetBudget:
     def test_cycle_stopped_by_budget(self):
-        # a P-matrix that is no M-matrix, on which the active sets cycle
-        # (Ben Gharbia and Gilbert, Math. Program. 134, 2012): the step
-        # stops after n + 1 iterations instead of looping
-        S = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 2.0],
-                                    [2.0, 0.0, 1.0]]))
+        # an SPD matrix that is no M-matrix, on which the active sets cycle
+        # (as on P-matrices, Ben Gharbia and Gilbert, Math. Program. 134,
+        # 2012): the inactive sets run {0, 2}, {1}, {0}, {0, 2}, ... in
+        # exact arithmetic too, and the step stops after n + 1 iterations
+        # instead of looping
         with pytest.raises(NonConvergence, match="did not settle in 4"):
-            active_set_solve(PrincipalBlocks(S), np.ones(3), np.zeros(3),
-                             np.array([-1.0, -1.0, 1.0]))
+            active_set_solve(PrincipalBlocks(CYCLING_SPD), CYCLING_RHS,
+                             np.zeros(3), CYCLING_START)
 
     def test_kkt_target_unmet(self):
         rng = np.random.default_rng(61)
@@ -849,11 +858,10 @@ class TestActiveSetBitIdentity:
     @given(b=st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9),
            u_start=st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
            lower=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
-    def test_cycling_nonsymmetric_matrix(self, b, u_start, lower):
-        # the P-matrix of TestActiveSetBudget: not symmetric, and the sets
-        # may cycle; three solves share one PrincipalBlocks
-        S = sp.csr_matrix(np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 2.0],
-                                    [2.0, 0.0, 1.0]]))
+    def test_cycling_spd_matrix(self, b, u_start, lower):
+        # the matrix of TestActiveSetBudget, on which the sets may cycle;
+        # three solves share one PrincipalBlocks
+        S = CYCLING_SPD
         blocks = PrincipalBlocks(S)
         lower = np.array(lower)
         u = np.array(u_start)
