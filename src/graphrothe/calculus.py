@@ -3,15 +3,14 @@ integrals, norms, inner products, and the integration-by-parts identity
 used by every solver.
 
 All reductions run in strict ascending-vertex-id order (and ascending
-neighbor order inside a vertex) through the sequential-sum kernels, so
-reported values are bit-reproducible across runs.
+neighbor order inside a vertex) through the one ordered sum,
+``kernels.seq_sum``, so reported values are bit-reproducible across runs.
 
-Integrals of the gradient form keep that order over the CSR arrays: the
-terms omega * (dw * dv) of every vertex's slots go through
-``kernels.row_sums``, which adds each vertex's terms in ascending neighbour
-order from 0.0 exactly as ``gamma`` does; one ordered sum over the
-vertices finishes the integral. ``laplacian`` and ``gamma`` stay as the
-per-vertex reference definitions.
+The neighbour sums keep that order over the CSR arrays: the terms of the
+Laplacian or the gradient form at every slot of the vertices asked for
+are built at once, and one ``seq_sum`` over each vertex's slot segment
+adds them in ascending neighbour order from 0.0. ``laplacian`` and
+``gamma`` take one vertex through that path.
 
 ``norms`` and ``power_integral`` also take a stack of fields, one per row
 (the steps of a trajectory), and reduce every row in one pass: each row
@@ -112,27 +111,35 @@ def require_admissible(field, dom, what="field"):
             f"{field[label]!r} at vertex {label!r}")
 
 
-def _require_complete(graph, i):
-    if not graph.complete[i]:
+def _stencil(g, ids):
+    """The neighbour, owning vertex and weight of each CSR slot of the
+    vertices ``ids``, and the row pointer; refuses an incomplete vertex."""
+    ids = np.asarray(ids, dtype=np.int64)
+    incomplete = ids[~g.complete[ids]]
+    if incomplete.size:
+        label = g.label_of(int(incomplete[0]))
         raise UnmaterializedNeighbor(
-            f"vertex {graph.label_of(i)!r} has unmaterialized neighbors")
+            f"vertex {label!r} has unmaterialized neighbors")
+    slots, ptr = g.row_slots(ids)
+    return (g.indices[slots], np.repeat(ids, np.diff(ptr)), g.weights[slots],
+            ptr)
+
+
+def _laplacian_values(g, values, ids):
+    """``laplacian`` at every vertex of ``ids``, bit for bit, for the
+    field values ``values``."""
+    nbrs, at, w, ptr = _stencil(g, ids)
+    return kernels.seq_sum(w * (values[nbrs] - values[at]), ptr) / g.mu[ids]
 
 
 def laplacian(g, v, at):
     """mu-Laplacian (1/mu(x)) * sum over y~x of omega_xy (v(y) - v(x))."""
-    _require_complete(g, at)
-    nbrs, w = g.neighbors(at)
-    return kernels.seq_sum(w * (v.values[nbrs] - v.values[at])) / g.mu[at]
+    return _laplacian_values(g, v.values, [at])[0]
 
 
 def gamma(g, w_field, v_field, at):
     """Gradient form (1/(2 mu(x))) * sum of omega (w(y)-w(x)) (v(y)-v(x))."""
-    _require_complete(g, at)
-    nbrs, w = g.neighbors(at)
-    dw = w_field.values[nbrs] - w_field.values[at]
-    dv = v_field.values[nbrs] - v_field.values[at]
-    # group (dw * dv) first so swapping the arguments is exactly neutral
-    return kernels.seq_sum(w * (dw * dv)) / (2.0 * g.mu[at])
+    return _gamma_values(g, w_field.values, v_field.values, [at])[0]
 
 
 def integrate(g, v, over=None):
@@ -142,8 +149,6 @@ def integrate(g, v, over=None):
         ids = np.arange(g.num_vertices)
     else:
         ids = np.asarray(sorted(int(i) for i in over), dtype=np.int64)
-    if ids.size == 0:
-        return 0.0
     return kernels.seq_sum(g.mu[ids] * v.values[ids])
 
 
@@ -166,24 +171,17 @@ def _read_only(a):
 
 
 def _gamma_values(g, wv, vv, ids):
-    """``gamma`` at every vertex of ``ids``, bit for bit, in one pass over
-    the neighbour slots, for the field values ``wv`` and ``vv`` (one field
-    each, or stacks with one field per row); refuses the first incomplete
-    vertex of ``ids``."""
-    ids = np.asarray(ids, dtype=np.int64)
-    incomplete = np.flatnonzero(~g.complete[ids])
-    if incomplete.size:
-        _require_complete(g, int(ids[incomplete[0]]))
-
-    def terms(slots, rows):
-        nbrs = g.indices[slots]
-        at = ids[rows]
-        return g.weights[slots] * ((wv[..., nbrs] - wv[..., at])
-                                   * (vv[..., nbrs] - vv[..., at]))
-
-    start = g.indptr[ids]
-    return (kernels.row_sums(start, g.indptr[ids + 1] - start, terms)
-            / (2.0 * g.mu[ids]))
+    """``gamma`` at every vertex of ``ids`` in one pass over the neighbour
+    slots, for the field values ``wv`` and ``vv`` (one field each, or
+    stacks with one field per row); refuses the first incomplete vertex
+    of ``ids``."""
+    nbrs, at, w, ptr = _stencil(g, ids)
+    # (dw * dv) is grouped first so swapping the arguments is exactly
+    # neutral; the products are formed in place to hold fewer temporaries
+    terms = wv[..., nbrs] - wv[..., at]
+    terms *= vv[..., nbrs] - vv[..., at]
+    terms *= w
+    return kernels.seq_sum(terms, ptr) / (2.0 * g.mu[ids])
 
 
 def _gamma_integral(g, w_field, v_field, ids):
@@ -273,11 +271,10 @@ def green_identity_check(g, dom, v1, v2):
     = integral over Omega of Gamma(v1, v2) dmu."""
     require_admissible(v1, dom, "v1")
     require_admissible(v2, dom, "v2")
-    for i in dom.omega_ids:
-        _require_complete(g, int(i))
-    lhs = 0.0
-    for i in dom.interior_ids:
-        i = int(i)
-        lhs = lhs - g.mu[i] * laplacian(g, v1, i) * v2.values[i]
+    ids = dom.interior_ids
+    lap = _laplacian_values(g, v1.values, ids)
+    # the terms are negated so that one ordered sum from 0.0 is the loop
+    # lhs = lhs - mu(x) Lap v1(x) v2(x), bit for bit
+    lhs = kernels.seq_sum(-(g.mu[ids] * lap * v2.values[ids]))
     rhs = _gamma_integral(g, v1, v2, dom.omega_ids)
     return abs(lhs - rhs)

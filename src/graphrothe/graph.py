@@ -160,10 +160,9 @@ class WeightedGraph:
 
     def weight_sums(self, ids):
         """The incident weights of each vertex of ``ids``, added in
-        ascending neighbor order from 0.0 (``kernels.row_sums``)."""
-        start = self.indptr[ids]
-        return kernels.row_sums(start, self.indptr[ids + 1] - start,
-                                lambda slots, rows: self.weights[slots])
+        ascending neighbor order from 0.0 (``kernels.seq_sum``)."""
+        slots, ptr = self.row_slots(ids)
+        return kernels.seq_sum(self.weights[slots], ptr)
 
     def __repr__(self):
         return (f"WeightedGraph(n={self.num_vertices}, "

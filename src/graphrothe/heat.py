@@ -34,21 +34,26 @@ each Newton iteration computes one stiffness product A w, plus one per
 Armijo backtrack: the accepted trial hands its A w and its value of F on
 to the next iteration. Every product with A, in and outside CG, is
 ``operators.spmv``, and CG's Jacobian product adds jd d into it in
-place. The loop runs in one numpy error state that
-ignores overflow: a gradient or Jacobian that overflows shows in the
-reductions the loop computes anyway and stops the step with
-``SolverBreakdown``, while the direction solves, and the rare replays
-of an overflowing residual or norm, run in the caller's error state.
-A replay that does not raise there stops the step with
-``SolverBreakdown`` before its direction solve.
+place. The loop runs in one numpy error state that ignores overflow: a
+gradient or Jacobian that overflows shows in the reductions the loop
+computes anyway and stops the step with ``SolverBreakdown``, while the
+direction solves, and the rare replays of an overflowing residual or
+norm, run in the caller's error state. A replay that does not raise
+there stops the step with ``SolverBreakdown`` before its direction
+solve.
 
-An exhaustion run solves its levels in order, and every level after the
-first starts the Newton iteration of step i at the previous level's u_i
-on its interior (0 where the previous level has no interior vertex): the
-levels converge as the balls grow, so a large level's steps start near
-their answers. A step still ends only at max|G/mass| <= tol, so a level
-agrees with its cold-started run within the Newton tolerance, not bit
-for bit; p = 1 runs and VI levels start cold.
+The tolerance is tol = tol_factor (1 + max|u_prev|), and at p > 1 at
+least NEWTON_ROUNDING_FLOOR max|u_prev| / l = 4 eps max|u_prev| / l:
+rounding w alone moves (w - u_prev)/l by about eps |w| / l, above the
+unfloored tol once l is below about 1e-4, and Newton would stall.
+
+An exhaustion run solves its levels in order by one ``run_rothe`` each,
+and every level after the first gets the previous level's rows as
+``start``: Newton step i starts at the previous level's u_i on its
+interior (0 where that level has no interior vertex). The levels
+converge as the balls grow, so that start is close, but a step still
+ends only at max|G/mass| <= tol: a level agrees with its cold run within
+the Newton tolerance, not bit for bit. p = 1 and VI levels start cold.
 
 A run holds its Rothe sequence as one read-only (steps + 1) x V array,
 a row per step, filled row by row by the step loop that ``run_rothe``
@@ -80,6 +85,8 @@ from .operators import CG_RTOL, CachedSPD, pcg, spmv
 
 NEWTON_TOL_FACTOR = 1e-12
 NEWTON_MAX_ITER = 100
+# the p > 1 tolerance is at least this times max|u_prev| / l
+NEWTON_ROUNDING_FLOOR = 4.0 * float(np.finfo(float).eps)
 # Eisenstat-Walker choice 2 forcing terms: Newton system k is solved to the
 # relative residual eta_k = GAMMA (|G_k| / |G_k-1|)^ALPHA, eta_0 = ETA0,
 # at least TOL_SHARE tol min(mass) / |G_k|, within [CG_RTOL, MAX]
@@ -277,7 +284,8 @@ class _HeatStepper:
 
     def solve(self, u_prev, x0=None):
         """Interior minimizer of F given the previous interior vector."""
-        tol = self.tol_factor * (1.0 + float(np.abs(u_prev).max()))
+        top = float(np.abs(u_prev).max())
+        tol = self.tol_factor * (1.0 + top)
         if self.p == 1.0:
             rhs = self.mass * u_prev / self.ell
             w = self._linear.solve(rhs)
@@ -292,6 +300,7 @@ class _HeatStepper:
                 w = w - self._linear.solve(G)
             return w
         p = self.p
+        tol = max(tol, NEWTON_ROUNDING_FLOOR * top / self.ell)
         w = u_prev.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
         # A w and F(w) of the iterate; an accepted Armijo trial hands on
         # both, a full step below the noise of F only its product
@@ -419,14 +428,21 @@ def _step_rows(prob, part, step):
     return values
 
 
-def run_rothe(prob, part, **opts):
-    """Full Rothe sequence on a finite domain."""
+def run_rothe(prob, part, start=None, **opts):
+    """Full Rothe sequence on a finite domain. Row i of ``start``, a
+    (steps + 1) x V array, is the first Newton iterate of step i on the
+    interior (default: u_{i-1}); p = 1 has no Newton iteration and
+    ignores it."""
     if not isinstance(prob.domain, Domain):
         raise TypeError("run_rothe needs a finite Domain; "
                         "use run_exhaustion for exhaustion targets")
     stepper = _HeatStepper(prob, part.step_size, **opts)
-    return RotheTrajectory(
-        prob, part, _step_rows(prob, part, lambda i, w: stepper.solve(w)))
+    rows = None
+    if start is not None and stepper.p != 1.0:
+        rows = np.asarray(start)[:, stepper.op.interior_ids]
+    return RotheTrajectory(prob, part, _step_rows(
+        prob, part, lambda i, w: stepper.solve(
+            w, x0=None if rows is None else rows[i])))
 
 
 def evaluate_interpolant(traj, t, kind="linear"):
@@ -531,12 +547,12 @@ class LevelResult:
 
 
 def _run_levels(prob, part, levels, solve, **opts):
-    """``solve(sub, part, prev, **opts)`` on each selected exhaustion level
-    of ``prob.domain``, where ``sub`` is ``prob`` with that level's domain
-    and the initial field restricted to it and ``prev`` is the previous
-    level's LevelResult (None on the first level), with cross-level
-    terminal deltas. ``levels`` selects ball radii (None: every level).
-    An error of level m names m."""
+    """``solve(sub, part, start, **opts)`` on each selected exhaustion
+    level of ``prob.domain``, where ``sub`` is ``prob`` with that level's
+    domain and the initial field restricted to it and ``start`` is the
+    previous level's (steps + 1) x V rows (None on the first level), with
+    cross-level terminal deltas. ``levels`` selects ball radii (None:
+    every level). An error of level m names m."""
     exh = prob.domain
     radii = list(exh.radii) if levels is None else list(levels)
     results = []
@@ -546,16 +562,16 @@ def _run_levels(prob, part, levels, solve, **opts):
             raise EmptyInterior(f"exhaustion level {m} has empty interior")
         sub = replace(prob, domain=dom, initial=field_on_interior(
             dom, prob.initial.values[dom.interior_ids]))
+        prev = results[-1] if results else None
         try:
-            run = solve(sub, part, results[-1] if results else None, **opts)
+            run = solve(sub, part, prev.run.values if prev else None, **opts)
         except (GraphrotheError, FloatingPointError) as exc:
             raise type(exc)(f"level {m}: {exc}") from exc
         # a solved level keeps its domain, not its stiffness: peak memory
         # stays that of the largest level, not the sum over the levels
         dom.release_operator()
         delta = None
-        if results:
-            prev = results[-1]
+        if prev:
             delta = math.sqrt(calculus.power_integral(
                 exh.graph, run.values[-1] - prev.run.values[-1],
                 prev.domain.omega_ids, 2.0))
@@ -563,30 +579,16 @@ def _run_levels(prob, part, levels, solve, **opts):
     return results
 
 
-def _warm_rothe(sub, part, prev, **opts):
-    """``run_rothe(sub, part)``, with Newton step i started at the previous
-    level's row i on this level's interior (outside the previous level's
-    interior that row is 0); the first level and p = 1, which has no
-    Newton iteration, run cold."""
-    if prev is None or sub.p == 1.0:
-        return run_rothe(sub, part, **opts)
-    stepper = _HeatStepper(sub, part.step_size, **opts)
-    rows = prev.run.values[:, stepper.op.interior_ids]
-    return RotheTrajectory(sub, part, _step_rows(
-        sub, part, lambda i, w: stepper.solve(w, x0=rows[i])))
-
-
 def run_exhaustion(prob, part, levels=None, **opts):
     """Rothe runs over exhaustion levels with cross-level terminal deltas.
 
     ``prob.domain`` must be an ExhaustionSequence; ``levels`` selects ball
     radii (default: every level). The initial field lives on the ambient
-    graph and is restricted per level. Every level after the first starts
-    the Newton iteration of step i at the previous level's u_i: the levels
+    graph and is restricted per level. Each level is one ``run_rothe``
+    call with the previous level's rows as ``start``: the levels
     converge, so that start is close, and a step lands within the Newton
-    tolerance of its cold-started answer in fewer iterations. p = 1 runs
-    start cold.
+    tolerance of its cold-started answer in fewer iterations.
     """
     if not isinstance(prob.domain, ExhaustionSequence):
         raise TypeError("run_exhaustion needs an ExhaustionSequence domain")
-    return _run_levels(prob, part, levels, _warm_rothe, **opts)
+    return _run_levels(prob, part, levels, run_rothe, **opts)

@@ -1,16 +1,15 @@
-"""The numeric kernels of the Rothe schemes: an ordered sum and ordered
-per-row sums over CSR slots, plus one projected-SOR sweep kept as a
-reference.
+"""The numeric kernels of the Rothe schemes: the package's one ordered
+sum, plus one projected-SOR sweep kept as a reference.
 
-The sums are bit-reproducible: every result equals the strict
-left-to-right loop ``s = 0.0; for x in a: s = s + x``, and ``row_sums``
-gives each row that loop over its slots. Both take a stack too: a K x n
-array (one field per row, such as every step of a trajectory) is reduced
-along its last axis, each row in index or slot order, so row k of a
-stacked sum is bit for bit the sum of row k alone and a whole
-trajectory's monitors cost one pass. ``np.add.accumulate`` adds in index
-order whatever the memory layout, so a row of a Fortran-ordered, strided
-or reversed stack gives the bits of its contiguous copy.
+``seq_sum`` equals the strict left-to-right loop ``s = 0.0; for x in a:
+s = s + x`` bit for bit, over the last axis or over each of its segments
+``a[..., ptr[r]:ptr[r+1]]`` (the CSR slots of a row of vertices). A
+K x n stack (one field per row, such as every step of a trajectory) is
+reduced row by row, so row k of a stacked sum is bit for bit the sum of
+row k alone, whatever the stack's memory layout. The adding is scipy's
+CSR product kernel with a matrix of 1.0 entries whose row r holds the
+columns of segment r: it adds a row's products in column order from
+0.0, and a product with 1.0 is exact, fused with the addition or not.
 
 ``psor_sweep`` is called from nowhere in the package: the obstacle step
 is solved by the primal-dual active set method (``vi.active_set_solve``).
@@ -21,42 +20,42 @@ indexable sequences, and a sweep over Python lists gives the bits of a
 sweep over numpy arrays.
 """
 
+import math
+
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec, csr_matvecs
 
 
-def seq_sum(a):
-    """Sum of ``a`` added strictly in index order, starting from 0.0: a
-    float for one row, and for a stack of rows the array of the sums of
-    each row along the last axis."""
-    a = np.asarray(a)
-    if a.shape[-1] == 0:
-        return 0.0 if a.ndim == 1 else np.zeros(a.shape[:-1])
-    # accumulate must add in index order because every prefix is an
-    # output; np.sum and np.add.reduce sum pairwise and can differ in the
-    # last bits. Adding 0.0 turns a -0.0 total into the loop's +0.0.
-    total = np.add.accumulate(a, axis=-1)[..., -1] + 0.0
-    return float(total) if a.ndim == 1 else total
-
-
-def row_sums(start, degree, terms):
-    """Per-row sums over CSR slots: row r owns the slots ``start[r]`` to
-    ``start[r] + degree[r] - 1`` and adds its terms strictly in slot order
-    from 0.0, bit for bit ``seq_sum`` of them. ``terms(slots, rows)``
-    gives the terms at ``slots``, the k-th slots of the rows ``rows``,
-    along its last axis; leading axes (a stack of fields) are summed
-    apart and lead the result. With no slots at all the result is
-    ``degree.size`` zeros.
-
-    Pass k adds the k-th term of every row that has one, so a row's terms
-    are added in slot order and only the terms summed are computed."""
-    acc = None
-    for k in range(int(degree.max(initial=0))):
-        rows = np.flatnonzero(degree > k)
-        part = terms(start[rows] + k, rows)
-        if acc is None:
-            acc = np.zeros(part.shape[:-1] + degree.shape)
-        acc[..., rows] = acc[..., rows] + part
-    return np.zeros(degree.size) if acc is None else acc
+def seq_sum(a, ptr=None):
+    """Sums of ``a`` along its last axis, each added strictly in index
+    order from 0.0: without ``ptr`` the whole axis (a float for one row),
+    and with ``ptr``, a nondecreasing index array within the axis, the
+    segments ``a[..., ptr[r]:ptr[r+1]]`` along a new last axis."""
+    a = np.asarray(a, dtype=float)
+    lead, n = a.shape[:-1], a.shape[-1]
+    bounds = np.array((0, n)) if ptr is None else np.asarray(ptr, np.int64)
+    # the kernel reads its columns unchecked
+    if not (bounds.size and 0 <= bounds[0] and bounds[-1] <= n
+            and np.all(bounds[1:] >= bounds[:-1])):
+        raise ValueError(f"segment pointer {bounds} does not split an axis "
+                         f"of length {n}")
+    lo, hi = int(bounds[0]), int(bounds[-1])
+    rows, k = bounds.size - 1, math.prod(lead)
+    # row r of the all-ones matrix holds the columns of segment r
+    csr = (bounds - lo, np.arange(lo, hi), np.ones(hi - lo))
+    if k == 1:
+        out = np.zeros(rows)
+        csr_matvec(rows, n, *csr, np.ascontiguousarray(a).reshape(n), out)
+    else:
+        # the k rows of a stack are added side by side, as k columns
+        out = np.zeros((rows, k))
+        csr_matvecs(rows, n, k, *csr, np.ascontiguousarray(
+            np.moveaxis(a, -1, 0).reshape(n, k)), out)
+        out = out.T
+    out = out.reshape(lead + (rows,))
+    if ptr is not None:
+        return out
+    return float(out[0]) if a.ndim == 1 else out[..., 0]
 
 
 def psor_sweep(indptr, indices, data, diag, b, lower, u, relax):

@@ -79,19 +79,21 @@ class DirichletOperator:
         self.interior_ids = ids
         self.n = n
         self.mass = np.ascontiguousarray(g.mu[ids])
-        self.stiffness = sp.csr_matrix(
+        S = self.stiffness = sp.csr_matrix(
             (np.concatenate((g.weight_sums(ids), -w[inner])),
              (np.concatenate((np.arange(n), rows)),
               np.concatenate((np.arange(n), cols[inner])))),
             shape=(n, n), dtype=float)
-        for arr in (self.mass, self.stiffness.data, self.stiffness.indices,
-                    self.stiffness.indptr):
+        for arr in (self.mass, S.data, S.indices, S.indptr):
             arr.setflags(write=False)
+        self._diagonal_slots = np.flatnonzero(
+            S.indices == np.repeat(np.arange(n), np.diff(S.indptr)))
 
     def shifted(self, d):
-        """A + diag(d) in CSR with sorted indices."""
-        S = (self.stiffness + sp.diags(d)).tocsr()
-        S.sort_indices()
+        """A + diag(d) for a positive ``d``, added on A's stored diagonal:
+        a CSR matrix with A's sorted sparsity pattern."""
+        S = self.stiffness.copy()
+        S.data[self._diagonal_slots] += d
         return S
 
     def step_matrix(self, ell):

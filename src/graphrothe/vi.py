@@ -421,5 +421,5 @@ def run_vi_exhaustion(prob, part, levels=None, **opts):
     if not isinstance(prob.domain, ExhaustionSequence):
         raise TypeError("run_vi_exhaustion needs an ExhaustionSequence domain")
     return _run_levels(prob, part, levels,
-                       lambda sub, part, prev, **o: run_vi(sub, part, **o),
+                       lambda sub, part, start, **o: run_vi(sub, part, **o),
                        **opts)

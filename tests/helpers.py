@@ -409,8 +409,9 @@ def reference_newton_solve(stepper, u_prev, x0=None, stats=None,
                 - 2.0 * float(np.dot(mass * u_prev, w)) / ell
                 + 2.0 / (p + 1.0) * powr + float(np.dot(w, A @ w)))
 
-    tol = stepper.tol_factor * (1.0 + float(np.max(np.abs(u_prev),
-                                                   initial=0.0)))
+    top = float(np.max(np.abs(u_prev), initial=0.0))
+    tol = max(stepper.tol_factor * (1.0 + top),
+              heat.NEWTON_ROUNDING_FLOOR * top / ell)
     g_target = tol * float(mass.min()) if floor else 0.0
     w = u_prev.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
     eta = g_norm = None
@@ -790,3 +791,86 @@ def reference_write_csv(path, header, rows):
                 cells.append(str(cell))
         writer.writerow(cells)
     atomic_write_text(path, buf.getvalue())
+
+
+def _reference_require_complete(g, at):
+    from graphrothe.errors import UnmaterializedNeighbor
+
+    if not g.complete[at]:
+        raise UnmaterializedNeighbor(
+            f"vertex {g.label_of(at)!r} has unmaterialized neighbors")
+
+
+def reference_laplacian(g, v, at):
+    """Reference for ``calculus.laplacian``: one vertex's neighbour slice
+    and one ordered sum."""
+    from graphrothe import kernels
+
+    _reference_require_complete(g, at)
+    nbrs, w = g.neighbors(at)
+    return kernels.seq_sum(w * (v.values[nbrs] - v.values[at])) / g.mu[at]
+
+
+def reference_gamma(g, w_field, v_field, at):
+    """Reference for ``calculus.gamma``: one vertex's neighbour slice and
+    one ordered sum."""
+    from graphrothe import kernels
+
+    _reference_require_complete(g, at)
+    nbrs, w = g.neighbors(at)
+    dw = w_field.values[nbrs] - w_field.values[at]
+    dv = v_field.values[nbrs] - v_field.values[at]
+    return kernels.seq_sum(w * (dw * dv)) / (2.0 * g.mu[at])
+
+
+def reference_green_identity_check(g, dom, v1, v2):
+    """Reference for ``calculus.green_identity_check``: the left side
+    added by a Python loop over the interior vertices, one
+    ``reference_laplacian`` each, and the right side from
+    ``reference_gamma`` at every vertex of Omega."""
+    from graphrothe import kernels
+    from graphrothe.calculus import require_admissible
+
+    require_admissible(v1, dom, "v1")
+    require_admissible(v2, dom, "v2")
+    lhs = 0.0
+    for i in dom.interior_ids.tolist():
+        lhs = lhs - g.mu[i] * reference_laplacian(g, v1, i) * v2.values[i]
+    ids = dom.omega_ids.tolist()
+    rhs = kernels.seq_sum(np.array(
+        [g.mu[i] * reference_gamma(g, v1, v2, i) for i in ids]))
+    return abs(lhs - rhs)
+
+
+def reference_shifted(op, d):
+    """Reference for ``DirichletOperator.shifted``: the sparse sum
+    A + diag(d), converted to CSR and sorted."""
+    import scipy.sparse as sp
+
+    S = (op.stiffness + sp.diags(d)).tocsr()
+    S.sort_indices()
+    return S
+
+
+def reference_warm_levels(prob, part, levels):
+    """Reference for the Rothe rows of ``heat.run_exhaustion``: one
+    ``heat._step_rows`` loop per level, Newton step i of every level
+    after the first started at the previous level's row i on this
+    level's interior; the first level and p = 1 run cold. Returns the
+    (steps + 1) x V array of each level."""
+    from graphrothe import heat
+
+    runs = []
+    for m in levels:
+        sub = level_problem(prob, prob.domain.level(m))
+        stepper = heat._HeatStepper(sub, part.step_size)
+        if not runs or sub.p == 1.0:
+            def step(i, w):
+                return stepper.solve(w)
+        else:
+            rows = runs[-1][:, stepper.op.interior_ids]
+
+            def step(i, w, rows=rows):
+                return stepper.solve(w, x0=rows[i])
+        runs.append(heat._step_rows(sub, part, step))
+    return runs

@@ -35,6 +35,9 @@ from helpers import (
     random_admissible,
     random_connected_graph,
     random_domain,
+    reference_gamma,
+    reference_green_identity_check,
+    reference_laplacian,
     reference_norms,
     reference_power_integral,
     stack_bundles,
@@ -239,10 +242,11 @@ class TestLaplacianBound:
 
 
 def gamma_integral_loop(g, w, v, ids):
-    """The per-vertex reference: mu-weighted ``gamma`` added in id order."""
+    """The per-vertex reference: mu-weighted ``reference_gamma`` added in
+    id order."""
     total = 0.0
     for i in ids:
-        total = total + g.mu[i] * gamma(g, w, v, int(i))
+        total = total + g.mu[i] * reference_gamma(g, w, v, int(i))
     return total
 
 
@@ -250,7 +254,7 @@ def w12_loop(g, w, v, dom):
     total = 0.0
     for i in dom.omega_ids:
         i = int(i)
-        total = total + g.mu[i] * (gamma(g, w, v, i)
+        total = total + g.mu[i] * (reference_gamma(g, w, v, i)
                                    + w.values[i] * v.values[i])
     return total
 
@@ -353,6 +357,53 @@ class TestVectorizedGammaBitIdentity:
             with pytest.raises(UnmaterializedNeighbor) as got:
                 call()
             assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+class TestOneSlotPath:
+    """``laplacian``, ``gamma`` and ``green_identity_check`` take their
+    neighbour sums from one ``seq_sum`` over the slot segments, and give
+    the bits of their per-vertex forms: one neighbour slice and one
+    ordered sum per vertex, and the identity's left side added by a loop
+    over the interior."""
+
+    def test_vertex_forms_match_per_vertex_references(self):
+        rng = np.random.default_rng(2030)
+        for _ in range(40):
+            g = dense_random_graph(rng)
+            w, v = wide_field(rng, g), wide_field(rng, g)
+            for i in range(g.num_vertices):
+                assert bits(laplacian(g, v, i)) \
+                    == bits(reference_laplacian(g, v, i))
+                for a, b in ((w, v), (v, w), (v, v)):
+                    assert bits(gamma(g, a, b, i)) \
+                        == bits(reference_gamma(g, a, b, i))
+
+    def test_green_identity_matches_interior_loop(self):
+        rng = np.random.default_rng(2031)
+        for _ in range(60):
+            g = dense_random_graph(rng) if rng.random() < 0.5 \
+                else random_connected_graph(rng, 5, 50)
+            dom = random_domain(rng, g, keep=rng.uniform(0.3, 1.0))
+            fields = [field_on_interior(dom, wide_field(rng, g).values[
+                dom.interior_ids]) for _ in range(2)]
+            fields.append(random_admissible(rng, dom))
+            for v1 in fields:
+                for v2 in fields:
+                    assert bits(green_identity_check(g, dom, v1, v2)) \
+                        == bits(reference_green_identity_check(
+                            g, dom, v1, v2))
+
+    def test_green_identity_names_incomplete_vertex(self):
+        g = materialize_ball(LatticeZ2(), [(0, 0)], 3)
+        dom = make_domain(g, range(g.num_vertices))
+        v = random_admissible(np.random.default_rng(3), dom)
+        with pytest.raises(UnmaterializedNeighbor) as ref:
+            reference_green_identity_check(g, dom, v, v)
+        with pytest.raises(UnmaterializedNeighbor) as got:
+            green_identity_check(g, dom, v, v)
+        assert str(got.value) == str(ref.value)
 
 
 NORM_FIELDS = ("l2_interior", "l2_domain", "lq", "w12", "grad_l2")

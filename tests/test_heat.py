@@ -41,6 +41,7 @@ from helpers import (
     random_domain,
     reference_monitor_estimates,
     reference_newton_solve,
+    reference_warm_levels,
 )
 
 
@@ -596,15 +597,18 @@ class TestNewtonOneFactorization:
 
     @staticmethod
     def assert_stationary(traj, tol_factor=heat.NEWTON_TOL_FACTOR):
-        """Every step meets Newton's stopping test max|G/mass| <= tol."""
+        """Every step meets Newton's stopping test max|G/mass| <= tol,
+        with tol floored at p > 1 as ``heat`` floors it."""
         prob, ell = traj.problem, traj.partition.step_size
         op, p = prob.domain.operator, float(prob.p)
         A, m = op.stiffness, op.mass
         for prev, cur in zip(traj.values, traj.values[1:]):
             u_prev, w = prev[op.interior_ids], cur[op.interior_ids]
             G = m * ((w - u_prev) / ell + np.abs(w) ** (p - 1.0) * w) + A @ w
+            top = float(np.max(np.abs(u_prev)))
+            floor = heat.NEWTON_ROUNDING_FLOOR * top / ell if p != 1.0 else 0.0
             assert float(np.max(np.abs(G / m))) \
-                <= tol_factor * (1.0 + float(np.max(np.abs(u_prev))))
+                <= max(tol_factor * (1.0 + top), floor)
 
     @classmethod
     def compare(cls, prob, part):
@@ -898,6 +902,88 @@ class TestLevelWarmStart:
         gradients.clear()
         run_rothe(level_problem(prob, top.domain), part)
         assert 0 < warm < gradients[n]
+
+
+class TestOneLevelLoop:
+    """``run_exhaustion`` steps every level inside ``run_rothe``, which
+    takes the previous level's rows as the first Newton iterates: one
+    call per selected level, and the rows of the warm-started level loop
+    that stepped the later levels outside it, bit for bit."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+           levels=st.sets(st.integers(2, 8), min_size=1, max_size=3),
+           steps=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_call_per_level_with_warm_rows(self, p, levels, steps, seed):
+        levels = sorted(levels)
+        rng = np.random.default_rng(seed)
+        exh = exhaust_generative(LatticeZ2(), [(0, 0)], levels[-1])
+        h = VertexField.from_mapping(exh.graph, {
+            (i, j): float(rng.uniform(-2.0, 2.0))
+            for i in range(-2, 3) for j in range(-2, 3)
+            if abs(i) + abs(j) <= 2})
+        prob, part = HeatProblem(exh, p, h), TimePartition(0.5, steps)
+        calls = []
+        run = heat.run_rothe
+
+        def counting(sub, part, start=None, **opts):
+            calls.append(sub.domain)
+            return run(sub, part, start, **opts)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(heat, "run_rothe", counting)
+            results = run_exhaustion(prob, part, levels=levels)
+        assert calls == [res.domain for res in results]
+        for res, ref in zip(results, reference_warm_levels(prob, part,
+                                                           levels)):
+            assert res.run.values.tobytes() == ref.tobytes()
+
+    def test_start_rows_ignored_at_p1(self):
+        g, dom, prob = single_interior_problem(p=1.0)
+        part = TimePartition(0.5, 4)
+        start = np.full((part.steps + 1, g.num_vertices), 7.0)
+        assert run_rothe(prob, part, start).values.tobytes() \
+            == run_rothe(prob, part).values.tobytes()
+
+
+class TestFineTimeGrid:
+    """At p > 1 the Newton tolerance is at least NEWTON_ROUNDING_FLOOR
+    max|u_prev| / l: rounding w alone moves (w - u_prev)/l by about
+    eps |w| / l, so on fine time grids a fixed tol_factor (1 + max|u_prev|)
+    sat below the noise of the residual and Newton stalled."""
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("ell", [1e-5, 1e-6, 1e-8])
+    def test_single_step_converges(self, p, ell):
+        g = path_graph(5)
+        h = VertexField.from_mapping(g, {1: 1.0, 2: -2.0, 3: 0.5})
+        prob = HeatProblem(make_domain(g, range(5)), p, h)
+        u = solve_step(h, prob, ell)
+        TestNewtonOneFactorization.assert_stationary(heat.RotheTrajectory(
+            prob, TimePartition(ell, 1), np.vstack((h.values, u.values))))
+
+    def test_twenty_thousand_steps_on_the_path(self):
+        # stalled at step 2371 with max|G/mass| = 2.20801e-12 against the
+        # unfloored tolerance 2.2068e-12
+        g = path_graph(5)
+        h = VertexField.from_mapping(g, {1: 1.0, 2: -2.0, 3: 0.5})
+        TestNewtonOneFactorization.assert_stationary(run_rothe(
+            HeatProblem(make_domain(g, range(5)), 2.0, h),
+            TimePartition(1.0, 20000)))
+
+    def test_short_horizon_exhaustion(self):
+        # ran out of its 100 Newton iterations at level 6, step 1
+        exh = exhaust_generative(LatticeZ2(), [(0, 0)], 18)
+        rng = np.random.default_rng(1)
+        h = VertexField.from_mapping(exh.graph, {
+            (i, j): float(rng.uniform(0.5, 2.0))
+            for i in range(-4, 5) for j in range(-4, 5)
+            if abs(i) + abs(j) <= 4})
+        results = run_exhaustion(HeatProblem(exh, 2.0, h),
+                                 TimePartition(1e-4, 10), levels=[6, 12, 18])
+        assert [res.level for res in results] == [6, 12, 18]
+        for res in results:
+            TestNewtonOneFactorization.assert_stationary(res.run)
 
 
 class TestNewtonOverflow:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphrothe import (
     ConstantForcing, Obstacle, TimePartition, VertexField, VIProblem,
@@ -59,22 +61,21 @@ class TestLeftToRightReference:
             assert same_bits(kernels.seq_sum(a), loop_sum(a))
 
     def test_row_sums(self):
+        """Each segment of ``seq_sum(a, ptr)`` is the loop over its
+        slots; segments may be empty and need not cover the axis."""
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = int(rng.integers(1, 40))
             degree = rng.integers(0, 13, size=n)
             degree[rng.random(n) < 0.2] = 0
-            # rows laid out in shuffled order, with gaps between them
-            order = rng.permutation(n)
-            span = degree[order] + rng.integers(0, 3, size=n)
-            start = np.empty(n, dtype=np.int64)
-            start[order] = np.cumsum(span) - span
-            values = _mixed_magnitudes(rng, int(span.sum()))
-            scale = rng.normal(size=n)
-            sums = kernels.row_sums(
-                start, degree, lambda slots, rows: values[slots] * scale[rows])
+            lead = int(rng.integers(0, 3))
+            ptr = lead + np.concatenate(([0], np.cumsum(degree)))
+            values = _mixed_magnitudes(
+                rng, int(ptr[-1]) + int(rng.integers(0, 3)))
+            sums = kernels.seq_sum(values, ptr)
+            assert sums.shape == (n,)
             for r in range(n):
-                row = values[start[r]:start[r] + degree[r]] * scale[r]
+                row = values[ptr[r]:ptr[r + 1]]
                 assert same_bits(float(sums[r]), loop_sum(row))
 
 
@@ -107,23 +108,86 @@ class TestStacks:
             k = int(rng.integers(1, 6))
             degree = rng.integers(0, 13, size=n)
             degree[rng.random(n) < 0.2] = 0
-            start = np.concatenate(([0], np.cumsum(degree)[:-1]))
+            ptr = np.concatenate(([0], np.cumsum(degree)))
             values = _mixed_magnitudes(rng, (k, int(degree.sum())))
-            scale = rng.normal(size=n)
-            sums = kernels.row_sums(
-                start, degree,
-                lambda slots, rows: values[:, slots] * scale[rows])
+            sums = kernels.seq_sum(values, ptr)
             assert sums.shape == (k, n)
             for row, stacked in zip(values, sums):
-                alone = kernels.row_sums(
-                    start, degree,
-                    lambda slots, rows: row[slots] * scale[rows])
+                alone = kernels.seq_sum(row, ptr)
                 assert stacked.tobytes() == alone.tobytes()
 
     def test_row_sums_without_slots(self):
-        sums = kernels.row_sums(np.zeros(3, dtype=np.int64),
-                                np.zeros(3, dtype=np.int64), None)
-        assert sums.tobytes() == np.zeros(3).tobytes()
+        for a in (np.zeros(0), np.zeros((2, 0))):
+            sums = kernels.seq_sum(a, np.zeros(4, dtype=np.int64))
+            assert sums.tobytes() == np.zeros(a.shape[:-1] + (3,)).tobytes()
+
+
+def _bits(x):
+    """The bytes of a float, with every NaN alike: the sums promise the
+    loop's value, and a NaN's payload depends on which NaN operand the
+    hardware passes on."""
+    x = float(x)
+    return b"nan" if math.isnan(x) else np.float64(x).tobytes()
+
+
+_ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def _segmented(draw):
+    """A 1-D to 3-D array with its last axis cut into segments, some
+    empty, laid out C-ordered, Fortran-ordered, strided or reversed, and
+    the int32 or int64 segment pointer."""
+    lead = draw(st.lists(st.integers(0, 3), max_size=2))
+    n = draw(st.integers(0, 12))
+    size = int(np.prod(lead, dtype=np.int64)) * n
+    a = np.array(draw(st.lists(_ENTRIES, min_size=size, max_size=size)),
+                 dtype=float).reshape(lead + [n])
+    layout = draw(st.sampled_from(["c", "f", "strided", "reversed"]))
+    if layout == "f":
+        a = np.asfortranarray(a)
+    elif layout == "strided":
+        wide = np.zeros(lead + [2 * n])
+        wide[..., ::2] = a
+        a = wide[..., ::2]
+    elif layout == "reversed":
+        a = np.ascontiguousarray(a[..., ::-1])[..., ::-1]
+    cuts = sorted(draw(st.lists(st.integers(0, n), min_size=1, max_size=6)))
+    ptr = np.array(cuts, dtype=draw(st.sampled_from([np.int32, np.int64])))
+    return a, ptr
+
+
+class TestSegmentsHypothesis:
+    """``seq_sum(a, ptr)`` is the strict left-to-right loop over every
+    segment of every row, bit for bit, whatever the entries, the number
+    of axes, the memory layout and the pointer's integer type."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_segmented())
+    def test_equals_loop(self, case):
+        a, ptr = case
+        sums = kernels.seq_sum(a, ptr)
+        assert sums.shape == a.shape[:-1] + (ptr.size - 1,)
+        for index in np.ndindex(a.shape[:-1]):
+            row = a[index]
+            for r in range(ptr.size - 1):
+                assert _bits(sums[index + (r,)]) \
+                    == _bits(loop_sum(row[ptr[r]:ptr[r + 1]]))
+            if a.ndim == 1:
+                assert _bits(kernels.seq_sum(row)) == _bits(loop_sum(row))
+        whole = kernels.seq_sum(a)
+        if a.ndim > 1:
+            assert whole.shape == a.shape[:-1]
+            for index in np.ndindex(a.shape[:-1]):
+                assert _bits(whole[index]) == _bits(loop_sum(a[index]))
+
+    @pytest.mark.parametrize("ptr", [[0, 4], [-1, 2], [2, 1, 3], []])
+    def test_refuses_pointer_outside_axis(self, ptr):
+        with pytest.raises(ValueError, match="does not split"):
+            kernels.seq_sum(np.ones(3), np.array(ptr, dtype=np.int64))
 
 
 class TestSeqSemantics:

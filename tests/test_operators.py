@@ -43,7 +43,7 @@ from graphrothe import (
     vi_monotonicity_monitor,
 )
 from helpers import path_graph, random_connected_graph, random_domain, \
-    reference_band, star_graph
+    reference_band, reference_shifted, star_graph
 
 
 def hub_graph(rng, n_min=12, n_max=60):
@@ -138,6 +138,27 @@ class TestAssembly:
             assert same_bytes(S.data, ref.data)
             assert same_bytes(S.diagonal(), op.stiffness.diagonal() + diag)
 
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           log_lo=st.floats(-12.0, 6.0), span=st.floats(0.0, 12.0))
+    def test_shifted_adds_on_the_stored_diagonal(self, seed, log_lo, span):
+        """``shifted`` gives the bytes of the sparse sum A + diag(d)
+        converted to CSR and sorted, for positive shifts over many
+        decades, and a matrix of its own: the stiffness is untouched."""
+        rng = np.random.default_rng(seed)
+        g = hub_graph(rng, 12, 40)
+        op = random_domain(rng, g, keep=float(rng.uniform(0.4, 1.0))) \
+            .operator
+        d = 10.0 ** rng.uniform(log_lo, log_lo + span, size=op.n)
+        before = op.stiffness.data.copy()
+        S, ref = op.shifted(d), reference_shifted(op, d)
+        for got, want in ((S.indptr, ref.indptr), (S.indices, ref.indices),
+                          (S.data, ref.data)):
+            assert same_bytes(got, want)
+        assert S.has_sorted_indices
+        S.data[:] = 0.0
+        assert same_bytes(op.stiffness.data, before)
 
 def test_one_operator_per_domain(monkeypatch):
     built = [0]
