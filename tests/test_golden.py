@@ -69,6 +69,19 @@ def config_heat_p2_lattice(tmp_path):
                                        "levels": [2, 3, 4]}}}
 
 
+def config_heat_p1_exhaustion(tmp_path):
+    omega = [_label(i, j) for i in range(SIDE) for j in range(SIDE)
+             if i + j <= 6]
+    return {"graph": {"file": write_grid(tmp_path)},
+            "domain": {"omega": omega},
+            "problem": {"kind": "heat", "p": 1.0, "horizon": 0.5,
+                        "steps": 3,
+                        "initial": {"values": {"2,2": 1.0, "1,1": -0.5,
+                                               "2,1": 0.25}},
+                        "exhaustion": {"seeds": ["1,1", "3,2"],
+                                       "levels": [1, 2, 4]}}}
+
+
 def config_heat_p2_oracle(tmp_path):
     return {"graph": {"file": write_grid(tmp_path)},
             "domain": "all",
@@ -114,6 +127,22 @@ def config_vi_lattice(tmp_path):
                         "forcing": {"kind": "constant",
                                     "field": {"values": {"-1": 0.25}}},
                         "exhaustion": {"seeds": ["0"], "levels": [2, 4, 6]},
+                        "lipschitz_bound": 0.0}}
+
+
+def config_vi_obstacle_exhaustion(tmp_path):
+    return {"graph": {"file": write_grid(tmp_path)},
+            "domain": "all",
+            "problem": {"kind": "vi", "horizon": 2.0, "steps": 3,
+                        "initial": _grid_field(
+                            lambda i, j: max(0.0, 1.0 - 0.25 * (
+                                abs(i - 2) + abs(j - 2)))),
+                        "forcing": {"kind": "constant",
+                                    "field": _grid_field(
+                                        lambda i, j: 0.5 * (j - 2))},
+                        "constraint": {"kind": "obstacle",
+                                       "psi": {"values": {"2,2": 0.125}}},
+                        "exhaustion": {"seeds": ["2,2"], "levels": [1, 2, 3]},
                         "lipschitz_bound": 0.0}}
 
 
@@ -176,6 +205,20 @@ GOLDEN = {
             "estimates.csv": "509fb674af8a90b4399743d2c7b4abf6fb84d491e0bee0ad5ec837600b313fd9",
             "norms.csv": "b7762f29e18f4421288abf21e2b3c2e69851de53621d1a66515a8fee056c82ad",
             "trajectory.csv": "316e54c7179e57ca6641640d2cf1b69f27ce14a2d2c600dd15db41c3d95ecdd9"
+        }
+    },
+    "heat_p1_exhaustion": {
+        "diagnostics": {
+            "level_deltas": [
+                0.2022467561129601,
+                0.038382658797722825
+            ]
+        },
+        "outputs": {
+            "levels.csv": "18b29d5d823b3f2655843c4a1cecb5f731a601c4212010a9b1120cc9263c8a42",
+            "terminal_level_1.txt": "d60ccb67ad4bda9db3239dfaa24d6bc3c097743be65e94ff3c0dd0d1b3b5bdcd",
+            "terminal_level_2.txt": "538c035085c17f1756c4fcf8f810dec0e92a8cdd8339f4812a65979eed066931",
+            "terminal_level_4.txt": "ac25e98f161533ad6dd2457e13b848ab8d22a23f559e7a232d35689d2a68d9eb"
         }
     },
     "heat_p2_lattice": {
@@ -241,6 +284,25 @@ GOLDEN = {
             "vi_reports.csv": "03608cce13d4539700b8ea7070681e5689e5472998c78f7b6d8190c1f0ca3096"
         }
     },
+    "vi_obstacle_exhaustion": {
+        "diagnostics": {
+            "level_deltas": [
+                0.08534142784610413,
+                0.9301301153114263
+            ],
+            "lipschitz": {
+                "declared": 0.0,
+                "estimate": 0.0,
+                "violated": False
+            }
+        },
+        "outputs": {
+            "levels.csv": "419aa8a32384386a76156df71f290b871b8415dc75d483a64842a53c5054730f",
+            "terminal_level_1.txt": "f3596fb9af3fedf088b0ed1848d08776b1d729f5e4fdbfbaadbd0996f2ac829a",
+            "terminal_level_2.txt": "d3c3d8e98966db46e2009c5db2d0c2f5a14af08932335fe008c1d8e7c41f942f",
+            "terminal_level_3.txt": "489f5edd721de60f3a5f340198135b0903224306d023f8a5d1bfa9e86e6afcf9"
+        }
+    },
     "vi_obstacle_overrelaxed": {
         "diagnostics": {
             "lipschitz": {
@@ -281,11 +343,13 @@ GOLDEN = {
 
 CONFIGS = {
     "heat_p1": config_heat_p1,
+    "heat_p1_exhaustion": config_heat_p1_exhaustion,
     "heat_p2_lattice": config_heat_p2_lattice,
     "heat_p2_oracle": config_heat_p2_oracle,
     "vi_separable": config_vi_separable,
     "vi_lattice": config_vi_lattice,
     "vi_obstacle": config_vi_obstacle,
+    "vi_obstacle_exhaustion": config_vi_obstacle_exhaustion,
     "vi_obstacle_overrelaxed": config_vi_obstacle_overrelaxed,
 }
 
@@ -311,6 +375,20 @@ GOLDEN_ITERATIVE = {
             "estimates.csv": "8c39a90c5a6e88fdadb13b9c23b00187b0f987093fef43f0422deb855ae4035c",
             "norms.csv": "242f9fdbf64b5139d90c8baf6d8a7e1ac0a7a26cb23b36a0e290d4993e3960bb",
             "trajectory.csv": "24336e62e7743a0602256d34386e8211669bb56b47f26bdddefe3ba5afd4ab0d"
+        }
+    },
+    "heat_p1_exhaustion": {
+        "diagnostics": {
+            "level_deltas": [
+                0.2022467561129603,
+                0.03838265879772161
+            ]
+        },
+        "outputs": {
+            "levels.csv": "393c096a46148ab2e9916a7792f53741957e88326fc8bac1dc302ce244fa24f1",
+            "terminal_level_1.txt": "b5c3d2861fb08068fc7c85346d540dd0bca63e7535bd844c7a0c238151c31ea5",
+            "terminal_level_2.txt": "eec7aa12cc536a5e2c7729e10b2b39a072f7e5c915a8d11e3c47102ec5c024c6",
+            "terminal_level_4.txt": "798ac83078832f5252190a29d831b76cffdd1fa5a5fa3c3b6efe159d1664942a"
         }
     },
     "heat_p2_lattice": GOLDEN["heat_p2_lattice"],
@@ -349,6 +427,25 @@ GOLDEN_ITERATIVE = {
             "norms.csv": "56f220038f1b9179d0c21124322b9636c273ab4109ff170c17888261d287d1ce",
             "trajectory.csv": "3609e95a3dde129ccc20232c333557ef329ba59dff8153cce10452bbd163843d",
             "vi_reports.csv": "0724ca5279af6ff3f44c98e25ff3c6ea652f8035fe92b27b9aba78fdaea5e923"
+        }
+    },
+    "vi_obstacle_exhaustion": {
+        "diagnostics": {
+            "level_deltas": [
+                0.08534142784610414,
+                0.9301301153114266
+            ],
+            "lipschitz": {
+                "declared": 0.0,
+                "estimate": 0.0,
+                "violated": False
+            }
+        },
+        "outputs": {
+            "levels.csv": "3ac27a2ba291fa20bd0f1416709caaa91e4f4f96d3e0a7f3856d8ce8ba2ee452",
+            "terminal_level_1.txt": "f3596fb9af3fedf088b0ed1848d08776b1d729f5e4fdbfbaadbd0996f2ac829a",
+            "terminal_level_2.txt": "ee4a02299822121eddcd25d130a29059750662c07a86edef60f0e91410312022",
+            "terminal_level_3.txt": "4ea31741a6c0d42e43876a6a7bdfc96d75697395ddbaa8368119fd12e8989b70"
         }
     },
     "vi_separable": {
