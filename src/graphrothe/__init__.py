@@ -35,7 +35,6 @@ from .heat import (
     monitor_estimates,
     run_exhaustion,
     run_rothe,
-    solve_step,
     step_functional,
 )
 from .spectral import SpectralBasis, dirichlet_eigenbasis, exact_p1_solution, ode_oracle
@@ -50,7 +49,6 @@ from .vi import (
     run_vi,
     run_vi_exhaustion,
     vi_monotonicity_monitor,
-    vi_step,
 )
 
 __version__ = "0.1.0"

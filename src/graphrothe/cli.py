@@ -470,6 +470,17 @@ def _write_levels(results, outdir, diagnostics):
     return outputs, diagnostics
 
 
+def _write_run_tables(run, nb, energy, outdir):
+    """``trajectory.csv`` and ``norms.csv`` of a run on a finite domain,
+    from its NormBundle ``nb`` and its energy column."""
+    times = run.partition.times
+    fileio.write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
+                                run.values, times, run.problem.domain.graph)
+    fileio.write_csv(os.path.join(outdir, "norms.csv"), {
+        "t": times, "l2_interior": nb.l2_interior, "grad_l2": nb.grad_l2,
+        "lq": nb.lq, "energy": energy})
+
+
 def _run_heat(prep, outdir):
     diagnostics = {}
     outputs = []
@@ -483,18 +494,13 @@ def _run_heat(prep, outdir):
     prob = heat.HeatProblem(prep.domain, prep.p, prep.initial)
     part = heat.TimePartition(prep.horizon, prep.steps)
     traj = heat.run_rothe(prob, part, tol_factor=prep.newton_factor)
-    g = prep.graph
-    fileio.write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
-                                traj.values, part.times, g)
     report = heat.monitor_estimates(traj)
     nb = report.norms
+    _write_run_tables(traj, nb, report.energy, outdir)
     fileio.write_csv(os.path.join(outdir, "estimates.csv"), {
         "i": range(part.steps + 1), "l2": nb.l2_domain,
         "grad_l2": nb.grad_l2, "l2p": nb.lq, "delta_l2": report.delta_l2,
         "r_i": report.r, "d_i": report.d})
-    fileio.write_csv(os.path.join(outdir, "norms.csv"), {
-        "t": part.times, "l2_interior": nb.l2_interior,
-        "grad_l2": nb.grad_l2, "lq": nb.lq, "energy": report.energy})
     outputs += ["trajectory.csv", "estimates.csv", "norms.csv"]
     diagnostics["max_energy_residual"] = report.max_r
     diagnostics["max_energy_defect"] = report.max_d
@@ -569,11 +575,10 @@ def _run_vi(prep, outdir):
         results = vi.run_vi_exhaustion(prob, part, levels=prep.levels, **opts)
         return _write_levels(results, outdir, diagnostics)
     run = vi.run_vi(prob, part, **opts)
-    g = prep.graph
-    fileio.write_trajectory_csv(os.path.join(outdir, "trajectory.csv"),
-                                run.values, part.times, g)
-    nb = calculus.norms(g, run.values, prep.domain)
+    nb = calculus.norms(prep.graph, run.values, prep.domain)
     mono = vi.vi_monotonicity_monitor(run)
+    # squared on Python floats, as the heat monitor's energy
+    _write_run_tables(run, nb, 0.5 * heat._squares(nb.grad_l2), outdir)
     idx = [rep.index for rep in run.reports]
     # then every field of VIStepReport after its index, in field order
     fileio.write_csv(os.path.join(outdir, "vi_reports.csv"), {
@@ -581,11 +586,6 @@ def _run_vi(prep, outdir):
         "grad_l2": nb.grad_l2[idx], "delta_l2": mono.quotient_l2,
         **{f.name: [getattr(rep, f.name) for rep in run.reports]
            for f in dataclasses.fields(vi.VIStepReport)[1:]}})
-    # squared on Python floats, as the heat monitor's energy
-    fileio.write_csv(os.path.join(outdir, "norms.csv"), {
-        "t": part.times, "l2_interior": nb.l2_interior,
-        "grad_l2": nb.grad_l2, "lq": nb.lq,
-        "energy": 0.5 * heat._squares(nb.grad_l2)})
     outputs += ["trajectory.csv", "vi_reports.csv", "norms.csv"]
     diagnostics["quotient_recurrence_max_slack"] = mono.max_slack
     diagnostics["quotient_bound"] = mono.cumulative_bound

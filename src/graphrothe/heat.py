@@ -55,12 +55,17 @@ converge as the balls grow, so that start is close, but a step still
 ends only at max|G/mass| <= tol: a level agrees with its cold run within
 the Newton tolerance, not bit for bit. p = 1 and VI levels start cold.
 
-A run holds its Rothe sequence as one read-only (steps + 1) x V array,
-a row per step, filled row by row by the step loop that ``run_rothe``
-and ``vi.run_vi`` share; the steppers work on interior vectors, and the
-monitors, the level deltas, the interpolant and the writers read the
-array. A caller that wants step i as a field builds
-``VertexField(graph, values[i])``; nothing builds every step's field.
+The heat stepper and ``vi.ViStepper`` share one protocol: each is built
+from ``(prob, part, **opts)``, and ``step(i, w_prev, start)`` maps the
+interior vector of u_{i-1} to that of u_i and a record of the step (None
+for heat, a ``vi.VIStepReport`` for the VI), with ``start`` the first
+Newton iterate at p > 1, which p = 1 and the VI ignore. ``run_rothe``
+and ``vi.run_vi`` hand their stepper to one row loop, which holds the
+Rothe sequence as one read-only (steps + 1) x V array, a row per step;
+the monitors, the level deltas, the interpolant and the writers read the
+array. One step from u_prev is a one-step run from u_prev. A caller that
+wants step i as a field builds ``VertexField(graph, values[i])``;
+nothing builds every step's field.
 """
 
 from __future__ import annotations
@@ -81,7 +86,7 @@ from .errors import (
     TimeOutOfRange,
 )
 from .graph import Domain, ExhaustionSequence
-from .operators import CG_RTOL, CachedSPD, pcg, spmv
+from .operators import CG_RTOL, CachedSPD, pcg, refine, spmv
 
 NEWTON_TOL_FACTOR = 1e-12
 NEWTON_MAX_ITER = 100
@@ -256,15 +261,16 @@ def step_functional(u, u_prev, prob, ell):
 
 
 class _HeatStepper:
-    """Per-step solver on the domain's shared operator for a fixed step
-    size. For p = 1 it factors A + M(1 + 1/l) once. For p > 1 it factors
-    nothing: it keeps the diagonal of A, and each Newton system is one
-    ``pcg`` solve preconditioned with the Jacobian's own diagonal."""
+    """Step solver of ``prob`` for the step size of ``part``, on the
+    domain's shared operator. For p = 1 it factors A + M(1 + 1/l) once.
+    For p > 1 it factors nothing: it keeps the diagonal of A, and each
+    Newton system is one ``pcg`` solve preconditioned with the Jacobian's
+    own diagonal."""
 
-    def __init__(self, prob, ell, tol_factor=NEWTON_TOL_FACTOR):
+    def __init__(self, prob, part, tol_factor=NEWTON_TOL_FACTOR):
         self.op = prob.domain.operator
         self.p = float(prob.p)
-        self.ell = float(ell)
+        self.ell = float(part.step_size)
         self.tol_factor = tol_factor
         self.mass = self.op.mass
         self.A = self.op.stiffness
@@ -282,26 +288,26 @@ class _HeatStepper:
         return (self.mass * ((w - u_prev) / self.ell + _power(w, self.p))
                 + Aw)
 
-    def solve(self, u_prev, x0=None):
-        """Interior minimizer of F given the previous interior vector."""
+    def step(self, i, u_prev, start):
+        """Step ``i``: the interior minimizer of F given the previous
+        interior vector, and its record (None). ``start`` is the first
+        Newton iterate (None: u_prev); p = 1 solves one SPD system, refined
+        by at most three rounds to rounding level, and ignores it."""
         top = float(np.abs(u_prev).max())
         tol = self.tol_factor * (1.0 + top)
         if self.p == 1.0:
-            rhs = self.mass * u_prev / self.ell
-            w = self._linear.solve(rhs)
-            # at most three refinement rounds bring the residual to
-            # rounding level
-            for _ in range(3):
+            def residual(w):
                 Aw = spmv(self.A, w)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    G = self._grad_half(w, Aw, u_prev)
-                if float(np.abs(G / self.mass).max()) <= tol:
-                    break
-                w = w - self._linear.solve(G)
-            return w
+                    return self._grad_half(w, Aw, u_prev)
+
+            w, _ = refine(self._linear.solve, self.mass * u_prev / self.ell,
+                          residual,
+                          lambda G: float(np.abs(G / self.mass).max()), tol, 3)
+            return w, None
         p = self.p
         tol = max(tol, NEWTON_ROUNDING_FLOOR * top / self.ell)
-        w = u_prev.copy() if x0 is None else np.asarray(x0, dtype=float).copy()
+        w = np.array(u_prev if start is None else start, dtype=float)
         # A w and F(w) of the iterate; an accepted Armijo trial hands on
         # both, a full step below the noise of F only its product
         Aw = spmv(self.A, w)
@@ -316,7 +322,7 @@ class _HeatStepper:
                 # non-finite when G is, or when G / mass overflows
                 residual = float(np.abs(G / self.mass).max())
                 if residual <= tol:
-                    return w
+                    return w, None
                 if not math.isfinite(residual):
                     _require_finite(G, "gradient", p)
                     _replay(caller, np.divide, G, self.mass)
@@ -390,42 +396,34 @@ class _HeatStepper:
             f"iterations")
 
 
-def solve_step(u_prev, prob, ell, x0=None, **opts):
-    """One Rothe step from ``u_prev`` (admissible field) with step size l.
-
-    ``x0`` optionally overrides the initial Newton iterate (the default is
-    u_prev); the minimizer is unique, so the result depends on ``x0`` only
-    within the Newton tolerance.
-    """
-    dom = prob.domain
-    if u_prev.graph is not dom.graph:
-        raise DomainMismatch("u_prev lives on a different graph")
-    require_admissible(u_prev, dom, "u_prev")
-    if not (ell > 0.0):
-        raise ValueError(f"step size must be positive, got {ell}")
-    stepper = _HeatStepper(prob, ell, **opts)
-    w0 = None if x0 is None else stepper.op.restrict(x0)
-    w = stepper.solve(stepper.op.restrict(u_prev), x0=w0)
-    return field_on_interior(dom, w)
-
-
-def _step_rows(prob, part, step):
+def _step_rows(prob, part, stepper, start):
     """The Rothe sequence of ``prob`` on ``part`` as one (steps + 1) x V
-    array, filled row by row: row 0 holds the initial field and row i the
-    zero extension of ``step(i, w)``, the interior vector of u_i computed
-    from w, that of u_{i-1}. An error of step i names i and t_i."""
+    array, and the tuple of the step records: row 0 holds the initial
+    field, and row i and record i - 1 come from ``stepper.step(i, w, s)``,
+    with w the interior vector of u_{i-1} and s row i of ``start`` on the
+    interior (None without ``start``), which must have the shape of the
+    array. An error of step i names i and t_i."""
     op = prob.domain.operator
+    ids = op.interior_ids
     values = np.zeros((part.steps + 1, prob.domain.graph.num_vertices))
     w = op.restrict(prob.initial)
-    values[0, op.interior_ids] = w
+    values[0, ids] = w
+    if start is not None:
+        start = np.asarray(start)
+        if start.shape != values.shape:
+            raise ValueError(f"expected {values.shape} start rows, got "
+                             f"{start.shape}")
+    records = []
     for i in range(1, part.steps + 1):
         try:
-            w = step(i, w)
+            w, record = stepper.step(
+                i, w, None if start is None else start[i, ids])
         except (GraphrotheError, FloatingPointError) as exc:
             raise type(exc)(f"step {i} (t = {part.times[i]:g}): {exc}") \
                 from exc
-        values[i, op.interior_ids] = w
-    return values
+        values[i, ids] = w
+        records.append(record)
+    return values, tuple(records)
 
 
 def run_rothe(prob, part, start=None, **opts):
@@ -436,13 +434,9 @@ def run_rothe(prob, part, start=None, **opts):
     if not isinstance(prob.domain, Domain):
         raise TypeError("run_rothe needs a finite Domain; "
                         "use run_exhaustion for exhaustion targets")
-    stepper = _HeatStepper(prob, part.step_size, **opts)
-    rows = None
-    if start is not None and stepper.p != 1.0:
-        rows = np.asarray(start)[:, stepper.op.interior_ids]
-    return RotheTrajectory(prob, part, _step_rows(
-        prob, part, lambda i, w: stepper.solve(
-            w, x0=None if rows is None else rows[i])))
+    values, _ = _step_rows(prob, part, _HeatStepper(prob, part, **opts),
+                           start)
+    return RotheTrajectory(prob, part, values)
 
 
 def evaluate_interpolant(traj, t, kind="linear"):

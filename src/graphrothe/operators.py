@@ -16,15 +16,16 @@ assembled A + diag(d), the p = 1 matrix or the step matrix, comes from
 ``DirichletOperator.shifted``; ``CachedSPD`` solves by LAPACK's banded
 Cholesky factorization in reverse Cuthill-McKee order or, when that band
 would hold more than DIRECT_SOLVE_MAX entries, by Jacobi-preconditioned
-CG; and ``pcg`` is the one conjugate-gradient loop, shared by
-``CachedSPD`` and the Newton directions of ``heat``. The matrices are
-graph Laplacians plus a diagonal, and on grids and lattice balls their
-reverse Cuthill-McKee bandwidth is a few tens. ``PrincipalBlocks`` orders
-the step matrix once and cuts the band of each active-set block of
-``vi`` from its upper-triangle entries by one mask: a principal
-submatrix in the restricted order is no wider than the matrix, so a
-block needs no ordering of its own. A block's factor is reused while its
-index set repeats.
+CG; ``pcg`` is the one conjugate-gradient loop, shared by ``CachedSPD``
+and the Newton directions of ``heat``; and ``refine`` is the one
+iterative-refinement loop, shared by the p = 1 heat step and the ``vi``
+subspace step. The matrices are graph Laplacians plus a diagonal, and on
+grids and lattice balls their reverse Cuthill-McKee bandwidth is a few
+tens. ``PrincipalBlocks`` orders the step matrix once and cuts the band
+of each active-set block of ``vi`` from its upper-triangle entries by
+one mask: a principal submatrix in the restricted order is no wider than
+the matrix, so a block needs no ordering of its own. A block's factor is
+reused while its index set repeats.
 
 Every product of an assembled CSR matrix with a vector, in this module,
 ``heat`` and ``vi``, is ``spmv``: scipy's ``csr_matvec`` kernel, the one
@@ -162,6 +163,20 @@ def pcg(matvec, b, precondition, rtol, cap):
         d = z + (rz_next / rz) * d
         rz = rz_next
     return None
+
+
+def refine(solve, rhs, residual, size, target, rounds):
+    """``solve(rhs)`` and at most ``rounds`` rounds of iterative
+    refinement x - solve(r), r = ``residual(x)``, each taken while
+    ``size(r)`` is above ``target``: x and the size of its residual."""
+    x = solve(rhs)
+    for _ in range(rounds):
+        r = residual(x)
+        res = size(r)
+        if res <= target:
+            return x, res
+        x = x - solve(r)
+    return x, size(residual(x))
 
 
 class _Upper:

@@ -15,15 +15,19 @@ Cuthill-McKee order restricted to the block, its band cut from S's
 upper-triangle entries by one mask, and a block's factor is reused while
 the inactive set repeats.
 
-``ViStepper.step`` maps interior vectors to interior vectors and a
-report of scalar diagnostics; ``run_vi`` fills the run's (steps + 1) x V
-array row by row through the step loop it shares with ``heat.run_rothe``,
-so a ``VIRun`` is a ``heat.RotheTrajectory`` plus its step reports.
-
 Each forcing provider samples f in one call, ``rows(times, ids)``: a
 read-only array with f(., t) on the vertex ids ``ids`` in the row of each
-time t. ``run_vi``, the monitor and ``lipschitz_validate`` each make one
-such call per run, and step i reads row i, f(., t_i).
+time t. ``ViStepper``, the monitor and ``lipschitz_validate`` each make
+one such call per run, and step i reads row i, f(., t_i).
+
+``ViStepper`` follows the step protocol of ``heat``: it is built from
+``(prob, part, **opts)``, and ``step(i, w_prev, start)`` maps the
+interior vector of u_{i-1} to that of u_i and the step's
+``VIStepReport``. Every VI step starts cold and ignores ``start``.
+``run_vi`` hands the stepper to the row loop it shares with
+``heat.run_rothe``, so a ``VIRun`` is a ``heat.RotheTrajectory`` plus its
+step reports, and one step from u_prev is a one-step run with the
+forcing f(., t_1).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import VertexField, _l2_rows, _read_only, \
-    field_on_interior, require_admissible
+    require_admissible
 from .errors import (
     AmbiguousTable,
     DomainMismatch,
@@ -45,7 +49,7 @@ from .errors import (
 )
 from .graph import Domain, ExhaustionSequence
 from .heat import RotheTrajectory, _run_levels, _step_rows
-from .operators import CachedSPD, PrincipalBlocks, spmv
+from .operators import CachedSPD, PrincipalBlocks, refine, spmv
 
 KKT_TOL = 1e-10
 
@@ -178,53 +182,48 @@ class VIStepReport:
 
 
 class ViStepper:
-    """Step solver with the form assembled (and, in the subspace case,
-    factorized) once for a fixed step size. In the obstacle case the
-    stepper keeps the ``PrincipalBlocks`` of its matrix, so a factor
-    outlives the step that built it."""
+    """Step solver of a VI problem on a finite domain for the step size of
+    ``part``: the form assembled (and, in the subspace case, factorized)
+    once, and the forcing sampled at every time of ``part`` in one call.
+    In the obstacle case the stepper keeps the ``PrincipalBlocks`` of its
+    matrix, so a factor outlives the step that built it."""
 
-    def __init__(self, dom, ell, constraint=Subspace(), kkt_tol=KKT_TOL):
-        if not (ell > 0.0):
-            raise ValueError(f"step size must be positive, got {ell}")
-        self.op = dom.operator
-        self.ell = float(ell)
-        self.constraint = constraint
+    def __init__(self, prob, part, kkt_tol=KKT_TOL):
+        constraint = self.constraint = prob.constraint
+        self.op = prob.domain.operator
+        self.ell = float(part.step_size)
         self.beta = min(1.0 / self.ell, 1.0)
         self.tol = float(kkt_tol)
         S = self.S = self.op.step_matrix(self.ell)
         if isinstance(constraint, Subspace):
             self._solver = CachedSPD(S)
         elif isinstance(constraint, Obstacle):
-            if constraint.psi.graph is not dom.graph:
+            if constraint.psi.graph is not prob.domain.graph:
                 raise DomainMismatch("obstacle lives on a different graph")
             self._lower = constraint.psi.values[self.op.interior_ids]
             self._blocks = PrincipalBlocks(S)
         else:
             raise TypeError(f"unknown constraint {constraint!r}")
+        self._f = prob.forcing.rows(part.times, self.op.interior_ids)
 
-    def step(self, index, w_prev, f):
-        """Step ``index`` from the interior vector ``w_prev`` with the
-        interior forcing values ``f``: the interior solution and its
-        VIStepReport."""
-        b = self.op.mass * (f + w_prev / self.ell)
+    def step(self, i, w_prev, start):
+        """Step ``i`` from the interior vector ``w_prev`` with the forcing
+        f(., t_i): the interior solution and its VIStepReport. Every step
+        starts cold, so ``start`` is ignored; the subspace step takes at
+        most one refinement round on sup |S w - b|."""
+        b = self.op.mass * (self._f[i] + w_prev / self.ell)
         scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
         if isinstance(self.constraint, Subspace):
-            w = self._solver.solve(b)
-            res = float(np.max(np.abs(spmv(self.S, w) - b), initial=0.0))
-            # a refinement round if rounding left the residual above target
-            if res > 1e-12 * scale:
-                w = w - self._solver.solve(spmv(self.S, w) - b)
-                res = float(np.max(np.abs(spmv(self.S, w) - b), initial=0.0))
-            report = (res, 0.0, 0.0, 0.0, 0)
-        else:
-            w, report = self._obstacle(b, w_prev, scale)
-        var, primal, dual, compl, iterations = report
-        return w, VIStepReport(index, var, primal, dual, compl, self.beta,
-                               iterations)
+            w, res = refine(self._solver.solve, b,
+                            lambda w: spmv(self.S, w) - b,
+                            lambda r: float(np.max(np.abs(r), initial=0.0)),
+                            1e-12 * scale, 1)
+            return w, VIStepReport(i, res, 0.0, 0.0, 0.0, self.beta, 0)
+        return self._obstacle(i, b, w_prev, scale)
 
-    def _obstacle(self, b, w_start, scale):
-        """The active-set solution, accepted only if its KKT residuals
-        meet the tolerance."""
+    def _obstacle(self, i, b, w_start, scale):
+        """The active-set solution of step ``i`` and its report, accepted
+        only if its KKT residuals meet the tolerance."""
         u, r, iterations = active_set_solve(self._blocks, b, self._lower,
                                             w_start)
         gap = u - self._lower
@@ -234,7 +233,8 @@ class ViStepper:
         uscale = 1.0 + float(np.max(np.abs(gap), initial=0.0))
         if dual <= self.tol * scale and compl <= self.tol * scale * uscale:
             var = float(np.max(np.abs(np.minimum(r, gap)), initial=0.0))
-            return u, (var, primal, dual, compl, iterations)
+            return u, VIStepReport(i, var, primal, dual, compl, self.beta,
+                                   iterations)
         raise NonConvergence(
             f"obstacle step missed the KKT tolerance {self.tol:g}: dual "
             f"residual {dual:.3g}, complementarity {compl:.3g}")
@@ -279,16 +279,6 @@ def active_set_solve(blocks, b, lower, u_start):
         f"iterations")
 
 
-def vi_step(dom, u_prev, f_i, ell, constraint=Subspace(), **opts):
-    """One elliptic VI step (one-shot; run_vi caches the assembly): the
-    solution field and its VIStepReport."""
-    require_admissible(u_prev, dom, "u_prev")
-    stepper = ViStepper(dom, ell, constraint, **opts)
-    op = stepper.op
-    w, report = stepper.step(1, op.restrict(u_prev), op.restrict(f_i))
-    return field_on_interior(dom, w), report
-
-
 @dataclass(frozen=True, eq=False)
 class VIRun(RotheTrajectory):
     """A VI run: its Rothe sequence as a RotheTrajectory, plus the report
@@ -297,23 +287,17 @@ class VIRun(RotheTrajectory):
     reports: tuple
 
 
-def run_vi(prob, part, **opts):
+def run_vi(prob, part, start=None, **opts):
     """Rothe sequence for the VI on a finite domain: u_0 = g and
-    u_i from the step inequality with forcing sampled at f(., t_i)."""
+    u_i from the step inequality with forcing sampled at f(., t_i).
+    ``start`` is taken as by ``heat.run_rothe`` and ignored: every step
+    starts cold."""
     if not isinstance(prob.domain, Domain):
         raise TypeError("run_vi needs a finite Domain; "
                         "use run_vi_exhaustion for exhaustion targets")
-    stepper = ViStepper(prob.domain, part.step_size, prob.constraint, **opts)
-    f = prob.forcing.rows(part.times, stepper.op.interior_ids)
-    reports = []
-
-    def step(i, w):
-        w, report = stepper.step(i, w, f[i])
-        reports.append(report)
-        return w
-
-    values = _step_rows(prob, part, step)
-    return VIRun(prob, part, values, tuple(reports))
+    values, reports = _step_rows(prob, part, ViStepper(prob, part, **opts),
+                                 start)
+    return VIRun(prob, part, values, reports)
 
 
 def forcing_step_function(prob, part, t):
@@ -420,6 +404,4 @@ def run_vi_exhaustion(prob, part, levels=None, **opts):
     g and psi restricted per level and forcing read on level interiors."""
     if not isinstance(prob.domain, ExhaustionSequence):
         raise TypeError("run_vi_exhaustion needs an ExhaustionSequence domain")
-    return _run_levels(prob, part, levels,
-                       lambda sub, part, start, **o: run_vi(sub, part, **o),
-                       **opts)
+    return _run_levels(prob, part, levels, run_vi, **opts)

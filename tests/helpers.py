@@ -377,7 +377,7 @@ def reference_active_set_solve(S, b, lower, u_start):
 
 def reference_newton_solve(stepper, u_prev, x0=None, stats=None,
                            floor=True):
-    """Reference for ``heat._HeatStepper.solve`` at p > 1: its Newton loop
+    """Reference for ``heat._HeatStepper.step`` at p > 1: its Newton loop
     before the stiffness product and F of an accepted Armijo trial were
     handed on, so each iteration computes A w three times (gradient, F at
     w, the first trial), and with the finiteness tests and the error
@@ -590,11 +590,11 @@ def reference_run_rothe(prob, part, **opts):
     of fields."""
     from graphrothe import heat
 
-    stepper = heat._HeatStepper(prob, part.step_size, **opts)
+    stepper = heat._HeatStepper(prob, part, **opts)
     w = stepper.op.restrict(prob.initial)
     fields = [field_on_interior(prob.domain, w)]
-    for _ in range(part.steps):
-        w = stepper.solve(w)
+    for i in range(1, part.steps + 1):
+        w, _ = stepper.step(i, w, None)
         fields.append(field_on_interior(prob.domain, w))
     return tuple(fields)
 
@@ -609,25 +609,28 @@ def reference_quotients(fields, ell):
 
 def reference_run_vi(prob, part, **opts):
     """Reference for ``vi.run_vi``: the per-step loop over full-graph
-    fields, each step restricting the previous field and the forcing
-    field, with each quotient extended from its step's interior vectors.
-    Returns (fields, quotients, reports)."""
+    fields, step i a one-step stepper from the previous field with the
+    constant forcing ``reference_forcing_at(t_i)``, with each quotient
+    extended from its step's interior vectors. Returns (fields,
+    quotients, reports)."""
+    from graphrothe import ConstantForcing, TimePartition, VIProblem
     from graphrothe.vi import ViStepper
 
-    stepper = ViStepper(prob.domain, part.step_size, prob.constraint, **opts)
-    op = stepper.op
     dom = prob.domain
-    fields = [field_on_interior(dom, op.restrict(prob.initial))]
+    ell = part.step_size
+    fields = [field_on_interior(dom, dom.operator.restrict(prob.initial))]
     quotients = []
     reports = []
     for i in range(1, part.steps + 1):
-        w_prev = op.restrict(fields[-1])
-        f = op.restrict(reference_forcing_at(prob.forcing,
-                                             float(part.times[i])))
-        w, report = stepper.step(i, w_prev, f)
+        f = reference_forcing_at(prob.forcing, float(part.times[i]))
+        stepper = ViStepper(VIProblem(dom, ConstantForcing(f), fields[-1],
+                                      prob.constraint),
+                            TimePartition(ell, 1), **opts)
+        w_prev = stepper.op.restrict(fields[-1])
+        w, report = stepper.step(1, w_prev, None)
         fields.append(field_on_interior(dom, w))
-        quotients.append(field_on_interior(dom, (w - w_prev) / stepper.ell))
-        reports.append(report)
+        quotients.append(field_on_interior(dom, (w - w_prev) / ell))
+        reports.append(dataclasses.replace(report, index=i))
     return tuple(fields), tuple(quotients), tuple(reports)
 
 
@@ -853,24 +856,61 @@ def reference_shifted(op, d):
 
 
 def reference_warm_levels(prob, part, levels):
-    """Reference for the Rothe rows of ``heat.run_exhaustion``: one
-    ``heat._step_rows`` loop per level, Newton step i of every level
-    after the first started at the previous level's row i on this
-    level's interior; the first level and p = 1 run cold. Returns the
-    (steps + 1) x V array of each level."""
+    """Reference for the Rothe rows of ``heat.run_exhaustion``: one step
+    loop per level, Newton step i of every level after the first started
+    at the previous level's row i on this level's interior; the first
+    level and p = 1 run cold. Returns the (steps + 1) x V array of each
+    level."""
     from graphrothe import heat
 
     runs = []
     for m in levels:
         sub = level_problem(prob, prob.domain.level(m))
-        stepper = heat._HeatStepper(sub, part.step_size)
-        if not runs or sub.p == 1.0:
-            def step(i, w):
-                return stepper.solve(w)
-        else:
-            rows = runs[-1][:, stepper.op.interior_ids]
-
-            def step(i, w, rows=rows):
-                return stepper.solve(w, x0=rows[i])
-        runs.append(heat._step_rows(sub, part, step))
+        stepper = heat._HeatStepper(sub, part)
+        ids = stepper.op.interior_ids
+        values = np.zeros((part.steps + 1, sub.domain.graph.num_vertices))
+        w = values[0, ids] = stepper.op.restrict(sub.initial)
+        for i in range(1, part.steps + 1):
+            x0 = None if not runs or sub.p == 1.0 else runs[-1][i, ids]
+            w, _ = stepper.step(i, w, x0)
+            values[i, ids] = w
+        runs.append(values)
     return runs
+
+
+def one_step(u_prev, prob, ell, x0=None, **opts):
+    """One Rothe step of the heat problem ``prob`` from the admissible
+    field ``u_prev`` with step size ``ell``, as a field: row 1 of a
+    one-step ``run_rothe`` from u_prev, with Newton started at the field
+    ``x0`` (default u_prev)."""
+    from graphrothe import TimePartition, VertexField, run_rothe
+
+    start = None if x0 is None else np.vstack((x0.values, x0.values))
+    run = run_rothe(dataclasses.replace(prob, initial=u_prev),
+                    TimePartition(ell, 1), start, **opts)
+    return VertexField(u_prev.graph, run.values[1])
+
+
+def one_vi_step(dom, u_prev, f, ell, constraint=None, **opts):
+    """One VI step on ``dom`` from the admissible field ``u_prev`` with
+    the forcing field ``f`` and step size ``ell``: the field of row 1 of
+    a one-step ``run_vi`` with constant forcing f, and its report."""
+    from graphrothe import (ConstantForcing, Subspace, TimePartition,
+                            VertexField, VIProblem, run_vi)
+
+    prob = VIProblem(dom, ConstantForcing(f), u_prev,
+                     Subspace() if constraint is None else constraint)
+    run = run_vi(prob, TimePartition(ell, 1), **opts)
+    return VertexField(dom.graph, run.values[1]), run.reports[0]
+
+
+def vi_stepper(dom, ell, f, constraint=None, **opts):
+    """The ``vi.ViStepper`` of a one-step VI run on ``dom`` with step size
+    ``ell`` and the constant forcing field ``f``; its step 1 reads f."""
+    from graphrothe import (ConstantForcing, Subspace, TimePartition,
+                            VertexField, VIProblem)
+    from graphrothe.vi import ViStepper
+
+    prob = VIProblem(dom, ConstantForcing(f), VertexField.zeros(dom.graph),
+                     Subspace() if constraint is None else constraint)
+    return ViStepper(prob, TimePartition(ell, 1), **opts)

@@ -39,10 +39,8 @@ from graphrothe import (
     run_exhaustion,
     run_rothe,
     run_vi,
-    solve_step,
     step_functional,
     vi_monotonicity_monitor,
-    vi_step,
     LatticeZ,
 )
 from graphrothe.cli import main
@@ -51,6 +49,8 @@ from graphrothe.timeexpr import compile_time_expression
 from graphrothe import fileio
 from helpers import (
     five_path_domain,
+    one_step,
+    one_vi_step,
     path_graph,
     random_admissible,
     random_connected_graph,
@@ -100,7 +100,7 @@ def test_criterion_02_per_step_optimality():
     for k in range(50):
         p = ps[k % 4]
         g, dom, prob, u_prev, ell = random_heat_step(rng, p)
-        u = solve_step(u_prev, prob, ell)
+        u = one_step(u_prev, prob, ell)
         scale = 1.0 + float(np.max(np.abs(u_prev.values)))
         for x in dom.interior_ids.tolist():
             res = ((u.values[x] - u_prev.values[x]) / ell
@@ -137,8 +137,8 @@ def test_criterion_03_initialization_independence():
     for k in range(50):
         p = [1.0, 1.5, 2.0, 3.0][k % 4]
         g, dom, prob, u_prev, ell = random_heat_step(rng, p)
-        a = solve_step(u_prev, prob, ell)
-        b = solve_step(u_prev, prob, ell, x0=VertexField.zeros(g))
+        a = one_step(u_prev, prob, ell)
+        b = one_step(u_prev, prob, ell, x0=VertexField.zeros(g))
         gap = float(np.max(np.abs(a.values - b.values)))
         worst = max(worst, gap)
         assert gap <= 1e-8
@@ -267,7 +267,7 @@ def test_criterion_08a_vi_subspace_equivalence():
         u_prev = random_admissible(rng, dom)
         f = VertexField(g, rng.normal(size=g.num_vertices))
         ell = float(rng.uniform(0.05, 0.5))
-        u, _ = vi_step(dom, u_prev, f, ell)
+        u, _ = one_vi_step(dom, u_prev, f, ell)
         op = DirichletOperator(dom)
         S = op.stiffness.toarray() + np.diag(op.mass / ell)
         b = op.mass * (op.restrict(f) + op.restrict(u_prev) / ell)
@@ -327,7 +327,7 @@ def test_criterion_10_obstacle_kkt():
             dom, rng.uniform(-0.4, 0.4, size=len(dom.interior_ids)))
         f = VertexField(g, rng.normal(size=g.num_vertices))
         ell = float(rng.uniform(0.05, 0.5))
-        u_new, _ = vi_step(dom, u_prev, f, ell, Obstacle(psi))
+        u_new, _ = one_vi_step(dom, u_prev, f, ell, Obstacle(psi))
         op = DirichletOperator(dom)
         S = op.stiffness.toarray() + np.diag(op.mass / ell)
         b = op.mass * (op.restrict(f) + op.restrict(u_prev) / ell)
@@ -339,7 +339,7 @@ def test_criterion_10_obstacle_kkt():
         assert np.abs(r * gap).max() <= 1e-8 * (1.0 + np.abs(b).max())
     # one-variable hand case: clamp to the obstacle exactly
     g, dom = five_path_domain()
-    u, rep = vi_step(dom, VertexField.indicator(g, 2),
+    u, rep = one_vi_step(dom, VertexField.indicator(g, 2),
                      VertexField.from_mapping(g, {2: -20.0}), 0.1,
                      Obstacle(VertexField.zeros(g)))
     assert u[2] == 0.0

@@ -25,7 +25,6 @@ from graphrothe import (
     norms,
     run_exhaustion,
     run_rothe,
-    solve_step,
     step_functional,
 )
 from graphrothe import heat, operators
@@ -35,12 +34,14 @@ from graphrothe.operators import DirichletOperator
 from helpers import (
     five_path_domain,
     level_problem,
+    one_step,
     path_graph,
     random_admissible,
     random_connected_graph,
     random_domain,
     reference_monitor_estimates,
     reference_newton_solve,
+    reference_run_rothe,
     reference_warm_levels,
 )
 
@@ -102,14 +103,14 @@ class TestStepFunctional:
 class TestSolveStep:
     def test_p1_closed_form(self):
         g, dom, prob = single_interior_problem()
-        u = solve_step(prob.initial, prob, 0.1)
+        u = one_step(prob.initial, prob, 0.1)
         assert u[2] == pytest.approx(10.0 / 13.0, abs=1e-14)
         assert u[0] == u[1] == u[3] == u[4] == 0.0
 
     def test_zero_invariance(self):
         g, dom, prob = single_interior_problem()
         z = VertexField.zeros(g)
-        u = solve_step(z, prob, 0.1)
+        u = one_step(z, prob, 0.1)
         assert np.all(u.values == 0.0)
 
     def test_p3_against_bisection_oracle(self):
@@ -118,7 +119,7 @@ class TestSolveStep:
                            0.0, 1.0)
         assert root == pytest.approx(0.791942867912496, abs=1e-12)
         g, dom, prob = single_interior_problem(p=3.0)
-        u = solve_step(prob.initial, prob, 0.1)
+        u = one_step(prob.initial, prob, 0.1)
         assert u[2] == pytest.approx(root, abs=1e-12)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -131,7 +132,7 @@ class TestSolveStep:
             u_prev = random_admissible(rng, dom)
             prob = HeatProblem(dom, p, u_prev)
             ell = float(rng.uniform(0.02, 0.5))
-            u = solve_step(u_prev, prob, ell)
+            u = one_step(u_prev, prob, ell)
             tol = 1e-10 * (1.0 + float(np.max(np.abs(u_prev.values))))
             for x in dom.interior_ids.tolist():
                 res = ((u.values[x] - u_prev.values[x]) / ell
@@ -145,7 +146,7 @@ class TestSolveStep:
         dom = random_domain(rng, g)
         u_prev = random_admissible(rng, dom)
         prob = HeatProblem(dom, 2.0, u_prev)
-        u = solve_step(u_prev, prob, 0.1)
+        u = one_step(u_prev, prob, 0.1)
         fu = step_functional(u, u_prev, prob, 0.1)
         for _ in range(20):
             phi = random_admissible(rng, dom)
@@ -161,8 +162,8 @@ class TestSolveStep:
             dom = random_domain(rng, g)
             u_prev = random_admissible(rng, dom)
             prob = HeatProblem(dom, p, u_prev)
-            a = solve_step(u_prev, prob, 0.1)
-            b = solve_step(u_prev, prob, 0.1, x0=VertexField.zeros(g))
+            a = one_step(u_prev, prob, 0.1)
+            b = one_step(u_prev, prob, 0.1, x0=VertexField.zeros(g))
             assert float(np.max(np.abs(a.values - b.values))) <= 1e-8
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -195,8 +196,9 @@ class TestSolveStep:
 class TestRunRothe:
     def test_n1_is_single_step(self):
         g, dom, prob = single_interior_problem()
-        traj = run_rothe(prob, TimePartition(0.1, 1))
-        step = solve_step(prob.initial, prob, 0.1)
+        part = TimePartition(0.1, 1)
+        traj = run_rothe(prob, part)
+        step = reference_run_rothe(prob, part)[1]
         assert np.array_equal(traj.values[1], step.values)
 
     def test_zero_initial(self):
@@ -484,10 +486,10 @@ class TestLinearSolverPaths:
             dom = random_domain(rng, g)
             u_prev = random_admissible(rng, dom)
             prob = HeatProblem(dom, p, u_prev)
-            a = solve_step(u_prev, prob, 0.1)
+            a = one_step(u_prev, prob, 0.1)
             with monkeypatch.context() as m:
                 m.setattr(operators, "DIRECT_SOLVE_MAX", 0)
-                b = solve_step(u_prev, prob, 0.1)
+                b = one_step(u_prev, prob, 0.1)
             assert float(np.max(np.abs(a.values - b.values))) <= 1e-9
 
     @settings(max_examples=30, deadline=None)
@@ -684,9 +686,10 @@ class TestNewtonOneFactorization:
         monkeypatch.setattr(heat, "pcg", lambda *args: None)
         _, dom, prob = single_interior_problem(p=2.0)
         with pytest.raises(SolverBreakdown,
-                           match=r"^conjugate gradients missed the relative "
+                           match=r"^step 1 \(t = 0\.1\): conjugate gradients "
+                                 r"missed the relative "
                                  r"residual 0\.1 in 50 iterations$"):
-            solve_step(prob.initial, prob, 0.1)
+            one_step(prob.initial, prob, 0.1)
 
     @pytest.mark.parametrize("p", [2.0, 5.0])
     def test_tight_newton_factor_converges(self, p):
@@ -715,12 +718,13 @@ class TestForcingFloor:
         prob = HeatProblem(dom, p, field_on_interior(dom, vals))
         op = dom.operator
         w = op.restrict(prob.initial)
+        part = TimePartition(ell, 1)
         for _ in range(3):
-            got = heat._HeatStepper(prob, ell).solve(w)
+            got, _ = heat._HeatStepper(prob, part).step(1, w, None)
             floored, unfloored = {}, {}
-            ref = reference_newton_solve(heat._HeatStepper(prob, ell), w,
+            ref = reference_newton_solve(heat._HeatStepper(prob, part), w,
                                          stats=floored)
-            reference_newton_solve(heat._HeatStepper(prob, ell), w,
+            reference_newton_solve(heat._HeatStepper(prob, part), w,
                                    stats=unfloored, floor=False)
             assert got.tobytes() == ref.tobytes()
             assert floored["gradients"] <= unfloored["gradients"]
@@ -732,17 +736,17 @@ class TestForcingFloor:
 
 
 def newton_pair(prob, part, zero_start=False):
-    """Interior Rothe fields of ``_HeatStepper.solve`` and of
+    """Interior Rothe fields of ``_HeatStepper.step`` and of
     ``reference_newton_solve``, each on a fresh stepper and from the
     previous field (or, with ``zero_start``, from zero), and the
     reference's Newton counts."""
-    stepper = heat._HeatStepper(prob, part.step_size)
-    ref_stepper = heat._HeatStepper(prob, part.step_size)
+    stepper = heat._HeatStepper(prob, part)
+    ref_stepper = heat._HeatStepper(prob, part)
     w = v = stepper.op.restrict(prob.initial)
     got, ref, stats = [w], [v], {}
-    for _ in range(part.steps):
+    for i in range(1, part.steps + 1):
         x0 = np.zeros_like(w) if zero_start else None
-        w = stepper.solve(w, x0=x0)
+        w, _ = stepper.step(i, w, x0)
         v = reference_newton_solve(ref_stepper, v, x0=x0, stats=stats)
         got.append(w)
         ref.append(v)
@@ -821,16 +825,16 @@ class TestNewtonProductReuse:
 
     def test_one_product_per_iteration_and_backtrack(self, monkeypatch):
         prob, part = backtracking_problem(), TimePartition(3.0, 3)
-        stepper = heat._HeatStepper(prob, part.step_size)
+        stepper = heat._HeatStepper(prob, part)
         counter = CountingStiffness(monkeypatch)
-        ref_stepper = heat._HeatStepper(prob, part.step_size)
+        ref_stepper = heat._HeatStepper(prob, part)
         w = v = stepper.op.restrict(prob.initial)
         backtracks = 0
-        for _ in range(part.steps):
+        for i in range(1, part.steps + 1):
             stats = {}
             counter.products = 0
             x0 = np.zeros_like(w)
-            w = stepper.solve(w, x0=x0)
+            w, _ = stepper.step(i, w, x0)
             v = reference_newton_solve(ref_stepper, v, x0=x0, stats=stats)
             assert counter.products \
                 == stats["gradients"] + stats["backtracks"]
@@ -958,7 +962,7 @@ class TestFineTimeGrid:
         g = path_graph(5)
         h = VertexField.from_mapping(g, {1: 1.0, 2: -2.0, 3: 0.5})
         prob = HeatProblem(make_domain(g, range(5)), p, h)
-        u = solve_step(h, prob, ell)
+        u = one_step(h, prob, ell)
         TestNewtonOneFactorization.assert_stationary(heat.RotheTrajectory(
             prob, TimePartition(ell, 1), np.vstack((h.values, u.values))))
 
@@ -1004,9 +1008,10 @@ class TestNewtonOverflow:
         prob = self.problem(5.0, 1e100)
         with np.errstate(over=state, invalid=state), \
                 pytest.raises(SolverBreakdown,
-                              match=r"^Newton gradient is not finite at "
+                              match=r"^step 1 \(t = 0\.1\): Newton gradient "
+                                    r"is not finite at "
                                     r"p = 5 \(overflow\)$"):
-            solve_step(prob.initial, prob, 0.1)
+            one_step(prob.initial, prob, 0.1)
 
     def test_jacobian_overflow(self):
         # p |w|^(p-1) overflows while |w|^p does not: G is finite, and
@@ -1014,16 +1019,17 @@ class TestNewtonOverflow:
         prob = self.problem(300.0, 10.6)
         with warnings.catch_warnings(record=True) as caught, \
                 pytest.raises(SolverBreakdown,
-                              match=r"^Newton Jacobian is not finite at "
+                              match=r"^step 1 \(t = 0\.1\): Newton Jacobian "
+                                    r"is not finite at "
                                     r"p = 300 \(overflow\)$"):
             warnings.simplefilter("always")
-            solve_step(prob.initial, prob, 0.1)
+            one_step(prob.initial, prob, 0.1)
         assert [str(w.message) for w in caught] \
             == ["overflow encountered in dot"]
         with np.errstate(over="raise"), \
                 pytest.raises(FloatingPointError,
                               match="overflow encountered in dot"):
-            solve_step(prob.initial, prob, 0.1)
+            one_step(prob.initial, prob, 0.1)
 
     def test_residual_overflow_raises_in_callers_state(self):
         # G is finite, G / mass is not
@@ -1031,7 +1037,7 @@ class TestNewtonOverflow:
         with np.errstate(over="raise"), \
                 pytest.raises(FloatingPointError,
                               match="overflow encountered in divide"):
-            solve_step(prob.initial, prob, 0.1)
+            one_step(prob.initial, prob, 0.1)
 
     @pytest.mark.parametrize("state", ["ignore", "raise"])
     @pytest.mark.parametrize("value", [1e-165, 1e-170])
@@ -1041,13 +1047,14 @@ class TestNewtonOverflow:
         prob = self.problem(2.0, value, mu=1e-300)
         with np.errstate(over=state, invalid=state), \
                 pytest.raises(SolverBreakdown,
-                              match=r"^Newton residual norm underflows to 0 "
+                              match=r"^step 1 \(t = 0\.1\): Newton residual "
+                                    r"norm underflows to 0 "
                                     r"at p = 2 while max\|G/mass\| = "):
-            solve_step(prob.initial, prob, 0.1)
+            one_step(prob.initial, prob, 0.1)
 
     def test_small_data_still_solve(self):
         prob = self.problem(2.0, 1e-150, mu=1e-300)
-        w = solve_step(prob.initial, prob, 0.1)
+        w = one_step(prob.initial, prob, 0.1)
         assert np.all(np.isfinite(w.values))
 
 
@@ -1082,10 +1089,11 @@ class TestNewtonOverflowNotRaised:
         with warnings.catch_warnings(record=True) as caught, \
                 np.errstate(all=state), \
                 pytest.raises(SolverBreakdown,
-                              match=rf"^Newton residual is not finite at "
+                              match=rf"^step 1 \(t = 0\.1\): Newton residual "
+                                    rf"is not finite at "
                                     rf"p = {p:g} \(overflow\)$"):
             warnings.simplefilter("always")
-            solve_step(prob.initial, prob, 0.1)
+            one_step(prob.initial, prob, 0.1)
         assert len(iterations) == 1
         assert [str(w.message) for w in caught] \
             == ([f"overflow encountered in {op}"] if state == "warn" else [])
@@ -1097,7 +1105,7 @@ class TestSolverBudget:
         g, dom, prob = single_interior_problem(p=3.0)
         monkeypatch.setattr(heat, "NEWTON_MAX_ITER", 1)
         with pytest.raises(NonConvergence):
-            solve_step(prob.initial, prob, 0.1, x0=VertexField.zeros(g))
+            one_step(prob.initial, prob, 0.1, x0=VertexField.zeros(g))
 
 
 class TestProblemValidation:

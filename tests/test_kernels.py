@@ -277,13 +277,14 @@ class TestPsorListBitIdentity:
             u_prev = random_admissible(rng, dom)
             f = VertexField(g, rng.normal(size=g.num_vertices))
             ell = float(rng.uniform(0.05, 2.0))
-            stepper = ViStepper(dom, ell, Obstacle(psi))
+            prob = VIProblem(dom, ConstantForcing(f), u_prev,
+                             constraint=Obstacle(psi))
+            part = TimePartition(ell, 1)
+            stepper = ViStepper(prob, part)
             op = stepper.op
             w_prev = op.restrict(u_prev)
-            u, rep = stepper.step(1, w_prev, op.restrict(f))
-            run = run_vi(VIProblem(dom, ConstantForcing(f), u_prev,
-                                   constraint=Obstacle(psi)),
-                         TimePartition(ell, 1))
+            u, rep = stepper.step(1, w_prev, None)
+            run = run_vi(prob, part)
 
             b = op.mass * (op.restrict(f) + w_prev / ell)
             scale = 1.0 + float(np.max(np.abs(b), initial=0.0))

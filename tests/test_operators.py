@@ -371,7 +371,7 @@ class TestSpmv:
         op = dom.operator
         ell = float(rng.uniform(0.01, 2.0))
         matrices = [op.stiffness, op.shifted(rng.uniform(1e-3, 10.0, op.n)),
-                    vi.ViStepper(dom, ell).S]
+                    op.step_matrix(ell)]
         X = rng.normal(size=(op.n, 3)) * 10.0 ** rng.integers(-3, 4)
         vectors = [X[:, 0].copy(), X[:, 1],
                    rng.integers(-5, 6, size=op.n)]

@@ -26,7 +26,6 @@ from graphrothe import (
     run_vi,
     run_vi_exhaustion,
     vi_monotonicity_monitor,
-    vi_step,
 )
 from graphrothe.errors import (
     AmbiguousTable,
@@ -43,6 +42,7 @@ from graphrothe.vi import ViStepper, active_set_solve, forcing_step_function
 from helpers import (
     five_path_domain,
     level_problem,
+    one_vi_step,
     path_graph,
     random_admissible,
     random_connected_graph,
@@ -51,6 +51,7 @@ from helpers import (
     reference_forcing_at,
     reference_l2,
     reference_psor,
+    vi_stepper,
 )
 
 
@@ -58,14 +59,15 @@ class TestViStep:
     def test_scalar_subspace(self):
         g, dom = five_path_domain()
         u_prev = VertexField.indicator(g, 2)
-        u, rep = vi_step(dom, u_prev, VertexField.zeros(g), 0.1)
+        u, rep = one_vi_step(dom, u_prev, VertexField.zeros(g), 0.1)
         assert u[2] == pytest.approx(5.0 / 6.0, abs=1e-14)
         assert rep.variational_residual <= 1e-10 * (1.0 + 10.0)
         assert rep.beta == pytest.approx(min(10.0, 1.0))
 
     def test_zero_rhs(self):
         g, dom = five_path_domain()
-        u, _ = vi_step(dom, VertexField.zeros(g), VertexField.zeros(g), 0.1)
+        u, _ = one_vi_step(dom, VertexField.zeros(g), VertexField.zeros(g),
+                           0.1)
         assert np.all(u.values == 0.0)
 
     def test_scalar_obstacle_clamps(self):
@@ -74,7 +76,8 @@ class TestViStep:
         g, dom = five_path_domain()
         u_prev = VertexField.indicator(g, 2)
         f = VertexField.from_mapping(g, {2: -20.0})
-        u, rep = vi_step(dom, u_prev, f, 0.1, Obstacle(VertexField.zeros(g)))
+        u, rep = one_vi_step(dom, u_prev, f, 0.1,
+                             Obstacle(VertexField.zeros(g)))
         assert u[2] == 0.0
         assert rep.dual_residual == 0.0
         assert rep.complementarity == 0.0
@@ -88,7 +91,7 @@ class TestViStep:
             u_prev = random_admissible(rng, dom)
             f = VertexField(g, rng.normal(size=g.num_vertices))
             ell = float(rng.uniform(0.05, 0.5))
-            u, _ = vi_step(dom, u_prev, f, ell)
+            u, _ = one_vi_step(dom, u_prev, f, ell)
             op = DirichletOperator(dom)
             S = op.stiffness.toarray() + np.diag(op.mass / ell)
             b = op.mass * (op.restrict(f) + op.restrict(u_prev) / ell)
@@ -106,7 +109,9 @@ class TestViStep:
             g = random_connected_graph(rng, 5, 30)
             dom = random_domain(rng, g)
             ell = float(rng.uniform(0.05, 0.5))
-            stepper = ViStepper(dom, ell)
+            u_prev = random_admissible(rng, dom)
+            f = rng.normal(size=len(dom.interior_ids))
+            stepper = vi_stepper(dom, ell, field_on_interior(dom, f))
             solver = stepper._solver
             calls = []
 
@@ -120,9 +125,8 @@ class TestViStep:
 
             stepper._solver = OffFirst()
             op = stepper.op
-            w_prev = op.restrict(random_admissible(rng, dom))
-            f = rng.normal(size=w_prev.size)
-            w, rep = stepper.step(1, w_prev, f)
+            w_prev = op.restrict(u_prev)
+            w, rep = stepper.step(1, w_prev, None)
             assert len(calls) == 2
             b = op.mass * (f + w_prev / ell)
             res = float(np.max(np.abs(stepper.S @ w - b)))
@@ -139,7 +143,7 @@ class TestViStep:
                 dom, rng.uniform(-0.5, 0.3, size=len(dom.interior_ids)))
             f = VertexField(g, rng.normal(size=g.num_vertices))
             ell = float(rng.uniform(0.05, 0.5))
-            u_new, _ = vi_step(dom, u_prev, f, ell, Obstacle(psi))
+            u_new, _ = one_vi_step(dom, u_prev, f, ell, Obstacle(psi))
             op = DirichletOperator(dom)
             S = op.stiffness.toarray() + np.diag(op.mass / ell)
             b = op.mass * (op.restrict(f) + op.restrict(u_prev) / ell)
@@ -159,9 +163,8 @@ class TestViStep:
         u_prev = random_admissible(rng, dom)
         psi = field_on_interior(dom, np.zeros(len(dom.interior_ids)))
         f = VertexField(g, rng.normal(size=g.num_vertices))
-        stepper = ViStepper(dom, 0.2, Obstacle(psi))
-        u, _ = stepper.step(1, stepper.op.restrict(u_prev),
-                            stepper.op.restrict(f))
+        stepper = vi_stepper(dom, 0.2, f, Obstacle(psi))
+        u, _ = stepper.step(1, stepper.op.restrict(u_prev), None)
         b, scale = _obstacle_rhs(stepper, u_prev, f)
         for relax in (1.0, 1.4):
             w, _ = reference_psor(stepper.S, stepper.op.restrict(psi), b,
@@ -574,6 +577,28 @@ class TestViExhaustion:
             cold = run_vi(level_problem(prob, res.domain), part)
             assert res.run.values.tobytes() == cold.values.tobytes()
 
+    def test_one_run_vi_call_per_level(self, monkeypatch):
+        # each level is one run_vi call, looked up when the level runs,
+        # with the previous level's rows as its start
+        g = path_graph(6)
+        exh = exhaust(make_domain(g, range(6)), [0], 8)
+        prob = VIProblem(exh, ConstantForcing(VertexField.indicator(g, 3)),
+                         VertexField.indicator(g, 2))
+        calls = []
+        run = vi.run_vi
+
+        def counting(sub, part, start=None, **opts):
+            calls.append((sub.domain, start))
+            return run(sub, part, start, **opts)
+
+        monkeypatch.setattr(vi, "run_vi", counting)
+        results = run_vi_exhaustion(prob, TimePartition(0.5, 4),
+                                    levels=[3, 5, 8])
+        assert [dom for dom, _ in calls] == [res.domain for res in results]
+        assert calls[0][1] is None
+        for (_, start), prev in zip(calls[1:], results):
+            assert start is prev.run.values
+
     def test_half_plane_obstacle_kkt(self):
         # the half-plane Omega = {i >= 0} of Z^2, a proper subset of V,
         # with the obstacle psi = 0 binding where the forcing pushes down:
@@ -650,7 +675,7 @@ class TestActiveSetBudget:
         f = VertexField(g, rng.normal(size=g.num_vertices))
         psi = field_on_interior(dom, np.zeros(len(dom.interior_ids)))
         with pytest.raises(NonConvergence, match="KKT tolerance 1e-30"):
-            vi_step(dom, u_prev, f, 0.2, Obstacle(psi), kkt_tol=1e-30)
+            one_vi_step(dom, u_prev, f, 0.2, Obstacle(psi), kkt_tol=1e-30)
 
 
 def _obstacle_rhs(stepper, u_prev, f):
@@ -711,9 +736,8 @@ class TestActiveSetDifferential:
         psi = field_on_interior(dom, lower)
         u_prev = random_admissible(rng, dom, u_scale)
         f = VertexField(g, rng.normal(size=g.num_vertices) * f_scale)
-        stepper = ViStepper(dom, ell, Obstacle(psi))
-        u, rep = stepper.step(1, stepper.op.restrict(u_prev),
-                              stepper.op.restrict(f))
+        stepper = vi_stepper(dom, ell, f, Obstacle(psi))
+        u, rep = stepper.step(1, stepper.op.restrict(u_prev), None)
         b, scale = _obstacle_rhs(stepper, u_prev, f)
         w, _ = reference_psor(stepper.S, lower, b,
                               stepper.op.restrict(u_prev), scale, relax,
@@ -737,9 +761,9 @@ class TestActiveSetDifferential:
         psi = field_on_interior(dom, np.zeros(len(dom.interior_ids)))
         u_prev = random_admissible(rng, dom)
         f = VertexField(g, rng.normal(size=g.num_vertices) * 5.0)
-        a, _ = vi_step(dom, u_prev, f, 0.5, Obstacle(psi))
+        a, _ = one_vi_step(dom, u_prev, f, 0.5, Obstacle(psi))
         monkeypatch.setattr(operators, "DIRECT_SOLVE_MAX", 0)
-        b, _ = vi_step(dom, u_prev, f, 0.5, Obstacle(psi))
+        b, _ = one_vi_step(dom, u_prev, f, 0.5, Obstacle(psi))
         assert 0 < np.count_nonzero(a.values[dom.interior_ids] == 0.0) \
             < len(dom.interior_ids)
         assert float(np.max(np.abs(a.values - b.values))) <= 1e-9
@@ -770,7 +794,7 @@ class TestActiveSetDifferential:
         for res in results:
             ids = res.domain.interior_ids
             lower = psi.values[ids]
-            stepper = ViStepper(res.domain, 0.25, Obstacle(psi))
+            stepper = ViStepper(res.run.problem, res.run.partition)
             held = 0
             for rep, u_prev, u_next in zip(res.run.reports, res.run.values,
                                            res.run.values[1:]):
@@ -891,20 +915,19 @@ class TestStepperCaching:
         dom = random_domain(rng, g)
         u_prev = random_admissible(rng, dom)
         f = VertexField(g, rng.normal(size=g.num_vertices))
-        a, _ = vi_step(dom, u_prev, f, 0.1)
+        a, _ = one_vi_step(dom, u_prev, f, 0.1)
         monkeypatch.setattr(operators, "DIRECT_SOLVE_MAX", 0)
-        b, _ = vi_step(dom, u_prev, f, 0.1)
+        b, _ = one_vi_step(dom, u_prev, f, 0.1)
         assert float(np.max(np.abs(a.values - b.values))) <= 1e-9
 
     def test_cached_stepper_matches_oneshot(self):
         rng = np.random.default_rng(55)
         g = random_connected_graph(rng, 5, 20)
         dom = random_domain(rng, g)
-        stepper = ViStepper(dom, 0.1)
         u_prev = random_admissible(rng, dom)
         f = VertexField(g, rng.normal(size=g.num_vertices))
-        a, rep_a = stepper.step(1, stepper.op.restrict(u_prev),
-                                stepper.op.restrict(f))
-        b, rep_b = vi_step(dom, u_prev, f, 0.1)
+        stepper = vi_stepper(dom, 0.1, f)
+        a, rep_a = stepper.step(1, stepper.op.restrict(u_prev), None)
+        b, rep_b = one_vi_step(dom, u_prev, f, 0.1)
         assert np.array_equal(field_on_interior(dom, a).values, b.values)
         assert rep_a == rep_b
