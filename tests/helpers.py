@@ -878,7 +878,7 @@ def reference_warm_levels(prob, part, levels):
     return runs
 
 
-def one_step(u_prev, prob, ell, x0=None, **opts):
+def one_step(u_prev, prob, ell, x0=None):
     """One Rothe step of the heat problem ``prob`` from the admissible
     field ``u_prev`` with step size ``ell``, as a field: row 1 of a
     one-step ``run_rothe`` from u_prev, with Newton started at the field
@@ -887,7 +887,7 @@ def one_step(u_prev, prob, ell, x0=None, **opts):
 
     start = None if x0 is None else np.vstack((x0.values, x0.values))
     run = run_rothe(dataclasses.replace(prob, initial=u_prev),
-                    TimePartition(ell, 1), start, **opts)
+                    TimePartition(ell, 1), start)
     return VertexField(u_prev.graph, run.values[1])
 
 
@@ -904,7 +904,7 @@ def one_vi_step(dom, u_prev, f, ell, constraint=None, **opts):
     return VertexField(dom.graph, run.values[1]), run.reports[0]
 
 
-def vi_stepper(dom, ell, f, constraint=None, **opts):
+def vi_stepper(dom, ell, f, constraint=None):
     """The ``vi.ViStepper`` of a one-step VI run on ``dom`` with step size
     ``ell`` and the constant forcing field ``f``; its step 1 reads f."""
     from graphrothe import (ConstantForcing, Subspace, TimePartition,
@@ -913,4 +913,4 @@ def vi_stepper(dom, ell, f, constraint=None, **opts):
 
     prob = VIProblem(dom, ConstantForcing(f), VertexField.zeros(dom.graph),
                      Subspace() if constraint is None else constraint)
-    return ViStepper(prob, TimePartition(ell, 1), **opts)
+    return ViStepper(prob, TimePartition(ell, 1))
