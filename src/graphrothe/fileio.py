@@ -11,6 +11,18 @@ in a graph file and one line in a field file. A domain or field file
 names a vertex by any token that reads as its label (``01`` names vertex
 1); ``WeightedGraph.vertex_named`` parses each token once per graph.
 
+The three readers read a file in bulk, in blocks of lines (comment and
+blank lines included): each column goes through one ``float`` or lookup
+pass, the distinct label tokens of a graph file are parsed together by
+``parse_labels`` (one ``int`` pass and one ``np.lexsort`` when they are
+ints or int tuples of one length), and the graph is built from vertex ids
+by ``graph_from_ids``. A graph read from a file keeps every ``v`` token
+for ``vertex_named``, and its tokens as ``names`` when each is its label
+as ``format_label`` writes it, so a domain or field file in the same
+spelling is read without parsing a label again. When the bulk pass finds
+a faulty record, the line loop (``_raise_line_fault``) reads the file
+again only to name the first faulty line; it never builds a result.
+
 Trajectory CSV: the header ``i,t,vertex,value``, then one row per step
 and vertex, with the step index, its time, the vertex's label (quoted
 when it holds a comma or quote) and its value. The writer emits the steps
@@ -40,6 +52,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -54,7 +67,12 @@ from .errors import (
     InvalidGraphData,
     IoError,
 )
-from .graph import build_finite_graph, format_label, parse_label  # noqa: F401
+from .graph import (  # noqa: F401
+    format_label,
+    graph_from_ids,
+    parse_label,
+    parse_labels,
+)
 
 
 def fmt(x):
@@ -94,36 +112,164 @@ def _lines(path):
             yield lineno, parts
 
 
+def _row_blocks(path):
+    """The tokens of each line with a token outside its ``#`` comment, as
+    lists of rows, one list per block of about ``_BLOCK`` characters of
+    lines."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            while lines := fh.readlines(_BLOCK):
+                if "#" in "".join(lines):
+                    lines = [line.partition("#")[0] for line in lines]
+                rows = list(filter(None, map(str.split, lines)))
+                del lines
+                yield rows
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+
+
+# characters of lines a bulk reader holds at a time
+_BLOCK = 1 << 13
+
+
+def _raise_line_fault(path, check):
+    """Raise for the first line of the file at ``path`` that ``check``
+    refuses (it raises ValueError or InvalidGraphData on the line's
+    tokens), with the file's name and the line. Only diagnoses a file
+    that a bulk reader found faulty: it builds no result."""
+    for lineno, parts in _lines(path):
+        try:
+            check(parts)
+        except (ValueError, InvalidGraphData) as exc:
+            raise InvalidGraphData(f"{path}:{lineno}: {exc}") from None
+    raise AssertionError(f"{path}: no line of the file is faulty")
+
+
+def _graph_line():
+    """The check of each graph-file record in turn."""
+    seen = set()  # the labels of the v records so far
+
+    def check(parts):
+        kind = parts[0]
+        if kind == "e" and len(parts) == 4:
+            float(parts[3])
+        elif kind == "v" and len(parts) == 3:
+            label = parse_label(parts[1])
+            float(parts[2])
+            if label in seen:
+                raise ValueError(f"vertex {label!r} listed twice")
+            seen.add(label)
+        elif kind != "graph" or len(parts) != 2:
+            raise ValueError("unrecognized record")
+    return check
+
+
+def _graph_records(path):
+    """A graph file's records read in bulk: (tokens, mu, ends, late, w,
+    header). Line k of the ``v`` lines names ``tokens[k]`` with measure
+    ``mu[k]``; ends[0] and ends[1] hold the ``v`` line of each edge's
+    endpoints (-1 where the token is on no ``v`` line), ``late`` the
+    (end, edge, token) of each of those, and ``w`` the weights. None when
+    a record is faulty."""
+    tokens, mus, ends, ws, late = [], [], [], [], []
+    line_of = {}
+    header = False
+    for rows in _row_blocks(path):
+        counts = np.bincount(np.fromiter(map(len, rows), np.intp,
+                                         len(rows)), minlength=5)
+        if counts[2:5].sum() != len(rows):
+            return None
+        rows.sort(key=len)
+        heads, vs = rows[:counts[2]], rows[counts[2]:counts[2] + counts[3]]
+        es = rows[counts[2] + counts[3]:]
+        try:
+            if heads:
+                kinds, _ = zip(*heads)
+                if kinds.count("graph") != len(kinds):
+                    return None
+                header = True
+            if vs:
+                kinds, labs, values = zip(*vs)
+                if kinds.count("v") != len(kinds):
+                    return None
+                mus.append(np.fromiter(map(float, values), float, len(vs)))
+                line_of.update(zip(labs, range(len(tokens),
+                                               len(tokens) + len(vs))))
+                tokens.extend(labs)
+                if len(line_of) != len(tokens):
+                    return None
+            if es:
+                kinds, xs, ys, values = zip(*es)
+                if kinds.count("e") != len(kinds):
+                    return None
+                ws.append(np.fromiter(map(float, values), float, len(es)))
+                edge0 = sum(map(len, ws)) - len(es)
+                pair = np.empty((2, len(es)), np.int64)
+                for end, labs in enumerate((xs, ys)):
+                    pair[end] = np.fromiter(
+                        map(line_of.get, labs, itertools.repeat(-1)),
+                        np.int64, len(es))
+                    late.extend((end, edge0 + k, labs[k]) for k in
+                                np.flatnonzero(pair[end] < 0).tolist())
+                ends.append(pair)
+        except ValueError:
+            return None
+    ends = np.concatenate(ends, axis=1) if ends else np.empty((2, 0),
+                                                              np.int64)
+    for end, k, token in late:
+        ends[end, k] = line_of.get(token, -1)
+    late = [entry for entry in late if ends[entry[0], entry[1]] < 0]
+    return (tokens, np.concatenate(mus) if mus else np.empty(0), ends, late,
+            np.concatenate(ws) if ws else np.empty(0), header)
+
+
 def read_graph_file(path):
     """The graph of a graph file. A malformed or repeated record, and a
     graph that ``build_finite_graph`` refuses, raise with the file's name
-    (and the line, for a record) in the message."""
-    labels = _Labels()
-    measures = {}
-    edges = []
-    saw_header = False
-    for lineno, parts in _lines(path):
-        kind = parts[0]
-        try:
-            if kind == "e" and len(parts) == 4:
-                edges.append((labels[parts[1]], labels[parts[2]],
-                              float(parts[3])))
-            elif kind == "v" and len(parts) == 3:
-                label = labels[parts[1]]
-                mu = float(parts[2])
-                if label in measures:
-                    raise ValueError(f"vertex {label!r} listed twice")
-                measures[label] = mu
-            elif kind == "graph" and len(parts) == 2:
-                saw_header = True
-            else:
-                raise ValueError("unrecognized record")
-        except ValueError as exc:
-            raise InvalidGraphData(f"{path}:{lineno}: {exc}") from None
-    if not saw_header:
+    (and the line, for a record) in the message.
+
+    The records are read in bulk (``_graph_records``), each distinct
+    label token is parsed once (``parse_labels``), and the graph is built
+    by ``graph_from_ids``; a graph whose tokens are canonical keeps them
+    as its ``names``, and every ``v`` token is kept for ``vertex_named``."""
+    records = _graph_records(path)
+    if records is not None:
+        tokens, mu, ends, late, w, header = records
+        labels, order, canonical = parse_labels(tokens)
+        index = dict(zip(labels, range(len(labels))))
+        if len(index) < len(labels):
+            records = None
+    if records is None:
+        _raise_line_fault(path, _graph_line())
+    if not header:
         raise InvalidGraphData(f"{path}: missing 'graph <n>' header")
+    n = len(labels)
+    vid = np.empty(n + 1, np.int64)
+    vid[order] = np.arange(n)
+    vid[n] = -1
+    ids = vid[ends]
+    # an endpoint token on no v line names the vertex of its label, if any
+    unknown = {}
+    if late:
+        strays = list(dict.fromkeys(token for _, _, token in late))
+        parsed, at, _ = parse_labels(strays)
+        label_of = dict(zip([strays[k] for k in at.tolist()], parsed))
+        for end, k, token in late:
+            label = unknown[end, k] = label_of[token]
+            ids[end, k] = index.get(label, -1)
+
+    def edge_at(k):
+        x, y = (labels[i] if i >= 0 else unknown[end, k]
+                for end, i in enumerate(ids[:, k].tolist()))
+        return x, y, w[k]
+
     try:
-        return build_finite_graph(edges, measures)
+        return graph_from_ids(
+            labels, mu[order], lambda: (ids[0], ids[1], w, edge_at), index,
+            [tokens[k] for k in order.tolist()] if canonical else None,
+            dict(zip(tokens, vid[:n].tolist())))
     except GraphrotheError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -146,35 +292,70 @@ def read_domain_file(g, path):
     A malformed line and a label that is not a vertex of ``g`` raise with
     the file's name and line."""
     ids = []
-    for lineno, parts in _lines(path):
+    for rows in _row_blocks(path):
+        if set(map(len, rows)) - {2}:
+            break
+        kinds, labs = zip(*rows) if rows else ((), ())
+        if kinds.count("omega") != len(kinds):
+            break
         try:
-            if parts[0] != "omega" or len(parts) != 2:
-                raise ValueError("expected 'omega <label>'")
-            ids.append(g.vertex_named(parts[1]))
-        except (ValueError, InvalidGraphData) as exc:
-            raise InvalidGraphData(f"{path}:{lineno}: {exc}") from None
-    return ids
+            ids.extend(g.vertex_ids(labs).tolist())
+        except InvalidGraphData:
+            break
+    else:
+        return ids
+    _raise_line_fault(path, _domain_line(g))
+
+
+def _domain_line(g):
+    def check(parts):
+        if parts[0] != "omega" or len(parts) != 2:
+            raise ValueError("expected 'omega <label>'")
+        g.vertex_named(parts[1])
+    return check
 
 
 def read_field_file(g, path):
     """The field of ``<label> <value>`` lines, 0 at unlisted vertices. A
     malformed line, an unknown label and a label listed twice raise with
     the file's name and line."""
-    values = {}
-    for lineno, parts in _lines(path):
-        try:
-            if len(parts) != 2:
-                raise ValueError("expected '<label> <value>'")
-            value = _finite(parts[1])
-            i = g.vertex_named(parts[0])
-            if i in values:
-                raise ValueError(f"vertex {g.label_of(i)!r} listed twice")
-            values[i] = value
-        except (ValueError, InvalidGraphData) as exc:
-            raise InvalidGraphData(f"{path}:{lineno}: {exc}") from None
     vals = np.zeros(g.num_vertices)
-    vals[list(values)] = list(values.values())
-    return VertexField(g, vals)
+    listed = np.zeros(g.num_vertices, dtype=bool)
+    lines = 0
+    for rows in _row_blocks(path):
+        if set(map(len, rows)) - {2}:
+            break
+        labs, values = zip(*rows) if rows else ((), ())
+        try:
+            values = np.fromiter(map(float, values), float, len(values))
+            ids = g.vertex_ids(labs)
+        except (ValueError, InvalidGraphData):
+            break
+        if not np.isfinite(values).all():
+            break
+        vals[ids] = values
+        listed[ids] = True
+        lines += len(rows)
+    else:
+        # fewer vertices than lines: some vertex is listed twice
+        if np.count_nonzero(listed) == lines:
+            return VertexField(g, vals)
+    _raise_line_fault(path, _field_line(g))
+
+
+def _field_line(g):
+    """The check of each field-file line in turn."""
+    seen = set()  # the vertices of the lines so far
+
+    def check(parts):
+        if len(parts) != 2:
+            raise ValueError("expected '<label> <value>'")
+        _finite(parts[1])
+        i = g.vertex_named(parts[0])
+        if i in seen:
+            raise ValueError(f"vertex {g.label_of(i)!r} listed twice")
+        seen.add(i)
+    return check
 
 
 def _finite(token):

@@ -76,6 +76,55 @@ def parse_label(token):
         return token
 
 
+def parse_labels(tokens):
+    """The distinct label tokens ``tokens`` read together: (labels, order,
+    canonical). ``labels[k]`` is ``parse_label(tokens[order[k]])``, in
+    label order (``_label_key``; equal labels keep token order), and
+    ``canonical`` is True when every token is its label as
+    ``format_label`` writes it.
+
+    A set of int or int-tuple tokens of one length that fits int64 is
+    read by one ``int`` pass over its joined tokens and ordered by one
+    ``np.lexsort``; any other set goes through ``parse_label`` and
+    ``_label_key`` token by token."""
+    commas = _commas_per_token(tokens)
+    if commas is not None:
+        joined = ",".join(tokens)
+        parts = joined.split(",")
+        try:
+            ints = np.fromiter(map(int, parts), np.int64, len(parts))
+        except (ValueError, OverflowError):
+            pass
+        else:
+            ints = ints.reshape(len(tokens), commas + 1)
+            order = np.lexsort(ints.T[::-1])
+            rows = ints[order]
+            labels = rows.ravel().tolist() if commas == 0 \
+                else list(map(tuple, rows.tolist()))
+            return (labels, order,
+                    ",".join(map(str, ints.ravel().tolist())) == joined)
+    parsed = list(map(parse_label, tokens))
+    keys = list(map(_label_key, parsed))
+    order = np.array(sorted(range(len(parsed)), key=keys.__getitem__),
+                     dtype=np.intp)
+    return ([parsed[k] for k in order.tolist()], order,
+            list(map(format_label, parsed)) == list(tokens))
+
+
+def _commas_per_token(tokens):
+    """The number of commas in each token when it is the same for every
+    one of a nonempty list of tokens without spaces, else None."""
+    text = " ".join(tokens)
+    if not tokens or text.count(" ") != len(tokens) - 1:
+        return None
+    chars = np.frombuffer(text.encode(), np.uint8)
+    # the token of each comma: the spaces before it
+    owner = np.searchsorted(np.flatnonzero(chars == 32),
+                            np.flatnonzero(chars == 44))
+    counts = np.bincount(owner, minlength=len(tokens))
+    return int(counts[0]) if (counts == counts[0]).all() else None
+
+
 class WeightedGraph:
     """Immutable finite materialization of a weighted graph.
 
@@ -86,21 +135,28 @@ class WeightedGraph:
     ``complete[i]`` is False when vertex i sits on the rim of a ball
     materialization and some of its true neighbors were left out; local
     operators refuse such vertices rather than silently truncating.
+
+    ``index`` ({label: id}), ``names`` (``format_label`` of each label)
+    and ``token_ids`` ({token: id}, for ``vertex_named``) may be handed
+    in by a reader that already holds them; they are built on first use
+    otherwise.
     """
 
     __slots__ = ("labels", "indptr", "indices", "weights", "mu", "complete",
                  "_index", "_names", "_token_ids")
 
-    def __init__(self, labels, indptr, indices, weights, mu, complete):
+    def __init__(self, labels, indptr, indices, weights, mu, complete,
+                 index=None, names=None, token_ids=None):
         self.labels = tuple(labels)
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
         self.mu = mu
         self.complete = complete
-        self._index = dict(zip(self.labels, range(len(self.labels))))
-        self._names = None
-        self._token_ids = {}
+        self._index = dict(zip(self.labels, range(len(self.labels)))) \
+            if index is None else index
+        self._names = None if names is None else tuple(names)
+        self._token_ids = {} if token_ids is None else token_ids
         for arr in (indptr, indices, weights, mu, complete):
             arr.setflags(write=False)
 
@@ -135,6 +191,18 @@ class WeightedGraph:
         if i is None:
             i = self._token_ids[token] = self.vertex(parse_label(token))
         return i
+
+    def vertex_ids(self, tokens):
+        """The vertex ids that a list of label tokens name, as an array:
+        ``vertex_named`` of each, or one dict pass when every token has
+        been seen."""
+        if self._token_ids:
+            ids = np.fromiter(map(self._token_ids.get, tokens,
+                                  itertools.repeat(-1)), np.intp, len(tokens))
+            if not (ids < 0).any():
+                return ids
+        return np.fromiter(map(self.vertex_named, tokens), np.intp,
+                           len(tokens))
 
     def label_of(self, i):
         return self.labels[i]
@@ -180,23 +248,57 @@ def build_finite_graph(edges, measure):
     Where several edges are bad, the error names the first in list order.
     """
     labels = sorted(measure.keys(), key=_label_key)
-    if not labels:
-        raise EmptyScope("no vertices")
+    index = dict(zip(labels, range(len(labels))))
+
+    def edge_ids():
+        listed = list(edges)
+        m = len(listed)
+        xs, ys, ws = zip(*listed, strict=True) if m else ((), (), ())
+        ends = np.fromiter(map(index.get, xs + ys, itertools.repeat(-1)),
+                           dtype=np.int64, count=2 * m)
+        return (ends[:m], ends[m:], np.array(ws, dtype=float),
+                listed.__getitem__)
+
+    mu = np.fromiter(map(measure.__getitem__, labels), dtype=float,
+                     count=len(labels))
+    return graph_from_ids(labels, mu, edge_ids, index)
+
+
+def graph_from_ids(labels, mu, edge_ids, index=None, names=None,
+                   token_ids=None):
+    """The graph of ``build_finite_graph`` from arrays, with its checks in
+    its order and its errors. The vertices are ``labels``, in label
+    order, with the measures ``mu``. ``edge_ids()``, called once
+    the vertices pass, gives (a, b, w, edge_at): edge k joins the vertex
+    ids ``a[k]`` and ``b[k]`` (-1 for an endpoint that has no measure)
+    with weight ``w[k]``, and ``edge_at(k)`` is the (x, y, weight) that an
+    error names. ``index``, ``names`` and ``token_ids`` go to
+    ``WeightedGraph``."""
     n = len(labels)
-    mu = np.fromiter(map(measure.__getitem__, labels), dtype=float, count=n)
+    if not n:
+        raise EmptyScope("no vertices")
     bad = ~((mu > 0.0) & (mu < np.inf))
     if bad.any():
         i = int(np.argmax(bad))
         raise NonPositiveMeasure(f"mu({labels[i]!r}) = {float(mu[i])}")
 
-    edges = list(edges)
-    m = len(edges)
-    xs, ys, ws = zip(*edges, strict=True) if m else ((), (), ())
-    index = {lab: i for i, lab in enumerate(labels)}
-    ends = np.fromiter(map(index.get, xs + ys, itertools.repeat(-1)),
-                       dtype=np.int64, count=2 * m)
-    a, b = ends[:m], ends[m:]
-    w = np.array(ws, dtype=float)
+    a, b, w, edge_at = edge_ids()
+    bad, kept = _edge_faults(a, b, w)
+    if bad.any():
+        k = int(np.argmax(bad))
+        _refuse_edge(edge_at(k), int(a[k]), int(b[k]))
+    g = WeightedGraph(labels, *_csr(labels, a[kept], b[kept], w[kept]), mu,
+                      np.ones(n, dtype=bool), index, names, token_ids)
+    _refuse_disconnected(g)
+    return g
+
+
+def _edge_faults(a, b, w):
+    """(bad, kept) for the edges a--b of weight w: which edges are bad
+    (an endpoint missing, a weight not positive and finite, a self-loop,
+    a repeated listing) and the first listing of each vertex pair, in
+    ascending pair order."""
+    m = a.size
     # The listings of each vertex pair in list order: the first is kept, a
     # second must run the other way with the same weight, a third is bad.
     lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -213,14 +315,7 @@ def build_finite_graph(edges, measure):
         (a[order] == a[first]) | (w[order] != w[first])))
     bad = ((a < 0) | (b < 0) | (a == b) | ~((w > 0.0) & (w < np.inf))
            | repeated)
-    if bad.any():
-        _refuse_edge(edges[int(np.argmax(bad))], index)
-
-    kept = order[new_pair]
-    g = WeightedGraph(labels, *_csr(labels, a[kept], b[kept], w[kept]), mu,
-                      np.ones(n, dtype=bool))
-    _refuse_disconnected(g)
-    return g
+    return bad, order[new_pair]
 
 
 def _csr(labels, a, b, w):
@@ -247,7 +342,10 @@ def _adjacency(g):
 
 
 def _refuse_disconnected(g):
-    _, component = connected_components(_adjacency(g), directed=False)
+    # the adjacency is symmetric, so its strong components are its
+    # components, found without the transpose of directed=False
+    _, component = connected_components(_adjacency(g), directed=True,
+                                        connection="strong")
     unreachable = int(np.count_nonzero(component != component[0]))
     if unreachable:
         raise DisconnectedGraph(
@@ -255,17 +353,18 @@ def _refuse_disconnected(g):
             f"{g.labels[0]!r}")
 
 
-def _refuse_edge(edge, index):
-    """Raise the error of a bad edge: its first failed check, in the order
-    endpoints, weight, self-loop, repeated listing."""
+def _refuse_edge(edge, i, j):
+    """Raise the error of a bad edge x--y between the vertex ids i and j
+    (-1 for an endpoint with no measure): its first failed check, in the
+    order endpoints, weight, self-loop, repeated listing."""
     x, y, w = edge
-    if x not in index or y not in index:
-        missing = x if x not in index else y
-        raise InvalidGraphData(f"edge endpoint {missing!r} has no measure")
+    if i < 0 or j < 0:
+        raise InvalidGraphData(
+            f"edge endpoint {x if i < 0 else y!r} has no measure")
     w = float(w)
     if not (w > 0.0) or not math.isfinite(w):
         raise NonPositiveWeight(f"omega({x!r},{y!r}) = {w}")
-    if index[x] == index[y]:
+    if i == j:
         raise SelfLoop(f"self-loop at {x!r}")
     raise DuplicateEdge(f"edge {x!r}--{y!r} listed inconsistently")
 

@@ -10,6 +10,8 @@ row k alone, whatever the stack's memory layout. The adding is scipy's
 CSR product kernel with a matrix of 1.0 entries whose row r holds the
 columns of segment r: it adds a row's products in column order from
 0.0, and a product with 1.0 is exact, fused with the addition or not.
+Its column indices and its 1.0 entries are slices of one read-only
+``arange``/``ones`` pair, kept from call to call and grown as needed.
 
 ``psor_sweep`` is called from nowhere in the package: the obstacle step
 is solved by the primal-dual active set method (``vi.active_set_solve``).
@@ -42,7 +44,8 @@ def seq_sum(a, ptr=None):
     lo, hi = int(bounds[0]), int(bounds[-1])
     rows, k = bounds.size - 1, math.prod(lead)
     # row r of the all-ones matrix holds the columns of segment r
-    csr = (bounds - lo, np.arange(lo, hi), np.ones(hi - lo))
+    columns, ones = _ones_columns(hi)
+    csr = (bounds - lo, columns[lo:hi], ones[lo:hi])
     if k == 1:
         out = np.zeros(rows)
         csr_matvec(rows, n, *csr, np.ascontiguousarray(a).reshape(n), out)
@@ -56,6 +59,26 @@ def seq_sum(a, ptr=None):
     if ptr is not None:
         return out
     return float(out[0]) if a.ndim == 1 else out[..., 0]
+
+
+def _read_only(*arrays):
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
+# np.arange(m) and np.ones(m) for the largest m a sum has needed so far
+_COLUMNS = _read_only(np.arange(0), np.ones(0))
+
+
+def _ones_columns(n):
+    """Read-only ``np.arange(m)`` and ``np.ones(m)`` for some m >= n, kept
+    from call to call and grown (at least doubled) when n exceeds them."""
+    global _COLUMNS
+    if _COLUMNS[0].size < n:
+        m = max(n, 2 * _COLUMNS[0].size)
+        _COLUMNS = _read_only(np.arange(m), np.ones(m))
+    return _COLUMNS
 
 
 def psor_sweep(indptr, indices, data, diag, b, lower, u, relax):

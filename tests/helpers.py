@@ -914,3 +914,106 @@ def vi_stepper(dom, ell, f, constraint=None):
     prob = VIProblem(dom, ConstantForcing(f), VertexField.zeros(dom.graph),
                      Subspace() if constraint is None else constraint)
     return ViStepper(prob, TimePartition(ell, 1))
+
+
+def _reference_lines(path):
+    """(line number, tokens) of each line of a text file with a token
+    outside its ``#`` comment, the whole file read first."""
+    from graphrothe.errors import IoError
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.readlines()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InvalidGraphData(f"{path}: not UTF-8 text ({exc.reason} at "
+                               f"byte {exc.start})") from None
+    for lineno, line in enumerate(raw, 1):
+        parts = line.partition("#")[0].split()
+        if parts:
+            yield lineno, parts
+
+
+def reference_read_graph_file(path):
+    """Reference for ``fileio.read_graph_file``: the line loop, each record
+    checked as it is read and each distinct token parsed once by
+    ``parse_label``, then ``build_finite_graph`` over the edge list and
+    measure map."""
+    from graphrothe.errors import GraphrotheError
+    from graphrothe.graph import parse_label
+
+    labels = {}
+
+    def label_of(token):
+        if token not in labels:
+            labels[token] = parse_label(token)
+        return labels[token]
+
+    measures = {}
+    edges = []
+    saw_header = False
+    for lineno, parts in _reference_lines(path):
+        kind = parts[0]
+        try:
+            if kind == "e" and len(parts) == 4:
+                edges.append((label_of(parts[1]), label_of(parts[2]),
+                               float(parts[3])))
+            elif kind == "v" and len(parts) == 3:
+                label = label_of(parts[1])
+                mu = float(parts[2])
+                if label in measures:
+                    raise ValueError(f"vertex {label!r} listed twice")
+                measures[label] = mu
+            elif kind == "graph" and len(parts) == 2:
+                saw_header = True
+            else:
+                raise ValueError("unrecognized record")
+        except ValueError as exc:
+            raise InvalidGraphData(f"{path}:{lineno}: {exc}") from None
+    if not saw_header:
+        raise InvalidGraphData(f"{path}: missing 'graph <n>' header")
+    try:
+        return build_finite_graph(edges, measures)
+    except GraphrotheError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _reference_vertex(g, token):
+    from graphrothe.graph import parse_label
+
+    return g.vertex(parse_label(token))
+
+
+def reference_read_domain_file(g, path):
+    """Reference for ``fileio.read_domain_file``: the line loop."""
+    ids = []
+    for lineno, parts in _reference_lines(path):
+        try:
+            if parts[0] != "omega" or len(parts) != 2:
+                raise ValueError("expected 'omega <label>'")
+            ids.append(_reference_vertex(g, parts[1]))
+        except (ValueError, InvalidGraphData) as exc:
+            raise InvalidGraphData(f"{path}:{lineno}: {exc}") from None
+    return ids
+
+
+def reference_read_field_file(g, path):
+    """Reference for ``fileio.read_field_file``: the line loop, into a
+    ``{vertex id: value}`` dict."""
+    values = {}
+    for lineno, parts in _reference_lines(path):
+        try:
+            if len(parts) != 2:
+                raise ValueError("expected '<label> <value>'")
+            value = _reference_finite(parts[1])
+            i = _reference_vertex(g, parts[0])
+            if i in values:
+                raise ValueError(f"vertex {g.label_of(i)!r} listed twice")
+            values[i] = value
+        except (ValueError, InvalidGraphData) as exc:
+            raise InvalidGraphData(f"{path}:{lineno}: {exc}") from None
+    vals = np.zeros(g.num_vertices)
+    for i, value in values.items():
+        vals[i] = value
+    return vals

@@ -17,6 +17,7 @@ from graphrothe.cli import build_parser, main
 from graphrothe.errors import InvalidGraphData
 from helpers import path_graph, reference_read_trajectory_csv
 from graphrothe import calculus, cli, fileio, heat, spectral
+from test_fileio import input_files, write_input_files
 from test_golden import config_heat_p1
 
 
@@ -1898,3 +1899,35 @@ class TestCompareFuzz:
         assert code in (0, 2, 3, 4)
         assert len(errors) == (0 if code == 0 else 1)
         assert err.getvalue().count("\n") == len(errors)
+
+
+class TestInputFileFuzz:
+    """Generated graph, domain and field files (``test_fileio.input_files``)
+    through ``graph-info`` and ``validate-config``: ``main`` returns a
+    documented exit code and prints one error line exactly when it
+    fails."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(files=input_files(), domain=st.sampled_from(["file", "all"]))
+    def test_graph_domain_and_field_files(self, files, domain):
+        with tempfile.TemporaryDirectory() as tmp:
+            gpath, dpath, fpath = write_input_files(tmp, files)
+            cfg = {"graph": {"file": gpath},
+                   "domain": {"file": dpath} if domain == "file" else "all",
+                   "problem": {"kind": "heat", "p": 1.0, "horizon": 1.0,
+                               "steps": 2, "initial": {"file": fpath}},
+                   "output": os.path.join(tmp, "out")}
+            cpath = os.path.join(tmp, "config.json")
+            with open(cpath, "w") as fh:
+                json.dump(cfg, fh)
+            for argv in (["graph-info", gpath, "--domain", dpath],
+                         ["validate-config", cpath]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    code = main(argv)
+                errors = [line for line in err.getvalue().splitlines()
+                          if line.startswith("error[")]
+                assert code in (0, 2, 3, 4)
+                assert len(errors) == (0 if code == 0 else 1)
+                assert err.getvalue().count("\n") == len(errors)

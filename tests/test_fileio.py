@@ -1,9 +1,12 @@
 import collections
 import csv
+import functools
 import io
 import math
 import os
 import tempfile
+import tracemalloc
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -22,6 +25,9 @@ from graphrothe.errors import (
 from helpers import (
     path_graph,
     random_connected_graph,
+    reference_read_domain_file,
+    reference_read_field_file,
+    reference_read_graph_file,
     reference_read_trajectory_csv,
     reference_write_csv,
 )
@@ -75,22 +81,64 @@ class TestGraphFile:
             fileio.read_graph_file("/nonexistent/g.txt")
 
     def test_each_label_token_parsed_once(self, tmp_path, monkeypatch):
-        path = tmp_path / "grid.txt"
-        fileio.write_graph_file(materialize_ball(LatticeZ2(), [(0, 0)], 4),
-                                str(path))
-        tokens = {tok for line in path.read_text().splitlines()[1:]
-                  for tok in line.split()[1:-1]}
+        # every distinct token of the v and e lines goes through
+        # parse_labels once (an endpoint spelled apart from its v line
+        # too), and a field file on the graph parses none again
+        from graphrothe import graph as graph_module
+
+        path = tmp_path / "g.txt"
         calls = collections.Counter()
-        parse = fileio.parse_label
+        parse = fileio.parse_labels
 
-        def counting(token):
-            calls[token] += 1
-            return parse(token)
+        def counting(tokens):
+            calls.update(tokens)
+            return parse(tokens)
 
-        monkeypatch.setattr(fileio, "parse_label", counting)
-        g = fileio.read_graph_file(str(path))
-        assert len(tokens) == g.num_vertices == 41
-        assert calls == collections.Counter(tokens)
+        monkeypatch.setattr(fileio, "parse_labels", counting)
+        for g in (materialize_ball(LatticeZ2(), [(0, 0)], 4),
+                  mixed_label_graph()):
+            fileio.write_graph_file(g, str(path))
+            first = fileio.format_label(g.labels[0])
+            text = path.read_text().replace(
+                f"e {first} ", f"e {respelled(g.labels[0])} ", 1)
+            path.write_text(text)
+            tokens = {tok for line in text.splitlines()[1:]
+                      for tok in line.split()[1:-1]}
+            calls.clear()
+            got = fileio.read_graph_file(str(path))
+            assert calls == collections.Counter(tokens)
+            assert len(tokens) == got.num_vertices + 1
+            assert got.labels == g.labels and got.names == g.names
+            fileio.write_field_file(VertexField(got, got.mu), str(path))
+            parsed = []
+            with monkeypatch.context() as patch:
+                patch.setattr(graph_module, "parse_label", parsed.append)
+                assert np.array_equal(
+                    fileio.read_field_file(got, str(path)).values, got.mu)
+            assert parsed == []
+
+    def test_peak_memory_within_line_loop(self, tmp_path):
+        side = 30
+        edges = [((i, j), (i, j + 1), 1.5) for i in range(side)
+                 for j in range(side - 1)]
+        edges += [((i, j), (i + 1, j), 0.5) for i in range(side - 1)
+                  for j in range(side)]
+        g = build_finite_graph(edges, {(i, j): 1.25 for i in range(side)
+                                       for j in range(side)})
+        path = str(tmp_path / "grid.txt")
+        fileio.write_graph_file(g, path)
+
+        def peak(read):
+            read(path)
+            tracemalloc.start()
+            try:
+                read(path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(fileio.read_graph_file) \
+            <= peak(reference_read_graph_file)
 
     def test_malformed_line_names_path_and_line(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -124,6 +172,13 @@ class TestGraphFile:
             fileio.write_graph_file(g, str(path))
             assert path.read_bytes().decode("utf-8") == \
                 reference_graph_file(g)
+
+
+def respelled(label):
+    """Another token that ``parse_label`` reads as the int or int-tuple
+    ``label``: each part with a ``+`` or a leading zero."""
+    parts = label if isinstance(label, tuple) else (label,)
+    return ",".join(f"+{p}" if p >= 0 else f"-0{-p}" for p in parts)
 
 
 class TestLabels:
@@ -649,3 +704,167 @@ class TestTrajectoryReader:
         with pytest.raises(InvalidGraphData) as info:
             fileio.read_trajectory_csv(str(path), path_graph(2))
         assert str(info.value).startswith(f"{path}:2: field larger than")
+
+
+# Generated graph, domain and field files. Labels of one kind (ints, int
+# pairs and triples, strings, ints beyond int64) or of all kinds mixed,
+# spelled as written or another way (``+1``, ``01``, ``-01``), and lines in
+# any order, with comments, blank lines, CRLF or CR line ends, bytes that
+# are not UTF-8, and each kind of faulty record and value.
+FILE_LABELS = {
+    "int": st.integers(-30, 30),
+    "pair": st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    "triple": st.tuples(*[st.integers(-2, 2)] * 3),
+    "string": st.text(alphabet="ab,x-_+01", min_size=1, max_size=4).filter(
+        lambda s: fileio.parse_label(s) == s),
+    "bigint": st.one_of(st.integers(2 ** 63 - 2, 2 ** 63 + 2),
+                        st.integers(-2 ** 63 - 2, -2 ** 63 + 1),
+                        st.integers(-3, 3)),
+}
+FILE_LABELS["mixed"] = st.one_of(*FILE_LABELS.values())
+GOOD_NUMBERS = ["1.0", "0.5", "2", "1e-3", "1_0", "+3", "0.25", "7e2"]
+BAD_NUMBERS = ["0", "-1", "nan", "inf", "abc", "1e999", "0x1p3", "-0.0",
+               "1e-320"]
+GRAPH_JUNK = ["v 3", "edge 0 1 1.0", "e 1 2", "graph", "v a b c", "x",
+              "e zz 0 1.0", "e 99 0 1.0", "graph 1 2", "v", "e 0 0 1.0"]
+DOMAIN_JUNK = ["omega", "omega 1 2", "interior 2", "omega zz", "omega 99"]
+FIELD_JUNK = ["zz 1.0", "1.0", "a b c", "99 2.0"]
+
+
+def _rarely(draw, odds):
+    """True once in ``odds`` draws."""
+    return draw(st.sampled_from([False] * (odds - 1) + [True]))
+
+
+def _numbers(draw):
+    """A drawer of measure, weight and value tokens: all good, or, in one
+    file of four, bad once in four draws."""
+    odds = 4 if _rarely(draw, 4) else 0
+    return lambda: draw(st.sampled_from(
+        BAD_NUMBERS if odds and _rarely(draw, odds) else GOOD_NUMBERS))
+
+
+def _spelling(draw, label):
+    """The label's token as written, or (for an int or int tuple) another
+    token that reads as it."""
+    if isinstance(label, str) or not _rarely(draw, 4):
+        return fileio.format_label(label)
+    parts = label if isinstance(label, tuple) else (label,)
+    return ",".join(draw(st.sampled_from(
+        [f"+{p}", f"0{p}"] if p >= 0 else [f"-0{-p}", str(p)]))
+        for p in parts)
+
+
+def _text(draw, lines, junk):
+    """The file of ``lines`` with comments and blank lines, in one file
+    of four a line of ``junk``, line ends of one or more kinds, and in
+    one file of twelve a byte that is not UTF-8."""
+    lines = list(lines)
+    extra = draw(st.lists(st.sampled_from(["", "  ", "# note"]),
+                          max_size=2))
+    if _rarely(draw, 4):
+        extra.append(draw(st.sampled_from(junk)))
+    for line in extra:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    lines = [line + draw(st.sampled_from(["", "", " # c", "#x"]))
+             for line in lines]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1,
+                         max_size=2))
+    data = "".join(line + draw(st.sampled_from(ends))
+                   for line in lines).encode()
+    if _rarely(draw, 12):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@st.composite
+def input_files(draw):
+    """Bytes of a graph file, a domain file and a field file on it."""
+    kind = draw(st.sampled_from(sorted(FILE_LABELS)))
+    labels = draw(st.lists(FILE_LABELS[kind], max_size=7,
+                           unique_by=fileio.format_label))
+    n = len(labels)
+    spell = functools.partial(_spelling, draw)
+    number = _numbers(draw)
+    lines = [f"v {spell(lab)} {number()}" for lab in labels]
+    pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    if n and _rarely(draw, 3):
+        pairs.append(draw(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1))))
+    for x, y in pairs:
+        if draw(st.booleans()):
+            x, y = y, x
+        lines.append(f"e {spell(labels[x])} {spell(labels[y])} {number()}")
+    if draw(st.booleans()):
+        lines = draw(st.permutations(lines))
+    header = "missing" if _rarely(draw, 8) else draw(st.sampled_from(
+        ["first", "first", "anywhere", "twice"]))
+    for _ in range({"missing": 0, "twice": 2}.get(header, 1)):
+        at = 0 if header == "first" else draw(st.integers(0, len(lines)))
+        lines.insert(at, f"graph {n}")
+    picks = draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=5)) \
+        if n else []
+    domain = [f"omega {spell(labels[k])}" for k in picks]
+    field = [f"{spell(labels[k])} {number()}" for k in set(picks)]
+    if picks and _rarely(draw, 4):
+        field.append(f"{spell(labels[picks[0]])} {number()}")
+    return (_text(draw, lines, GRAPH_JUNK), _text(draw, domain, DOMAIN_JUNK),
+            _text(draw, field, FIELD_JUNK))
+
+
+def write_input_files(directory, files):
+    """The paths of the graph, domain and field files ``files`` written
+    into ``directory``."""
+    paths = [os.path.join(directory, name)
+             for name in ("graph.txt", "domain.txt", "field.txt")]
+    for path, data in zip(paths, files):
+        with open(path, "wb") as fh:
+            fh.write(data)
+    return paths
+
+
+def _result(read, *args):
+    """What ``read(*args)`` gives: its result, or its error's type and
+    message."""
+    try:
+        return read(*args)
+    except GraphrotheError as exc:
+        return type(exc), str(exc)
+
+
+def _graph_result(read, path):
+    """(graph or None, what ``read(path)`` gives as comparable values)."""
+    g = _result(read, path)
+    if isinstance(g, tuple):
+        return None, g
+    return g, (g.labels, g.names, g.indptr.tolist(), g.indices.tolist(),
+               g.weights.tobytes(), g.mu.tobytes(), g.complete.tolist())
+
+
+def _field_bytes(read, g, path):
+    values = read(g, path)
+    return getattr(values, "values", values).tobytes()
+
+
+class TestBulkReaders:
+    """The bulk readers give the graph, names, domain and field of the
+    line loop (``helpers.reference_read_*_file``), or its error's type
+    and message, on generated files, in blocks of any size."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(files=input_files(), block=st.sampled_from([1, 64, 1 << 13]))
+    def test_match_line_loop(self, files, block):
+        with tempfile.TemporaryDirectory() as tmp, \
+                unittest.mock.patch.object(fileio, "_BLOCK", block):
+            gpath, dpath, fpath = write_input_files(tmp, files)
+            g, got = _graph_result(fileio.read_graph_file, gpath)
+            ref, want = _graph_result(reference_read_graph_file, gpath)
+            assert got == want
+            if g is None:
+                return
+            assert _result(fileio.read_domain_file, g, dpath) == \
+                _result(reference_read_domain_file, ref, dpath)
+            assert _result(_field_bytes, fileio.read_field_file, g,
+                            fpath) == \
+                _result(_field_bytes, reference_read_field_file, ref, fpath)

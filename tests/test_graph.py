@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from graphrothe import (
     LatticeZ,
@@ -31,8 +33,8 @@ from graphrothe.errors import (
     SeedOutsideDomain,
     SelfLoop,
 )
-from graphrothe.graph import MAX_BALL_ENTRIES, Domain, _bfs_distances, \
-    ball_entries
+from graphrothe.graph import MAX_BALL_ENTRIES, Domain, WeightedGraph, \
+    _bfs_distances, _refuse_disconnected, ball_entries
 from helpers import (
     path_graph,
     random_connected_graph,
@@ -229,6 +231,45 @@ class TestBuildMatchesLoopReference:
                 seeds = rng.choice(n, size=min(size, n), replace=False)
                 assert np.array_equal(_bfs_distances(g, seeds),
                                       reference_bfs_distances(g, seeds))
+
+
+class TestConnectivityCheck:
+    """The check counts the vertices outside vertex 0's strong component,
+    which on a symmetric adjacency is its component: the count and the
+    message of the undirected search, on random graphs connected or
+    not."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), connect=st.booleans(), data=st.data())
+    def test_matches_undirected_count(self, n, connect, data):
+        pairs = data.draw(st.sets(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)).filter(
+                                                lambda p: p[0] < p[1]),
+                                  max_size=2 * n))
+        if connect:
+            pairs |= {(data.draw(st.integers(0, k - 1)), k)
+                      for k in range(1, n)}
+        a, b = (np.array(c, dtype=np.int64).reshape(-1)
+                for c in zip(*pairs)) if pairs else (np.empty(0, np.int64),
+                                                    np.empty(0, np.int64))
+        adj = sp.csr_array((np.ones(2 * a.size), (np.concatenate((a, b)),
+                                                  np.concatenate((b, a)))),
+                           shape=(n, n))
+        adj.sort_indices()
+        g = WeightedGraph(range(n), adj.indptr.astype(np.int64),
+                          adj.indices.astype(np.int64), adj.data,
+                          np.ones(n), np.ones(n, dtype=bool))
+        _, comp = connected_components(adj, directed=False)
+        unreachable = int(np.count_nonzero(comp != comp[0]))
+        if connect:
+            assert unreachable == 0
+        if unreachable:
+            with pytest.raises(DisconnectedGraph) as info:
+                _refuse_disconnected(g)
+            assert str(info.value) == \
+                f"graph has {unreachable} vertices unreachable from 0"
+        else:
+            _refuse_disconnected(g)
 
 
 class TestMetrics:

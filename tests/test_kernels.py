@@ -191,6 +191,23 @@ class TestSegmentsHypothesis:
 
 
 class TestSeqSemantics:
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.integers(0, 3000), min_size=1, max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_sums_of_any_length(self, sizes, seed):
+        # lengths up and down: the kept column and ones arrays grow and are
+        # sliced, and every sum is still the loop's
+        rng = np.random.default_rng(seed)
+        for size in sizes:
+            a = _mixed_magnitudes(rng, size)
+            assert _bits(kernels.seq_sum(a)) == _bits(loop_sum(a))
+            lo = int(rng.integers(0, size + 1))
+            ptr = np.array([lo, (lo + size) // 2, size])
+            assert [_bits(s) for s in kernels.seq_sum(a, ptr)] == \
+                [_bits(loop_sum(a[ptr[r]:ptr[r + 1]])) for r in range(2)]
+        for kept in kernels._ones_columns(max(sizes)):
+            assert kept.size >= max(sizes) and not kept.flags.writeable
+
     def test_strict_left_to_right(self):
         # a sum whose value depends on evaluation order
         a = np.array([1e16, 1.0, -1e16])
