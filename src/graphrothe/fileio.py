@@ -14,9 +14,10 @@ names a vertex by any token that reads as its label (``01`` names vertex
 The three readers read a file in bulk, in blocks of lines (comment and
 blank lines included): each column goes through one ``float`` or lookup
 pass, the distinct label tokens of a graph file are parsed together by
-``parse_labels`` (one ``int`` pass and one ``np.lexsort`` when they are
-ints or int tuples of one length), and the graph is built from vertex ids
-by ``graph_from_ids``. A graph read from a file keeps every ``v`` token
+``parse_labels`` (one pattern match, one ``np.fromstring`` and one
+``np.lexsort`` when they are ints or int tuples of one length as
+``format_label`` writes them), and the graph is built from vertex ids by
+``graph_from_ids``. A graph read from a file keeps every ``v`` token
 for ``vertex_named``, and its tokens as ``names`` when each is its label
 as ``format_label`` writes it, so a domain or field file in the same
 spelling is read without parsing a label again. When the bulk pass finds
@@ -50,6 +51,7 @@ files are written to a temp name then atomically moved into place.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -89,21 +91,30 @@ class _Labels(dict):
         return label
 
 
-def _not_utf8(path, exc):
-    return InvalidGraphData(f"{path}: not UTF-8 text ({exc.reason} at "
-                            f"byte {exc.start})")
+@contextlib.contextmanager
+def _text(path, newline=None):
+    """The file at ``path`` open as UTF-8 text. A failed read raises
+    IoError, and a byte that is not UTF-8 InvalidGraphData with its offset
+    in the file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            try:
+                yield fh
+            except UnicodeDecodeError as exc:
+                # the decoder's bytes end where the file has been read to
+                at = fh.buffer.tell() - len(exc.object) + exc.start \
+                    if fh.seekable() else exc.start
+                raise InvalidGraphData(f"{path}: not UTF-8 text ({exc.reason} "
+                                       f"at byte {at})") from None
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from None
 
 
 def _lines(path):
     """(line number, tokens) of each line with a token outside its ``#``
     comment."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.readlines()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+    with _text(path) as fh:
+        raw = fh.readlines()
     for lineno, line in enumerate(raw, 1):
         if "#" in line:
             line = line.partition("#")[0]
@@ -116,18 +127,13 @@ def _row_blocks(path):
     """The tokens of each line with a token outside its ``#`` comment, as
     lists of rows, one list per block of about ``_BLOCK`` characters of
     lines."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            while lines := fh.readlines(_BLOCK):
-                if "#" in "".join(lines):
-                    lines = [line.partition("#")[0] for line in lines]
-                rows = list(filter(None, map(str.split, lines)))
-                del lines
-                yield rows
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+    with _text(path) as fh:
+        while lines := fh.readlines(_BLOCK):
+            if "#" in "".join(lines):
+                lines = [line.partition("#")[0] for line in lines]
+            rows = list(filter(None, map(str.split, lines)))
+            del lines
+            yield rows
 
 
 # characters of lines a bulk reader holds at a time
@@ -472,16 +478,13 @@ class _VertexIds(dict):
 
 
 def _csv_rows(path):
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
+    with _text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
             return list(reader)
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
-    except csv.Error as exc:
-        raise InvalidGraphData(f"{path}:{reader.line_num}: {exc}") from None
+        except csv.Error as exc:
+            raise InvalidGraphData(f"{path}:{reader.line_num}: {exc}") \
+                from None
 
 
 def read_trajectory_csv(path, graph):

@@ -15,8 +15,10 @@ a level on first use (``level``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -76,6 +78,18 @@ def parse_label(token):
         return token
 
 
+@functools.lru_cache(maxsize=None)
+def _canonical_tokens(commas):
+    """The pattern of space-joined labels of ``commas + 1`` int parts as
+    ``format_label`` writes them, each part 0 or at most 18 digits (so
+    within int64); its size does not grow with ``commas``."""
+    part = "(?:-?[1-9][0-9]{0,17}|0)"
+    token = f"{part}(?:,{part}){{{commas}}}"
+    # a lookahead and a backreference take each token: a plain repeat keeps
+    # 600 bytes a token for backtracking, this 100 (3.10 has no ``*+``)
+    return re.compile(f"(?=({token}))\\1(?:(?=( {token}))\\2)*")
+
+
 def parse_labels(tokens):
     """The distinct label tokens ``tokens`` read together: (labels, order,
     canonical). ``labels[k]`` is ``parse_label(tokens[order[k]])``, in
@@ -83,46 +97,28 @@ def parse_labels(tokens):
     ``canonical`` is True when every token is its label as
     ``format_label`` writes it.
 
-    A set of int or int-tuple tokens of one length that fits int64 is
-    read by one ``int`` pass over its joined tokens and ordered by one
-    ``np.lexsort``; any other set goes through ``parse_label`` and
-    ``_label_key`` token by token."""
-    commas = _commas_per_token(tokens)
-    if commas is not None:
-        joined = ",".join(tokens)
-        parts = joined.split(",")
-        try:
-            ints = np.fromiter(map(int, parts), np.int64, len(parts))
-        except (ValueError, OverflowError):
-            pass
-        else:
-            ints = ints.reshape(len(tokens), commas + 1)
-            order = np.lexsort(ints.T[::-1])
-            rows = ints[order]
-            labels = rows.ravel().tolist() if commas == 0 \
-                else list(map(tuple, rows.tolist()))
-            return (labels, order,
-                    ",".join(map(str, ints.ravel().tolist())) == joined)
+    A set of canonical int or int-tuple tokens of one length is checked by
+    one pattern match over its joined tokens, read by one ``np.fromstring``
+    and ordered by one ``np.lexsort``; any other set goes through
+    ``parse_label`` and ``_label_key`` token by token."""
+    if tokens:
+        commas = tokens[0].count(",")
+        text = " ".join(tokens)
+        if _canonical_tokens(commas).fullmatch(text):
+            ints = np.fromstring(text.replace(" ", ","), np.int64, sep=",")
+            # a token with a space in it is more than one token of the text
+            if len(ints) == len(tokens) * (commas + 1):
+                ints = ints.reshape(len(tokens), commas + 1)
+                order = np.lexsort(ints.T[::-1])
+                cols = ints[order].T.tolist()
+                return (cols[0] if commas == 0 else list(zip(*cols)), order,
+                        True)
     parsed = list(map(parse_label, tokens))
     keys = list(map(_label_key, parsed))
     order = np.array(sorted(range(len(parsed)), key=keys.__getitem__),
                      dtype=np.intp)
     return ([parsed[k] for k in order.tolist()], order,
             list(map(format_label, parsed)) == list(tokens))
-
-
-def _commas_per_token(tokens):
-    """The number of commas in each token when it is the same for every
-    one of a nonempty list of tokens without spaces, else None."""
-    text = " ".join(tokens)
-    if not tokens or text.count(" ") != len(tokens) - 1:
-        return None
-    chars = np.frombuffer(text.encode(), np.uint8)
-    # the token of each comma: the spaces before it
-    owner = np.searchsorted(np.flatnonzero(chars == 32),
-                            np.flatnonzero(chars == 44))
-    counts = np.bincount(owner, minlength=len(tokens))
-    return int(counts[0]) if (counts == counts[0]).all() else None
 
 
 class WeightedGraph:

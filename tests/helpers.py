@@ -714,9 +714,8 @@ def reference_read_trajectory_csv(path, graph):
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InvalidGraphData(f"{path}: not UTF-8 text ({exc.reason} at "
-                               f"byte {exc.start})") from None
+    except UnicodeDecodeError:
+        raise _reference_not_utf8(path) from None
     if not rows or rows[0] != ["i", "t", "vertex", "value"]:
         raise InvalidGraphData(f"{path}: not a trajectory CSV")
     times = []
@@ -916,6 +915,19 @@ def vi_stepper(dom, ell, f, constraint=None):
     return ViStepper(prob, TimePartition(ell, 1))
 
 
+def _reference_not_utf8(path):
+    """The error for a file that is not UTF-8 text, with the offset of its
+    first bad byte found by decoding the whole file at once."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return InvalidGraphData(f"{path}: not UTF-8 text ({exc.reason} at "
+                                f"byte {exc.start})")
+    raise AssertionError(f"{path} is UTF-8 text")
+
+
 def _reference_lines(path):
     """(line number, tokens) of each line of a text file with a token
     outside its ``#`` comment, the whole file read first."""
@@ -926,9 +938,8 @@ def _reference_lines(path):
             raw = fh.readlines()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise InvalidGraphData(f"{path}: not UTF-8 text ({exc.reason} at "
-                               f"byte {exc.start})") from None
+    except UnicodeDecodeError:
+        raise _reference_not_utf8(path) from None
     for lineno, line in enumerate(raw, 1):
         parts = line.partition("#")[0].split()
         if parts:

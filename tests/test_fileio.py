@@ -140,6 +140,36 @@ class TestGraphFile:
         assert peak(fileio.read_graph_file) \
             <= peak(reference_read_graph_file)
 
+    def test_canonical_file_parses_no_label(self, tmp_path, monkeypatch):
+        # the writer's own file of int-tuple labels is read in bulk; one
+        # v token spelled another way sends every v token through
+        # parse_label, to the same graph
+        from graphrothe import graph as graph_module
+
+        edges = [((i, j), (i, j + 1), 1.5) for i in range(30)
+                 for j in range(29)]
+        edges += [((i, j), (i + 1, j), 0.5) for i in range(29)
+                  for j in range(30)]
+        g = build_finite_graph(edges, {(i, j): 1.25 for i in range(30)
+                                       for j in range(30)})
+        path = tmp_path / "grid.txt"
+        fileio.write_graph_file(g, str(path))
+        calls = collections.Counter()
+        parse = graph_module.parse_label
+
+        def counting(token):
+            calls[token] += 1
+            return parse(token)
+
+        monkeypatch.setattr(graph_module, "parse_label", counting)
+        got, want = _graph_result(fileio.read_graph_file, str(path))
+        assert calls == {}
+        assert got.labels == g.labels and got.names == g.names
+        path.write_text(path.read_text().replace("\nv 0,1 ", "\nv 0,+1 ",
+                                                 1))
+        assert _graph_result(fileio.read_graph_file, str(path))[1] == want
+        assert sum(calls.values()) == g.num_vertices and calls["0,+1"] == 1
+
     def test_malformed_line_names_path_and_line(self, tmp_path):
         path = tmp_path / "g.txt"
         for bad, message in (("e 1 2 heavy", "could not convert"),
@@ -181,6 +211,36 @@ def respelled(label):
     return ",".join(f"+{p}" if p >= 0 else f"-0{-p}" for p in parts)
 
 
+# distinct canonical int or int-tuple tokens of one length: parts of up to
+# 18 digits, negatives and 0
+_CANONICAL_PART = st.one_of(st.integers(-3, 3),
+                            st.integers(-10 ** 18 + 1, 10 ** 18 - 1))
+CANONICAL_TOKENS = st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.tuples(*[_CANONICAL_PART] * n), min_size=1, max_size=12,
+    unique=True).map(lambda labels: [
+        fileio.format_label(lab[0] if n == 1 else lab) for lab in labels]))
+# parts that make a token not canonical, or not an int at all
+NONCANONICAL_PARTS = ["+1", "01", "-0", "-01", "1_0", "\u0663",
+                      "1234567890123456789", "-1234567890123456789",
+                      "99999999999999999999", "a", "", "-", " 1", "1 2"]
+
+
+def reference_parse_labels(tokens):
+    """``parse_labels`` token by token: (labels, order, canonical)."""
+    from graphrothe.graph import _label_key
+
+    parsed = list(map(fileio.parse_label, tokens))
+    order = sorted(range(len(tokens)),
+                   key=lambda k: _label_key(parsed[k]))
+    return ([parsed[k] for k in order], order,
+            [fileio.format_label(lab) for lab in parsed] == list(tokens))
+
+
+def _labels_result(result):
+    labels, order, canonical = result
+    return labels, order.tolist(), canonical
+
+
 class TestLabels:
     def test_int_and_tuple_and_string(self):
         assert fileio.parse_label("3") == 3
@@ -190,6 +250,37 @@ class TestLabels:
         assert fileio.parse_label("a") == "a"
         for lab in (3, -4, (0, 1), "a"):
             assert fileio.parse_label(fileio.format_label(lab)) == lab
+
+    @settings(max_examples=300, deadline=None)
+    @given(tokens=CANONICAL_TOKENS)
+    def test_canonical_sets_match_per_token_reference(self, tokens):
+        got = fileio.parse_labels(tokens)
+        assert got[2] is True
+        assert _labels_result(got) == reference_parse_labels(tokens)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tokens=CANONICAL_TOKENS, data=st.data())
+    def test_one_noncanonical_token_matches_reference(self, tokens, data):
+        k = data.draw(st.integers(0, len(tokens) - 1))
+        parts = tokens[k].split(",")
+        bad = data.draw(st.sampled_from(NONCANONICAL_PARTS))
+        how = data.draw(st.sampled_from(["part", "extra", "fewer", "whole"]))
+        if how == "part":
+            parts[data.draw(st.integers(0, len(parts) - 1))] = bad
+        elif how == "extra":
+            parts.append(data.draw(st.sampled_from(["1", bad])))
+        elif how == "fewer" and len(parts) > 1:
+            parts.pop()
+        else:
+            parts = [bad]
+        tokens[k] = ",".join(parts)
+        if len(set(tokens)) < len(tokens):
+            return
+        got = fileio.parse_labels(tokens)
+        want = reference_parse_labels(tokens)
+        assert _labels_result(got) == want
+        if fileio.format_label(fileio.parse_label(tokens[k])) != tokens[k]:
+            assert got[2] is False
 
 
 class TestFieldFile:
@@ -868,3 +959,35 @@ class TestBulkReaders:
             assert _result(_field_bytes, fileio.read_field_file, g,
                             fpath) == \
                 _result(_field_bytes, reference_read_field_file, ref, fpath)
+
+    @pytest.mark.parametrize("at", [15_000, 30_000])
+    def test_not_utf8_names_offset_in_file(self, tmp_path, at):
+        # the offset is in the file, not in the decoder's chunk of it
+        g = path_graph(5000)
+        paths = {name: str(tmp_path / name) for name in
+                 ("graph.txt", "domain.txt", "field.txt", "traj.csv")}
+        fileio.write_graph_file(g, paths["graph.txt"])
+        with open(paths["domain.txt"], "w") as fh:
+            fh.writelines(f"omega {k}\n" for k in range(g.num_vertices))
+        fileio.write_field_file(VertexField(g, g.mu), paths["field.txt"])
+        fileio.write_trajectory_csv(paths["traj.csv"],
+                                    np.ones((2, g.num_vertices)), [0.0, 1.0],
+                                    g)
+        reads = {
+            "graph.txt": (fileio.read_graph_file, reference_read_graph_file),
+            "domain.txt": (lambda p: fileio.read_domain_file(g, p),
+                           lambda p: reference_read_domain_file(g, p)),
+            "field.txt": (lambda p: fileio.read_field_file(g, p),
+                          lambda p: reference_read_field_file(g, p)),
+            "traj.csv": (lambda p: fileio.read_trajectory_csv(p, g),
+                         lambda p: reference_read_trajectory_csv(p, g))}
+        for name, path in paths.items():
+            with open(path, "rb") as fh:
+                data = fh.read()
+            assert len(data) > at
+            with open(path, "wb") as fh:
+                fh.write(data[:at] + b"\xff" + data[at:])
+            for read in reads[name]:
+                assert _result(read, path) == (
+                    InvalidGraphData, f"{path}: not UTF-8 text (invalid "
+                    f"start byte at byte {at})")
