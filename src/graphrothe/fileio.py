@@ -26,13 +26,20 @@ again only to name the first faulty line; it never builds a result.
 
 Trajectory CSV: the header ``i,t,vertex,value``, then one row per step
 and vertex, with the step index, its time, the vertex's label (quoted
-when it holds a comma or quote) and its value. The writer emits the steps
-in order and each step's rows in vertex order; the reader takes the rows
-in any order. It reads them with ``csv.reader`` and numbers with
-``float()``, so a value or time is any token ``float()`` reads as a
-finite number (``1_0``, ``+3`` and a number after spaces too, ``0x1p3``
-and ``nan`` not). A label cell names a vertex by its label as written or
-by any token that reads as that label (``02`` and ``+2`` name vertex 2).
+when it holds a comma, a quote or a line break) and its value. The writer
+emits the steps in order, each step's rows in vertex order, and a line
+feed after each row. The reader first tries that layout on the graph
+(``_writer_steps``): each step's lines are checked against the step's
+index, its time and the label cells by two ``startswith`` passes, and the
+values are read by one ``float`` pass. Any other file (rows in another
+order, labels or step indices spelled another way, quoted numbers,
+carriage returns, a cell over the ``csv`` field size limit) goes through
+``csv.reader``, which takes the rows in any order and alone names a
+fault. Numbers are read by ``float()`` on both paths, so a value or time
+is any token ``float()`` reads as a finite number (``1_0``, ``+3`` and a
+number after spaces too, ``0x1p3`` and ``nan`` not). A label cell names a
+vertex by its label as written or by any token that reads as that label
+(``02`` and ``+2`` name vertex 2).
 Every row has four cells, steps are numbered from 0 and first appear in
 order, every row of a step carries its time, and no vertex has two rows
 in one step: the error for a file that breaks one of these rules names
@@ -51,7 +58,6 @@ files are written to a temp name then atomically moved into place.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import itertools
@@ -91,29 +97,43 @@ class _Labels(dict):
         return label
 
 
-@contextlib.contextmanager
-def _text(path, newline=None):
-    """The file at ``path`` open as UTF-8 text. A failed read raises
-    IoError, and a byte that is not UTF-8 InvalidGraphData with its offset
-    in the file."""
-    try:
-        with open(path, "r", encoding="utf-8", newline=newline) as fh:
-            try:
-                yield fh
-            except UnicodeDecodeError as exc:
-                # the decoder's bytes end where the file has been read to
-                at = fh.buffer.tell() - len(exc.object) + exc.start \
-                    if fh.seekable() else exc.start
-                raise InvalidGraphData(f"{path}: not UTF-8 text ({exc.reason} "
-                                       f"at byte {at})") from None
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from None
+class _Text:
+    """The file at ``path`` open as UTF-8 text in a ``with`` block. A
+    failed read raises IoError, and a byte that is not UTF-8
+    InvalidGraphData with its offset in the file."""
+
+    def __init__(self, path, newline=None):
+        self.path = path
+        self.newline = newline
+
+    def __enter__(self):
+        try:
+            self.fh = open(self.path, "r", encoding="utf-8",
+                           newline=self.newline)
+        except OSError as exc:
+            raise IoError(f"cannot read {self.path}: {exc}") from None
+        return self.fh
+
+    def __exit__(self, kind, exc, tb):
+        try:
+            with self.fh as fh:
+                if isinstance(exc, UnicodeDecodeError):
+                    # the decoder's bytes end where the file has been read to
+                    at = fh.buffer.tell() - len(exc.object) + exc.start \
+                        if fh.seekable() else exc.start
+                    raise InvalidGraphData(
+                        f"{self.path}: not UTF-8 text ({exc.reason} at byte "
+                        f"{at})") from None
+        except OSError as err:
+            exc = err
+        if isinstance(exc, OSError):
+            raise IoError(f"cannot read {self.path}: {exc}") from None
 
 
 def _lines(path):
     """(line number, tokens) of each line with a token outside its ``#``
     comment."""
-    with _text(path) as fh:
+    with _Text(path) as fh:
         raw = fh.readlines()
     for lineno, line in enumerate(raw, 1):
         if "#" in line:
@@ -127,7 +147,7 @@ def _row_blocks(path):
     """The tokens of each line with a token outside its ``#`` comment, as
     lists of rows, one list per block of about ``_BLOCK`` characters of
     lines."""
-    with _text(path) as fh:
+    with _Text(path) as fh:
         while lines := fh.readlines(_BLOCK):
             if "#" in "".join(lines):
                 lines = [line.partition("#")[0] for line in lines]
@@ -478,13 +498,70 @@ class _VertexIds(dict):
 
 
 def _csv_rows(path):
-    with _text(path, newline="") as fh:
+    with _Text(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             return list(reader)
         except csv.Error as exc:
             raise InvalidGraphData(f"{path}:{reader.line_num}: {exc}") \
                 from None
+
+
+def _writer_steps(path, graph):
+    """``(times, values)`` of a trajectory CSV laid out exactly as
+    ``write_trajectory_csv`` writes it on ``graph``, or None. Step k must
+    be V lines ``{k},{t},{cell},{value}`` in vertex order, one ``t`` for
+    all and each ``cell`` from ``_label_cells``: two ``startswith``
+    passes check them, and one ``float`` pass reads the values. None also
+    for a file that ``csv.reader`` could read apart from its lines: a
+    carriage return anywhere, no line feed at the end, a line over the
+    field size limit, or a time or value that ``float`` refuses or reads
+    as non-finite."""
+    cells = _label_cells(graph.names)
+    joined = "".join(cells)
+    # a label with a line feed spans lines; csv before 3.11 refuses NUL
+    if not cells or "\n" in joined or "\0" in joined:
+        return None
+    try:
+        with _Text(path, newline="") as fh:
+            text = fh.read()
+    except InvalidGraphData:  # named by the csv.reader path
+        return None
+    if "\r" in text or not text.endswith("\n"):
+        return None
+    lines = text.split("\n")
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    del text
+    V = len(cells)
+    K, extra = divmod(len(lines) - 2, V)
+    if extra or lines[0] != "i,t,vertex,value":
+        return None
+    heads = [cell + "," for cell in cells]
+    cuts = {}  # per prefix length, the slice of each vertex's value
+    times = []
+    values = np.empty((K, V))
+    for k in range(K):
+        block = lines[1 + k * V:1 + (k + 1) * V]
+        t_s = block[0][len(str(k)) + 1:].partition(",")[0]
+        prefix = f"{k},{t_s},"
+        at = len(prefix)
+        if not (all(map(str.startswith, block, itertools.repeat(prefix)))
+                and all(map(str.startswith, block, heads,
+                            itertools.repeat(at)))):
+            return None
+        if at not in cuts:
+            cuts[at] = [slice(at + len(head), None) for head in heads]
+        try:
+            times.append(float(t_s))
+            values[k] = np.fromiter(
+                map(float, map(operator.getitem, block, cuts[at])), float, V)
+        except ValueError:
+            return None
+    if not (np.isfinite(times).all() and np.isfinite(values).all()):
+        return None
+    return times, _frozen(values)
 
 
 def read_trajectory_csv(path, graph):
@@ -495,7 +572,11 @@ def read_trajectory_csv(path, graph):
     Rows may come in any order. A faulty row raises with the file's name
     and the number of its first faulty row (see the module docstring),
     and a file whose steps do not each name every vertex of ``graph``
-    exactly once raises ``GraphMismatch``."""
+    exactly once raises ``GraphMismatch``. The writer's own layout is
+    read by ``_writer_steps``, and every other file by ``csv.reader``."""
+    steps = _writer_steps(path, graph)
+    if steps is not None:
+        return steps
     rows = _csv_rows(path)
     if not rows or rows[0] != ["i", "t", "vertex", "value"]:
         raise InvalidGraphData(f"{path}: not a trajectory CSV")

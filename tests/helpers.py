@@ -711,11 +711,14 @@ def reference_read_trajectory_csv(path, graph):
 
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = list(reader)
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError:
         raise _reference_not_utf8(path) from None
+    except csv.Error as exc:
+        raise InvalidGraphData(f"{path}:{reader.line_num}: {exc}") from None
     if not rows or rows[0] != ["i", "t", "vertex", "value"]:
         raise InvalidGraphData(f"{path}: not a trajectory CSV")
     times = []

@@ -48,6 +48,16 @@ e 3 4 1.0
 """
 
 
+def grid_graph(side):
+    """The side x side grid with labels ``(i, j)``."""
+    edges = [((i, j), (i, j + 1), 1.5) for i in range(side)
+             for j in range(side - 1)]
+    edges += [((i, j), (i + 1, j), 0.5) for i in range(side - 1)
+              for j in range(side)]
+    return build_finite_graph(edges, {(i, j): 1.25 for i in range(side)
+                                      for j in range(side)})
+
+
 class TestGraphFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -118,13 +128,7 @@ class TestGraphFile:
             assert parsed == []
 
     def test_peak_memory_within_line_loop(self, tmp_path):
-        side = 30
-        edges = [((i, j), (i, j + 1), 1.5) for i in range(side)
-                 for j in range(side - 1)]
-        edges += [((i, j), (i + 1, j), 0.5) for i in range(side - 1)
-                  for j in range(side)]
-        g = build_finite_graph(edges, {(i, j): 1.25 for i in range(side)
-                                       for j in range(side)})
+        g = grid_graph(30)
         path = str(tmp_path / "grid.txt")
         fileio.write_graph_file(g, path)
 
@@ -716,6 +720,42 @@ def _write_rows(path, rows, line_end):
                          for row in rows))
 
 
+def _edited(at, change):
+    """An edit of a trajectory file's lines (header first, no line ends)
+    that applies ``change`` to line ``at(V)`` and writes the lines back
+    as the writer does."""
+    def edit(lines, V):
+        k = at(V)
+        lines[k] = change(lines[k])
+        return "\n".join(lines) + "\n"
+    return edit
+
+
+def _value_edited(change):
+    """An edit of line 2's value cell by ``change``."""
+    def cell(line):
+        head, _, value = line.rpartition(",")
+        return f"{head},{change(value)}"
+    return _edited(lambda V: 2, cell)
+
+
+# the writer's layout broken in ways _writer_steps declines; csv.reader
+# reads some of them to the same steps and refuses the others
+LAYOUT_EDITS = {
+    "step_index_01": _edited(lambda V: 1 + V, "0".__add__),
+    "step_index_quoted": _edited(lambda V: 1, lambda s: '"0"' + s[1:]),
+    "cr_in_time": _edited(lambda V: 1, lambda s: s.replace(",", ",0.\r", 1)),
+    "value_over_field_limit": _value_edited(
+        lambda v: "0" * csv.field_size_limit() + "1"),
+    "no_final_newline": lambda lines, V: "\n".join(lines),
+    "blank_line_at_end": lambda lines, V: "\n".join(lines) + "\n\n",
+    "row_dropped": lambda lines, V: "\n".join(lines[:3] + lines[4:]) + "\n",
+    "row_duplicated": lambda lines, V: "\n".join(lines + lines[3:4]) + "\n",
+    "value_quoted": _value_edited(lambda v: f'"{v}"'),
+    "quote_in_value": _value_edited(lambda v: f'{v[:1]}"{v[1:]}'),
+}
+
+
 class TestTrajectoryReader:
     """``read_trajectory_csv`` against the reference reader (a dict per
     step, then one array) on written, reordered and damaged files."""
@@ -787,6 +827,68 @@ class TestTrajectoryReader:
                 fileio.read_trajectory_csv(str(path), path_graph(2))
             assert str(info.value) == \
                 f"{path}: trajectory vertices do not match the graph"
+
+    @pytest.mark.parametrize("graph", [
+        lambda: path_graph(5), lambda: grid_graph(4), mixed_label_graph,
+        lambda: build_finite_graph(
+            [("a,b", 'say"hi"', 1.0), ('say"hi"', 'x,"y"', 1.0),
+             ('x,"y"', ",", 1.0)], {"a,b": 1.0, 'say"hi"': 1.0,
+                                    'x,"y"': 1.0, ",": 1.0})],
+        ids=["int", "pair", "mixed", "string"])
+    def test_writer_layout_skips_csv_reader(self, tmp_path, monkeypatch,
+                                            graph):
+        g = graph()
+        values = np.random.default_rng(5).standard_normal(
+            (3, g.num_vertices))
+        values[1, 0] = -0.0
+        times = [0.0, 0.25, 1e-300]
+        path = str(tmp_path / "traj.csv")
+        fileio.write_trajectory_csv(path, values, times, g)
+        want = _outcome(reference_read_trajectory_csv, path, g)
+        assert want == (np.array(times).tobytes(), values.shape,
+                        values.tobytes())
+
+        def refuse(path):
+            raise AssertionError("read by csv.reader")
+
+        monkeypatch.setattr(fileio, "_csv_rows", refuse)
+        assert _outcome(fileio.read_trajectory_csv, path, g) == want
+
+    @pytest.mark.parametrize("edit", sorted(LAYOUT_EDITS))
+    def test_other_layouts_read_as_reference(self, tmp_path, edit):
+        g = mixed_label_graph()
+        values = np.random.default_rng(6).standard_normal(
+            (2, g.num_vertices))
+        path = str(tmp_path / "traj.csv")
+        fileio.write_trajectory_csv(path, values, [0.0, 0.5], g)
+        with open(path, newline="") as fh:
+            lines = fh.read().split("\n")[:-1]
+        with open(path, "w", newline="") as fh:
+            fh.write(LAYOUT_EDITS[edit](lines, g.num_vertices))
+        assert fileio._writer_steps(path, g) is None
+        assert _outcome(fileio.read_trajectory_csv, path, g) == \
+            _outcome(reference_read_trajectory_csv, path, g)
+
+    def test_peak_memory_within_csv_reader(self, tmp_path, monkeypatch):
+        g = grid_graph(120)
+        path = str(tmp_path / "traj.csv")
+        fileio.write_trajectory_csv(
+            path, np.random.default_rng(7).standard_normal(
+                (21, g.num_vertices)), np.linspace(0.0, 1.0, 21), g)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                fileio.read_trajectory_csv(path, g)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        fast = peak()
+        # without the writer-layout pass, every file takes the csv.reader
+        # path, the reader this pass was added in front of
+        monkeypatch.setattr(fileio, "_writer_steps", lambda path, g: None)
+        assert fast <= peak()
 
     def test_oversized_field_refused(self, tmp_path):
         # csv.reader refuses a field over its size limit: an input error

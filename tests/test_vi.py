@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphrothe import (
@@ -724,6 +724,10 @@ class TestActiveSetDifferential:
            psi_kind=st.sampled_from(["zero", "random", "low"]),
            u_scale=st.floats(0.1, 10.0),
            f_scale=st.floats(0.1, 30.0))
+    # every vertex inactive, u - psi near 1e3: r * (u - psi) is rounding
+    # of S u - b times that gap
+    @example(seed=16, ell=1.0, relax=1.0, psi_kind="low",
+             u_scale=5.323372367365809, f_scale=5.323372367365809)
     def test_step_matches_reference_psor(self, seed, ell, relax, psi_kind,
                                          u_scale, f_scale):
         rng = np.random.default_rng(seed)
@@ -750,8 +754,11 @@ class TestActiveSetDifferential:
         assert np.array_equal(u[held], lower[held])
         assert np.all(u >= lower)
         for residual in (rep.primal_residual, rep.dual_residual,
-                         rep.complementarity, rep.variational_residual):
+                         rep.variational_residual):
             assert residual <= 1e-12 * scale
+        # measured on the gap scale ViStepper._obstacle accepts it on
+        gap = 1.0 + float(np.max(np.abs(u - lower), initial=0.0))
+        assert rep.complementarity <= 1e-12 * scale * gap
         assert 1 <= rep.iterations <= n + 1
 
     def test_cg_path_matches_direct(self, monkeypatch):
