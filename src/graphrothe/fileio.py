@@ -33,19 +33,21 @@ feed after each row. The reader first tries that layout on the graph
 index, its time and the label cells by two ``startswith`` passes, and the
 values are read by one ``float`` pass. Any other file (rows in another
 order, labels or step indices spelled another way, quoted numbers,
-carriage returns, a cell over the ``csv`` field size limit) goes through
-``csv.reader``, which takes the rows in any order and alone names a
-fault. Numbers are read by ``float()`` on both paths, so a value or time
+carriage returns, a cell over the ``csv`` field size limit) is split by
+``csv.reader`` and read by one loop over its rows, which also names its
+faults. Numbers are read by ``float()`` on both paths, so a value or time
 is any token ``float()`` reads as a finite number (``1_0``, ``+3`` and a
 number after spaces too, ``0x1p3`` and ``nan`` not). A label cell names a
 vertex by its label as written or by any token that reads as that label
 (``02`` and ``+2`` name vertex 2).
 Every row has four cells, steps are numbered from 0 and first appear in
-order, every row of a step carries its time, and no vertex has two rows
-in one step: the error for a file that breaks one of these rules names
-its first faulty row, as ``path:row`` with the header as row 1. Each
-step must then name every vertex of the graph and no other, or the file
-does not match the graph.
+order, every row of a step carries its time and a finite value, and no
+vertex has two rows in one step. The error for a file that breaks these
+rules names a row, as ``path:row`` with the header as row 1: the first
+row with a bad cell count, step or value, or, in a file with none, the
+first row that repeats a vertex of its step. Each step must then name
+every vertex of the graph and no other, or the file does not match the
+graph.
 
 Table CSV (every other CSV output, and ``compare``'s table): a header
 row, then one row per entry, formatted whole by ``csv_text`` from a
@@ -58,6 +60,7 @@ files are written to a temp name then atomically moved into place.
 
 from __future__ import annotations
 
+import array
 import csv
 import hashlib
 import itertools
@@ -86,15 +89,6 @@ from .graph import (  # noqa: F401
 def fmt(x):
     """Shortest decimal that round-trips to the same float."""
     return repr(float(x))
-
-
-class _Labels(dict):
-    """``{token: parse_label(token)}``, filled as tokens are looked up, so
-    each distinct token is parsed once."""
-
-    def __missing__(self, token):
-        label = self[token] = parse_label(token)
-        return label
 
 
 class _Text:
@@ -570,84 +564,62 @@ def read_trajectory_csv(path, graph):
     the values of step i in ``graph``'s vertex order.
 
     Rows may come in any order. A faulty row raises with the file's name
-    and the number of its first faulty row (see the module docstring),
-    and a file whose steps do not each name every vertex of ``graph``
-    exactly once raises ``GraphMismatch``. The writer's own layout is
-    read by ``_writer_steps``, and every other file by ``csv.reader``."""
+    and the row's number (see the module docstring), and a file whose
+    steps do not each name every vertex of ``graph`` exactly once raises
+    ``GraphMismatch``. The writer's own layout is read by
+    ``_writer_steps``. Every other file is split by ``csv.reader``, and
+    one loop over its rows checks each row's cells, step and value,
+    raising at the first fault, and collects its step, vertex id and
+    value; a repeated (step, vertex) is then found by one ``bincount``
+    over those ids."""
     steps = _writer_steps(path, graph)
     if steps is not None:
         return steps
     rows = _csv_rows(path)
     if not rows or rows[0] != ["i", "t", "vertex", "value"]:
         raise InvalidGraphData(f"{path}: not a trajectory CSV")
-    n = len(rows) - 1
-    V = graph.num_vertices
     times = []
-    if n == 0:
-        return times, _frozen(np.empty((0, V)))
-    if set(map(len, rows)) != {4}:
-        _raise_row_fault(path, rows)
-    i_col, t_col, cells, val_col = (col[1:] for col in zip(*rows))
-    # a step's rows are read in runs of equal (i, t) strings, and each run
-    # start goes through _trajectory_step
-    new = np.fromiter(map(operator.ne, i_col[1:], i_col), bool, n - 1)
-    new |= np.fromiter(map(operator.ne, t_col[1:], t_col), bool, n - 1)
-    starts = np.flatnonzero(np.concatenate(([True], new)))
-    try:
-        run_steps = [_trajectory_step(i_col[s], t_col[s], times)
-                     for s in starts.tolist()]
-        vals = np.fromiter(map(float, val_col), float, n)
-    except ValueError:
-        _raise_row_fault(path, rows)
-    if not np.isfinite(vals).all():
-        _raise_row_fault(path, rows)
-    step = np.repeat(run_steps, np.diff(starts, append=n))
+    step_of = {}  # (i, t) strings: step index
     ids = _VertexIds(graph)
-    vid = np.fromiter(map(ids.__getitem__, cells), np.intp, n)
+    row_steps, row_vids = [], []
+    vals = array.array("d")
+    for rowno, row in enumerate(itertools.islice(rows, 1, None), 2):
+        try:
+            if len(row) != 4:
+                raise ValueError(f"expected 4 columns, got {len(row)}")
+            i_s, t_s, cell, val_s = row
+            i = step_of.get((i_s, t_s))
+            if i is None:
+                i = step_of[i_s, t_s] = _trajectory_step(i_s, t_s, times)
+            vals.append(_finite(val_s))
+        except ValueError as exc:
+            raise InvalidGraphData(f"{path}:{rowno}: {exc}") from None
+        row_steps.append(i)
+        row_vids.append(ids[cell])
+    V = graph.num_vertices
     K, W = len(times), V + len(ids.unknown)
-    counts = np.bincount(step * W + vid, minlength=K * W)
-    if counts.max() > 1:
-        _raise_row_fault(path, rows)
-    if W > V or not counts.all():
+    key = np.array(row_steps, np.intp) * W + np.array(row_vids, np.intp)
+    if (np.bincount(key, minlength=K * W) > 1).any():
+        # the first row whose key an earlier row has
+        repeat = np.ones(len(key), bool)
+        repeat[np.unique(key, return_index=True)[1]] = False
+        r = int(repeat.argmax())
+        raise InvalidGraphData(
+            f"{path}:{r + 2}: vertex {parse_label(rows[r + 1][2])!r} "
+            f"listed twice in step {row_steps[r]}")
+    # with no repeats and no unknown label (W == V), K * V rows fill every
+    # step, and each row's key is its slot in the K x V array
+    if W > V or len(key) != K * V:
         raise GraphMismatch(
             f"{path}: trajectory vertices do not match the graph")
     values = np.empty(K * V)
-    values[step * V + vid] = vals
+    values[key] = vals
     return times, _frozen(values.reshape(K, V))
 
 
 def _frozen(values):
     values.setflags(write=False)
     return values
-
-
-def _raise_row_fault(path, rows):
-    """Raise for the first data row of a file's ``rows`` (header first)
-    that has not four cells, a bad step or a bad value; failing those, for
-    the first that repeats a (step, vertex) pair. Only diagnoses a file
-    that ``read_trajectory_csv`` found faulty: it builds no result."""
-    times = []
-    step_of = {}
-    labels = _Labels()
-    seen = set()
-    repeat = None
-    for rowno, row in enumerate(rows[1:], 2):
-        try:
-            if len(row) != 4:
-                raise ValueError(f"expected 4 columns, got {len(row)}")
-            i_s, t_s, lab_s, val_s = row
-            i = step_of.get((i_s, t_s))
-            if i is None:
-                i = step_of[i_s, t_s] = _trajectory_step(i_s, t_s, times)
-            _finite(val_s)
-        except ValueError as exc:
-            raise InvalidGraphData(f"{path}:{rowno}: {exc}") from None
-        key = (i, labels[lab_s])
-        if repeat is None and key in seen:
-            repeat = InvalidGraphData(f"{path}:{rowno}: vertex {key[1]!r} "
-                                      f"listed twice in step {i}")
-        seen.add(key)
-    raise repeat
 
 
 def sha256_file(path):

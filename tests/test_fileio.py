@@ -828,6 +828,29 @@ class TestTrajectoryReader:
             assert str(info.value) == \
                 f"{path}: trajectory vertices do not match the graph"
 
+    @pytest.mark.parametrize("rows, want", [
+        # the row of the second listing, and its label as parsed
+        (["0,0.0,0,1.0", "0,0.0,1,1.0", "0,0.0,2,1.0", "1,0.5,2,1.0",
+          "1,0.5,0,1.0", "1,0.5,02,1.0", "1,0.5,1,1.0"],
+         "7: vertex 2 listed twice in step 1"),
+        # a bad value on a later row comes before an earlier repeat
+        (["0,0.0,0,1.0", "0,0.0,0,2.0", "0,0.0,1,nan", "0,0.0,2,1.0"],
+         "4: non-finite value 'nan'"),
+        # a label that is not the graph's, listed twice: a repeat
+        (["0,0.0,0,1.0", "0,0.0,1,1.0", "0,0.0,zz,1.0", "0,0.0,2,1.0",
+          "0,0.0,zz,1.0"],
+         "6: vertex 'zz' listed twice in step 0"),
+    ], ids=["repeat", "value-first", "unknown-repeat"])
+    def test_row_fault_precedence(self, tmp_path, rows, want):
+        g = path_graph(3)
+        path = str(tmp_path / "traj.csv")
+        with open(path, "w") as fh:
+            fh.write("".join(f"{row}\n" for row in
+                             ["i,t,vertex,value", *rows]))
+        got = _outcome(fileio.read_trajectory_csv, path, g)
+        assert got == (InvalidGraphData, f"{path}:{want}")
+        assert got == _outcome(reference_read_trajectory_csv, path, g)
+
     @pytest.mark.parametrize("graph", [
         lambda: path_graph(5), lambda: grid_graph(4), mixed_label_graph,
         lambda: build_finite_graph(
